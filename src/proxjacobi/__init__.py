@@ -1,9 +1,9 @@
 """Distributed proximal Jacobi augmented-Lagrangian solver for
 block-structured problems coupled through shared linear constraints."""
 
-from .auglag import (aug_lagrangian, block_objective, dual_residual, eta_pair,
-                     lyapunov, penalty_residuals, primal_residual,
-                     theorem1_bounds, theorem1_params)
+from .auglag import (aug_lagrangian, dual_residual, eta_pair, lyapunov,
+                     penalty_residuals, primal_residual, theorem1_bounds,
+                     theorem1_params)
 from .jacobi import RunConfig, TraceRecord, init_state, iterate, run_fixed
 from .model import (BlockSpec, ConstraintSet, IterateState, Params,
                     PolarBalance, Problem, Quadratic, SchemaError,
@@ -14,7 +14,7 @@ from .tuner import TunerConfig, make_initial_state, run_adaptive
 __version__ = "0.1.0"
 
 __all__ = [
-    "aug_lagrangian", "block_objective", "dual_residual", "eta_pair",
+    "aug_lagrangian", "dual_residual", "eta_pair",
     "lyapunov", "penalty_residuals", "primal_residual", "theorem1_bounds",
     "theorem1_params", "RunConfig", "TraceRecord", "init_state", "iterate",
     "run_fixed", "BlockSpec", "ConstraintSet", "IterateState", "Params",

@@ -22,18 +22,6 @@ def couple_apply(problem, x):
     return out
 
 
-def couple_apply_except(problem, x, t):
-    """Return ``sum_{s != t} A_s x_s`` by summation excluding block ``t``."""
-    if not 0 <= t < problem.T:
-        raise IndexError(f"block index {t} out of range [0, {problem.T})")
-    out = np.zeros(problem.m)
-    for s, (blk, xs) in enumerate(zip(problem.blocks, x)):
-        if s == t:
-            continue
-        out += blk.coupling @ np.asarray(xs, dtype=float)
-    return out
-
-
 def seminorm_sq(A_t, v):
     """Squared seminorm ``||A_t v||^2 = v' A_t' A_t v``."""
     v = np.asarray(v, dtype=float)
@@ -88,16 +76,3 @@ def r_matrix_eigencheck(rho, tau_x, T, m):
     eigs = np.linalg.eigvalsh(R)
     return float(eigs[0]), float(eigs[-1])
 
-
-class CouplingWorkspace:
-    """Cached per-block column norms and spectral-norm estimates."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.column_norms = [
-            np.sqrt(np.asarray(blk.coupling.multiply(blk.coupling)
-                               .sum(axis=0)).ravel())
-            for blk in problem.blocks
-        ]
-        self.spectral_norms = [spectral_norm(blk.coupling)
-                               for blk in problem.blocks]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import couple_apply, couple_apply_except
+from .algebra import couple_apply
 
 DAGGER_SIZE_CAP = 2000
 
@@ -30,25 +30,29 @@ class BlockObjective:
     """The block subproblem objective with the other blocks frozen:
 
     f_t(x_t) + lam'A_t x_t + (rho/2)||A_t x_t + r_fix||^2
-             + (tau_x/2)||x_t - anchor||^2_{A_t'A_t}
+             + (tau_x/2)||x_t - xbar_t||^2_{A_t'A_t}
 
-    where ``r_fix = A_{!=t} xbar_{!=t} + zbar - b``.  Exposes ``value`` and
-    ``gradient`` callbacks for the subproblem solvers.
+    where ``r_fix = A xbar - A_t xbar_t + zbar - b``; the caller passes the
+    full coupling sum ``A xbar`` of the frozen iterate, shared by all
+    blocks, and ``xbar_t`` doubles as the proximal anchor.  Exposes
+    ``value`` and ``gradient`` callbacks for the subproblem solvers.
     """
 
-    def __init__(self, problem, t, x_bar, z_bar, lam_bar, params, x_anchor):
+    def __init__(self, problem, t, Ax_bar, z_bar, lam_bar, params, x_bar_t):
         from .model import Quadratic
         blk = problem.blocks[t]
+        self.block = blk
         self.f = blk.objective
         self.A = blk.coupling
+        self.At = blk.coupling_T
         self.rho = params.rho
         self.tau_x = params.tau_x
         self.lam = np.asarray(lam_bar, dtype=float)
-        self.anchor = np.asarray(x_anchor, dtype=float)
-        self.r_fix = (couple_apply_except(problem, x_bar, t)
-                      + np.asarray(z_bar, dtype=float) - problem.b)
-        self.At_lam = self.A.T @ self.lam
+        self.anchor = np.asarray(x_bar_t, dtype=float)
         self.A_anchor = self.A @ self.anchor
+        self.r_fix = (np.asarray(Ax_bar, dtype=float) - self.A_anchor
+                      + np.asarray(z_bar, dtype=float) - problem.b)
+        self.At_lam = self.At @ self.lam
         self.constant_hessian = isinstance(self.f, Quadratic)
 
     def value(self, x_t):
@@ -67,9 +71,9 @@ class BlockObjective:
         x_t = np.asarray(x_t, dtype=float)
         Ax = self.A @ x_t
         g = self.f.gradient(x_t) + self.At_lam
-        g += self.rho * (self.A.T @ (Ax + self.r_fix))
+        g += self.rho * (self.At @ (Ax + self.r_fix))
         if self.tau_x:
-            g += self.tau_x * (self.A.T @ (Ax - self.A_anchor))
+            g += self.tau_x * (self.At @ (Ax - self.A_anchor))
         return g
 
     def hess_vec(self, v):
@@ -78,20 +82,14 @@ class BlockObjective:
         out = np.zeros_like(v)
         n = self.f.n
         out[:n] = self.f.Q @ v[:n]
-        out += (self.rho + self.tau_x) * (self.A.T @ (self.A @ v))
+        out += (self.rho + self.tau_x) * (self.At @ (self.A @ v))
         return out
 
     def hessian(self, x_t):
         """Dense Hessian f''(x_t) + (rho + tau_x) A'A."""
-        H = self.f.hessian(x_t)
-        H += (self.rho + self.tau_x) * (self.A.T @ self.A).toarray()
-        return H
-
-
-def block_objective(problem, t, x_t, x_bar, z_bar, lam_bar, params, x_anchor):
-    """Value and gradient of the block subproblem objective at ``x_t``."""
-    obj = BlockObjective(problem, t, x_bar, z_bar, lam_bar, params, x_anchor)
-    return obj.value(x_t), obj.gradient(x_t)
+        f_hess = (self.block.Q_dense if self.constant_hessian
+                  else self.f.hessian(x_t))
+        return f_hess + (self.rho + self.tau_x) * self.block.AtA_dense
 
 
 def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
@@ -129,7 +127,7 @@ def dual_residual(problem, t, x_t, lam, feas_tol=1e-8, active_tol=1e-8):
         raise ValueError(
             f"block {t}: residual undefined off the set "
             f"(violation {blk.set.violation(x_t):.3e} > {feas_tol:.0e})")
-    g = blk.objective.gradient(x_t) + blk.coupling.T @ np.asarray(lam, float)
+    g = blk.objective.gradient(x_t) + blk.coupling_T @ np.asarray(lam, float)
     lo, hi = blk.set.lower, blk.set.upper
     at_lo = x_t <= lo + active_tol
     at_hi = x_t >= hi - active_tol
@@ -182,18 +180,14 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
         raise ValueError("penalty residuals undefined at k = 0")
     Ax = couple_apply(problem, state.x)
     p = Ax + state.z - problem.b
-    dx = [xt - xp for xt, xp in zip(state.x, state.x_prev)]
-    Adx = [blk.coupling @ d for blk, d in zip(problem.blocks, dx)]
-    d_blocks = []
-    for t, blk in enumerate(problem.blocks):
-        acc = np.zeros(problem.m)
-        for s in range(problem.T):
-            if s != t:
-                acc += Adx[s]
-        d_t = params.rho * (blk.coupling.T @ acc)
-        d_t -= params.rho * (blk.coupling.T @ state.dz)
-        d_t -= params.tau_x * (blk.coupling.T @ Adx[t])
-        d_blocks.append(d_t)
+    Adx = [blk.coupling @ (xt - xp) for blk, xt, xp
+           in zip(problem.blocks, state.x, state.x_prev)]
+    Adx_total = np.sum(Adx, axis=0)
+    d_blocks = [
+        blk.coupling_T @ (params.rho * (Adx_total - Adx_t - state.dz)
+                          - params.tau_x * Adx_t)
+        for blk, Adx_t in zip(problem.blocks, Adx)
+    ]
     d_z = -params.tau_z * state.dz
     delta = [
         dual_residual(problem, t, state.x[t], state.lam, feas_tol=feas_tol)

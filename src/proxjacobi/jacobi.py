@@ -39,14 +39,12 @@ class BlockSolveError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Iteration budget, parallelism and solver knobs for a run."""
+    """Iteration budget, parallelism and inner-solve tolerances for a run."""
 
     max_iters: int = 1000
     workers: int = 0            # 0 = serial
     inner_tol: float = 1e-8
     inner_max_iter: int = 500
-    solver_overrides: dict = field(default_factory=dict)  # block index -> callable
-    parallel_z_update: bool = False
     record_timings: bool = True
     trace_sink: object = None   # callable invoked with each TraceRecord
 
@@ -145,7 +143,7 @@ def init_state(problem, x0, z0, lam0, params):
     return IterateState(
         x=x, z=z0, lam=lam0,
         x_prev=[xt.copy() for xt in x], z_prev=z0.copy(), lam_prev=lam0.copy(),
-        dz=dz0, dz_prev=dz0.copy(), k=0)
+        dz=dz0, k=0)
 
 
 def initial_lyapunov(problem, state, params):
@@ -154,31 +152,32 @@ def initial_lyapunov(problem, state, params):
     return val + 0.25 * params.tau_z * float(state.dz @ state.dz)
 
 
-def _solve_block(problem, state, params, config, t):
-    obj = BlockObjective(problem, t, state.x, state.z, state.lam, params,
+def _solve_block(problem, state, params, config, Ax, t):
+    obj = BlockObjective(problem, t, Ax, state.z, state.lam, params,
                          state.x[t])
     req = BlockSolveRequest(
         t=t, objective=obj, set=problem.blocks[t].set,
         warm_start=state.x[t], tol=config.inner_tol,
         max_iter=config.inner_max_iter)
-    solver = config.solver_overrides.get(t, dispatch)
-    return solver(req)
+    return dispatch(req)
 
 
 def x_update_all(problem, state, params, config):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
-    Returns (new block vectors, per-block inner iteration counts).  Any
-    numerical failure aborts with the failing block index.
+    The coupling sum of the k-1 iterate is formed once and shared by every
+    block.  Returns (new block vectors, per-block inner iteration counts).
+    Any numerical failure aborts with the failing block index.
     """
+    Ax = couple_apply(problem, state.x)
     indices = range(problem.T)
     if config.workers and problem.T > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(
-                lambda t: _solve_block(problem, state, params, config, t),
+                lambda t: _solve_block(problem, state, params, config, Ax, t),
                 indices))
     else:
-        results = [_solve_block(problem, state, params, config, t)
+        results = [_solve_block(problem, state, params, config, Ax, t)
                    for t in indices]
     for t, res in enumerate(results):
         if res.status == STATUS_NUMERICAL_FAILURE:
@@ -187,17 +186,16 @@ def x_update_all(problem, state, params, config):
             [res.inner_iterations for res in results])
 
 
-def z_update(problem, x_k, state, params):
+def z_update(problem, Ax, state, params):
     """z = (tau_z z_prev - rho(Ax - b) - lam_prev) / (tau_z + rho + theta)."""
     denom = params.tau_z + params.rho + params.theta
-    viol = couple_apply(problem, x_k) - problem.b
+    viol = Ax - problem.b
     return (params.tau_z * state.z - params.rho * viol - state.lam) / denom
 
 
-def lambda_update(state, x_k, z_k, params, problem):
+def lambda_update(problem, Ax, z_k, state, params):
     """lam = lam_prev + rho (Ax + z - b)."""
-    return state.lam + params.rho * (couple_apply(problem, x_k) + z_k
-                                     - problem.b)
+    return state.lam + params.rho * (Ax + z_k - problem.b)
 
 
 def iterate(problem, state, params, config, phi_prev=None):
@@ -215,18 +213,14 @@ def iterate(problem, state, params, config, phi_prev=None):
     t0 = time.perf_counter()
     x_k, inner_iters = x_update_all(problem, state, params, config)
     t1 = time.perf_counter()
-    if config.parallel_z_update:
-        # variant using only k-1 information for the z update
-        z_k = z_update(problem, state.x, state, params)
-    else:
-        z_k = z_update(problem, x_k, state, params)
-    lam_k = lambda_update(state, x_k, z_k, params, problem)
+    Ax_k = couple_apply(problem, x_k)
+    z_k = z_update(problem, Ax_k, state, params)
+    lam_k = lambda_update(problem, Ax_k, z_k, state, params)
     t2 = time.perf_counter()
 
     state.x_prev = state.x
     state.z_prev = state.z
     state.lam_prev = state.lam
-    state.dz_prev = state.dz
     state.x = x_k
     state.z = z_k
     state.lam = lam_k

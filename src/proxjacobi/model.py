@@ -9,10 +9,11 @@ constraint ``sum_t A_t x_t = b``.
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import qr
+from scipy.linalg import cho_factor, qr
 
 from . import _polar
 
@@ -286,7 +287,11 @@ class ConstraintSet:
 
 @dataclass
 class BlockSpec:
-    """One block: dimension, objective f_t, set X_t, coupling matrix A_t."""
+    """One block: dimension, objective f_t, set X_t, coupling matrix A_t.
+
+    Derived forms of the data are computed on first use and kept, so the
+    fields must not be reassigned once the block is in use.
+    """
 
     n: int
     objective: SmoothFunction
@@ -295,6 +300,32 @@ class BlockSpec:
 
     def __post_init__(self):
         self.coupling = sp.csr_matrix(self.coupling, dtype=float)
+        self._factor = (None, None)
+
+    @cached_property
+    def coupling_T(self):
+        """A_t' in CSR form."""
+        return self.coupling.T.tocsr()
+
+    @cached_property
+    def Q_dense(self):
+        """Dense Q_t of a quadratic objective."""
+        return self.objective.Q.toarray()
+
+    @cached_property
+    def AtA_dense(self):
+        """Dense A_t'A_t."""
+        return (self.coupling_T @ self.coupling).toarray()
+
+    def hessian_factor(self, w):
+        """Cholesky factor of Q_t + w A_t'A_t, kept for the latest ``w``
+        only (a change of rho or tau_x refactors).  Raises LinAlgError when
+        the matrix is not positive definite."""
+        key, cho = self._factor
+        if key != w:
+            cho = cho_factor(self.Q_dense + w * self.AtA_dense)
+            self._factor = (w, cho)
+        return cho
 
 
 @dataclass
@@ -352,7 +383,6 @@ class IterateState:
     z_prev: np.ndarray
     lam_prev: np.ndarray
     dz: np.ndarray
-    dz_prev: np.ndarray
     k: int = 0
 
     def copy(self):
@@ -364,7 +394,6 @@ class IterateState:
             z_prev=self.z_prev.copy(),
             lam_prev=self.lam_prev.copy(),
             dz=self.dz.copy(),
-            dz_prev=self.dz_prev.copy(),
             k=self.k,
         )
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .model import Quadratic
 
@@ -64,34 +63,30 @@ def project_box(x, lower, upper):
     return np.minimum(np.maximum(np.asarray(x, dtype=float), lower), upper)
 
 
-def _quadratic_hessian(obj):
-    """Dense Hessian Q + (rho + tau_x) A'A of the block subproblem."""
-    Q = obj.f.Q.toarray()
-    AtA = (obj.A.T @ obj.A).toarray()
-    return Q + (obj.rho + obj.tau_x) * AtA
-
-
 def solve_quadratic_exact(req):
     """Exact Newton step for an unconstrained quadratic block subproblem.
 
     Requires a positive definite subproblem Hessian; indefinite or singular
-    systems report numerical failure so the caller can fall back to
-    projected gradient.
+    systems, and non-finite data, report numerical failure so the caller
+    can fall back to projected gradient.  The Hessian factor comes from the
+    block's cache.
     """
     obj = req.objective
     if not isinstance(obj.f, Quadratic):
         raise ValueError("quadratic-exact solver requires a quadratic objective")
     n = req.warm_start.shape[0]
-    H = _quadratic_hessian(obj)
     g0 = obj.gradient(np.zeros(n))
+    fail = BlockSolveResult(
+        x=req.warm_start.copy(), mu=np.empty(0),
+        status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
+        grad_norm=float("inf"), solver="quadratic-exact")
+    if not np.all(np.isfinite(g0)):
+        return fail
     try:
-        cho = scipy.linalg.cho_factor(H)
-        x = scipy.linalg.cho_solve(cho, -g0)
+        cho = obj.block.hessian_factor(obj.rho + obj.tau_x)
     except scipy.linalg.LinAlgError:
-        return BlockSolveResult(
-            x=req.warm_start.copy(), mu=np.empty(0),
-            status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
-            grad_norm=float("inf"), solver="quadratic-exact")
+        return fail
+    x = scipy.linalg.cho_solve(cho, -g0)
     gn = float(np.linalg.norm(obj.gradient(x)))
     if not np.isfinite(gn) or gn > 1e-10 * (1.0 + float(np.linalg.norm(g0))):
         # refine once; Cholesky solves are accurate enough in practice
@@ -131,7 +126,7 @@ def solve_quadratic_kkt(req):
     pinned = np.isfinite(lo) & (lo == hi)
     free = ~pinned
     nf = int(np.sum(free))
-    H = _quadratic_hessian(obj)
+    H = obj.hessian(req.warm_start)
     g0 = obj.gradient(np.zeros(n))
     x_pin = np.where(pinned, lo, 0.0)
     C = np.zeros((len(rows), n))

@@ -1,12 +1,9 @@
 """Shared instance builders for the test suite."""
 
-import numpy as np
 import pytest
-import scipy.linalg
 
 from proxjacobi import problems
 from proxjacobi.cli import default_start
-from proxjacobi.subsolver import BlockSolveResult, STATUS_CONVERGED
 
 QP_SEEDS = list(range(20))
 
@@ -24,29 +21,6 @@ def build_qp(seed):
     return problems.gen_coupled_qp(seed, T, n_t, m)
 
 
-def cached_exact_solvers(problem, params):
-    """Per-block solver overrides with the Cholesky factor computed once.
-
-    Equivalent to the quadratic-exact path for fixed parameters; used by the
-    long fixed-parameter runs to keep the suite fast.
-    """
-    overrides = {}
-    for t, blk in enumerate(problem.blocks):
-        H = blk.objective.Q.toarray() + (params.rho + params.tau_x) * (
-            blk.coupling.T @ blk.coupling).toarray()
-        cho = scipy.linalg.cho_factor(H)
-
-        def solve(req, cho=cho, n=blk.n):
-            g0 = req.objective.gradient(np.zeros(n))
-            x = scipy.linalg.cho_solve(cho, -g0)
-            return BlockSolveResult(
-                x=x, mu=np.empty(0), status=STATUS_CONVERGED,
-                inner_iterations=1, grad_norm=0.0, solver="cached-exact")
-
-        overrides[t] = solve
-    return overrides
-
-
 @pytest.fixture(scope="session")
 def qp_suite():
     return [(seed,) + build_qp(seed) for seed in QP_SEEDS]
@@ -59,5 +33,4 @@ def acopf_twin_problem():
                                   cost_b=[0.1, 0.12])
 
 
-__all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "cached_exact_solvers",
-           "default_start"]
+__all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "default_start"]

@@ -19,13 +19,13 @@ import pytest
 
 from proxjacobi import auglag, jacobi, problems, tuner
 from proxjacobi import cli
-from proxjacobi.algebra import (CouplingWorkspace, couple_apply,
-                                r_matrix_eigencheck, seminorm_sq)
+from proxjacobi.algebra import (couple_apply, r_matrix_eigencheck,
+                                seminorm_sq, spectral_norm)
 from proxjacobi.jacobi import RunConfig, TraceRecord
 from proxjacobi.model import Params, save_problem
 from proxjacobi.tuner import TunerConfig, TunerState, tune_step
 
-from conftest import QP_SEEDS, build_qp, cached_exact_solvers, default_start
+from conftest import QP_SEEDS, build_qp, default_start
 
 MONO_RTOL = 1e-8
 ID_RTOL = 1e-10
@@ -90,8 +90,7 @@ def theorem1_data():
         params = auglag.theorem1_params(eps, prob.T)
         etas = auglag.eta_pair(params, prob.T)
         assert etas.feasible
-        cfg = RunConfig(record_timings=False,
-                        solver_overrides=cached_exact_solvers(prob, params))
+        cfg = RunConfig(record_timings=False)
         state = jacobi.init_state(prob, *default_start(prob), params)
         phi_prev = jacobi.initial_lyapunov(prob, state, params)
         best_stat = np.inf
@@ -127,7 +126,7 @@ def theorem1_data():
             prev_dx, prev_dz = dx, dzs
             worst_id = max(worst_id, *_identity_worsts(prob, state, params))
         phi_hat = problems.separable_lower_bound(prob)
-        specs = CouplingWorkspace(prob).spectral_norms
+        specs = [spectral_norm(blk.coupling) for blk in prob.blocks]
         pi_bound, delta_bounds = auglag.theorem1_bounds(
             phi1, phi_hat, rec.phi, K, params, specs, prob.T)
         bound_exists = bool(np.any(

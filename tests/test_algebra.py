@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from proxjacobi.algebra import (CouplingWorkspace, couple_apply,
-                                couple_apply_except, r_matrix_eigencheck,
+from proxjacobi.algebra import (couple_apply, r_matrix_eigencheck,
                                 seminorm_sq, spectral_norm)
 
 from conftest import build_qp
@@ -27,25 +25,11 @@ def test_couple_apply_matches_dense(qp):
     assert np.allclose(couple_apply(qp, x), dense, atol=1e-12)
 
 
-@given(st.integers(0, 100))
-def test_couple_apply_except_complement(qp, seed):
-    x = random_blocks(qp, seed)
-    full = couple_apply(qp, x)
-    for t in range(qp.T):
-        rest = couple_apply_except(qp, x, t) + qp.blocks[t].coupling @ x[t]
-        assert np.allclose(rest, full, atol=1e-10)
-
-
 def test_couple_apply_shape_check(qp):
     x = random_blocks(qp, 0)
     x[0] = np.zeros(qp.blocks[0].n + 1)
     with pytest.raises(ValueError):
         couple_apply(qp, x)
-
-
-def test_couple_apply_except_index_check(qp):
-    with pytest.raises(IndexError):
-        couple_apply_except(qp, random_blocks(qp, 0), qp.T)
 
 
 def test_seminorm_sq(qp):
@@ -80,13 +64,3 @@ def test_eigencheck_validation():
         r_matrix_eigencheck(1.0, 1.0, 0, 1)
     with pytest.raises(ValueError):
         r_matrix_eigencheck(1.0, 1.0, 100, 100)
-
-
-def test_workspace_caches(qp):
-    ws = CouplingWorkspace(qp)
-    assert len(ws.spectral_norms) == qp.T
-    for blk, cols, spec in zip(qp.blocks, ws.column_norms, ws.spectral_norms):
-        dense = blk.coupling.toarray()
-        assert np.allclose(cols, np.linalg.norm(dense, axis=0), atol=1e-12)
-        assert spec == pytest.approx(
-            np.linalg.svd(dense, compute_uv=False)[0], rel=1e-9)

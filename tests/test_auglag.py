@@ -50,10 +50,21 @@ def test_aug_lagrangian_formula(qp):
         aug_lagrangian(qp, x, np.zeros(qp.m + 1), lam, PARAMS)
 
 
+def test_block_objective_fixed_residual(qp):
+    """r_fix built from the shared total A xbar equals the explicit sum
+    over the other blocks."""
+    x, z, lam = random_point(qp, 7)
+    for t in range(qp.T):
+        obj = BlockObjective(qp, t, couple_apply(qp, x), z, lam, PARAMS, x[t])
+        explicit = sum(blk.coupling @ xs for s, (blk, xs) in
+                       enumerate(zip(qp.blocks, x)) if s != t) + z - qp.b
+        assert np.linalg.norm(obj.r_fix - explicit) <= \
+            1e-12 * np.linalg.norm(explicit)
+
+
 def test_block_objective_gradient(qp):
     x, z, lam = random_point(qp, 1)
-    anchor = x[0] + 0.1
-    obj = BlockObjective(qp, 0, x, z, lam, PARAMS, anchor)
+    obj = BlockObjective(qp, 0, couple_apply(qp, x), z, lam, PARAMS, x[0])
     pt = x[0] + 0.3
     fd = finite_diff_grad(obj.value, pt)
     assert np.allclose(obj.gradient(pt), fd, atol=1e-5)
@@ -65,7 +76,7 @@ def test_block_objective_tracks_aug_lagrangian(qp):
     """Changing only block t moves the block objective and the augmented
     Lagrangian by the same amount (the prox anchor held at x_t)."""
     x, z, lam = random_point(qp, 2)
-    obj = BlockObjective(qp, 1, x, z, lam, PARAMS, x[1])
+    obj = BlockObjective(qp, 1, couple_apply(qp, x), z, lam, PARAMS, x[1])
     rng = np.random.default_rng(3)
     other = x[1] + rng.standard_normal(x[1].size)
     x_other = list(x)

@@ -74,6 +74,21 @@ class TestGenerate:
         assert code == EXIT_OK
         assert main(["validate", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_dispatch_without_applicable_oracle(self, tmp_path, capsys,
+                                                with_oracle):
+        # a bound is active at the 24 x 4 optimum, so no oracle applies
+        out = tmp_path / "d.json"
+        orc = tmp_path / "o.json"
+        argv = ["generate", "dispatch", "--out", str(out),
+                "--periods", "24", "--generators", "4"]
+        if with_oracle:
+            argv += ["--oracle", str(orc)]
+        assert main(argv) == EXIT_OK
+        assert ("not applicable" in capsys.readouterr().err) == with_oracle
+        assert main(["validate", str(out)]) == EXIT_OK
+        assert not orc.exists()
+
     def test_acopf_toy(self, tmp_path):
         out = tmp_path / "a.json"
         code = main(["generate", "acopf-toy", "--out", str(out),

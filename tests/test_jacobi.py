@@ -121,7 +121,7 @@ class TestRunFixed:
             traces.append(trace_csv_text(trace))
         assert traces[0] == traces[1] == traces[2]
 
-    def test_block_failure_attaches_trace(self, qp):
+    def test_block_failure_attaches_trace(self, qp, monkeypatch):
         def failing(req):
             return BlockSolveResult(
                 x=req.warm_start, mu=np.empty(0),
@@ -129,17 +129,18 @@ class TestRunFixed:
                 grad_norm=float("inf"), solver="broken")
 
         calls = {"n": 0}
+        dispatch = jacobi.dispatch
 
         def flaky(req):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                return failing(req)
-            from proxjacobi.subsolver import dispatch
+            if req.t == 0:
+                calls["n"] += 1
+                if calls["n"] > 2:
+                    return failing(req)
             return dispatch(req)
 
+        monkeypatch.setattr(jacobi, "dispatch", flaky)
         init = init_state(qp, *default_start(qp), PARAMS)
-        cfg = RunConfig(record_timings=False, max_iters=10,
-                        solver_overrides={0: flaky})
+        cfg = RunConfig(record_timings=False, max_iters=10)
         with pytest.raises(BlockSolveError) as info:
             run_fixed(qp, PARAMS, init, cfg)
         assert info.value.t == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
@@ -24,11 +25,12 @@ def make_block_problem(objective, cset, m=0, b=None, A=None):
     return Problem(m=m, b=np.zeros(m) if b is None else b, blocks=[blk])
 
 
-def make_request(problem, warm=None, tol=1e-10):
+def make_request(problem, warm=None, tol=1e-10, z_bar=None):
     n = problem.blocks[0].n
     warm = np.zeros(n) if warm is None else warm
-    obj = BlockObjective(problem, 0, [warm], np.zeros(problem.m),
-                         np.zeros(problem.m), PARAMS, warm)
+    z_bar = np.zeros(problem.m) if z_bar is None else z_bar
+    obj = BlockObjective(problem, 0, problem.blocks[0].coupling @ warm,
+                         z_bar, np.zeros(problem.m), PARAMS, warm)
     return BlockSolveRequest(t=0, objective=obj, set=problem.blocks[0].set,
                              warm_start=warm, tol=tol, max_iter=500)
 
@@ -72,6 +74,31 @@ def test_quadratic_exact_indefinite_fails():
         Quadratic(sp.csr_matrix(np.array([[-10.0]])), np.zeros(1)), cset)
     res = solve_quadratic_exact(make_request(prob))
     assert res.status == subsolver.STATUS_NUMERICAL_FAILURE
+
+
+def test_dispatch_nonfinite_data_fails():
+    # a NaN zbar (a diverged outer iterate) must not raise from cho_solve
+    cset = ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf))
+    prob = make_block_problem(Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
+                              cset, m=1, A=np.ones((1, 2)))
+    res = dispatch(make_request(prob, z_bar=np.full(1, np.nan)))
+    assert res.status == subsolver.STATUS_NUMERICAL_FAILURE
+
+
+def test_hessian_factor_follows_weight():
+    # each change of rho + tau_x refactors; a stale factor is never reused
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((3, 3))
+    cset = ConstraintSet(np.full(3, -np.inf), np.full(3, np.inf))
+    prob = make_block_problem(Quadratic(sp.csr_matrix(M.T @ M), np.zeros(3)),
+                              cset, m=2, A=rng.standard_normal((2, 3)))
+    blk, rhs = prob.blocks[0], rng.standard_normal(3)
+    for w in (1.5, 40.0, 1.5):
+        fresh = scipy.linalg.cho_factor(blk.objective.Q.toarray() + w * (
+            blk.coupling.T @ blk.coupling).toarray())
+        cached = blk.hessian_factor(w)
+        assert np.array_equal(scipy.linalg.cho_solve(fresh, rhs),
+                              scipy.linalg.cho_solve(cached, rhs))
 
 
 def test_box_pg_clamps_to_bound():
