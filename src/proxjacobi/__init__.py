@@ -2,8 +2,7 @@
 block-structured problems coupled through shared linear constraints."""
 
 from .auglag import (aug_lagrangian, dual_residual, eta_pair, lyapunov,
-                     penalty_residuals, primal_residual, theorem1_bounds,
-                     theorem1_params)
+                     penalty_residuals, theorem1_bounds, theorem1_params)
 from .jacobi import RunConfig, TraceRecord, init_state, iterate, run_fixed
 from .model import (BlockSpec, ConstraintSet, IterateState, Params,
                     PolarBalance, Problem, Quadratic, SchemaError,
@@ -15,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "aug_lagrangian", "dual_residual", "eta_pair",
-    "lyapunov", "penalty_residuals", "primal_residual", "theorem1_bounds",
+    "lyapunov", "penalty_residuals", "theorem1_bounds",
     "theorem1_params", "RunConfig", "TraceRecord", "init_state", "iterate",
     "run_fixed", "BlockSpec", "ConstraintSet", "IterateState", "Params",
     "PolarBalance", "Problem", "Quadratic", "SchemaError", "load_problem",

@@ -108,11 +108,6 @@ def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
     return val
 
 
-def primal_residual(problem, x):
-    """pi(x) = ||Ax - b||."""
-    return float(np.linalg.norm(couple_apply(problem, x) - problem.b))
-
-
 def dual_residual(problem, t, x_t, lam, feas_tol=1e-8, active_tol=1e-8):
     """Distance from ``grad f_t + A_t' lam`` to the negative normal cone.
 

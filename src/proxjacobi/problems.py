@@ -7,17 +7,18 @@ coordinates, and the block-separable objective lower bound.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import _polar
 from .model import (BlockSpec, ConstraintSet, PolarBalance, Problem,
                     Quadratic, triplets_to_csr)
+from .subsolver import linear_rows, solve_box_qp
 
 KKT_RESIDUAL_TOL = 1e-10
-BOUND_ACTIVE_TOL = 1e-10
 
 
 @dataclass
@@ -80,7 +81,6 @@ class OracleSolution:
     lambda_star: np.ndarray
     objective: float
     provenance: str
-    mu_star: list = field(default_factory=list)
 
 
 def acopf_balance(i, V, theta, net):
@@ -366,99 +366,44 @@ def gen_coupled_qp(seed, T, n_t, m):
     return problem, oracle
 
 
-def _linear_equality_rows(blk):
-    """Rows (coefficients, rhs) of the block's linear equality functions."""
-    rows = []
-    for eq in blk.set.equalities:
-        if not isinstance(eq, Quadratic) or eq.Q.nnz:
-            raise ValueError("block has a nonlinear equality constraint")
-        coef = np.zeros(blk.n)
-        coef[: eq.n] = eq.c
-        rows.append((coef, -eq.c0))
-    return rows
-
-
 def kkt_reference_solve(problem):
-    """Direct KKT solve for convex-quadratic problems with linear equalities.
+    """Certified KKT solve for convex-quadratic problems with linear
+    equalities and boxes.
 
-    Coordinates pinned by equal bounds are eliminated before the solve;
-    errors if any remaining box bound is active at the solution or the KKT
-    matrix is singular.  The returned multipliers are certified to satisfy
-    the stationarity system to 1e-10.
+    Assembles the block-diagonal Q and c and one constraint matrix that
+    stacks the block equality rows over the coupling, and solves with the
+    block solver's active-set QP: the point and multipliers satisfy the KKT
+    conditions, box multiplier signs included, to 1e-10.  Errors on a
+    non-quadratic objective, a nonlinear equality, a singular KKT system or
+    an active set that does not settle.
     """
-    dims = problem.dims
-    total = sum(dims)
-    Q = np.zeros((total, total))
-    c = np.zeros(total)
-    lo = np.concatenate([blk.set.lower for blk in problem.blocks])
-    hi = np.concatenate([blk.set.upper for blk in problem.blocks])
-    eq_rows, eq_rhs = [], []
-    off = 0
+    eq_rows = []
     for blk in problem.blocks:
         if not isinstance(blk.objective, Quadratic):
             raise ValueError("KKT oracle requires quadratic objectives")
-        Q[off:off + blk.n, off:off + blk.n] = blk.objective.Q.toarray()
-        c[off:off + blk.n] = blk.objective.c
-        for coef, rhs in _linear_equality_rows(blk):
-            row = np.zeros(total)
-            row[off:off + blk.n] = coef
-            eq_rows.append(row)
-            eq_rhs.append(rhs)
-        off += blk.n
-    A = problem.stacked_coupling() if problem.m else np.zeros((0, total))
-    C = np.vstack(eq_rows) if eq_rows else np.zeros((0, total))
-    eq_rhs = np.asarray(eq_rhs, dtype=float)
-    fixed = np.isfinite(lo) & (lo == hi)
-    free = ~fixed
-    x_fix = np.where(fixed, lo, 0.0)
-    nf = int(np.sum(free))
-    Qff = Q[np.ix_(free, free)]
-    cf = c[free] + Q[np.ix_(free, fixed)] @ x_fix[fixed]
-    Cf = C[:, free]
-    Af = A[:, free]
-    rhs_eq = eq_rhs - C[:, fixed] @ x_fix[fixed]
-    rhs_cpl = problem.b - A[:, fixed] @ x_fix[fixed]
-    r, mrows = C.shape[0], A.shape[0]
-    kkt = np.zeros((nf + r + mrows, nf + r + mrows))
-    kkt[:nf, :nf] = Qff
-    kkt[:nf, nf:nf + r] = Cf.T
-    kkt[:nf, nf + r:] = Af.T
-    kkt[nf:nf + r, :nf] = Cf
-    kkt[nf + r:, :nf] = Af
-    rhs = np.concatenate([-cf, rhs_eq, rhs_cpl])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular KKT system: {exc}") from exc
-    x_flat = x_fix.copy()
-    x_flat[free] = sol[:nf]
-    mu_flat = sol[nf:nf + r]
-    lam = sol[nf + r:]
-    resid = float(np.max(np.abs(kkt @ sol - rhs), initial=0.0))
-    if resid > KKT_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-        raise ValueError(f"KKT residual {resid:.3e} too large")
-    x_star, mu_star = [], []
-    off = 0
-    mu_off = 0
-    for blk in problem.blocks:
-        xt = x_flat[off:off + blk.n]
-        blo, bhi = blk.set.lower, blk.set.upper
-        pinned = np.isfinite(blo) & (blo == bhi)
-        active = ((np.isfinite(blo) & (xt <= blo + BOUND_ACTIVE_TOL))
-                  | (np.isfinite(bhi) & (xt >= bhi - BOUND_ACTIVE_TOL)))
-        if np.any(active & ~pinned):
-            raise ValueError(
-                "bound active at the KKT solution; oracle not applicable")
-        x_star.append(xt)
-        nmu = len(blk.set.equalities)
-        mu_star.append(mu_flat[mu_off:mu_off + nmu])
-        mu_off += nmu
-        off += blk.n
+        rows = linear_rows(blk.set.equalities, blk.n)
+        if rows is None:
+            raise ValueError("block has a nonlinear equality constraint")
+        eq_rows.append(rows)
+    C = np.vstack([scipy.linalg.block_diag(*[C_t for C_t, _ in eq_rows]),
+                   problem.stacked_coupling()])
+    d = np.concatenate([d_t for _, d_t in eq_rows] + [problem.b])
+    qp = solve_box_qp(
+        scipy.linalg.block_diag(*[blk.Q_dense for blk in problem.blocks]),
+        np.concatenate([blk.objective.c for blk in problem.blocks]), C, d,
+        np.concatenate([blk.set.lower for blk in problem.blocks]),
+        np.concatenate([blk.set.upper for blk in problem.blocks]),
+        rtol=KKT_RESIDUAL_TOL)
+    if qp is None:
+        raise ValueError("no certified KKT point (singular system or an "
+                         "active set that does not settle)")
+    x, mu, _ = qp
+    x_star = np.split(x, np.cumsum(problem.dims)[:-1])
     objective = sum(blk.objective.value(xt)
                     for blk, xt in zip(problem.blocks, x_star))
     return OracleSolution(
-        x_star=x_star, lambda_star=lam, objective=float(objective),
-        provenance="kkt-linear-solve", mu_star=mu_star)
+        x_star=x_star, lambda_star=mu[len(d) - problem.m:],
+        objective=float(objective), provenance="kkt-linear-solve")
 
 
 def _box_quadratic_min_diag(qdiag, c, c0, lo, hi):
@@ -531,8 +476,8 @@ def separable_lower_bound(problem):
     Supports diagonal quadratics over boxes (coordinatewise closed form),
     convex quadratics either unconstrained or over small boxes (active-set
     enumeration for n_t <= 3), and convex quadratics with linear equality
-    constraints whose bounds are inactive at the minimizer.  Anything else
-    raises: the bound would require global optimization.
+    constraints and a box (the KKT oracle).  Anything else raises: the
+    bound would require global optimization.
     """
     total = 0.0
     for t, blk in enumerate(problem.blocks):

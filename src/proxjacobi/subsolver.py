@@ -1,13 +1,15 @@
 """Local solution of the block subproblems.
 
-Three built-in solvers behind a deterministic dispatcher: an exact Newton
-step for unconstrained quadratic blocks, projected gradient descent for box
-constraints, and an inner augmented-Lagrangian loop for equality-described
-sets.  All solvers are monotone: the returned objective value never exceeds
-the warm start's.
+Built-in solvers behind a deterministic dispatcher: an exact Newton step
+for unconstrained quadratic blocks, an active-set QP for quadratic blocks
+with linear equalities and a box (shared with the reference oracle),
+projected gradient descent for box constraints, and an inner
+augmented-Lagrangian loop over projected Newton for nonlinear equalities.
+All solvers are monotone: the returned objective value never exceeds the
+warm start's.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +27,7 @@ ALM_SIGMA_INIT = 10.0
 ALM_SIGMA_GROWTH = 10.0
 ALM_SIGMA_CAP = 1e12
 ALM_MAX_ROUNDS = 40
+QP_MAX_PASSES = 50
 
 
 @dataclass
@@ -97,75 +100,96 @@ def solve_quadratic_exact(req):
         grad_norm=gn, solver="quadratic-exact")
 
 
-def _linear_equalities(eqs):
-    """The (gradient, rhs) rows of all-linear equality sets, else None."""
-    rows = []
-    for eq in eqs:
+def linear_rows(eqs, n):
+    """``(C, d)`` with ``C x = d`` equivalent to the equalities ``eqs`` on
+    R^n, or None when any of them is nonlinear."""
+    C = np.zeros((len(eqs), n))
+    d = np.zeros(len(eqs))
+    for i, eq in enumerate(eqs):
         if not isinstance(eq, Quadratic) or eq.Q.nnz:
             return None
-        rows.append((eq.c, -eq.c0))
-    return rows
+        C[i, : eq.n] = eq.c
+        d[i] = -eq.c0
+    return C, d
+
+
+def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
+    """Minimize 0.5 x'Hx + g'x subject to Cx = d and lo <= x <= hi.
+
+    Primal-dual active set: coordinates with lo = hi stay pinned.  Each pass
+    solves the equality KKT system on the free coordinates, with the pinned
+    ones held at their bounds, then pins the free coordinates that left the
+    box and releases the pinned ones whose box multiplier Hx + g + C'mu has
+    the wrong sign.  The pass that changes nothing ends the loop; its KKT
+    residual, wrong-signed multipliers included, must be at most
+    ``rtol (1 + max|rhs|)``.
+
+    Returns ``(x, mu, passes)``, or None when a KKT system is singular, a
+    value is non-finite, the residual is too large or the active set has
+    not settled within QP_MAX_PASSES passes.
+    """
+    n, r = len(g), len(d)
+    fixed = np.isfinite(lo) & (lo == hi)
+    at_lo = fixed.copy()
+    at_hi = np.zeros(n, dtype=bool)
+    for passes in range(1, QP_MAX_PASSES + 1):
+        pinned = at_lo | at_hi
+        free = ~pinned
+        nf = int(np.sum(free))
+        x = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        kkt = np.zeros((nf + r, nf + r))
+        kkt[:nf, :nf] = H[np.ix_(free, free)]
+        kkt[:nf, nf:] = C[:, free].T
+        kkt[nf:, :nf] = C[:, free]
+        rhs = np.concatenate([
+            -(g[free] + H[np.ix_(free, pinned)] @ x[pinned]),
+            d - C[:, pinned] @ x[pinned],
+        ])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(sol)):
+            return None
+        x[free] = sol[:nf]
+        mu = sol[nf:]
+        tol = rtol * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
+        mult = H @ x + g + C.T @ mu
+        release = (at_lo & ~fixed & (mult < -tol)) | (at_hi & (mult > tol))
+        below = free & (x < lo)
+        above = free & (x > hi)
+        if not (np.any(release) or np.any(below) or np.any(above)):
+            resid = float(np.max(np.abs(kkt @ sol - rhs), initial=0.0))
+            return (x, mu, passes) if resid <= tol else None
+        at_lo = (at_lo & ~release) | below
+        at_hi = (at_hi & ~release) | above
+    return None
 
 
 def solve_quadratic_kkt(req):
-    """Exact KKT solve for quadratic blocks with linear equalities and a box.
-
-    Coordinates pinned by equal bounds are eliminated; the result is only
-    accepted when every remaining bound is strictly satisfied, so the box
-    multipliers are all zero and the KKT point is the constrained minimizer.
-    Reports numerical failure otherwise so the caller can fall back.
-    """
+    """Quadratic blocks with linear equalities and a box, by the active-set
+    QP; reports numerical failure when it returns None, so the caller can
+    fall back.  ``inner_iterations`` counts its passes."""
     obj = req.objective
     if not isinstance(obj.f, Quadratic):
         raise ValueError("quadratic-kkt solver requires a quadratic objective")
-    rows = _linear_equalities(req.set.equalities)
+    n = req.warm_start.shape[0]
+    rows = linear_rows(req.set.equalities, n)
     if rows is None:
         raise ValueError("quadratic-kkt solver requires linear equalities")
-    n = req.warm_start.shape[0]
-    lo, hi = req.set.lower, req.set.upper
-    pinned = np.isfinite(lo) & (lo == hi)
-    free = ~pinned
-    nf = int(np.sum(free))
-    H = obj.hessian(req.warm_start)
-    g0 = obj.gradient(np.zeros(n))
-    x_pin = np.where(pinned, lo, 0.0)
-    C = np.zeros((len(rows), n))
-    rhs_eq = np.zeros(len(rows))
-    for i, (coef, rhs) in enumerate(rows):
-        C[i, : coef.shape[0]] = coef
-        rhs_eq[i] = rhs
-    r = len(rows)
-    kkt = np.zeros((nf + r, nf + r))
-    kkt[:nf, :nf] = H[np.ix_(free, free)]
-    kkt[:nf, nf:] = C[:, free].T
-    kkt[nf:, :nf] = C[:, free]
-    rhs = np.concatenate([
-        -(g0[free] + H[np.ix_(free, pinned)] @ x_pin[pinned]),
-        rhs_eq - C[:, pinned] @ x_pin[pinned],
-    ])
-    fail = BlockSolveResult(
-        x=req.warm_start.copy(), mu=np.empty(0),
-        status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
-        grad_norm=float("inf"), solver="quadratic-kkt")
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return fail
-    if not np.all(np.isfinite(sol)):
-        return fail
-    x = x_pin.copy()
-    x[free] = sol[:nf]
-    mu = sol[nf:]
-    if np.any(x[free] <= lo[free]) or np.any(x[free] >= hi[free]):
-        return fail
-    resid = float(np.max(np.abs(kkt @ sol - rhs), initial=0.0))
-    if resid > 1e-8 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-        return fail
-    cvals = np.array([eq.value(x) for eq in req.set.equalities])
-    gn = float(np.max(np.abs(cvals), initial=0.0))
+    C, d = rows
+    qp = solve_box_qp(obj.hessian(req.warm_start), obj.gradient(np.zeros(n)),
+                      C, d, req.set.lower, req.set.upper)
+    if qp is None:
+        return BlockSolveResult(
+            x=req.warm_start.copy(), mu=np.empty(0),
+            status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
+            grad_norm=float("inf"), solver="quadratic-kkt")
+    x, mu, passes = qp
     return BlockSolveResult(
-        x=x, mu=mu, status=STATUS_CONVERGED, inner_iterations=1,
-        grad_norm=gn, solver="quadratic-kkt")
+        x=x, mu=mu, status=STATUS_CONVERGED, inner_iterations=passes,
+        grad_norm=float(np.max(np.abs(C @ x - d), initial=0.0)),
+        solver="quadratic-kkt")
 
 
 def _pg_criticality(x, g, lower, upper):
@@ -173,7 +197,7 @@ def _pg_criticality(x, g, lower, upper):
     return float(np.max(np.abs(x - project_box(x - g, lower, upper)), initial=0.0))
 
 
-def solve_box_pg(req, value=None, gradient=None):
+def solve_box_pg(req):
     """Projected gradient descent over a box.
 
     The trial step is initialized from a Barzilai-Borwein estimate clamped
@@ -183,10 +207,8 @@ def solve_box_pg(req, value=None, gradient=None):
     the result's value is at most the warm start's.
     """
     obj = req.objective
-    value = value or obj.value
-    gradient = gradient or obj.gradient
-    hess_vec = (obj.hess_vec
-                if getattr(obj, "constant_hessian", False) else None)
+    value, gradient = obj.value, obj.gradient
+    hess_vec = obj.hess_vec if obj.constant_hessian else None
     lo, hi = req.set.lower, req.set.upper
     x = project_box(req.warm_start, lo, hi)
     f = value(x)
@@ -262,7 +284,7 @@ def solve_box_pg(req, value=None, gradient=None):
         grad_norm=crit, solver="box-pg")
 
 
-def solve_box_newton(req, value=None, gradient=None, hessian=None):
+def solve_box_newton(req):
     """Projected Newton over a box for objectives with analytic Hessians.
 
     Coordinates pressed against a bound by the gradient are frozen; the
@@ -272,9 +294,7 @@ def solve_box_newton(req, value=None, gradient=None, hessian=None):
     minimizer are not rejected.
     """
     obj = req.objective
-    value = value or obj.value
-    gradient = gradient or obj.gradient
-    hessian = hessian or obj.hessian
+    value, gradient, hessian = obj.value, obj.gradient, obj.hessian
     lo, hi = req.set.lower, req.set.upper
     x = project_box(req.warm_start, lo, hi)
     f = value(x)
@@ -365,27 +385,6 @@ class _PenalizedObjective:
         self.equalities = equalities
         self.y = y
         self.sigma = sigma
-        # linear equalities keep the penalized Hessian constant
-        self.constant_hessian = (
-            getattr(obj, "constant_hessian", False)
-            and all(isinstance(eq, Quadratic) and eq.Q.nnz == 0
-                    for eq in equalities))
-        if self.constant_hessian:
-            self._eq_grads = [eq.gradient(np.zeros(len(eq.c)))
-                              for eq in equalities]
-
-    def hess_vec(self, v):
-        out = self.obj.hess_vec(v)
-        for g in self._eq_grads:
-            gv = np.zeros_like(v)
-            gv[: g.shape[0]] = g
-            out += self.sigma * float(gv @ v) * gv
-        return out
-
-    @property
-    def has_hessian(self):
-        return all(hasattr(eq, "hessian") for eq in self.equalities) and \
-            hasattr(self.obj, "hessian")
 
     def hessian(self, x):
         H = self.obj.hessian(x)
@@ -433,10 +432,7 @@ def solve_equality_alm(req):
         inner_req = BlockSolveRequest(
             t=req.t, objective=pen, set=req.set, warm_start=x,
             tol=req.tol, max_iter=req.max_iter)
-        if pen.has_hessian:
-            inner = solve_box_newton(inner_req)
-        else:
-            inner = solve_box_pg(inner_req)
+        inner = solve_box_newton(inner_req)
         total_inner += inner.inner_iterations
         if inner.status == STATUS_NUMERICAL_FAILURE:
             return BlockSolveResult(
@@ -475,13 +471,14 @@ def dispatch(req):
     """Route a block solve to the applicable solver.
 
     Unconstrained quadratic blocks take the exact Newton path (falling back
-    to projected gradient on an indefinite Hessian); equality-constrained
-    sets take the inner ALM path; everything else is projected gradient over
-    the box.
+    to projected gradient on an indefinite Hessian); quadratic blocks with
+    linear equalities take the active-set QP, and other equality-constrained
+    sets, or a failed QP, the inner ALM path; everything else is projected
+    gradient over the box.
     """
     if req.set.equalities:
         if (isinstance(req.objective.f, Quadratic)
-                and _linear_equalities(req.set.equalities) is not None):
+                and linear_rows(req.set.equalities, req.set.n) is not None):
             result = solve_quadratic_kkt(req)
             if result.status != STATUS_NUMERICAL_FAILURE:
                 return result

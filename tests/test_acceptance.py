@@ -35,32 +35,6 @@ def _report(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _identity_worsts(problem, state, params):
-    """Relative residuals of the update-rule identities at one iterate.
-
-    Each residual is scaled by its largest operand (the natural relative
-    error of a cancellation identity).
-    """
-    lam, z, dz = state.lam, state.z, state.dz
-    amax = lambda v: float(np.max(np.abs(v), initial=0.0))
-    ax = couple_apply(problem, state.x)
-    # lam carries rho * (Ax + z - b); that difference cancels, so the
-    # identity can only hold to roundoff relative to rho * max(|Ax|, |b|)
-    big = params.rho * max(amax(ax), amax(problem.b))
-    lem1 = lam + params.theta * z + params.tau_z * dz
-    s1 = 1.0 + max(amax(lam), params.theta * amax(z),
-                   params.tau_z * amax(dz), big)
-    p = ax + z - problem.b
-    dlam = lam - state.lam_prev
-    s2 = 1.0 + max(amax(p), amax(dlam) / params.rho)
-    zstat = state.lam_prev + params.rho * p + params.theta * z \
-        + params.tau_z * dz
-    s3 = 1.0 + max(amax(state.lam_prev), params.theta * amax(z),
-                   params.tau_z * amax(dz), big)
-    return (amax(lem1) / s1, amax(p - dlam / params.rho) / s2,
-            amax(zstat) / s3)
-
-
 # ---------------------------------------------------------------------------
 # shared heavy runs
 
@@ -124,7 +98,8 @@ def theorem1_data():
                 worst_termwise,
                 rec.dphi - rhs - MONO_RTOL * (1.0 + abs(rec.phi)))
             prev_dx, prev_dz = dx, dzs
-            worst_id = max(worst_id, *_identity_worsts(prob, state, params))
+            worst_id = max(worst_id,
+                           *cli.identity_residuals(prob, state, params))
         phi_hat = problems.separable_lower_bound(prob)
         specs = [spectral_norm(blk.coupling) for blk in prob.blocks]
         pi_bound, delta_bounds = auglag.theorem1_bounds(
@@ -228,7 +203,7 @@ def test_criterion_05_identity_suite(theorem1_data, adaptive_runs):
         for state, rec in zip(states, trace):
             params = Params(rho=rec.rho, theta=rec.theta, tau_x=rec.tau_x,
                             tau_z=rec.tau_z)
-            worst = max(worst, *_identity_worsts(prob, state, params))
+            worst = max(worst, *cli.identity_residuals(prob, state, params))
     ok = worst <= ID_RTOL
     _report(5, ok, f"worst identity residual {worst:.2e} (bound 1e-10)")
     assert ok

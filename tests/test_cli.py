@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from proxjacobi import cli, jacobi, problems
+from proxjacobi import cli, jacobi, problems, tuner
 from proxjacobi.cli import (EXIT_IO, EXIT_ITERATION_CAP, EXIT_NUMERICAL,
                             EXIT_OK, main)
 from proxjacobi.model import save_problem
@@ -76,18 +76,37 @@ class TestGenerate:
 
     @pytest.mark.parametrize("with_oracle", [False, True])
     def test_dispatch_without_applicable_oracle(self, tmp_path, capsys,
-                                                with_oracle):
-        # a bound is active at the 24 x 4 optimum, so no oracle applies
+                                                monkeypatch, with_oracle):
+        # a failed oracle QP still writes the problem, with a note under
+        # --oracle and no oracle file
+        monkeypatch.setattr(problems, "solve_box_qp", lambda *a, **k: None)
         out = tmp_path / "d.json"
         orc = tmp_path / "o.json"
-        argv = ["generate", "dispatch", "--out", str(out),
-                "--periods", "24", "--generators", "4"]
+        argv = ["generate", "dispatch", "--out", str(out)]
         if with_oracle:
             argv += ["--oracle", str(orc)]
         assert main(argv) == EXIT_OK
-        assert ("not applicable" in capsys.readouterr().err) == with_oracle
+        assert ("no certified KKT point" in capsys.readouterr().err) \
+            == with_oracle
         assert main(["validate", str(out)]) == EXIT_OK
         assert not orc.exists()
+
+    def test_dispatch_oracle_with_active_bound(self, tmp_path):
+        # bounds are active at the 24 x 4 optimum; the oracle still applies
+        # and an adaptive solve stops feasible next to it
+        out, orc, sol = (tmp_path / name for name in
+                         ("d.json", "o.json", "s.json"))
+        assert main(["generate", "dispatch", "--out", str(out),
+                     "--periods", "24", "--generators", "4",
+                     "--oracle", str(orc)]) == EXIT_OK
+        x_star = json.loads(orc.read_text())["x_star"]
+        assert main(["solve", str(out), "--eps", "1e-6",
+                     "--solution", str(sol)]) == EXIT_OK
+        doc = json.loads(sol.read_text())
+        assert doc["termination"] == tuner.TERMINATION_FEASIBLE
+        err = max(abs(a - b) for xt, xs in zip(doc["x"], x_star)
+                  for a, b in zip(xt, xs))
+        assert err <= 1e-5
 
     def test_acopf_toy(self, tmp_path):
         out = tmp_path / "a.json"

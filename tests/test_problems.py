@@ -83,13 +83,36 @@ class TestDispatch:
 
 
 class TestKktOracle:
-    def test_rejects_active_bound(self):
-        # pull the minimizer into a bound: oracle must refuse rather than
-        # return a wrong certificate
+    def test_active_bound_certified(self):
+        # demand at 99.9% of capacity pins generator 0 at pmax in every
+        # period; the KKT conditions are checked here from scratch
         prob = gen_multiperiod_dispatch(3, 2, 0.2,
                                         profile=np.full(3, 0.999))
-        with pytest.raises(ValueError, match="bound active"):
-            kkt_reference_solve(prob)
+        oracle = kkt_reference_solve(prob)
+        tol = 1e-9
+        assert np.allclose(couple_apply(prob, oracle.x_star), prob.b,
+                           rtol=0.0, atol=tol)
+        pressed = 0
+        for blk, xt in zip(prob.blocks, oracle.x_star):
+            lo, hi = blk.set.lower, blk.set.upper
+            balance = blk.set.equalities[0]
+            assert np.all(xt >= lo) and np.all(xt <= hi)
+            assert abs(balance.value(xt)) <= tol
+            # stationarity: grad f + A'lam + mu c vanishes off the bounds
+            r = blk.objective.gradient(xt) + \
+                blk.coupling.T @ oracle.lambda_star
+            at_lo, at_hi = xt == lo, xt == hi
+            free = ~(at_lo | at_hi)
+            mu = -(r[free] @ balance.c[free]) / (balance.c[free]
+                                                 @ balance.c[free])
+            box_mult = r + mu * balance.c
+            assert np.all(np.abs(box_mult[free]) <= tol)
+            # sign and complementarity: only bound coordinates carry a box
+            # multiplier, pushing inward (>= 0 at lower, <= 0 at upper)
+            assert np.all(box_mult[at_lo & ~at_hi] >= -tol)
+            assert np.all(box_mult[at_hi & ~at_lo] <= tol)
+            pressed += int(np.sum(at_hi & ~at_lo & (box_mult < -1e-3)))
+        assert pressed == prob.T
 
     def test_residual_certificate(self):
         prob, oracle = build_qp(4)

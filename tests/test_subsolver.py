@@ -10,6 +10,7 @@ from proxjacobi import subsolver
 from proxjacobi.auglag import BlockObjective
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic)
+from proxjacobi.problems import _box_quadratic_min_enum
 from proxjacobi.subsolver import (BlockSolveRequest, STATUS_CONVERGED,
                                   dispatch, project_box, solve_box_newton,
                                   solve_box_pg, solve_equality_alm,
@@ -127,7 +128,6 @@ def test_box_pg_monotone():
 
 
 def test_box_newton_matches_enumeration():
-    from proxjacobi.problems import _box_quadratic_min_enum
     rng = np.random.default_rng(4)
     for trial in range(5):
         n = 3
@@ -158,17 +158,48 @@ def test_quadratic_kkt_linear_equality():
     assert res.mu[0] == pytest.approx(-1.0, abs=1e-10)
 
 
-def test_quadratic_kkt_rejects_active_bound():
+def test_quadratic_kkt_active_bound():
+    # the upper bound 1.2 cuts off (1.5, 1.5): the active set pins x0 and
+    # the equality gives x = (1.2, 1.8)
     f = Quadratic(2.0 * sp.eye(2, format="csr"), np.full(2, -2.0), 2.0)
     eq = Quadratic(sp.csr_matrix((2, 2)), np.ones(2), -3.0)
     cset = ConstraintSet(np.full(2, -np.inf), np.array([1.2, np.inf]), [eq])
     prob = make_block_problem(f, cset)
     res = solve_quadratic_kkt(make_request(prob))
-    assert res.status == subsolver.STATUS_NUMERICAL_FAILURE
-    # the dispatcher falls back to the inner ALM loop and lands on the
-    # box-constrained solution x = (1.2, 1.8)
-    res = dispatch(make_request(prob, tol=1e-9))
-    assert np.allclose(res.x, [1.2, 1.8], atol=1e-6)
+    assert res.converged and res.inner_iterations == 2
+    assert np.allclose(res.x, [1.2, 1.8], rtol=0.0, atol=1e-12)
+    res = dispatch(make_request(prob))
+    assert res.solver == "quadratic-kkt"
+    assert np.allclose(res.x, [1.2, 1.8], rtol=0.0, atol=1e-12)
+
+
+def test_box_qp_matches_enumeration():
+    rng = np.random.default_rng(6)
+    for trial in range(30):
+        n = 1 + trial % 3
+        M = rng.standard_normal((n, n))
+        Q = M.T @ M + 0.1 * np.eye(n)
+        c = 3.0 * rng.standard_normal(n)
+        lo = -rng.uniform(0.2, 1.0, n)
+        hi = rng.uniform(0.2, 1.0, n)
+        lo[rng.uniform(size=n) < 0.2] = -np.inf
+        x, mu, _ = subsolver.solve_box_qp(Q, c, np.zeros((0, n)),
+                                          np.zeros(0), lo, hi)
+        assert mu.size == 0
+        assert np.all(x >= lo) and np.all(x <= hi)
+        best = _box_quadratic_min_enum(Q, c, 0.0, lo, hi)
+        assert 0.5 * x @ Q @ x + c @ x == pytest.approx(best, abs=1e-10)
+    # min |x - (2, 0, -1)|^2 s.t. x0 + x1 + x2 = 0 over [-0.5, 0.5]^3: the
+    # bounds on x0 and x2 are active, x1 = 0, and the multipliers certify it
+    Q, c = 2.0 * np.eye(3), np.array([-4.0, 0.0, 2.0])
+    C, d = np.ones((1, 3)), np.zeros(1)
+    lo, hi = np.full(3, -0.5), np.full(3, 0.5)
+    x, mu, _ = subsolver.solve_box_qp(Q, c, C, d, lo, hi)
+    assert np.allclose(x, [0.5, 0.0, -0.5], rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(C @ x - d)) <= 1e-14
+    box_mult = Q @ x + c + C.T @ mu
+    assert abs(box_mult[1]) <= 1e-14             # free: stationary
+    assert box_mult[0] < 0 and box_mult[2] > 0   # upper / lower: right sign
 
 
 def test_quadratic_kkt_pinned_coordinates():
@@ -210,3 +241,10 @@ def test_dispatch_routing():
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
         ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf), [eq]))
     assert dispatch(make_request(linear_eq)).solver == "quadratic-kkt"
+    circle = Quadratic(2.0 * sp.eye(2, format="csr"), np.zeros(2), -2.0)
+    nonlinear_eq = make_block_problem(
+        Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
+        ConstraintSet(np.zeros(2), np.full(2, 3.0), [circle]))
+    assert subsolver.linear_rows([eq, circle], 2) is None
+    assert dispatch(make_request(nonlinear_eq, warm=np.ones(2))).solver \
+        == "equality-alm"
