@@ -40,7 +40,7 @@ def main():
               for xt, xs in zip(state.x, oracle.x_star))
     print(f"\nmax deviation from the KKT solution: {err:.2e}")
     ramp = max(abs(trace[-1].coupling_inf), 0.0)
-    balance = max(abs(blk.set.equalities[0].value(xt))
+    balance = max(float(np.max(np.abs(blk.set.equality_values(xt))))
                   for blk, xt in zip(prob.blocks, state.x))
     print(f"ramping residual {ramp:.2e}, demand balance {balance:.2e}")
 

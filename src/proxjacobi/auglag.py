@@ -39,7 +39,6 @@ class BlockObjective:
     """
 
     def __init__(self, problem, t, Ax_bar, z_bar, lam_bar, params, x_bar_t):
-        from .model import Quadratic
         blk = problem.blocks[t]
         self.block = blk
         self.f = blk.objective
@@ -53,7 +52,6 @@ class BlockObjective:
         self.r_fix = (np.asarray(Ax_bar, dtype=float) - self.A_anchor
                       + np.asarray(z_bar, dtype=float) - problem.b)
         self.At_lam = self.At @ self.lam
-        self.constant_hessian = isinstance(self.f, Quadratic)
 
     def value(self, x_t):
         x_t = np.asarray(x_t, dtype=float)
@@ -77,7 +75,7 @@ class BlockObjective:
         return g
 
     def hess_vec(self, v):
-        """Hessian-vector product; only valid for quadratic f."""
+        """Hessian-vector product."""
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
         n = self.f.n
@@ -86,10 +84,8 @@ class BlockObjective:
         return out
 
     def hessian(self, x_t):
-        """Dense Hessian f''(x_t) + (rho + tau_x) A'A."""
-        f_hess = (self.block.Q_dense if self.constant_hessian
-                  else self.f.hessian(x_t))
-        return f_hess + (self.rho + self.tau_x) * self.block.AtA_dense
+        """Dense Hessian Q_t + (rho + tau_x) A'A."""
+        return self.block.Q_dense + (self.rho + self.tau_x) * self.block.AtA_dense
 
 
 def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
@@ -127,7 +123,7 @@ def dual_residual(problem, t, x_t, lam, feas_tol=1e-8, active_tol=1e-8):
     at_lo = x_t <= lo + active_tol
     at_hi = x_t >= hi - active_tol
     if blk.set.equalities:
-        C = np.column_stack([eq.gradient(x_t) for eq in blk.set.equalities])
+        C = blk.set.equality_jacobian(x_t).T
         free = ~(at_lo | at_hi)
         if np.any(free):
             mu, *_ = np.linalg.lstsq(C[free], -g[free], rcond=None)

@@ -7,6 +7,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -132,9 +133,22 @@ def cmd_solve(args):
 
     run_config = RunConfig(workers=args.workers,
                            record_timings=not args.no_timings)
+    with contextlib.ExitStack() as stack:
+        if args.trace:
+            try:
+                fh = stack.enter_context(open(args.trace, "w", newline=""))
+            except OSError as exc:
+                print(f"error: {args.trace}: {exc.strerror}", file=sys.stderr)
+                return EXIT_IO
+            run_config.trace_sink = jacobi.trace_csv_sink(fh)
+        return _run_solve(args, problem, cfg, run_config)
+
+
+def _run_solve(args, problem, cfg, run_config):
+    """Run the solve of ``cmd_solve``, its trace streamed through
+    ``run_config.trace_sink``, and write the solution."""
     x0, z0, lam0 = default_start(problem)
     eps = cfg.eps
-
     try:
         if args.fixed_params:
             params = _fixed_params(args, cfg, problem.T)
@@ -153,17 +167,15 @@ def cmd_solve(args):
                 problem, cfg, init, run_config)
     except BlockSolveError as exc:
         log.error("block %d failed: %s", exc.t, exc.result.status)
-        _write_outputs(args, problem, None, exc.trace,
-                       tuner.TERMINATION_BLOCK_FAILURE)
         return EXIT_NUMERICAL
     if reason == tuner.TERMINATION_BLOCK_FAILURE:
-        _write_outputs(args, problem, state, trace, reason)
+        _write_solution(args, problem, state, trace, reason)
         return EXIT_NUMERICAL
     if trace and not np.isfinite(trace[-1].phi):
-        _write_outputs(args, problem, state, trace, "non-finite")
+        _write_solution(args, problem, state, trace, "non-finite")
         return EXIT_NUMERICAL
 
-    _write_outputs(args, problem, state, trace, reason)
+    _write_solution(args, problem, state, trace, reason)
     log.info("terminated %s after %d iterations", reason,
              trace[-1].k if trace else 0)
     if reason == tuner.TERMINATION_FEASIBLE:
@@ -183,12 +195,9 @@ def _fixed_params(args, cfg, T):
         tau_z=args.tau_z if args.tau_z is not None else base.tau_z)
 
 
-def _write_outputs(args, problem, state, trace, reason):
-    if args.trace and trace is not None:
-        with open(args.trace, "w", newline="") as fh:
-            jacobi.write_trace_csv(trace, fh)
-    if args.solution and state is not None:
-        doc = _solution_doc(problem, state, reason, trace or [])
+def _write_solution(args, problem, state, trace, reason):
+    if args.solution:
+        doc = _solution_doc(problem, state, reason, trace)
         with open(args.solution, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")

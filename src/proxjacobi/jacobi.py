@@ -80,12 +80,24 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
-def write_trace_csv(records, fileobj):
-    """Write trace records as CSV with 17-significant-digit floats."""
+def trace_csv_sink(fileobj):
+    """Write the trace CSV header now and return a ``trace_sink`` that
+    writes and flushes one row per record, so that a run which dies still
+    leaves the rows of its finished iterations."""
     writer = csv.writer(fileobj)
     writer.writerow(TRACE_COLUMNS)
-    for rec in records:
+
+    def sink(rec):
         writer.writerow([_fmt(v) for v in rec.row()])
+        fileobj.flush()
+    return sink
+
+
+def write_trace_csv(records, fileobj):
+    """Write trace records as CSV with 17-significant-digit floats."""
+    sink = trace_csv_sink(fileobj)
+    for rec in records:
+        sink(rec)
 
 
 def trace_csv_text(records):

@@ -1,21 +1,19 @@
-"""Problem data model: smooth functions, block specs, parameters, iterate state.
+"""Problem data model: objectives, equality maps, block specs, parameters,
+iterate state.
 
-Problems are collections of ``T`` variable blocks, each with a smooth
-objective, a constraint set (bounds plus scalar equality functions) and a
-sparse coupling matrix; the blocks interact only through the shared linear
-constraint ``sum_t A_t x_t = b``.
+Problems are collections of ``T`` variable blocks, each with a quadratic
+objective, a constraint set (bounds plus equality rows, evaluated together
+as one map) and a sparse coupling matrix; the blocks interact only through
+the shared linear constraint ``sum_t A_t x_t = b``.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, qr
-
-from . import _polar
 
 RANK_DROP_TOL = 1e-10
 
@@ -61,20 +59,7 @@ def csr_to_triplets(mat):
     ]
 
 
-class SmoothFunction:
-    """A C^1 scalar function of a block vector."""
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
-
-
-class Quadratic(SmoothFunction):
+class Quadratic:
     """f(x) = 0.5 x'Qx + c'x + c0 with symmetric sparse Q.
 
     Asymmetric inputs are symmetrized as (Q + Q')/2: x'Qx only sees the
@@ -128,12 +113,15 @@ class Quadratic(SmoothFunction):
         }
 
 
-class PolarBalance(SmoothFunction):
-    """AC power-balance residual at one bus, in polar voltage coordinates.
+class PolarBalance:
+    """AC power-balance row at one bus, in polar voltage coordinates.
 
-    The real variant evaluates ``sum(p_g at the bus) - load - c_re(V, th)``
-    and the imaginary variant the reactive counterpart.  The payload maps
-    block coordinates to network quantities:
+    The real variant is ``sum(p_g at the bus) - load - Re S_i(V, th)`` and
+    the imaginary variant the reactive counterpart, where
+    ``S = U * conj(Y U)`` with ``U = V exp(j th)``.  The row holds its
+    payload only; the block's :class:`EqualityMap` evaluates all the
+    balances of one network together.  The payload maps block coordinates
+    to network quantities:
 
     - ``bus``: bus index i
     - ``nbus``: number of buses
@@ -162,58 +150,198 @@ class PolarBalance(SmoothFunction):
         self.y_re = [float(v) for v in payload["y_re"]]
         self.y_im = [float(v) for v in payload["y_im"]]
 
-    def _split(self, x):
-        V = x[self.v_offset:self.v_offset + self.nbus]
-        th = x[self.theta_offset:self.theta_offset + self.nbus]
-        return V, th
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        V, th = self._split(x)
-        c_re, c_im = _polar.balance_terms(
-            self.bus, V, th, self.y_diag_re, self.y_diag_im,
-            self.neighbors, self.y_re, self.y_im)
-        injected = float(sum(x[g] for g in self.gen_coords))
-        c = c_re if self.name == "acopf_re" else c_im
-        return injected - self.load - c
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        V, th = self._split(x)
-        dre_dV, dre_dth, dim_dV, dim_dth = _polar.balance_gradients(
-            self.bus, V, th, self.y_diag_re, self.y_diag_im,
-            self.neighbors, self.y_re, self.y_im)
-        g = np.zeros_like(x)
-        for gc in self.gen_coords:
-            g[gc] = 1.0
-        if self.name == "acopf_re":
-            dV, dth = dre_dV, dre_dth
-        else:
-            dV, dth = dim_dV, dim_dth
-        g[self.v_offset:self.v_offset + self.nbus] = -dV
-        g[self.theta_offset:self.theta_offset + self.nbus] = -dth
-        return g
-
-    def hessian(self, x):
-        """Dense Hessian; the generator coordinates enter linearly."""
-        x = np.asarray(x, dtype=float)
-        V, th = self._split(x)
-        H_re, H_im = _polar.balance_hessians(
-            self.bus, V, th, self.y_diag_re, self.y_diag_im,
-            self.neighbors, self.y_re, self.y_im)
-        Hc = H_re if self.name == "acopf_re" else H_im
-        nb = self.nbus
-        H = np.zeros((x.shape[0], x.shape[0]))
-        vs = slice(self.v_offset, self.v_offset + nb)
-        ts = slice(self.theta_offset, self.theta_offset + nb)
-        H[vs, vs] = -Hc[:nb, :nb]
-        H[vs, ts] = -Hc[:nb, nb:]
-        H[ts, vs] = -Hc[nb:, :nb]
-        H[ts, ts] = -Hc[nb:, nb:]
-        return H
-
     def to_json(self):
         return {"type": "builtin", "name": self.name, "payload": self.payload}
+
+
+def _polar_row_error(eq, n):
+    """Why a polar balance row does not fit a block of dimension ``n``, or
+    None when it does."""
+    nb = eq.nbus
+    if not 0 <= eq.bus < nb:
+        return f"bus {eq.bus} out of range for nbus={nb}"
+    for name, off in (("v_offset", eq.v_offset),
+                      ("theta_offset", eq.theta_offset)):
+        if not 0 <= off <= n - nb:
+            return f"{name} {off} out of range for nbus={nb}, n={n}"
+    if abs(eq.v_offset - eq.theta_offset) < nb:
+        return "the V and theta coordinates overlap"
+    if eq.gen_coords and not 0 <= min(eq.gen_coords) <= max(
+            eq.gen_coords) < n:
+        return f"gen_coords {eq.gen_coords} out of range for n={n}"
+    if not len(eq.y_re) == len(eq.y_im) == len(eq.neighbors):
+        return (f"y_re, y_im and neighbors differ in length "
+                f"({len(eq.y_re)}, {len(eq.y_im)}, {len(eq.neighbors)})")
+    if eq.neighbors and not 0 <= min(eq.neighbors) <= max(
+            eq.neighbors) < nb:
+        return f"neighbors {eq.neighbors} out of range for nbus={nb}"
+    return None
+
+
+class _PolarNetwork:
+    """The polar balances of one network, S = U * conj(Y U) with
+    U = V exp(j th), and their derivatives in complex-matrix form
+    (Zimmerman, MATPOWER TN2, 2010).
+
+    ``rows`` are the map rows of the balances, ``bus`` and ``imag`` the bus
+    and the part (real or reactive) each of them reads, and ``cols`` the
+    block coordinates of (V, theta).  Y gets one admittance row per bus,
+    from the first balance of that bus.
+    """
+
+    def __init__(self, nbus, v_offset, theta_offset):
+        self.nbus = nbus
+        self.v = slice(v_offset, v_offset + nbus)
+        self.th = slice(theta_offset, theta_offset + nbus)
+        self.cols = np.array([*range(v_offset, v_offset + nbus),
+                              *range(theta_offset, theta_offset + nbus)])
+        self.Y = np.zeros((nbus, nbus), complex)
+        self.first = {}
+        self.rows, self.bus, self.imag = [], [], []
+
+    def add(self, j, eq):
+        """Take balance ``j``; raises ValueError when its bus already has a
+        different admittance row."""
+        y_row = (eq.y_diag_re, eq.y_diag_im, eq.neighbors, eq.y_re, eq.y_im)
+        first, first_row = self.first.setdefault(eq.bus, (j, y_row))
+        if first_row != y_row:
+            raise ValueError(f"equality {j}: admittance row of bus {eq.bus} "
+                             f"differs from equality {first}'s")
+        if first == j:
+            self.Y[eq.bus, eq.bus] += complex(eq.y_diag_re, eq.y_diag_im)
+            for k, y_re, y_im in zip(eq.neighbors, eq.y_re, eq.y_im):
+                self.Y[eq.bus, k] += complex(y_re, y_im)
+        self.rows.append(j)
+        self.bus.append(eq.bus)
+        self.imag.append(eq.name == "acopf_im")
+
+    def _voltages(self, x):
+        V = x[self.v]
+        E = np.exp(1j * x[self.th])
+        return V, E, V * E
+
+    def _pick(self, S):
+        """Re or Im of ``S[bus]``, row by row (S a vector or a matrix)."""
+        S = S[self.bus]
+        imag = self.imag if S.ndim == 1 else self.imag[:, None]
+        return np.where(imag, S.imag, S.real)
+
+    def values(self, x):
+        _, _, U = self._voltages(x)
+        return self._pick(U * np.conj(self.Y @ U))
+
+    def jacobian(self, x):
+        """d(rows)/d(V, theta), one row per balance."""
+        _, E, U = self._voltages(x)
+        I = self.Y @ U
+        UYc = U[:, None] * np.conj(self.Y)
+        dV = UYc * np.conj(E)
+        dV[np.diag_indices(self.nbus)] += E * np.conj(I)
+        dth = -1j * UYc * np.conj(U)
+        dth[np.diag_indices(self.nbus)] += 1j * U * np.conj(I)
+        return self._pick(np.hstack([dV, dth]))
+
+    def weighted_hessian(self, x, w):
+        """Hessian over (V, theta) of sum_i w_i (row i), through
+        Re(lam^H S) = V'Re(W)V with lam the complex bus weights and
+        W = (B + B^H)/2, B = diag(lam conj(E)) Y diag(E)."""
+        V, E, _ = self._voltages(x)
+        nb = self.nbus
+        lam = (np.bincount(self.bus, w * ~self.imag, nb)
+               + 1j * np.bincount(self.bus, w * self.imag, nb))
+        B = (lam * np.conj(E))[:, None] * self.Y * E
+        ReW = 0.5 * (B.real + B.real.T)
+        ImW = 0.5 * (B.imag - B.imag.T)
+        H = np.empty((2 * nb, 2 * nb))
+        H[:nb, :nb] = 2.0 * ReW
+        H[nb:, :nb] = 2.0 * (np.diag(ImW @ V) + V[:, None] * ImW)
+        H[:nb, nb:] = H[nb:, :nb].T
+        H[nb:, nb:] = 2.0 * (V[:, None] * ReW * V - np.diag(V * (ReW @ V)))
+        return H
+
+
+class EqualityMap:
+    """The equalities of a block as one map c: R^n -> R^r, rows in the
+    order of the list.
+
+    c(x) = C x - d - (the S terms of the polar balances) + (the quadratic
+    rows).  Linear rows and the generator sums of the polar balances live
+    in (C, d); the polar balances of each (nbus, v_offset, theta_offset)
+    share one network; rows with Q != 0 evaluate through
+    :class:`Quadratic`.  Raises ValueError, naming the equality, on a row
+    that does not fit the block or on two balances of one bus that carry
+    different admittance rows.
+    """
+
+    def __init__(self, equalities, n):
+        r = len(equalities)
+        C = np.zeros((r, n))
+        d = np.zeros(r)
+        self.n = n
+        self.quadratic = []
+        nets = {}
+        for j, eq in enumerate(equalities):
+            if isinstance(eq, Quadratic):
+                if eq.n > n:
+                    raise ValueError(
+                        f"equality {j} dimension {eq.n} exceeds n={n}")
+                if eq.Q.nnz:
+                    self.quadratic.append((j, eq))
+                else:
+                    C[j, : eq.n] = eq.c
+                    d[j] = -eq.c0
+                continue
+            err = _polar_row_error(eq, n)
+            if err is not None:
+                raise ValueError(f"equality {j}: {err}")
+            for g in eq.gen_coords:
+                C[j, g] += 1.0
+            d[j] = eq.load
+            key = (eq.nbus, eq.v_offset, eq.theta_offset)
+            if key not in nets:
+                nets[key] = _PolarNetwork(*key)
+            nets[key].add(j, eq)
+        C.flags.writeable = False
+        d.flags.writeable = False
+        self.C, self.d = C, d
+        self.networks = list(nets.values())
+        for net in self.networks:
+            net.rows, net.bus, net.imag = map(
+                np.array, (net.rows, net.bus, net.imag))
+
+    @property
+    def linear_rows(self):
+        """``(C, d)`` with ``C x = d`` equivalent to the equalities, or None
+        when any of them is nonlinear."""
+        if self.networks or self.quadratic:
+            return None
+        return self.C, self.d
+
+    def values(self, x):
+        c = self.C @ x - self.d
+        for net in self.networks:
+            c[net.rows] -= net.values(x)
+        for j, eq in self.quadratic:
+            c[j] = eq.value(x)
+        return c
+
+    def jacobian(self, x):
+        J = self.C.copy()
+        for net in self.networks:
+            J[np.ix_(net.rows, net.cols)] -= net.jacobian(x)
+        for j, eq in self.quadratic:
+            J[j] = eq.gradient(x)
+        return J
+
+    def weighted_hessian(self, x, w):
+        """sum_i w_i times the Hessian of row i."""
+        H = np.zeros((self.n, self.n))
+        for net in self.networks:
+            H[np.ix_(net.cols, net.cols)] -= net.weighted_hessian(
+                x, w[net.rows])
+        for j, eq in self.quadratic:
+            H += w[j] * eq.hessian(x)
+        return H
 
 
 def function_from_json(doc, path="function"):
@@ -244,7 +372,12 @@ def function_from_json(doc, path="function"):
 
 @dataclass
 class ConstraintSet:
-    """Block feasible set: a box plus scalar equality functions."""
+    """Block feasible set: a box plus equality rows.
+
+    The rows are evaluated together, as one :class:`EqualityMap` built on
+    first use and kept, so the fields must not be reassigned once the set
+    is in use.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -270,8 +403,28 @@ class ConstraintSet:
     def all_bounds_finite(self):
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
+    @cached_property
+    def equality_map(self):
+        """The equalities as one map; raises ValueError on a malformed
+        row."""
+        return EqualityMap(self.equalities, self.n)
+
+    @property
+    def linear_rows(self):
+        """``(C, d)`` with ``C x = d`` equivalent to the equalities
+        (read-only), or None when any row is nonlinear."""
+        return self.equality_map.linear_rows
+
     def equality_values(self, x):
-        return np.array([eq.value(x) for eq in self.equalities], dtype=float)
+        return self.equality_map.values(np.asarray(x, dtype=float))
+
+    def equality_jacobian(self, x):
+        return self.equality_map.jacobian(np.asarray(x, dtype=float))
+
+    def equality_hessian(self, x, w):
+        """sum_i w_i times the Hessian of equality i."""
+        return self.equality_map.weighted_hessian(
+            np.asarray(x, dtype=float), np.asarray(w, dtype=float))
 
     def violation(self, x):
         """Max of bound and equality violations at ``x``."""
@@ -294,7 +447,7 @@ class BlockSpec:
     """
 
     n: int
-    objective: SmoothFunction
+    objective: Quadratic
     set: ConstraintSet
     coupling: sp.csr_matrix
 
@@ -409,7 +562,8 @@ class ValidationReport:
 
 
 def validate_problem(problem):
-    """Check dimensions, bound ordering and full row rank of the coupling.
+    """Check dimensions, bound ordering, the equality rows and full row rank
+    of the coupling.
 
     Rank deficiency of the stacked coupling matrix is a hard error;
     unbounded sets combined with equality constraints only warn, since the
@@ -430,13 +584,13 @@ def validate_problem(problem):
         if blk.set.n != blk.n:
             rep.errors.append(
                 f"block {t}: bounds length {blk.set.n} != n={blk.n}")
-        if isinstance(blk.objective, Quadratic) and blk.objective.n != blk.n:
+        if blk.objective.n != blk.n:
             rep.errors.append(
                 f"block {t}: objective dimension {blk.objective.n} != n={blk.n}")
-        for j, eq in enumerate(blk.set.equalities):
-            if isinstance(eq, Quadratic) and eq.n > blk.n:
-                rep.errors.append(
-                    f"block {t}: equality {j} dimension {eq.n} exceeds n={blk.n}")
+        try:
+            blk.set.equality_map  # built once here; building checks the rows
+        except ValueError as exc:
+            rep.errors.append(f"block {t}: {exc}")
         if blk.set.equalities and not blk.set.all_bounds_finite:
             rep.warnings.append(
                 f"block {t}: equality constraints with unbounded box; "
@@ -493,6 +647,9 @@ def load_problem(text):
                 raise SchemaError(f"{path}.{key}", "missing required field")
         n = int(bdoc["n"])
         objective = function_from_json(bdoc["objective"], f"{path}.objective")
+        if not isinstance(objective, Quadratic):
+            raise SchemaError(f"{path}.objective.type",
+                              "an objective must be quadratic")
         lower, upper = _bounds_from_json(bdoc["bounds"], n, f"{path}.bounds")
         eqs = [
             function_from_json(e, f"{path}.equalities[{j}]")
@@ -552,10 +709,7 @@ def variable_splitting_transform(problem):
     blocks = []
     for blk in problem.blocks:
         n_new = blk.n + m
-        if isinstance(blk.objective, Quadratic):
-            objective = blk.objective.padded(m)
-        else:
-            objective = blk.objective
+        objective = blk.objective.padded(m)
         lower = np.concatenate([blk.set.lower, np.full(m, -np.inf)])
         upper = np.concatenate([blk.set.upper, np.full(m, np.inf)])
         eqs = list(blk.set.equalities)

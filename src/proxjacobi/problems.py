@@ -6,17 +6,15 @@ oracle applies), a desk-scale nonconvex AC optimal power flow toy in polar
 coordinates, and the block-separable objective lower bound.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import _polar
 from .model import (BlockSpec, ConstraintSet, PolarBalance, Problem,
                     Quadratic, triplets_to_csr)
-from .subsolver import linear_rows, solve_box_qp
+from .subsolver import solve_box_qp
 
 KKT_RESIDUAL_TOL = 1e-10
 
@@ -81,28 +79,6 @@ class OracleSolution:
     lambda_star: np.ndarray
     objective: float
     provenance: str
-
-
-def acopf_balance(i, V, theta, net):
-    """(c_re, c_im) at bus ``i`` for voltage magnitudes/angles (V, theta)."""
-    V = np.asarray(V, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(V <= 0):
-        raise ValueError("voltage magnitudes must be positive")
-    nbrs, yre, yim = net.neighbors(i)
-    return _polar.balance_terms(
-        i, V, theta, float(net.y_re[i, i]), float(net.y_im[i, i]),
-        nbrs, yre, yim)
-
-
-def acopf_balance_grad(i, V, theta, net):
-    """Gradients of (c_re, c_im) w.r.t. (V, theta): four dense vectors."""
-    V = np.asarray(V, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    nbrs, yre, yim = net.neighbors(i)
-    return _polar.balance_gradients(
-        i, V, theta, float(net.y_re[i, i]), float(net.y_im[i, i]),
-        nbrs, yre, yim)
 
 
 def _dispatch_gen_data(generators):
@@ -374,14 +350,12 @@ def kkt_reference_solve(problem):
     stacks the block equality rows over the coupling, and solves with the
     block solver's active-set QP: the point and multipliers satisfy the KKT
     conditions, box multiplier signs included, to 1e-10.  Errors on a
-    non-quadratic objective, a nonlinear equality, a singular KKT system or
-    an active set that does not settle.
+    nonlinear equality, a singular KKT system or an active set that does
+    not settle.
     """
     eq_rows = []
     for blk in problem.blocks:
-        if not isinstance(blk.objective, Quadratic):
-            raise ValueError("KKT oracle requires quadratic objectives")
-        rows = linear_rows(blk.set.equalities, blk.n)
+        rows = blk.set.linear_rows
         if rows is None:
             raise ValueError("block has a nonlinear equality constraint")
         eq_rows.append(rows)
@@ -482,9 +456,6 @@ def separable_lower_bound(problem):
     total = 0.0
     for t, blk in enumerate(problem.blocks):
         f = blk.objective
-        if not isinstance(f, Quadratic):
-            raise ValueError(f"block {t}: lower bound unavailable "
-                             "(non-quadratic objective)")
         Q = f.Q.toarray()
         lo, hi = blk.set.lower, blk.set.upper
         if blk.set.equalities:
@@ -524,37 +495,3 @@ def separable_lower_bound(problem):
                              "(box too large for enumeration)")
     return float(total)
 
-
-def network_to_json(net):
-    """Serialize a network to its JSON sub-schema."""
-    coo_re = sp.coo_matrix(net.y_re)
-    coo_im = sp.coo_matrix(net.y_im)
-    return json.dumps({
-        "nbus": net.nbus,
-        "y_re": [[int(i), int(j), float(v)]
-                 for i, j, v in zip(coo_re.row, coo_re.col, coo_re.data)],
-        "y_im": [[int(i), int(j), float(v)]
-                 for i, j, v in zip(coo_im.row, coo_im.col, coo_im.data)],
-        "generators": [
-            {"bus": int(bus), "pmax": float(pm), "ramp": float(r)}
-            for bus, pm, r in zip(net.gen_bus, net.pmax, net.ramp)],
-        "pd": net.pd.tolist(),
-        "qd": net.qd.tolist(),
-        "delta_t": net.delta_t,
-    }, sort_keys=True)
-
-
-def network_from_json(text):
-    doc = json.loads(text)
-    nbus = int(doc["nbus"])
-    return NetworkData(
-        nbus=nbus,
-        y_re=triplets_to_csr(doc["y_re"], (nbus, nbus)),
-        y_im=triplets_to_csr(doc["y_im"], (nbus, nbus)),
-        gen_bus=[int(g["bus"]) for g in doc["generators"]],
-        pd=np.asarray(doc["pd"], dtype=float),
-        qd=np.asarray(doc["qd"], dtype=float),
-        pmax=np.array([float(g["pmax"]) for g in doc["generators"]]),
-        ramp=np.array([float(g["ramp"]) for g in doc["generators"]]),
-        delta_t=float(doc.get("delta_t", 1.0)),
-    )

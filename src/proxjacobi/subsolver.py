@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import Quadratic
-
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
 STATUS_NUMERICAL_FAILURE = "numerical-failure"
@@ -75,8 +73,6 @@ def solve_quadratic_exact(req):
     block's cache.
     """
     obj = req.objective
-    if not isinstance(obj.f, Quadratic):
-        raise ValueError("quadratic-exact solver requires a quadratic objective")
     n = req.warm_start.shape[0]
     g0 = obj.gradient(np.zeros(n))
     fail = BlockSolveResult(
@@ -98,19 +94,6 @@ def solve_quadratic_exact(req):
     return BlockSolveResult(
         x=x, mu=np.empty(0), status=STATUS_CONVERGED, inner_iterations=1,
         grad_norm=gn, solver="quadratic-exact")
-
-
-def linear_rows(eqs, n):
-    """``(C, d)`` with ``C x = d`` equivalent to the equalities ``eqs`` on
-    R^n, or None when any of them is nonlinear."""
-    C = np.zeros((len(eqs), n))
-    d = np.zeros(len(eqs))
-    for i, eq in enumerate(eqs):
-        if not isinstance(eq, Quadratic) or eq.Q.nnz:
-            return None
-        C[i, : eq.n] = eq.c
-        d[i] = -eq.c0
-    return C, d
 
 
 def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
@@ -171,10 +154,8 @@ def solve_quadratic_kkt(req):
     QP; reports numerical failure when it returns None, so the caller can
     fall back.  ``inner_iterations`` counts its passes."""
     obj = req.objective
-    if not isinstance(obj.f, Quadratic):
-        raise ValueError("quadratic-kkt solver requires a quadratic objective")
     n = req.warm_start.shape[0]
-    rows = linear_rows(req.set.equalities, n)
+    rows = req.set.linear_rows
     if rows is None:
         raise ValueError("quadratic-kkt solver requires linear equalities")
     C, d = rows
@@ -201,14 +182,12 @@ def solve_box_pg(req):
     """Projected gradient descent over a box.
 
     The trial step is initialized from a Barzilai-Borwein estimate clamped
-    to [1e-8, 1e8].  When the objective exposes a constant Hessian the step
-    along the projected direction is an exact line search; otherwise Armijo
-    backtracking is used.  Accepted steps never increase the objective, so
-    the result's value is at most the warm start's.
+    to [1e-8, 1e8]; the step along the projected direction is an exact line
+    search on the quadratic objective (``hess_vec``), so accepted steps
+    never increase it and the result's value is at most the warm start's.
     """
     obj = req.objective
-    value, gradient = obj.value, obj.gradient
-    hess_vec = obj.hess_vec if obj.constant_hessian else None
+    value, gradient, hess_vec = obj.value, obj.gradient, obj.hess_vec
     lo, hi = req.set.lower, req.set.upper
     x = project_box(req.warm_start, lo, hi)
     f = value(x)
@@ -235,32 +214,14 @@ def solve_box_pg(req):
             if slope >= 0.0:
                 status = STATUS_CONVERGED if crit <= req.tol else STATUS_ITERATION_CAP
                 break
-        if hess_vec is not None:
-            # exact line search along the projected direction
-            curv = float(d @ hess_vec(d))
-            alpha = 1.0 if curv <= 0 else min(1.0, -slope / curv)
-            f_new = value(x + alpha * d)
-            if not np.isfinite(f_new):
-                return BlockSolveResult(
-                    x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-                    inner_iterations=it, grad_norm=crit, solver="box-pg")
-        else:
-            alpha = 1.0
-            f_new = value(x + d)
-            halvings = 0
-            while f_new > f + ARMIJO_C * alpha * slope and halvings < 60:
-                alpha *= 0.5
-                halvings += 1
-                f_new = value(x + alpha * d)
-            if not np.isfinite(f_new):
-                return BlockSolveResult(
-                    x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-                    inner_iterations=it, grad_norm=crit, solver="box-pg")
-            if f_new > f:
-                # no decrease found along d; declare stationarity at tolerance
-                status = (STATUS_CONVERGED if crit <= req.tol
-                          else STATUS_ITERATION_CAP)
-                break
+        # exact line search along the projected direction
+        curv = float(d @ hess_vec(d))
+        alpha = 1.0 if curv <= 0 else min(1.0, -slope / curv)
+        f_new = value(x + alpha * d)
+        if not np.isfinite(f_new):
+            return BlockSolveResult(
+                x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
+                inner_iterations=it, grad_norm=crit, solver="box-pg")
         x_new = x + alpha * d
         g_new = gradient(x_new)
         if not np.all(np.isfinite(g_new)):
@@ -378,37 +339,33 @@ def solve_box_newton(req):
 
 
 class _PenalizedObjective:
-    """obj + y'c + (sigma/2)||c||^2 over the box, for the inner ALM solves."""
+    """obj + y'c + (sigma/2)||c||^2 over the box, for the inner ALM solves;
+    c is the block set's equality map."""
 
-    def __init__(self, obj, equalities, y, sigma):
+    def __init__(self, obj, cset, y, sigma):
         self.obj = obj
-        self.equalities = equalities
+        self.set = cset
         self.y = y
         self.sigma = sigma
 
-    def hessian(self, x):
-        H = self.obj.hessian(x)
-        for i, eq in enumerate(self.equalities):
-            ci = eq.value(x)
-            g = eq.gradient(x)
-            H += (self.y[i] + self.sigma * ci) * eq.hessian(x)
-            H += self.sigma * np.outer(g, g)
-        return H
-
-    def _cvals(self, x):
-        return np.array([eq.value(x) for eq in self.equalities])
-
     def value(self, x):
-        c = self._cvals(x)
+        c = self.set.equality_values(x)
         return (self.obj.value(x) + float(self.y @ c)
                 + 0.5 * self.sigma * float(c @ c))
 
     def gradient(self, x):
-        g = self.obj.gradient(x)
-        for i, eq in enumerate(self.equalities):
-            ci = eq.value(x)
-            g = g + (self.y[i] + self.sigma * ci) * eq.gradient(x)
-        return g
+        """grad obj + J'(y + sigma c)."""
+        c = self.set.equality_values(x)
+        J = self.set.equality_jacobian(x)
+        return self.obj.gradient(x) + J.T @ (self.y + self.sigma * c)
+
+    def hessian(self, x):
+        """obj'' + sum_i (y + sigma c)_i c_i'' + sigma J'J."""
+        c = self.set.equality_values(x)
+        J = self.set.equality_jacobian(x)
+        return (self.obj.hessian(x)
+                + self.set.equality_hessian(x, self.y + self.sigma * c)
+                + self.sigma * (J.T @ J))
 
 
 def solve_equality_alm(req):
@@ -418,9 +375,7 @@ def solve_equality_alm(req):
     grows tenfold whenever the equality violation fails to shrink by a
     factor of 4 in a round, up to the 1e12 cap.
     """
-    eqs = req.set.equalities
-    r = len(eqs)
-    y = np.zeros(r)
+    y = np.zeros(len(req.set.equalities))
     sigma = ALM_SIGMA_INIT
     x = req.warm_start.copy()
     total_inner = 0
@@ -428,7 +383,7 @@ def solve_equality_alm(req):
     best = None
     x_last_round = None
     for _ in range(ALM_MAX_ROUNDS):
-        pen = _PenalizedObjective(req.objective, eqs, y, sigma)
+        pen = _PenalizedObjective(req.objective, req.set, y, sigma)
         inner_req = BlockSolveRequest(
             t=req.t, objective=pen, set=req.set, warm_start=x,
             tol=req.tol, max_iter=req.max_iter)
@@ -440,7 +395,7 @@ def solve_equality_alm(req):
                 inner_iterations=total_inner, grad_norm=inner.grad_norm,
                 solver="equality-alm")
         x = inner.x
-        c = pen._cvals(x)
+        c = req.set.equality_values(x)
         cn = float(np.max(np.abs(c), initial=0.0))
         y = y + sigma * c
         if best is None or cn < best[0]:
@@ -477,13 +432,12 @@ def dispatch(req):
     gradient over the box.
     """
     if req.set.equalities:
-        if (isinstance(req.objective.f, Quadratic)
-                and linear_rows(req.set.equalities, req.set.n) is not None):
+        if req.set.linear_rows is not None:
             result = solve_quadratic_kkt(req)
             if result.status != STATUS_NUMERICAL_FAILURE:
                 return result
         return solve_equality_alm(req)
-    if not req.set.has_bounds and isinstance(req.objective.f, Quadratic):
+    if not req.set.has_bounds:
         result = solve_quadratic_exact(req)
         if result.status != STATUS_NUMERICAL_FAILURE:
             return result

@@ -53,6 +53,32 @@ class TestValidate:
         assert "rank" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eq, key, value, message", [
+    (3, "v_offset", 100, "v_offset 100 out of range"),
+    (3, "gen_coords", [42], "gen_coords [42] out of range"),
+    (2, "neighbors", [5], "neighbors [5] out of range"),
+    (2, "y_im", [], "y_re, y_im and neighbors differ in length"),
+    (3, "y_diag_im", 0.5, "admittance row of bus 1 differs from equality 2"),
+])
+def test_malformed_polar_payload(tmp_path, capsys, eq, key, value, message):
+    # both commands refuse the file with a message naming the block and the
+    # equality, and solve writes no trace
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=2, T=3), 3)
+    doc = json.loads(save_problem(prob))
+    doc["blocks"][1]["equalities"][eq]["payload"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    where = f"block 1: equality {eq}"
+    assert main(["validate", str(path)]) == EXIT_IO
+    out = capsys.readouterr().out
+    assert where in out and message in out
+    trc = tmp_path / "trace.csv"
+    assert main(["solve", str(path), "--trace", str(trc)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert where in err and message in err
+    assert not trc.exists()
+
+
 class TestGenerate:
     def test_coupled_qp_with_oracle(self, tmp_path):
         out = tmp_path / "p.json"
@@ -176,6 +202,29 @@ class TestSolve:
         cfgf = tmp_path / "tuner.cfg"
         cfgf.write_text("nonsense = 1\n")
         assert main(["solve", str(qp_file), "--config", str(cfgf)]) == EXIT_IO
+
+    def test_trace_streamed_before_a_crash(self, qp_file, tmp_path,
+                                           monkeypatch):
+        # a solve that dies in its third sweep leaves the header and the
+        # rows of its two finished iterations
+        T = build_qp(0)[0].T
+        solves = []
+        real = jacobi.dispatch
+
+        def dying(req):
+            solves.append(req.t)
+            if len(solves) > 2 * T:
+                raise RuntimeError("block solver crashed")
+            return real(req)
+
+        monkeypatch.setattr(jacobi, "dispatch", dying)
+        trc = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="crashed"):
+            main(["solve", str(qp_file), "--trace", str(trc),
+                  "--no-timings"])
+        lines = trc.read_text().splitlines()
+        assert lines[0].split(",") == jacobi.TRACE_COLUMNS
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
     def test_numerical_failure_exit(self, tmp_path):
         # concave unconstrained block: every solver path fails

@@ -1,5 +1,7 @@
 """Unit tests for the problem data model and its JSON schema."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -76,6 +78,21 @@ class TestConstraintSet:
         assert cs.violation(np.array([1.5, 0.0])) == pytest.approx(0.5)
         assert cs.violation(np.array([-0.25, 0.0])) == pytest.approx(0.25)
 
+    def test_equality_map_mixed_rows(self):
+        # a circle x0^2 + x1^2 = 2 and the line x0 - x1 = 0 over R^3
+        circle = Quadratic(2.0 * sp.eye(2, format="csr"), np.zeros(2), -2.0)
+        line = Quadratic(sp.csr_matrix((3, 3)), np.array([1.0, -1.0, 0.0]))
+        cs = ConstraintSet(np.full(3, -5.0), np.full(3, 5.0), [circle, line])
+        x = np.array([1.5, -0.5, 2.0])
+        assert cs.linear_rows is None
+        assert np.allclose(cs.equality_values(x), [0.5, 2.0])
+        assert np.allclose(cs.equality_jacobian(x),
+                           [[3.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
+        assert np.allclose(cs.equality_hessian(x, [0.5, 7.0]),
+                           np.diag([1.0, 1.0, 0.0]))
+        C, d = ConstraintSet(np.zeros(3), np.ones(3), [line]).linear_rows
+        assert np.array_equal(C, [line.c]) and np.array_equal(d, [0.0])
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             ConstraintSet(np.array([1.0]), np.array([0.0]))
@@ -114,6 +131,27 @@ class TestSerialization:
         prob2 = load_problem(text)
         assert save_problem(prob2) == text
         assert validate_problem(prob2).ok
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_round_trip_acopf_byte_stable(self, split):
+        from proxjacobi import problems
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=4), 4)
+        if split:
+            prob = variable_splitting_transform(prob)
+        text = save_problem(prob)
+        again = load_problem(text)
+        assert save_problem(again) == text
+        assert validate_problem(again).ok
+        assert again.blocks[0].set.equalities[0].to_json() == \
+            prob.blocks[0].set.equalities[0].to_json()
+
+    def test_builtin_objective_refused(self):
+        from proxjacobi import problems
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=2, T=1), 1)
+        doc = json.loads(save_problem(prob))
+        doc["blocks"][0]["objective"] = doc["blocks"][0]["equalities"][0]
+        with pytest.raises(SchemaError, match=r"blocks\[0\]\.objective.*quadratic"):
+            load_problem(json.dumps(doc))
 
     def test_infinite_bounds_survive(self):
         prob, _ = build_qp(0)

@@ -5,12 +5,11 @@ import pytest
 
 from proxjacobi import problems
 from proxjacobi.algebra import couple_apply
-from proxjacobi.model import Quadratic, save_problem, validate_problem
-from proxjacobi.problems import (acopf_balance, acopf_balance_grad,
-                                 acopf_block_layout, gen_acopf_toy,
+from proxjacobi.model import (Quadratic, save_problem, validate_problem,
+                              variable_splitting_transform)
+from proxjacobi.problems import (acopf_block_layout, gen_acopf_toy,
                                  gen_coupled_qp, gen_multiperiod_dispatch,
-                                 kkt_reference_solve, network_from_json,
-                                 network_to_json, separable_lower_bound,
+                                 kkt_reference_solve, separable_lower_bound,
                                  toy_network, twin_generator_network)
 
 from conftest import build_qp
@@ -152,39 +151,70 @@ class TestLowerBound:
         assert separable_lower_bound(prob) == pytest.approx(-4.0)
 
 
+def polar_point(blk, rng):
+    """A point of an ACOPF block: V near 1, small angles, anything else
+    uniform in [-1, 1]."""
+    x = rng.uniform(-1.0, 1.0, blk.n)
+    for eq in blk.set.equalities:
+        if not isinstance(eq, Quadratic):
+            v, th, nb = eq.v_offset, eq.theta_offset, eq.nbus
+            x[v:v + nb] = 1.0 + 0.1 * rng.uniform(-1, 1, nb)
+            x[th:th + nb] = 0.3 * rng.uniform(-1, 1, nb)
+    return x
+
+
+def acopf_blocks():
+    """The first block of a 3-bus ACOPF toy and of its split form, whose
+    block set mixes polar balances and linear rows."""
+    prob = gen_acopf_toy(toy_network(nbus=3, T=2), 2)
+    return [prob.blocks[0], variable_splitting_transform(prob).blocks[0]]
+
+
 class TestAcopfBalance:
     def test_matches_complex_arithmetic(self):
         net = toy_network(nbus=3, T=2)
-        rng = np.random.default_rng(0)
+        lay = acopf_block_layout(net)
+        blk = gen_acopf_toy(net, 2).blocks[0]
         Y = net.y_re.toarray() + 1j * net.y_im.toarray()
+        rng = np.random.default_rng(0)
         for _ in range(5):
-            V = 1.0 + 0.1 * rng.uniform(-1, 1, net.nbus)
-            th = 0.3 * rng.uniform(-1, 1, net.nbus)
+            x = polar_point(blk, rng)
+            V = x[lay["v"]:lay["v"] + net.nbus]
+            th = x[lay["theta"]:lay["theta"] + net.nbus]
             U = V * np.exp(1j * th)
             S = U * np.conj(Y @ U)
+            expected = []
             for i in range(net.nbus):
-                c_re, c_im = acopf_balance(i, V, th, net)
-                assert c_re == pytest.approx(S[i].real, abs=1e-12)
-                assert c_im == pytest.approx(S[i].imag, abs=1e-12)
+                gens = [g for g in range(net.ngen) if net.gen_bus[g] == i]
+                expected.append(sum(x[lay["p"] + g] for g in gens)
+                                - net.pd[0, i] - S[i].real)
+                expected.append(sum(x[lay["q"] + g] for g in gens)
+                                - net.qd[0, i] - S[i].imag)
+            assert np.allclose(blk.set.equality_values(x), expected,
+                               rtol=0.0, atol=1e-12)
 
     def test_gradients(self):
-        net = toy_network(nbus=2, T=2)
-        V = np.array([1.05, 0.98])
-        th = np.array([0.0, -0.12])
-        for i in range(net.nbus):
-            dre_dV, dre_dth, dim_dV, dim_dth = acopf_balance_grad(i, V, th,
-                                                                  net)
-            fd_re_V = finite_diff_grad(
-                lambda v: acopf_balance(i, v, th, net)[0], V.copy())
-            fd_im_th = finite_diff_grad(
-                lambda t: acopf_balance(i, V, t, net)[1], th.copy())
-            assert np.allclose(dre_dV, fd_re_V, atol=1e-6)
-            assert np.allclose(dim_dth, fd_im_th, atol=1e-6)
-
-    def test_positive_voltage_required(self):
-        net = toy_network(nbus=2, T=2)
-        with pytest.raises(ValueError):
-            acopf_balance(0, np.array([1.0, -1.0]), np.zeros(2), net)
+        """Jacobian and weighted Hessian against finite differences, on an
+        ACOPF block and on its split form."""
+        rng = np.random.default_rng(1)
+        for blk in acopf_blocks():
+            cs = blk.set
+            x = polar_point(blk, rng)
+            w = rng.standard_normal(len(cs.equalities))
+            J = cs.equality_jacobian(x)
+            H = cs.equality_hessian(x, w)
+            assert J.shape == (len(cs.equalities), blk.n)
+            assert np.allclose(H, H.T, rtol=0.0, atol=1e-12)
+            for i in range(len(cs.equalities)):
+                fd = finite_diff_grad(lambda v: cs.equality_values(v)[i], x)
+                assert np.allclose(J[i], fd, rtol=0.0, atol=1e-7)
+            fd_H = np.column_stack([
+                (cs.equality_jacobian(x + h) - cs.equality_jacobian(x - h)).T
+                @ w / 2e-6 for h in 1e-6 * np.eye(blk.n)])
+            assert np.allclose(H, fd_H, rtol=0.0, atol=1e-7)
+        # the lifted rows A_t x_t - y_t = 0 of the split block stay linear
+        lin = cs.equalities[-1]
+        assert np.array_equal(J[-1, :lin.n], lin.c)
 
 
 class TestAcopfToy:
@@ -224,8 +254,26 @@ class TestAcopfToy:
         for g, bus in enumerate(net.gen_bus):
             x[g] = S[bus].real + net.pd[0, bus]
             x[lay["q"] + g] = S[bus].imag + net.qd[0, bus]
-        for eq in prob.blocks[0].set.equalities:
-            assert abs(eq.value(x)) < 1e-10
+        assert np.max(np.abs(prob.blocks[0].set.equality_values(x))) < 1e-10
+
+    def test_split_solve_matches_unsplit(self):
+        """The split form, whose blocks mix polar balances and linear
+        rows, solves to the unsplit solution."""
+        from proxjacobi import tuner
+        from proxjacobi.cli import default_start
+        from proxjacobi.jacobi import RunConfig
+        prob = gen_acopf_toy(toy_network(nbus=3, T=4), 4)
+        xs = []
+        for p in (prob, variable_splitting_transform(prob)):
+            cfg = tuner.TunerConfig(eps=1e-3)
+            init = tuner.make_initial_state(p, cfg, *default_start(p))
+            state, _, reason = tuner.run_adaptive(
+                p, cfg, init, RunConfig(record_timings=False))
+            assert reason == tuner.TERMINATION_FEASIBLE
+            xs.append(state.x)
+        err = max(float(np.max(np.abs(a - b[:a.size])))
+                  for a, b in zip(*xs))
+        assert err <= 1e-8
 
     def test_period_cap(self):
         net = toy_network(nbus=2, T=3)
@@ -260,9 +308,3 @@ class TestNetworks:
         nbrs, yre, yim = net.neighbors(1)
         assert nbrs == [0, 2]
         assert len(yre) == 2 and len(yim) == 2
-
-    def test_json_round_trip(self):
-        net = toy_network(nbus=3, T=4)
-        net2 = network_from_json(network_to_json(net))
-        assert network_to_json(net2) == network_to_json(net)
-        assert np.allclose(net2.pd, net.pd)

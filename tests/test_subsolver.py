@@ -245,6 +245,8 @@ def test_dispatch_routing():
     nonlinear_eq = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
         ConstraintSet(np.zeros(2), np.full(2, 3.0), [circle]))
-    assert subsolver.linear_rows([eq, circle], 2) is None
+    C, d = linear_eq.blocks[0].set.linear_rows
+    assert np.array_equal(C, [[1.0, 1.0]]) and np.array_equal(d, [1.0])
+    assert nonlinear_eq.blocks[0].set.linear_rows is None
     assert dispatch(make_request(nonlinear_eq, warm=np.ones(2))).solver \
         == "equality-alm"
