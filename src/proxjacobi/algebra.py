@@ -11,15 +11,16 @@ EIGENCHECK_SIZE_CAP = 2000
 
 
 def couple_apply(problem, x):
-    """Return ``sum_t A_t x_t``, accumulated in block order."""
-    out = np.zeros(problem.m)
-    for blk, xt in zip(problem.blocks, x):
-        xt = np.asarray(xt, dtype=float)
-        if xt.shape != (blk.n,):
-            raise ValueError(
-                f"block vector of shape {xt.shape} does not match n={blk.n}")
-        out += blk.coupling @ xt
-    return out
+    """Return ``sum_t A_t x_t``: one block-diagonal product, whose rows are
+    added in block order."""
+    return block_sum(problem.block_products(problem.stack(x)))
+
+
+def block_sum(rows):
+    """``rows[0] + rows[1] + ...`` added in this order, as a loop of
+    ``out += row`` from zero adds them (``+ 0.0`` turns a -0.0 sum into
+    0.0, as that loop does)."""
+    return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
 def seminorm_sq(A_t, v):

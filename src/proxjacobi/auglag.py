@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import couple_apply
+from .algebra import block_sum
 
 DAGGER_SIZE_CAP = 2000
 
@@ -18,8 +18,9 @@ def aug_lagrangian(problem, x, z, lam, params):
     lam = np.asarray(lam, dtype=float)
     if z.shape != (problem.m,) or lam.shape != (problem.m,):
         raise ValueError("z and lambda must have length m")
-    viol = couple_apply(problem, x) + z - problem.b
-    total = sum(blk.objective.value(xt) for blk, xt in zip(problem.blocks, x))
+    vec = problem.stack(x)
+    viol = block_sum(problem.block_products(vec)) + z - problem.b
+    total = sum(problem.objective_values(vec))
     total += 0.5 * params.theta * float(z @ z)
     total += float(lam @ viol)
     total += 0.5 * params.rho * float(viol @ viol)
@@ -97,9 +98,10 @@ def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
     val = aug_lagrangian(problem, x, z, lam, params)
     dz = np.asarray(z, dtype=float) - np.asarray(z_hat, dtype=float)
     val += 0.25 * params.tau_z * float(dz @ dz)
-    for blk, xt, xh in zip(problem.blocks, x, x_hat):
-        d = blk.coupling @ (np.asarray(xt, dtype=float)
-                            - np.asarray(xh, dtype=float))
+    # one dot product per block, added in block order: the value is the
+    # same, bit for bit, as a loop over the blocks gives
+    for d in problem.block_products(problem.stack(x)
+                                    - problem.stack(x_hat)):
         val += 0.25 * params.tau_x * float(d @ d)
     return val
 
@@ -114,32 +116,73 @@ def dual_residual(problem, t, x_t, lam, feas_tol=1e-8, active_tol=1e-8):
     """
     blk = problem.blocks[t]
     x_t = np.asarray(x_t, dtype=float)
-    if blk.set.violation(x_t) > feas_tol:
+    if np.isfinite(feas_tol) and blk.set.violation(x_t) > feas_tol:
         raise ValueError(
             f"block {t}: residual undefined off the set "
             f"(violation {blk.set.violation(x_t):.3e} > {feas_tol:.0e})")
     g = blk.objective.gradient(x_t) + blk.coupling_T @ np.asarray(lam, float)
     lo, hi = blk.set.lower, blk.set.upper
-    at_lo = x_t <= lo + active_tol
-    at_hi = x_t >= hi - active_tol
     if blk.set.equalities:
+        at_lo = x_t <= lo + active_tol
+        at_hi = x_t >= hi - active_tol
         C = blk.set.equality_jacobian(x_t).T
         free = ~(at_lo | at_hi)
         if np.any(free):
             mu, *_ = np.linalg.lstsq(C[free], -g[free], rcond=None)
         else:
             mu = np.zeros(C.shape[1])
-        r = g + C @ mu
-    else:
-        r = g
+        g = g + C @ mu
+    return float(np.linalg.norm(_normal_cone_excess(g, x_t, lo, hi,
+                                                    active_tol)))
+
+
+def _normal_cone_excess(r, x, lo, hi, active_tol):
+    """Per coordinate, the part of the residual ``r`` that no bound active
+    at ``x`` absorbs: |r| off the bounds, max(0, -r) at a lower bound only,
+    max(0, r) at an upper bound only, 0 where both are active."""
+    at_lo = x <= lo + active_tol
+    at_hi = x >= hi - active_tol
     contrib = np.abs(r)
     only_lo = at_lo & ~at_hi
     only_hi = at_hi & ~at_lo
-    fixed = at_lo & at_hi
     contrib[only_lo] = np.maximum(0.0, -r[only_lo])
     contrib[only_hi] = np.maximum(0.0, r[only_hi])
-    contrib[fixed] = 0.0
-    return float(np.linalg.norm(contrib))
+    contrib[at_lo & at_hi] = 0.0
+    return contrib
+
+
+def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
+    """``dual_residual`` of every block at the flat vector ``vec``, as a
+    list.  Blocks without equalities share one stacked gradient (grouped
+    blocks from their stacks, the others from their own objectives);
+    blocks with equalities fit their multipliers one by one."""
+    o = problem.offsets
+    lam = np.asarray(lam, dtype=float)
+    box = [t for t, blk in enumerate(problem.blocks)
+           if not blk.set.equalities]
+    if np.isfinite(feas_tol):
+        for t in box:
+            viol = problem.blocks[t].set.violation(vec[o[t]:o[t + 1]])
+            if viol > feas_tol:
+                raise ValueError(
+                    f"block {t}: residual undefined off the set "
+                    f"(violation {viol:.3e} > {feas_tol:.0e})")
+    g = problem.block_products_T(lam)
+    for grp in problem.quadratic_groups:
+        g[grp.cols] += grp.gradients(grp.take(vec)).ravel()
+    for t in problem.single_blocks:
+        if not problem.blocks[t].set.equalities:
+            g[o[t]:o[t + 1]] += problem.blocks[t].objective.gradient(
+                vec[o[t]:o[t + 1]])
+    excess = _normal_cone_excess(g, vec, problem.lower, problem.upper,
+                                 active_tol)
+    delta = np.sqrt(np.bincount(problem.block_index, weights=excess * excess,
+                                minlength=problem.T)).tolist()
+    for t, blk in enumerate(problem.blocks):
+        if blk.set.equalities:
+            delta[t] = dual_residual(problem, t, vec[o[t]:o[t + 1]], lam,
+                                     feas_tol, active_tol)
+    return delta
 
 
 @dataclass
@@ -166,33 +209,26 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
     p = Ax + z - b
     d_t = rho A_t'(A_{!=t} dx_{!=t}) - rho A_t' dz - tau_x A_t'A_t dx_t
     d_z = -tau_z dz
+
+    with delta_t the block dual residuals (``dual_residuals``).
     """
     if state.k < 1:
         raise ValueError("penalty residuals undefined at k = 0")
-    Ax = couple_apply(problem, state.x)
+    vec = problem.stack(state.x)
+    Ax = block_sum(problem.block_products(vec))
     p = Ax + state.z - problem.b
-    Adx = [blk.coupling @ (xt - xp) for blk, xt, xp
-           in zip(problem.blocks, state.x, state.x_prev)]
+    Adx = problem.block_products(vec - problem.stack(state.x_prev))
     Adx_total = np.sum(Adx, axis=0)
-    d_blocks = [
-        blk.coupling_T @ (params.rho * (Adx_total - Adx_t - state.dz)
-                          - params.tau_x * Adx_t)
-        for blk, Adx_t in zip(problem.blocks, Adx)
-    ]
+    d = problem.block_products_T(params.rho * (Adx_total - Adx - state.dz)
+                                 - params.tau_x * Adx)
     d_z = -params.tau_z * state.dz
-    delta = [
-        dual_residual(problem, t, state.x[t], state.lam, feas_tol=feas_tol)
-        for t in range(problem.T)
-    ]
-    infnorm_d = max(
-        [float(np.max(np.abs(d))) if d.size else 0.0 for d in d_blocks]
-        + [float(np.max(np.abs(d_z))) if d_z.size else 0.0]
-    )
+    infnorm_d = max(float(np.max(np.abs(d), initial=0.0)),
+                    float(np.max(np.abs(d_z), initial=0.0)))
     return ResidualSnapshot(
         pi=float(np.linalg.norm(Ax - problem.b)),
-        delta=delta,
+        delta=dual_residuals(problem, vec, state.lam, feas_tol=feas_tol),
         p=p,
-        d_blocks=d_blocks,
+        d_blocks=problem.split(d),
         d_z=d_z,
         infnorm_p=float(np.max(np.abs(p))) if p.size else 0.0,
         infnorm_d=infnorm_d,
@@ -276,9 +312,8 @@ def dagger_norm_sq(problem, state, ref_x, ref_z, ref_lam, params):
     T, m = problem.T, problem.m
     if T * m > DAGGER_SIZE_CAP:
         raise ValueError(f"T*m = {T * m} exceeds size cap {DAGGER_SIZE_CAP}")
-    dev = np.empty((T, m))
-    for t, blk in enumerate(problem.blocks):
-        dev[t] = blk.coupling @ (state.x[t] - np.asarray(ref_x[t], float))
+    dev = problem.block_products(problem.stack(state.x)
+                                 - problem.stack(ref_x))
     col_sum = dev.sum(axis=0)
     r_dev = (params.rho + params.tau_x) * dev - params.rho * col_sum[None, :]
     total = float(np.sum(dev * r_dev))

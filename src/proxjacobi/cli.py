@@ -71,8 +71,7 @@ def _load_problem_file(path):
 
 
 def _solution_doc(problem, state, reason, trace):
-    objective = float(sum(blk.objective.value(xt)
-                          for blk, xt in zip(problem.blocks, state.x)))
+    objective = float(sum(problem.objective_values(problem.stack(state.x))))
     last = trace[-1] if trace else None
     residuals = {}
     if last is not None:
@@ -400,9 +399,10 @@ def _check_monotonicity(records, params_seq, T, report):
                       f"{checked} iterations")
 
 
-def _check_theorem_bounds(problem, states, records, params_seq, report):
+def _check_theorem_bounds(problem, records, replayed, params_seq, report):
     """Theorem-style bound existence on a constant-parameter feasible-eta
-    run (skipped otherwise)."""
+    run (skipped otherwise); the block dual residuals are the replayed
+    records' ``delta``."""
     if len(records) < 2:
         report.record("bound existence", "skip", "trace too short")
         return
@@ -424,16 +424,9 @@ def _check_theorem_bounds(problem, states, records, params_seq, report):
     pi_bound, delta_bounds = auglag.theorem1_bounds(
         records[0].phi, phi_hat, records[-1].phi, K, params, specnorms,
         problem.T)
-    ok = False
-    for state, rec in zip(states, records):
-        if rec.pi > pi_bound:
-            continue
-        deltas = [auglag.dual_residual(problem, t, state.x[t], state.lam,
-                                       feas_tol=np.inf)
-                  for t in range(problem.T)]
-        if all(d <= db for d, db in zip(deltas, delta_bounds)):
-            ok = True
-            break
+    ok = any(rec.pi <= pi_bound
+             and all(d <= db for d, db in zip(again.delta, delta_bounds))
+             for rec, again in zip(records, replayed))
     report.record("bound existence", "pass" if ok else "fail",
                   f"pi bound {pi_bound:.3e}")
 
@@ -463,7 +456,7 @@ def cmd_trace_check(args):
     report = TraceCheckReport()
     _check_monotonicity(records, params_seq, problem.T, report)
     _check_identities(problem, states, params_seq, report)
-    _check_theorem_bounds(problem, states, records, params_seq, report)
+    _check_theorem_bounds(problem, records, replayed, params_seq, report)
     report.print()
     if report.failed:
         return EXIT_ITERATION_CAP

@@ -1,11 +1,15 @@
 """The fixed-parameter distributed proximal Jacobi iteration.
 
-Each iteration forks T independent block solves (no block sees another
-block's current-iteration value), joins, then applies the closed-form z and
-lambda updates and emits one trace record.  Results are identical at any
-worker count: block solves are pure and all reductions run in block order.
+Each iteration solves the T block subproblems independently (no block sees
+another block's current-iteration value), joins, then applies the
+closed-form z and lambda updates and emits one trace record.  The
+unconstrained quadratic blocks of one size are solved together, as one
+batched exact step; the other blocks one by one.  Results are identical at
+any worker count: block solves are pure, batched steps work row by row and
+all reductions run in block order.
 """
 
+import contextlib
 import csv
 import io
 import time
@@ -15,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import auglag
-from .algebra import couple_apply
+from .algebra import block_sum, couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
 from .subsolver import (BlockSolveRequest, dispatch, project_box,
-                        STATUS_NUMERICAL_FAILURE)
+                        solve_quadratic_exact, STATUS_NUMERICAL_FAILURE)
 
 TRACE_COLUMNS = [
     "k", "phi", "dphi", "coupling_inf", "p_inf", "d_inf", "pi", "delta_max",
@@ -69,6 +73,7 @@ class TraceRecord:
     t_zupd_ms: float
     inner_iters_total: int
     inner_iters: list = field(default_factory=list)
+    delta: list = field(default_factory=list)   # per block; not in the CSV
 
     def row(self):
         return [getattr(self, name) for name in TRACE_COLUMNS]
@@ -137,13 +142,8 @@ def init_state(problem, x0, z0, lam0, params):
     x-differences; x0 is projected onto the boxes on entry."""
     if len(x0) != problem.T:
         raise ValueError(f"x0 has {len(x0)} blocks, expected {problem.T}")
-    x = []
-    for blk, xt in zip(problem.blocks, x0):
-        xt = np.asarray(xt, dtype=float)
-        if xt.shape != (blk.n,):
-            raise ValueError(
-                f"x0 block of shape {xt.shape} does not match n={blk.n}")
-        x.append(project_box(xt, blk.set.lower, blk.set.upper))
+    x = problem.split(project_box(problem.stack(x0), problem.lower,
+                                  problem.upper))
     z0 = np.asarray(z0, dtype=float).copy()
     lam0 = np.asarray(lam0, dtype=float).copy()
     if z0.shape != (problem.m,) or lam0.shape != (problem.m,):
@@ -154,7 +154,7 @@ def init_state(problem, x0, z0, lam0, params):
         dz0 = np.zeros(problem.m)
     return IterateState(
         x=x, z=z0, lam=lam0,
-        x_prev=[xt.copy() for xt in x], z_prev=z0.copy(), lam_prev=lam0.copy(),
+        x_prev=x.copy(), z_prev=z0.copy(), lam_prev=lam0.copy(),
         dz=dz0, k=0)
 
 
@@ -162,6 +162,16 @@ def initial_lyapunov(problem, state, params):
     """Phi0 = L(x0, z0, lam0) + (tau_z/4)||dz0||^2."""
     val = auglag.aug_lagrangian(problem, state.x, state.z, state.lam, params)
     return val + 0.25 * params.tau_z * float(state.dz @ state.dz)
+
+
+@contextlib.contextmanager
+def worker_pool(workers):
+    """The thread pool of a run with ``workers`` workers (None when 0)."""
+    if not workers:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool
 
 
 def _solve_block(problem, state, params, config, Ax, t):
@@ -174,28 +184,56 @@ def _solve_block(problem, state, params, config, Ax, t):
     return dispatch(req)
 
 
-def x_update_all(problem, state, params, config):
+def _map(pool, fn, items):
+    return list(pool.map(fn, items) if pool else map(fn, items))
+
+
+def _ranges(k, parts):
+    """``parts`` contiguous slices covering range(k), none empty."""
+    bounds = np.linspace(0, k, min(parts, k) + 1).round().astype(int)
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def x_update_all(problem, state, params, config, pool=None):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
-    The coupling sum of the k-1 iterate is formed once and shared by every
-    block.  Returns (new block vectors, per-block inner iteration counts).
-    Any numerical failure aborts with the failing block index.
+    Each quadratic group takes one exact Newton step from the anchor x_t:
+    its gradient there, grad f_t + A_t'(lam + rho(Ax + z - b)), needs one
+    stacked product for all blocks.  The other blocks, and any grouped
+    block whose step fails, go through ``dispatch``.  With a ``pool`` the
+    groups are split into one contiguous range per worker, and the
+    dispatched blocks are spread over it too.  Returns (the new x as a
+    BlockVector, per-block inner iteration counts).  Any numerical failure
+    aborts with the failing block index.
     """
-    Ax = couple_apply(problem, state.x)
-    indices = range(problem.T)
-    if config.workers and problem.T > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                lambda t: _solve_block(problem, state, params, config, Ax, t),
-                indices))
-    else:
-        results = [_solve_block(problem, state, params, config, Ax, t)
-                   for t in indices]
-    for t, res in enumerate(results):
+    vec = problem.stack(state.x)
+    Ax = block_sum(problem.block_products(vec))
+    x_new = vec.copy()
+    inner = [1] * problem.T
+    single = list(problem.single_blocks)
+    if problem.quadratic_groups:
+        coupling_grad = problem.block_products_T(
+            state.lam + params.rho * (Ax + state.z - problem.b))
+    for grp in problem.quadratic_groups:
+        H, H_inv, ok = grp.hessian_factor(params.rho + params.tau_x)
+        X = grp.take(vec)
+        g = grp.gradients(X) + grp.take(coupling_grad)
+        parts = _ranges(len(grp.blocks), config.workers if pool else 1)
+        steps = _map(pool, lambda r: solve_quadratic_exact(H[r], H_inv[r],
+                                                           g[r]), parts)
+        dx, solved = map(np.concatenate, zip(*steps))
+        x_new[grp.cols] = (X + dx).ravel()
+        single += [t for t, s in zip(grp.blocks, solved & ok) if not s]
+    single.sort()
+    results = _map(pool, lambda t: _solve_block(problem, state, params,
+                                                config, Ax, t), single)
+    o = problem.offsets
+    for t, res in zip(single, results):
         if res.status == STATUS_NUMERICAL_FAILURE:
             raise BlockSolveError(t, res)
-    return ([res.x for res in results],
-            [res.inner_iterations for res in results])
+        x_new[o[t]:o[t + 1]] = res.x
+        inner[t] = res.inner_iterations
+    return problem.split(x_new), inner
 
 
 def z_update(problem, Ax, state, params):
@@ -210,10 +248,11 @@ def lambda_update(problem, Ax, z_k, state, params):
     return state.lam + params.rho * (Ax + z_k - problem.b)
 
 
-def iterate(problem, state, params, config, phi_prev=None):
+def iterate(problem, state, params, config, phi_prev=None, pool=None):
     """One full iteration: x, z, lambda updates, state advance, trace record.
 
-    ``phi_prev`` is the previous Lyapunov value (computed here if omitted).
+    ``phi_prev`` is the previous Lyapunov value (computed here if omitted);
+    ``pool`` is the run's worker pool (``worker_pool``; serial without).
     Mutates ``state`` in place and returns the trace record.
     """
     if phi_prev is None:
@@ -223,7 +262,7 @@ def iterate(problem, state, params, config, phi_prev=None):
             phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
                                        state.x_prev, state.z_prev, params)
     t0 = time.perf_counter()
-    x_k, inner_iters = x_update_all(problem, state, params, config)
+    x_k, inner_iters = x_update_all(problem, state, params, config, pool)
     t1 = time.perf_counter()
     Ax_k = couple_apply(problem, x_k)
     z_k = z_update(problem, Ax_k, state, params)
@@ -253,6 +292,7 @@ def iterate(problem, state, params, config, phi_prev=None):
         t_zupd_ms=(t2 - t1) * 1e3 if config.record_timings else 0.0,
         inner_iters_total=int(sum(inner_iters)),
         inner_iters=inner_iters,
+        delta=snap.delta,
     )
     if config.trace_sink is not None:
         config.trace_sink(rec)
@@ -269,14 +309,16 @@ def run_fixed(problem, params, init, config, stop=None):
     state = init.copy()
     trace = []
     phi_prev = initial_lyapunov(problem, state, params) if state.k == 0 else None
-    for _ in range(config.max_iters):
-        try:
-            rec = iterate(problem, state, params, config, phi_prev=phi_prev)
-        except BlockSolveError as exc:
-            exc.trace = trace
-            raise
-        trace.append(rec)
-        phi_prev = rec.phi
-        if stop is not None and stop(state, rec):
-            break
+    with worker_pool(config.workers) as pool:
+        for _ in range(config.max_iters):
+            try:
+                rec = iterate(problem, state, params, config,
+                              phi_prev=phi_prev, pool=pool)
+            except BlockSolveError as exc:
+                exc.trace = trace
+                raise
+            trace.append(rec)
+            phi_prev = rec.phi
+            if stop is not None and stop(state, rec):
+                break
     return state, trace

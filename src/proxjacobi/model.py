@@ -10,10 +10,11 @@ the shared linear constraint ``sum_t A_t x_t = b``.
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, qr
+from scipy.linalg import qr
 
 RANK_DROP_TOL = 1e-10
 
@@ -59,6 +60,25 @@ def csr_to_triplets(mat):
     ]
 
 
+def _is_symmetric(Q):
+    """Exact symmetry test of a square CSR matrix, entry by entry.
+
+    In canonical form (entries sorted by row, then column, no duplicates)
+    Q is symmetric when listing its entries by column, then row, gives the
+    same sequence with rows and columns swapped.  A matrix not in canonical
+    form, or with an explicit zero facing no entry, reads as asymmetric;
+    symmetrizing it leaves its values unchanged.
+    """
+    if not Q.has_canonical_format:
+        return False
+    rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
+    cols = Q.indices
+    order = np.lexsort((rows, cols))
+    return bool(np.array_equal(cols[order], rows)
+                and np.array_equal(rows[order], cols)
+                and np.array_equal(Q.data[order], Q.data))
+
+
 class Quadratic:
     """f(x) = 0.5 x'Qx + c'x + c0 with symmetric sparse Q.
 
@@ -70,7 +90,7 @@ class Quadratic:
         c = np.asarray(c, dtype=float)
         n = c.shape[0]
         Q = sp.csr_matrix(Q, shape=(n, n), dtype=float)
-        if (Q != Q.T).nnz:
+        if not _is_symmetric(Q):
             Q = ((Q + Q.T) * 0.5).tocsr()
         self.Q = Q
         self.c = c
@@ -453,7 +473,6 @@ class BlockSpec:
 
     def __post_init__(self):
         self.coupling = sp.csr_matrix(self.coupling, dtype=float)
-        self._factor = (None, None)
 
     @cached_property
     def coupling_T(self):
@@ -470,20 +489,116 @@ class BlockSpec:
         """Dense A_t'A_t."""
         return (self.coupling_T @ self.coupling).toarray()
 
+
+def _block_diag(mats):
+    """diag(M_1, ..., M_T) of CSR matrices, in CSR, each block's entries
+    kept in their order (so its products sum as the block's own do)."""
+    nnz = [int(M.indptr[-1]) for M in mats]
+    nnz0 = [0, *accumulate(nnz)]
+    col0 = [0, *accumulate(M.shape[1] for M in mats)]
+    indptr = np.concatenate(
+        [[0]] + [M.indptr[1:] + k for M, k in zip(mats, nnz0)])
+    indices = np.concatenate(
+        [M.indices[:k] + c for M, k, c in zip(mats, nnz, col0)])
+    data = np.concatenate([M.data[:k] for M, k in zip(mats, nnz)])
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(len(indptr) - 1, col0[-1]))
+
+
+class BlockVector(list):
+    """The per-block views of one flat vector ``vec``: it indexes and
+    iterates as the list of block vectors, while stacked products read
+    ``vec``."""
+
+    def __init__(self, vec, offsets):
+        super().__init__(vec[a:b] for a, b in zip(offsets, offsets[1:]))
+        self.vec = vec
+        self.offsets = offsets
+
+    def copy(self):
+        return BlockVector(self.vec.copy(), self.offsets)
+
+
+class QuadraticGroup:
+    """Blocks of one size n with no bounds and no equalities, held as dense
+    stacks so that their subproblems are solved together.
+
+    ``blocks`` are the block indices, ``cols`` their coordinates in the flat
+    vector (block after block), and Q (k, n, n), c (k, n), c0 (k,) and
+    AtA = A_t'A_t (k, n, n) the stacked data.
+    """
+
+    def __init__(self, problem, blocks):
+        specs = [problem.blocks[t] for t in blocks]
+        self.blocks = blocks
+        self.n = specs[0].n
+        self.cols = np.concatenate([
+            np.arange(problem.offsets[t], problem.offsets[t + 1])
+            for t in blocks])
+        self.Q = np.stack([blk.Q_dense for blk in specs])
+        self.c = np.stack([blk.objective.c for blk in specs])
+        self.c0 = np.array([blk.objective.c0 for blk in specs])
+        A = np.stack([blk.coupling.toarray() for blk in specs])
+        self.AtA = np.swapaxes(A, 1, 2) @ A
+        self._factor = (None, None)
+
+    def take(self, vec):
+        """The group's rows of the flat vector ``vec``, as (k, n)."""
+        return vec[self.cols].reshape(-1, self.n)
+
+    def values(self, X):
+        """f_t(x_t) for the rows of X."""
+        QX = (self.Q @ X[..., None])[..., 0]
+        return (0.5 * np.einsum("ti,ti->t", X, QX)
+                + np.einsum("ti,ti->t", self.c, X) + self.c0)
+
+    def gradients(self, X):
+        """grad f_t(x_t) for the rows of X."""
+        return (self.Q @ X[..., None])[..., 0] + self.c
+
     def hessian_factor(self, w):
-        """Cholesky factor of Q_t + w A_t'A_t, kept for the latest ``w``
-        only (a change of rho or tau_x refactors).  Raises LinAlgError when
-        the matrix is not positive definite."""
-        key, cho = self._factor
+        """``(H, H_inv, ok)`` for the stack H = Q + w AtA, kept for the
+        latest ``w`` only (a change of rho + tau_x refactors).  ``ok`` is
+        false where H is not finite and positive definite; H_inv holds the
+        identity there."""
+        key, factor = self._factor
         if key != w:
-            cho = cho_factor(self.Q_dense + w * self.AtA_dense)
-            self._factor = (w, cho)
-        return cho
+            H = self.Q + w * self.AtA
+            eye = np.eye(self.n)
+            ok = np.isfinite(H).all(axis=(1, 2))
+            safe = np.where(ok[:, None, None], H, eye)
+            try:
+                np.linalg.cholesky(safe)
+            except np.linalg.LinAlgError:
+                ok &= [_positive_definite(h) for h in safe]
+                safe = np.where(ok[:, None, None], H, eye)
+            factor = (H, np.linalg.inv(safe), ok)
+            self._factor = (w, factor)
+        return factor
+
+
+def _positive_definite(H):
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass
 class Problem:
-    """T-block problem coupled through ``sum_t A_t x_t = b``."""
+    """T-block problem coupled through ``sum_t A_t x_t = b``.
+
+    Iterates are flat vectors of length N = sum_t n_t, block after block
+    (``offsets``), seen per block through a :class:`BlockVector`.  The
+    coupling is kept in stacked forms, each built on first use: ``coupling``
+    [A_1 ... A_T] (m x N) and the block diagonal ``coupling_blocks``
+    diag(A_1, ..., A_T) (T m x N) with its transpose.  One product with
+    the block diagonal gives every A_t x_t (``block_products``; Ax is their
+    sum in block order, as a loop over the blocks adds it), one with its
+    transpose every A_t'v_t (``block_products_T``).  The blocks must not
+    change once the problem is in use.
+    """
 
     m: int
     b: np.ndarray
@@ -500,9 +615,96 @@ class Problem:
     def dims(self):
         return [blk.n for blk in self.blocks]
 
-    def stacked_coupling(self):
-        """Dense stacked coupling matrix A = [A_1 ... A_T]."""
-        return np.hstack([blk.coupling.toarray() for blk in self.blocks])
+    @cached_property
+    def offsets(self):
+        """Where each block starts in the flat vector, then N."""
+        return [0, *accumulate(self.dims)]
+
+    def stack(self, x):
+        """The flat vector of the block vectors ``x`` (a
+        :class:`BlockVector`'s own ``vec``)."""
+        if isinstance(x, BlockVector):
+            return x.vec
+        if len(x) != self.T:
+            raise ValueError(f"{len(x)} block vectors for T={self.T}")
+        parts = [np.asarray(xt, dtype=float) for xt in x]
+        for blk, xt in zip(self.blocks, parts):
+            if xt.shape != (blk.n,):
+                raise ValueError(f"block vector of shape {xt.shape} does "
+                                 f"not match n={blk.n}")
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def split(self, vec):
+        """The flat vector ``vec`` seen per block."""
+        return BlockVector(vec, self.offsets)
+
+    @cached_property
+    def lower(self):
+        """The lower bounds of all blocks, as one flat vector."""
+        return np.concatenate([blk.set.lower for blk in self.blocks])
+
+    @cached_property
+    def upper(self):
+        """The upper bounds of all blocks, as one flat vector."""
+        return np.concatenate([blk.set.upper for blk in self.blocks])
+
+    @cached_property
+    def coupling(self):
+        return sp.hstack([blk.coupling for blk in self.blocks], format="csr")
+
+    @cached_property
+    def coupling_blocks(self):
+        return _block_diag([blk.coupling for blk in self.blocks])
+
+    @cached_property
+    def coupling_blocks_T(self):
+        return self.coupling_blocks.T.tocsr()
+
+    @cached_property
+    def block_index(self):
+        """The block of each coordinate of the flat vector."""
+        return np.repeat(np.arange(self.T), self.dims)
+
+    def block_products(self, vec):
+        """Row t is A_t x_t, for the flat vector ``vec``: (T, m)."""
+        return (self.coupling_blocks @ vec).reshape(self.T, self.m)
+
+    def block_products_T(self, V):
+        """The flat vector of every A_t' v_t, with v_t row t of the (T, m)
+        array V, or V itself when it is one m-vector."""
+        return self.coupling_blocks_T @ np.broadcast_to(
+            V, (self.T, self.m)).ravel()
+
+    @cached_property
+    def quadratic_groups(self):
+        """The blocks with no bounds and no equalities, one
+        :class:`QuadraticGroup` per block size."""
+        bounded = np.bincount(
+            self.block_index, minlength=self.T,
+            weights=np.isfinite(self.lower) | np.isfinite(self.upper))
+        by_n = {}
+        for t, blk in enumerate(self.blocks):
+            if not (bounded[t] or blk.set.equalities):
+                by_n.setdefault(blk.n, []).append(t)
+        return [QuadraticGroup(self, ts) for _, ts in sorted(by_n.items())]
+
+    @cached_property
+    def single_blocks(self):
+        """The blocks in no quadratic group, handled one by one."""
+        grouped = {t for g in self.quadratic_groups for t in g.blocks}
+        return [t for t in range(self.T) if t not in grouped]
+
+    def objective_values(self, vec):
+        """f_t(x_t) of every block, as a list: grouped blocks from their
+        stacks, the others from their own objectives."""
+        vals = [0.0] * self.T
+        for g in self.quadratic_groups:
+            for t, v in zip(g.blocks, g.values(g.take(vec)).tolist()):
+                vals[t] = v
+        o = self.offsets
+        for t in self.single_blocks:
+            vals[t] = self.blocks[t].objective.value(vec[o[t]:o[t + 1]])
+        return vals
 
 
 @dataclass(frozen=True)
@@ -523,7 +725,8 @@ class Params:
 
 @dataclass
 class IterateState:
-    """Mutable iterate (x, z, lambda) plus the lagged quantities.
+    """Mutable iterate (x, z, lambda) plus the lagged quantities; x and
+    x_prev are :class:`BlockVector` s.
 
     At k = 0 the conventions are ``dz = -(lam + theta z) / tau_z`` and
     ``x_prev = x`` so that the first x-differences vanish.
@@ -540,10 +743,10 @@ class IterateState:
 
     def copy(self):
         return IterateState(
-            x=[xi.copy() for xi in self.x],
+            x=self.x.copy(),
             z=self.z.copy(),
             lam=self.lam.copy(),
-            x_prev=[xi.copy() for xi in self.x_prev],
+            x_prev=self.x_prev.copy(),
             z_prev=self.z_prev.copy(),
             lam_prev=self.lam_prev.copy(),
             dz=self.dz.copy(),
@@ -598,7 +801,7 @@ def validate_problem(problem):
     if rep.errors:
         return rep
     if problem.m > 0:
-        A = problem.stacked_coupling()
+        A = problem.coupling.toarray()
         _, R, _ = qr(A.T if A.shape[0] > A.shape[1] else A, pivoting=True,
                      mode="economic")
         diag = np.abs(np.diag(R))

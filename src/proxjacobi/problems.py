@@ -360,7 +360,7 @@ def kkt_reference_solve(problem):
             raise ValueError("block has a nonlinear equality constraint")
         eq_rows.append(rows)
     C = np.vstack([scipy.linalg.block_diag(*[C_t for C_t, _ in eq_rows]),
-                   problem.stacked_coupling()])
+                   problem.coupling.toarray()])
     d = np.concatenate([d_t for _, d_t in eq_rows] + [problem.b])
     qp = solve_box_qp(
         scipy.linalg.block_diag(*[blk.Q_dense for blk in problem.blocks]),

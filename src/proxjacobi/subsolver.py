@@ -1,12 +1,12 @@
 """Local solution of the block subproblems.
 
-Built-in solvers behind a deterministic dispatcher: an exact Newton step
-for unconstrained quadratic blocks, an active-set QP for quadratic blocks
-with linear equalities and a box (shared with the reference oracle),
-projected gradient descent for box constraints, and an inner
-augmented-Lagrangian loop over projected Newton for nonlinear equalities.
-All solvers are monotone: the returned objective value never exceeds the
-warm start's.
+An exact Newton step for stacks of unconstrained quadratic blocks, which
+the Jacobi sweep solves together, and per-block solvers behind a
+deterministic dispatcher: an active-set QP for quadratic blocks with linear
+equalities and a box (shared with the reference oracle), projected gradient
+descent for box constraints, and an inner augmented-Lagrangian loop over
+projected Newton for nonlinear equalities.  The per-block solvers are
+monotone: the returned objective value never exceeds the warm start's.
 """
 
 from dataclasses import dataclass
@@ -64,36 +64,26 @@ def project_box(x, lower, upper):
     return np.minimum(np.maximum(np.asarray(x, dtype=float), lower), upper)
 
 
-def solve_quadratic_exact(req):
-    """Exact Newton step for an unconstrained quadratic block subproblem.
+def solve_quadratic_exact(H, H_inv, g):
+    """Exact Newton steps of a stack of unconstrained quadratic block
+    subproblems: dx = -H^-1 g, row by row, with H (k, n, n) the positive
+    definite subproblem Hessians, H_inv their inverses and g (k, n) the
+    gradients at the anchors.
 
-    Requires a positive definite subproblem Hessian; indefinite or singular
-    systems, and non-finite data, report numerical failure so the caller
-    can fall back to projected gradient.  The Hessian factor comes from the
-    block's cache.
+    A row whose gradient at the step, g + H dx, exceeds 1e-10 (1 + |g|) is
+    refined once.  Returns ``(dx, ok)``; ``ok`` is false on rows with a
+    non-finite gradient or step, which the caller solves another way.
     """
-    obj = req.objective
-    n = req.warm_start.shape[0]
-    g0 = obj.gradient(np.zeros(n))
-    fail = BlockSolveResult(
-        x=req.warm_start.copy(), mu=np.empty(0),
-        status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
-        grad_norm=float("inf"), solver="quadratic-exact")
-    if not np.all(np.isfinite(g0)):
-        return fail
-    try:
-        cho = obj.block.hessian_factor(obj.rho + obj.tau_x)
-    except scipy.linalg.LinAlgError:
-        return fail
-    x = scipy.linalg.cho_solve(cho, -g0)
-    gn = float(np.linalg.norm(obj.gradient(x)))
-    if not np.isfinite(gn) or gn > 1e-10 * (1.0 + float(np.linalg.norm(g0))):
-        # refine once; Cholesky solves are accurate enough in practice
-        x = x - scipy.linalg.cho_solve(cho, obj.gradient(x))
-        gn = float(np.linalg.norm(obj.gradient(x)))
-    return BlockSolveResult(
-        x=x, mu=np.empty(0), status=STATUS_CONVERGED, inner_iterations=1,
-        grad_norm=gn, solver="quadratic-exact")
+    dx = -(H_inv @ g[..., None])[..., 0]
+    r = g + (H @ dx[..., None])[..., 0]
+    # a NaN residual fails the test too, so its row is refined (and stays
+    # non-finite)
+    refine = ~(np.linalg.norm(r, axis=1)
+               <= 1e-10 * (1.0 + np.linalg.norm(g, axis=1)))
+    if np.any(refine):
+        dx[refine] -= (H_inv[refine] @ r[refine][..., None])[..., 0]
+    ok = np.isfinite(g).all(axis=1) & np.isfinite(dx).all(axis=1)
+    return dx, ok
 
 
 def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
@@ -340,29 +330,43 @@ def solve_box_newton(req):
 
 class _PenalizedObjective:
     """obj + y'c + (sigma/2)||c||^2 over the box, for the inner ALM solves;
-    c is the block set's equality map."""
+    c is the block set's equality map.
+
+    The map's value and Jacobian at the last point asked for are kept, so
+    the value, gradient and Hessian of one point evaluate the map once.
+    """
 
     def __init__(self, obj, cset, y, sigma):
         self.obj = obj
         self.set = cset
         self.y = y
         self.sigma = sigma
+        self._at = (None, None, None)
+
+    def _map(self, x, jacobian=False):
+        """``(c(x), J(x))``; J is None unless ``jacobian`` is asked for."""
+        xk, c, J = self._at
+        if xk is None or not np.array_equal(x, xk):
+            xk, J = np.array(x, dtype=float), None
+            c = self.set.equality_values(x)
+        if jacobian and J is None:
+            J = self.set.equality_jacobian(x)
+        self._at = (xk, c, J)
+        return c, J
 
     def value(self, x):
-        c = self.set.equality_values(x)
+        c, _ = self._map(x)
         return (self.obj.value(x) + float(self.y @ c)
                 + 0.5 * self.sigma * float(c @ c))
 
     def gradient(self, x):
         """grad obj + J'(y + sigma c)."""
-        c = self.set.equality_values(x)
-        J = self.set.equality_jacobian(x)
+        c, J = self._map(x, jacobian=True)
         return self.obj.gradient(x) + J.T @ (self.y + self.sigma * c)
 
     def hessian(self, x):
         """obj'' + sum_i (y + sigma c)_i c_i'' + sigma J'J."""
-        c = self.set.equality_values(x)
-        J = self.set.equality_jacobian(x)
+        c, J = self._map(x, jacobian=True)
         return (self.obj.hessian(x)
                 + self.set.equality_hessian(x, self.y + self.sigma * c)
                 + self.sigma * (J.T @ J))
@@ -425,11 +429,11 @@ def solve_equality_alm(req):
 def dispatch(req):
     """Route a block solve to the applicable solver.
 
-    Unconstrained quadratic blocks take the exact Newton path (falling back
-    to projected gradient on an indefinite Hessian); quadratic blocks with
-    linear equalities take the active-set QP, and other equality-constrained
-    sets, or a failed QP, the inner ALM path; everything else is projected
-    gradient over the box.
+    Quadratic blocks with linear equalities take the active-set QP, and
+    other equality-constrained sets, or a failed QP, the inner ALM path;
+    everything else is projected gradient over the box.  (Unconstrained
+    blocks come here only when the batched exact step of the Jacobi sweep
+    failed for them.)
     """
     if req.set.equalities:
         if req.set.linear_rows is not None:
@@ -437,8 +441,4 @@ def dispatch(req):
             if result.status != STATUS_NUMERICAL_FAILURE:
                 return result
         return solve_equality_alm(req)
-    if not req.set.has_bounds:
-        result = solve_quadratic_exact(req)
-        if result.status != STATUS_NUMERICAL_FAILURE:
-            return result
     return solve_box_pg(req)

@@ -113,18 +113,19 @@ def run_adaptive(problem, cfg, init, run_config=None):
     state = init.copy()
     trace = []
     phi_prev = jacobi.initial_lyapunov(problem, state, params)
-    for _ in range(cfg.max_outer):
-        try:
-            rec = jacobi.iterate(problem, state, tstate.params, run_config,
-                                 phi_prev=phi_prev)
-        except BlockSolveError as exc:
-            exc.trace = trace
-            return state, trace, TERMINATION_BLOCK_FAILURE
-        trace.append(rec)
-        phi_prev = rec.phi
-        tstate, stop = tune_step(tstate, rec, problem.T, cfg)
-        if stop:
-            return state, trace, TERMINATION_FEASIBLE
+    with jacobi.worker_pool(run_config.workers) as pool:
+        for _ in range(cfg.max_outer):
+            try:
+                rec = jacobi.iterate(problem, state, tstate.params,
+                                     run_config, phi_prev=phi_prev, pool=pool)
+            except BlockSolveError as exc:
+                exc.trace = trace
+                return state, trace, TERMINATION_BLOCK_FAILURE
+            trace.append(rec)
+            phi_prev = rec.phi
+            tstate, stop = tune_step(tstate, rec, problem.T, cfg)
+            if stop:
+                return state, trace, TERMINATION_FEASIBLE
     return state, trace, TERMINATION_ITERATION_CAP
 
 

@@ -82,8 +82,7 @@ def theorem1_data():
             phi_prev = rec.phi
             phi1 = rec.phi if phi1 is None else phi1
             min_phi = min(min_phi, rec.phi)
-            dts = [auglag.dual_residual(prob, t, state.x[t], state.lam)
-                   for t in range(prob.T)]
+            dts = rec.delta
             pis[k] = rec.pi
             deltas[k] = dts
             best_stat = min(best_stat, max(rec.pi, max(dts)))
@@ -274,7 +273,7 @@ def test_criterion_09_local_contraction():
             Q[off:off + blk.n, off:off + blk.n] = blk.objective.Q.toarray()
             c[off:off + blk.n] = blk.objective.c
             off += blk.n
-        A = prob.stacked_coupling()
+        A = prob.coupling.toarray()
         # fixed point of the penalty formulation: stationarity plus
         # Ax - lam/theta = b with lam = -theta z
         K = np.block([[Q, A.T], [A, -np.eye(prob.m) / params.theta]])

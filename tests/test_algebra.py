@@ -21,8 +21,13 @@ def random_blocks(problem, seed):
 
 def test_couple_apply_matches_dense(qp):
     x = random_blocks(qp, 0)
-    dense = qp.stacked_coupling() @ np.concatenate(x)
+    dense = qp.coupling.toarray() @ np.concatenate(x)
     assert np.allclose(couple_apply(qp, x), dense, atol=1e-12)
+    # the block sums are added in block order, bit for bit as a loop does
+    out = np.zeros(qp.m)
+    for blk, xt in zip(qp.blocks, x):
+        out += blk.coupling @ xt
+    assert np.array_equal(couple_apply(qp, x), out)
 
 
 def test_couple_apply_shape_check(qp):

@@ -206,18 +206,18 @@ class TestSolve:
     def test_trace_streamed_before_a_crash(self, qp_file, tmp_path,
                                            monkeypatch):
         # a solve that dies in its third sweep leaves the header and the
-        # rows of its two finished iterations
-        T = build_qp(0)[0].T
-        solves = []
-        real = jacobi.dispatch
+        # rows of its two finished iterations (the blocks of qp_file form
+        # one quadratic group: one batched step per sweep)
+        steps = []
+        real = jacobi.solve_quadratic_exact
 
-        def dying(req):
-            solves.append(req.t)
-            if len(solves) > 2 * T:
+        def dying(H, H_inv, g):
+            steps.append(len(g))
+            if len(steps) > 2:
                 raise RuntimeError("block solver crashed")
-            return real(req)
+            return real(H, H_inv, g)
 
-        monkeypatch.setattr(jacobi, "dispatch", dying)
+        monkeypatch.setattr(jacobi, "solve_quadratic_exact", dying)
         trc = tmp_path / "trace.csv"
         with pytest.raises(RuntimeError, match="crashed"):
             main(["solve", str(qp_file), "--trace", str(trc),

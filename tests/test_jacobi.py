@@ -4,13 +4,17 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxjacobi import jacobi
+from proxjacobi.algebra import couple_apply
+from proxjacobi.auglag import BlockObjective
 from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
                                write_trace_csv)
-from proxjacobi.model import Params
+from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
+                              Quadratic)
 from proxjacobi.subsolver import (BlockSolveResult, STATUS_NUMERICAL_FAILURE)
 
 from conftest import build_qp, default_start
@@ -122,6 +126,8 @@ class TestRunFixed:
         assert traces[0] == traces[1] == traces[2]
 
     def test_block_failure_attaches_trace(self, qp, monkeypatch):
+        # from the third sweep on, block 0's batched step fails and so does
+        # its fallback through dispatch
         def failing(req):
             return BlockSolveResult(
                 x=req.warm_start, mu=np.empty(0),
@@ -129,22 +135,23 @@ class TestRunFixed:
                 grad_norm=float("inf"), solver="broken")
 
         calls = {"n": 0}
-        dispatch = jacobi.dispatch
+        step = jacobi.solve_quadratic_exact
 
-        def flaky(req):
-            if req.t == 0:
-                calls["n"] += 1
-                if calls["n"] > 2:
-                    return failing(req)
-            return dispatch(req)
+        def flaky(H, H_inv, g):
+            dx, ok = step(H, H_inv, g)
+            calls["n"] += 1
+            if calls["n"] > 2:
+                ok[0] = False       # row 0 of the one group is block 0
+            return dx, ok
 
-        monkeypatch.setattr(jacobi, "dispatch", flaky)
+        monkeypatch.setattr(jacobi, "solve_quadratic_exact", flaky)
+        monkeypatch.setattr(jacobi, "dispatch", failing)
         init = init_state(qp, *default_start(qp), PARAMS)
         cfg = RunConfig(record_timings=False, max_iters=10)
         with pytest.raises(BlockSolveError) as info:
             run_fixed(qp, PARAMS, init, cfg)
         assert info.value.t == 0
-        assert len(info.value.trace) >= 1  # partial trace preserved
+        assert len(info.value.trace) == 2  # partial trace preserved
 
 
 class TestTraceCsv:
@@ -179,3 +186,96 @@ class TestTraceCsv:
         _, trace = run_fixed(qp, PARAMS, init,
                              RunConfig(record_timings=False, max_iters=2))
         assert all(r.t_xupd_ms == 0 for r in trace)
+
+
+def mixed_problem():
+    """Blocks of sizes 2 and 3 and of every kind, m = 2: unbounded 0, 1, 5
+    and 6 (positive definite Q); boxed 2; 4 with a linear equality; and 3,
+    unbounded with Q = diag(1, -1), coupled only through its second
+    coordinate, so its subproblem Hessian diag(1, w - 1) is positive
+    definite only for w = rho + tau_x > 1.  The groups (n = 2: 0, 3, 6;
+    n = 3: 1, 5) interleave with the other blocks in the flat vector."""
+    rng = np.random.default_rng(21)
+    free = lambda n: ConstraintSet(np.full(n, -np.inf), np.full(n, np.inf))
+
+    def spd(n):
+        M = rng.standard_normal((n, n))
+        return sp.csr_matrix(M.T @ M + np.eye(n))
+
+    kinds = [(2, spd(2), free(2)), (3, spd(3), free(3)),
+             (2, spd(2), ConstraintSet(-np.ones(2), np.ones(2))),
+             (2, sp.diags([1.0, -1.0], format="csr"), free(2)),
+             (3, spd(3), ConstraintSet(
+                 np.full(3, -np.inf), np.full(3, np.inf),
+                 [Quadratic(sp.csr_matrix((3, 3)), np.ones(3), -1.0)])),
+             (3, spd(3), free(3)), (2, spd(2), free(2))]
+    blocks = []
+    for t, (n, Q, cset) in enumerate(kinds):
+        A = (np.array([[0.0, 1.0], [0.0, 0.0]]) if t == 3
+             else rng.standard_normal((2, n)))
+        blocks.append(BlockSpec(n=n, objective=Quadratic(
+            Q, rng.standard_normal(n)), set=cset, coupling=A))
+    return Problem(m=2, b=rng.standard_normal(2), blocks=blocks)
+
+
+def random_state(problem, params, seed):
+    rng = np.random.default_rng(seed)
+    x0 = [np.clip(rng.standard_normal(blk.n), -1.0, 1.0)
+          for blk in problem.blocks]
+    return init_state(problem, x0, rng.standard_normal(problem.m),
+                      rng.standard_normal(problem.m), params)
+
+
+def routed_sweep(problem, state, params, monkeypatch):
+    """One x-update; returns (new x, inner counts, {t: solver} of the
+    blocks that went through dispatch)."""
+    routed = {}
+    real = jacobi.dispatch
+
+    def recording(req):
+        res = real(req)
+        routed[req.t] = res.solver
+        return res
+
+    monkeypatch.setattr(jacobi, "dispatch", recording)
+    x, inner = jacobi.x_update_all(problem, state, params,
+                                   RunConfig(inner_max_iter=3))
+    return x, inner, routed
+
+
+@pytest.mark.parametrize("w, batched", [(0.5, [0, 1, 5, 6]),
+                                        (3.0, [0, 1, 3, 5, 6])])
+def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
+    # the indefinite block 3 is batched only when its Hessian is positive
+    # definite; otherwise it takes the projected-gradient fallback (capped
+    # here: its subproblem is unbounded below)
+    prob = mixed_problem()
+    params = Params(rho=w / 3.0, theta=4.0, tau_x=2.0 * w / 3.0, tau_z=8.0)
+    state = random_state(prob, params, 1)
+    x, inner, routed = routed_sweep(prob, state, params, monkeypatch)
+    others = {2: "box-pg", 4: "quadratic-kkt"}
+    if 3 not in batched:
+        others[3] = "box-pg"
+    assert routed == others
+    Ax = couple_apply(prob, state.x)
+    for t in batched:
+        obj = BlockObjective(prob, t, Ax, state.z, state.lam, params,
+                             state.x[t])
+        g0 = np.linalg.norm(obj.gradient(state.x[t]))
+        assert np.linalg.norm(obj.gradient(x[t])) <= 1e-10 * (1.0 + g0)
+        assert inner[t] == 1
+    for t in set(range(prob.T)) - set(batched):
+        assert not np.array_equal(x[t], state.x[t])
+
+
+def test_batched_sweep_worker_counts_bitwise():
+    prob = mixed_problem()
+    params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
+    runs = []
+    for workers in (0, 1, 2, prob.T):
+        state, trace = run_fixed(prob, params, random_state(prob, params, 2),
+                                 RunConfig(record_timings=False, max_iters=30,
+                                           workers=workers))
+        runs.append((trace_csv_text(trace), state.x.vec.tobytes()))
+    assert np.isfinite(trace[-1].phi)
+    assert all(run == runs[0] for run in runs[1:])

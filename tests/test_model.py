@@ -42,6 +42,30 @@ class TestQuadratic:
         f = Quadratic(sp.csr_matrix(Q), np.zeros(2))
         assert np.allclose(f.Q.toarray(), 0.5 * (Q + Q.T))
 
+    def test_symmetry_test_is_exact(self):
+        # symmetric input is kept bit for bit and an asymmetry of one ulp
+        # is found; input with unsorted indices reads as asymmetric, and
+        # symmetrizing it leaves a symmetric matrix's values as they are
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            D = rng.standard_normal((5, 5)) * (rng.uniform(size=(5, 5)) < 0.5)
+            D = D + D.T + np.eye(5)
+            if trial % 3 == 1:
+                i, j = rng.choice(5, 2, replace=False)
+                D[i, j] = np.nextafter(D[i, j], np.inf)
+            Q = sp.csr_matrix(D)
+            if trial % 3 == 2:
+                for r in range(5):
+                    row = slice(Q.indptr[r], Q.indptr[r + 1])
+                    Q.indices[row] = Q.indices[row][::-1].copy()
+                    Q.data[row] = Q.data[row][::-1].copy()
+                Q.has_sorted_indices = False
+            assert model._is_symmetric(Q) == (trial % 3 == 0)
+            f = Quadratic(Q, np.zeros(5))
+            assert np.array_equal(f.Q.toarray(), 0.5 * (D + D.T))
+            if trial % 3 != 1:
+                assert np.array_equal(f.Q.toarray(), D)
+
     def test_padded(self):
         f = Quadratic(sp.eye(2, format="csr"), np.array([1.0, -1.0]), 2.0)
         g = f.padded(3)

@@ -40,7 +40,7 @@ class TestCoupledQp:
             prob, oracle = build_qp(seed)
             assert np.allclose(couple_apply(prob, oracle.x_star), prob.b,
                                atol=1e-9)
-            A = prob.stacked_coupling()
+            A = prob.coupling.toarray()
             off = 0
             for blk, xt in zip(prob.blocks, oracle.x_star):
                 g = blk.objective.gradient(xt) \

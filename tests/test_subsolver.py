@@ -54,6 +54,16 @@ def test_warm_start_clipped():
     assert np.array_equal(req.warm_start, np.array([0.0, 1.0]))
 
 
+def exact_step(problem, warm):
+    """The batched exact step of the problem's one quadratic group from
+    ``warm``: (new x, ok, the block objective)."""
+    obj = make_request(problem, warm=warm).objective
+    grp, = problem.quadratic_groups
+    H, H_inv, ok = grp.hessian_factor(PARAMS.rho + PARAMS.tau_x)
+    dx, solved = solve_quadratic_exact(H, H_inv, obj.gradient(warm)[None])
+    return warm + dx[0], ok[0] and solved[0], obj
+
+
 def test_quadratic_exact_unconstrained():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((3, 3))
@@ -62,23 +72,26 @@ def test_quadratic_exact_unconstrained():
     cset = ConstraintSet(np.full(3, -np.inf), np.full(3, np.inf))
     prob = make_block_problem(Quadratic(sp.csr_matrix(Q), c), cset,
                               m=1, b=np.zeros(1), A=rng.standard_normal((1, 3)))
-    req = make_request(prob)
-    res = solve_quadratic_exact(req)
-    assert res.converged and res.solver == "quadratic-exact"
+    x, ok, obj = exact_step(prob, rng.standard_normal(3))
+    assert ok
     # the minimizer satisfies the full subproblem stationarity
-    assert np.linalg.norm(req.objective.gradient(res.x)) < 1e-8
+    assert np.linalg.norm(obj.gradient(x)) < 1e-8
 
 
 def test_quadratic_exact_indefinite_fails():
     cset = ConstraintSet(np.full(1, -np.inf), np.full(1, np.inf))
     prob = make_block_problem(
         Quadratic(sp.csr_matrix(np.array([[-10.0]])), np.zeros(1)), cset)
-    res = solve_quadratic_exact(make_request(prob))
-    assert res.status == subsolver.STATUS_NUMERICAL_FAILURE
+    _, ok, _ = exact_step(prob, np.zeros(1))
+    assert not ok
+    # a non-finite gradient fails the step as well
+    _, solved = solve_quadratic_exact(np.eye(1)[None], np.eye(1)[None],
+                                      np.full((1, 1), np.nan))
+    assert not solved[0]
 
 
 def test_dispatch_nonfinite_data_fails():
-    # a NaN zbar (a diverged outer iterate) must not raise from cho_solve
+    # a NaN zbar (a diverged outer iterate) must not raise from a solver
     cset = ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf))
     prob = make_block_problem(Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
                               cset, m=1, A=np.ones((1, 2)))
@@ -90,16 +103,17 @@ def test_hessian_factor_follows_weight():
     # each change of rho + tau_x refactors; a stale factor is never reused
     rng = np.random.default_rng(9)
     M = rng.standard_normal((3, 3))
+    A = rng.standard_normal((2, 3))
     cset = ConstraintSet(np.full(3, -np.inf), np.full(3, np.inf))
     prob = make_block_problem(Quadratic(sp.csr_matrix(M.T @ M), np.zeros(3)),
-                              cset, m=2, A=rng.standard_normal((2, 3)))
-    blk, rhs = prob.blocks[0], rng.standard_normal(3)
+                              cset, m=2, A=A)
+    grp, = prob.quadratic_groups
+    assert np.allclose(grp.AtA[0], A.T @ A, rtol=1e-14, atol=0.0)
     for w in (1.5, 40.0, 1.5):
-        fresh = scipy.linalg.cho_factor(blk.objective.Q.toarray() + w * (
-            blk.coupling.T @ blk.coupling).toarray())
-        cached = blk.hessian_factor(w)
-        assert np.array_equal(scipy.linalg.cho_solve(fresh, rhs),
-                              scipy.linalg.cho_solve(cached, rhs))
+        H, H_inv, ok = grp.hessian_factor(w)
+        assert ok[0]
+        assert np.array_equal(H, grp.Q + w * grp.AtA)
+        assert np.array_equal(H_inv, np.linalg.inv(grp.Q + w * grp.AtA))
 
 
 def test_box_pg_clamps_to_bound():
@@ -231,7 +245,9 @@ def test_dispatch_routing():
     unconstrained = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), rng.standard_normal(2)),
         ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf)))
-    assert dispatch(make_request(unconstrained)).solver == "quadratic-exact"
+    # unconstrained blocks reach dispatch only when their batched exact step
+    # failed
+    assert dispatch(make_request(unconstrained)).solver == "box-pg"
     boxed = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), rng.standard_normal(2)),
         ConstraintSet(np.zeros(2), np.ones(2)))
