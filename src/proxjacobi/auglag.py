@@ -153,9 +153,8 @@ def _normal_cone_excess(r, x, lo, hi, active_tol):
 
 def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list.  Blocks without equalities share one stacked gradient (grouped
-    blocks from their stacks, the others from their own objectives);
-    blocks with equalities fit their multipliers one by one."""
+    list.  Blocks without equalities share one stacked gradient; blocks
+    with equalities fit their multipliers one by one."""
     o = problem.offsets
     lam = np.asarray(lam, dtype=float)
     box = [t for t, blk in enumerate(problem.blocks)
@@ -167,13 +166,7 @@ def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
                 raise ValueError(
                     f"block {t}: residual undefined off the set "
                     f"(violation {viol:.3e} > {feas_tol:.0e})")
-    g = problem.block_products_T(lam)
-    for grp in problem.quadratic_groups:
-        g[grp.cols] += grp.gradients(grp.take(vec)).ravel()
-    for t in problem.single_blocks:
-        if not problem.blocks[t].set.equalities:
-            g[o[t]:o[t + 1]] += problem.blocks[t].objective.gradient(
-                vec[o[t]:o[t + 1]])
+    g = problem.objective_gradients(vec) + problem.block_products_T(lam)
     excess = _normal_cone_excess(g, vec, problem.lower, problem.upper,
                                  active_tol)
     delta = np.sqrt(np.bincount(problem.block_index, weights=excess * excess,

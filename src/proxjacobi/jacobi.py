@@ -4,9 +4,9 @@ Each iteration solves the T block subproblems independently (no block sees
 another block's current-iteration value), joins, then applies the
 closed-form z and lambda updates and emits one trace record.  The
 unconstrained quadratic blocks of one size are solved together, as one
-batched exact step; the other blocks one by one.  Results are identical at
-any worker count: block solves are pure, batched steps work row by row and
-all reductions run in block order.
+batched exact step on the calling thread; the other blocks one by one, on
+the worker pool when there is one.  Results are identical at any worker
+count: block solves are pure and all reductions run in block order.
 """
 
 import contextlib
@@ -188,21 +188,14 @@ def _map(pool, fn, items):
     return list(pool.map(fn, items) if pool else map(fn, items))
 
 
-def _ranges(k, parts):
-    """``parts`` contiguous slices covering range(k), none empty."""
-    bounds = np.linspace(0, k, min(parts, k) + 1).round().astype(int)
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def x_update_all(problem, state, params, config, pool=None):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
-    Each quadratic group takes one exact Newton step from the anchor x_t:
-    its gradient there, grad f_t + A_t'(lam + rho(Ax + z - b)), needs one
-    stacked product for all blocks.  The other blocks, and any grouped
-    block whose step fails, go through ``dispatch``.  With a ``pool`` the
-    groups are split into one contiguous range per worker, and the
-    dispatched blocks are spread over it too.  Returns (the new x as a
+    Each quadratic group takes one exact Newton step from the anchor x_t,
+    as one batched call: its gradient there, grad f_t + A_t'(lam + rho(Ax
+    + z - b)), is one stacked product for all blocks.  The other blocks,
+    and any grouped block whose step fails, go through ``dispatch``, spread
+    over the ``pool`` when there is one.  Returns (the new x as a
     BlockVector, per-block inner iteration counts).  Any numerical failure
     aborts with the failing block index.
     """
@@ -212,17 +205,12 @@ def x_update_all(problem, state, params, config, pool=None):
     inner = [1] * problem.T
     single = list(problem.single_blocks)
     if problem.quadratic_groups:
-        coupling_grad = problem.block_products_T(
+        g = problem.objective_gradients(vec) + problem.block_products_T(
             state.lam + params.rho * (Ax + state.z - problem.b))
     for grp in problem.quadratic_groups:
         H, H_inv, ok = grp.hessian_factor(params.rho + params.tau_x)
-        X = grp.take(vec)
-        g = grp.gradients(X) + grp.take(coupling_grad)
-        parts = _ranges(len(grp.blocks), config.workers if pool else 1)
-        steps = _map(pool, lambda r: solve_quadratic_exact(H[r], H_inv[r],
-                                                           g[r]), parts)
-        dx, solved = map(np.concatenate, zip(*steps))
-        x_new[grp.cols] = (X + dx).ravel()
+        dx, solved = solve_quadratic_exact(H, H_inv, grp.take(g))
+        x_new[grp.cols] = (grp.take(vec) + dx).ravel()
         single += [t for t, s in zip(grp.blocks, solved & ok) if not s]
     single.sort()
     results = _map(pool, lambda t: _solve_block(problem, state, params,

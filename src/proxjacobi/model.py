@@ -487,7 +487,8 @@ class BlockSpec:
     @cached_property
     def AtA_dense(self):
         """Dense A_t'A_t."""
-        return (self.coupling_T @ self.coupling).toarray()
+        A = self.coupling.toarray()
+        return A.T @ A
 
 
 def _block_diag(mats):
@@ -524,8 +525,8 @@ class QuadraticGroup:
     stacks so that their subproblems are solved together.
 
     ``blocks`` are the block indices, ``cols`` their coordinates in the flat
-    vector (block after block), and Q (k, n, n), c (k, n), c0 (k,) and
-    AtA = A_t'A_t (k, n, n) the stacked data.
+    vector (block after block), and Q (k, n, n) and AtA = A_t'A_t (k, n, n)
+    the stacked data.
     """
 
     def __init__(self, problem, blocks):
@@ -536,25 +537,12 @@ class QuadraticGroup:
             np.arange(problem.offsets[t], problem.offsets[t + 1])
             for t in blocks])
         self.Q = np.stack([blk.Q_dense for blk in specs])
-        self.c = np.stack([blk.objective.c for blk in specs])
-        self.c0 = np.array([blk.objective.c0 for blk in specs])
-        A = np.stack([blk.coupling.toarray() for blk in specs])
-        self.AtA = np.swapaxes(A, 1, 2) @ A
+        self.AtA = np.stack([blk.AtA_dense for blk in specs])
         self._factor = (None, None)
 
     def take(self, vec):
         """The group's rows of the flat vector ``vec``, as (k, n)."""
         return vec[self.cols].reshape(-1, self.n)
-
-    def values(self, X):
-        """f_t(x_t) for the rows of X."""
-        QX = (self.Q @ X[..., None])[..., 0]
-        return (0.5 * np.einsum("ti,ti->t", X, QX)
-                + np.einsum("ti,ti->t", self.c, X) + self.c0)
-
-    def gradients(self, X):
-        """grad f_t(x_t) for the rows of X."""
-        return (self.Q @ X[..., None])[..., 0] + self.c
 
     def hessian_factor(self, w):
         """``(H, H_inv, ok)`` for the stack H = Q + w AtA, kept for the
@@ -596,8 +584,9 @@ class Problem:
     diag(A_1, ..., A_T) (T m x N) with its transpose.  One product with
     the block diagonal gives every A_t x_t (``block_products``; Ax is their
     sum in block order, as a loop over the blocks adds it), one with its
-    transpose every A_t'v_t (``block_products_T``).  The blocks must not
-    change once the problem is in use.
+    transpose every A_t'v_t (``block_products_T``).  The objectives are
+    kept the same way, as diag(Q_1, ..., Q_T) (``objective_Q``).  The
+    blocks must not change once the problem is in use.
     """
 
     m: int
@@ -694,16 +683,37 @@ class Problem:
         grouped = {t for g in self.quadratic_groups for t in g.blocks}
         return [t for t in range(self.T) if t not in grouped]
 
+    @cached_property
+    def objective_Q(self):
+        """diag(Q_1, ..., Q_T) in CSR, each Q_t's entries in their order."""
+        return _block_diag([blk.objective.Q for blk in self.blocks])
+
+    @cached_property
+    def objective_c(self):
+        """c_1, ..., c_T as one flat vector."""
+        return np.concatenate([blk.objective.c for blk in self.blocks])
+
+    def objective_gradients(self, vec):
+        """The flat vector of every grad f_t(x_t), each block's equal bit
+        for bit to its own ``Quadratic.gradient``."""
+        return self.objective_Q @ vec + self.objective_c
+
     def objective_values(self, vec):
-        """f_t(x_t) of every block, as a list: grouped blocks from their
-        stacks, the others from their own objectives."""
+        """f_t(x_t) of every block, as a list, from one product with
+        diag(Q_1, ..., Q_T): the grouped blocks' in one batched sum, each
+        other block's summed as its own ``Quadratic.value`` sums it."""
+        Qx = self.objective_Q @ vec
         vals = [0.0] * self.T
         for g in self.quadratic_groups:
-            for t, v in zip(g.blocks, g.values(g.take(vec)).tolist()):
-                vals[t] = v
+            X = g.take(vec)
+            v = np.sum(X * (0.5 * g.take(Qx) + g.take(self.objective_c)),
+                       axis=1)
+            for t, vt in zip(g.blocks, v.tolist()):
+                vals[t] = vt + self.blocks[t].objective.c0
         o = self.offsets
         for t in self.single_blocks:
-            vals[t] = self.blocks[t].objective.value(vec[o[t]:o[t + 1]])
+            a, b, f = o[t], o[t + 1], self.blocks[t].objective
+            vals[t] = float(0.5 * vec[a:b] @ Qx[a:b] + f.c @ vec[a:b] + f.c0)
         return vals
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxjacobi import jacobi
+from proxjacobi import jacobi, problems
 from proxjacobi.algebra import couple_apply
-from proxjacobi.auglag import BlockObjective
+from proxjacobi.auglag import BlockObjective, dual_residual, penalty_residuals
 from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
@@ -279,3 +279,22 @@ def test_batched_sweep_worker_counts_bitwise():
         runs.append((trace_csv_text(trace), state.x.vec.tobytes()))
     assert np.isfinite(trace[-1].phi)
     assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("case", ["mixed", "qp", "dispatch"])
+def test_batched_dual_residuals_match_reference(qp, case):
+    # the delta of penalty_residuals, one stacked gradient for the blocks
+    # without equalities, is dual_residual of each block
+    prob = {"mixed": mixed_problem, "qp": lambda: qp,
+            "dispatch": lambda: problems.gen_multiperiod_dispatch(
+                3, 2, 0.2)}[case]()
+    params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
+    state, _ = run_fixed(prob, params, random_state(prob, params, 3),
+                         RunConfig(record_timings=False, max_iters=2))
+    if case == "mixed":
+        state.x[2][:] = [0.0, 1.0]      # the boxed block at its upper bound
+    delta = penalty_residuals(prob, state, params, feas_tol=np.inf).delta
+    ref = [dual_residual(prob, t, state.x[t], state.lam, feas_tol=np.inf)
+           for t in range(prob.T)]
+    assert len(delta) == prob.T
+    assert np.allclose(delta, ref, rtol=1e-12, atol=0.0)
