@@ -27,66 +27,45 @@ def aug_lagrangian(problem, x, z, lam, params):
     return total
 
 
+def subproblem_gradients(problem, vec, z, lam, rho):
+    """The flat vector of every block subproblem's gradient at its anchor,
+    the frozen iterate ``vec``: grad f_t(x_t) + A_t'(lam + rho(Ax + z - b)),
+    from one stacked product for all blocks."""
+    Ax = block_sum(problem.block_products(vec))
+    return problem.objective_gradients(vec) + problem.block_products_T(
+        lam + rho * (Ax + z - problem.b))
+
+
 class BlockObjective:
-    """The block subproblem objective with the other blocks frozen:
+    """The subproblem of block t with the other blocks frozen, as its exact
+    quadratic model about the anchor xbar_t:
 
-    f_t(x_t) + lam'A_t x_t + (rho/2)||A_t x_t + r_fix||^2
-             + (tau_x/2)||x_t - xbar_t||^2_{A_t'A_t}
+    q_t(x_t) = g_t'd + (1/2) d'H_t d,   d = x_t - xbar_t,
 
-    where ``r_fix = A xbar - A_t xbar_t + zbar - b``; the caller passes the
-    full coupling sum ``A xbar`` of the frozen iterate, shared by all
-    blocks, and ``xbar_t`` doubles as the proximal anchor.  Exposes
-    ``value`` and ``gradient`` callbacks for the subproblem solvers.
+    with g_t block t's slice of the flat ``subproblem_gradients`` vector
+    ``g`` and H_t = Q_t + (rho + tau_x) A_t'A_t.  It differs from
+    f_t(x_t) + lam'A_t x_t + (rho/2)||A_t x_t + A_{!=t} xbar + zbar - b||^2
+    + (tau_x/2)||x_t - xbar_t||^2_{A_t'A_t} by a constant only.  Exposes
+    the ``value``, ``gradient`` and ``hessian`` callbacks of the
+    subproblem solvers.
     """
 
-    def __init__(self, problem, t, Ax_bar, z_bar, lam_bar, params, x_bar_t):
+    def __init__(self, problem, t, g, x_bar_t, params):
         blk = problem.blocks[t]
-        self.block = blk
-        self.f = blk.objective
-        self.A = blk.coupling
-        self.At = blk.coupling_T
-        self.rho = params.rho
-        self.tau_x = params.tau_x
-        self.lam = np.asarray(lam_bar, dtype=float)
+        self.H = blk.Q_dense + (params.rho + params.tau_x) * blk.AtA_dense
+        self.g = g[problem.offsets[t]:problem.offsets[t + 1]]
         self.anchor = np.asarray(x_bar_t, dtype=float)
-        self.A_anchor = self.A @ self.anchor
-        self.r_fix = (np.asarray(Ax_bar, dtype=float) - self.A_anchor
-                      + np.asarray(z_bar, dtype=float) - problem.b)
-        self.At_lam = self.At @ self.lam
 
     def value(self, x_t):
-        x_t = np.asarray(x_t, dtype=float)
-        Ax = self.A @ x_t
-        r = Ax + self.r_fix
-        val = self.f.value(x_t)
-        val += float(self.lam @ Ax)
-        val += 0.5 * self.rho * float(r @ r)
-        if self.tau_x:
-            dAx = Ax - self.A_anchor
-            val += 0.5 * self.tau_x * float(dAx @ dAx)
-        return val
+        d = np.asarray(x_t, dtype=float) - self.anchor
+        return float(d @ (self.g + 0.5 * (self.H @ d)))
 
     def gradient(self, x_t):
-        x_t = np.asarray(x_t, dtype=float)
-        Ax = self.A @ x_t
-        g = self.f.gradient(x_t) + self.At_lam
-        g += self.rho * (self.At @ (Ax + self.r_fix))
-        if self.tau_x:
-            g += self.tau_x * (self.At @ (Ax - self.A_anchor))
-        return g
-
-    def hess_vec(self, v):
-        """Hessian-vector product."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        n = self.f.n
-        out[:n] = self.f.Q @ v[:n]
-        out += (self.rho + self.tau_x) * (self.At @ (self.A @ v))
-        return out
+        return self.g + self.H @ (np.asarray(x_t, dtype=float) - self.anchor)
 
     def hessian(self, x_t):
-        """Dense Hessian Q_t + (rho + tau_x) A'A."""
-        return self.block.Q_dense + (self.rho + self.tau_x) * self.block.AtA_dense
+        """The dense Hessian H_t (shared; not to be modified)."""
+        return self.H
 
 
 def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
@@ -116,24 +95,33 @@ def dual_residual(problem, t, x_t, lam, feas_tol=1e-8, active_tol=1e-8):
     """
     blk = problem.blocks[t]
     x_t = np.asarray(x_t, dtype=float)
-    if np.isfinite(feas_tol) and blk.set.violation(x_t) > feas_tol:
+    _require_on_set(t, blk.set, x_t, feas_tol)
+    g = blk.objective.gradient(x_t) + blk.coupling.T @ np.asarray(lam, float)
+    g = _fit_equality_multipliers(blk.set, x_t, g, active_tol)
+    return float(np.linalg.norm(_normal_cone_excess(
+        g, x_t, blk.set.lower, blk.set.upper, active_tol)))
+
+
+def _require_on_set(t, cset, x_t, feas_tol):
+    if np.isfinite(feas_tol) and cset.violation(x_t) > feas_tol:
         raise ValueError(
             f"block {t}: residual undefined off the set "
-            f"(violation {blk.set.violation(x_t):.3e} > {feas_tol:.0e})")
-    g = blk.objective.gradient(x_t) + blk.coupling_T @ np.asarray(lam, float)
-    lo, hi = blk.set.lower, blk.set.upper
-    if blk.set.equalities:
-        at_lo = x_t <= lo + active_tol
-        at_hi = x_t >= hi - active_tol
-        C = blk.set.equality_jacobian(x_t).T
-        free = ~(at_lo | at_hi)
-        if np.any(free):
-            mu, *_ = np.linalg.lstsq(C[free], -g[free], rcond=None)
-        else:
-            mu = np.zeros(C.shape[1])
-        g = g + C @ mu
-    return float(np.linalg.norm(_normal_cone_excess(g, x_t, lo, hi,
-                                                    active_tol)))
+            f"(violation {cset.violation(x_t):.3e} > {feas_tol:.0e})")
+
+
+def _fit_equality_multipliers(cset, x, g, active_tol):
+    """``g + C mu``, with C the equality Jacobian transposed at ``x`` and mu
+    the least-squares fit of C mu = -g on the coordinates off the bounds;
+    ``g`` itself when the set has no equalities or every coordinate sits on
+    a bound."""
+    if not cset.equalities:
+        return g
+    free = ~((x <= cset.lower + active_tol) | (x >= cset.upper - active_tol))
+    if not np.any(free):
+        return g
+    C = cset.equality_jacobian(x).T
+    mu, *_ = np.linalg.lstsq(C[free], -g[free], rcond=None)
+    return g + C @ mu
 
 
 def _normal_cone_excess(r, x, lo, hi, active_tol):
@@ -153,29 +141,22 @@ def _normal_cone_excess(r, x, lo, hi, active_tol):
 
 def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list.  Blocks without equalities share one stacked gradient; blocks
-    with equalities fit their multipliers one by one."""
+    list, from one stacked gradient; blocks with equalities fit their
+    multipliers on their slice of it."""
     o = problem.offsets
-    lam = np.asarray(lam, dtype=float)
-    box = [t for t, blk in enumerate(problem.blocks)
-           if not blk.set.equalities]
     if np.isfinite(feas_tol):
-        for t in box:
-            viol = problem.blocks[t].set.violation(vec[o[t]:o[t + 1]])
-            if viol > feas_tol:
-                raise ValueError(
-                    f"block {t}: residual undefined off the set "
-                    f"(violation {viol:.3e} > {feas_tol:.0e})")
-    g = problem.objective_gradients(vec) + problem.block_products_T(lam)
+        for t, blk in enumerate(problem.blocks):
+            _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
+    g = problem.objective_gradients(vec) + problem.block_products_T(
+        np.asarray(lam, dtype=float))
+    for t in problem.single_blocks:     # no grouped block has equalities
+        s = slice(o[t], o[t + 1])
+        g[s] = _fit_equality_multipliers(problem.blocks[t].set, vec[s], g[s],
+                                         active_tol)
     excess = _normal_cone_excess(g, vec, problem.lower, problem.upper,
                                  active_tol)
-    delta = np.sqrt(np.bincount(problem.block_index, weights=excess * excess,
-                                minlength=problem.T)).tolist()
-    for t, blk in enumerate(problem.blocks):
-        if blk.set.equalities:
-            delta[t] = dual_residual(problem, t, vec[o[t]:o[t + 1]], lam,
-                                     feas_tol, active_tol)
-    return delta
+    return np.sqrt(np.bincount(problem.block_index, weights=excess * excess,
+                               minlength=problem.T)).tolist()
 
 
 @dataclass

@@ -94,12 +94,7 @@ def _solution_doc(problem, state, reason, trace):
 
 
 def _tuner_overrides(args):
-    return {
-        "eps": args.eps, "rho0": args.rho0, "omega": args.omega,
-        "kappa_x": args.kappa_x, "kappa_z": args.kappa_z, "zeta": args.zeta,
-        "nu_x": args.nu_x, "nu_rho": args.nu_rho, "nu_theta": args.nu_theta,
-        "chi": args.chi, "Psi": args.psi_cap, "max_outer": args.max_iters,
-    }
+    return {"eps": args.eps, "max_outer": args.max_iters}
 
 
 def cmd_solve(args):
@@ -481,15 +476,6 @@ def _add_solve_flags(p):
     p.add_argument("--theta", type=float, help="fixed-params theta")
     p.add_argument("--tau-x", type=float, help="fixed-params tau_x")
     p.add_argument("--tau-z", type=float, help="fixed-params tau_z")
-    for flag, dest in (("--rho0", "rho0"), ("--omega", "omega"),
-                       ("--kappa-x", "kappa_x"), ("--kappa-z", "kappa_z"),
-                       ("--zeta", "zeta"), ("--nu-x", "nu_x"),
-                       ("--nu-rho", "nu_rho"), ("--nu-theta", "nu_theta"),
-                       ("--chi", "chi")):
-        p.add_argument(flag, dest=dest, type=float, default=None,
-                       help=f"tuner override for {dest}")
-    p.add_argument("--psi-cap", dest="psi_cap", type=int, default=None,
-                   help="tuner override for the rho-decrease budget")
 
 
 def build_parser():

@@ -2,9 +2,11 @@
 
 Each iteration solves the T block subproblems independently (no block sees
 another block's current-iteration value), joins, then applies the
-closed-form z and lambda updates and emits one trace record.  The
-unconstrained quadratic blocks of one size are solved together, as one
-batched exact step on the calling thread; the other blocks one by one, on
+closed-form z and lambda updates and emits one trace record.  Every
+subproblem is an exact quadratic about the previous iterate, whose
+gradients come from one stacked product.  The unconstrained quadratic
+blocks of one size are solved together, as one batched exact step on the
+calling thread; the other blocks one by one, each from its dense model, on
 the worker pool when there is one.  Results are identical at any worker
 count: block solves are pure and all reductions run in block order.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import auglag
-from .algebra import block_sum, couple_apply
+from .algebra import couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
 from .subsolver import (BlockSolveRequest, dispatch, project_box,
@@ -174,13 +176,11 @@ def worker_pool(workers):
         yield pool
 
 
-def _solve_block(problem, state, params, config, Ax, t):
-    obj = BlockObjective(problem, t, Ax, state.z, state.lam, params,
-                         state.x[t])
+def _solve_block(problem, state, params, config, g, t):
     req = BlockSolveRequest(
-        t=t, objective=obj, set=problem.blocks[t].set,
-        warm_start=state.x[t], tol=config.inner_tol,
-        max_iter=config.inner_max_iter)
+        t=t, objective=BlockObjective(problem, t, g, state.x[t], params),
+        set=problem.blocks[t].set, warm_start=state.x[t],
+        tol=config.inner_tol, max_iter=config.inner_max_iter)
     return dispatch(req)
 
 
@@ -191,22 +191,21 @@ def _map(pool, fn, items):
 def x_update_all(problem, state, params, config, pool=None):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
-    Each quadratic group takes one exact Newton step from the anchor x_t,
-    as one batched call: its gradient there, grad f_t + A_t'(lam + rho(Ax
-    + z - b)), is one stacked product for all blocks.  The other blocks,
-    and any grouped block whose step fails, go through ``dispatch``, spread
-    over the ``pool`` when there is one.  Returns (the new x as a
-    BlockVector, per-block inner iteration counts).  Any numerical failure
-    aborts with the failing block index.
+    Every subproblem gradient at the anchor x_t is one stacked product
+    (``auglag.subproblem_gradients``).  Each quadratic group takes one
+    exact Newton step from it, as one batched call.  The other blocks, and
+    any grouped block whose step fails, go through ``dispatch`` with their
+    exact quadratic model (``BlockObjective``), spread over the ``pool``
+    when there is one.  Returns (the new x as a BlockVector, per-block
+    inner iteration counts).  Any numerical failure aborts with the failing
+    block index.
     """
     vec = problem.stack(state.x)
-    Ax = block_sum(problem.block_products(vec))
+    g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
+                                    params.rho)
     x_new = vec.copy()
     inner = [1] * problem.T
     single = list(problem.single_blocks)
-    if problem.quadratic_groups:
-        g = problem.objective_gradients(vec) + problem.block_products_T(
-            state.lam + params.rho * (Ax + state.z - problem.b))
     for grp in problem.quadratic_groups:
         H, H_inv, ok = grp.hessian_factor(params.rho + params.tau_x)
         dx, solved = solve_quadratic_exact(H, H_inv, grp.take(g))
@@ -214,7 +213,7 @@ def x_update_all(problem, state, params, config, pool=None):
         single += [t for t, s in zip(grp.blocks, solved & ok) if not s]
     single.sort()
     results = _map(pool, lambda t: _solve_block(problem, state, params,
-                                                config, Ax, t), single)
+                                                config, g, t), single)
     o = problem.offsets
     for t, res in zip(single, results):
         if res.status == STATUS_NUMERICAL_FAILURE:

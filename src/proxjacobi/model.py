@@ -372,13 +372,14 @@ def function_from_json(doc, path="function"):
         for key in ("Q", "c"):
             if key not in doc:
                 raise SchemaError(f"{path}.{key}", "missing required field")
-        c = np.asarray(doc["c"], dtype=float)
+        c = _field(doc, "c", f"{path}.c", _vector)
         n = c.shape[0]
+        c0 = _field(doc, "c0", f"{path}.c0", float) if "c0" in doc else 0.0
         try:
             Q = triplets_to_csr(doc["Q"], (n, n))
         except ValueError as exc:
             raise SchemaError(f"{path}.Q", str(exc)) from exc
-        return Quadratic(Q, c, float(doc.get("c0", 0.0)))
+        return Quadratic(Q, c, c0)
     if kind == "builtin":
         for key in ("name", "payload"):
             if key not in doc:
@@ -473,11 +474,6 @@ class BlockSpec:
 
     def __post_init__(self):
         self.coupling = sp.csr_matrix(self.coupling, dtype=float)
-
-    @cached_property
-    def coupling_T(self):
-        """A_t' in CSR form."""
-        return self.coupling.T.tocsr()
 
     @cached_property
     def Q_dense(self):
@@ -823,6 +819,22 @@ def validate_problem(problem):
     return rep
 
 
+def _field(doc, key, path, convert):
+    """``convert(doc[key])``, with a TypeError or ValueError raised by the
+    conversion turned into a :class:`SchemaError` naming ``path``."""
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(path, f"malformed value ({exc})") from exc
+
+
+def _vector(value):
+    vec = np.asarray(value, dtype=float)
+    if vec.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return vec
+
+
 def _bounds_from_json(doc, n, path):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object with 'lower' and 'upper'")
@@ -830,10 +842,11 @@ def _bounds_from_json(doc, n, path):
     for key in ("lower", "upper"):
         if key not in doc:
             raise SchemaError(f"{path}.{key}", "missing required field")
-        vals = doc[key]
+        vals = _field(doc, key, f"{path}.{key}",
+                      lambda v: [float(x) for x in v])
         if len(vals) != n:
             raise SchemaError(f"{path}.{key}", f"length {len(vals)} != n={n}")
-        out.append(np.array([float(v) for v in vals]))
+        out.append(np.array(vals))
     return out
 
 
@@ -847,18 +860,24 @@ def load_problem(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}", f"JSON parse error: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise SchemaError("document", "expected an object")
     for key in ("m", "b", "blocks"):
         if key not in doc:
             raise SchemaError(key, "missing required field")
-    m = int(doc["m"])
-    b = np.asarray(doc["b"], dtype=float)
+    m = _field(doc, "m", "m", int)
+    b = _field(doc, "b", "b", _vector)
+    if not isinstance(doc["blocks"], list):
+        raise SchemaError("blocks", "expected a list of blocks")
     blocks = []
     for t, bdoc in enumerate(doc["blocks"]):
         path = f"blocks[{t}]"
+        if not isinstance(bdoc, dict):
+            raise SchemaError(path, "expected an object")
         for key in ("n", "objective", "bounds", "A"):
             if key not in bdoc:
                 raise SchemaError(f"{path}.{key}", "missing required field")
-        n = int(bdoc["n"])
+        n = _field(bdoc, "n", f"{path}.n", int)
         objective = function_from_json(bdoc["objective"], f"{path}.objective")
         if not isinstance(objective, Quadratic):
             raise SchemaError(f"{path}.objective.type",

@@ -2,11 +2,14 @@
 
 An exact Newton step for stacks of unconstrained quadratic blocks, which
 the Jacobi sweep solves together, and per-block solvers behind a
-deterministic dispatcher: an active-set QP for quadratic blocks with linear
-equalities and a box (shared with the reference oracle), projected gradient
-descent for box constraints, and an inner augmented-Lagrangian loop over
-projected Newton for nonlinear equalities.  The per-block solvers are
-monotone: the returned objective value never exceeds the warm start's.
+deterministic dispatcher.  A per-block solver reads its objective through
+``value``, ``gradient`` and ``hessian`` callbacks; in the sweep that is the
+block's exact quadratic model (``auglag.BlockObjective``).  The solvers are
+an active-set QP for quadratic blocks with linear equalities and a box
+(shared with the reference oracle), projected gradient descent with an
+exact line search for box constraints, and an inner augmented-Lagrangian
+loop over projected Newton for nonlinear equalities.  The per-block solvers
+are monotone: the returned objective value never exceeds the warm start's.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ class BlockSolveRequest:
     """One block subproblem: objective callbacks, block set and warm start."""
 
     t: int
-    objective: object          # exposes value(x) and gradient(x)
+    objective: object          # exposes value(x), gradient(x), hessian(x)
     set: object                # ConstraintSet
     warm_start: np.ndarray
     tol: float = 1e-9
@@ -173,11 +176,11 @@ def solve_box_pg(req):
 
     The trial step is initialized from a Barzilai-Borwein estimate clamped
     to [1e-8, 1e8]; the step along the projected direction is an exact line
-    search on the quadratic objective (``hess_vec``), so accepted steps
+    search on the quadratic objective (its ``hessian``), so accepted steps
     never increase it and the result's value is at most the warm start's.
     """
     obj = req.objective
-    value, gradient, hess_vec = obj.value, obj.gradient, obj.hess_vec
+    value, gradient = obj.value, obj.gradient
     lo, hi = req.set.lower, req.set.upper
     x = project_box(req.warm_start, lo, hi)
     f = value(x)
@@ -205,7 +208,7 @@ def solve_box_pg(req):
                 status = STATUS_CONVERGED if crit <= req.tol else STATUS_ITERATION_CAP
                 break
         # exact line search along the projected direction
-        curv = float(d @ hess_vec(d))
+        curv = float(d @ (obj.hessian(x) @ d))
         alpha = 1.0 if curv <= 0 else min(1.0, -slope / curv)
         f_new = value(x + alpha * d)
         if not np.isfinite(f_new):

@@ -7,12 +7,12 @@ from proxjacobi import auglag, jacobi, problems
 from proxjacobi.algebra import couple_apply
 from proxjacobi.auglag import (BlockObjective, aug_lagrangian, dagger_norm_sq,
                                dual_residual, eta_pair, lyapunov,
-                               penalty_residuals, theorem1_bounds,
-                               theorem1_params)
+                               penalty_residuals, subproblem_gradients,
+                               theorem1_bounds, theorem1_params)
 from proxjacobi.jacobi import RunConfig
 from proxjacobi.model import Params
 
-from conftest import build_qp, default_start
+from conftest import build_qp, default_start, mixed_problem
 
 PARAMS = Params(rho=2.0, theta=3.0, tau_x=1.5, tau_z=0.5)
 
@@ -50,43 +50,28 @@ def test_aug_lagrangian_formula(qp):
         aug_lagrangian(qp, x, np.zeros(qp.m + 1), lam, PARAMS)
 
 
-def test_block_objective_fixed_residual(qp):
-    """r_fix built from the shared total A xbar equals the explicit sum
-    over the other blocks."""
-    x, z, lam = random_point(qp, 7)
-    for t in range(qp.T):
-        obj = BlockObjective(qp, t, couple_apply(qp, x), z, lam, PARAMS, x[t])
-        explicit = sum(blk.coupling @ xs for s, (blk, xs) in
-                       enumerate(zip(qp.blocks, x)) if s != t) + z - qp.b
-        assert np.linalg.norm(obj.r_fix - explicit) <= \
-            1e-12 * np.linalg.norm(explicit)
-
-
-def test_block_objective_gradient(qp):
-    x, z, lam = random_point(qp, 1)
-    obj = BlockObjective(qp, 0, couple_apply(qp, x), z, lam, PARAMS, x[0])
-    pt = x[0] + 0.3
-    fd = finite_diff_grad(obj.value, pt)
-    assert np.allclose(obj.gradient(pt), fd, atol=1e-5)
-    v = np.arange(qp.blocks[0].n, dtype=float)
-    assert np.allclose(obj.hess_vec(v), obj.hessian(pt) @ v, atol=1e-9)
-
-
-def test_block_objective_tracks_aug_lagrangian(qp):
-    """Changing only block t moves the block objective and the augmented
-    Lagrangian by the same amount (the prox anchor held at x_t)."""
-    x, z, lam = random_point(qp, 2)
-    obj = BlockObjective(qp, 1, couple_apply(qp, x), z, lam, PARAMS, x[1])
+def test_block_objective_tracks_aug_lagrangian():
+    """On every block kind of the mixed problem (unbounded, boxed, linear
+    equality, indefinite), moving only block t moves the block model by the
+    change of the augmented Lagrangian plus the proximal term about the
+    anchor x_t, and its gradient is the model's derivative."""
+    prob = mixed_problem()
+    x, z, lam = random_point(prob, 2)
+    g = subproblem_gradients(prob, prob.stack(x), z, lam, PARAMS.rho)
+    L0 = aug_lagrangian(prob, x, z, lam, PARAMS)
     rng = np.random.default_rng(3)
-    other = x[1] + rng.standard_normal(x[1].size)
-    x_other = list(x)
-    x_other[1] = other
-    dL = (aug_lagrangian(qp, x_other, z, lam, PARAMS)
-          - aug_lagrangian(qp, x, z, lam, PARAMS))
-    d_obj = obj.value(other) - obj.value(x[1])
-    dAx = qp.blocks[1].coupling @ (other - x[1])
-    prox = 0.5 * PARAMS.tau_x * float(dAx @ dAx)
-    assert d_obj == pytest.approx(dL + prox, rel=1e-9, abs=1e-9)
+    for t, blk in enumerate(prob.blocks):
+        obj = BlockObjective(prob, t, g, x[t], PARAMS)
+        other = x[t] + rng.standard_normal(blk.n)
+        x_other = list(x)
+        x_other[t] = other
+        dL = aug_lagrangian(prob, x_other, z, lam, PARAMS) - L0
+        dAx = blk.coupling @ (other - x[t])
+        prox = 0.5 * PARAMS.tau_x * float(dAx @ dAx)
+        d_obj = obj.value(other) - obj.value(x[t])
+        assert d_obj == pytest.approx(dL + prox, rel=1e-9, abs=1e-9), t
+        fd = finite_diff_grad(obj.value, other)
+        assert np.allclose(obj.gradient(other), fd, atol=1e-5), t
 
 
 def test_lyapunov_adds_prox_terms(qp):

@@ -79,6 +79,39 @@ def test_malformed_polar_payload(tmp_path, capsys, eq, key, value, message):
     assert not trc.exists()
 
 
+def _malform(doc, case):
+    """Give one field of ``doc`` a value of the wrong type; returns the
+    path the error must name."""
+    blk = doc["blocks"][0]
+    if case == "m":
+        doc["m"] = "x"
+        return "m"
+    if case == "block":
+        doc["blocks"] = [5]
+        return "blocks[0]"
+    if case == "c0":
+        blk["objective"]["c0"] = "a"
+        return "blocks[0].objective.c0"
+    blk["bounds"]["lower"] = 5
+    return "blocks[0].bounds.lower"
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("case", ["m", "block", "c0", "bounds"])
+def test_malformed_document_is_schema_error(qp_file, tmp_path, capsys,
+                                            command, case):
+    # a wrongly typed field ends in one error line naming it, not a crash
+    doc = json.loads(qp_file.read_text())
+    where = _malform(doc, case)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1 and f"{where}: " in lines[0]
+    assert "Traceback" not in err
+
+
 class TestGenerate:
     def test_coupled_qp_with_oracle(self, tmp_path):
         out = tmp_path / "p.json"
@@ -197,6 +230,10 @@ class TestSolve:
         code = main(["solve", str(qp_file), "--eps", "1e-5",
                      "--config", str(cfgf)])
         assert code == EXIT_OK
+        # tuner keys other than eps and the iteration cap have no flags
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(qp_file), "--omega", "16"])
+        assert exc.value.code == 2
 
     def test_bad_config(self, qp_file, tmp_path):
         cfgf = tmp_path / "tuner.cfg"

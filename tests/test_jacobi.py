@@ -4,20 +4,19 @@ import io
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from proxjacobi import jacobi, problems
 from proxjacobi.algebra import couple_apply
-from proxjacobi.auglag import BlockObjective, dual_residual, penalty_residuals
+from proxjacobi.auglag import (BlockObjective, dual_residual,
+                               penalty_residuals, subproblem_gradients)
 from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
                                write_trace_csv)
-from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
-                              Quadratic)
+from proxjacobi.model import Params
 from proxjacobi.subsolver import (BlockSolveResult, STATUS_NUMERICAL_FAILURE)
 
-from conftest import build_qp, default_start
+from conftest import build_qp, default_start, mixed_problem
 
 PARAMS = Params(rho=2.0, theta=4.0, tau_x=1.0, tau_z=8.0)
 
@@ -188,36 +187,6 @@ class TestTraceCsv:
         assert all(r.t_xupd_ms == 0 for r in trace)
 
 
-def mixed_problem():
-    """Blocks of sizes 2 and 3 and of every kind, m = 2: unbounded 0, 1, 5
-    and 6 (positive definite Q); boxed 2; 4 with a linear equality; and 3,
-    unbounded with Q = diag(1, -1), coupled only through its second
-    coordinate, so its subproblem Hessian diag(1, w - 1) is positive
-    definite only for w = rho + tau_x > 1.  The groups (n = 2: 0, 3, 6;
-    n = 3: 1, 5) interleave with the other blocks in the flat vector."""
-    rng = np.random.default_rng(21)
-    free = lambda n: ConstraintSet(np.full(n, -np.inf), np.full(n, np.inf))
-
-    def spd(n):
-        M = rng.standard_normal((n, n))
-        return sp.csr_matrix(M.T @ M + np.eye(n))
-
-    kinds = [(2, spd(2), free(2)), (3, spd(3), free(3)),
-             (2, spd(2), ConstraintSet(-np.ones(2), np.ones(2))),
-             (2, sp.diags([1.0, -1.0], format="csr"), free(2)),
-             (3, spd(3), ConstraintSet(
-                 np.full(3, -np.inf), np.full(3, np.inf),
-                 [Quadratic(sp.csr_matrix((3, 3)), np.ones(3), -1.0)])),
-             (3, spd(3), free(3)), (2, spd(2), free(2))]
-    blocks = []
-    for t, (n, Q, cset) in enumerate(kinds):
-        A = (np.array([[0.0, 1.0], [0.0, 0.0]]) if t == 3
-             else rng.standard_normal((2, n)))
-        blocks.append(BlockSpec(n=n, objective=Quadratic(
-            Q, rng.standard_normal(n)), set=cset, coupling=A))
-    return Problem(m=2, b=rng.standard_normal(2), blocks=blocks)
-
-
 def random_state(problem, params, seed):
     rng = np.random.default_rng(seed)
     x0 = [np.clip(rng.standard_normal(blk.n), -1.0, 1.0)
@@ -257,10 +226,10 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
     if 3 not in batched:
         others[3] = "box-pg"
     assert routed == others
-    Ax = couple_apply(prob, state.x)
+    g = subproblem_gradients(prob, state.x.vec, state.z, state.lam,
+                             params.rho)
     for t in batched:
-        obj = BlockObjective(prob, t, Ax, state.z, state.lam, params,
-                             state.x[t])
+        obj = BlockObjective(prob, t, g, state.x[t], params)
         g0 = np.linalg.norm(obj.gradient(state.x[t]))
         assert np.linalg.norm(obj.gradient(x[t])) <= 1e-10 * (1.0 + g0)
         assert inner[t] == 1

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from proxjacobi import subsolver
-from proxjacobi.auglag import BlockObjective
+from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic)
 from proxjacobi.problems import _box_quadratic_min_enum
@@ -30,8 +30,9 @@ def make_request(problem, warm=None, tol=1e-10, z_bar=None):
     n = problem.blocks[0].n
     warm = np.zeros(n) if warm is None else warm
     z_bar = np.zeros(problem.m) if z_bar is None else z_bar
-    obj = BlockObjective(problem, 0, problem.blocks[0].coupling @ warm,
-                         z_bar, np.zeros(problem.m), PARAMS, warm)
+    g = subproblem_gradients(problem, warm, z_bar, np.zeros(problem.m),
+                             PARAMS.rho)
+    obj = BlockObjective(problem, 0, g, warm, PARAMS)
     return BlockSolveRequest(t=0, objective=obj, set=problem.blocks[0].set,
                              warm_start=warm, tol=tol, max_iter=500)
 
@@ -154,8 +155,8 @@ def test_box_newton_matches_enumeration():
         req = make_request(prob, warm=np.zeros(n))
         res = solve_box_newton(req)
         # compare against brute-force active-set enumeration of the full
-        # subproblem objective (prox terms vanish: anchor is the warm start
-        # and A is empty, so the subproblem equals f)
+        # subproblem objective (A is empty, so the block model is
+        # f(x) - f(warm), and f(warm) = f(0) = 0)
         best = _box_quadratic_min_enum(Q, c, 0.0, lo, hi)
         assert req.objective.value(res.x) == pytest.approx(best, abs=1e-8)
 
