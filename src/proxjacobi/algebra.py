@@ -1,4 +1,4 @@
-"""Coupling-matrix operations, seminorms and spectral quantities.
+"""Coupling-matrix operations and spectral quantities.
 
 All block reductions run in fixed block order so results are
 bit-reproducible across runs and worker counts.
@@ -21,16 +21,6 @@ def block_sum(rows):
     ``out += row`` from zero adds them (``+ 0.0`` turns a -0.0 sum into
     0.0, as that loop does)."""
     return np.cumsum(rows, axis=0)[-1] + 0.0
-
-
-def seminorm_sq(A_t, v):
-    """Squared seminorm ``||A_t v||^2 = v' A_t' A_t v``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != A_t.shape[1]:
-        raise ValueError(
-            f"vector of length {v.shape[0]} does not match {A_t.shape[1]} columns")
-    w = A_t @ v
-    return float(w @ w)
 
 
 def spectral_norm(A_t):

@@ -160,10 +160,10 @@ def _run_solve(args, problem, cfg, run_config):
             state, trace, reason = tuner.run_adaptive(
                 problem, cfg, init, run_config)
     except BlockSolveError as exc:
-        log.error("block %d failed: %s", exc.t, exc.result.status)
-        return EXIT_NUMERICAL
-    if reason == tuner.TERMINATION_BLOCK_FAILURE:
-        _write_solution(args, problem, state, trace, reason)
+        print(f"error: block {exc.t} failed: {exc.result.status}",
+              file=sys.stderr)
+        _write_solution(args, problem, exc.state, exc.trace,
+                        tuner.TERMINATION_BLOCK_FAILURE)
         return EXIT_NUMERICAL
     if trace and not np.isfinite(trace[-1].phi):
         _write_solution(args, problem, state, trace, "non-finite")

@@ -16,7 +16,7 @@ import csv
 import io
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,12 @@ TRACE_COLUMNS = [
 
 
 class BlockSolveError(RuntimeError):
-    """A block subproblem solver reported numerical failure."""
+    """A block subproblem solver reported numerical failure.
+
+    The run loops (``run_fixed``, ``tuner.run_adaptive``) attach ``state``,
+    the iterate the failed sweep started from, and ``trace``, the records
+    of the finished iterations.
+    """
 
     def __init__(self, t, result):
         self.t = t
@@ -45,12 +50,10 @@ class BlockSolveError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Iteration budget, parallelism and inner-solve tolerances for a run."""
+    """Iteration budget, parallelism, timings and trace sink of a run."""
 
     max_iters: int = 1000
     workers: int = 0            # 0 = serial
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 500
     record_timings: bool = True
     trace_sink: object = None   # callable invoked with each TraceRecord
 
@@ -119,23 +122,14 @@ def read_trace_csv(fileobj):
     header = next(reader, None)
     if header != TRACE_COLUMNS:
         raise ValueError("trace header does not match the expected columns")
+    types = {f.name: f.type for f in fields(TraceRecord)}
     records = []
     for row in reader:
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"malformed trace row: {row!r}")
-        vals = dict(zip(TRACE_COLUMNS, row))
-        records.append(TraceRecord(
-            k=int(vals["k"]),
-            phi=float(vals["phi"]), dphi=float(vals["dphi"]),
-            coupling_inf=float(vals["coupling_inf"]),
-            p_inf=float(vals["p_inf"]), d_inf=float(vals["d_inf"]),
-            pi=float(vals["pi"]), delta_max=float(vals["delta_max"]),
-            rho=float(vals["rho"]), theta=float(vals["theta"]),
-            tau_x=float(vals["tau_x"]), tau_z=float(vals["tau_z"]),
-            t_xupd_ms=float(vals["t_xupd_ms"]),
-            t_zupd_ms=float(vals["t_zupd_ms"]),
-            inner_iters_total=int(vals["inner_iters_total"]),
-        ))
+        records.append(TraceRecord(**{
+            name: types[name](value)
+            for name, value in zip(TRACE_COLUMNS, row)}))
     return records
 
 
@@ -176,19 +170,17 @@ def worker_pool(workers):
         yield pool
 
 
-def _solve_block(problem, state, params, config, g, t):
-    req = BlockSolveRequest(
+def _solve_block(problem, state, params, g, t):
+    return dispatch(BlockSolveRequest(
         t=t, objective=BlockObjective(problem, t, g, state.x[t], params),
-        set=problem.blocks[t].set, warm_start=state.x[t],
-        tol=config.inner_tol, max_iter=config.inner_max_iter)
-    return dispatch(req)
+        set=problem.blocks[t].set, warm_start=state.x[t]))
 
 
 def _map(pool, fn, items):
     return list(pool.map(fn, items) if pool else map(fn, items))
 
 
-def x_update_all(problem, state, params, config, pool=None):
+def x_update_all(problem, state, params, pool=None):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
     Every subproblem gradient at the anchor x_t is one stacked product
@@ -212,8 +204,8 @@ def x_update_all(problem, state, params, config, pool=None):
         x_new[grp.cols] = (grp.take(vec) + dx).ravel()
         single += [t for t, s in zip(grp.blocks, solved & ok) if not s]
     single.sort()
-    results = _map(pool, lambda t: _solve_block(problem, state, params,
-                                                config, g, t), single)
+    results = _map(pool, lambda t: _solve_block(problem, state, params, g, t),
+                   single)
     o = problem.offsets
     for t, res in zip(single, results):
         if res.status == STATUS_NUMERICAL_FAILURE:
@@ -249,7 +241,7 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
             phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
                                        state.x_prev, state.z_prev, params)
     t0 = time.perf_counter()
-    x_k, inner_iters = x_update_all(problem, state, params, config, pool)
+    x_k, inner_iters = x_update_all(problem, state, params, pool)
     t1 = time.perf_counter()
     Ax_k = couple_apply(problem, x_k)
     z_k = z_update(problem, Ax_k, state, params)
@@ -290,8 +282,8 @@ def run_fixed(problem, params, init, config, stop=None):
     """Run the fixed-parameter iteration for up to ``config.max_iters``
     iterations, or until the caller's stop predicate fires.
 
-    Returns ``(final state, trace list)``; a partial trace is attached to
-    the raised error on block failure.
+    Returns ``(final state, trace list)``; a block failure raises
+    :class:`BlockSolveError` with the state and the partial trace attached.
     """
     state = init.copy()
     trace = []
@@ -302,7 +294,7 @@ def run_fixed(problem, params, init, config, stop=None):
                 rec = iterate(problem, state, params, config,
                               phi_prev=phi_prev, pool=pool)
             except BlockSolveError as exc:
-                exc.trace = trace
+                exc.state, exc.trace = state, trace
                 raise
             trace.append(rec)
             phi_prev = rec.phi

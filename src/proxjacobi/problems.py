@@ -3,7 +3,8 @@
 Provides seeded coupled quadratic programs with exact KKT solutions, a
 multi-period ramp-limited dispatch model (convex surrogate, so the KKT
 oracle applies), a desk-scale nonconvex AC optimal power flow toy in polar
-coordinates, and the block-separable objective lower bound.
+coordinates, and the block-separable objective lower bound (closed form,
+one linear solve or the active-set QP per block).
 """
 
 from dataclasses import dataclass
@@ -349,9 +350,10 @@ def kkt_reference_solve(problem):
     Assembles the block-diagonal Q and c and one constraint matrix that
     stacks the block equality rows over the coupling, and solves with the
     block solver's active-set QP: the point and multipliers satisfy the KKT
-    conditions, box multiplier signs included, to 1e-10.  Errors on a
-    nonlinear equality, a singular KKT system or an active set that does
-    not settle.
+    conditions, box multiplier signs included, to 1e-10, and the point is a
+    strict local minimizer.  Errors on a nonlinear equality, a singular KKT
+    system, a point without that certificate or an active set that does not
+    settle.
     """
     eq_rows = []
     for blk in problem.blocks:
@@ -369,8 +371,8 @@ def kkt_reference_solve(problem):
         np.concatenate([blk.set.upper for blk in problem.blocks]),
         rtol=KKT_RESIDUAL_TOL)
     if qp is None:
-        raise ValueError("no certified KKT point (singular system or an "
-                         "active set that does not settle)")
+        raise ValueError("no certified KKT point (singular system, no strict "
+                         "minimizer or an active set that does not settle)")
     x, mu, _ = qp
     x_star = np.split(x, np.cumsum(problem.dims)[:-1])
     objective = sum(blk.objective.value(xt)
@@ -405,93 +407,44 @@ def _box_quadratic_min_diag(qdiag, c, c0, lo, hi):
     return total
 
 
-def _box_quadratic_min_enum(Q, c, c0, lo, hi):
-    """Active-set enumeration for convex quadratics over a box, n <= 3."""
-    n = len(c)
-    best = None
-    # each coordinate: free (0), at lower (1), at upper (2)
-    for code in range(3 ** n):
-        state = []
-        k = code
-        for _ in range(n):
-            state.append(k % 3)
-            k //= 3
-        if any(s == 1 and not np.isfinite(lo[i]) for i, s in enumerate(state)):
-            continue
-        if any(s == 2 and not np.isfinite(hi[i]) for i, s in enumerate(state)):
-            continue
-        free = [i for i, s in enumerate(state) if s == 0]
-        x = np.array([lo[i] if s == 1 else (hi[i] if s == 2 else 0.0)
-                      for i, s in enumerate(state)])
-        if free:
-            Qff = Q[np.ix_(free, free)]
-            rest = [i for i in range(n) if i not in free]
-            rhs = -(c[free] + (Q[np.ix_(free, rest)] @ x[rest]
-                               if rest else 0.0))
-            try:
-                xf = np.linalg.solve(Qff, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x[free] = xf
-            if np.any(x[free] < lo[free] - 1e-12) or np.any(
-                    x[free] > hi[free] + 1e-12):
-                continue
-        val = 0.5 * x @ (Q @ x) + c @ x + c0
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise ValueError("active-set enumeration found no candidate")
-    return best
+def _block_minimum(blk):
+    """min f_t over X_t of one block; raises ValueError when it is not
+    certified."""
+    f, Q = blk.objective, blk.Q_dense
+    lo, hi = blk.set.lower, blk.set.upper
+    if not blk.set.equalities and not np.any(Q - np.diag(np.diag(Q))):
+        return _box_quadratic_min_diag(np.diag(Q), f.c, f.c0, lo, hi)
+    rows = blk.set.linear_rows
+    if rows is None:
+        raise ValueError("nonlinear equality constraint")
+    evals = np.linalg.eigvalsh(Q)
+    if blk.set.equalities or blk.set.has_bounds:
+        if evals[0] < -1e-10:
+            raise ValueError("nonconvex objective")
+        qp = solve_box_qp(Q, f.c, *rows, lo, hi, rtol=KKT_RESIDUAL_TOL)
+        if qp is None:
+            raise ValueError("no certified minimizer")
+        return f.value(qp[0])
+    if evals[0] <= 1e-12:
+        raise ValueError("nonconvex or singular non-diagonal objective")
+    x = np.linalg.solve(Q, -f.c)
+    return 0.5 * x @ (Q @ x) + f.c @ x + f.c0
 
 
 def separable_lower_bound(problem):
     """sum_t min_{x_t in X_t} f_t(x_t), certified per block.
 
-    Supports diagonal quadratics over boxes (coordinatewise closed form),
-    convex quadratics either unconstrained or over small boxes (active-set
-    enumeration for n_t <= 3), and convex quadratics with linear equality
-    constraints and a box (the KKT oracle).  Anything else raises: the
-    bound would require global optimization.
+    Diagonal quadratics over boxes take the coordinatewise closed form
+    (concave coordinates included); unconstrained positive definite
+    quadratics one linear solve; convex quadratics with linear equalities
+    or a box the active-set QP, certified to 1e-10.  Anything else raises:
+    the bound would require global optimization.
     """
     total = 0.0
     for t, blk in enumerate(problem.blocks):
-        f = blk.objective
-        Q = f.Q.toarray()
-        lo, hi = blk.set.lower, blk.set.upper
-        if blk.set.equalities:
-            sub = Problem(m=0, b=np.zeros(0), blocks=[BlockSpec(
-                n=blk.n, objective=f, set=blk.set,
-                coupling=sp.csr_matrix((0, blk.n)))])
-            try:
-                oracle = kkt_reference_solve(sub)
-            except ValueError as exc:
-                raise ValueError(
-                    f"block {t}: lower bound unavailable ({exc})") from exc
-            evals = np.linalg.eigvalsh(Q)
-            if evals[0] < -1e-10:
-                raise ValueError(f"block {t}: lower bound unavailable "
-                                 "(nonconvex objective)")
-            total += oracle.objective
-            continue
-        offdiag = Q - np.diag(np.diag(Q))
-        if not np.any(offdiag):
-            try:
-                total += _box_quadratic_min_diag(np.diag(Q), f.c, f.c0, lo, hi)
-            except ValueError as exc:
-                raise ValueError(
-                    f"block {t}: lower bound unavailable ({exc})") from exc
-            continue
-        evals = np.linalg.eigvalsh(Q)
-        if evals[0] <= 1e-12:
-            raise ValueError(f"block {t}: lower bound unavailable "
-                             "(nonconvex or singular non-diagonal objective)")
-        if not blk.set.has_bounds:
-            x = np.linalg.solve(Q, -f.c)
-            total += 0.5 * x @ (Q @ x) + f.c @ x + f.c0
-        elif blk.n <= 3:
-            total += _box_quadratic_min_enum(Q, f.c, f.c0, lo, hi)
-        else:
-            raise ValueError(f"block {t}: lower bound unavailable "
-                             "(box too large for enumeration)")
+        try:
+            total += _block_minimum(blk)
+        except ValueError as exc:
+            raise ValueError(
+                f"block {t}: lower bound unavailable ({exc})") from exc
     return float(total)
-

@@ -4,12 +4,18 @@ An exact Newton step for stacks of unconstrained quadratic blocks, which
 the Jacobi sweep solves together, and per-block solvers behind a
 deterministic dispatcher.  A per-block solver reads its objective through
 ``value``, ``gradient`` and ``hessian`` callbacks; in the sweep that is the
-block's exact quadratic model (``auglag.BlockObjective``).  The solvers are
-an active-set QP for quadratic blocks with linear equalities and a box
-(shared with the reference oracle), projected gradient descent with an
-exact line search for box constraints, and an inner augmented-Lagrangian
-loop over projected Newton for nonlinear equalities.  The per-block solvers
-are monotone: the returned objective value never exceeds the warm start's.
+block's exact quadratic model (``auglag.BlockObjective``).  Each kind of
+block has one solver:
+
+- quadratic blocks with linear equalities and a box: an active-set QP
+  (shared with the reference oracle).  It returns only a certified strict
+  local minimizer, but it is not monotone: the warm start may violate the
+  equalities, and then its objective value can be below the minimizer's;
+- box-only blocks: projected Newton, which is monotone (the returned
+  objective value never exceeds the warm start's) and handles indefinite
+  Hessians;
+- nonlinear equalities, or a QP without a certificate: an inner
+  augmented-Lagrangian loop over projected Newton.
 """
 
 from dataclasses import dataclass
@@ -17,18 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .model import _positive_definite
+
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
 STATUS_NUMERICAL_FAILURE = "numerical-failure"
 
 ARMIJO_C = 1e-4
-BB_STEP_MIN = 1e-8
-BB_STEP_MAX = 1e8
 ALM_SIGMA_INIT = 10.0
 ALM_SIGMA_GROWTH = 10.0
 ALM_SIGMA_CAP = 1e12
 ALM_MAX_ROUNDS = 40
 QP_MAX_PASSES = 50
+QP_INERTIA_RTOL = 1e-10
 
 
 @dataclass
@@ -39,7 +46,7 @@ class BlockSolveRequest:
     objective: object          # exposes value(x), gradient(x), hessian(x)
     set: object                # ConstraintSet
     warm_start: np.ndarray
-    tol: float = 1e-9
+    tol: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
@@ -89,6 +96,22 @@ def solve_quadratic_exact(H, H_inv, g):
     return dx, ok
 
 
+def _second_order_ok(kkt, nf):
+    """True when the KKT matrix ``kkt`` (free Hessian in its leading
+    ``nf`` x ``nf`` block, r equality rows after it) certifies a strict
+    local minimizer: the free Hessian is positive definite, or else the
+    matrix has exactly r negative eigenvalues and none within
+    QP_INERTIA_RTOL of zero relative to the largest, so the Hessian is
+    positive definite on the null space of the rows (Nocedal & Wright,
+    *Numerical Optimization*, Thm 16.3)."""
+    if _positive_definite(kkt[:nf, :nf]):
+        return True
+    eig = np.linalg.eigvalsh(kkt)
+    size = np.abs(eig)
+    return (int(np.sum(eig < 0)) == len(kkt) - nf
+            and size.min() > QP_INERTIA_RTOL * size.max())
+
+
 def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
     """Minimize 0.5 x'Hx + g'x subject to Cx = d and lo <= x <= hi.
 
@@ -98,11 +121,13 @@ def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
     box and releases the pinned ones whose box multiplier Hx + g + C'mu has
     the wrong sign.  The pass that changes nothing ends the loop; its KKT
     residual, wrong-signed multipliers included, must be at most
-    ``rtol (1 + max|rhs|)``.
+    ``rtol (1 + max|rhs|)``, and its point must be a strict local
+    minimizer on the free coordinates (``_second_order_ok``).
 
     Returns ``(x, mu, passes)``, or None when a KKT system is singular, a
-    value is non-finite, the residual is too large or the active set has
-    not settled within QP_MAX_PASSES passes.
+    value is non-finite, the residual is too large, the point is not
+    certified a strict local minimizer or the active set has not settled
+    within QP_MAX_PASSES passes.
     """
     n, r = len(g), len(d)
     fixed = np.isfinite(lo) & (lo == hi)
@@ -136,7 +161,9 @@ def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
         above = free & (x > hi)
         if not (np.any(release) or np.any(below) or np.any(above)):
             resid = float(np.max(np.abs(kkt @ sol - rhs), initial=0.0))
-            return (x, mu, passes) if resid <= tol else None
+            if resid > tol or not _second_order_ok(kkt, nf):
+                return None
+            return x, mu, passes
         at_lo = (at_lo & ~release) | below
         at_hi = (at_hi & ~release) | above
     return None
@@ -169,73 +196,6 @@ def solve_quadratic_kkt(req):
 def _pg_criticality(x, g, lower, upper):
     """Infinity norm of x - proj(x - g) (unit-step projected gradient)."""
     return float(np.max(np.abs(x - project_box(x - g, lower, upper)), initial=0.0))
-
-
-def solve_box_pg(req):
-    """Projected gradient descent over a box.
-
-    The trial step is initialized from a Barzilai-Borwein estimate clamped
-    to [1e-8, 1e8]; the step along the projected direction is an exact line
-    search on the quadratic objective (its ``hessian``), so accepted steps
-    never increase it and the result's value is at most the warm start's.
-    """
-    obj = req.objective
-    value, gradient = obj.value, obj.gradient
-    lo, hi = req.set.lower, req.set.upper
-    x = project_box(req.warm_start, lo, hi)
-    f = value(x)
-    g = gradient(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return BlockSolveResult(
-            x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-            inner_iterations=0, grad_norm=float("inf"), solver="box-pg")
-    step = 1.0
-    status = STATUS_ITERATION_CAP
-    it = 0
-    crit = _pg_criticality(x, g, lo, hi)
-    for it in range(1, req.max_iter + 1):
-        if crit <= req.tol:
-            status = STATUS_CONVERGED
-            break
-        d = project_box(x - step * g, lo, hi) - x
-        slope = float(g @ d)
-        if slope >= 0.0:
-            # degenerate direction; retry from a conservative step
-            step = max(BB_STEP_MIN, step * 0.25)
-            d = project_box(x - step * g, lo, hi) - x
-            slope = float(g @ d)
-            if slope >= 0.0:
-                status = STATUS_CONVERGED if crit <= req.tol else STATUS_ITERATION_CAP
-                break
-        # exact line search along the projected direction
-        curv = float(d @ (obj.hessian(x) @ d))
-        alpha = 1.0 if curv <= 0 else min(1.0, -slope / curv)
-        f_new = value(x + alpha * d)
-        if not np.isfinite(f_new):
-            return BlockSolveResult(
-                x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-                inner_iterations=it, grad_norm=crit, solver="box-pg")
-        x_new = x + alpha * d
-        g_new = gradient(x_new)
-        if not np.all(np.isfinite(g_new)):
-            return BlockSolveResult(
-                x=x_new, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-                inner_iterations=it, grad_norm=float("inf"), solver="box-pg")
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 0:
-            step = min(max(float(s @ s) / sy, BB_STEP_MIN), BB_STEP_MAX)
-        else:
-            step = BB_STEP_MAX
-        x, f, g = x_new, f_new, g_new
-        crit = _pg_criticality(x, g, lo, hi)
-        if crit <= req.tol:
-            status = STATUS_CONVERGED
-            break
-    return BlockSolveResult(
-        x=x, mu=np.empty(0), status=status, inner_iterations=it,
-        grad_norm=crit, solver="box-pg")
 
 
 def solve_box_newton(req):
@@ -429,14 +389,26 @@ def solve_equality_alm(req):
         inner_iterations=total_inner, grad_norm=gn, solver="equality-alm")
 
 
+def _negative_curvature(H):
+    """True when the symmetric ``H`` has an eigenvalue below -1e-12 times
+    its largest magnitude, a margin that rounding of a positive
+    semidefinite matrix stays above."""
+    if H.size == 0:
+        return False
+    eig = np.linalg.eigvalsh(H)
+    return bool(eig[0] < -1e-12 * np.max(np.abs(eig)))
+
+
 def dispatch(req):
     """Route a block solve to the applicable solver.
 
     Quadratic blocks with linear equalities take the active-set QP, and
-    other equality-constrained sets, or a failed QP, the inner ALM path;
-    everything else is projected gradient over the box.  (Unconstrained
-    blocks come here only when the batched exact step of the Jacobi sweep
-    failed for them.)
+    other equality-constrained sets, or a QP without a certified minimizer,
+    the inner ALM path; everything else is projected Newton over the box.
+    (Unconstrained blocks come here only when the batched exact step of the
+    Jacobi sweep failed for them.)  A box-only block whose model Hessian is
+    non-finite, or has negative curvature on the coordinates without a
+    finite bound, along which the model is unbounded below, fails at once.
     """
     if req.set.equalities:
         if req.set.linear_rows is not None:
@@ -444,4 +416,13 @@ def dispatch(req):
             if result.status != STATUS_NUMERICAL_FAILURE:
                 return result
         return solve_equality_alm(req)
-    return solve_box_pg(req)
+    lo, hi = req.set.lower, req.set.upper
+    H = req.objective.hessian(req.warm_start)
+    unbounded = ~(np.isfinite(lo) | np.isfinite(hi))
+    if not np.all(np.isfinite(H)) or _negative_curvature(
+            H[np.ix_(unbounded, unbounded)]):
+        return BlockSolveResult(
+            x=req.warm_start.copy(), mu=np.empty(0),
+            status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
+            grad_norm=float("inf"), solver="box-newton")
+    return solve_box_newton(req)

@@ -8,7 +8,7 @@ augmented-Lagrangian penalty is driven up or down to balance the primal and
 dual residual magnitudes.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 from . import jacobi
 from .jacobi import BlockSolveError, RunConfig
@@ -49,8 +49,6 @@ class TunerConfig:
 class TunerState:
     params: Params
     psi: int = 0
-    k: int = 0
-    last_phi: float = None
 
 
 def init_params(cfg):
@@ -61,7 +59,7 @@ def init_params(cfg):
         tau_x=cfg.kappa_x * cfg.rho0,
         tau_z=cfg.kappa_z * cfg.rho0,
     )
-    return params, TunerState(params=params, psi=0, k=0)
+    return params, TunerState(params=params)
 
 
 def tune_step(state, metrics, T, cfg):
@@ -95,7 +93,7 @@ def tune_step(state, metrics, T, cfg):
     stop = metrics.coupling_inf <= cfg.eps
     new_state = TunerState(
         params=Params(rho=rho, theta=theta, tau_x=tau_x, tau_z=tau_z),
-        psi=psi, k=state.k + 1, last_phi=metrics.phi)
+        psi=psi)
     return new_state, stop
 
 
@@ -105,7 +103,9 @@ def run_adaptive(problem, cfg, init, run_config=None):
 
     ``init`` is an :class:`proxjacobi.model.IterateState` built by
     ``jacobi.init_state`` with the initial parameters (use
-    :func:`make_initial_state`).  Returns ``(state, trace, reason)``.
+    :func:`make_initial_state`).  Returns ``(state, trace, reason)``; a
+    block failure raises :class:`proxjacobi.jacobi.BlockSolveError` with the
+    state and the partial trace attached, as ``jacobi.run_fixed`` does.
     """
     if run_config is None:
         run_config = RunConfig()
@@ -119,8 +119,8 @@ def run_adaptive(problem, cfg, init, run_config=None):
                 rec = jacobi.iterate(problem, state, tstate.params,
                                      run_config, phi_prev=phi_prev, pool=pool)
             except BlockSolveError as exc:
-                exc.trace = trace
-                return state, trace, TERMINATION_BLOCK_FAILURE
+                exc.state, exc.trace = state, trace
+                raise
             trace.append(rec)
             phi_prev = rec.phi
             tstate, stop = tune_step(tstate, rec, problem.T, cfg)

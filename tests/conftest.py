@@ -54,6 +54,46 @@ def mixed_problem():
     return Problem(m=2, b=rng.standard_normal(2), blocks=blocks)
 
 
+def box_quadratic_min_enum(Q, c, c0, lo, hi):
+    """min 0.5 x'Qx + c'x + c0 over the box of a convex quadratic, by
+    enumerating every active set (3^n of them): the tests' reference."""
+    n = len(c)
+    best = None
+    # each coordinate: free (0), at lower (1), at upper (2)
+    for code in range(3 ** n):
+        state = []
+        k = code
+        for _ in range(n):
+            state.append(k % 3)
+            k //= 3
+        if any(s == 1 and not np.isfinite(lo[i]) for i, s in enumerate(state)):
+            continue
+        if any(s == 2 and not np.isfinite(hi[i]) for i, s in enumerate(state)):
+            continue
+        free = [i for i, s in enumerate(state) if s == 0]
+        x = np.array([lo[i] if s == 1 else (hi[i] if s == 2 else 0.0)
+                      for i, s in enumerate(state)])
+        if free:
+            Qff = Q[np.ix_(free, free)]
+            rest = [i for i in range(n) if i not in free]
+            rhs = -(c[free] + (Q[np.ix_(free, rest)] @ x[rest]
+                               if rest else 0.0))
+            try:
+                xf = np.linalg.solve(Qff, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            x[free] = xf
+            if np.any(x[free] < lo[free] - 1e-12) or np.any(
+                    x[free] > hi[free] + 1e-12):
+                continue
+        val = 0.5 * x @ (Q @ x) + c @ x + c0
+        if best is None or val < best:
+            best = val
+    if best is None:
+        raise ValueError("active-set enumeration found no candidate")
+    return best
+
+
 @pytest.fixture(scope="session")
 def qp_suite():
     return [(seed,) + build_qp(seed) for seed in QP_SEEDS]
@@ -67,4 +107,4 @@ def acopf_twin_problem():
 
 
 __all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "default_start",
-           "mixed_problem"]
+           "mixed_problem", "box_quadratic_min_enum"]

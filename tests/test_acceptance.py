@@ -19,8 +19,7 @@ import pytest
 
 from proxjacobi import auglag, jacobi, problems, tuner
 from proxjacobi import cli
-from proxjacobi.algebra import (couple_apply, r_matrix_eigencheck,
-                                seminorm_sq, spectral_norm)
+from proxjacobi.algebra import couple_apply, r_matrix_eigencheck, spectral_norm
 from proxjacobi.jacobi import RunConfig, TraceRecord
 from proxjacobi.model import Params, save_problem
 from proxjacobi.tuner import TunerConfig, TunerState, tune_step
@@ -88,8 +87,9 @@ def theorem1_data():
             best_stat = min(best_stat, max(rec.pi, max(dts)))
             worst_mono = max(worst_mono,
                              rec.dphi - MONO_RTOL * (1.0 + abs(rec.phi)))
-            dx = [seminorm_sq(blk.coupling, xt - xp) for blk, xt, xp
-                  in zip(prob.blocks, state.x, state.x_prev)]
+            steps = [blk.coupling @ (xt - xp) for blk, xt, xp
+                     in zip(prob.blocks, state.x, state.x_prev)]
+            dx = [float(w @ w) for w in steps]      # ||A_t dx_t||^2
             dzs = float(state.dz @ state.dz)
             rhs = (-etas.eta_x * (sum(dx) + sum(prev_dx))
                    - etas.eta_z * (dzs + prev_dz))

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from proxjacobi.algebra import (couple_apply, r_matrix_eigencheck,
-                                seminorm_sq, spectral_norm)
+from proxjacobi.algebra import couple_apply, r_matrix_eigencheck, spectral_norm
 
 from conftest import build_qp
 
@@ -35,15 +34,6 @@ def test_couple_apply_shape_check(qp):
     x[0] = np.zeros(qp.blocks[0].n + 1)
     with pytest.raises(ValueError):
         couple_apply(qp, x)
-
-
-def test_seminorm_sq(qp):
-    blk = qp.blocks[0]
-    v = np.arange(blk.n, dtype=float)
-    w = blk.coupling @ v
-    assert seminorm_sq(blk.coupling, v) == pytest.approx(float(w @ w))
-    with pytest.raises(ValueError):
-        seminorm_sq(blk.coupling, np.zeros(blk.n + 2))
 
 
 def test_spectral_norm_vs_svd():

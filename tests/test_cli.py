@@ -263,8 +263,13 @@ class TestSolve:
         assert lines[0].split(",") == jacobi.TRACE_COLUMNS
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
-    def test_numerical_failure_exit(self, tmp_path):
-        # concave unconstrained block: every solver path fails
+    @pytest.mark.parametrize("mode", [
+        [], ["--fixed-params", "--rho", "1", "--theta", "1", "--tau-x", "1",
+             "--tau-z", "1"]], ids=["adaptive", "fixed"])
+    def test_numerical_failure_exit(self, tmp_path, capsys, mode):
+        # concave unconstrained block, unbounded below under these
+        # parameters (the Theorem-1 ones would make its subproblem convex):
+        # the first sweep fails it, and both modes report it the same way
         doc = {
             "m": 1, "b": [1.0],
             "blocks": [{
@@ -277,9 +282,16 @@ class TestSolve:
         }
         path = tmp_path / "concave.json"
         path.write_text(json.dumps(doc))
-        code = main(["solve", str(path), "--eps", "1e-4",
-                     "--max-iters", "50"])
+        trc, sol = tmp_path / "trace.csv", tmp_path / "sol.json"
+        code = main(["solve", str(path), "--eps", "1e-4", "--max-iters", "50",
+                     "--trace", str(trc), "--solution", str(sol), *mode])
         assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "error: block 0 failed: numerical-failure"]
+        assert trc.read_text().splitlines() == [",".join(jacobi.TRACE_COLUMNS)]
+        doc = json.loads(sol.read_text())
+        assert doc["termination"] == tuner.TERMINATION_BLOCK_FAILURE
+        assert doc["iterations"] == 0
 
 
 class TestTraceCheck:

@@ -195,9 +195,9 @@ def random_state(problem, params, seed):
                       rng.standard_normal(problem.m), params)
 
 
-def routed_sweep(problem, state, params, monkeypatch):
-    """One x-update; returns (new x, inner counts, {t: solver} of the
-    blocks that went through dispatch)."""
+def record_routes(monkeypatch):
+    """Record the sweep's dispatch calls; returns the {t: solver} of the
+    blocks that go through dispatch, filled as they do."""
     routed = {}
     real = jacobi.dispatch
 
@@ -207,24 +207,29 @@ def routed_sweep(problem, state, params, monkeypatch):
         return res
 
     monkeypatch.setattr(jacobi, "dispatch", recording)
-    x, inner = jacobi.x_update_all(problem, state, params,
-                                   RunConfig(inner_max_iter=3))
-    return x, inner, routed
+    return routed
 
 
 @pytest.mark.parametrize("w, batched", [(0.5, [0, 1, 5, 6]),
                                         (3.0, [0, 1, 3, 5, 6])])
 def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
     # the indefinite block 3 is batched only when its Hessian is positive
-    # definite; otherwise it takes the projected-gradient fallback (capped
-    # here: its subproblem is unbounded below)
+    # definite; otherwise its subproblem is unbounded below, and dispatch
+    # fails it at once, with every other block routed as before
     prob = mixed_problem()
     params = Params(rho=w / 3.0, theta=4.0, tau_x=2.0 * w / 3.0, tau_z=8.0)
     state = random_state(prob, params, 1)
-    x, inner, routed = routed_sweep(prob, state, params, monkeypatch)
-    others = {2: "box-pg", 4: "quadratic-kkt"}
+    routed = record_routes(monkeypatch)
+    others = {t: "box-newton" for t in range(prob.T) if t not in batched}
+    others[4] = "quadratic-kkt"
     if 3 not in batched:
-        others[3] = "box-pg"
+        with pytest.raises(BlockSolveError) as info:
+            jacobi.x_update_all(prob, state, params)
+        assert info.value.t == 3
+        assert info.value.result.inner_iterations == 0
+        assert routed == others
+        return
+    x, inner = jacobi.x_update_all(prob, state, params)
     assert routed == others
     g = subproblem_gradients(prob, state.x.vec, state.z, state.lam,
                              params.rho)

@@ -12,7 +12,7 @@ from proxjacobi.problems import (acopf_block_layout, gen_acopf_toy,
                                  kkt_reference_solve, separable_lower_bound,
                                  toy_network, twin_generator_network)
 
-from conftest import build_qp
+from conftest import box_quadratic_min_enum, build_qp
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -149,6 +149,23 @@ class TestLowerBound:
         # with a finite box the concave minimum sits at an endpoint
         blk.set = ConstraintSet(np.array([-2.0]), np.array([1.0]))
         assert separable_lower_bound(prob) == pytest.approx(-4.0)
+
+    def test_boxed_block_takes_the_qp(self):
+        import scipy.sparse as sp
+        from proxjacobi.model import (BlockSpec, ConstraintSet, Problem)
+        # a convex non-diagonal n = 4 block over a box, with two bounds
+        # active at its minimum
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((4, 4))
+        Q = M.T @ M + 0.1 * np.eye(4)
+        c = np.array([3.0, -3.0, 0.5, 0.2])
+        lo, hi = -np.ones(4), np.array([1.0, 1.0, np.inf, 0.5])
+        blk = BlockSpec(n=4, objective=Quadratic(sp.csr_matrix(Q), c, 0.7),
+                        set=ConstraintSet(lo, hi),
+                        coupling=sp.csr_matrix((0, 4)))
+        prob = Problem(m=0, b=np.zeros(0), blocks=[blk])
+        assert separable_lower_bound(prob) == pytest.approx(
+            box_quadratic_min_enum(Q, c, 0.7, lo, hi), rel=0.0, abs=1e-10)
 
 
 def polar_point(blk, rng):

@@ -9,12 +9,14 @@ from hypothesis import given, strategies as st
 from proxjacobi import subsolver
 from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
-                              Quadratic)
-from proxjacobi.problems import _box_quadratic_min_enum
+                              Quadratic, variable_splitting_transform)
 from proxjacobi.subsolver import (BlockSolveRequest, STATUS_CONVERGED,
-                                  dispatch, project_box, solve_box_newton,
-                                  solve_box_pg, solve_equality_alm,
-                                  solve_quadratic_exact, solve_quadratic_kkt)
+                                  STATUS_NUMERICAL_FAILURE, dispatch,
+                                  project_box, solve_box_newton,
+                                  solve_equality_alm, solve_quadratic_exact,
+                                  solve_quadratic_kkt)
+
+from conftest import box_quadratic_min_enum, mixed_problem
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
 
@@ -117,17 +119,17 @@ def test_hessian_factor_follows_weight():
         assert np.array_equal(H_inv, np.linalg.inv(grp.Q + w * grp.AtA))
 
 
-def test_box_pg_clamps_to_bound():
+def test_box_newton_clamps_to_bound():
     # (x - 2)^2 over [0, 1] has its constrained minimum at 1
     cset = ConstraintSet(np.zeros(1), np.ones(1))
     f = Quadratic(sp.csr_matrix(np.array([[2.0]])), np.array([-4.0]), 4.0)
     prob = make_block_problem(f, cset)
-    res = solve_box_pg(make_request(prob))
-    assert res.converged
+    res = dispatch(make_request(prob))
+    assert res.converged and res.solver == "box-newton"
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_box_pg_monotone():
+def test_box_newton_monotone():
     rng = np.random.default_rng(3)
     for trial in range(5):
         n = 4
@@ -138,8 +140,43 @@ def test_box_pg_monotone():
         prob = make_block_problem(f, cset)
         warm = rng.uniform(-1, 1, n)
         req = make_request(prob, warm=warm)
-        res = solve_box_pg(req)
+        res = dispatch(req)
+        assert res.solver == "box-newton"
         assert req.objective.value(res.x) <= req.objective.value(warm) + 1e-12
+
+
+def test_box_block_unbounded_below_fails_at_once():
+    # Q = diag(1, -1): negative curvature along x1, which has no finite
+    # bound, makes the block subproblem unbounded below; with x1 boxed,
+    # projected Newton from x1 = 0.5 stops at the local minimum on x1's
+    # upper bound
+    f = Quadratic(sp.diags([1.0, -1.0], format="csr"), np.array([0.5, 0.1]))
+    free = make_block_problem(f, ConstraintSet(np.array([0.0, -np.inf]),
+                                               np.array([1.0, np.inf])))
+    res = dispatch(make_request(free))
+    assert res.status == STATUS_NUMERICAL_FAILURE
+    assert res.inner_iterations == 0
+    half = make_block_problem(f, ConstraintSet(np.array([-np.inf, -2.0]),
+                                               np.array([np.inf, 2.0])))
+    res = dispatch(make_request(half, warm=np.array([0.0, 0.5])))
+    assert res.converged and res.solver == "box-newton"
+    assert np.allclose(res.x, [-0.5, 2.0], rtol=0.0, atol=1e-9)
+
+
+def test_dispatch_nonfinite_hessian_fails():
+    class NanModel:
+        def value(self, x):
+            return 0.0
+
+        def gradient(self, x):
+            return np.zeros(2)
+
+        def hessian(self, x):
+            return np.full((2, 2), np.nan)
+
+    req = BlockSolveRequest(t=0, objective=NanModel(), set=ConstraintSet(
+        np.zeros(2), np.ones(2)), warm_start=np.zeros(2))
+    assert dispatch(req).status == STATUS_NUMERICAL_FAILURE
 
 
 def test_box_newton_matches_enumeration():
@@ -157,7 +194,7 @@ def test_box_newton_matches_enumeration():
         # compare against brute-force active-set enumeration of the full
         # subproblem objective (A is empty, so the block model is
         # f(x) - f(warm), and f(warm) = f(0) = 0)
-        best = _box_quadratic_min_enum(Q, c, 0.0, lo, hi)
+        best = box_quadratic_min_enum(Q, c, 0.0, lo, hi)
         assert req.objective.value(res.x) == pytest.approx(best, abs=1e-8)
 
 
@@ -202,7 +239,7 @@ def test_box_qp_matches_enumeration():
                                           np.zeros(0), lo, hi)
         assert mu.size == 0
         assert np.all(x >= lo) and np.all(x <= hi)
-        best = _box_quadratic_min_enum(Q, c, 0.0, lo, hi)
+        best = box_quadratic_min_enum(Q, c, 0.0, lo, hi)
         assert 0.5 * x @ Q @ x + c @ x == pytest.approx(best, abs=1e-10)
     # min |x - (2, 0, -1)|^2 s.t. x0 + x1 + x2 = 0 over [-0.5, 0.5]^3: the
     # bounds on x0 and x2 are active, x1 = 0, and the multipliers certify it
@@ -215,6 +252,39 @@ def test_box_qp_matches_enumeration():
     box_mult = Q @ x + c + C.T @ mu
     assert abs(box_mult[1]) <= 1e-14             # free: stationary
     assert box_mult[0] < 0 and box_mult[2] > 0   # upper / lower: right sign
+
+
+def test_box_qp_certifies_strict_minimizers():
+    # the saddle (0, 0) of diag(1, -1) over [-1, 1]^2 is a KKT point of the
+    # free coordinates, but not a minimizer
+    H, none = np.diag([1.0, -1.0]), np.zeros((0, 2))
+    box = (-np.ones(2), np.ones(2))
+    assert subsolver.solve_box_qp(H, np.zeros(2), none, np.zeros(0),
+                                  *box) is None
+    # with x1 = 0 as an equality row, H is positive definite on the rows'
+    # null space: the KKT matrix has one negative eigenvalue, one per row
+    x, mu, _ = subsolver.solve_box_qp(H, np.array([-0.5, 0.0]),
+                                      np.array([[0.0, 1.0]]), np.zeros(1),
+                                      *box)
+    assert np.allclose(x, [0.5, 0.0], rtol=0.0, atol=1e-14)
+
+
+def test_split_saddle_block_not_accepted():
+    # the split form of mixed_problem's block 3 at w = rho + tau_x = 0.5:
+    # its KKT point has the reduced Hessian eigenvalues (-0.25, 1), so the
+    # QP does not certify it and the block takes the ALM path
+    prob = variable_splitting_transform(mixed_problem())
+    params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
+    vec = np.zeros(sum(prob.dims))
+    g = subproblem_gradients(prob, vec, np.zeros(prob.m), np.zeros(prob.m),
+                             params.rho)
+    warm = prob.split(vec)[3]
+    req = BlockSolveRequest(
+        t=3, objective=BlockObjective(prob, 3, g, warm, params),
+        set=prob.blocks[3].set, warm_start=warm)
+    assert solve_quadratic_kkt(req).status == STATUS_NUMERICAL_FAILURE
+    res = dispatch(req)
+    assert res.solver == "equality-alm" and not res.converged
 
 
 def test_quadratic_kkt_pinned_coordinates():
@@ -248,11 +318,11 @@ def test_dispatch_routing():
         ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf)))
     # unconstrained blocks reach dispatch only when their batched exact step
     # failed
-    assert dispatch(make_request(unconstrained)).solver == "box-pg"
+    assert dispatch(make_request(unconstrained)).solver == "box-newton"
     boxed = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), rng.standard_normal(2)),
         ConstraintSet(np.zeros(2), np.ones(2)))
-    assert dispatch(make_request(boxed)).solver == "box-pg"
+    assert dispatch(make_request(boxed)).solver == "box-newton"
     eq = Quadratic(sp.csr_matrix((2, 2)), np.ones(2), -1.0)
     linear_eq = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)),

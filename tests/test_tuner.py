@@ -39,7 +39,7 @@ def test_init_params():
     assert params.rho == cfg.rho0
     assert params.tau_x == cfg.kappa_x * cfg.rho0
     assert params.tau_z == cfg.kappa_z * cfg.rho0
-    assert state.psi == 0 and state.k == 0
+    assert state.psi == 0
 
 
 class TestTuneStep:
