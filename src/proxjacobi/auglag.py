@@ -141,15 +141,26 @@ def _normal_cone_excess(r, x, lo, hi, active_tol):
 
 def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list, from one stacked gradient; blocks with equalities fit their
-    multipliers on their slice of it."""
+    list, from one stacked gradient.  The blocks of a group with linear
+    equalities fit their multipliers together, by one batched
+    pseudo-inverse of the rows C' masked to each block's coordinates off
+    the bounds; every other block with equalities fits its own on its
+    slice of the gradient."""
     o = problem.offsets
     if np.isfinite(feas_tol):
         for t, blk in enumerate(problem.blocks):
             _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
     g = problem.objective_gradients(vec) + problem.block_products_T(
         np.asarray(lam, dtype=float))
-    for t in problem.single_blocks:     # no grouped block has equalities
+    for grp in problem.quadratic_groups:
+        if grp.C is not None:
+            X, G = grp.take(vec), grp.take(g)
+            free = ~((X <= grp.lower + active_tol)
+                     | (X >= grp.upper - active_tol))
+            fit = np.linalg.pinv(np.where(free[:, :, None], grp.C.T, 0.0))
+            mu = (fit @ -np.where(free, G, 0.0)[..., None])[..., 0]
+            g[grp.cols] = (G + mu @ grp.C).ravel()
+    for t in problem.single_blocks:
         s = slice(o[t], o[t + 1])
         g[s] = _fit_equality_multipliers(problem.blocks[t].set, vec[s], g[s],
                                          active_tol)

@@ -165,8 +165,9 @@ def _run_solve(args, problem, cfg, run_config):
         _write_solution(args, problem, exc.state, exc.trace,
                         tuner.TERMINATION_BLOCK_FAILURE)
         return EXIT_NUMERICAL
-    if trace and not np.isfinite(trace[-1].phi):
-        _write_solution(args, problem, state, trace, "non-finite")
+    if trace and not trace[-1].finite:
+        _write_solution(args, problem, state, trace,
+                        tuner.TERMINATION_NON_FINITE)
         return EXIT_NUMERICAL
 
     _write_solution(args, problem, state, trace, reason)

@@ -4,16 +4,20 @@ Each iteration solves the T block subproblems independently (no block sees
 another block's current-iteration value), joins, then applies the
 closed-form z and lambda updates and emits one trace record.  Every
 subproblem is an exact quadratic about the previous iterate, whose
-gradients come from one stacked product.  The unconstrained quadratic
-blocks of one size are solved together, as one batched exact step on the
-calling thread; the other blocks one by one, each from its dense model, on
-the worker pool when there is one.  Results are identical at any worker
-count: block solves are pure and all reductions run in block order.
+gradients come from one stacked product.  The blocks of each quadratic
+group are solved together on the calling thread: the unconstrained blocks
+of one size by one batched exact step, the blocks of one size and the same
+linear equality rows by one batched active-set QP.  The other blocks (box
+only, or with nonlinear equalities) are solved one by one, each from its
+dense model, on the worker pool when there is one.  Results are identical
+at any worker count: block solves are pure and all reductions run in block
+order.
 """
 
 import contextlib
 import csv
 import io
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -25,7 +29,10 @@ from .algebra import couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
 from .subsolver import (BlockSolveRequest, dispatch, project_box,
-                        solve_quadratic_exact, STATUS_NUMERICAL_FAILURE)
+                        solve_box_qp, solve_quadratic_exact,
+                        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE)
+
+log = logging.getLogger("proxjacobi")
 
 TRACE_COLUMNS = [
     "k", "phi", "dphi", "coupling_inf", "p_inf", "d_inf", "pi", "delta_max",
@@ -82,6 +89,12 @@ class TraceRecord:
 
     def row(self):
         return [getattr(self, name) for name in TRACE_COLUMNS]
+
+    @property
+    def finite(self):
+        """False once phi or the coupling residual is not finite: the run
+        loops stop right after such a record."""
+        return bool(np.isfinite(self.phi) and np.isfinite(self.coupling_inf))
 
 
 def _fmt(value):
@@ -184,25 +197,42 @@ def x_update_all(problem, state, params, pool=None):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
     Every subproblem gradient at the anchor x_t is one stacked product
-    (``auglag.subproblem_gradients``).  Each quadratic group takes one
-    exact Newton step from it, as one batched call.  The other blocks, and
-    any grouped block whose step fails, go through ``dispatch`` with their
-    exact quadratic model (``BlockObjective``), spread over the ``pool``
-    when there is one.  Returns (the new x as a BlockVector, per-block
-    inner iteration counts).  Any numerical failure aborts with the failing
-    block index.
+    (``auglag.subproblem_gradients``).  Each quadratic group is solved from
+    it in one batched call: an unconstrained group by one exact Newton
+    step, a group with linear equalities and a box by the active-set QP.
+    The other blocks, and any grouped block whose step fails or whose QP
+    finds no certified minimizer, go through ``dispatch`` with their exact
+    quadratic model (``BlockObjective``), spread over the ``pool`` when
+    there is one; a solve that stops at its iteration cap is logged.
+    Returns (the new x as a BlockVector, per-block inner iteration counts:
+    1 for an exact step, the passes of a grouped QP).  Any numerical
+    failure aborts with the failing block index.
     """
     vec = problem.stack(state.x)
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
                                     params.rho)
+    w = params.rho + params.tau_x
     x_new = vec.copy()
     inner = [1] * problem.T
     single = list(problem.single_blocks)
     for grp in problem.quadratic_groups:
-        H, H_inv, ok = grp.hessian_factor(params.rho + params.tau_x)
-        dx, solved = solve_quadratic_exact(H, H_inv, grp.take(g))
-        x_new[grp.cols] = (grp.take(vec) + dx).ravel()
-        single += [t for t, s in zip(grp.blocks, solved & ok) if not s]
+        X, G = grp.take(vec), grp.take(g)
+        if grp.C is None:
+            H, H_inv, ok = grp.hessian_factor(w)
+            dx, solved = solve_quadratic_exact(H, H_inv, G)
+            x_new[grp.cols] = (X + dx).ravel()
+            solved &= ok
+        else:
+            # the model G'(x - X) + (x - X)'H(x - X)/2 has the gradient
+            # G - HX at x = 0
+            H = grp.hessian(w)
+            x, _, passes = solve_box_qp(H, G + (H @ -X[..., None])[..., 0],
+                                        grp.C, grp.d, grp.lower, grp.upper)
+            x_new[grp.cols] = x.ravel()
+            solved = passes > 0
+            for t, p in zip(grp.blocks, passes.tolist()):
+                inner[t] = p
+        single += [t for t, s in zip(grp.blocks, solved) if not s]
     single.sort()
     results = _map(pool, lambda t: _solve_block(problem, state, params, g, t),
                    single)
@@ -210,6 +240,11 @@ def x_update_all(problem, state, params, pool=None):
     for t, res in zip(single, results):
         if res.status == STATUS_NUMERICAL_FAILURE:
             raise BlockSolveError(t, res)
+        if res.status == STATUS_ITERATION_CAP:
+            log.warning("iteration %d: block %d's %s solve stopped at its "
+                        "iteration cap after %d inner iterations; its "
+                        "last point is taken", state.k + 1, t, res.solver,
+                        res.inner_iterations)
         x_new[o[t]:o[t + 1]] = res.x
         inner[t] = res.inner_iterations
     return problem.split(x_new), inner
@@ -280,7 +315,8 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
 
 def run_fixed(problem, params, init, config, stop=None):
     """Run the fixed-parameter iteration for up to ``config.max_iters``
-    iterations, or until the caller's stop predicate fires.
+    iterations, until the caller's stop predicate fires, or right after the
+    first record that is not ``finite``.
 
     Returns ``(final state, trace list)``; a block failure raises
     :class:`BlockSolveError` with the state and the partial trace attached.
@@ -298,6 +334,6 @@ def run_fixed(problem, params, init, config, stop=None):
                 raise
             trace.append(rec)
             phi_prev = rec.phi
-            if stop is not None and stop(state, rec):
+            if not rec.finite or (stop is not None and stop(state, rec)):
                 break
     return state, trace

@@ -517,28 +517,46 @@ class BlockVector(list):
 
 
 class QuadraticGroup:
-    """Blocks of one size n with no bounds and no equalities, held as dense
-    stacks so that their subproblems are solved together.
+    """Blocks of one size n held as dense stacks, so that their subproblems
+    are solved together.  A group is of one of two kinds:
+
+    - blocks with no bounds and no equalities (``C`` is None);
+    - blocks whose equalities are the same linear rows C x = d_t (r >= 1),
+      with any box.
 
     ``blocks`` are the block indices, ``cols`` their coordinates in the flat
     vector (block after block), and Q (k, n, n) and AtA = A_t'A_t (k, n, n)
-    the stacked data.
+    the stacked data.  The second kind also holds the shared rows ``C``
+    (r, n), the right-hand sides ``d`` (k, r) and the bounds ``lower`` and
+    ``upper`` (k, n).
     """
 
-    def __init__(self, problem, blocks):
-        specs = [problem.blocks[t] for t in blocks]
+    def __init__(self, problem, blocks, Q, AtA, C=None):
         self.blocks = blocks
-        self.n = specs[0].n
-        self.cols = np.concatenate([
-            np.arange(problem.offsets[t], problem.offsets[t + 1])
-            for t in blocks])
-        self.Q = np.stack([blk.Q_dense for blk in specs])
-        self.AtA = np.stack([blk.AtA_dense for blk in specs])
+        self.n = Q.shape[-1]
+        self.cols = np.flatnonzero(np.isin(problem.block_index, blocks))
+        self.Q = Q
+        self.AtA = AtA
+        self.C = C
+        if C is not None:
+            self.d = np.stack([problem.blocks[t].set.linear_rows[1]
+                               for t in blocks])
+            self.lower = self.take(problem.lower)
+            self.upper = self.take(problem.upper)
+        self._hessian = (None, None)
         self._factor = (None, None)
 
     def take(self, vec):
         """The group's rows of the flat vector ``vec``, as (k, n)."""
         return vec[self.cols].reshape(-1, self.n)
+
+    def hessian(self, w):
+        """The stack H = Q + w AtA, kept for the latest ``w`` only."""
+        key, H = self._hessian
+        if key != w:
+            H = self.Q + w * self.AtA
+            self._hessian = (w, H)
+        return H
 
     def hessian_factor(self, w):
         """``(H, H_inv, ok)`` for the stack H = Q + w AtA, kept for the
@@ -547,26 +565,41 @@ class QuadraticGroup:
         identity there."""
         key, factor = self._factor
         if key != w:
-            H = self.Q + w * self.AtA
+            H = self.hessian(w)
             eye = np.eye(self.n)
             ok = np.isfinite(H).all(axis=(1, 2))
+            ok &= _positive_definite(np.where(ok[:, None, None], H, eye))
             safe = np.where(ok[:, None, None], H, eye)
-            try:
-                np.linalg.cholesky(safe)
-            except np.linalg.LinAlgError:
-                ok &= [_positive_definite(h) for h in safe]
-                safe = np.where(ok[:, None, None], H, eye)
             factor = (H, np.linalg.inv(safe), ok)
             self._factor = (w, factor)
         return factor
 
 
 def _positive_definite(H):
+    """Whether the matrix H, or each matrix of the stack H (..., n, n), is
+    positive definite: its Cholesky factorization succeeds.  One batched
+    factorization serves a stack unless some matrix fails it."""
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        if H.ndim == 2:
+            return False
+        return np.array([_positive_definite(h) for h in H], dtype=bool)
+    return np.ones(H.shape[:-2], dtype=bool) if H.ndim > 2 else True
+
+
+def _diagonal_stack(mat, row_block, row_slot, col_slot, pos, shape):
+    """The diagonal blocks of the block-diagonal CSR ``mat`` as a dense
+    (k, p, q) stack: the entry (i, j) of block t goes to
+    ``[pos[t], row_slot[i], col_slot[j]]`` when pos[t] >= 0 (repeated
+    entries are summed, as ``toarray`` sums them)."""
+    coo = mat.tocoo()
+    t = row_block[coo.row]
+    keep = pos[t] >= 0
+    flat = np.ravel_multi_index((pos[t][keep], row_slot[coo.row[keep]],
+                                 col_slot[coo.col[keep]]), shape)
+    return np.bincount(flat, weights=coo.data[keep],
+                       minlength=int(np.prod(shape))).reshape(shape)
 
 
 @dataclass
@@ -662,20 +695,51 @@ class Problem:
 
     @cached_property
     def quadratic_groups(self):
-        """The blocks with no bounds and no equalities, one
-        :class:`QuadraticGroup` per block size."""
+        """The blocks solved together, one :class:`QuadraticGroup` per
+        block size n and equality rows C: those with no bounds and no
+        equalities, and those whose equalities are linear, with any box.
+        The stacks are filled from ``objective_Q`` and ``coupling_blocks``;
+        a block's A_t keeps only its nonzero rows, in their order."""
         bounded = np.bincount(
             self.block_index, minlength=self.T,
             weights=np.isfinite(self.lower) | np.isfinite(self.upper))
-        by_n = {}
+        by_key = {}
         for t, blk in enumerate(self.blocks):
-            if not (bounded[t] or blk.set.equalities):
-                by_n.setdefault(blk.n, []).append(t)
-        return [QuadraticGroup(self, ts) for _, ts in sorted(by_n.items())]
+            if blk.set.equalities:
+                rows = blk.set.linear_rows
+                if rows is None:
+                    continue
+                key = (blk.n, len(rows[1]), rows[0].tobytes())
+            elif bounded[t]:
+                continue
+            else:
+                key = (blk.n, 0, b"")
+            by_key.setdefault(key, []).append(t)
+        o = np.array(self.offsets)
+        local = np.arange(o[-1]) - o[self.block_index]
+        A = self.coupling_blocks
+        A_block = np.repeat(np.arange(self.T), self.m)
+        nonzero = np.diff(A.indptr) > 0
+        per_block = np.bincount(A_block, weights=nonzero, minlength=self.T)
+        A_slot = np.cumsum(nonzero) - 1 - np.repeat(
+            np.cumsum(per_block) - per_block, self.m).astype(int)
+        groups = []
+        for (n, r, _), ts in sorted(by_key.items()):
+            pos = np.full(self.T, -1)
+            pos[ts] = np.arange(len(ts))
+            Q = _diagonal_stack(self.objective_Q, self.block_index, local,
+                                local, pos, (len(ts), n, n))
+            At = _diagonal_stack(A, A_block, A_slot, local, pos,
+                                 (len(ts), int(max(per_block[ts])), n))
+            C = self.blocks[ts[0]].set.linear_rows[0] if r else None
+            groups.append(QuadraticGroup(
+                self, ts, Q, np.swapaxes(At, 1, 2) @ At, C))
+        return groups
 
     @cached_property
     def single_blocks(self):
-        """The blocks in no quadratic group, handled one by one."""
+        """The blocks in no quadratic group, handled one by one: box-only
+        blocks and blocks with a nonlinear equality."""
         grouped = {t for g in self.quadratic_groups for t in g.blocks}
         return [t for t in range(self.T) if t not in grouped]
 
@@ -696,20 +760,24 @@ class Problem:
 
     def objective_values(self, vec):
         """f_t(x_t) of every block, as a list, from one product with
-        diag(Q_1, ..., Q_T): the grouped blocks' in one batched sum, each
-        other block's summed as its own ``Quadratic.value`` sums it."""
+        diag(Q_1, ..., Q_T): the blocks of the unconstrained groups in one
+        batched sum, each other block's summed as its own
+        ``Quadratic.value`` sums it."""
         Qx = self.objective_Q @ vec
-        vals = [0.0] * self.T
+        vals = [None] * self.T
         for g in self.quadratic_groups:
-            X = g.take(vec)
-            v = np.sum(X * (0.5 * g.take(Qx) + g.take(self.objective_c)),
-                       axis=1)
-            for t, vt in zip(g.blocks, v.tolist()):
-                vals[t] = vt + self.blocks[t].objective.c0
+            if g.C is None:
+                X = g.take(vec)
+                v = np.sum(X * (0.5 * g.take(Qx) + g.take(self.objective_c)),
+                           axis=1)
+                for t, vt in zip(g.blocks, v.tolist()):
+                    vals[t] = vt + self.blocks[t].objective.c0
         o = self.offsets
-        for t in self.single_blocks:
-            a, b, f = o[t], o[t + 1], self.blocks[t].objective
-            vals[t] = float(0.5 * vec[a:b] @ Qx[a:b] + f.c @ vec[a:b] + f.c0)
+        for t in range(self.T):
+            if vals[t] is None:
+                a, b, f = o[t], o[t + 1], self.blocks[t].objective
+                vals[t] = float(0.5 * vec[a:b] @ Qx[a:b] + f.c @ vec[a:b]
+                                + f.c0)
         return vals
 
 

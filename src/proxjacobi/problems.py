@@ -364,16 +364,14 @@ def kkt_reference_solve(problem):
     C = np.vstack([scipy.linalg.block_diag(*[C_t for C_t, _ in eq_rows]),
                    problem.coupling.toarray()])
     d = np.concatenate([d_t for _, d_t in eq_rows] + [problem.b])
-    qp = solve_box_qp(
-        scipy.linalg.block_diag(*[blk.Q_dense for blk in problem.blocks]),
-        np.concatenate([blk.objective.c for blk in problem.blocks]), C, d,
-        np.concatenate([blk.set.lower for blk in problem.blocks]),
-        np.concatenate([blk.set.upper for blk in problem.blocks]),
-        rtol=KKT_RESIDUAL_TOL)
-    if qp is None:
+    Q = scipy.linalg.block_diag(*[blk.Q_dense for blk in problem.blocks])
+    x, mu, passes = solve_box_qp(
+        Q[None], problem.objective_c[None], C, d[None], problem.lower[None],
+        problem.upper[None], rtol=KKT_RESIDUAL_TOL)
+    if not passes[0]:
         raise ValueError("no certified KKT point (singular system, no strict "
                          "minimizer or an active set that does not settle)")
-    x, mu, _ = qp
+    x, mu = x[0], mu[0]
     x_star = np.split(x, np.cumsum(problem.dims)[:-1])
     objective = sum(blk.objective.value(xt)
                     for blk, xt in zip(problem.blocks, x_star))
@@ -421,10 +419,12 @@ def _block_minimum(blk):
     if blk.set.equalities or blk.set.has_bounds:
         if evals[0] < -1e-10:
             raise ValueError("nonconvex objective")
-        qp = solve_box_qp(Q, f.c, *rows, lo, hi, rtol=KKT_RESIDUAL_TOL)
-        if qp is None:
+        C, d = rows
+        x, _, passes = solve_box_qp(Q[None], f.c[None], C, d[None], lo[None],
+                                    hi[None], rtol=KKT_RESIDUAL_TOL)
+        if not passes[0]:
             raise ValueError("no certified minimizer")
-        return f.value(qp[0])
+        return f.value(x[0])
     if evals[0] <= 1e-12:
         raise ValueError("nonconvex or singular non-diagonal objective")
     x = np.linalg.solve(Q, -f.c)

@@ -1,16 +1,19 @@
 """Local solution of the block subproblems.
 
-An exact Newton step for stacks of unconstrained quadratic blocks, which
-the Jacobi sweep solves together, and per-block solvers behind a
-deterministic dispatcher.  A per-block solver reads its objective through
-``value``, ``gradient`` and ``hessian`` callbacks; in the sweep that is the
-block's exact quadratic model (``auglag.BlockObjective``).  Each kind of
-block has one solver:
+Two batched solvers, which the Jacobi sweep runs on each group of blocks,
+and per-block solvers behind a deterministic dispatcher.  A per-block
+solver reads its objective through ``value``, ``gradient`` and ``hessian``
+callbacks; in the sweep that is the block's exact quadratic model
+(``auglag.BlockObjective``).  Each kind of block has one solver:
 
-- quadratic blocks with linear equalities and a box: an active-set QP
-  (shared with the reference oracle).  It returns only a certified strict
-  local minimizer, but it is not monotone: the warm start may violate the
-  equalities, and then its objective value can be below the minimizer's;
+- unconstrained quadratic blocks: an exact Newton step, batched over a
+  stack of blocks;
+- quadratic blocks with linear equalities and a box: an active-set QP,
+  batched over a stack of blocks that share the equality rows (shared with
+  the reference oracle and the lower bound, which call it with one
+  problem).  It returns only certified strict local minimizers, but it is
+  not monotone: the warm start may violate the equalities, and then its
+  objective value can be below the minimizer's;
 - box-only blocks: projected Newton, which is monotone (the returned
   objective value never exceeds the warm start's) and handles indefinite
   Hessians;
@@ -96,99 +99,141 @@ def solve_quadratic_exact(H, H_inv, g):
     return dx, ok
 
 
-def _second_order_ok(kkt, nf):
+def _matvec(M, X):
+    """Row i is M_i X_i, for a stack M (k, p, q) and X (k, q)."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _inertia_ok(kkt, nf):
     """True when the KKT matrix ``kkt`` (free Hessian in its leading
-    ``nf`` x ``nf`` block, r equality rows after it) certifies a strict
-    local minimizer: the free Hessian is positive definite, or else the
-    matrix has exactly r negative eigenvalues and none within
-    QP_INERTIA_RTOL of zero relative to the largest, so the Hessian is
-    positive definite on the null space of the rows (Nocedal & Wright,
-    *Numerical Optimization*, Thm 16.3)."""
-    if _positive_definite(kkt[:nf, :nf]):
-        return True
+    ``nf`` x ``nf`` block, r equality rows after it) has exactly r negative
+    eigenvalues and none within QP_INERTIA_RTOL of zero relative to the
+    largest: the Hessian is then positive definite on the null space of
+    the rows (Nocedal & Wright, *Numerical Optimization*, Thm 16.3)."""
     eig = np.linalg.eigvalsh(kkt)
     size = np.abs(eig)
     return (int(np.sum(eig < 0)) == len(kkt) - nf
             and size.min() > QP_INERTIA_RTOL * size.max())
 
 
+def _solve_rows(kkt, rhs):
+    """``np.linalg.solve`` of each system of the stack, with NaN on the
+    rows whose matrix is singular."""
+    try:
+        return np.linalg.solve(kkt, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(kkt) == 1:
+            return np.full_like(rhs, np.nan)
+        return np.concatenate([_solve_rows(K[None], b[None])
+                               for K, b in zip(kkt, rhs)])
+
+
 def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
-    """Minimize 0.5 x'Hx + g'x subject to Cx = d and lo <= x <= hi.
+    """Minimize 0.5 x'H_i x + g_i'x subject to C x = d_i and
+    lo_i <= x <= hi_i, for every row i of a stack of k problems: H
+    (k, n, n), g, lo and hi (k, n), the shared rows C (r, n) and d (k, r).
 
-    Primal-dual active set: coordinates with lo = hi stay pinned.  Each pass
-    solves the equality KKT system on the free coordinates, with the pinned
-    ones held at their bounds, then pins the free coordinates that left the
-    box and releases the pinned ones whose box multiplier Hx + g + C'mu has
-    the wrong sign.  The pass that changes nothing ends the loop; its KKT
-    residual, wrong-signed multipliers included, must be at most
-    ``rtol (1 + max|rhs|)``, and its point must be a strict local
-    minimizer on the free coordinates (``_second_order_ok``).
+    Primal-dual active set (Hintermueller, Ito & Kunisch, SIAM J. Optim.
+    13(3), 2002), run on all rows at once: coordinates with lo = hi stay
+    pinned.  Each pass solves, for every row still in the loop, its
+    equality KKT system on the free coordinates with the pinned ones held
+    at their bounds.  A pinned coordinate is an identity row and column of
+    the row's (n + r) x (n + r) system, its H and C columns moved to the
+    right-hand side, so one batched solve serves the pass.  The pass then
+    pins the free coordinates that left the box and releases the pinned
+    ones whose box multiplier Hx + g + C'mu has the wrong sign.  A row
+    whose pass changes nothing leaves the loop; its KKT residual, on the
+    free coordinates and the equality rows, must be at most
+    ``rtol (1 + max|rhs|)``, and its point must be a strict local minimizer
+    on the free coordinates: its free Hessian factors by Cholesky (one
+    batched factorization), or else its KKT matrix has the inertia of one
+    (``_inertia_ok``).
 
-    Returns ``(x, mu, passes)``, or None when a KKT system is singular, a
-    value is non-finite, the residual is too large, the point is not
-    certified a strict local minimizer or the active set has not settled
-    within QP_MAX_PASSES passes.
+    Returns ``(x, mu, passes)`` of shapes (k, n), (k, r) and (k,):
+    ``passes[i]`` is the pass on which row i settled, or 0 when row i has
+    no certified minimizer (a non-finite value, a singular KKT system, a
+    residual too large, no strict local minimizer, or an active set that
+    has not settled within QP_MAX_PASSES passes); x and mu of such a row
+    are zero.
     """
-    n, r = len(g), len(d)
+    k, n = g.shape
+    r = len(C)
+    x, mu = np.zeros((k, n)), np.zeros((k, r))
+    passes = np.zeros(k, dtype=int)
     fixed = np.isfinite(lo) & (lo == hi)
     at_lo = fixed.copy()
-    at_hi = np.zeros(n, dtype=bool)
-    for passes in range(1, QP_MAX_PASSES + 1):
-        pinned = at_lo | at_hi
+    at_hi = np.zeros((k, n), dtype=bool)
+    diag = np.arange(n)
+    live = np.flatnonzero(np.isfinite(H).all(axis=(1, 2))
+                          & np.isfinite(g).all(axis=1))
+    for p in range(1, QP_MAX_PASSES + 1):
+        if live.size == 0:
+            break
+        Hl, gl, lol, hil = H[live], g[live], lo[live], hi[live]
+        pinned = at_lo[live] | at_hi[live]
         free = ~pinned
-        nf = int(np.sum(free))
-        x = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        kkt = np.zeros((nf + r, nf + r))
-        kkt[:nf, :nf] = H[np.ix_(free, free)]
-        kkt[:nf, nf:] = C[:, free].T
-        kkt[nf:, :nf] = C[:, free]
-        rhs = np.concatenate([
-            -(g[free] + H[np.ix_(free, pinned)] @ x[pinned]),
-            d - C[:, pinned] @ x[pinned],
-        ])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        x[free] = sol[:nf]
-        mu = sol[nf:]
-        tol = rtol * (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-        mult = H @ x + g + C.T @ mu
-        release = (at_lo & ~fixed & (mult < -tol)) | (at_hi & (mult > tol))
-        below = free & (x < lo)
-        above = free & (x > hi)
-        if not (np.any(release) or np.any(below) or np.any(above)):
-            resid = float(np.max(np.abs(kkt @ sol - rhs), initial=0.0))
-            if resid > tol or not _second_order_ok(kkt, nf):
-                return None
-            return x, mu, passes
-        at_lo = (at_lo & ~release) | below
-        at_hi = (at_hi & ~release) | above
-    return None
+        xp = np.where(at_lo[live], lol, np.where(at_hi[live], hil, 0.0))
+        CT = np.where(free[:, :, None], C.T, 0.0)
+        kkt = np.zeros((live.size, n + r, n + r))
+        kkt[:, :n, :n] = np.where(free[:, :, None] & free[:, None, :], Hl,
+                                  0.0)
+        kkt[:, diag, diag] += pinned
+        kkt[:, :n, n:] = CT
+        kkt[:, n:, :n] = np.swapaxes(CT, 1, 2)
+        rhs = np.concatenate([np.where(free, -(gl + _matvec(Hl, xp)), xp),
+                              d[live] - xp @ C.T], axis=1)
+        sol = _solve_rows(kkt, rhs)
+        xl = np.where(free, sol[:, :n], xp)
+        mul = sol[:, n:]
+        # the rows of the reduced system: free coordinates and equalities
+        rows = np.concatenate([free, np.ones((live.size, r), bool)], axis=1)
+        tol = rtol * (1.0 + np.max(np.abs(np.where(rows, rhs, 0.0)),
+                                   axis=1, initial=0.0))
+        mult = _matvec(Hl, xl) + gl + mul @ C
+        release = ((at_lo[live] & ~fixed[live] & (mult < -tol[:, None]))
+                   | (at_hi[live] & (mult > tol[:, None])))
+        below = free & (xl < lol)
+        above = free & (xl > hil)
+        finite = np.isfinite(sol).all(axis=1)
+        settled = finite & ~(release | below | above).any(axis=1)
+        resid = np.max(np.abs(np.where(rows, _matvec(kkt, sol) - rhs, 0.0)),
+                       axis=1, initial=0.0)
+        cert = settled & (resid <= tol)
+        idx = np.flatnonzero(cert)
+        if idx.size:
+            for i in idx[~_positive_definite(kkt[idx, :n, :n])]:
+                cert[i] = _inertia_ok(kkt[i][np.ix_(rows[i], rows[i])],
+                                      int(free[i].sum()))
+        done = live[cert]
+        x[done], mu[done], passes[done] = xl[cert], mul[cert], p
+        at_lo[live] = (at_lo[live] & ~release) | below
+        at_hi[live] = (at_hi[live] & ~release) | above
+        live = live[finite & ~settled]
+    return x, mu, passes
 
 
 def solve_quadratic_kkt(req):
     """Quadratic blocks with linear equalities and a box, by the active-set
-    QP; reports numerical failure when it returns None, so the caller can
-    fall back.  ``inner_iterations`` counts its passes."""
+    QP (with k = 1); reports numerical failure when it finds no certified
+    minimizer, so the caller can fall back.  ``inner_iterations`` counts
+    its passes."""
     obj = req.objective
     n = req.warm_start.shape[0]
     rows = req.set.linear_rows
     if rows is None:
         raise ValueError("quadratic-kkt solver requires linear equalities")
     C, d = rows
-    qp = solve_box_qp(obj.hessian(req.warm_start), obj.gradient(np.zeros(n)),
-                      C, d, req.set.lower, req.set.upper)
-    if qp is None:
+    x, mu, passes = solve_box_qp(
+        obj.hessian(req.warm_start)[None], obj.gradient(np.zeros(n))[None],
+        C, d[None], req.set.lower[None], req.set.upper[None])
+    if not passes[0]:
         return BlockSolveResult(
             x=req.warm_start.copy(), mu=np.empty(0),
             status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
             grad_norm=float("inf"), solver="quadratic-kkt")
-    x, mu, passes = qp
+    x, mu = x[0], mu[0]
     return BlockSolveResult(
-        x=x, mu=mu, status=STATUS_CONVERGED, inner_iterations=passes,
+        x=x, mu=mu, status=STATUS_CONVERGED, inner_iterations=int(passes[0]),
         grad_norm=float(np.max(np.abs(C @ x - d), initial=0.0)),
         solver="quadratic-kkt")
 
@@ -405,8 +450,9 @@ def dispatch(req):
     Quadratic blocks with linear equalities take the active-set QP, and
     other equality-constrained sets, or a QP without a certified minimizer,
     the inner ALM path; everything else is projected Newton over the box.
-    (Unconstrained blocks come here only when the batched exact step of the
-    Jacobi sweep failed for them.)  A box-only block whose model Hessian is
+    (Unconstrained blocks, and blocks with linear equalities, come here
+    only when the batched step or QP of the Jacobi sweep failed for
+    them.)  A box-only block whose model Hessian is
     non-finite, or has negative curvature on the coordinates without a
     finite bound, along which the model is unbounded below, fails at once.
     """

@@ -17,6 +17,7 @@ from .model import Params
 TERMINATION_FEASIBLE = "feasible-stop"
 TERMINATION_ITERATION_CAP = "iteration-cap"
 TERMINATION_BLOCK_FAILURE = "block-failure"
+TERMINATION_NON_FINITE = "non-finite"
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,9 @@ def tune_step(state, metrics, T, cfg):
 
 def run_adaptive(problem, cfg, init, run_config=None):
     """Alternate Jacobi iterations with the tuning rules until the coupling
-    residual meets the tolerance or the outer-iteration cap is hit.
+    residual meets the tolerance, the outer-iteration cap is hit, or an
+    iteration's record is not ``finite`` (its phi or coupling residual;
+    the run stops right after it, with TERMINATION_NON_FINITE).
 
     ``init`` is an :class:`proxjacobi.model.IterateState` built by
     ``jacobi.init_state`` with the initial parameters (use
@@ -122,6 +125,8 @@ def run_adaptive(problem, cfg, init, run_config=None):
                 exc.state, exc.trace = state, trace
                 raise
             trace.append(rec)
+            if not rec.finite:
+                return state, trace, TERMINATION_NON_FINITE
             phi_prev = rec.phi
             tstate, stop = tune_step(tstate, rec, problem.T, cfg)
             if stop:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import io
 import json
 
 import numpy as np
@@ -138,7 +139,9 @@ class TestGenerate:
                                                 monkeypatch, with_oracle):
         # a failed oracle QP still writes the problem, with a note under
         # --oracle and no oracle file
-        monkeypatch.setattr(problems, "solve_box_qp", lambda *a, **k: None)
+        monkeypatch.setattr(problems, "solve_box_qp",
+                            lambda H, g, C, d, *a, **k: (
+                                0.0 * g, 0.0 * d, np.zeros(len(g), int)))
         out = tmp_path / "d.json"
         orc = tmp_path / "o.json"
         argv = ["generate", "dispatch", "--out", str(out)]
@@ -292,6 +295,29 @@ class TestSolve:
         doc = json.loads(sol.read_text())
         assert doc["termination"] == tuner.TERMINATION_BLOCK_FAILURE
         assert doc["iterations"] == 0
+
+
+    def test_diverging_run_stops_at_first_non_finite(self, tmp_path,
+                                                     capsys):
+        # under the default tuner this run diverges: phi overflows to inf
+        # at k = 445, and the run stops right after that record
+        out, trc, sol = (tmp_path / name for name in
+                         ("q.json", "t.csv", "s.json"))
+        assert main(["generate", "coupled-qp", "--seed", "2", "--blocks",
+                     "128", "--n-t", "10", "--m", "8",
+                     "--out", str(out)]) == EXIT_OK
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["solve", str(out), "--eps", "1e-6", "--max-iters",
+                         "3000", "--trace", str(trc), "--solution", str(sol),
+                         "--no-timings"])
+        assert code == EXIT_NUMERICAL
+        rows = jacobi.read_trace_csv(io.StringIO(trc.read_text()))
+        assert len(rows) == 445 and rows[-1].k == 445
+        assert not np.isfinite(rows[-1].phi)
+        assert all(rec.finite for rec in rows[:-1])
+        doc = json.loads(sol.read_text())
+        assert doc["termination"] == tuner.TERMINATION_NON_FINITE
+        assert doc["iterations"] == 445
 
 
 class TestTraceCheck:

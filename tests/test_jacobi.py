@@ -1,11 +1,12 @@
 """Unit tests for the fixed-parameter iteration loop and trace handling."""
 
 import io
+import logging
 
 import numpy as np
 import pytest
 
-from proxjacobi import jacobi, problems
+from proxjacobi import jacobi, problems, tuner
 from proxjacobi.algebra import couple_apply
 from proxjacobi.auglag import (BlockObjective, dual_residual,
                                penalty_residuals, subproblem_gradients)
@@ -13,8 +14,11 @@ from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
                                write_trace_csv)
-from proxjacobi.model import Params
-from proxjacobi.subsolver import (BlockSolveResult, STATUS_NUMERICAL_FAILURE)
+from proxjacobi.model import Params, variable_splitting_transform
+from proxjacobi.subsolver import (BlockSolveRequest, BlockSolveResult,
+                                  STATUS_ITERATION_CAP,
+                                  STATUS_NUMERICAL_FAILURE,
+                                  solve_quadratic_kkt)
 
 from conftest import build_qp, default_start, mixed_problem
 
@@ -105,6 +109,25 @@ class TestRunFixed:
         assert len(trace) == 7
         assert state.k == 7
         assert [r.k for r in trace] == list(range(1, 8))
+
+    @pytest.mark.parametrize("column", ["phi", "coupling_inf"])
+    def test_stops_after_first_non_finite_record(self, qp, monkeypatch,
+                                                 column):
+        # the third record's phi, or its coupling residual, is not finite:
+        # the run ends right after it
+        real = jacobi.iterate
+
+        def spoiled(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            if rec.k == 3:
+                setattr(rec, column, np.nan)
+            return rec
+
+        monkeypatch.setattr(jacobi, "iterate", spoiled)
+        init = init_state(qp, *default_start(qp), PARAMS)
+        _, trace = run_fixed(qp, PARAMS, init,
+                             RunConfig(record_timings=False, max_iters=50))
+        assert [rec.finite for rec in trace] == [True, True, False]
 
     def test_does_not_mutate_init(self, qp):
         init = init_state(qp, *default_start(qp), PARAMS)
@@ -213,15 +236,17 @@ def record_routes(monkeypatch):
 @pytest.mark.parametrize("w, batched", [(0.5, [0, 1, 5, 6]),
                                         (3.0, [0, 1, 3, 5, 6])])
 def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
-    # the indefinite block 3 is batched only when its Hessian is positive
-    # definite; otherwise its subproblem is unbounded below, and dispatch
-    # fails it at once, with every other block routed as before
+    # the indefinite block 3 takes the batched exact step only when its
+    # Hessian is positive definite; otherwise its subproblem is unbounded
+    # below, and dispatch fails it at once, with every other block routed
+    # as before.  Block 4, with a linear equality, is solved by the
+    # batched QP; only the boxed block 2 goes through dispatch.
     prob = mixed_problem()
     params = Params(rho=w / 3.0, theta=4.0, tau_x=2.0 * w / 3.0, tau_z=8.0)
     state = random_state(prob, params, 1)
     routed = record_routes(monkeypatch)
-    others = {t: "box-newton" for t in range(prob.T) if t not in batched}
-    others[4] = "quadratic-kkt"
+    others = {t: "box-newton" for t in range(prob.T)
+              if t not in batched and t != 4}
     if 3 not in batched:
         with pytest.raises(BlockSolveError) as info:
             jacobi.x_update_all(prob, state, params)
@@ -238,8 +263,68 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
         g0 = np.linalg.norm(obj.gradient(state.x[t]))
         assert np.linalg.norm(obj.gradient(x[t])) <= 1e-10 * (1.0 + g0)
         assert inner[t] == 1
-    for t in set(range(prob.T)) - set(batched):
-        assert not np.array_equal(x[t], state.x[t])
+    ref = solve_quadratic_kkt(BlockSolveRequest(
+        t=4, objective=BlockObjective(prob, 4, g, state.x[4], params),
+        set=prob.blocks[4].set, warm_start=state.x[4]))
+    assert ref.converged and inner[4] == ref.inner_iterations
+    assert np.allclose(x[4], ref.x, rtol=1e-12, atol=1e-14)
+    assert not np.array_equal(x[2], state.x[2])
+
+
+def test_uncertified_grouped_block_reaches_dispatch(monkeypatch):
+    # every block of the split mixed_problem has linear equalities and is
+    # solved by a batched QP; at w = rho + tau_x = 0.5 the QP of block 3
+    # finds only a saddle, so that block alone goes through dispatch, which
+    # takes the ALM path
+    prob = variable_splitting_transform(mixed_problem())
+    assert prob.single_blocks == []
+    params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
+    state = init_state(prob, [np.zeros(n) for n in prob.dims],
+                       np.zeros(prob.m), np.zeros(prob.m), params)
+    routed = record_routes(monkeypatch)
+    _, inner = jacobi.x_update_all(prob, state, params)
+    assert routed == {3: "equality-alm"}
+    assert inner[3] > 1
+
+
+def test_dispatch_sweeps_make_no_dispatch_call(monkeypatch):
+    # every dispatch block has the same balance row, so the whole run is
+    # one batched QP per sweep
+    prob = problems.gen_multiperiod_dispatch(24, 3, 0.1)
+    grp, = prob.quadratic_groups
+    assert grp.C is not None and len(grp.blocks) == prob.T
+    routed = record_routes(monkeypatch)
+    cfg = tuner.TunerConfig(eps=1e-6)
+    init = tuner.make_initial_state(prob, cfg, *default_start(prob))
+    _, trace, reason = tuner.run_adaptive(
+        prob, cfg, init, RunConfig(record_timings=False))
+    assert reason == tuner.TERMINATION_FEASIBLE
+    assert routed == {}
+    assert max(max(rec.inner_iters) for rec in trace) > 1
+
+
+def test_capped_inner_solve_is_logged(monkeypatch, caplog):
+    # a solve that stops at its iteration cap is taken, with one warning
+    # naming the block, the iteration, the solver and its inner count
+    real = jacobi.dispatch
+
+    def capped(req):
+        res = real(req)
+        if req.t == 2:
+            res.status, res.inner_iterations = STATUS_ITERATION_CAP, 500
+        return res
+
+    monkeypatch.setattr(jacobi, "dispatch", capped)
+    prob = mixed_problem()
+    state = random_state(prob, PARAMS, 1)
+    with caplog.at_level(logging.WARNING, logger="proxjacobi"):
+        _, inner = jacobi.x_update_all(prob, state, PARAMS)
+    assert inner[2] == 500
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].name == "proxjacobi"
+    msg = warnings[0].getMessage()
+    assert all(part in msg for part in
+               ("iteration 1", "block 2", "box-newton", "500"))
 
 
 def test_batched_sweep_worker_counts_bitwise():
@@ -257,8 +342,9 @@ def test_batched_sweep_worker_counts_bitwise():
 
 @pytest.mark.parametrize("case", ["mixed", "qp", "dispatch"])
 def test_batched_dual_residuals_match_reference(qp, case):
-    # the delta of penalty_residuals, one stacked gradient for the blocks
-    # without equalities, is dual_residual of each block
+    # the delta of penalty_residuals, from one stacked gradient with the
+    # multipliers of a group fitted in one batch, is dual_residual of each
+    # block
     prob = {"mixed": mixed_problem, "qp": lambda: qp,
             "dispatch": lambda: problems.gen_multiperiod_dispatch(
                 3, 2, 0.2)}[case]()
@@ -267,6 +353,12 @@ def test_batched_dual_residuals_match_reference(qp, case):
                          RunConfig(record_timings=False, max_iters=2))
     if case == "mixed":
         state.x[2][:] = [0.0, 1.0]      # the boxed block at its upper bound
+    if case == "dispatch":
+        # the blocks form one group with the balance row; block 1's first
+        # generator at its lower bound
+        grp, = prob.quadratic_groups
+        assert grp.C is not None and grp.blocks == [0, 1, 2]
+        state.x[1][0] = prob.blocks[1].set.lower[0]
     delta = penalty_residuals(prob, state, params, feas_tol=np.inf).delta
     ref = [dual_residual(prob, t, state.x[t], state.lam, feas_tol=np.inf)
            for t in range(prob.T)]

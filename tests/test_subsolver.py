@@ -57,6 +57,14 @@ def test_warm_start_clipped():
     assert np.array_equal(req.warm_start, np.array([0.0, 1.0]))
 
 
+def box_qp(H, g, C, d, lo, hi):
+    """``solve_box_qp`` on one problem (k = 1): ``(x, mu, passes)``, or None
+    when it finds no certified minimizer."""
+    x, mu, passes = subsolver.solve_box_qp(H[None], g[None], C, d[None],
+                                           lo[None], hi[None])
+    return (x[0], mu[0], passes[0]) if passes[0] else None
+
+
 def exact_step(problem, warm):
     """The batched exact step of the problem's one quadratic group from
     ``warm``: (new x, ok, the block objective)."""
@@ -235,8 +243,7 @@ def test_box_qp_matches_enumeration():
         lo = -rng.uniform(0.2, 1.0, n)
         hi = rng.uniform(0.2, 1.0, n)
         lo[rng.uniform(size=n) < 0.2] = -np.inf
-        x, mu, _ = subsolver.solve_box_qp(Q, c, np.zeros((0, n)),
-                                          np.zeros(0), lo, hi)
+        x, mu, _ = box_qp(Q, c, np.zeros((0, n)), np.zeros(0), lo, hi)
         assert mu.size == 0
         assert np.all(x >= lo) and np.all(x <= hi)
         best = box_quadratic_min_enum(Q, c, 0.0, lo, hi)
@@ -246,7 +253,7 @@ def test_box_qp_matches_enumeration():
     Q, c = 2.0 * np.eye(3), np.array([-4.0, 0.0, 2.0])
     C, d = np.ones((1, 3)), np.zeros(1)
     lo, hi = np.full(3, -0.5), np.full(3, 0.5)
-    x, mu, _ = subsolver.solve_box_qp(Q, c, C, d, lo, hi)
+    x, mu, _ = box_qp(Q, c, C, d, lo, hi)
     assert np.allclose(x, [0.5, 0.0, -0.5], rtol=0.0, atol=1e-14)
     assert np.max(np.abs(C @ x - d)) <= 1e-14
     box_mult = Q @ x + c + C.T @ mu
@@ -259,14 +266,87 @@ def test_box_qp_certifies_strict_minimizers():
     # free coordinates, but not a minimizer
     H, none = np.diag([1.0, -1.0]), np.zeros((0, 2))
     box = (-np.ones(2), np.ones(2))
-    assert subsolver.solve_box_qp(H, np.zeros(2), none, np.zeros(0),
-                                  *box) is None
+    assert box_qp(H, np.zeros(2), none, np.zeros(0), *box) is None
     # with x1 = 0 as an equality row, H is positive definite on the rows'
     # null space: the KKT matrix has one negative eigenvalue, one per row
-    x, mu, _ = subsolver.solve_box_qp(H, np.array([-0.5, 0.0]),
-                                      np.array([[0.0, 1.0]]), np.zeros(1),
-                                      *box)
+    x, mu, _ = box_qp(H, np.array([-0.5, 0.0]), np.array([[0.0, 1.0]]),
+                      np.zeros(1), *box)
     assert np.allclose(x, [0.5, 0.0], rtol=0.0, atol=1e-14)
+
+
+def test_batched_box_qp_matches_single_rows():
+    # a stack of random strictly convex problems with shared rows C and
+    # finite, half-infinite and pinned (lo = hi) bounds: each row of the
+    # batched solve is the k = 1 solve of that row, and a certified row is
+    # a KKT point.  (A pass that pins so many coordinates that C has no
+    # full rank on the free ones is singular: such rows fail, in both.)
+    rng = np.random.default_rng(11)
+    k, n, r = 40, 5, 2
+    M = rng.standard_normal((k, n, n))
+    H = np.swapaxes(M, 1, 2) @ M + 0.1 * np.eye(n)
+    g = 3.0 * rng.standard_normal((k, n))
+    C = rng.standard_normal((r, n))
+    # a feasible point of each row: its box holds it, and d = C x_feas
+    x_feas = rng.uniform(-0.2, 0.2, (k, n))
+    lo = x_feas - rng.uniform(0.1, 1.0, (k, n))
+    hi = x_feas + rng.uniform(0.1, 1.0, (k, n))
+    lo[rng.uniform(size=(k, n)) < 0.15] = -np.inf
+    pin = rng.uniform(size=(k, n)) < 0.15
+    lo[pin] = hi[pin] = x_feas[pin]
+    d = x_feas @ C.T
+    x, mu, passes = subsolver.solve_box_qp(H, g, C, d, lo, hi)
+    for i in range(k):
+        xi, mui, pi = subsolver.solve_box_qp(H[i:i + 1], g[i:i + 1], C,
+                                             d[i:i + 1], lo[i:i + 1],
+                                             hi[i:i + 1])
+        assert pi[0] == passes[i]
+        assert np.array_equal(xi[0], x[i]) and np.array_equal(mui[0], mu[i])
+    ok = passes > 0
+    assert np.sum(ok) >= 30 and np.max(passes) >= 4
+    assert np.any(pin[ok])
+    x, mu, H, g, lo, hi, pin = (a[ok] for a in (x, mu, H, g, lo, hi, pin))
+    assert np.array_equal(x[pin], lo[pin])
+    assert np.all(x >= lo) and np.all(x <= hi)
+    assert np.allclose(x @ C.T, d[ok], rtol=0.0, atol=1e-10)
+    box_mult = (H @ x[..., None])[..., 0] + g + mu @ C
+    inside = (x > lo) & (x < hi)
+    assert np.all(np.abs(box_mult[inside]) <= 1e-9)
+    assert np.all(box_mult[(x == lo) & ~pin] >= -1e-9)
+    assert np.all(box_mult[(x == hi) & ~pin] <= 1e-9)
+
+
+def test_batched_box_qp_pin_and_release():
+    # row 0: the unconstrained minimizer of (x0, x1) is (-1, -0.5); the
+    # first pass pins both at 0, the second releases x1, whose multiplier
+    # is -0.4, and the third settles at (0, 0.4).  Row 1 holds x0 pinned at
+    # 0.2 (lo = hi) and settles at once.  The row C = (0, 0, 1) sets x2.
+    H = np.array([[1.0, -0.9, 0.0], [-0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    g = np.array([0.55, -0.4, 0.0])
+    lo = np.array([[0.0, 0.0, -np.inf], [0.2, 0.0, -np.inf]])
+    hi = np.array([[np.inf, np.inf, np.inf], [0.2, np.inf, np.inf]])
+    x, mu, passes = subsolver.solve_box_qp(
+        np.stack([H, H]), np.stack([g, g]), np.array([[0.0, 0.0, 1.0]]),
+        np.array([[0.5], [0.5]]), lo, hi)
+    assert passes.tolist() == [3, 1]
+    assert np.allclose(x, [[0.0, 0.4, 0.5], [0.2, 0.58, 0.5]], rtol=0.0,
+                       atol=1e-14)
+    assert np.allclose(mu, [[-0.5], [-0.5]], rtol=0.0, atol=1e-14)
+
+
+def test_batched_box_qp_certificates():
+    # rows sharing x1 = 0: row 0's free Hessian diag(1, -1) fails Cholesky,
+    # but its KKT matrix has the inertia of a strict minimizer; row 1 is
+    # positive definite; row 2, diag(-1, 1), is a saddle in the rows' null
+    # space and gets no certificate
+    H = np.stack([np.diag([1.0, -1.0]), np.diag([2.0, 3.0]),
+                  np.diag([-1.0, 1.0])])
+    g = np.array([[-0.5, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    box = (-np.ones((3, 2)), np.ones((3, 2)))
+    x, mu, passes = subsolver.solve_box_qp(H, g, np.array([[0.0, 1.0]]),
+                                           np.zeros((3, 1)), *box)
+    assert passes.tolist() == [1, 1, 0]
+    assert np.allclose(x, [[0.5, 0.0], [0.5, 0.0], [0.0, 0.0]], rtol=0.0,
+                       atol=1e-14)
 
 
 def test_split_saddle_block_not_accepted():
