@@ -1,6 +1,6 @@
 """Coupling-matrix operations and spectral quantities.
 
-All block reductions run in fixed block order so results are
+Coupling sums add the blocks' terms in block order, so results are
 bit-reproducible across runs and worker counts.
 """
 
@@ -11,16 +11,9 @@ EIGENCHECK_SIZE_CAP = 2000
 
 
 def couple_apply(problem, x):
-    """Return ``sum_t A_t x_t``: one block-diagonal product, whose rows are
-    added in block order."""
-    return block_sum(problem.block_products(problem.stack(x)))
-
-
-def block_sum(rows):
-    """``rows[0] + rows[1] + ...`` added in this order, as a loop of
-    ``out += row`` from zero adds them (``+ 0.0`` turns a -0.0 sum into
-    0.0, as that loop does)."""
-    return np.cumsum(rows, axis=0)[-1] + 0.0
+    """Return ``sum_t A_t x_t``: one product with the nonzero rows of the
+    A_t, added into their coupling rows in block order."""
+    return problem.row_sums(problem.block_products(problem.stack(x)))
 
 
 def spectral_norm(A_t):

@@ -6,10 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import block_sum
-
-DAGGER_SIZE_CAP = 2000
-
 
 def aug_lagrangian(problem, x, z, lam, params):
     """sum_t f_t(x_t) + (theta/2)||z||^2 + lam'(Ax + z - b)
@@ -19,8 +15,8 @@ def aug_lagrangian(problem, x, z, lam, params):
     if z.shape != (problem.m,) or lam.shape != (problem.m,):
         raise ValueError("z and lambda must have length m")
     vec = problem.stack(x)
-    viol = block_sum(problem.block_products(vec)) + z - problem.b
-    total = sum(problem.objective_values(vec))
+    viol = problem.row_sums(problem.block_products(vec)) + z - problem.b
+    total = problem.objective_value(vec)
     total += 0.5 * params.theta * float(z @ z)
     total += float(lam @ viol)
     total += 0.5 * params.rho * float(viol @ viol)
@@ -31,9 +27,10 @@ def subproblem_gradients(problem, vec, z, lam, rho):
     """The flat vector of every block subproblem's gradient at its anchor,
     the frozen iterate ``vec``: grad f_t(x_t) + A_t'(lam + rho(Ax + z - b)),
     from one stacked product for all blocks."""
-    Ax = block_sum(problem.block_products(vec))
+    Ax = problem.row_sums(problem.block_products(vec))
+    v = lam + rho * (Ax + z - problem.b)
     return problem.objective_gradients(vec) + problem.block_products_T(
-        lam + rho * (Ax + z - problem.b))
+        v[problem.coupling_rows.row])
 
 
 class BlockObjective:
@@ -73,15 +70,15 @@ def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
 
     L(x, z, lam) + (tau_z/4)||z - z_hat||^2
                  + sum_t (tau_x/4)||x_t - x_hat_t||^2_{A_t'A_t}
+
+    The sum over the blocks is ||K(x - x_hat)||^2, one dot product over the
+    nonzero coupling rows K of all blocks.
     """
     val = aug_lagrangian(problem, x, z, lam, params)
     dz = np.asarray(z, dtype=float) - np.asarray(z_hat, dtype=float)
     val += 0.25 * params.tau_z * float(dz @ dz)
-    # one dot product per block, added in block order: the value is the
-    # same, bit for bit, as a loop over the blocks gives
-    for d in problem.block_products(problem.stack(x)
-                                    - problem.stack(x_hat)):
-        val += 0.25 * params.tau_x * float(d @ d)
+    d = problem.block_products(problem.stack(x) - problem.stack(x_hat))
+    val += 0.25 * params.tau_x * float(d @ d)
     return val
 
 
@@ -151,7 +148,7 @@ def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
         for t, blk in enumerate(problem.blocks):
             _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
     g = problem.objective_gradients(vec) + problem.block_products_T(
-        np.asarray(lam, dtype=float))
+        np.asarray(lam, dtype=float)[problem.coupling_rows.row])
     for grp in problem.quadratic_groups:
         if grp.C is not None:
             X, G = grp.take(vec), grp.take(g)
@@ -200,12 +197,14 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
     if state.k < 1:
         raise ValueError("penalty residuals undefined at k = 0")
     vec = problem.stack(state.x)
-    Ax = block_sum(problem.block_products(vec))
+    row = problem.coupling_rows.row
+    Ax = problem.row_sums(problem.block_products(vec))
     p = Ax + state.z - problem.b
     Adx = problem.block_products(vec - problem.stack(state.x_prev))
-    Adx_total = np.sum(Adx, axis=0)
-    d = problem.block_products_T(params.rho * (Adx_total - Adx - state.dz)
-                                 - params.tau_x * Adx)
+    Adx_total = problem.row_sums(Adx)
+    d = problem.block_products_T(
+        params.rho * (Adx_total[row] - Adx - state.dz[row])
+        - params.tau_x * Adx)
     d_z = -params.tau_z * state.dz
     infnorm_d = max(float(np.max(np.abs(d), initial=0.0)),
                     float(np.max(np.abs(d_z), initial=0.0)))
@@ -292,16 +291,15 @@ def dagger_norm_sq(problem, state, ref_x, ref_z, ref_lam, params):
     + (1/rho)||lam - lam*||^2 + tau_z||dz||^2
 
     with the action of ``R`` computed in closed form as
-    ``(rho + tau_x) v - rho E(E'v)``.
+    ``(rho + tau_x) v - rho E(E'v)``, on the nonzero coupling rows of the
+    blocks: the rows of v = D(x - x*) that are zero add nothing.
     """
-    T, m = problem.T, problem.m
-    if T * m > DAGGER_SIZE_CAP:
-        raise ValueError(f"T*m = {T * m} exceeds size cap {DAGGER_SIZE_CAP}")
     dev = problem.block_products(problem.stack(state.x)
                                  - problem.stack(ref_x))
-    col_sum = dev.sum(axis=0)
-    r_dev = (params.rho + params.tau_x) * dev - params.rho * col_sum[None, :]
-    total = float(np.sum(dev * r_dev))
+    col_sum = problem.row_sums(dev)
+    r_dev = ((params.rho + params.tau_x) * dev
+             - params.rho * col_sum[problem.coupling_rows.row])
+    total = float(dev @ r_dev)
     dz_ref = state.z - np.asarray(ref_z, dtype=float)
     dl_ref = state.lam - np.asarray(ref_lam, dtype=float)
     total += (params.rho + params.tau_z) * float(dz_ref @ dz_ref)

@@ -47,18 +47,13 @@ def _setup_logging():
 def default_start(problem):
     """Box-midpoint start: (lower+upper)/2 where finite, else the finite
     bound, else zero."""
-    x0 = []
-    for blk in problem.blocks:
-        lo, hi = blk.set.lower, blk.set.upper
-        mid = np.zeros(blk.n)
-        both = np.isfinite(lo) & np.isfinite(hi)
-        mid[both] = 0.5 * (lo[both] + hi[both])
-        only_lo = np.isfinite(lo) & ~np.isfinite(hi)
-        mid[only_lo] = lo[only_lo]
-        only_hi = ~np.isfinite(lo) & np.isfinite(hi)
-        mid[only_hi] = hi[only_hi]
-        x0.append(mid)
-    return x0, np.zeros(problem.m), np.zeros(problem.m)
+    lo, hi = problem.lower, problem.upper
+    # an infinite bound is replaced by the other bound, or by 0 when both
+    # are infinite: the midpoint is then the finite bound, or 0
+    lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    hi = np.where(np.isfinite(hi), hi, lo)
+    return (problem.split(0.5 * (lo + hi)), np.zeros(problem.m),
+            np.zeros(problem.m))
 
 
 def _load_problem_file(path):
@@ -71,7 +66,7 @@ def _load_problem_file(path):
 
 
 def _solution_doc(problem, state, reason, trace):
-    objective = float(sum(problem.objective_values(problem.stack(state.x))))
+    objective = problem.objective_value(problem.stack(state.x))
     last = trace[-1] if trace else None
     residuals = {}
     if last is not None:
@@ -221,21 +216,18 @@ def cmd_generate(args):
         if args.kind == "dispatch":
             problem = problems.gen_multiperiod_dispatch(
                 args.periods, args.generators, args.ramp_frac)
-            oracle = None
         elif args.kind == "acopf-toy":
             net = problems.toy_network(nbus=args.buses, T=args.periods)
             problem = problems.gen_acopf_toy(net, args.periods)
-            oracle = None
         elif args.kind == "coupled-qp":
-            problem, oracle = problems.gen_coupled_qp(
-                args.seed, args.blocks, args.n_t, args.m)
+            problem = problems.coupled_qp(args.seed, args.blocks, args.n_t,
+                                          args.m)
         elif args.kind == "split":
             if not args.input:
                 print("error: split requires --input", file=sys.stderr)
                 return EXIT_IO
             problem = _load_problem_file(args.input)
             problem = model.variable_splitting_transform(problem)
-            oracle = None
         else:
             print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
             return EXIT_IO
@@ -253,21 +245,21 @@ def cmd_generate(args):
     with open(args.out, "w") as fh:
         fh.write(model.save_problem(problem))
         fh.write("\n")
-    if args.oracle and args.kind == "dispatch":
+    if args.oracle:
         try:
             oracle = problems.kkt_reference_solve(problem)
         except ValueError as exc:
             print(f"note: no oracle written: {exc}", file=sys.stderr)
-    if oracle is not None and args.oracle:
-        doc = {
-            "x_star": [[float(v) for v in xt] for xt in oracle.x_star],
-            "lambda_star": [float(v) for v in oracle.lambda_star],
-            "objective": oracle.objective,
-            "provenance": oracle.provenance,
-        }
-        with open(args.oracle, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        else:
+            doc = {
+                "x_star": [[float(v) for v in xt] for xt in oracle.x_star],
+                "lambda_star": [float(v) for v in oracle.lambda_star],
+                "objective": oracle.objective,
+                "provenance": oracle.provenance,
+            }
+            with open(args.oracle, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -602,20 +603,34 @@ def _diagonal_stack(mat, row_block, row_slot, col_slot, pos, shape):
                        minlength=int(np.prod(shape))).reshape(shape)
 
 
+class CouplingRows(NamedTuple):
+    """The nonzero rows of A_1, ..., A_T, block after block, in CSR over
+    the flat vector (``K``, each A_t's entries in their order, and its
+    transpose ``KT``), with the coupling ``row`` and ``block`` of each."""
+
+    K: sp.csr_matrix
+    KT: sp.csr_matrix
+    row: np.ndarray
+    block: np.ndarray
+
+
 @dataclass
 class Problem:
     """T-block problem coupled through ``sum_t A_t x_t = b``.
 
     Iterates are flat vectors of length N = sum_t n_t, block after block
     (``offsets``), seen per block through a :class:`BlockVector`.  The
-    coupling is kept in stacked forms, each built on first use: ``coupling``
-    [A_1 ... A_T] (m x N) and the block diagonal ``coupling_blocks``
-    diag(A_1, ..., A_T) (T m x N) with its transpose.  One product with
-    the block diagonal gives every A_t x_t (``block_products``; Ax is their
-    sum in block order, as a loop over the blocks adds it), one with its
-    transpose every A_t'v_t (``block_products_T``).  The objectives are
-    kept the same way, as diag(Q_1, ..., Q_T) (``objective_Q``).  The
-    blocks must not change once the problem is in use.
+    coupling is kept in two stacked forms, each built on first use:
+    ``coupling`` [A_1 ... A_T] (m x N), and ``coupling_rows``, the nonzero
+    rows of every A_t, block after block, as one CSR matrix K with the
+    coupling row and the block of each row (:class:`CouplingRows`).  One
+    product with K gives every A_t x_t on those rows (``block_products``);
+    ``row_sums`` adds them into Ax in block order, as a loop over the blocks
+    adds it, and one product with K' gives every A_t'v_t
+    (``block_products_T``).  The cost of each is linear in the nonzeros of
+    the A_t, whatever T and m.  The objectives are kept the same way, as
+    diag(Q_1, ..., Q_T) (``objective_Q``).  The blocks must not change once
+    the problem is in use.
     """
 
     m: int
@@ -671,12 +686,14 @@ class Problem:
         return sp.hstack([blk.coupling for blk in self.blocks], format="csr")
 
     @cached_property
-    def coupling_blocks(self):
-        return _block_diag([blk.coupling for blk in self.blocks])
-
-    @cached_property
-    def coupling_blocks_T(self):
-        return self.coupling_blocks.T.tocsr()
+    def coupling_rows(self):
+        """The rows of diag(A_1, ..., A_T) that hold an entry."""
+        diag = _block_diag([blk.coupling for blk in self.blocks])
+        keep = np.flatnonzero(np.diff(diag.indptr))
+        K = sp.csr_matrix((diag.data, diag.indices,
+                           diag.indptr[np.r_[0, keep + 1]]),
+                          shape=(len(keep), diag.shape[1]))
+        return CouplingRows(K, K.T.tocsr(), keep % self.m, keep // self.m)
 
     @cached_property
     def block_index(self):
@@ -684,21 +701,28 @@ class Problem:
         return np.repeat(np.arange(self.T), self.dims)
 
     def block_products(self, vec):
-        """Row t is A_t x_t, for the flat vector ``vec``: (T, m)."""
-        return (self.coupling_blocks @ vec).reshape(self.T, self.m)
+        """K vec: every A_t x_t, for the flat vector ``vec``, on the rows
+        of ``coupling_rows``."""
+        return self.coupling_rows.K @ vec
 
-    def block_products_T(self, V):
-        """The flat vector of every A_t' v_t, with v_t row t of the (T, m)
-        array V, or V itself when it is one m-vector."""
-        return self.coupling_blocks_T @ np.broadcast_to(
-            V, (self.T, self.m)).ravel()
+    def block_products_T(self, v):
+        """K'v: the flat vector of every A_t'v_t, with v_t block t's part
+        of ``v``, a vector on the rows of ``coupling_rows``."""
+        return self.coupling_rows.KT @ v
+
+    def row_sums(self, v):
+        """The m-vector of the values ``v`` on the rows of
+        ``coupling_rows`` added up per coupling row, in block order, as a
+        loop over the blocks adds them: Ax for v = K vec."""
+        return np.bincount(self.coupling_rows.row, weights=v,
+                           minlength=self.m)
 
     @cached_property
     def quadratic_groups(self):
         """The blocks solved together, one :class:`QuadraticGroup` per
         block size n and equality rows C: those with no bounds and no
         equalities, and those whose equalities are linear, with any box.
-        The stacks are filled from ``objective_Q`` and ``coupling_blocks``;
+        The stacks are filled from ``objective_Q`` and ``coupling_rows``;
         a block's A_t keeps only its nonzero rows, in their order."""
         bounded = np.bincount(
             self.block_index, minlength=self.T,
@@ -717,19 +741,17 @@ class Problem:
             by_key.setdefault(key, []).append(t)
         o = np.array(self.offsets)
         local = np.arange(o[-1]) - o[self.block_index]
-        A = self.coupling_blocks
-        A_block = np.repeat(np.arange(self.T), self.m)
-        nonzero = np.diff(A.indptr) > 0
-        per_block = np.bincount(A_block, weights=nonzero, minlength=self.T)
-        A_slot = np.cumsum(nonzero) - 1 - np.repeat(
-            np.cumsum(per_block) - per_block, self.m).astype(int)
+        K, _, _, A_block = self.coupling_rows
+        per_block = np.bincount(A_block, minlength=self.T)
+        A_slot = np.arange(len(A_block)) - (np.cumsum(per_block)
+                                            - per_block)[A_block]
         groups = []
         for (n, r, _), ts in sorted(by_key.items()):
             pos = np.full(self.T, -1)
             pos[ts] = np.arange(len(ts))
             Q = _diagonal_stack(self.objective_Q, self.block_index, local,
                                 local, pos, (len(ts), n, n))
-            At = _diagonal_stack(A, A_block, A_slot, local, pos,
+            At = _diagonal_stack(K, A_block, A_slot, local, pos,
                                  (len(ts), int(max(per_block[ts])), n))
             C = self.blocks[ts[0]].set.linear_rows[0] if r else None
             groups.append(QuadraticGroup(
@@ -758,27 +780,15 @@ class Problem:
         for bit to its own ``Quadratic.gradient``."""
         return self.objective_Q @ vec + self.objective_c
 
-    def objective_values(self, vec):
-        """f_t(x_t) of every block, as a list, from one product with
-        diag(Q_1, ..., Q_T): the blocks of the unconstrained groups in one
-        batched sum, each other block's summed as its own
-        ``Quadratic.value`` sums it."""
-        Qx = self.objective_Q @ vec
-        vals = [None] * self.T
-        for g in self.quadratic_groups:
-            if g.C is None:
-                X = g.take(vec)
-                v = np.sum(X * (0.5 * g.take(Qx) + g.take(self.objective_c)),
-                           axis=1)
-                for t, vt in zip(g.blocks, v.tolist()):
-                    vals[t] = vt + self.blocks[t].objective.c0
-        o = self.offsets
-        for t in range(self.T):
-            if vals[t] is None:
-                a, b, f = o[t], o[t + 1], self.blocks[t].objective
-                vals[t] = float(0.5 * vec[a:b] @ Qx[a:b] + f.c @ vec[a:b]
-                                + f.c0)
-        return vals
+    @cached_property
+    def objective_c0(self):
+        """The constants c0 of all blocks, summed."""
+        return sum(blk.objective.c0 for blk in self.blocks)
+
+    def objective_value(self, vec):
+        """sum_t f_t(x_t) at the flat vector ``vec``, as one reduction."""
+        return float(vec @ (0.5 * (self.objective_Q @ vec)
+                            + self.objective_c)) + self.objective_c0
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,14 @@ def gen_acopf_toy(net, T, cost_a=None, cost_b=None):
 
 def gen_coupled_qp(seed, T, n_t, m):
     """Seeded random strictly convex coupled QP with its KKT oracle."""
+    problem = coupled_qp(seed, T, n_t, m)
+    return problem, kkt_reference_solve(problem)
+
+
+def coupled_qp(seed, T, n_t, m):
+    """Seeded random strictly convex coupled QP: T unconstrained blocks of
+    n_t coordinates (or of the sizes in the list ``n_t``) and a dense
+    full-row-rank coupling of m rows."""
     dims = [n_t] * T if np.isscalar(n_t) else list(n_t)
     total = sum(dims)
     if m > total:
@@ -338,9 +346,7 @@ def gen_coupled_qp(seed, T, n_t, m):
             coupling=sp.csr_matrix(A[:, off:off + nt]),
         ))
         off += nt
-    problem = Problem(m=m, b=b, blocks=blocks)
-    oracle = kkt_reference_solve(problem)
-    return problem, oracle
+    return Problem(m=m, b=b, blocks=blocks)
 
 
 def kkt_reference_solve(problem):

@@ -54,6 +54,23 @@ def mixed_problem():
     return Problem(m=2, b=rng.standard_normal(2), blocks=blocks)
 
 
+@pytest.fixture(params=["mixed", "zero-block", "dispatch"])
+def sparse_coupling_problem(request):
+    """Problems whose A_t have all-zero rows: ``mixed_problem`` (block 3's
+    second row), the same with A_0 = 0, and a 3-period dispatch (the ramp
+    rows of each period)."""
+    if request.param == "dispatch":
+        return problems.gen_multiperiod_dispatch(3, 2, 0.2)
+    prob = mixed_problem()
+    if request.param == "zero-block":
+        blocks = list(prob.blocks)
+        blocks[0] = BlockSpec(n=blocks[0].n, objective=blocks[0].objective,
+                              set=blocks[0].set,
+                              coupling=sp.csr_matrix((prob.m, blocks[0].n)))
+        prob = Problem(m=prob.m, b=prob.b, blocks=blocks)
+    return prob
+
+
 def box_quadratic_min_enum(Q, c, c0, lo, hi):
     """min 0.5 x'Qx + c'x + c0 over the box of a convex quadratic, by
     enumerating every active set (3^n of them): the tests' reference."""

@@ -59,3 +59,12 @@ def test_eigencheck_validation():
         r_matrix_eigencheck(1.0, 1.0, 0, 1)
     with pytest.raises(ValueError):
         r_matrix_eigencheck(1.0, 1.0, 100, 100)
+
+
+def test_couple_apply_adds_blocks_in_order(sparse_coupling_problem):
+    prob = sparse_coupling_problem
+    x = random_blocks(prob, 1)
+    out = np.zeros(prob.m)
+    for blk, xt in zip(prob.blocks, x):
+        out += blk.coupling @ xt
+    assert np.array_equal(couple_apply(prob, x), out)

@@ -10,7 +10,7 @@ from proxjacobi.auglag import (BlockObjective, aug_lagrangian, dagger_norm_sq,
                                penalty_residuals, subproblem_gradients,
                                theorem1_bounds, theorem1_params)
 from proxjacobi.jacobi import RunConfig
-from proxjacobi.model import Params
+from proxjacobi.model import IterateState, Params
 
 from conftest import build_qp, default_start, mixed_problem
 
@@ -199,3 +199,92 @@ def test_dagger_norm_matches_explicit_r(qp):
     expected += float((state.lam - ref_lam) @ (state.lam - ref_lam)) / params.rho
     expected += params.tau_z * float(state.dz @ state.dz)
     assert val == pytest.approx(expected, rel=1e-10)
+
+
+def random_state(problem, seed):
+    """An iterate at k = 1 with random x, x_prev, z, z_prev and lam."""
+    x, z, lam = random_point(problem, seed)
+    x_prev, z_prev, lam_prev = random_point(problem, seed + 1)
+    return IterateState(
+        x=problem.split(problem.stack(x)), z=z, lam=lam,
+        x_prev=problem.split(problem.stack(x_prev)), z_prev=z_prev,
+        lam_prev=lam_prev, dz=z - z_prev, k=1)
+
+
+def dagger_by_blocks(problem, state, ref_x, ref_z, ref_lam, params):
+    """dagger_norm_sq from one A_t(x_t - x*_t) per block:
+    v'Rv = (rho + tau_x) sum_t ||v_t||^2 - rho ||sum_t v_t||^2."""
+    dev = [blk.coupling @ (xt - rx)
+           for blk, xt, rx in zip(problem.blocks, state.x, ref_x)]
+    total_dev = sum(dev)
+    val = (params.rho + params.tau_x) * sum(float(d @ d) for d in dev)
+    val -= params.rho * float(total_dev @ total_dev)
+    val += (params.rho + params.tau_z) * float(
+        (state.z - ref_z) @ (state.z - ref_z))
+    val += float((state.lam - ref_lam) @ (state.lam - ref_lam)) / params.rho
+    return val + params.tau_z * float(state.dz @ state.dz)
+
+
+class TestBlockLoops:
+    """The coupling quantities, each one product with the nonzero rows of
+    the A_t and one reduction, against loops over the blocks."""
+
+    def test_lyapunov(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        s = random_state(prob, 0)
+        Ax = sum(blk.coupling @ xt for blk, xt in zip(prob.blocks, s.x))
+        viol = Ax + s.z - prob.b
+        expected = sum(blk.objective.value(xt)
+                       for blk, xt in zip(prob.blocks, s.x))
+        expected += 0.5 * PARAMS.theta * float(s.z @ s.z)
+        expected += float(s.lam @ viol) + 0.5 * PARAMS.rho * float(viol @ viol)
+        expected += 0.25 * PARAMS.tau_z * float(s.dz @ s.dz)
+        for blk, xt, xh in zip(prob.blocks, s.x, s.x_prev):
+            d = blk.coupling @ (xt - xh)
+            expected += 0.25 * PARAMS.tau_x * float(d @ d)
+        assert lyapunov(prob, s.x, s.z, s.lam, s.x_prev, s.z_prev,
+                        PARAMS) == pytest.approx(expected, rel=1e-12)
+
+    def test_penalty_dual_residuals(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        s = random_state(prob, 2)
+        snap = penalty_residuals(prob, s, PARAMS, feas_tol=np.inf)
+        Adx = [blk.coupling @ (xt - xp)
+               for blk, xt, xp in zip(prob.blocks, s.x, s.x_prev)]
+        for t, blk in enumerate(prob.blocks):
+            others = sum(Adx) - Adx[t]
+            d_t = blk.coupling.T @ (PARAMS.rho * (others - s.dz)
+                                    - PARAMS.tau_x * Adx[t])
+            assert np.allclose(snap.d_blocks[t], d_t, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(d_t),
+                                                   initial=1.0)), t
+
+    def test_dagger_norm(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        s = random_state(prob, 4)
+        ref = random_point(prob, 6)
+        assert dagger_norm_sq(prob, s, *ref, PARAMS) == pytest.approx(
+            dagger_by_blocks(prob, s, *ref, PARAMS), rel=1e-12)
+
+    def test_subproblem_gradients_bitwise(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        x, z, lam = random_point(prob, 8)
+        Ax = np.zeros(prob.m)
+        for blk, xt in zip(prob.blocks, x):
+            Ax += blk.coupling @ xt
+        v = lam + PARAMS.rho * (Ax + z - prob.b)
+        expected = np.concatenate([
+            blk.objective.gradient(xt) + blk.coupling.T @ v
+            for blk, xt in zip(prob.blocks, x)])
+        assert np.array_equal(
+            subproblem_gradients(prob, prob.stack(x), z, lam, PARAMS.rho),
+            expected)
+
+
+def test_dagger_norm_has_no_size_cap():
+    prob = problems.coupled_qp(0, 300, 2, 8)
+    assert prob.T * prob.m > 2000
+    s = random_state(prob, 1)
+    ref = random_point(prob, 3)
+    assert dagger_norm_sq(prob, s, *ref, PARAMS) == pytest.approx(
+        dagger_by_blocks(prob, s, *ref, PARAMS), rel=1e-12)

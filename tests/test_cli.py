@@ -5,11 +5,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxjacobi import cli, jacobi, problems, tuner
 from proxjacobi.cli import (EXIT_IO, EXIT_ITERATION_CAP, EXIT_NUMERICAL,
                             EXIT_OK, main)
-from proxjacobi.model import save_problem
+from proxjacobi.model import (BlockSpec, ConstraintSet, Problem, Quadratic,
+                              save_problem)
 
 from conftest import build_qp
 
@@ -138,20 +140,27 @@ class TestGenerate:
     def test_dispatch_without_applicable_oracle(self, tmp_path, capsys,
                                                 monkeypatch, with_oracle):
         # a failed oracle QP still writes the problem, with a note under
-        # --oracle and no oracle file
+        # --oracle and no oracle file; without --oracle none is computed
         monkeypatch.setattr(problems, "solve_box_qp",
                             lambda H, g, C, d, *a, **k: (
                                 0.0 * g, 0.0 * d, np.zeros(len(g), int)))
-        out = tmp_path / "d.json"
-        orc = tmp_path / "o.json"
-        argv = ["generate", "dispatch", "--out", str(out)]
-        if with_oracle:
-            argv += ["--oracle", str(orc)]
-        assert main(argv) == EXIT_OK
-        assert ("no certified KKT point" in capsys.readouterr().err) \
-            == with_oracle
-        assert main(["validate", str(out)]) == EXIT_OK
-        assert not orc.exists()
+        calls = []
+        oracle = problems.kkt_reference_solve
+        monkeypatch.setattr(problems, "kkt_reference_solve",
+                            lambda p: calls.append(p) or oracle(p))
+        for kind in ("dispatch", "coupled-qp"):
+            out = tmp_path / f"{kind}.json"
+            orc = tmp_path / f"{kind}-oracle.json"
+            argv = ["generate", kind, "--out", str(out)]
+            if with_oracle:
+                argv += ["--oracle", str(orc)]
+            calls.clear()
+            assert main(argv) == EXIT_OK
+            assert len(calls) == with_oracle
+            assert ("no certified KKT point" in capsys.readouterr().err) \
+                == with_oracle
+            assert main(["validate", str(out)]) == EXIT_OK
+            assert not orc.exists()
 
     def test_dispatch_oracle_with_active_bound(self, tmp_path):
         # bounds are active at the 24 x 4 optimum; the oracle still applies
@@ -377,3 +386,20 @@ class TestTraceCheck:
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_default_start_box_midpoints():
+    # both bounds: the midpoint; one bound: that bound; none: zero
+    inf = np.inf
+    sets = [ConstraintSet(np.array([-1.0, -inf, 2.0]),
+                          np.array([4.0, 5.0, inf])),
+            ConstraintSet(np.array([-inf, -0.0]), np.array([inf, inf]))]
+    prob = Problem(m=1, b=np.zeros(1), blocks=[
+        BlockSpec(n=cs.n, objective=Quadratic(sp.eye(cs.n, format="csr"),
+                                              np.zeros(cs.n)),
+                  set=cs, coupling=sp.csr_matrix(np.ones((1, cs.n))))
+        for cs in sets])
+    x0, z0, lam0 = cli.default_start(prob)
+    assert [xt.tolist() for xt in x0] == [[1.5, 5.0, 2.0], [0.0, -0.0]]
+    assert np.signbit(x0[1][1])
+    assert z0.tolist() == lam0.tolist() == [0.0]

@@ -245,3 +245,41 @@ class TestSplitTransform:
             assert lblk.objective.value(xy) == pytest.approx(
                 blk.objective.value(x))
             assert np.allclose(lblk.coupling @ xy, y)
+
+
+class TestCouplingRows:
+    def test_nonzero_rows_block_after_block(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        K, _, row, block = prob.coupling_rows
+        assert np.all(np.diff(K.indptr) > 0)
+        assert np.all(np.diff(block) >= 0)
+        o = prob.offsets
+        for t, blk in enumerate(prob.blocks):
+            A = blk.coupling.toarray()
+            mine = block == t
+            assert np.array_equal(row[mine], np.flatnonzero(A.any(axis=1)))
+            dense = K[np.flatnonzero(mine)].toarray()
+            assert np.array_equal(dense[:, o[t]:o[t + 1]], A[row[mine]])
+            assert not np.delete(dense, np.s_[o[t]:o[t + 1]], axis=1).any()
+
+    def test_group_stacks_match_block_dense(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        assert prob.quadratic_groups
+        for grp in prob.quadratic_groups:
+            for i, t in enumerate(grp.blocks):
+                blk = prob.blocks[t]
+                assert np.array_equal(grp.Q[i], blk.Q_dense), t
+                assert np.array_equal(grp.AtA[i], blk.AtA_dense), t
+
+    def test_objective_value_is_sum_of_blocks(self, sparse_coupling_problem):
+        prob = sparse_coupling_problem
+        blocks = [BlockSpec(n=blk.n, objective=Quadratic(
+            blk.objective.Q, blk.objective.c, 0.5 + t), set=blk.set,
+            coupling=blk.coupling) for t, blk in enumerate(prob.blocks)]
+        prob = Problem(m=prob.m, b=prob.b, blocks=blocks)
+        rng = np.random.default_rng(4)
+        x = [rng.standard_normal(blk.n) for blk in prob.blocks]
+        expected = sum(blk.objective.value(xt)
+                       for blk, xt in zip(prob.blocks, x))
+        assert prob.objective_value(prob.stack(x)) == pytest.approx(
+            expected, rel=1e-12)
