@@ -1,7 +1,8 @@
 """Coupling-matrix operations and spectral quantities.
 
 Coupling sums add the blocks' terms in block order, so results are
-bit-reproducible across runs and worker counts.
+bit-reproducible across runs and worker counts.  Spectral norms of the
+blocks of one size come from one batched SVD.
 """
 
 import numpy as np
@@ -21,6 +22,20 @@ def spectral_norm(A_t):
     small)."""
     A_t = sp.csr_matrix(A_t).toarray()
     return float(np.linalg.norm(A_t, 2)) if A_t.size else 0.0
+
+
+def spectral_norms(problem):
+    """``spectral_norm`` of every A_t, in block order: one batched SVD per
+    block size, of the stacked nonzero rows of the A_t (zero rows leave the
+    singular values as they are)."""
+    norms = np.zeros(problem.T)
+    dims = np.array(problem.dims)
+    for n in np.unique(dims[dims > 0]):
+        ts = np.flatnonzero(dims == n)
+        At = problem.coupling_stack(ts)
+        if At.shape[1]:
+            norms[ts] = np.linalg.norm(At, 2, axis=(1, 2))
+    return [float(v) for v in norms]
 
 
 def r_matrix_eigencheck(rho, tau_x, T, m):

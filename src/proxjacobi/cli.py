@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import auglag, jacobi, model, problems, tuner
-from .algebra import couple_apply, spectral_norm
+from .algebra import couple_apply, spectral_norms
 from .jacobi import BlockSolveError, RunConfig
 from .model import Params, SchemaError
 
@@ -408,7 +408,7 @@ def _check_theorem_bounds(problem, records, replayed, params_seq, report):
         report.record("bound existence", "skip", "no lower-bound oracle")
         return
     K = len(records)
-    specnorms = [spectral_norm(blk.coupling) for blk in problem.blocks]
+    specnorms = spectral_norms(problem)
     pi_bound, delta_bounds = auglag.theorem1_bounds(
         records[0].phi, phi_hat, records[-1].phi, K, params, specnorms,
         problem.T)

@@ -5,12 +5,18 @@ Problems are collections of ``T`` variable blocks, each with a quadratic
 objective, a constraint set (bounds plus equality rows, evaluated together
 as one map) and a sparse coupling matrix; the blocks interact only through
 the shared linear constraint ``sum_t A_t x_t = b``.
+
+Loading converts the triplets of every Q_t together, and those of every A_t
+together, into the stacks diag(Q_1, ..., Q_T) and diag(A_1, ..., A_T); the
+blocks' own matrices are read off the stacks.  Validation tests the rank of
+the coupling one connected component of its rows at a time.
 """
 
+import gc
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,20 +39,50 @@ def triplets_to_csr(triplets, shape):
 
     Duplicate entries are summed.
     """
-    if len(triplets) == 0:
-        return sp.csr_matrix(shape)
-    arr = np.asarray(triplets, dtype=float)
+    return _triplet_diag([triplets], [shape])
+
+
+def _triplet_diag(lists, shapes):
+    """diag(M_1, ..., M_k) in CSR, where M_t has the shape ``shapes[t]`` and
+    the ``[row, col, value]`` triplets ``lists[t]``; duplicate entries are
+    summed.  All the lists are converted together: one array, one range check
+    of every entry against its own matrix's shape and one COO to CSR
+    conversion.  Raises ValueError on a malformed list or an index out of
+    range."""
+    flat = lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
+    arr = np.asarray(flat, dtype=float) if len(flat) else np.empty((0, 3))
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("triplets must be a list of [row, col, value]")
+    shapes = np.array(shapes, dtype=int).reshape(-1, 2)
+    block = np.repeat(np.arange(len(shapes)), [len(trips) for trips in lists])
     rows = arr[:, 0].astype(int)
     cols = arr[:, 1].astype(int)
-    if np.any(rows < 0) or np.any(rows >= shape[0]):
+    if np.any(rows < 0) or np.any(rows >= shapes[block, 0]):
         raise ValueError("triplet row index out of range")
-    if np.any(cols < 0) or np.any(cols >= shape[1]):
+    if np.any(cols < 0) or np.any(cols >= shapes[block, 1]):
         raise ValueError("triplet col index out of range")
-    mat = sp.coo_matrix((arr[:, 2], (rows, cols)), shape=shape)
+    start = np.cumsum(shapes, axis=0) - shapes
+    mat = sp.coo_matrix(
+        (arr[:, 2], (rows + start[block, 0], cols + start[block, 1])),
+        shape=tuple(shapes.sum(axis=0)))
     mat.sum_duplicates()
     return mat.tocsr()
+
+
+def _diagonal_blocks(diag, shapes):
+    """The matrices M_1, ..., M_k of diag(M_1, ..., M_k), a CSR matrix with
+    diagonal blocks of the shapes ``shapes``, each a CSR matrix over its own
+    rows of ``diag``."""
+    blocks, r, c = [], 0, 0
+    for p, q in shapes:
+        ptr = diag.indptr[r:r + p + 1]
+        lo, hi = ptr[0], ptr[-1]
+        blocks.append(sp.csr_matrix(
+            (diag.data[lo:hi], diag.indices[lo:hi] - c, ptr - lo),
+            shape=(p, q)))
+        r += p
+        c += q
+    return blocks
 
 
 def csr_to_triplets(mat):
@@ -90,13 +126,23 @@ class Quadratic:
     def __init__(self, Q, c, c0=0.0):
         c = np.asarray(c, dtype=float)
         n = c.shape[0]
-        Q = sp.csr_matrix(Q, shape=(n, n), dtype=float)
+        if not (isinstance(Q, sp.csr_matrix) and Q.shape == (n, n)
+                and Q.dtype == float):
+            Q = sp.csr_matrix(Q, shape=(n, n), dtype=float)
         if not _is_symmetric(Q):
             Q = ((Q + Q.T) * 0.5).tocsr()
         self.Q = Q
         self.c = c
         self.c0 = float(c0)
         self.n = n
+
+    @classmethod
+    def _of_symmetric(cls, Q, c, c0):
+        """The quadratic of a float CSR ``Q`` of shape (n, n), n = len(c),
+        already known to be symmetric: taken as it is, untested."""
+        f = cls.__new__(cls)
+        f.Q, f.c, f.c0, f.n = Q, c, float(c0), c.shape[0]
+        return f
 
     def value(self, x):
         xn = np.asarray(x, dtype=float)[: self.n]
@@ -365,20 +411,26 @@ class EqualityMap:
         return H
 
 
+def _quadratic_fields(doc, path):
+    """``(c, c0)`` of a quadratic function document, once it is checked to
+    hold ``Q`` and ``c``; ``Q`` is left to the caller."""
+    for key in ("Q", "c"):
+        if key not in doc:
+            raise SchemaError(f"{path}.{key}", "missing required field")
+    c = _field(doc, "c", f"{path}.c", _vector)
+    c0 = _field(doc, "c0", f"{path}.c0", float) if "c0" in doc else 0.0
+    return c, c0
+
+
 def function_from_json(doc, path="function"):
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError(path, "expected an object with a 'type' field")
     kind = doc["type"]
     if kind == "quadratic":
-        for key in ("Q", "c"):
-            if key not in doc:
-                raise SchemaError(f"{path}.{key}", "missing required field")
-        c = _field(doc, "c", f"{path}.c", _vector)
-        n = c.shape[0]
-        c0 = _field(doc, "c0", f"{path}.c0", float) if "c0" in doc else 0.0
+        c, c0 = _quadratic_fields(doc, path)
         try:
-            Q = triplets_to_csr(doc["Q"], (n, n))
-        except ValueError as exc:
+            Q = triplets_to_csr(doc["Q"], (len(c), len(c)))
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}.Q", str(exc)) from exc
         return Quadratic(Q, c, c0)
     if kind == "builtin":
@@ -423,7 +475,8 @@ class ConstraintSet:
 
     @property
     def all_bounds_finite(self):
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+        return bool(np.isfinite(self.lower).all()
+                    and np.isfinite(self.upper).all())
 
     @cached_property
     def equality_map(self):
@@ -474,7 +527,9 @@ class BlockSpec:
     coupling: sp.csr_matrix
 
     def __post_init__(self):
-        self.coupling = sp.csr_matrix(self.coupling, dtype=float)
+        if not (isinstance(self.coupling, sp.csr_matrix)
+                and self.coupling.dtype == float):
+            self.coupling = sp.csr_matrix(self.coupling, dtype=float)
 
     @cached_property
     def Q_dense(self):
@@ -620,16 +675,18 @@ class Problem:
 
     Iterates are flat vectors of length N = sum_t n_t, block after block
     (``offsets``), seen per block through a :class:`BlockVector`.  The
-    coupling is kept in two stacked forms, each built on first use:
-    ``coupling`` [A_1 ... A_T] (m x N), and ``coupling_rows``, the nonzero
-    rows of every A_t, block after block, as one CSR matrix K with the
-    coupling row and the block of each row (:class:`CouplingRows`).  One
-    product with K gives every A_t x_t on those rows (``block_products``);
-    ``row_sums`` adds them into Ax in block order, as a loop over the blocks
-    adds it, and one product with K' gives every A_t'v_t
-    (``block_products_T``).  The cost of each is linear in the nonzeros of
-    the A_t, whatever T and m.  The objectives are kept the same way, as
-    diag(Q_1, ..., Q_T) (``objective_Q``).  The blocks must not change once
+    coupling is kept in stacked forms, each built on first use from
+    ``coupling_diag`` = diag(A_1, ..., A_T) (which :func:`load_problem`
+    supplies): ``coupling`` [A_1 ... A_T] (m x N), and ``coupling_rows``,
+    the nonzero rows of every A_t, block after block, as one CSR matrix K
+    with the coupling row and the block of each row (:class:`CouplingRows`).
+    One product with K gives every A_t x_t on those rows
+    (``block_products``); ``row_sums`` adds them into Ax in block order, as
+    a loop over the blocks adds it, and one product with K' gives every
+    A_t'v_t (``block_products_T``).  The cost of each is linear in the
+    nonzeros of the A_t, whatever T and m.  The objectives are kept the
+    same way, as diag(Q_1, ..., Q_T) (``objective_Q``, which
+    :func:`load_problem` also supplies).  The blocks must not change once
     the problem is in use.
     """
 
@@ -683,12 +740,27 @@ class Problem:
 
     @cached_property
     def coupling(self):
-        return sp.hstack([blk.coupling for blk in self.blocks], format="csr")
+        """[A_1 ... A_T] (m x N) in CSR: the rows of ``coupling_diag`` added
+        up per coupling row, in block order."""
+        diag = self.coupling_diag
+        keep = np.flatnonzero(np.diff(diag.indptr))
+        row = keep % max(self.m, 1)
+        order = np.argsort(row, kind="stable")
+        rows = diag[keep[order]]
+        return sp.csr_matrix(
+            (rows.data, rows.indices,
+             rows.indptr[np.searchsorted(row[order], np.arange(self.m + 1))]),
+            shape=(self.m, diag.shape[1]))
+
+    @cached_property
+    def coupling_diag(self):
+        """diag(A_1, ..., A_T) in CSR, each A_t's entries in their order."""
+        return _block_diag([blk.coupling for blk in self.blocks])
 
     @cached_property
     def coupling_rows(self):
         """The rows of diag(A_1, ..., A_T) that hold an entry."""
-        diag = _block_diag([blk.coupling for blk in self.blocks])
+        diag = self.coupling_diag
         keep = np.flatnonzero(np.diff(diag.indptr))
         K = sp.csr_matrix((diag.data, diag.indices,
                            diag.indptr[np.r_[0, keep + 1]]),
@@ -722,8 +794,8 @@ class Problem:
         """The blocks solved together, one :class:`QuadraticGroup` per
         block size n and equality rows C: those with no bounds and no
         equalities, and those whose equalities are linear, with any box.
-        The stacks are filled from ``objective_Q`` and ``coupling_rows``;
-        a block's A_t keeps only its nonzero rows, in their order."""
+        The stacks are ``objective_stack`` and the products of
+        ``coupling_stack``."""
         bounded = np.bincount(
             self.block_index, minlength=self.T,
             weights=np.isfinite(self.lower) | np.isfinite(self.upper))
@@ -739,24 +811,48 @@ class Problem:
             else:
                 key = (blk.n, 0, b"")
             by_key.setdefault(key, []).append(t)
-        o = np.array(self.offsets)
-        local = np.arange(o[-1]) - o[self.block_index]
-        K, _, _, A_block = self.coupling_rows
-        per_block = np.bincount(A_block, minlength=self.T)
-        A_slot = np.arange(len(A_block)) - (np.cumsum(per_block)
-                                            - per_block)[A_block]
         groups = []
         for (n, r, _), ts in sorted(by_key.items()):
-            pos = np.full(self.T, -1)
-            pos[ts] = np.arange(len(ts))
-            Q = _diagonal_stack(self.objective_Q, self.block_index, local,
-                                local, pos, (len(ts), n, n))
-            At = _diagonal_stack(K, A_block, A_slot, local, pos,
-                                 (len(ts), int(max(per_block[ts])), n))
+            At = self.coupling_stack(ts)
             C = self.blocks[ts[0]].set.linear_rows[0] if r else None
             groups.append(QuadraticGroup(
-                self, ts, Q, np.swapaxes(At, 1, 2) @ At, C))
+                self, ts, self.objective_stack(ts),
+                np.swapaxes(At, 1, 2) @ At, C))
         return groups
+
+    @cached_property
+    def local_index(self):
+        """The place of each coordinate of the flat vector in its block."""
+        o = np.array(self.offsets)
+        return np.arange(o[-1]) - o[self.block_index]
+
+    def _stack_places(self, ts):
+        pos = np.full(self.T, -1)
+        pos[ts] = np.arange(len(ts))
+        return pos
+
+    def objective_stack(self, ts):
+        """Q_t of the blocks ``ts``, all of one size n, as a dense
+        (k, n, n) stack filled from ``objective_Q``."""
+        n = self.dims[ts[0]]
+        return _diagonal_stack(self.objective_Q, self.block_index,
+                               self.local_index, self.local_index,
+                               self._stack_places(ts), (len(ts), n, n))
+
+    def coupling_stack(self, ts):
+        """The nonzero rows of A_t of the blocks ``ts``, all of one size n,
+        in their order, as a dense (k, r, n) stack filled from
+        ``coupling_rows``: r is the most such rows of any of the blocks, and
+        a block with fewer gets zero rows (which leave A_t'A_t and the
+        singular values of A_t as they are)."""
+        K, _, _, block = self.coupling_rows
+        per_block = np.bincount(block, minlength=self.T)
+        slot = np.arange(len(block)) - (np.cumsum(per_block)
+                                        - per_block)[block]
+        return _diagonal_stack(K, block, slot, self.local_index,
+                               self._stack_places(ts),
+                               (len(ts), int(max(per_block[ts])),
+                                self.dims[ts[0]]))
 
     @cached_property
     def single_blocks(self):
@@ -884,17 +980,79 @@ def validate_problem(problem):
                 "compactness of the block set cannot be verified")
     if rep.errors:
         return rep
-    if problem.m > 0:
-        A = problem.coupling.toarray()
-        _, R, _ = qr(A.T if A.shape[0] > A.shape[1] else A, pivoting=True,
-                     mode="economic")
-        diag = np.abs(np.diag(R))
-        largest = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > RANK_DROP_TOL * largest)) if largest > 0 else 0
-        if rank < problem.m:
-            rep.errors.append(
-                f"coupling matrix rank-deficient: rank {rank} < m={problem.m}")
+    rank = coupling_rank(problem.coupling)
+    if rank < problem.m:
+        rep.errors.append(
+            f"coupling matrix rank-deficient: rank {rank} < m={problem.m}")
     return rep
+
+
+def coupling_rank(A):
+    """Numerical rank of the sparse matrix A, by one dense pivoted QR per
+    connected component of its rows (:func:`row_components`): A is block
+    diagonal up to permutations, and its rank is the sum of the components'
+    ranks.  One scale serves every component: a pivot counts when it
+    exceeds RANK_DROP_TOL times the largest first pivot over all of them."""
+    if not isinstance(A, sp.csr_matrix):
+        A = sp.csr_matrix(A)
+    m, N = A.shape
+    comp = row_components(A)
+    count = int(comp.max()) + 1 if m else 0
+    if count <= 1:
+        parts = [A.toarray()]
+    else:
+        row = np.repeat(np.arange(m), np.diff(A.indptr))
+        # the rows and then the used columns of each component, numbered
+        # from 0; the unused columns make one more group, ``count``
+        label = np.concatenate([comp, np.full(N, count)])
+        label[m + A.indices] = comp[row]
+        groups = np.bincount(label, minlength=count + 1)
+        order = np.argsort(label, kind="stable")
+        slot = np.empty(m + N, dtype=int)
+        slot[order] = np.arange(m + N) - (np.cumsum(groups)
+                                          - groups)[label[order]]
+        rows = np.bincount(comp, minlength=count)
+        cols = groups[:count] - rows
+        size = rows * cols
+        base = np.cumsum(size) - size
+        c = comp[row]
+        dense = np.bincount(
+            base[c] + slot[row] * cols[c] + slot[m + A.indices] - rows[c],
+            weights=A.data, minlength=int(size.sum()))
+        parts = [dense[base[k]:base[k] + size[k]].reshape(rows[k], cols[k])
+                 for k in np.flatnonzero(size)]
+    pivots = []
+    for part in parts:
+        if part.size:
+            R = qr(part.T if part.shape[0] > part.shape[1] else part,
+                   pivoting=True, mode="r")[0]
+            pivots.append(np.abs(np.diag(R)))
+    largest = max((p[0] for p in pivots), default=0.0)
+    if largest <= 0:
+        return 0
+    return int(sum(np.sum(p > RANK_DROP_TOL * largest) for p in pivots))
+
+
+def row_components(A):
+    """The connected component of each row of the CSR matrix A, two rows
+    being linked when they share a column, numbered from 0 in the order of
+    their first rows.  The rows and columns are the nodes of a forest
+    (``parent``), an entry of A joins its row and column; each round hooks
+    the larger root of every entry whose ends sit in different trees under
+    the least such root it meets, then points every node at its root."""
+    m, N = A.shape
+    u = np.repeat(np.arange(m), np.diff(A.indptr))
+    v = m + A.indices
+    parent = np.arange(m + N)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            return np.unique(parent[:m], return_inverse=True)[1]
+        np.minimum.at(parent, np.maximum(pu, pv)[split],
+                      np.minimum(pu, pv)[split])
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
 
 
 def _field(doc, key, path, convert):
@@ -928,12 +1086,41 @@ def _bounds_from_json(doc, n, path):
     return out
 
 
+def _convert_each(mats):
+    """Convert the ``(triplets, shape, path)`` matrices one by one, in their
+    order; raises a SchemaError naming the first that fails."""
+    for triplets, shape, path in mats:
+        try:
+            triplets_to_csr(triplets, shape)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(path, str(exc)) from exc
+
+
 def load_problem(text):
     """Parse a JSON problem document into a :class:`Problem`.
 
     Deterministic: identical text yields an identical in-memory problem;
-    repeated matrix triplets are summed.
+    repeated matrix triplets are summed.  The blocks are checked one by one
+    for their structure; then all the Q_t triplets are converted together
+    into diag(Q_1, ..., Q_T) and all the A_t triplets into
+    diag(A_1, ..., A_T), which the problem keeps as its stacked forms, and
+    each block's Q_t and A_t are read off their stack.  Errors name the
+    first fault in document order.
+
+    The cyclic garbage collector is paused meanwhile: the parsed document
+    is a great many lists that hold no cycles, and the collections their
+    allocation would trigger only traverse them again and again.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _problem_from_text(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _problem_from_text(text):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -947,34 +1134,65 @@ def load_problem(text):
     b = _field(doc, "b", "b", _vector)
     if not isinstance(doc["blocks"], list):
         raise SchemaError("blocks", "expected a list of blocks")
+    parsed = []
+    # (triplets, shape, path) of Q_0, A_0, Q_1, A_1, ...: the order in which
+    # the checks of a block meet its matrices
+    mats = []
+    try:
+        for t, bdoc in enumerate(doc["blocks"]):
+            path = f"blocks[{t}]"
+            if not isinstance(bdoc, dict):
+                raise SchemaError(path, "expected an object")
+            for key in ("n", "objective", "bounds", "A"):
+                if key not in bdoc:
+                    raise SchemaError(f"{path}.{key}",
+                                      "missing required field")
+            n = _field(bdoc, "n", f"{path}.n", int)
+            opath = f"{path}.objective"
+            odoc = bdoc["objective"]
+            if not (isinstance(odoc, dict)
+                    and odoc.get("type") == "quadratic"):
+                function_from_json(odoc, opath)
+                raise SchemaError(f"{opath}.type",
+                                  "an objective must be quadratic")
+            c, c0 = _quadratic_fields(odoc, opath)
+            mats.append((odoc["Q"], (len(c), len(c)), f"{opath}.Q"))
+            lower, upper = _bounds_from_json(bdoc["bounds"], n,
+                                             f"{path}.bounds")
+            eqs = [
+                function_from_json(e, f"{path}.equalities[{j}]")
+                for j, e in enumerate(bdoc.get("equalities", []))
+            ]
+            mats.append((bdoc["A"], (m, n), f"{path}.A"))
+            try:
+                cset = ConstraintSet(lower, upper, eqs)
+            except ValueError as exc:
+                raise SchemaError(f"{path}.bounds", str(exc)) from exc
+            parsed.append((n, c, c0, cset))
+    except (TypeError, ValueError):
+        _convert_each(mats)
+        raise
+    triplets, shapes, _ = zip(*mats) if mats else ((), (), ())
+    try:
+        Q = _triplet_diag(triplets[0::2], shapes[0::2])
+        A = _triplet_diag(triplets[1::2], shapes[1::2])
+    except (TypeError, ValueError):
+        _convert_each(mats)
+        raise
+    symmetric = _is_symmetric(Q)
     blocks = []
-    for t, bdoc in enumerate(doc["blocks"]):
-        path = f"blocks[{t}]"
-        if not isinstance(bdoc, dict):
-            raise SchemaError(path, "expected an object")
-        for key in ("n", "objective", "bounds", "A"):
-            if key not in bdoc:
-                raise SchemaError(f"{path}.{key}", "missing required field")
-        n = _field(bdoc, "n", f"{path}.n", int)
-        objective = function_from_json(bdoc["objective"], f"{path}.objective")
-        if not isinstance(objective, Quadratic):
-            raise SchemaError(f"{path}.objective.type",
-                              "an objective must be quadratic")
-        lower, upper = _bounds_from_json(bdoc["bounds"], n, f"{path}.bounds")
-        eqs = [
-            function_from_json(e, f"{path}.equalities[{j}]")
-            for j, e in enumerate(bdoc.get("equalities", []))
-        ]
-        try:
-            A = triplets_to_csr(bdoc["A"], (m, n))
-        except ValueError as exc:
-            raise SchemaError(f"{path}.A", str(exc)) from exc
-        try:
-            cset = ConstraintSet(lower, upper, eqs)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.bounds", str(exc)) from exc
-        blocks.append(BlockSpec(n=n, objective=objective, set=cset, coupling=A))
-    return Problem(m=m, b=b, blocks=blocks)
+    for (n, c, c0, cset), Q_t, A_t in zip(
+            parsed, _diagonal_blocks(Q, shapes[0::2]),
+            _diagonal_blocks(A, shapes[1::2])):
+        objective = (Quadratic._of_symmetric(Q_t, c, c0) if symmetric
+                     else Quadratic(Q_t, c, c0))
+        blocks.append(BlockSpec(n=n, objective=objective, set=cset,
+                                coupling=A_t))
+    problem = Problem(m=m, b=b, blocks=blocks)
+    problem.coupling_diag = A
+    if symmetric and all(len(c) == n for n, c, _, _ in parsed):
+        problem.objective_Q = Q
+    return problem
 
 
 def _bound_to_json(v):

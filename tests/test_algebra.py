@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from proxjacobi.algebra import couple_apply, r_matrix_eigencheck, spectral_norm
+from proxjacobi import problems
+from proxjacobi.algebra import (couple_apply, r_matrix_eigencheck,
+                               spectral_norm, spectral_norms)
 
 from conftest import build_qp
 
@@ -42,6 +44,19 @@ def test_spectral_norm_vs_svd():
         A = rng.standard_normal((4, 6))
         exact = np.linalg.svd(A, compute_uv=False)[0]
         assert spectral_norm(A) == pytest.approx(exact, rel=1e-9)
+
+
+def test_spectral_norms_batched_per_block_size():
+    # dense A_t: every value bit for bit that of spectral_norm
+    prob = problems.coupled_qp(1, 7, [3, 2, 3, 4, 2, 3, 0], 2)
+    assert spectral_norms(prob) == [spectral_norm(blk.coupling)
+                                    for blk in prob.blocks]
+
+
+def test_spectral_norms_skip_zero_rows(sparse_coupling_problem):
+    prob = sparse_coupling_problem
+    assert spectral_norms(prob) == pytest.approx(
+        [spectral_norm(blk.coupling) for blk in prob.blocks], rel=1e-14)
 
 
 def test_spectral_norm_zero_matrix():

@@ -1,17 +1,20 @@
 """Unit tests for the problem data model and its JSON schema."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from proxjacobi import model
-from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
-                              Quadratic, SchemaError, csr_to_triplets,
-                              load_problem, save_problem, triplets_to_csr,
-                              validate_problem, variable_splitting_transform)
+from proxjacobi.model import (RANK_DROP_TOL, BlockSpec, ConstraintSet,
+                              Params, Problem, Quadratic, SchemaError,
+                              coupling_rank, csr_to_triplets, load_problem,
+                              save_problem, triplets_to_csr, validate_problem,
+                              variable_splitting_transform)
 
 from conftest import build_qp
 
@@ -93,6 +96,154 @@ class TestTriplets:
     def test_empty(self):
         assert triplets_to_csr([], (3, 2)).nnz == 0
         assert csr_to_triplets(sp.csr_matrix((3, 2))) == []
+
+
+def random_triplets(rng, shape, count):
+    """``count`` random triplets in ``shape``, a few repeated and a few
+    explicit zeros among them."""
+    trips = [[int(rng.integers(shape[0])), int(rng.integers(shape[1])),
+              float(rng.standard_normal())] for _ in range(count)]
+    if count:
+        trips += [list(trips[0]), [trips[-1][0], trips[-1][1], 0.0]]
+    return trips
+
+
+def random_document(seed):
+    """A problem document with blocks of mixed sizes, repeated triplets and
+    explicit zeros, some empty Q and A, and for even seeds one asymmetric
+    middle block."""
+    rng = np.random.default_rng(seed)
+    T, m = int(rng.integers(3, 7)), int(rng.integers(1, 5))
+    blocks = []
+    for t in range(T):
+        n = int(rng.integers(2 if t == T // 2 else 1, 6))
+        D = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        D = D + D.T
+        Q = [[int(i), int(j), float(D[i, j])] for i, j in zip(*np.nonzero(D))]
+        # a diagonal entry in two halves, and a pair of explicit zeros
+        Q += [[n - 1, n - 1, 0.5], [n - 1, n - 1, 0.5], [0, n - 1, 0.0],
+              [n - 1, 0, 0.0]]
+        if t == T // 2 and seed % 2 == 0:
+            Q += [[0, n - 1, 0.25]]
+        elif t % 3 == 1:
+            Q = []
+        A = [] if t % 4 == 2 else random_triplets(
+            rng, (m, n), int(rng.integers(1, 2 * m * n)))
+        blocks.append({
+            "n": n,
+            "objective": {"type": "quadratic", "Q": Q,
+                          "c": rng.standard_normal(n).tolist(), "c0": 0.5},
+            "bounds": {"lower": ["-inf"] * n, "upper": ["inf"] * n},
+            "A": A,
+        })
+    return {"m": m, "b": rng.standard_normal(m).tolist(), "blocks": blocks}
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestLoader:
+    """``load_problem`` converts every Q_t together and every A_t together;
+    the result must be what converting them one by one gives."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stacks_match_per_block_conversion(self, seed):
+        doc = random_document(seed)
+        prob = load_problem(json.dumps(doc))
+        for bdoc, blk in zip(doc["blocks"], prob.blocks):
+            n = bdoc["n"]
+            want = Quadratic(triplets_to_csr(bdoc["objective"]["Q"], (n, n)),
+                             bdoc["objective"]["c"]).Q
+            assert_same_csr(blk.objective.Q, want)
+            assert_same_csr(blk.coupling,
+                            triplets_to_csr(bdoc["A"], (prob.m, n)))
+        assert ("objective_Q" in vars(prob)) == (seed % 2 == 1)
+        # the stacks the loader keeps are the ones the blocks give
+        again = Problem(m=prob.m, b=prob.b, blocks=prob.blocks)
+        assert_same_csr(prob.coupling_diag, again.coupling_diag)
+        assert_same_csr(prob.objective_Q, again.objective_Q)
+        assert_same_csr(prob.coupling, sp.hstack(
+            [blk.coupling for blk in prob.blocks], format="csr"))
+
+    def test_symmetric_stack_is_kept(self):
+        prob, _ = build_qp(4)
+        again = load_problem(save_problem(prob))
+        assert "objective_Q" in vars(again)
+        for blk in again.blocks:
+            assert model._is_symmetric(blk.objective.Q)
+
+    @pytest.mark.parametrize("kind, path, message", [
+        ("ragged", "blocks[2].objective.Q",
+         "setting an array element with a sequence"),
+        ("row", "blocks[2].A", "triplet row index out of range"),
+        ("col", "blocks[2].objective.Q", "triplet col index out of range"),
+        ("Q not a list", "blocks[2].objective.Q",
+         "could not convert string to float: 'oops'"),
+        ("pairs", "blocks[2].objective.Q",
+         "triplets must be a list of [row, col, value]"),
+        ("bounds length", "blocks[2].bounds.upper", "length 1 != n=2"),
+        ("lower > upper", "blocks[2].bounds",
+         "lower bound exceeds upper bound"),
+        # a block's matrices are met before its bound order, and an
+        # earlier block before a later one
+        ("A and order", "blocks[2].A", "triplet col index out of range"),
+        ("two blocks", "blocks[1].A", "triplet col index out of range"),
+        ("number", "blocks[2].objective.Q",
+         "object of type 'int' has no len()"),
+    ])
+    def test_first_fault_is_named(self, kind, path, message):
+        blocks = [{"n": 2,
+                   "objective": {"type": "quadratic",
+                                 "Q": [[0, 0, 2.0], [1, 1, 1.0]],
+                                 "c": [0.5, -1.0]},
+                   "bounds": {"lower": [-1.0, "-inf"], "upper": [1.0, "inf"]},
+                   "A": [[0, 0, 1.0], [1, 1, 1.0]]} for _ in range(4)]
+        blk = blocks[2]
+        if kind == "ragged":
+            blk["objective"]["Q"] = [[0, 0, 1.0], [1, 0]]
+        elif kind == "row":
+            blk["A"] = [[0, 0, 1.0], [2, 1, 1.0]]
+        elif kind == "col":
+            blk["objective"]["Q"] = [[0, 2, 1.0]]
+        elif kind == "Q not a list":
+            blk["objective"]["Q"] = "oops"
+        elif kind == "pairs":
+            blk["objective"]["Q"] = [[0, 0]]
+        elif kind == "bounds length":
+            blk["bounds"]["upper"] = [1.0]
+        elif kind == "lower > upper":
+            blk["bounds"]["lower"] = [2.0, 0.0]
+        elif kind == "A and order":
+            blk["A"] = [[0, 5, 1.0]]
+            blk["bounds"]["lower"] = [2.0, 0.0]
+        elif kind == "two blocks":
+            blocks[1]["A"] = [[0, 5, 1.0]]
+            blk["bounds"]["upper"] = [1.0]
+        elif kind == "number":
+            blk["objective"]["Q"] = 5
+        text = json.dumps({"m": 2, "b": [0.0, 0.0], "blocks": blocks})
+        with pytest.raises(SchemaError) as err:
+            load_problem(text)
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        prob, _ = build_qp(1)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            load_problem(save_problem(prob))
+            assert gc.isenabled() == enabled
+            with pytest.raises(SchemaError):
+                load_problem("{not json")
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestConstraintSet:
@@ -227,6 +378,100 @@ class TestValidation:
             coupling=sp.csr_matrix(np.ones((1, 1))))
         rep = validate_problem(Problem(m=1, b=np.zeros(1), blocks=[blk]))
         assert rep.ok and rep.warnings
+
+
+def dense_rank(A):
+    """The rank test on the whole dense matrix: one pivoted QR."""
+    A = A.toarray()
+    _, R, _ = scipy.linalg.qr(A.T if A.shape[0] > A.shape[1] else A,
+                              pivoting=True, mode="economic")
+    diag = np.abs(np.diag(R))
+    largest = diag[0] if diag.size else 0.0
+    return int(np.sum(diag > RANK_DROP_TOL * largest)) if largest > 0 else 0
+
+
+def permuted_block_diag(rng, parts):
+    """diag(parts) with its rows and columns shuffled, in CSR."""
+    D = sp.block_diag(parts, format="csr")
+    rows, cols = rng.permutation(D.shape[0]), rng.permutation(D.shape[1])
+    return D[rows][:, cols].tocsr()
+
+
+class TestCouplingRank:
+    """``coupling_rank`` runs one QR per connected component of the rows
+    and compares every pivot to one scale."""
+
+    def test_deficient_component_next_to_well_scaled_one(self):
+        rng = np.random.default_rng(1)
+        A = permuted_block_diag(rng, [
+            rng.standard_normal((3, 5)),
+            np.array([[1.0, 2.0], [2.0, 4.0]])])
+        assert coupling_rank(A) == dense_rank(A) == 4
+        blk = BlockSpec(
+            n=7, objective=Quadratic(sp.eye(7, format="csr"), np.zeros(7)),
+            set=ConstraintSet(np.full(7, -np.inf), np.full(7, np.inf)),
+            coupling=A)
+        rep = validate_problem(Problem(m=5, b=np.zeros(5), blocks=[blk]))
+        assert rep.errors == ["coupling matrix rank-deficient: rank 4 < m=5"]
+
+    @pytest.mark.parametrize("tiny, full", [(1e-12, 2), (1e-3, 4)])
+    def test_one_scale_for_all_components(self, tiny, full):
+        # a full-rank component at scale tiny next to one at scale 1e6: its
+        # pivots count only when they clear RANK_DROP_TOL * 1e6, as in one
+        # QR of the whole matrix
+        rng = np.random.default_rng(2)
+        A = permuted_block_diag(rng, [1e6 * rng.standard_normal((2, 3)),
+                                      tiny * np.array([[1.0, 0.5],
+                                                       [-0.5, 1.0]])])
+        assert coupling_rank(A) == dense_rank(A) == full
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_one_dense_qr(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = []
+        for _ in range(int(rng.integers(1, 6))):
+            p, q = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            M = rng.standard_normal((p, q)) * (rng.uniform(size=(p, q)) < 0.7)
+            if rng.uniform() < 0.3:
+                M[-1] = M[0]
+            parts.append(M)
+        parts.append(np.zeros((1, 2)))
+        A = permuted_block_diag(rng, parts)
+        assert coupling_rank(A) == dense_rank(A)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_components_match_csgraph(self, seed):
+        from scipy.sparse.csgraph import connected_components
+        rng = np.random.default_rng(seed)
+        L = 200
+        # a path of rows in shuffled order, next to random sparse rows
+        path = sp.csr_matrix(
+            (np.ones(2 * L), (np.repeat(rng.permutation(L), 2),
+                              np.stack([np.arange(L), np.arange(L) + 1],
+                                       axis=1).ravel())), shape=(L, L + 1))
+        A = sp.block_diag([path, sp.random(60, 90, density=0.02,
+                                           random_state=seed)], format="csr")
+        m = A.shape[0]
+        graph = sp.bmat([[sp.csr_matrix((m, m)), A], [A.T, None]])
+        _, label = connected_components(graph, directed=False)
+        want = np.unique(label[:m], return_inverse=True)[1]
+        assert np.array_equal(model.row_components(A), want)
+
+    def test_empty_shapes(self):
+        assert coupling_rank(sp.csr_matrix((0, 4))) == 0
+        assert coupling_rank(sp.csr_matrix((3, 0))) == 0
+        assert coupling_rank(sp.csr_matrix((3, 4))) == 0
+
+    def test_generated_problems_keep_their_rank(self):
+        from proxjacobi import problems
+        cases = [problems.coupled_qp(3, 6, [2, 3, 4, 2, 3, 4], 5),
+                 problems.gen_multiperiod_dispatch(12, 3, 0.1),
+                 problems.gen_acopf_toy(problems.toy_network(nbus=3, T=6), 6)]
+        cases.append(variable_splitting_transform(cases[1]))
+        for prob in cases:
+            A = prob.coupling
+            assert coupling_rank(A) == dense_rank(A) == prob.m
+            assert validate_problem(prob).ok
 
 
 class TestSplitTransform:

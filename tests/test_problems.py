@@ -118,7 +118,48 @@ class TestKktOracle:
         assert oracle.provenance == "kkt-linear-solve"
 
 
+def lower_bound_problem(singular=None):
+    """Blocks of sizes 2 and 3: unconstrained positive definite ones in two
+    groups, one diagonal and boxed, one non-diagonal and boxed; block
+    ``singular`` (if given) gets a singular non-diagonal Q."""
+    import scipy.sparse as sp
+    from proxjacobi.model import BlockSpec, ConstraintSet, Problem
+    prob = problems.coupled_qp(5, 8, [2, 3, 2, 3, 2, 3, 2, 2], 3)
+    blocks = list(prob.blocks)
+    for t, lo, hi in ((1, -np.ones(3), np.ones(3)), (4, np.zeros(2), None)):
+        blk = blocks[t]
+        Q = blk.objective.Q
+        if hi is None:
+            Q, hi = sp.diags(Q.diagonal(), format="csr"), np.full(2, 2.0)
+        blocks[t] = BlockSpec(
+            n=blk.n, objective=Quadratic(Q, blk.objective.c, 0.25),
+            set=ConstraintSet(lo, hi), coupling=blk.coupling)
+    if singular is not None:
+        blk = blocks[singular]
+        blocks[singular] = BlockSpec(
+            n=2, objective=Quadratic(sp.csr_matrix(np.ones((2, 2))),
+                                     blk.objective.c),
+            set=blk.set, coupling=blk.coupling)
+    return Problem(m=prob.m, b=prob.b, blocks=blocks)
+
+
 class TestLowerBound:
+    def test_batched_groups_match_block_by_block(self):
+        prob = lower_bound_problem()
+        assert {len(g.blocks) for g in prob.quadratic_groups
+                if g.C is None} == {2, 4}
+        total = 0.0
+        for blk in prob.blocks:
+            total += problems._block_minimum(blk)
+        assert separable_lower_bound(prob) == float(total)
+
+    def test_batched_refusal_names_the_first_block(self):
+        # block 6 fails the batched test of its group; the refusal comes in
+        # block order, with block 6's own message
+        with pytest.raises(ValueError, match=r"block 6: .*nonconvex or "
+                           r"singular non-diagonal objective"):
+            separable_lower_bound(lower_bound_problem(singular=6))
+
     def test_below_oracle_objective(self):
         for seed in (0, 3, 7):
             prob, oracle = build_qp(seed)
