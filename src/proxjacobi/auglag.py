@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _dot, _matvec
+
 
 def aug_lagrangian(problem, x, z, lam, params):
     """sum_t f_t(x_t) + (theta/2)||z||^2 + lam'(Ax + z - b)
@@ -45,24 +47,44 @@ class BlockObjective:
     + (tau_x/2)||x_t - xbar_t||^2_{A_t'A_t} by a constant only.  Exposes
     the ``value``, ``gradient`` and ``hessian`` callbacks of the
     subproblem solvers.
+
+    The models are held as stacks (k, ...): one block's has k = 1, and
+    :meth:`of_stack` gives k models, a quadratic group's.  Each
+    callback takes either one point x (n,) of a one-block model, or the
+    points X (len(rows), n) of the stack rows ``rows``, row by row.
     """
 
     def __init__(self, problem, t, g, x_bar_t, params):
         blk = problem.blocks[t]
-        self.H = blk.Q_dense + (params.rho + params.tau_x) * blk.AtA_dense
-        self.g = g[problem.offsets[t]:problem.offsets[t + 1]]
-        self.anchor = np.asarray(x_bar_t, dtype=float)
+        H = blk.Q_dense + (params.rho + params.tau_x) * blk.AtA_dense
+        self.H = H[None]
+        self.g = g[None, problem.offsets[t]:problem.offsets[t + 1]]
+        self.anchor = np.asarray(x_bar_t, dtype=float)[None]
 
-    def value(self, x_t):
-        d = np.asarray(x_t, dtype=float) - self.anchor
-        return float(d @ (self.g + 0.5 * (self.H @ d)))
+    @classmethod
+    def of_stack(cls, H, g, anchor):
+        """The k models with the Hessians H (k, n, n) and the gradients g
+        (k, n) at the anchors (k, n): a quadratic group's, with H its
+        ``hessian(rho + tau_x)``."""
+        obj = cls.__new__(cls)
+        obj.H, obj.g, obj.anchor = H, g, anchor
+        return obj
 
-    def gradient(self, x_t):
-        return self.g + self.H @ (np.asarray(x_t, dtype=float) - self.anchor)
+    def value(self, x, rows=None):
+        if rows is None:
+            return float(self.value(np.asarray(x, dtype=float)[None], [0])[0])
+        D = x - self.anchor[rows]
+        return _dot(D, self.g[rows] + 0.5 * _matvec(self.H[rows], D))
 
-    def hessian(self, x_t):
-        """The dense Hessian H_t (shared; not to be modified)."""
-        return self.H
+    def gradient(self, x, rows=None):
+        if rows is None:
+            return self.gradient(np.asarray(x, dtype=float)[None], [0])[0]
+        return self.g[rows] + _matvec(self.H[rows], x - self.anchor[rows])
+
+    def hessian(self, x, rows=None):
+        """The dense Hessians H_t (one block's is shared; not to be
+        modified)."""
+        return self.H[0] if rows is None else self.H[rows]
 
 
 def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
@@ -141,23 +163,26 @@ def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
     list, from one stacked gradient.  The blocks of a group with linear
     equalities fit their multipliers together, by one batched
     pseudo-inverse of the rows C' masked to each block's coordinates off
-    the bounds; every other block with equalities fits its own on its
-    slice of the gradient."""
+    the bounds; every other block with equalities, those of a nonlinear
+    group included, fits its own on its slice of the gradient."""
     o = problem.offsets
     if np.isfinite(feas_tol):
         for t, blk in enumerate(problem.blocks):
             _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
     g = problem.objective_gradients(vec) + problem.block_products_T(
         np.asarray(lam, dtype=float)[problem.coupling_rows.row])
+    alone = list(problem.single_blocks)
     for grp in problem.quadratic_groups:
-        if grp.C is not None:
+        if grp.equality_map is not None:
+            alone += grp.blocks
+        elif grp.C is not None:
             X, G = grp.take(vec), grp.take(g)
             free = ~((X <= grp.lower + active_tol)
                      | (X >= grp.upper - active_tol))
             fit = np.linalg.pinv(np.where(free[:, :, None], grp.C.T, 0.0))
             mu = (fit @ -np.where(free, G, 0.0)[..., None])[..., 0]
             g[grp.cols] = (G + mu @ grp.C).ravel()
-    for t in problem.single_blocks:
+    for t in alone:
         s = slice(o[t], o[t + 1])
         g[s] = _fit_equality_multipliers(problem.blocks[t].set, vec[s], g[s],
                                          active_tol)

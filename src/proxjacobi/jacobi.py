@@ -7,11 +7,13 @@ subproblem is an exact quadratic about the previous iterate, whose
 gradients come from one stacked product.  The blocks of each quadratic
 group are solved together on the calling thread: the unconstrained blocks
 of one size by one batched exact step, the blocks of one size and the same
-linear equality rows by one batched active-set QP.  The other blocks (box
-only, or with nonlinear equalities) are solved one by one, each from its
-dense model, on the worker pool when there is one.  Results are identical
-at any worker count: block solves are pure and all reductions run in block
-order.
+linear equality rows by one batched active-set QP, and the blocks that
+share one nonlinear equality map up to its right-hand side (the periods of
+one ACOPF network) by one stacked inner ALM over projected Newton.  The
+other blocks (box only, or with equalities no other block shares) are
+solved one by one, each from its dense model, on the worker pool when
+there is one.  Results are identical at any worker count: block solves are
+pure and all reductions run in block order.
 """
 
 import contextlib
@@ -29,8 +31,9 @@ from .algebra import couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
 from .subsolver import (BlockSolveRequest, dispatch, project_box,
-                        solve_box_qp, solve_quadratic_exact,
-                        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE)
+                        solve_box_qp, solve_equality_alm,
+                        solve_quadratic_exact, STATUS_ITERATION_CAP,
+                        STATUS_NUMERICAL_FAILURE)
 
 log = logging.getLogger("proxjacobi")
 
@@ -199,14 +202,17 @@ def x_update_all(problem, state, params, pool=None):
     Every subproblem gradient at the anchor x_t is one stacked product
     (``auglag.subproblem_gradients``).  Each quadratic group is solved from
     it in one batched call: an unconstrained group by one exact Newton
-    step, a group with linear equalities and a box by the active-set QP.
-    The other blocks, and any grouped block whose step fails or whose QP
-    finds no certified minimizer, go through ``dispatch`` with their exact
-    quadratic model (``BlockObjective``), spread over the ``pool`` when
-    there is one; a solve that stops at its iteration cap is logged.
-    Returns (the new x as a BlockVector, per-block inner iteration counts:
-    1 for an exact step, the passes of a grouped QP).  Any numerical
-    failure aborts with the failing block index.
+    step, a group with linear equalities and a box by the active-set QP,
+    and a group that shares one nonlinear equality map by the inner ALM
+    over projected Newton, run on the group's stack of exact quadratic
+    models (``BlockObjective.of_stack``).  The other blocks, and any block
+    of the first two kinds whose step fails or whose QP finds no certified
+    minimizer, go through ``dispatch`` with their exact quadratic model
+    (``BlockObjective``), spread over the ``pool`` when there is one.  A
+    solve that stops at its iteration cap is logged.  Returns (the new x as
+    a BlockVector, per-block inner iteration counts: 1 for an exact step,
+    the passes of a grouped QP).  Any numerical failure aborts with the
+    lowest failing block index.
     """
     vec = problem.stack(state.x)
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
@@ -215,8 +221,15 @@ def x_update_all(problem, state, params, pool=None):
     x_new = vec.copy()
     inner = [1] * problem.T
     single = list(problem.single_blocks)
+    results = {}
     for grp in problem.quadratic_groups:
         X, G = grp.take(vec), grp.take(g)
+        if grp.equality_map is not None:
+            obj = BlockObjective.of_stack(grp.hessian(w), G, X)
+            results.update(zip(grp.blocks, solve_equality_alm(
+                BlockSolveRequest(t=grp.blocks, objective=obj, set=grp,
+                                  warm_start=X))))
+            continue
         if grp.C is None:
             H, H_inv, ok = grp.hessian_factor(w)
             dx, solved = solve_quadratic_exact(H, H_inv, G)
@@ -233,11 +246,11 @@ def x_update_all(problem, state, params, pool=None):
             for t, p in zip(grp.blocks, passes.tolist()):
                 inner[t] = p
         single += [t for t, s in zip(grp.blocks, solved) if not s]
-    single.sort()
-    results = _map(pool, lambda t: _solve_block(problem, state, params, g, t),
-                   single)
+    results.update(zip(single, _map(
+        pool, lambda t: _solve_block(problem, state, params, g, t), single)))
     o = problem.offsets
-    for t, res in zip(single, results):
+    for t in sorted(results):
+        res = results[t]
         if res.status == STATUS_NUMERICAL_FAILURE:
             raise BlockSolveError(t, res)
         if res.status == STATUS_ITERATION_CAP:

@@ -245,6 +245,22 @@ def _polar_row_error(eq, n):
     return None
 
 
+def _matvec(M, X):
+    """Row i is M_i X_i, for a stack M (k, p, q) and X (k, q); a single M
+    (p, q) serves every row, and a 1-D X is one row."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _dot(X, Y):
+    """Row i is X_i'Y_i, for stacks X and Y (k, n)."""
+    return (X[:, None, :] @ Y[..., None])[:, 0, 0]
+
+
+def _each_row(fn, x):
+    """``fn`` of the vector x, or of each row of the stack x, stacked."""
+    return fn(x) if x.ndim == 1 else np.array([fn(xi) for xi in x])
+
+
 class _PolarNetwork:
     """The polar balances of one network, S = U * conj(Y U) with
     U = V exp(j th), and their derivatives in complex-matrix form
@@ -253,7 +269,8 @@ class _PolarNetwork:
     ``rows`` are the map rows of the balances, ``bus`` and ``imag`` the bus
     and the part (real or reactive) each of them reads, and ``cols`` the
     block coordinates of (V, theta).  Y gets one admittance row per bus,
-    from the first balance of that bus.
+    from the first balance of that bus.  Every method takes one point x
+    (n,) or a stack of points (k, n), row by row.
     """
 
     def __init__(self, nbus, v_offset, theta_offset):
@@ -282,31 +299,53 @@ class _PolarNetwork:
         self.bus.append(eq.bus)
         self.imag.append(eq.name == "acopf_im")
 
+    @property
+    def key(self):
+        """Bytes equal for two networks exactly when they give the same
+        rows the same balances."""
+        return b"".join([np.array([self.nbus, self.v.start, self.th.start],
+                                  dtype=np.int64).tobytes(),
+                         self.Y.tobytes(), self.rows.tobytes(),
+                         self.bus.tobytes(), self.imag.tobytes()])
+
     def _voltages(self, x):
-        V = x[self.v]
-        E = np.exp(1j * x[self.th])
+        V = x[..., self.v]
+        E = np.exp(1j * x[..., self.th])
         return V, E, V * E
 
-    def _pick(self, S):
-        """Re or Im of ``S[bus]``, row by row (S a vector or a matrix)."""
-        S = S[self.bus]
-        imag = self.imag if S.ndim == 1 else self.imag[:, None]
-        return np.where(imag, S.imag, S.real)
+    def _pick(self, S, matrix=False):
+        """Re or Im of the bus entry of each row: S (..., nbus) gives
+        (..., rows), and with ``matrix`` S (..., nbus, q) gives
+        (..., rows, q)."""
+        if matrix:
+            S = S[..., self.bus, :]
+            return np.where(self.imag[:, None], S.imag, S.real)
+        S = S[..., self.bus]
+        return np.where(self.imag, S.imag, S.real)
 
     def values(self, x):
         _, _, U = self._voltages(x)
-        return self._pick(U * np.conj(self.Y @ U))
+        return self._pick(U * np.conj(_matvec(self.Y, U)))
 
     def jacobian(self, x):
         """d(rows)/d(V, theta), one row per balance."""
         _, E, U = self._voltages(x)
-        I = self.Y @ U
-        UYc = U[:, None] * np.conj(self.Y)
-        dV = UYc * np.conj(E)
-        dV[np.diag_indices(self.nbus)] += E * np.conj(I)
-        dth = -1j * UYc * np.conj(U)
-        dth[np.diag_indices(self.nbus)] += 1j * U * np.conj(I)
-        return self._pick(np.hstack([dV, dth]))
+        I = _matvec(self.Y, U)
+        diag = np.arange(self.nbus)
+        UYc = U[..., :, None] * np.conj(self.Y)
+        dV = UYc * np.conj(E)[..., None, :]
+        dV[..., diag, diag] += E * np.conj(I)
+        dth = -1j * UYc * np.conj(U)[..., None, :]
+        dth[..., diag, diag] += 1j * U * np.conj(I)
+        return self._pick(np.concatenate([dV, dth], axis=-1), matrix=True)
+
+    def _bus_sums(self, w):
+        """Per bus, the sum of the row weights w (..., rows)."""
+        nb = self.nbus
+        k = w.size // len(self.bus)
+        slot = np.arange(k)[:, None] * nb + self.bus
+        return np.bincount(slot.ravel(), w.ravel(), k * nb).reshape(
+            w.shape[:-1] + (nb,))
 
     def weighted_hessian(self, x, w):
         """Hessian over (V, theta) of sum_i w_i (row i), through
@@ -314,16 +353,21 @@ class _PolarNetwork:
         W = (B + B^H)/2, B = diag(lam conj(E)) Y diag(E)."""
         V, E, _ = self._voltages(x)
         nb = self.nbus
-        lam = (np.bincount(self.bus, w * ~self.imag, nb)
-               + 1j * np.bincount(self.bus, w * self.imag, nb))
-        B = (lam * np.conj(E))[:, None] * self.Y * E
-        ReW = 0.5 * (B.real + B.real.T)
-        ImW = 0.5 * (B.imag - B.imag.T)
-        H = np.empty((2 * nb, 2 * nb))
-        H[:nb, :nb] = 2.0 * ReW
-        H[nb:, :nb] = 2.0 * (np.diag(ImW @ V) + V[:, None] * ImW)
-        H[:nb, nb:] = H[nb:, :nb].T
-        H[nb:, nb:] = 2.0 * (V[:, None] * ReW * V - np.diag(V * (ReW @ V)))
+        diag = np.arange(nb)
+        lam = self._bus_sums(w * ~self.imag) + 1j * self._bus_sums(
+            w * self.imag)
+        B = (lam * np.conj(E))[..., :, None] * self.Y * E[..., None, :]
+        ReW = 0.5 * (B.real + np.swapaxes(B.real, -1, -2))
+        ImW = 0.5 * (B.imag - np.swapaxes(B.imag, -1, -2))
+        H = np.empty(V.shape[:-1] + (2 * nb, 2 * nb))
+        H[..., :nb, :nb] = 2.0 * ReW
+        cross = V[..., :, None] * ImW
+        cross[..., diag, diag] += _matvec(ImW, V)
+        H[..., nb:, :nb] = 2.0 * cross
+        H[..., :nb, nb:] = np.swapaxes(H[..., nb:, :nb], -1, -2)
+        angle = V[..., :, None] * ReW * V[..., None, :]
+        angle[..., diag, diag] -= V * _matvec(ReW, V)
+        H[..., nb:, nb:] = 2.0 * angle
         return H
 
 
@@ -338,6 +382,11 @@ class EqualityMap:
     :class:`Quadratic`.  Raises ValueError, naming the equality, on a row
     that does not fit the block or on two balances of one bus that carry
     different admittance rows.
+
+    The values, Jacobian and weighted Hessian take one point x (n,) or a
+    stack of points (k, n), row by row; the right-hand sides ``d`` of a
+    stack default to the map's own and may be given per row, (k, r), for
+    blocks that differ from this one in d only (``structure``).
     """
 
     def __init__(self, equalities, n):
@@ -384,30 +433,38 @@ class EqualityMap:
             return None
         return self.C, self.d
 
-    def values(self, x):
-        c = self.C @ x - self.d
+    @cached_property
+    def structure(self):
+        """Bytes equal for two maps without quadratic rows exactly when
+        they differ in d only: C, then the key of each network."""
+        return b"".join([self.C.tobytes(),
+                         *(net.key for net in self.networks)])
+
+    def values(self, x, d=None):
+        c = _matvec(self.C, x) - (self.d if d is None else d)
         for net in self.networks:
-            c[net.rows] -= net.values(x)
+            c[..., net.rows] -= net.values(x)
         for j, eq in self.quadratic:
-            c[j] = eq.value(x)
+            c[..., j] = _each_row(eq.value, x)
         return c
 
     def jacobian(self, x):
-        J = self.C.copy()
+        J = np.array(np.broadcast_to(self.C, x.shape[:-1] + self.C.shape))
         for net in self.networks:
-            J[np.ix_(net.rows, net.cols)] -= net.jacobian(x)
+            J[..., net.rows[:, None], net.cols] -= net.jacobian(x)
         for j, eq in self.quadratic:
-            J[j] = eq.gradient(x)
+            J[..., j, :] = _each_row(eq.gradient, x)
         return J
 
     def weighted_hessian(self, x, w):
-        """sum_i w_i times the Hessian of row i."""
-        H = np.zeros((self.n, self.n))
+        """sum_i w_i times the Hessian of row i (w (r,), or (k, r) for a
+        stack)."""
+        H = np.zeros(x.shape[:-1] + (self.n, self.n))
         for net in self.networks:
-            H[np.ix_(net.cols, net.cols)] -= net.weighted_hessian(
-                x, w[net.rows])
+            H[..., net.cols[:, None], net.cols] -= net.weighted_hessian(
+                x, w[..., net.rows])
         for j, eq in self.quadratic:
-            H += w[j] * eq.hessian(x)
+            H += w[..., j, None, None] * _each_row(eq.hessian, x)
         return H
 
 
@@ -574,28 +631,33 @@ class BlockVector(list):
 
 class QuadraticGroup:
     """Blocks of one size n held as dense stacks, so that their subproblems
-    are solved together.  A group is of one of two kinds:
+    are solved together.  A group is of one of three kinds:
 
-    - blocks with no bounds and no equalities (``C`` is None);
+    - blocks with no bounds and no equalities (``C`` and ``equality_map``
+      are None);
     - blocks whose equalities are the same linear rows C x = d_t (r >= 1),
-      with any box.
+      with any box;
+    - two or more blocks whose equalities are one nonlinear map up to its
+      right-hand side, c(x) - d_t (the same :attr:`EqualityMap.structure`,
+      no rows with Q != 0), with any box: ``equality_map`` is the first
+      block's map, evaluated with each block's d_t.
 
     ``blocks`` are the block indices, ``cols`` their coordinates in the flat
     vector (block after block), and Q (k, n, n) and AtA = A_t'A_t (k, n, n)
-    the stacked data.  The second kind also holds the shared rows ``C``
-    (r, n), the right-hand sides ``d`` (k, r) and the bounds ``lower`` and
-    ``upper`` (k, n).
+    the stacked data.  The kinds with equalities also hold the right-hand
+    sides ``d`` (k, r) and the bounds ``lower`` and ``upper`` (k, n).
     """
 
-    def __init__(self, problem, blocks, Q, AtA, C=None):
+    def __init__(self, problem, blocks, Q, AtA, C=None, equality_map=None):
         self.blocks = blocks
         self.n = Q.shape[-1]
         self.cols = np.flatnonzero(np.isin(problem.block_index, blocks))
         self.Q = Q
         self.AtA = AtA
         self.C = C
-        if C is not None:
-            self.d = np.stack([problem.blocks[t].set.linear_rows[1]
+        self.equality_map = equality_map
+        if C is not None or equality_map is not None:
+            self.d = np.stack([problem.blocks[t].set.equality_map.d
                                for t in blocks])
             self.lower = self.take(problem.lower)
             self.upper = self.take(problem.upper)
@@ -792,9 +854,10 @@ class Problem:
     @cached_property
     def quadratic_groups(self):
         """The blocks solved together, one :class:`QuadraticGroup` per
-        block size n and equality rows C: those with no bounds and no
-        equalities, and those whose equalities are linear, with any box.
-        The stacks are ``objective_stack`` and the products of
+        block size n and equality structure: those with no bounds and no
+        equalities, those whose equalities are linear, with any box, and
+        two or more whose equalities are one nonlinear map up to d, with
+        any box.  The stacks are ``objective_stack`` and the products of
         ``coupling_stack``."""
         bounded = np.bincount(
             self.block_index, minlength=self.T,
@@ -802,10 +865,10 @@ class Problem:
         by_key = {}
         for t, blk in enumerate(self.blocks):
             if blk.set.equalities:
-                rows = blk.set.linear_rows
-                if rows is None:
+                emap = blk.set.equality_map
+                if emap.quadratic:
                     continue
-                key = (blk.n, len(rows[1]), rows[0].tobytes())
+                key = (blk.n, len(emap.d), emap.structure)
             elif bounded[t]:
                 continue
             else:
@@ -813,11 +876,16 @@ class Problem:
             by_key.setdefault(key, []).append(t)
         groups = []
         for (n, r, _), ts in sorted(by_key.items()):
+            emap = self.blocks[ts[0]].set.equality_map if r else None
+            nonlinear = emap is not None and bool(emap.networks)
+            if nonlinear and len(ts) < 2:
+                continue
             At = self.coupling_stack(ts)
-            C = self.blocks[ts[0]].set.linear_rows[0] if r else None
             groups.append(QuadraticGroup(
                 self, ts, self.objective_stack(ts),
-                np.swapaxes(At, 1, 2) @ At, C))
+                np.swapaxes(At, 1, 2) @ At,
+                C=emap.C if r and not nonlinear else None,
+                equality_map=emap if nonlinear else None))
         return groups
 
     @cached_property
@@ -857,7 +925,8 @@ class Problem:
     @cached_property
     def single_blocks(self):
         """The blocks in no quadratic group, handled one by one: box-only
-        blocks and blocks with a nonlinear equality."""
+        blocks, blocks with a Q != 0 equality row and blocks whose
+        nonlinear equality structure no other block shares."""
         grouped = {t for g in self.quadratic_groups for t in g.blocks}
         return [t for t in range(self.T) if t not in grouped]
 

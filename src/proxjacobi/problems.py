@@ -245,8 +245,6 @@ def gen_acopf_toy(net, T, cost_a=None, cost_b=None):
     """
     if net.nbus > 5:
         raise ValueError("toy generator is capped at 5 buses")
-    if T > 24:
-        raise ValueError("toy generator is capped at 24 periods")
     if net.nperiods < T:
         raise ValueError(f"network carries {net.nperiods} load periods < T={T}")
     G, B = net.ngen, net.nbus
@@ -475,7 +473,7 @@ def separable_lower_bound(problem):
     """
     minima = {}
     for grp in problem.quadratic_groups:
-        if grp.C is None:
+        if grp.C is None and grp.equality_map is None:
             minima.update(_unconstrained_minima(problem, grp))
     total = 0.0
     for t, blk in enumerate(problem.blocks):

@@ -1,10 +1,10 @@
 """Local solution of the block subproblems.
 
-Two batched solvers, which the Jacobi sweep runs on each group of blocks,
-and per-block solvers behind a deterministic dispatcher.  A per-block
-solver reads its objective through ``value``, ``gradient`` and ``hessian``
-callbacks; in the sweep that is the block's exact quadratic model
-(``auglag.BlockObjective``).  Each kind of block has one solver:
+Batched solvers, which the Jacobi sweep runs on each group of blocks, and
+per-block solvers behind a deterministic dispatcher.  A solver reads its
+objective through ``value``, ``gradient`` and ``hessian`` callbacks; in the
+sweep that is the block's exact quadratic model (``auglag.BlockObjective``).
+Each kind of block has one solver:
 
 - unconstrained quadratic blocks: an exact Newton step, batched over a
   stack of blocks;
@@ -18,15 +18,24 @@ callbacks; in the sweep that is the block's exact quadratic model
   objective value never exceeds the warm start's) and handles indefinite
   Hessians;
 - nonlinear equalities, or a QP without a certificate: an inner
-  augmented-Lagrangian loop over projected Newton.
+  augmented-Lagrangian loop over projected Newton.  It runs on one block,
+  or on a stack of blocks whose equalities are one map up to the
+  right-hand side (a nonlinear ``QuadraticGroup``), every row in lockstep
+  with its own multipliers, penalty, active set, ridge, step length and
+  stopping tests, so that each row computes what a solve of its block
+  alone computes, bit for bit.
+
+The projected Newton and ALM solvers are written for stacks (k, n); one
+block is the stack k = 1, and its callbacks answer for the rows ``rows`` of
+the stack at the points X (len(rows), n).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import _positive_definite
+from .model import _dot, _matvec, _positive_definite
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
@@ -43,11 +52,15 @@ QP_INERTIA_RTOL = 1e-10
 
 @dataclass
 class BlockSolveRequest:
-    """One block subproblem: objective callbacks, block set and warm start."""
+    """One block subproblem, or a stack of them: objective callbacks, set
+    and warm start.  For one block, ``t`` is its index, ``set`` its
+    ConstraintSet and ``warm_start`` (n,); for a stack, ``t`` lists the k
+    block indices, ``set`` is their QuadraticGroup (bounds (k, n), right-hand
+    sides ``d`` (k, r)) and ``warm_start`` (k, n)."""
 
-    t: int
-    objective: object          # exposes value(x), gradient(x), hessian(x)
-    set: object                # ConstraintSet
+    t: object                  # block index, or the k block indices
+    objective: object          # exposes value, gradient, hessian
+    set: object                # ConstraintSet, or QuadraticGroup
     warm_start: np.ndarray
     tol: float = 1e-8
     max_iter: int = 500
@@ -97,11 +110,6 @@ def solve_quadratic_exact(H, H_inv, g):
         dx[refine] -= (H_inv[refine] @ r[refine][..., None])[..., 0]
     ok = np.isfinite(g).all(axis=1) & np.isfinite(dx).all(axis=1)
     return dx, ok
-
-
-def _matvec(M, X):
-    """Row i is M_i X_i, for a stack M (k, p, q) and X (k, q)."""
-    return (M @ X[..., None])[..., 0]
 
 
 def _inertia_ok(kkt, nf):
@@ -238,13 +246,146 @@ def solve_quadratic_kkt(req):
         solver="quadratic-kkt")
 
 
-def _pg_criticality(x, g, lower, upper):
-    """Infinity norm of x - proj(x - g) (unit-step projected gradient)."""
-    return float(np.max(np.abs(x - project_box(x - g, lower, upper)), initial=0.0))
+def _pg_criticality(X, G, lower, upper):
+    """Per row, the infinity norm of x - proj(x - g) (unit-step projected
+    gradient)."""
+    return np.max(np.abs(X - project_box(X - G, lower, upper)), axis=-1,
+                  initial=0.0)
+
+
+def _stack_of(req):
+    """The warm start and box of a request as stacks (k, n): a stack's own,
+    or one block's as k = 1."""
+    X, lo, hi = req.warm_start, req.set.lower, req.set.upper
+    if X.ndim == 1:
+        return X[None], lo[None], hi[None]
+    return X, lo, hi
+
+
+def _results(req, X, mu, status, inner, grad_norm, solver):
+    """The BlockSolveResult of each row, as a list for a stacked request and
+    alone for one block."""
+    out = [BlockSolveResult(x=X[i], mu=mu[i], status=str(status[i]),
+                            inner_iterations=int(inner[i]),
+                            grad_norm=float(grad_norm[i]), solver=solver)
+           for i in range(len(X))]
+    return out if req.warm_start.ndim == 2 else out[0]
+
+
+def _newton_directions(H, G, free):
+    """Per row, the Newton direction -(Hff + ridge I)^-1 g_f on the free
+    coordinates, and zero on the others.  The ridge of a row is the first
+    of 0, 1e-8 s, 1e-7 s, ... below 1e12 s, with s = max(max|diag Hff|, 1),
+    at which Hff + ridge I factors by Cholesky; a row where none does, or
+    whose solve is not finite, takes -g_f.  Each row's free block is
+    factored and solved by its own LAPACK calls, so its direction is the
+    one a solve of that block alone computes, bit for bit."""
+    k, n = G.shape
+    eye = [np.eye(m) for m in range(n + 1)]
+    scale = np.maximum(np.max(np.where(free, np.abs(np.diagonal(
+        H, axis1=1, axis2=2)), 0.0), axis=1), 1.0)
+    rhs = np.where(free, -G, 0.0)
+    D = np.zeros_like(G)
+    for i in range(k):
+        f = free[i]
+        Hff, b, m = H[i][f][:, f], rhs[i, f], int(np.count_nonzero(f))
+        ridge = 0.0
+        while ridge < 1e12 * scale[i]:
+            factor, info = dpotrf(Hff + ridge * eye[m], lower=0, clean=0)
+            if info == 0:
+                D[i, f] = dpotrs(factor, b, lower=0)[0]
+                break
+            ridge = max(10.0 * ridge, 1e-8 * scale[i])
+        else:
+            D[i] = rhs[i]
+    bad = ~np.isfinite(D).all(axis=1)
+    D[bad] = rhs[bad]
+    return D
+
+
+def _box_newton(obj, X, lo, hi, tol, max_iter):
+    """Projected Newton over the box of each row of the stack X (k, n), all
+    rows in lockstep; ``obj`` exposes ``value``, ``gradient`` and
+    ``hessian`` of the rows ``rows`` of the stack at points X (len(rows),
+    n).  Each row keeps its own active set, ridge, step length, stall count
+    and status, and leaves the loop when it finishes.  Returns the arrays
+    ``(X, status, inner, crit)``; crit is inf on the rows that ended in
+    numerical failure."""
+    k = len(X)
+    X = project_box(X, lo, hi)
+    rows = np.arange(k)
+    f = obj.value(X, rows)
+    G = obj.gradient(X, rows)
+    status = np.full(k, STATUS_ITERATION_CAP, dtype=object)
+    inner = np.zeros(k, dtype=int)
+    crit = np.full(k, np.inf)
+    bad = ~(np.isfinite(f) & np.isfinite(G).all(axis=1))
+    status[bad] = STATUS_NUMERICAL_FAILURE
+    live = rows[~bad]
+    crit[live] = _pg_criticality(X[live], G[live], lo[live], hi[live])
+    best = crit.copy()
+    stall = np.zeros(k, dtype=int)
+    for it in range(1, max_iter + 1):
+        inner[live] = it
+        done = crit[live] <= tol
+        status[live[done]] = STATUS_CONVERGED
+        live = live[~done]
+        c = crit[live]
+        worse = c >= 0.999 * best[live]
+        stall[live] = np.where(worse, stall[live] + 1, 0)
+        best[live] = np.where(worse, best[live], c)
+        # stalled rows, and rows with no free coordinate, stop at the cap
+        live = live[stall[live] < 20]
+        x, g, lol, hil = X[live], G[live], lo[live], hi[live]
+        eps_a = np.minimum(1e-8, crit[live])[:, None]
+        free = ~(((x <= lol + eps_a) & (g > 0))
+                 | ((x >= hil - eps_a) & (g < 0)))
+        some = free.any(axis=1)
+        if not some.all():
+            live, x, g, lol, hil, free = (
+                a[some] for a in (live, x, g, lol, hil, free))
+        if not live.size:
+            break
+        d = _newton_directions(obj.hessian(x, live), g, free)
+        f0 = f[live]
+        alpha = np.ones(len(live))
+        moved = np.zeros(len(live), dtype=bool)
+        x_new, f_new = x.copy(), f0.copy()
+        look = np.arange(len(live))
+        for _ in range(40):
+            trial = project_box(x[look] + alpha[look, None] * d[look],
+                                lol[look], hil[look])
+            ft = obj.value(trial, live[look])
+            ok = np.isfinite(ft) & (ft <= f0[look] + ARMIJO_C * _dot(
+                g[look], trial - x[look]) + 1e-12 * (1.0 + np.abs(f0[look])))
+            x_new[look[ok]], f_new[look[ok]] = trial[ok], ft[ok]
+            moved[look[ok]] = True
+            look = look[~ok]
+            if not look.size:
+                break
+            alpha[look] *= 0.5
+        # a row whose search failed, or whose step changed nothing, stops
+        # at the cap
+        moved &= ~(x_new == x).all(axis=1)
+        live = live[moved]
+        X[live], f[live] = x_new[moved], f_new[moved]
+        G[live] = obj.gradient(X[live], live)
+        bad = ~np.isfinite(G[live]).all(axis=1)
+        status[live[bad]] = STATUS_NUMERICAL_FAILURE
+        live = live[~bad]
+        crit[live] = _pg_criticality(X[live], G[live], lo[live], hi[live])
+        done = crit[live] <= tol
+        status[live[done]] = STATUS_CONVERGED
+        live = live[~done]
+        if not live.size:
+            break
+    crit[status == STATUS_NUMERICAL_FAILURE] = np.inf
+    return X, status, inner, crit
 
 
 def solve_box_newton(req):
-    """Projected Newton over a box for objectives with analytic Hessians.
+    """Projected Newton over a box for objectives with analytic Hessians,
+    on one block or on a stack of blocks (row by row, in lockstep).
 
     Coordinates pressed against a bound by the gradient are frozen; the
     Newton system on the free set is regularized by an escalating ridge
@@ -252,186 +393,142 @@ def solve_box_newton(req):
     a machine-noise allowance so the final sharpening steps near the
     minimizer are not rejected.
     """
-    obj = req.objective
-    value, gradient, hessian = obj.value, obj.gradient, obj.hessian
-    lo, hi = req.set.lower, req.set.upper
-    x = project_box(req.warm_start, lo, hi)
-    f = value(x)
-    g = gradient(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return BlockSolveResult(
-            x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-            inner_iterations=0, grad_norm=float("inf"), solver="box-newton")
-    status = STATUS_ITERATION_CAP
-    it = 0
-    crit = _pg_criticality(x, g, lo, hi)
-    best_crit = crit
-    stall = 0
-    for it in range(1, req.max_iter + 1):
-        if crit <= req.tol:
-            status = STATUS_CONVERGED
-            break
-        if crit >= 0.999 * best_crit:
-            stall += 1
-            if stall >= 20:
-                break
-        else:
-            stall = 0
-            best_crit = crit
-        eps_a = min(1e-8, crit)
-        active = (((x <= lo + eps_a) & (g > 0))
-                  | ((x >= hi - eps_a) & (g < 0)))
-        free = np.where(~active)[0]
-        if free.size == 0:
-            status = (STATUS_CONVERGED if crit <= req.tol
-                      else STATUS_ITERATION_CAP)
-            break
-        H = hessian(x)
-        Hff = H[np.ix_(free, free)]
-        scale = max(float(np.max(np.abs(np.diag(Hff)))), 1.0)
-        ridge = 0.0
-        d_f = None
-        while ridge < 1e12 * scale:
-            try:
-                cho = scipy.linalg.cho_factor(
-                    Hff + ridge * np.eye(free.size), check_finite=False)
-                d_f = scipy.linalg.cho_solve(cho, -g[free],
-                                             check_finite=False)
-                break
-            except scipy.linalg.LinAlgError:
-                ridge = max(10.0 * ridge, 1e-8 * scale)
-        if d_f is None or not np.all(np.isfinite(d_f)):
-            d_f = -g[free]
-        d = np.zeros_like(x)
-        d[free] = d_f
-        alpha = 1.0
-        moved = False
-        for _ in range(40):
-            x_new = project_box(x + alpha * d, lo, hi)
-            step = x_new - x
-            f_new = value(x_new)
-            if np.isfinite(f_new) and f_new <= (
-                    f + ARMIJO_C * float(g @ step)
-                    + 1e-12 * (1.0 + abs(f))):
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved or np.array_equal(x_new, x):
-            status = (STATUS_CONVERGED if crit <= req.tol
-                      else STATUS_ITERATION_CAP)
-            break
-        x, f = x_new, f_new
-        g = gradient(x)
-        if not np.all(np.isfinite(g)):
-            return BlockSolveResult(
-                x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-                inner_iterations=it, grad_norm=float("inf"),
-                solver="box-newton")
-        crit = _pg_criticality(x, g, lo, hi)
-        if crit <= req.tol:
-            status = STATUS_CONVERGED
-            break
-    return BlockSolveResult(
-        x=x, mu=np.empty(0), status=status, inner_iterations=it,
-        grad_norm=crit, solver="box-newton")
+    X, lo, hi = _stack_of(req)
+    X, status, inner, crit = _box_newton(req.objective, X, lo, hi, req.tol,
+                                         req.max_iter)
+    return _results(req, X, np.zeros((len(X), 0)), status, inner, crit,
+                    "box-newton")
 
 
 class _PenalizedObjective:
-    """obj + y'c + (sigma/2)||c||^2 over the box, for the inner ALM solves;
-    c is the block set's equality map.
+    """obj + y'c + (sigma/2)||c||^2 over the box, row by row, for the inner
+    ALM solves of a stack: row i is row ``idx[i]`` of ``obj``, with the
+    equality map c(x) = ``eqmap``(x) - D_i, its own multipliers y_i and its
+    own penalty sigma_i.
 
-    The map's value and Jacobian at the last point asked for are kept, so
-    the value, gradient and Hessian of one point evaluate the map once.
+    The map's value and Jacobian at the last point each row asked for are
+    kept, so the value, gradient and Hessian of one point evaluate the map
+    once.
     """
 
-    def __init__(self, obj, cset, y, sigma):
+    def __init__(self, obj, eqmap, D, y, sigma, idx):
         self.obj = obj
-        self.set = cset
+        self.map = eqmap
+        self.D = D
         self.y = y
         self.sigma = sigma
-        self._at = (None, None, None)
+        self.idx = idx
+        k, r = D.shape
+        self._x = np.full((k, eqmap.n), np.nan)
+        self._c = np.zeros((k, r))
+        self._J = np.zeros((k, r, eqmap.n))
+        self._has_J = np.zeros(k, dtype=bool)
 
-    def _map(self, x, jacobian=False):
-        """``(c(x), J(x))``; J is None unless ``jacobian`` is asked for."""
-        xk, c, J = self._at
-        if xk is None or not np.array_equal(x, xk):
-            xk, J = np.array(x, dtype=float), None
-            c = self.set.equality_values(x)
-        if jacobian and J is None:
-            J = self.set.equality_jacobian(x)
-        self._at = (xk, c, J)
-        return c, J
+    def _map(self, X, rows, jacobian=False):
+        """``(c(X), J(X))`` of the rows ``rows``; J is None unless
+        ``jacobian`` is asked for."""
+        new = ~(X == self._x[rows]).all(axis=1)
+        if new.any():
+            at = rows[new]
+            self._x[at] = X[new]
+            self._c[at] = self.map.values(X[new], self.D[at])
+            self._has_J[at] = False
+        if not jacobian:
+            return self._c[rows], None
+        at = rows[~self._has_J[rows]]
+        if at.size:
+            self._J[at] = self.map.jacobian(self._x[at])
+            self._has_J[at] = True
+        return self._c[rows], self._J[rows]
 
-    def value(self, x):
-        c, _ = self._map(x)
-        return (self.obj.value(x) + float(self.y @ c)
-                + 0.5 * self.sigma * float(c @ c))
+    def value(self, X, rows):
+        c, _ = self._map(X, rows)
+        return (self.obj.value(X, self.idx[rows]) + _dot(self.y[rows], c)
+                + 0.5 * self.sigma[rows] * _dot(c, c))
 
-    def gradient(self, x):
+    def gradient(self, X, rows):
         """grad obj + J'(y + sigma c)."""
-        c, J = self._map(x, jacobian=True)
-        return self.obj.gradient(x) + J.T @ (self.y + self.sigma * c)
+        c, J = self._map(X, rows, jacobian=True)
+        w = self.y[rows] + self.sigma[rows, None] * c
+        return self.obj.gradient(X, self.idx[rows]) + _matvec(
+            np.swapaxes(J, 1, 2), w)
 
-    def hessian(self, x):
+    def hessian(self, X, rows):
         """obj'' + sum_i (y + sigma c)_i c_i'' + sigma J'J."""
-        c, J = self._map(x, jacobian=True)
-        return (self.obj.hessian(x)
-                + self.set.equality_hessian(x, self.y + self.sigma * c)
-                + self.sigma * (J.T @ J))
+        c, J = self._map(X, rows, jacobian=True)
+        sigma = self.sigma[rows]
+        return (self.obj.hessian(X, self.idx[rows])
+                + self.map.weighted_hessian(X, self.y[rows]
+                                            + sigma[:, None] * c)
+                + sigma[:, None, None] * (np.swapaxes(J, 1, 2) @ J))
 
 
 def solve_equality_alm(req):
-    """Inner augmented-Lagrangian loop for equality-described block sets.
+    """Inner augmented-Lagrangian loop for equality-described block sets,
+    on one block or on a stack of blocks whose equalities are one map up
+    to the right-hand side (a QuadraticGroup as ``req.set``).
 
     Multiplier estimates are updated as ``y <- y + sigma c``; the penalty
     grows tenfold whenever the equality violation fails to shrink by a
-    factor of 4 in a round, up to the 1e12 cap.
+    factor of 4 in a round, up to the 1e12 cap.  The rows of a stack run
+    their rounds in lockstep, each with its own multipliers, penalty and
+    stopping tests, through one projected-Newton call per round; a row
+    leaves the loop when it finishes.
     """
-    y = np.zeros(len(req.set.equalities))
-    sigma = ALM_SIGMA_INIT
-    x = req.warm_start.copy()
-    total_inner = 0
-    c_prev = float("inf")
-    best = None
-    x_last_round = None
-    for _ in range(ALM_MAX_ROUNDS):
-        pen = _PenalizedObjective(req.objective, req.set, y, sigma)
-        inner_req = BlockSolveRequest(
-            t=req.t, objective=pen, set=req.set, warm_start=x,
-            tol=req.tol, max_iter=req.max_iter)
-        inner = solve_box_newton(inner_req)
-        total_inner += inner.inner_iterations
-        if inner.status == STATUS_NUMERICAL_FAILURE:
-            return BlockSolveResult(
-                x=inner.x, mu=y, status=STATUS_NUMERICAL_FAILURE,
-                inner_iterations=total_inner, grad_norm=inner.grad_norm,
-                solver="equality-alm")
-        x = inner.x
-        c = req.set.equality_values(x)
-        cn = float(np.max(np.abs(c), initial=0.0))
-        y = y + sigma * c
-        if best is None or cn < best[0]:
-            best = (cn, x.copy(), y.copy(), inner.grad_norm)
-        if cn <= req.tol and inner.grad_norm <= req.tol:
-            return BlockSolveResult(
-                x=x, mu=y, status=STATUS_CONVERGED,
-                inner_iterations=total_inner, grad_norm=inner.grad_norm,
-                solver="equality-alm")
-        if x_last_round is not None:
-            moved = float(np.max(np.abs(x - x_last_round), initial=0.0))
-            if moved <= 1e-14 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
-                # iterates have stalled; further rounds cannot improve
-                break
-        x_last_round = x.copy()
-        if cn > c_prev / 4.0:
-            if sigma >= ALM_SIGMA_CAP:
-                break
-            sigma = min(sigma * ALM_SIGMA_GROWTH, ALM_SIGMA_CAP)
-        c_prev = cn
-    cn, xb, yb, gn = best
-    return BlockSolveResult(
-        x=xb, mu=yb, status=STATUS_ITERATION_CAP,
-        inner_iterations=total_inner, grad_norm=gn, solver="equality-alm")
+    X, lo, hi = _stack_of(req)
+    eqmap = req.set.equality_map
+    D = req.set.d if req.warm_start.ndim == 2 else eqmap.d[None]
+    k, r = D.shape
+    X = X.copy()
+    y = np.zeros((k, r))
+    sigma = np.full(k, ALM_SIGMA_INIT)
+    total = np.zeros(k, dtype=int)
+    c_prev = np.full(k, np.inf)
+    x_last = np.full_like(X, np.nan)
+    # what each row returns: its best point (least violation) so far, until
+    # it converges or fails
+    status = np.full(k, STATUS_ITERATION_CAP, dtype=object)
+    best_c = np.full(k, np.inf)
+    best_x, best_y, best_g = X.copy(), y.copy(), np.zeros(k)
+    live = np.arange(k)
+    for rnd in range(ALM_MAX_ROUNDS):
+        pen = _PenalizedObjective(req.objective, eqmap, D[live], y[live],
+                                  sigma[live], live)
+        x, st, inner, gn = _box_newton(pen, X[live], lo[live], hi[live],
+                                       req.tol, req.max_iter)
+        total[live] += inner
+        bad = st == STATUS_NUMERICAL_FAILURE
+        at = live[bad]
+        status[at] = STATUS_NUMERICAL_FAILURE
+        best_x[at], best_y[at], best_g[at] = x[bad], y[at], gn[bad]
+        live, x, gn = live[~bad], x[~bad], gn[~bad]
+        X[live] = x
+        c = eqmap.values(x, D[live])
+        cn = np.max(np.abs(c), axis=1, initial=0.0)
+        y[live] = y[live] + sigma[live, None] * c
+        done = (cn <= req.tol) & (gn <= req.tol)
+        better = done | (cn < best_c[live]) | (rnd == 0)
+        at = live[better]
+        best_c[at], best_x[at], best_y[at], best_g[at] = (
+            cn[better], x[better], y[at], gn[better])
+        status[live[done]] = STATUS_CONVERGED
+        # a row whose iterates stall cannot improve, nor can one whose
+        # violation stopped shrinking at the penalty cap
+        moved = np.max(np.abs(x - x_last[live]), axis=1, initial=0.0)
+        stalled = moved <= 1e-14 * (1.0 + np.max(np.abs(x), axis=1,
+                                                  initial=0.0))
+        x_last[live] = x
+        grow = cn > c_prev[live] / 4.0
+        capped = grow & (sigma[live] >= ALM_SIGMA_CAP)
+        keep = ~(done | stalled | capped)
+        up = live[grow & keep]
+        sigma[up] = np.minimum(sigma[up] * ALM_SIGMA_GROWTH, ALM_SIGMA_CAP)
+        c_prev[live] = cn
+        live = live[keep]
+        if not live.size:
+            break
+    return _results(req, best_x, best_y, status, total, best_g,
+                    "equality-alm")
 
 
 def _negative_curvature(H):

@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from proxjacobi import problems
+from proxjacobi.auglag import subproblem_gradients
 from proxjacobi.cli import default_start
-from proxjacobi.model import BlockSpec, ConstraintSet, Problem, Quadratic
+from proxjacobi.model import (BlockSpec, ConstraintSet, Params, PolarBalance,
+                              Problem, Quadratic)
 
 QP_SEEDS = list(range(20))
 
@@ -52,6 +54,62 @@ def mixed_problem():
         blocks.append(BlockSpec(n=n, objective=Quadratic(
             Q, rng.standard_normal(n)), set=cset, coupling=A))
     return Problem(m=2, b=rng.standard_normal(2), blocks=blocks)
+
+
+def replace_equalities(problem, t, equalities):
+    """The problem with block t's equalities replaced."""
+    blocks = list(problem.blocks)
+    blk = blocks[t]
+    blocks[t] = BlockSpec(n=blk.n, objective=blk.objective,
+                          set=ConstraintSet(blk.set.lower, blk.set.upper,
+                                            equalities),
+                          coupling=blk.coupling)
+    return Problem(m=problem.m, b=problem.b, blocks=blocks)
+
+
+def with_loads(problem, t, loads):
+    """The ACOPF problem with block t's balance loads replaced, row by row."""
+    return replace_equalities(problem, t, [
+        PolarBalance(eq.name, dict(eq.payload, load=float(load)))
+        for eq, load in zip(problem.blocks[t].set.equalities, loads)])
+
+
+def acopf_rows(T=6, seed=0, early=1, capped=3, bad=4, stiff=5):
+    """A stack of T ACOPF block models, one group, with loads perturbed by up
+    to 5% and random warm starts in the box: ``(problem, group, H, G, X)``.
+    Row ``early`` is feasible at its warm start with a zero model gradient
+    there, so its ALM stops after one round; row ``capped`` demands a load
+    of 50 at bus 1, which no point of its box meets; row ``bad`` has a NaN
+    in its model gradient; row ``stiff`` has its model scaled by 100, so
+    that its penalty grows in rounds where the others' does not (None skips
+    a row)."""
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=T), T)
+    rng = np.random.default_rng(seed)
+    for t in range(T):
+        loads = prob.blocks[t].set.equality_map.d
+        prob = with_loads(prob, t, loads * rng.uniform(0.95, 1.05, len(loads)))
+    X = rng.uniform(prob.lower, prob.upper).reshape(T, -1)
+    if early is not None:
+        emap = prob.blocks[early].set.equality_map
+        prob = with_loads(prob, early, emap.d + emap.values(X[early]))
+    if capped is not None:
+        loads = prob.blocks[capped].set.equality_map.d.copy()
+        loads[2] = 50.0
+        prob = with_loads(prob, capped, loads)
+    grp, = prob.quadratic_groups
+    params = Params(rho=1.0, theta=1.0, tau_x=2.0, tau_z=1.0)
+    g = subproblem_gradients(prob, X.ravel(), 0.1 * rng.standard_normal(
+        prob.m), rng.standard_normal(prob.m), params.rho)
+    G = grp.take(g)
+    H = grp.hessian(params.rho + params.tau_x).copy()
+    if early is not None:
+        G[early] = 0.0
+    if bad is not None:
+        G[bad, 0] = np.nan
+    if stiff is not None:
+        H[stiff] *= 100.0
+        G[stiff] *= 100.0
+    return prob, grp, H, G, X
 
 
 @pytest.fixture(params=["mixed", "zero-block", "dispatch"])
@@ -124,4 +182,5 @@ def acopf_twin_problem():
 
 
 __all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "default_start",
-           "mixed_problem", "box_quadratic_min_enum"]
+           "mixed_problem", "box_quadratic_min_enum", "replace_equalities",
+           "with_loads", "acopf_rows"]

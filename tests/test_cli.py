@@ -186,6 +186,13 @@ class TestGenerate:
         assert code == EXIT_OK
         assert main(["validate", str(out)]) == EXIT_OK
 
+    def test_acopf_toy_past_24_periods(self, tmp_path):
+        out = tmp_path / "a48.json"
+        assert main(["generate", "acopf-toy", "--out", str(out),
+                     "--buses", "3", "--periods", "48"]) == EXIT_OK
+        assert main(["validate", str(out)]) == EXIT_OK
+        assert len(json.loads(out.read_text())["blocks"]) == 48
+
     def test_split_requires_input(self, tmp_path, capsys):
         code = main(["generate", "split", "--out", str(tmp_path / "s.json")])
         assert code == EXIT_IO

@@ -14,13 +14,15 @@ from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
                                write_trace_csv)
-from proxjacobi.model import Params, variable_splitting_transform
+from proxjacobi.model import (Params, PolarBalance,
+                              variable_splitting_transform)
 from proxjacobi.subsolver import (BlockSolveRequest, BlockSolveResult,
                                   STATUS_ITERATION_CAP,
                                   STATUS_NUMERICAL_FAILURE,
                                   solve_quadratic_kkt)
 
-from conftest import build_qp, default_start, mixed_problem
+from conftest import (acopf_rows, build_qp, default_start, mixed_problem,
+                      replace_equalities)
 
 PARAMS = Params(rho=2.0, theta=4.0, tau_x=1.0, tau_z=8.0)
 
@@ -364,3 +366,61 @@ def test_batched_dual_residuals_match_reference(qp, case):
            for t in range(prob.T)]
     assert len(delta) == prob.T
     assert np.allclose(delta, ref, rtol=1e-12, atol=0.0)
+
+
+def acopf_state(prob, X, seed=0):
+    rng = np.random.default_rng(seed)
+    return init_state(prob, list(X), 0.1 * rng.standard_normal(prob.m),
+                      rng.standard_normal(prob.m), PARAMS)
+
+
+def test_grouped_capped_row_is_logged(caplog):
+    # the ACOPF periods are one group and one ALM call; block 3 demands a
+    # load no point of its box meets, and its capped solve is logged once
+    prob, grp, _, _, X = acopf_rows(early=None, bad=None)
+    assert grp.blocks == list(range(prob.T))
+    state = acopf_state(prob, X)
+    with caplog.at_level(logging.WARNING, logger="proxjacobi"):
+        x, inner = jacobi.x_update_all(prob, state, PARAMS)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    msg = warnings[0].getMessage()
+    assert all(part in msg for part in
+               ("iteration 1", "block 3", "equality-alm", str(inner[3])))
+    assert not np.array_equal(x.vec, state.x.vec)
+
+
+@pytest.mark.parametrize("group_fails, single_fails, first", [
+    ([4], [2], 2), ([1, 5], [2], 1), ([3, 5], [], 3), ([], [2], 2)])
+def test_sweep_raises_for_lowest_failing_block(monkeypatch, group_fails,
+                                               single_fails, first):
+    # block 2 has its own admittance row and is solved alone through
+    # dispatch; the others are one group.  The failure raised is the one of
+    # the lowest block index, wherever that block was solved.
+    prob, _, _, _, X = acopf_rows(early=None, capped=None, bad=None)
+    prob = replace_equalities(prob, 2, [
+        PolarBalance(eq.name, dict(eq.payload, y_diag_im=eq.y_diag_im + 1.0))
+        for eq in prob.blocks[2].set.equalities])
+    grp, = prob.quadratic_groups
+    assert prob.single_blocks == [2] and 2 not in grp.blocks
+    real_alm, real_dispatch = jacobi.solve_equality_alm, jacobi.dispatch
+
+    def failing_alm(req):
+        res = real_alm(req)
+        for i, t in enumerate(req.t):
+            if t in group_fails:
+                res[i].status = STATUS_NUMERICAL_FAILURE
+        return res
+
+    def failing_dispatch(req):
+        res = real_dispatch(req)
+        if req.t in single_fails:
+            res.status = STATUS_NUMERICAL_FAILURE
+        return res
+
+    monkeypatch.setattr(jacobi, "solve_equality_alm", failing_alm)
+    monkeypatch.setattr(jacobi, "dispatch", failing_dispatch)
+    with pytest.raises(BlockSolveError) as info:
+        jacobi.x_update_all(prob, acopf_state(prob, X), PARAMS)
+    assert info.value.t == first
+    assert info.value.result.solver == "equality-alm"

@@ -9,14 +9,14 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from proxjacobi import model
+from proxjacobi import model, problems
 from proxjacobi.model import (RANK_DROP_TOL, BlockSpec, ConstraintSet,
                               Params, Problem, Quadratic, SchemaError,
                               coupling_rank, csr_to_triplets, load_problem,
                               save_problem, triplets_to_csr, validate_problem,
                               variable_splitting_transform)
 
-from conftest import build_qp
+from conftest import build_qp, replace_equalities
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -528,3 +528,68 @@ class TestCouplingRows:
                        for blk, xt in zip(prob.blocks, x))
         assert prob.objective_value(prob.stack(x)) == pytest.approx(
             expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("nbus", [3, 5])
+@pytest.mark.parametrize("split", [False, True])
+def test_stacked_equality_map_matches_rows(nbus, split):
+    # values, Jacobian and weighted Hessian on a (k, n) stack, with per-row
+    # right-hand sides, equal the one-point evaluations bit for bit; the
+    # split blocks mix polar rows with linear rows
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=nbus, T=3), 3)
+    if split:
+        prob = variable_splitting_transform(prob)
+    rng = np.random.default_rng(nbus)
+    for blk in prob.blocks:
+        emap = blk.set.equality_map
+        r, n, k = len(emap.d), blk.n, 5
+        assert emap.networks and not emap.quadratic
+        assert (r > 2 * nbus) == split
+        X = rng.uniform(-1.5, 1.5, (k, n))
+        D = rng.standard_normal((k, r))
+        W = rng.standard_normal((k, r))
+        c, J, H = (emap.values(X, D), emap.jacobian(X),
+                   emap.weighted_hessian(X, W))
+        assert c.shape == (k, r) and J.shape == (k, r, n)
+        assert H.shape == (k, n, n)
+        for i in range(k):
+            assert np.array_equal(c[i], emap.values(X[i], D[i]))
+            assert np.array_equal(J[i], emap.jacobian(X[i]))
+            assert np.array_equal(H[i], emap.weighted_hessian(X[i], W[i]))
+        assert np.array_equal(emap.values(X)[0], emap.values(X[0]))
+        assert np.allclose(emap.values(X[0]) - emap.values(X[0], D[0]),
+                           D[0] - emap.d, rtol=0.0, atol=1e-12)
+
+
+class TestNonlinearGroups:
+    def test_acopf_periods_form_one_group(self):
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
+        grp, = prob.quadratic_groups
+        assert grp.equality_map is not None and grp.C is None
+        assert grp.blocks == list(range(12)) and prob.single_blocks == []
+        for i, blk in enumerate(prob.blocks):
+            emap = blk.set.equality_map
+            assert emap.structure == grp.equality_map.structure
+            assert np.array_equal(grp.d[i], emap.d)
+            assert np.array_equal(grp.lower[i], blk.set.lower)
+            assert np.array_equal(grp.upper[i], blk.set.upper)
+        assert len({tuple(d) for d in grp.d}) > 1
+
+    def test_other_equality_structures_stay_single(self):
+        # block 5 with another admittance row at bus 0 (in both of its
+        # balances), block 7 with an extra Q != 0 row; a one-block
+        # structure is no group either
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
+        eqs = [model.PolarBalance(eq.name, dict(
+            eq.payload, y_diag_re=eq.y_diag_re + 1.0)) if eq.bus == 0 else eq
+            for eq in prob.blocks[5].set.equalities]
+        prob = replace_equalities(prob, 5, eqs)
+        n = prob.blocks[7].n
+        circle = Quadratic(sp.eye(n, format="csr"), np.zeros(n), -1.0)
+        prob = replace_equalities(
+            prob, 7, prob.blocks[7].set.equalities + [circle])
+        grp, = prob.quadratic_groups
+        assert grp.blocks == [t for t in range(12) if t not in (5, 7)]
+        assert prob.single_blocks == [5, 7]
+        one = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=1), 1)
+        assert one.quadratic_groups == [] and one.single_blocks == [0]

@@ -160,6 +160,23 @@ class TestLowerBound:
                            r"singular non-diagonal objective"):
             separable_lower_bound(lower_bound_problem(singular=6))
 
+    def test_nonlinear_group_is_refused(self):
+        # a group of ACOPF periods with a convex non-diagonal objective has
+        # no unconstrained minimum to offer: the bound is refused
+        import scipy.sparse as sp
+        from proxjacobi.model import BlockSpec, Problem
+        prob = gen_acopf_toy(toy_network(nbus=3, T=3), 3)
+        blocks = []
+        for blk in prob.blocks:
+            Q = sp.csr_matrix(np.eye(blk.n) + 0.1 * np.ones((blk.n, blk.n)))
+            blocks.append(BlockSpec(n=blk.n, objective=Quadratic(
+                Q, blk.objective.c), set=blk.set, coupling=blk.coupling))
+        prob = Problem(m=prob.m, b=prob.b, blocks=blocks)
+        grp, = prob.quadratic_groups
+        assert grp.equality_map is not None
+        with pytest.raises(ValueError, match=r"block 0: .*nonlinear"):
+            separable_lower_bound(prob)
+
     def test_below_oracle_objective(self):
         for seed in (0, 3, 7):
             prob, oracle = build_qp(seed)
@@ -334,11 +351,14 @@ class TestAcopfToy:
         assert err <= 1e-8
 
     def test_period_cap(self):
-        net = toy_network(nbus=2, T=3)
+        # no cap on the periods: 30 build on a 30-period network, and the
+        # network must carry every period asked for
+        prob = gen_acopf_toy(toy_network(nbus=2, T=30), 30)
+        assert prob.T == 30 and prob.m == 29
         with pytest.raises(ValueError):
-            gen_acopf_toy(net, 30)
+            gen_acopf_toy(toy_network(nbus=2, T=3), 4)
         with pytest.raises(ValueError):
-            gen_acopf_toy(net, 4)  # network only carries 3 load periods
+            gen_acopf_toy(toy_network(nbus=6, T=3), 3)  # 5-bus cap
 
     def test_cost_overrides(self):
         net = twin_generator_network()

@@ -11,12 +11,13 @@ from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, variable_splitting_transform)
 from proxjacobi.subsolver import (BlockSolveRequest, STATUS_CONVERGED,
+                                  STATUS_ITERATION_CAP,
                                   STATUS_NUMERICAL_FAILURE, dispatch,
                                   project_box, solve_box_newton,
                                   solve_equality_alm, solve_quadratic_exact,
                                   solve_quadratic_kkt)
 
-from conftest import box_quadratic_min_enum, mixed_problem
+from conftest import acopf_rows, box_quadratic_min_enum, mixed_problem
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
 
@@ -417,3 +418,78 @@ def test_dispatch_routing():
     assert nonlinear_eq.blocks[0].set.linear_rows is None
     assert dispatch(make_request(nonlinear_eq, warm=np.ones(2))).solver \
         == "equality-alm"
+
+
+def stacked_alm(grp, H, G, X):
+    return solve_equality_alm(BlockSolveRequest(
+        t=grp.blocks, objective=BlockObjective.of_stack(H, G, X), set=grp,
+        warm_start=X))
+
+
+def one_block_alm(prob, H, G, X, i, t):
+    """The ALM on row i of the stack alone (k = 1), as block t."""
+    return solve_equality_alm(BlockSolveRequest(
+        t=t, objective=BlockObjective.of_stack(H[i:i + 1], G[i:i + 1],
+                                               X[i:i + 1]),
+        set=prob.blocks[t].set, warm_start=X[i]))
+
+
+def test_batched_alm_rows_match_one_block_solves(monkeypatch):
+    # each row of one stacked ALM call computes what the k = 1 call on its
+    # block computes, bit for bit, whatever the other rows do: row 1 stops
+    # after one round, row 3 (infeasible) at the iteration cap, row 4 (NaN
+    # model) in numerical failure, and row 5 (stiff) raises its penalty in
+    # rounds where rows 0 and 2 do not; the rows differ in loads and warm
+    # starts
+    prob, grp, H, G, X = acopf_rows()
+    assert len({tuple(d) for d in grp.d}) == len(grp.blocks)
+    sizes = []
+    real = subsolver._box_newton
+
+    def recording(obj, X, *args):
+        sizes.append(len(X))
+        return real(obj, X, *args)
+
+    monkeypatch.setattr(subsolver, "_box_newton", recording)
+    res = stacked_alm(grp, H, G, X)
+    monkeypatch.setattr(subsolver, "_box_newton", real)
+    assert [r.status for r in res] == [
+        STATUS_CONVERGED, STATUS_CONVERGED, STATUS_CONVERGED,
+        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
+    assert res[1].inner_iterations == 1 and res[4].inner_iterations == 0
+    assert len({r.inner_iterations for r in res}) >= 5
+    # rows leave the lockstep loop as they finish: rows 1 and 4 after the
+    # first round
+    assert sizes[:2] == [6, 4] and sizes == sorted(sizes, reverse=True)
+    for i, t in enumerate(grp.blocks):
+        ref = one_block_alm(prob, H, G, X, i, t)
+        assert res[i].status == ref.status, t
+        assert res[i].inner_iterations == ref.inner_iterations, t
+        assert np.array_equal(res[i].x, ref.x), t
+        assert np.array_equal(res[i].mu, ref.mu), t
+        assert res[i].grad_norm == ref.grad_norm, t
+        assert res[i].solver == "equality-alm"
+
+
+def test_batched_alm_rows_ignore_the_others():
+    # dropping the capped and the failing rows from the stack changes no
+    # other row's result
+    prob, grp, H, G, X = acopf_rows()
+    full = stacked_alm(grp, H, G, X)
+    _, grp2, H2, G2, X2 = acopf_rows(capped=None, bad=None)
+    keep = [0, 1, 2, 5]
+    part = stacked_alm(grp2, H2, G2, X2)
+    for i in keep:
+        assert np.array_equal(full[i].x, part[i].x)
+        assert full[i].inner_iterations == part[i].inner_iterations
+
+
+def test_batched_alm_feasible_rows():
+    # the converged rows meet their own balances, not another row's
+    prob, grp, H, G, X = acopf_rows()
+    res = stacked_alm(grp, H, G, X)
+    for i, t in enumerate(grp.blocks):
+        if res[i].converged:
+            assert prob.blocks[t].set.violation(res[i].x) <= 1e-8
+            c = grp.equality_map.values(res[i].x, grp.d[i])
+            assert np.max(np.abs(c)) <= 1e-8
