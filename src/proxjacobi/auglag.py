@@ -49,9 +49,9 @@ class BlockObjective:
     subproblem solvers.
 
     The models are held as stacks (k, ...): one block's has k = 1, and
-    :meth:`of_stack` gives k models, a quadratic group's.  Each
-    callback takes either one point x (n,) of a one-block model, or the
-    points X (len(rows), n) of the stack rows ``rows``, row by row.
+    :meth:`of_stack` gives k models, a quadratic group's.  Each callback
+    takes the points X (len(rows), n) of the stack rows ``rows``, row by
+    row.
     """
 
     def __init__(self, problem, t, g, x_bar_t, params):
@@ -70,21 +70,16 @@ class BlockObjective:
         obj.H, obj.g, obj.anchor = H, g, anchor
         return obj
 
-    def value(self, x, rows=None):
-        if rows is None:
-            return float(self.value(np.asarray(x, dtype=float)[None], [0])[0])
-        D = x - self.anchor[rows]
+    def value(self, X, rows):
+        D = X - self.anchor[rows]
         return _dot(D, self.g[rows] + 0.5 * _matvec(self.H[rows], D))
 
-    def gradient(self, x, rows=None):
-        if rows is None:
-            return self.gradient(np.asarray(x, dtype=float)[None], [0])[0]
-        return self.g[rows] + _matvec(self.H[rows], x - self.anchor[rows])
+    def gradient(self, X, rows):
+        return self.g[rows] + _matvec(self.H[rows], X - self.anchor[rows])
 
-    def hessian(self, x, rows=None):
-        """The dense Hessians H_t (one block's is shared; not to be
-        modified)."""
-        return self.H[0] if rows is None else self.H[rows]
+    def hessian(self, X, rows):
+        """The dense Hessians H_t of the rows."""
+        return self.H[rows]
 
 
 def lyapunov(problem, x, z, lam, x_hat, z_hat, params):

@@ -30,10 +30,9 @@ from . import auglag
 from .algebra import couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
-from .subsolver import (BlockSolveRequest, dispatch, project_box,
-                        solve_box_qp, solve_equality_alm,
-                        solve_quadratic_exact, STATUS_ITERATION_CAP,
-                        STATUS_NUMERICAL_FAILURE)
+from .subsolver import (BlockSolveRequest, dispatch, equality_alm_rows,
+                        project_box, solve_box_qp, solve_quadratic_exact,
+                        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE)
 
 log = logging.getLogger("proxjacobi")
 
@@ -204,15 +203,15 @@ def x_update_all(problem, state, params, pool=None):
     it in one batched call: an unconstrained group by one exact Newton
     step, a group with linear equalities and a box by the active-set QP,
     and a group that shares one nonlinear equality map by the inner ALM
-    over projected Newton, run on the group's stack of exact quadratic
-    models (``BlockObjective.of_stack``).  The other blocks, and any block
-    of the first two kinds whose step fails or whose QP finds no certified
-    minimizer, go through ``dispatch`` with their exact quadratic model
-    (``BlockObjective``), spread over the ``pool`` when there is one.  A
-    solve that stops at its iteration cap is logged.  Returns (the new x as
-    a BlockVector, per-block inner iteration counts: 1 for an exact step,
-    the passes of a grouped QP).  Any numerical failure aborts with the
-    lowest failing block index.
+    over projected Newton (``subsolver.equality_alm_rows``), run on the
+    group's stack of exact quadratic models (``BlockObjective.of_stack``).
+    The other blocks, and any block of the first two kinds whose step fails
+    or whose QP finds no certified minimizer, go through ``dispatch`` with
+    their exact quadratic model (``BlockObjective``), spread over the
+    ``pool`` when there is one.  A solve that stops at its iteration cap
+    is logged.  Returns (the new x as a BlockVector, per-block inner
+    iteration counts: 1 for an exact step, the passes of a grouped QP).
+    Any numerical failure aborts with the lowest failing block index.
     """
     vec = problem.stack(state.x)
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
@@ -226,9 +225,8 @@ def x_update_all(problem, state, params, pool=None):
         X, G = grp.take(vec), grp.take(g)
         if grp.equality_map is not None:
             obj = BlockObjective.of_stack(grp.hessian(w), G, X)
-            results.update(zip(grp.blocks, solve_equality_alm(
-                BlockSolveRequest(t=grp.blocks, objective=obj, set=grp,
-                                  warm_start=X))))
+            results.update(zip(grp.blocks, equality_alm_rows(
+                obj, grp.equality_map, grp.d, X, grp.lower, grp.upper)))
             continue
         if grp.C is None:
             H, H_inv, ok = grp.hessian_factor(w)

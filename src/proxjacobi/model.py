@@ -257,7 +257,9 @@ def _dot(X, Y):
 
 
 def _each_row(fn, x):
-    """``fn`` of the vector x, or of each row of the stack x, stacked."""
+    """``fn`` of the vector x, or of each row of the stack x, stacked.  The
+    callbacks of a :class:`Quadratic` row take one point, and the inner ALM
+    evaluates even a one-block map on a stack (k = 1)."""
     return fn(x) if x.ndim == 1 else np.array([fn(xi) for xi in x])
 
 

@@ -18,16 +18,17 @@ Each kind of block has one solver:
   objective value never exceeds the warm start's) and handles indefinite
   Hessians;
 - nonlinear equalities, or a QP without a certificate: an inner
-  augmented-Lagrangian loop over projected Newton.  It runs on one block,
-  or on a stack of blocks whose equalities are one map up to the
+  augmented-Lagrangian loop over projected Newton.  ``equality_alm_rows``
+  runs it on a stack of blocks whose equalities are one map up to the
   right-hand side (a nonlinear ``QuadraticGroup``), every row in lockstep
   with its own multipliers, penalty, active set, ridge, step length and
   stopping tests, so that each row computes what a solve of its block
   alone computes, bit for bit.
 
-The projected Newton and ALM solvers are written for stacks (k, n); one
-block is the stack k = 1, and its callbacks answer for the rows ``rows`` of
-the stack at the points X (len(rows), n).
+The projected Newton and ALM loops are written for stacks (k, n), and the
+objective callbacks answer for the rows ``rows`` of the stack at the points
+X (len(rows), n).  The one-block solvers behind ``dispatch`` run them on
+the stack k = 1 and return one result.
 """
 
 from dataclasses import dataclass
@@ -48,22 +49,22 @@ ALM_SIGMA_CAP = 1e12
 ALM_MAX_ROUNDS = 40
 QP_MAX_PASSES = 50
 QP_INERTIA_RTOL = 1e-10
+INNER_TOL = 1e-8
+INNER_MAX_ITER = 500
 
 
 @dataclass
 class BlockSolveRequest:
-    """One block subproblem, or a stack of them: objective callbacks, set
-    and warm start.  For one block, ``t`` is its index, ``set`` its
-    ConstraintSet and ``warm_start`` (n,); for a stack, ``t`` lists the k
-    block indices, ``set`` is their QuadraticGroup (bounds (k, n), right-hand
-    sides ``d`` (k, r)) and ``warm_start`` (k, n)."""
+    """One block subproblem: objective callbacks, set and warm start (n,).
+    The callbacks answer for the block as the stack k = 1 (rows ``[0]``,
+    points (1, n))."""
 
-    t: object                  # block index, or the k block indices
+    t: int
     objective: object          # exposes value, gradient, hessian
-    set: object                # ConstraintSet, or QuadraticGroup
+    set: object                # ConstraintSet
     warm_start: np.ndarray
-    tol: float = 1e-8
-    max_iter: int = 500
+    tol: float = INNER_TOL
+    max_iter: int = INNER_MAX_ITER
 
     def __post_init__(self):
         ws = np.asarray(self.warm_start, dtype=float)
@@ -232,8 +233,9 @@ def solve_quadratic_kkt(req):
         raise ValueError("quadratic-kkt solver requires linear equalities")
     C, d = rows
     x, mu, passes = solve_box_qp(
-        obj.hessian(req.warm_start)[None], obj.gradient(np.zeros(n))[None],
-        C, d[None], req.set.lower[None], req.set.upper[None])
+        obj.hessian(req.warm_start[None], [0]),
+        obj.gradient(np.zeros((1, n)), [0]), C, d[None],
+        req.set.lower[None], req.set.upper[None])
     if not passes[0]:
         return BlockSolveResult(
             x=req.warm_start.copy(), mu=np.empty(0),
@@ -253,23 +255,17 @@ def _pg_criticality(X, G, lower, upper):
                   initial=0.0)
 
 
-def _stack_of(req):
-    """The warm start and box of a request as stacks (k, n): a stack's own,
-    or one block's as k = 1."""
-    X, lo, hi = req.warm_start, req.set.lower, req.set.upper
-    if X.ndim == 1:
-        return X[None], lo[None], hi[None]
-    return X, lo, hi
+def _one_block(req):
+    """The warm start and box of a one-block request as the stack k = 1."""
+    return req.warm_start[None], req.set.lower[None], req.set.upper[None]
 
 
-def _results(req, X, mu, status, inner, grad_norm, solver):
-    """The BlockSolveResult of each row, as a list for a stacked request and
-    alone for one block."""
-    out = [BlockSolveResult(x=X[i], mu=mu[i], status=str(status[i]),
-                            inner_iterations=int(inner[i]),
-                            grad_norm=float(grad_norm[i]), solver=solver)
-           for i in range(len(X))]
-    return out if req.warm_start.ndim == 2 else out[0]
+def _results(X, mu, status, inner, grad_norm, solver):
+    """The BlockSolveResult of each row of a stack."""
+    return [BlockSolveResult(x=X[i], mu=mu[i], status=str(status[i]),
+                             inner_iterations=int(inner[i]),
+                             grad_norm=float(grad_norm[i]), solver=solver)
+            for i in range(len(X))]
 
 
 def _newton_directions(H, G, free):
@@ -280,8 +276,7 @@ def _newton_directions(H, G, free):
     whose solve is not finite, takes -g_f.  Each row's free block is
     factored and solved by its own LAPACK calls, so its direction is the
     one a solve of that block alone computes, bit for bit."""
-    k, n = G.shape
-    eye = [np.eye(m) for m in range(n + 1)]
+    k = len(G)
     scale = np.maximum(np.max(np.where(free, np.abs(np.diagonal(
         H, axis1=1, axis2=2)), 0.0), axis=1), 1.0)
     rhs = np.where(free, -G, 0.0)
@@ -291,7 +286,7 @@ def _newton_directions(H, G, free):
         Hff, b, m = H[i][f][:, f], rhs[i, f], int(np.count_nonzero(f))
         ridge = 0.0
         while ridge < 1e12 * scale[i]:
-            factor, info = dpotrf(Hff + ridge * eye[m], lower=0, clean=0)
+            factor, info = dpotrf(Hff + ridge * np.eye(m), lower=0, clean=0)
             if info == 0:
                 D[i, f] = dpotrs(factor, b, lower=0)[0]
                 break
@@ -385,7 +380,7 @@ def _box_newton(obj, X, lo, hi, tol, max_iter):
 
 def solve_box_newton(req):
     """Projected Newton over a box for objectives with analytic Hessians,
-    on one block or on a stack of blocks (row by row, in lockstep).
+    on one block (the stack k = 1 of ``_box_newton``).
 
     Coordinates pressed against a bound by the gradient are frozen; the
     Newton system on the free set is regularized by an escalating ridge
@@ -393,11 +388,10 @@ def solve_box_newton(req):
     a machine-noise allowance so the final sharpening steps near the
     minimizer are not rejected.
     """
-    X, lo, hi = _stack_of(req)
-    X, status, inner, crit = _box_newton(req.objective, X, lo, hi, req.tol,
-                                         req.max_iter)
-    return _results(req, X, np.zeros((len(X), 0)), status, inner, crit,
-                    "box-newton")
+    X, status, inner, crit = _box_newton(req.objective, *_one_block(req),
+                                         req.tol, req.max_iter)
+    return _results(X, np.zeros((1, 0)), status, inner, crit,
+                    "box-newton")[0]
 
 
 class _PenalizedObjective:
@@ -464,20 +458,28 @@ class _PenalizedObjective:
 
 
 def solve_equality_alm(req):
-    """Inner augmented-Lagrangian loop for equality-described block sets,
-    on one block or on a stack of blocks whose equalities are one map up
-    to the right-hand side (a QuadraticGroup as ``req.set``).
+    """Inner augmented-Lagrangian loop for an equality-described block set,
+    on one block (the stack k = 1 of ``equality_alm_rows``)."""
+    eqmap = req.set.equality_map
+    return equality_alm_rows(req.objective, eqmap, eqmap.d[None],
+                             *_one_block(req), req.tol, req.max_iter)[0]
+
+
+def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
+                      max_iter=INNER_MAX_ITER):
+    """Inner augmented-Lagrangian loop for a stack of blocks whose
+    equalities are the map ``eqmap`` up to the right-hand sides D (k, r),
+    from the warm starts X (k, n), over the boxes lo and hi (k, n); ``obj``
+    exposes the stacked callbacks of the k block objectives.  Returns the
+    BlockSolveResult of each row.
 
     Multiplier estimates are updated as ``y <- y + sigma c``; the penalty
     grows tenfold whenever the equality violation fails to shrink by a
-    factor of 4 in a round, up to the 1e12 cap.  The rows of a stack run
-    their rounds in lockstep, each with its own multipliers, penalty and
-    stopping tests, through one projected-Newton call per round; a row
-    leaves the loop when it finishes.
+    factor of 4 in a round, up to the 1e12 cap.  The rows run their rounds
+    in lockstep, each with its own multipliers, penalty and stopping tests,
+    through one projected-Newton call per round; a row leaves the loop when
+    it finishes.
     """
-    X, lo, hi = _stack_of(req)
-    eqmap = req.set.equality_map
-    D = req.set.d if req.warm_start.ndim == 2 else eqmap.d[None]
     k, r = D.shape
     X = X.copy()
     y = np.zeros((k, r))
@@ -492,10 +494,10 @@ def solve_equality_alm(req):
     best_x, best_y, best_g = X.copy(), y.copy(), np.zeros(k)
     live = np.arange(k)
     for rnd in range(ALM_MAX_ROUNDS):
-        pen = _PenalizedObjective(req.objective, eqmap, D[live], y[live],
+        pen = _PenalizedObjective(obj, eqmap, D[live], y[live],
                                   sigma[live], live)
         x, st, inner, gn = _box_newton(pen, X[live], lo[live], hi[live],
-                                       req.tol, req.max_iter)
+                                       tol, max_iter)
         total[live] += inner
         bad = st == STATUS_NUMERICAL_FAILURE
         at = live[bad]
@@ -506,7 +508,7 @@ def solve_equality_alm(req):
         c = eqmap.values(x, D[live])
         cn = np.max(np.abs(c), axis=1, initial=0.0)
         y[live] = y[live] + sigma[live, None] * c
-        done = (cn <= req.tol) & (gn <= req.tol)
+        done = (cn <= tol) & (gn <= tol)
         better = done | (cn < best_c[live]) | (rnd == 0)
         at = live[better]
         best_c[at], best_x[at], best_y[at], best_g[at] = (
@@ -527,8 +529,7 @@ def solve_equality_alm(req):
         live = live[keep]
         if not live.size:
             break
-    return _results(req, best_x, best_y, status, total, best_g,
-                    "equality-alm")
+    return _results(best_x, best_y, status, total, best_g, "equality-alm")
 
 
 def _negative_curvature(H):
@@ -560,7 +561,7 @@ def dispatch(req):
                 return result
         return solve_equality_alm(req)
     lo, hi = req.set.lower, req.set.upper
-    H = req.objective.hessian(req.warm_start)
+    H = req.objective.hessian(req.warm_start[None], [0])[0]
     unbounded = ~(np.isfinite(lo) | np.isfinite(hi))
     if not np.all(np.isfinite(H)) or _negative_curvature(
             H[np.ix_(unbounded, unbounded)]):

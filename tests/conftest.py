@@ -74,6 +74,12 @@ def with_loads(problem, t, loads):
         for eq, load in zip(problem.blocks[t].set.equalities, loads)])
 
 
+def at_point(callback, x):
+    """A stacked objective callback of a one-block model (the stack k = 1)
+    at the one point x."""
+    return callback(np.asarray(x, dtype=float)[None], [0])[0]
+
+
 def acopf_rows(T=6, seed=0, early=1, capped=3, bad=4, stiff=5):
     """A stack of T ACOPF block models, one group, with loads perturbed by up
     to 5% and random warm starts in the box: ``(problem, group, H, G, X)``.
@@ -183,4 +189,4 @@ def acopf_twin_problem():
 
 __all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "default_start",
            "mixed_problem", "box_quadratic_min_enum", "replace_equalities",
-           "with_loads", "acopf_rows"]
+           "with_loads", "at_point", "acopf_rows"]

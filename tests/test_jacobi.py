@@ -21,8 +21,8 @@ from proxjacobi.subsolver import (BlockSolveRequest, BlockSolveResult,
                                   STATUS_NUMERICAL_FAILURE,
                                   solve_quadratic_kkt)
 
-from conftest import (acopf_rows, build_qp, default_start, mixed_problem,
-                      replace_equalities)
+from conftest import (acopf_rows, at_point, build_qp, default_start,
+                      mixed_problem, replace_equalities)
 
 PARAMS = Params(rho=2.0, theta=4.0, tau_x=1.0, tau_z=8.0)
 
@@ -262,8 +262,9 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
                              params.rho)
     for t in batched:
         obj = BlockObjective(prob, t, g, state.x[t], params)
-        g0 = np.linalg.norm(obj.gradient(state.x[t]))
-        assert np.linalg.norm(obj.gradient(x[t])) <= 1e-10 * (1.0 + g0)
+        g0 = np.linalg.norm(at_point(obj.gradient, state.x[t]))
+        assert np.linalg.norm(at_point(obj.gradient, x[t])) <= 1e-10 * (
+            1.0 + g0)
         assert inner[t] == 1
     ref = solve_quadratic_kkt(BlockSolveRequest(
         t=4, objective=BlockObjective(prob, 4, g, state.x[4], params),
@@ -403,11 +404,11 @@ def test_sweep_raises_for_lowest_failing_block(monkeypatch, group_fails,
         for eq in prob.blocks[2].set.equalities])
     grp, = prob.quadratic_groups
     assert prob.single_blocks == [2] and 2 not in grp.blocks
-    real_alm, real_dispatch = jacobi.solve_equality_alm, jacobi.dispatch
+    real_alm, real_dispatch = jacobi.equality_alm_rows, jacobi.dispatch
 
-    def failing_alm(req):
-        res = real_alm(req)
-        for i, t in enumerate(req.t):
+    def failing_alm(obj, eqmap, D, *args):
+        res = real_alm(obj, eqmap, D, *args)
+        for i, t in enumerate(grp.blocks):
             if t in group_fails:
                 res[i].status = STATUS_NUMERICAL_FAILURE
         return res
@@ -418,7 +419,7 @@ def test_sweep_raises_for_lowest_failing_block(monkeypatch, group_fails,
             res.status = STATUS_NUMERICAL_FAILURE
         return res
 
-    monkeypatch.setattr(jacobi, "solve_equality_alm", failing_alm)
+    monkeypatch.setattr(jacobi, "equality_alm_rows", failing_alm)
     monkeypatch.setattr(jacobi, "dispatch", failing_dispatch)
     with pytest.raises(BlockSolveError) as info:
         jacobi.x_update_all(prob, acopf_state(prob, X), PARAMS)

@@ -561,6 +561,29 @@ def test_stacked_equality_map_matches_rows(nbus, split):
                            D[0] - emap.d, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 4])
+def test_quadratic_rows_on_a_stack(k):
+    # a Q != 0 row evaluates row by row on a stack: the inner ALM of a
+    # one-block solve evaluates its map on the stack k = 1
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=1), 1)
+    blk, = prob.blocks
+    n = blk.n
+    circle = Quadratic(sp.diags(np.linspace(1.0, 2.0, n), format="csr"),
+                       np.ones(n), -1.0)
+    emap = model.EqualityMap(list(blk.set.equalities) + [circle], n)
+    assert emap.networks and emap.quadratic
+    rng = np.random.default_rng(k)
+    X = rng.uniform(-1.5, 1.5, (k, n))
+    W = rng.standard_normal((k, len(emap.d)))
+    c, J, H = (emap.values(X), emap.jacobian(X),
+               emap.weighted_hessian(X, W))
+    for i in range(k):
+        assert np.array_equal(c[i], emap.values(X[i]))
+        assert np.array_equal(J[i], emap.jacobian(X[i]))
+        assert np.array_equal(H[i], emap.weighted_hessian(X[i], W[i]))
+    assert c[0, -1] == circle.value(X[0])
+
+
 class TestNonlinearGroups:
     def test_acopf_periods_form_one_group(self):
         prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)

@@ -1,5 +1,7 @@
 """Unit tests for the block subproblem solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,11 +15,12 @@ from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
 from proxjacobi.subsolver import (BlockSolveRequest, STATUS_CONVERGED,
                                   STATUS_ITERATION_CAP,
                                   STATUS_NUMERICAL_FAILURE, dispatch,
-                                  project_box, solve_box_newton,
-                                  solve_equality_alm, solve_quadratic_exact,
-                                  solve_quadratic_kkt)
+                                  equality_alm_rows, project_box,
+                                  solve_box_newton, solve_equality_alm,
+                                  solve_quadratic_exact, solve_quadratic_kkt)
 
-from conftest import acopf_rows, box_quadratic_min_enum, mixed_problem
+from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
+                      mixed_problem)
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
 
@@ -72,7 +75,8 @@ def exact_step(problem, warm):
     obj = make_request(problem, warm=warm).objective
     grp, = problem.quadratic_groups
     H, H_inv, ok = grp.hessian_factor(PARAMS.rho + PARAMS.tau_x)
-    dx, solved = solve_quadratic_exact(H, H_inv, obj.gradient(warm)[None])
+    dx, solved = solve_quadratic_exact(H, H_inv,
+                                       obj.gradient(warm[None], [0]))
     return warm + dx[0], ok[0] and solved[0], obj
 
 
@@ -87,7 +91,7 @@ def test_quadratic_exact_unconstrained():
     x, ok, obj = exact_step(prob, rng.standard_normal(3))
     assert ok
     # the minimizer satisfies the full subproblem stationarity
-    assert np.linalg.norm(obj.gradient(x)) < 1e-8
+    assert np.linalg.norm(at_point(obj.gradient, x)) < 1e-8
 
 
 def test_quadratic_exact_indefinite_fails():
@@ -151,7 +155,8 @@ def test_box_newton_monotone():
         req = make_request(prob, warm=warm)
         res = dispatch(req)
         assert res.solver == "box-newton"
-        assert req.objective.value(res.x) <= req.objective.value(warm) + 1e-12
+        value = req.objective.value
+        assert at_point(value, res.x) <= at_point(value, warm) + 1e-12
 
 
 def test_box_block_unbounded_below_fails_at_once():
@@ -174,18 +179,39 @@ def test_box_block_unbounded_below_fails_at_once():
 
 def test_dispatch_nonfinite_hessian_fails():
     class NanModel:
-        def value(self, x):
-            return 0.0
+        def value(self, X, rows):
+            return np.zeros(len(X))
 
-        def gradient(self, x):
-            return np.zeros(2)
+        def gradient(self, X, rows):
+            return np.zeros((len(X), 2))
 
-        def hessian(self, x):
-            return np.full((2, 2), np.nan)
+        def hessian(self, X, rows):
+            return np.full((len(X), 2, 2), np.nan)
 
     req = BlockSolveRequest(t=0, objective=NanModel(), set=ConstraintSet(
         np.zeros(2), np.ones(2)), warm_start=np.zeros(2))
     assert dispatch(req).status == STATUS_NUMERICAL_FAILURE
+
+
+def test_box_newton_memory_stays_quadratic():
+    # one block of n = 300 with a box: a Newton step allocates a few n x n
+    # arrays (Hessian, free block, ridge term, factor), never a stack of
+    # identities of every size up to n (n^3/3 doubles, 100 n^2 here)
+    n = 300
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((n, n))
+    f = Quadratic(sp.csr_matrix(M.T @ M / n + np.eye(n)),
+                  3.0 * rng.standard_normal(n))
+    req = make_request(make_block_problem(
+        f, ConstraintSet(-np.ones(n), np.ones(n))))
+    tracemalloc.start()
+    try:
+        res = solve_box_newton(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.inner_iterations > 1
+    assert peak <= 16 * 8 * n * n
 
 
 def test_box_newton_matches_enumeration():
@@ -204,7 +230,8 @@ def test_box_newton_matches_enumeration():
         # subproblem objective (A is empty, so the block model is
         # f(x) - f(warm), and f(warm) = f(0) = 0)
         best = box_quadratic_min_enum(Q, c, 0.0, lo, hi)
-        assert req.objective.value(res.x) == pytest.approx(best, abs=1e-8)
+        assert at_point(req.objective.value, res.x) == pytest.approx(
+            best, abs=1e-8)
 
 
 def test_quadratic_kkt_linear_equality():
@@ -421,9 +448,9 @@ def test_dispatch_routing():
 
 
 def stacked_alm(grp, H, G, X):
-    return solve_equality_alm(BlockSolveRequest(
-        t=grp.blocks, objective=BlockObjective.of_stack(H, G, X), set=grp,
-        warm_start=X))
+    return equality_alm_rows(BlockObjective.of_stack(H, G, X),
+                             grp.equality_map, grp.d, X, grp.lower,
+                             grp.upper)
 
 
 def one_block_alm(prob, H, G, X, i, t):
