@@ -36,39 +36,26 @@ def subproblem_gradients(problem, vec, z, lam, rho):
 
 
 class BlockObjective:
-    """The subproblem of block t with the other blocks frozen, as its exact
-    quadratic model about the anchor xbar_t:
+    """The subproblems of k blocks with the other blocks frozen, each as
+    its exact quadratic model about the anchor xbar_t:
 
     q_t(x_t) = g_t'd + (1/2) d'H_t d,   d = x_t - xbar_t,
 
     with g_t block t's slice of the flat ``subproblem_gradients`` vector
-    ``g`` and H_t = Q_t + (rho + tau_x) A_t'A_t.  It differs from
+    and H_t = Q_t + (rho + tau_x) A_t'A_t.  It differs from
     f_t(x_t) + lam'A_t x_t + (rho/2)||A_t x_t + A_{!=t} xbar + zbar - b||^2
     + (tau_x/2)||x_t - xbar_t||^2_{A_t'A_t} by a constant only.  Exposes
     the ``value``, ``gradient`` and ``hessian`` callbacks of the
     subproblem solvers.
 
-    The models are held as stacks (k, ...): one block's has k = 1, and
-    :meth:`of_stack` gives k models, a quadratic group's.  Each callback
-    takes the points X (len(rows), n) of the stack rows ``rows``, row by
-    row.
+    The models are held as stacks: the Hessians H (k, n, n), a quadratic
+    group's ``hessian(rho + tau_x)``, and the gradients g (k, n) at the
+    anchors (k, n).  Each callback takes the points X (len(rows), n) of the
+    stack rows ``rows``, row by row.
     """
 
-    def __init__(self, problem, t, g, x_bar_t, params):
-        blk = problem.blocks[t]
-        H = blk.Q_dense + (params.rho + params.tau_x) * blk.AtA_dense
-        self.H = H[None]
-        self.g = g[None, problem.offsets[t]:problem.offsets[t + 1]]
-        self.anchor = np.asarray(x_bar_t, dtype=float)[None]
-
-    @classmethod
-    def of_stack(cls, H, g, anchor):
-        """The k models with the Hessians H (k, n, n) and the gradients g
-        (k, n) at the anchors (k, n): a quadratic group's, with H its
-        ``hessian(rho + tau_x)``."""
-        obj = cls.__new__(cls)
-        obj.H, obj.g, obj.anchor = H, g, anchor
-        return obj
+    def __init__(self, H, g, anchor):
+        self.H, self.g, self.anchor = H, g, anchor
 
     def value(self, X, rows):
         D = X - self.anchor[rows]
@@ -155,22 +142,21 @@ def _normal_cone_excess(r, x, lo, hi, active_tol):
 
 def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list, from one stacked gradient.  The blocks of a group with linear
-    equalities fit their multipliers together, by one batched
-    pseudo-inverse of the rows C' masked to each block's coordinates off
-    the bounds; every other block with equalities, those of a nonlinear
-    group included, fits its own on its slice of the gradient."""
+    list, from one stacked gradient.  The blocks of a ``qp`` group fit
+    their multipliers together, by one batched pseudo-inverse of the rows
+    C' masked to each block's coordinates off the bounds; each block of an
+    ``alm`` group fits its own on its slice of the gradient."""
     o = problem.offsets
     if np.isfinite(feas_tol):
         for t, blk in enumerate(problem.blocks):
             _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
     g = problem.objective_gradients(vec) + problem.block_products_T(
         np.asarray(lam, dtype=float)[problem.coupling_rows.row])
-    alone = list(problem.single_blocks)
+    alone = []
     for grp in problem.quadratic_groups:
-        if grp.equality_map is not None:
+        if grp.kind == "alm":
             alone += grp.blocks
-        elif grp.C is not None:
+        elif grp.kind == "qp":
             X, G = grp.take(vec), grp.take(g)
             free = ~((X <= grp.lower + active_tol)
                      | (X >= grp.upper - active_tol))

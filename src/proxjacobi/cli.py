@@ -120,6 +120,9 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    if args.workers < 0:
+        print("error: --workers must be nonnegative", file=sys.stderr)
+        return EXIT_IO
     run_config = RunConfig(workers=args.workers,
                            record_timings=not args.no_timings)
     with contextlib.ExitStack() as stack:
@@ -142,8 +145,7 @@ def _run_solve(args, problem, cfg, run_config):
         if args.fixed_params:
             params = _fixed_params(args, cfg, problem.T)
             init = jacobi.init_state(problem, x0, z0, lam0, params)
-            run_config.max_iters = (args.max_iters if args.max_iters
-                                    else cfg.max_outer)
+            run_config.max_iters = cfg.max_outer
             state, trace = jacobi.run_fixed(
                 problem, params, init, run_config,
                 stop=lambda s, rec: rec.coupling_inf <= eps)

@@ -4,16 +4,16 @@ Each iteration solves the T block subproblems independently (no block sees
 another block's current-iteration value), joins, then applies the
 closed-form z and lambda updates and emits one trace record.  Every
 subproblem is an exact quadratic about the previous iterate, whose
-gradients come from one stacked product.  The blocks of each quadratic
-group are solved together on the calling thread: the unconstrained blocks
-of one size by one batched exact step, the blocks of one size and the same
-linear equality rows by one batched active-set QP, and the blocks that
-share one nonlinear equality map up to its right-hand side (the periods of
-one ACOPF network) by one stacked inner ALM over projected Newton.  The
-other blocks (box only, or with equalities no other block shares) are
-solved one by one, each from its dense model, on the worker pool when
-there is one.  Results are identical at any worker count: block solves are
-pure and all reductions run in block order.
+gradients come from one stacked product.  The blocks are partitioned into
+quadratic groups (``Problem.quadratic_groups``), and each group is solved
+by one stacked call of its kind's solver: the unconstrained blocks of one
+size by one batched exact step, the box-only blocks of one size by
+projected Newton, the blocks of one size and the same linear equality rows
+by one batched active-set QP, and the blocks that share one nonlinear
+equality map up to its right-hand side (the periods of one ACOPF network)
+by one stacked inner ALM over projected Newton.  The groups are spread
+over the worker pool when there is one.  Results are identical at any
+worker count: group solves are pure and all reductions run in block order.
 """
 
 import contextlib
@@ -30,8 +30,8 @@ from . import auglag
 from .algebra import couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
-from .subsolver import (BlockSolveRequest, dispatch, equality_alm_rows,
-                        project_box, solve_box_qp, solve_quadratic_exact,
+from .subsolver import (box_newton_rows, equality_alm_rows, project_box,
+                        solve_box_qp, solve_quadratic_exact,
                         STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE)
 
 log = logging.getLogger("proxjacobi")
@@ -185,14 +185,49 @@ def worker_pool(workers):
         yield pool
 
 
-def _solve_block(problem, state, params, g, t):
-    return dispatch(BlockSolveRequest(
-        t=t, objective=BlockObjective(problem, t, g, state.x[t], params),
-        set=problem.blocks[t].set, warm_start=state.x[t]))
-
-
 def _map(pool, fn, items):
     return list(pool.map(fn, items) if pool else map(fn, items))
+
+
+def solve_group(grp, vec, g, w):
+    """Solve the subproblems of the quadratic group ``grp`` from the anchors
+    ``grp.take(vec)``, with their gradients ``grp.take(g)`` there and the
+    Hessians ``grp.hessian(w)``, by one stacked call of the group kind's
+    solver.  The rows of an ``exact`` group whose step fails go to
+    projected Newton, and those of a ``qp`` group without a certified
+    minimizer to the inner ALM, in one stacked call each.
+
+    Returns the new points (k, n), the inner iteration counts (k,) (1 for
+    an exact step, the passes of a QP) and the BlockSolveResult of each
+    block solved by projected Newton or the ALM, as a dict by block.
+    """
+    X, G, H = grp.take(vec), grp.take(g), grp.hessian(w)
+    lo, hi = grp.lower, grp.upper
+    if grp.kind == "exact":
+        _, H_inv, ok = grp.hessian_factor(w)
+        dx, solved = solve_quadratic_exact(H, H_inv, G)
+        x, inner = X + dx, np.ones(len(X), dtype=int)
+        rows = np.flatnonzero(~(solved & ok))
+    elif grp.kind == "qp":
+        # the model G'(x - X) + (x - X)'H(x - X)/2 has the gradient G - HX
+        # at x = 0
+        x, _, inner = solve_box_qp(H, G + (H @ -X[..., None])[..., 0],
+                                   grp.C, grp.d, lo, hi)
+        rows = np.flatnonzero(inner == 0)
+    else:
+        x, inner = X.copy(), np.zeros(len(X), dtype=int)
+        rows = np.arange(len(X))
+    if not rows.size:
+        return x, inner, {}
+    obj = BlockObjective(H[rows], G[rows], X[rows])
+    if grp.kind in ("exact", "box"):
+        results = box_newton_rows(obj, X[rows], lo[rows], hi[rows])
+    else:
+        results = equality_alm_rows(obj, grp.equality_map, grp.d[rows],
+                                    X[rows], lo[rows], hi[rows])
+    for i, res in zip(rows, results):
+        x[i], inner[i] = res.x, res.inner_iterations
+    return x, inner, {grp.blocks[i]: res for i, res in zip(rows, results)}
 
 
 def x_update_all(problem, state, params, pool=None):
@@ -200,53 +235,24 @@ def x_update_all(problem, state, params, pool=None):
 
     Every subproblem gradient at the anchor x_t is one stacked product
     (``auglag.subproblem_gradients``).  Each quadratic group is solved from
-    it in one batched call: an unconstrained group by one exact Newton
-    step, a group with linear equalities and a box by the active-set QP,
-    and a group that shares one nonlinear equality map by the inner ALM
-    over projected Newton (``subsolver.equality_alm_rows``), run on the
-    group's stack of exact quadratic models (``BlockObjective.of_stack``).
-    The other blocks, and any block of the first two kinds whose step fails
-    or whose QP finds no certified minimizer, go through ``dispatch`` with
-    their exact quadratic model (``BlockObjective``), spread over the
-    ``pool`` when there is one.  A solve that stops at its iteration cap
-    is logged.  Returns (the new x as a BlockVector, per-block inner
-    iteration counts: 1 for an exact step, the passes of a grouped QP).
-    Any numerical failure aborts with the lowest failing block index.
+    it by ``solve_group``, the groups spread over the ``pool`` when there
+    is one.  A solve that stops at its iteration cap is logged.  Returns
+    (the new x as a BlockVector, per-block inner iteration counts).  Any
+    numerical failure aborts with the lowest failing block index.
     """
     vec = problem.stack(state.x)
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
                                     params.rho)
     w = params.rho + params.tau_x
-    x_new = vec.copy()
-    inner = [1] * problem.T
-    single = list(problem.single_blocks)
+    groups = problem.quadratic_groups
+    x_new = np.empty_like(vec)
+    inner = np.empty(problem.T, dtype=int)
     results = {}
-    for grp in problem.quadratic_groups:
-        X, G = grp.take(vec), grp.take(g)
-        if grp.equality_map is not None:
-            obj = BlockObjective.of_stack(grp.hessian(w), G, X)
-            results.update(zip(grp.blocks, equality_alm_rows(
-                obj, grp.equality_map, grp.d, X, grp.lower, grp.upper)))
-            continue
-        if grp.C is None:
-            H, H_inv, ok = grp.hessian_factor(w)
-            dx, solved = solve_quadratic_exact(H, H_inv, G)
-            x_new[grp.cols] = (X + dx).ravel()
-            solved &= ok
-        else:
-            # the model G'(x - X) + (x - X)'H(x - X)/2 has the gradient
-            # G - HX at x = 0
-            H = grp.hessian(w)
-            x, _, passes = solve_box_qp(H, G + (H @ -X[..., None])[..., 0],
-                                        grp.C, grp.d, grp.lower, grp.upper)
-            x_new[grp.cols] = x.ravel()
-            solved = passes > 0
-            for t, p in zip(grp.blocks, passes.tolist()):
-                inner[t] = p
-        single += [t for t, s in zip(grp.blocks, solved) if not s]
-    results.update(zip(single, _map(
-        pool, lambda t: _solve_block(problem, state, params, g, t), single)))
-    o = problem.offsets
+    for grp, (x, it, res) in zip(groups, _map(
+            pool, lambda grp: solve_group(grp, vec, g, w), groups)):
+        x_new[grp.cols] = x.ravel()
+        inner[grp.blocks] = it
+        results.update(res)
     for t in sorted(results):
         res = results[t]
         if res.status == STATUS_NUMERICAL_FAILURE:
@@ -256,9 +262,7 @@ def x_update_all(problem, state, params, pool=None):
                         "iteration cap after %d inner iterations; its "
                         "last point is taken", state.k + 1, t, res.solver,
                         res.inner_iterations)
-        x_new[o[t]:o[t + 1]] = res.x
-        inner[t] = res.inner_iterations
-    return problem.split(x_new), inner
+    return problem.split(x_new), inner.tolist()
 
 
 def z_update(problem, Ax, state, params):

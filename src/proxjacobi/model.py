@@ -595,12 +595,6 @@ class BlockSpec:
         """Dense Q_t of a quadratic objective."""
         return self.objective.Q.toarray()
 
-    @cached_property
-    def AtA_dense(self):
-        """Dense A_t'A_t."""
-        A = self.coupling.toarray()
-        return A.T @ A
-
 
 def _block_diag(mats):
     """diag(M_1, ..., M_T) of CSR matrices, in CSR, each block's entries
@@ -633,36 +627,40 @@ class BlockVector(list):
 
 class QuadraticGroup:
     """Blocks of one size n held as dense stacks, so that their subproblems
-    are solved together.  A group is of one of three kinds:
+    are solved together.  ``kind`` names how:
 
-    - blocks with no bounds and no equalities (``C`` and ``equality_map``
-      are None);
-    - blocks whose equalities are the same linear rows C x = d_t (r >= 1),
-      with any box;
-    - two or more blocks whose equalities are one nonlinear map up to its
+    - ``exact``: blocks with no bounds and no equalities, by one exact
+      Newton step;
+    - ``box``: blocks with a box and no equalities, by projected Newton;
+    - ``qp``: blocks whose equalities are the same linear rows C x = d_t
+      (r >= 1), with any box, by the active-set QP;
+    - ``alm``: blocks whose equalities are one nonlinear map up to its
       right-hand side, c(x) - d_t (the same :attr:`EqualityMap.structure`,
-      no rows with Q != 0), with any box: ``equality_map`` is the first
-      block's map, evaluated with each block's d_t.
+      no rows with Q != 0), with any box, by the inner ALM; a block with a
+      Q != 0 row is a group of its own.
 
     ``blocks`` are the block indices, ``cols`` their coordinates in the flat
-    vector (block after block), and Q (k, n, n) and AtA = A_t'A_t (k, n, n)
-    the stacked data.  The kinds with equalities also hold the right-hand
-    sides ``d`` (k, r) and the bounds ``lower`` and ``upper`` (k, n).
+    vector (block after block), Q (k, n, n) and AtA = A_t'A_t (k, n, n) the
+    stacked data, and ``lower`` and ``upper`` (k, n) the bounds.  The kinds
+    with equalities also hold ``equality_map``, the first block's map, and
+    the right-hand sides ``d`` (k, r); a ``qp`` group holds its rows ``C``.
     """
 
-    def __init__(self, problem, blocks, Q, AtA, C=None, equality_map=None):
+    def __init__(self, problem, kind, blocks, Q, AtA):
+        self.kind = kind
         self.blocks = blocks
         self.n = Q.shape[-1]
         self.cols = np.flatnonzero(np.isin(problem.block_index, blocks))
         self.Q = Q
         self.AtA = AtA
-        self.C = C
-        self.equality_map = equality_map
-        if C is not None or equality_map is not None:
+        self.lower = self.take(problem.lower)
+        self.upper = self.take(problem.upper)
+        if kind in ("qp", "alm"):
+            self.equality_map = problem.blocks[blocks[0]].set.equality_map
             self.d = np.stack([problem.blocks[t].set.equality_map.d
                                for t in blocks])
-            self.lower = self.take(problem.lower)
-            self.upper = self.take(problem.upper)
+        if kind == "qp":
+            self.C = self.equality_map.C
         self._hessian = (None, None)
         self._factor = (None, None)
 
@@ -855,39 +853,31 @@ class Problem:
 
     @cached_property
     def quadratic_groups(self):
-        """The blocks solved together, one :class:`QuadraticGroup` per
-        block size n and equality structure: those with no bounds and no
-        equalities, those whose equalities are linear, with any box, and
-        two or more whose equalities are one nonlinear map up to d, with
-        any box.  The stacks are ``objective_stack`` and the products of
-        ``coupling_stack``."""
+        """The blocks solved together: :class:`QuadraticGroup` objects that
+        hold every block exactly once, in the order of their first blocks:
+        one group per kind, block size n and equality structure (a block
+        with a Q != 0 equality row alone).  The stacks are
+        ``objective_stack`` and the products of ``coupling_stack``."""
         bounded = np.bincount(
             self.block_index, minlength=self.T,
             weights=np.isfinite(self.lower) | np.isfinite(self.upper))
         by_key = {}
         for t, blk in enumerate(self.blocks):
-            if blk.set.equalities:
-                emap = blk.set.equality_map
-                if emap.quadratic:
-                    continue
-                key = (blk.n, len(emap.d), emap.structure)
-            elif bounded[t]:
-                continue
+            if not blk.set.equalities:
+                key = ("box" if bounded[t] else "exact", blk.n)
+            elif blk.set.equality_map.quadratic:
+                key = ("alm", t)
             else:
-                key = (blk.n, 0, b"")
+                emap = blk.set.equality_map
+                key = ("alm" if emap.networks else "qp", blk.n,
+                       emap.structure)
             by_key.setdefault(key, []).append(t)
         groups = []
-        for (n, r, _), ts in sorted(by_key.items()):
-            emap = self.blocks[ts[0]].set.equality_map if r else None
-            nonlinear = emap is not None and bool(emap.networks)
-            if nonlinear and len(ts) < 2:
-                continue
+        for (kind, *_), ts in by_key.items():
             At = self.coupling_stack(ts)
-            groups.append(QuadraticGroup(
-                self, ts, self.objective_stack(ts),
-                np.swapaxes(At, 1, 2) @ At,
-                C=emap.C if r and not nonlinear else None,
-                equality_map=emap if nonlinear else None))
+            groups.append(QuadraticGroup(self, kind, ts,
+                                         self.objective_stack(ts),
+                                         np.swapaxes(At, 1, 2) @ At))
         return groups
 
     @cached_property
@@ -923,14 +913,6 @@ class Problem:
                                self._stack_places(ts),
                                (len(ts), int(max(per_block[ts])),
                                 self.dims[ts[0]]))
-
-    @cached_property
-    def single_blocks(self):
-        """The blocks in no quadratic group, handled one by one: box-only
-        blocks, blocks with a Q != 0 equality row and blocks whose
-        nonlinear equality structure no other block shares."""
-        grouped = {t for g in self.quadratic_groups for t in g.blocks}
-        return [t for t in range(self.T) if t not in grouped]
 
     @cached_property
     def objective_Q(self):

@@ -473,7 +473,7 @@ def separable_lower_bound(problem):
     """
     minima = {}
     for grp in problem.quadratic_groups:
-        if grp.C is None and grp.equality_map is None:
+        if grp.kind == "exact":
             minima.update(_unconstrained_minima(problem, grp))
     total = 0.0
     for t, blk in enumerate(problem.blocks):

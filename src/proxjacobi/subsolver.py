@@ -1,34 +1,32 @@
 """Local solution of the block subproblems.
 
-Batched solvers, which the Jacobi sweep runs on each group of blocks, and
-per-block solvers behind a deterministic dispatcher.  A solver reads its
-objective through ``value``, ``gradient`` and ``hessian`` callbacks; in the
-sweep that is the block's exact quadratic model (``auglag.BlockObjective``).
-Each kind of block has one solver:
+Batched solvers, which the Jacobi sweep runs on each group of blocks
+(``model.QuadraticGroup``).  A solver reads its objective through
+``value``, ``gradient`` and ``hessian`` callbacks; in the sweep that is the
+stack of the blocks' exact quadratic models (``auglag.BlockObjective``).
+Each kind of group has one solver:
 
-- unconstrained quadratic blocks: an exact Newton step, batched over a
-  stack of blocks;
-- quadratic blocks with linear equalities and a box: an active-set QP,
-  batched over a stack of blocks that share the equality rows (shared with
-  the reference oracle and the lower bound, which call it with one
+- ``exact`` (unconstrained quadratic blocks): an exact Newton step;
+- ``qp`` (quadratic blocks with linear equalities and a box): an
+  active-set QP on a stack of blocks that share the equality rows (shared
+  with the reference oracle and the lower bound, which call it with one
   problem).  It returns only certified strict local minimizers, but it is
   not monotone: the warm start may violate the equalities, and then its
   objective value can be below the minimizer's;
-- box-only blocks: projected Newton, which is monotone (the returned
-  objective value never exceeds the warm start's) and handles indefinite
-  Hessians;
-- nonlinear equalities, or a QP without a certificate: an inner
-  augmented-Lagrangian loop over projected Newton.  ``equality_alm_rows``
-  runs it on a stack of blocks whose equalities are one map up to the
-  right-hand side (a nonlinear ``QuadraticGroup``), every row in lockstep
-  with its own multipliers, penalty, active set, ridge, step length and
-  stopping tests, so that each row computes what a solve of its block
-  alone computes, bit for bit.
+- ``box`` (box-only blocks): projected Newton, which is monotone (the
+  returned objective value never exceeds the warm start's) and handles
+  indefinite Hessians; ``box_newton_rows`` also takes the rows of an
+  exact step that failed;
+- ``alm`` (nonlinear equalities): an inner augmented-Lagrangian loop over
+  projected Newton, ``equality_alm_rows``, on a stack of blocks whose
+  equalities are one map up to the right-hand side; it also takes the rows
+  of a QP without a certificate.
 
-The projected Newton and ALM loops are written for stacks (k, n), and the
-objective callbacks answer for the rows ``rows`` of the stack at the points
-X (len(rows), n).  The one-block solvers behind ``dispatch`` run them on
-the stack k = 1 and return one result.
+The iterative solvers run every row of the stack in lockstep, each with
+its own multipliers, penalty, active set, ridge, step length and stopping
+tests, so that each row computes what a solve of its block alone (the
+stack k = 1) computes, bit for bit.  The objective callbacks answer for the
+rows ``rows`` of the stack at the points X (len(rows), n).
 """
 
 from dataclasses import dataclass
@@ -51,25 +49,6 @@ QP_MAX_PASSES = 50
 QP_INERTIA_RTOL = 1e-10
 INNER_TOL = 1e-8
 INNER_MAX_ITER = 500
-
-
-@dataclass
-class BlockSolveRequest:
-    """One block subproblem: objective callbacks, set and warm start (n,).
-    The callbacks answer for the block as the stack k = 1 (rows ``[0]``,
-    points (1, n))."""
-
-    t: int
-    objective: object          # exposes value, gradient, hessian
-    set: object                # ConstraintSet
-    warm_start: np.ndarray
-    tol: float = INNER_TOL
-    max_iter: int = INNER_MAX_ITER
-
-    def __post_init__(self):
-        ws = np.asarray(self.warm_start, dtype=float)
-        # clip tiny bound violations on entry
-        self.warm_start = np.clip(ws, self.set.lower, self.set.upper)
 
 
 @dataclass
@@ -221,43 +200,11 @@ def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
     return x, mu, passes
 
 
-def solve_quadratic_kkt(req):
-    """Quadratic blocks with linear equalities and a box, by the active-set
-    QP (with k = 1); reports numerical failure when it finds no certified
-    minimizer, so the caller can fall back.  ``inner_iterations`` counts
-    its passes."""
-    obj = req.objective
-    n = req.warm_start.shape[0]
-    rows = req.set.linear_rows
-    if rows is None:
-        raise ValueError("quadratic-kkt solver requires linear equalities")
-    C, d = rows
-    x, mu, passes = solve_box_qp(
-        obj.hessian(req.warm_start[None], [0]),
-        obj.gradient(np.zeros((1, n)), [0]), C, d[None],
-        req.set.lower[None], req.set.upper[None])
-    if not passes[0]:
-        return BlockSolveResult(
-            x=req.warm_start.copy(), mu=np.empty(0),
-            status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
-            grad_norm=float("inf"), solver="quadratic-kkt")
-    x, mu = x[0], mu[0]
-    return BlockSolveResult(
-        x=x, mu=mu, status=STATUS_CONVERGED, inner_iterations=int(passes[0]),
-        grad_norm=float(np.max(np.abs(C @ x - d), initial=0.0)),
-        solver="quadratic-kkt")
-
-
 def _pg_criticality(X, G, lower, upper):
     """Per row, the infinity norm of x - proj(x - g) (unit-step projected
     gradient)."""
     return np.max(np.abs(X - project_box(X - G, lower, upper)), axis=-1,
                   initial=0.0)
-
-
-def _one_block(req):
-    """The warm start and box of a one-block request as the stack k = 1."""
-    return req.warm_start[None], req.set.lower[None], req.set.upper[None]
 
 
 def _results(X, mu, status, inner, grad_norm, solver):
@@ -298,12 +245,35 @@ def _newton_directions(H, G, free):
     return D
 
 
-def _box_newton(obj, X, lo, hi, tol, max_iter):
+def _negative_curvature(H):
+    """True when the symmetric ``H`` has an eigenvalue below -1e-12 times
+    its largest magnitude, a margin that rounding of a positive
+    semidefinite matrix stays above."""
+    if H.size == 0:
+        return False
+    eig = np.linalg.eigvalsh(H)
+    return bool(eig[0] < -1e-12 * np.max(np.abs(eig)))
+
+
+def _unbounded_below(H, lo, hi):
+    """Per row of the stack H (k, n, n), whether the Hessian is not finite
+    or has negative curvature on the coordinates without a finite bound,
+    along which a quadratic model over the box lo, hi (k, n) is unbounded
+    below."""
+    free = ~(np.isfinite(lo) | np.isfinite(hi))
+    return np.array([not np.isfinite(h).all()
+                     or _negative_curvature(h[np.ix_(f, f)])
+                     for h, f in zip(H, free)], dtype=bool)
+
+
+def _box_newton(obj, X, lo, hi, tol, max_iter, screen=False):
     """Projected Newton over the box of each row of the stack X (k, n), all
     rows in lockstep; ``obj`` exposes ``value``, ``gradient`` and
     ``hessian`` of the rows ``rows`` of the stack at points X (len(rows),
     n).  Each row keeps its own active set, ridge, step length, stall count
-    and status, and leaves the loop when it finishes.  Returns the arrays
+    and status, and leaves the loop when it finishes.  With ``screen``, a
+    row whose model is unbounded below (``_unbounded_below`` of its Hessian
+    at the start) fails at once.  Returns the arrays
     ``(X, status, inner, crit)``; crit is inf on the rows that ended in
     numerical failure."""
     k = len(X)
@@ -315,6 +285,8 @@ def _box_newton(obj, X, lo, hi, tol, max_iter):
     inner = np.zeros(k, dtype=int)
     crit = np.full(k, np.inf)
     bad = ~(np.isfinite(f) & np.isfinite(G).all(axis=1))
+    if screen:
+        bad |= _unbounded_below(obj.hessian(X, rows), lo, hi)
     status[bad] = STATUS_NUMERICAL_FAILURE
     live = rows[~bad]
     crit[live] = _pg_criticality(X[live], G[live], lo[live], hi[live])
@@ -378,20 +350,24 @@ def _box_newton(obj, X, lo, hi, tol, max_iter):
     return X, status, inner, crit
 
 
-def solve_box_newton(req):
-    """Projected Newton over a box for objectives with analytic Hessians,
-    on one block (the stack k = 1 of ``_box_newton``).
+def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER):
+    """Projected Newton over the boxes lo, hi (k, n) for a stack of
+    quadratic block models from the warm starts X (k, n), projected onto
+    the boxes on entry; ``obj`` exposes the stacked callbacks of the k
+    models.  Returns the BlockSolveResult of each row.
 
     Coordinates pressed against a bound by the gradient are frozen; the
     Newton system on the free set is regularized by an escalating ridge
     until it factors.  Backtracking uses the projected-arc Armijo rule with
     a machine-noise allowance so the final sharpening steps near the
-    minimizer are not rejected.
+    minimizer are not rejected.  A row whose Hessian is not finite, or has
+    negative curvature on the coordinates without a finite bound, fails at
+    once, with no inner iteration.
     """
-    X, status, inner, crit = _box_newton(req.objective, *_one_block(req),
-                                         req.tol, req.max_iter)
-    return _results(X, np.zeros((1, 0)), status, inner, crit,
-                    "box-newton")[0]
+    X, status, inner, crit = _box_newton(obj, X, lo, hi, tol, max_iter,
+                                         screen=True)
+    return _results(X, np.zeros((len(X), 0)), status, inner, crit,
+                    "box-newton")
 
 
 class _PenalizedObjective:
@@ -455,14 +431,6 @@ class _PenalizedObjective:
                 + self.map.weighted_hessian(X, self.y[rows]
                                             + sigma[:, None] * c)
                 + sigma[:, None, None] * (np.swapaxes(J, 1, 2) @ J))
-
-
-def solve_equality_alm(req):
-    """Inner augmented-Lagrangian loop for an equality-described block set,
-    on one block (the stack k = 1 of ``equality_alm_rows``)."""
-    eqmap = req.set.equality_map
-    return equality_alm_rows(req.objective, eqmap, eqmap.d[None],
-                             *_one_block(req), req.tol, req.max_iter)[0]
 
 
 def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
@@ -531,42 +499,3 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
             break
     return _results(best_x, best_y, status, total, best_g, "equality-alm")
 
-
-def _negative_curvature(H):
-    """True when the symmetric ``H`` has an eigenvalue below -1e-12 times
-    its largest magnitude, a margin that rounding of a positive
-    semidefinite matrix stays above."""
-    if H.size == 0:
-        return False
-    eig = np.linalg.eigvalsh(H)
-    return bool(eig[0] < -1e-12 * np.max(np.abs(eig)))
-
-
-def dispatch(req):
-    """Route a block solve to the applicable solver.
-
-    Quadratic blocks with linear equalities take the active-set QP, and
-    other equality-constrained sets, or a QP without a certified minimizer,
-    the inner ALM path; everything else is projected Newton over the box.
-    (Unconstrained blocks, and blocks with linear equalities, come here
-    only when the batched step or QP of the Jacobi sweep failed for
-    them.)  A box-only block whose model Hessian is
-    non-finite, or has negative curvature on the coordinates without a
-    finite bound, along which the model is unbounded below, fails at once.
-    """
-    if req.set.equalities:
-        if req.set.linear_rows is not None:
-            result = solve_quadratic_kkt(req)
-            if result.status != STATUS_NUMERICAL_FAILURE:
-                return result
-        return solve_equality_alm(req)
-    lo, hi = req.set.lower, req.set.upper
-    H = req.objective.hessian(req.warm_start[None], [0])[0]
-    unbounded = ~(np.isfinite(lo) | np.isfinite(hi))
-    if not np.all(np.isfinite(H)) or _negative_curvature(
-            H[np.ix_(unbounded, unbounded)]):
-        return BlockSolveResult(
-            x=req.warm_start.copy(), mu=np.empty(0),
-            status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
-            grad_norm=float("inf"), solver="box-newton")
-    return solve_box_newton(req)

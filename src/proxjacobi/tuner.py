@@ -44,6 +44,8 @@ class TunerConfig:
         for name in ("nu_x", "nu_rho", "nu_theta", "chi"):
             if getattr(self, name) <= 1:
                 raise ValueError(f"{name} must exceed 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer (--max-iters) must be at least 1")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from proxjacobi import problems
-from proxjacobi.auglag import subproblem_gradients
+from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.cli import default_start
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, PolarBalance,
                               Problem, Quadratic)
@@ -78,6 +78,18 @@ def at_point(callback, x):
     """A stacked objective callback of a one-block model (the stack k = 1)
     at the one point x."""
     return callback(np.asarray(x, dtype=float)[None], [0])[0]
+
+
+def block_objective(problem, t, g, x_bar, params):
+    """Block t's subproblem model about the anchor x_bar (the stack k = 1),
+    from the flat gradient vector g and H_t = Q_t + (rho + tau_x) A_t'A_t
+    formed here."""
+    blk = problem.blocks[t]
+    A = blk.coupling.toarray()
+    H = blk.objective.Q.toarray() + (params.rho + params.tau_x) * (A.T @ A)
+    o = problem.offsets
+    return BlockObjective(H[None], g[None, o[t]:o[t + 1]],
+                          np.asarray(x_bar, dtype=float)[None])
 
 
 def acopf_rows(T=6, seed=0, early=1, capped=3, bad=4, stiff=5):
@@ -189,4 +201,4 @@ def acopf_twin_problem():
 
 __all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "default_start",
            "mixed_problem", "box_quadratic_min_enum", "replace_equalities",
-           "with_loads", "at_point", "acopf_rows"]
+           "with_loads", "at_point", "block_objective", "acopf_rows"]

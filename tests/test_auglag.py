@@ -5,14 +5,15 @@ import pytest
 
 from proxjacobi import auglag, jacobi, problems
 from proxjacobi.algebra import couple_apply
-from proxjacobi.auglag import (BlockObjective, aug_lagrangian, dagger_norm_sq,
-                               dual_residual, eta_pair, lyapunov,
-                               penalty_residuals, subproblem_gradients,
-                               theorem1_bounds, theorem1_params)
+from proxjacobi.auglag import (aug_lagrangian, dagger_norm_sq, dual_residual,
+                               eta_pair, lyapunov, penalty_residuals,
+                               subproblem_gradients, theorem1_bounds,
+                               theorem1_params)
 from proxjacobi.jacobi import RunConfig
 from proxjacobi.model import IterateState, Params
 
-from conftest import at_point, build_qp, default_start, mixed_problem
+from conftest import (at_point, block_objective, build_qp, default_start,
+                      mixed_problem)
 
 PARAMS = Params(rho=2.0, theta=3.0, tau_x=1.5, tau_z=0.5)
 
@@ -61,7 +62,7 @@ def test_block_objective_tracks_aug_lagrangian():
     L0 = aug_lagrangian(prob, x, z, lam, PARAMS)
     rng = np.random.default_rng(3)
     for t, blk in enumerate(prob.blocks):
-        obj = BlockObjective(prob, t, g, x[t], PARAMS)
+        obj = block_objective(prob, t, g, x[t], PARAMS)
         other = x[t] + rng.standard_normal(blk.n)
         x_other = list(x)
         x_other[t] = other

@@ -232,6 +232,29 @@ class TestSolve:
                      "--max-iters", "3"])
         assert code == EXIT_ITERATION_CAP
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "-1"], "--workers must be nonnegative"),
+        (["--max-iters", "0"], "max_outer (--max-iters) must be at least 1"),
+        (["--max-iters", "-3", "--fixed-params"],
+         "max_outer (--max-iters) must be at least 1"),
+        (["--eps", "-1"], "eps must lie in (0, 1)")],
+        ids=["workers", "max-iters-zero", "max-iters-negative", "eps"])
+    def test_out_of_range_budget_rejected(self, qp_file, tmp_path, capsys,
+                                          flags, message):
+        # an out-of-range budget is one error line and exit 1, before any
+        # trace file is opened
+        trc = tmp_path / "trace.csv"
+        code = main(["solve", str(qp_file), "--trace", str(trc), *flags])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not trc.exists()
+
+    def test_config_iteration_cap_rejected(self, qp_file, tmp_path, capsys):
+        cfgf = tmp_path / "tuner.cfg"
+        cfgf.write_text("max_outer = 0\n")
+        assert main(["solve", str(qp_file), "--config", str(cfgf)]) == EXIT_IO
+        assert "max_outer" in capsys.readouterr().err
+
     def test_fixed_params(self, qp_file, tmp_path):
         trc = tmp_path / "trace.csv"
         code = main(["solve", str(qp_file), "--fixed-params",

@@ -6,23 +6,21 @@ import logging
 import numpy as np
 import pytest
 
-from proxjacobi import jacobi, problems, tuner
+from proxjacobi import auglag, jacobi, problems, tuner
 from proxjacobi.algebra import couple_apply
-from proxjacobi.auglag import (BlockObjective, dual_residual,
-                               penalty_residuals, subproblem_gradients)
+from proxjacobi.auglag import (dual_residual, penalty_residuals,
+                               subproblem_gradients)
 from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
                                write_trace_csv)
 from proxjacobi.model import (Params, PolarBalance,
                               variable_splitting_transform)
-from proxjacobi.subsolver import (BlockSolveRequest, BlockSolveResult,
-                                  STATUS_ITERATION_CAP,
-                                  STATUS_NUMERICAL_FAILURE,
-                                  solve_quadratic_kkt)
+from proxjacobi.subsolver import (BlockSolveResult, STATUS_ITERATION_CAP,
+                                  STATUS_NUMERICAL_FAILURE, solve_box_qp)
 
-from conftest import (acopf_rows, at_point, build_qp, default_start,
-                      mixed_problem, replace_equalities)
+from conftest import (acopf_rows, at_point, block_objective, build_qp,
+                      default_start, mixed_problem, replace_equalities)
 
 PARAMS = Params(rho=2.0, theta=4.0, tau_x=1.0, tau_z=8.0)
 
@@ -151,12 +149,12 @@ class TestRunFixed:
 
     def test_block_failure_attaches_trace(self, qp, monkeypatch):
         # from the third sweep on, block 0's batched step fails and so does
-        # its fallback through dispatch
-        def failing(req):
-            return BlockSolveResult(
-                x=req.warm_start, mu=np.empty(0),
-                status=STATUS_NUMERICAL_FAILURE, inner_iterations=0,
-                grad_norm=float("inf"), solver="broken")
+        # its fallback, projected Newton
+        def failing(obj, X, lo, hi):
+            return [BlockSolveResult(
+                x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
+                inner_iterations=0, grad_norm=float("inf"), solver="broken")
+                for x in X]
 
         calls = {"n": 0}
         step = jacobi.solve_quadratic_exact
@@ -169,7 +167,7 @@ class TestRunFixed:
             return dx, ok
 
         monkeypatch.setattr(jacobi, "solve_quadratic_exact", flaky)
-        monkeypatch.setattr(jacobi, "dispatch", failing)
+        monkeypatch.setattr(jacobi, "box_newton_rows", failing)
         init = init_state(qp, *default_start(qp), PARAMS)
         cfg = RunConfig(record_timings=False, max_iters=10)
         with pytest.raises(BlockSolveError) as info:
@@ -221,17 +219,17 @@ def random_state(problem, params, seed):
 
 
 def record_routes(monkeypatch):
-    """Record the sweep's dispatch calls; returns the {t: solver} of the
-    blocks that go through dispatch, filled as they do."""
+    """Record the sweep's iterative solves; returns the {t: solver} of the
+    blocks solved by projected Newton or the ALM, filled as they are."""
     routed = {}
-    real = jacobi.dispatch
+    real = jacobi.solve_group
 
-    def recording(req):
-        res = real(req)
-        routed[req.t] = res.solver
-        return res
+    def recording(*args):
+        x, inner, results = real(*args)
+        routed.update((t, res.solver) for t, res in results.items())
+        return x, inner, results
 
-    monkeypatch.setattr(jacobi, "dispatch", recording)
+    monkeypatch.setattr(jacobi, "solve_group", recording)
     return routed
 
 
@@ -240,9 +238,9 @@ def record_routes(monkeypatch):
 def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
     # the indefinite block 3 takes the batched exact step only when its
     # Hessian is positive definite; otherwise its subproblem is unbounded
-    # below, and dispatch fails it at once, with every other block routed
-    # as before.  Block 4, with a linear equality, is solved by the
-    # batched QP; only the boxed block 2 goes through dispatch.
+    # below, and projected Newton fails it at once, with every other block
+    # routed as before.  Block 4, with a linear equality, is solved by the
+    # batched QP; only the boxed block 2 is solved by projected Newton.
     prob = mixed_problem()
     params = Params(rho=w / 3.0, theta=4.0, tau_x=2.0 * w / 3.0, tau_z=8.0)
     state = random_state(prob, params, 1)
@@ -261,26 +259,27 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
     g = subproblem_gradients(prob, state.x.vec, state.z, state.lam,
                              params.rho)
     for t in batched:
-        obj = BlockObjective(prob, t, g, state.x[t], params)
+        obj = block_objective(prob, t, g, state.x[t], params)
         g0 = np.linalg.norm(at_point(obj.gradient, state.x[t]))
         assert np.linalg.norm(at_point(obj.gradient, x[t])) <= 1e-10 * (
             1.0 + g0)
         assert inner[t] == 1
-    ref = solve_quadratic_kkt(BlockSolveRequest(
-        t=4, objective=BlockObjective(prob, 4, g, state.x[4], params),
-        set=prob.blocks[4].set, warm_start=state.x[4]))
-    assert ref.converged and inner[4] == ref.inner_iterations
-    assert np.allclose(x[4], ref.x, rtol=1e-12, atol=1e-14)
+    obj = block_objective(prob, 4, g, state.x[4], params)
+    C, d = prob.blocks[4].set.linear_rows
+    ref, _, passes = solve_box_qp(
+        obj.H, at_point(obj.gradient, np.zeros(3))[None], C, d[None],
+        prob.blocks[4].set.lower[None], prob.blocks[4].set.upper[None])
+    assert passes[0] > 0 and inner[4] == passes[0]
+    assert np.allclose(x[4], ref[0], rtol=1e-12, atol=1e-14)
     assert not np.array_equal(x[2], state.x[2])
 
 
-def test_uncertified_grouped_block_reaches_dispatch(monkeypatch):
+def test_uncertified_grouped_block_reaches_the_alm(monkeypatch):
     # every block of the split mixed_problem has linear equalities and is
     # solved by a batched QP; at w = rho + tau_x = 0.5 the QP of block 3
-    # finds only a saddle, so that block alone goes through dispatch, which
-    # takes the ALM path
+    # finds only a saddle, so that block alone takes the ALM path
     prob = variable_splitting_transform(mixed_problem())
-    assert prob.single_blocks == []
+    assert {grp.kind for grp in prob.quadratic_groups} == {"qp"}
     params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
     state = init_state(prob, [np.zeros(n) for n in prob.dims],
                        np.zeros(prob.m), np.zeros(prob.m), params)
@@ -290,34 +289,64 @@ def test_uncertified_grouped_block_reaches_dispatch(monkeypatch):
     assert inner[3] > 1
 
 
-def test_dispatch_sweeps_make_no_dispatch_call(monkeypatch):
-    # every dispatch block has the same balance row, so the whole run is
-    # one batched QP per sweep
-    prob = problems.gen_multiperiod_dispatch(24, 3, 0.1)
+@pytest.mark.parametrize("shape", ["coupled-qp", "dispatch", "acopf-toy"])
+def test_workload_sweeps_make_no_fallback_solve(monkeypatch, shape):
+    # the benchmark's problem shapes form one group each, and their sweeps
+    # solve it by its kind's own call alone: no exact step or QP falls back
+    # to projected Newton or the ALM.  The coupled QP runs with its
+    # Theorem-1 parameters, the others under the tuner
+    if shape == "coupled-qp":
+        prob, _ = problems.gen_coupled_qp(0, 12, 4, 3)
+        kind = "exact"
+    elif shape == "dispatch":
+        prob = problems.gen_multiperiod_dispatch(24, 3, 0.1)
+        kind = "qp"
+    else:
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=4), 4)
+        kind = "alm"
     grp, = prob.quadratic_groups
-    assert grp.C is not None and len(grp.blocks) == prob.T
-    routed = record_routes(monkeypatch)
-    cfg = tuner.TunerConfig(eps=1e-6)
-    init = tuner.make_initial_state(prob, cfg, *default_start(prob))
-    _, trace, reason = tuner.run_adaptive(
-        prob, cfg, init, RunConfig(record_timings=False))
-    assert reason == tuner.TERMINATION_FEASIBLE
-    assert routed == {}
-    assert max(max(rec.inner_iters) for rec in trace) > 1
+    assert grp.kind == kind and grp.blocks == list(range(prob.T))
+    calls = []
+    for name in ("box_newton_rows", "equality_alm_rows"):
+        real = getattr(jacobi, name)
+
+        def recording(obj, *args, name=name, real=real):
+            calls.append((name, len(obj.g)))
+            return real(obj, *args)
+
+        monkeypatch.setattr(jacobi, name, recording)
+    cfg = tuner.TunerConfig(eps={"coupled-qp": 1e-2, "dispatch": 1e-6,
+                                 "acopf-toy": 1e-3}[shape])
+    x0 = default_start(prob)
+    if shape == "coupled-qp":
+        params = auglag.theorem1_params(cfg.eps, prob.T)
+        _, trace = run_fixed(prob, params, init_state(prob, *x0, params),
+                             RunConfig(record_timings=False, max_iters=5))
+    else:
+        _, trace, reason = tuner.run_adaptive(
+            prob, cfg, tuner.make_initial_state(prob, cfg, *x0),
+            RunConfig(record_timings=False))
+        assert reason == tuner.TERMINATION_FEASIBLE
+    assert len(trace) >= 2
+    if kind == "qp":
+        assert max(max(rec.inner_iters) for rec in trace) > 1
+    own = [("equality_alm_rows", prob.T)] * len(trace) if kind == "alm" \
+        else []
+    assert calls == own
 
 
 def test_capped_inner_solve_is_logged(monkeypatch, caplog):
     # a solve that stops at its iteration cap is taken, with one warning
-    # naming the block, the iteration, the solver and its inner count
-    real = jacobi.dispatch
+    # naming the block, the iteration, the solver and its inner count.
+    # Block 2 is the one box-only block: the one block of projected Newton
+    real = jacobi.box_newton_rows
 
-    def capped(req):
-        res = real(req)
-        if req.t == 2:
-            res.status, res.inner_iterations = STATUS_ITERATION_CAP, 500
-        return res
+    def capped(*args):
+        res, = real(*args)
+        res.status, res.inner_iterations = STATUS_ITERATION_CAP, 500
+        return [res]
 
-    monkeypatch.setattr(jacobi, "dispatch", capped)
+    monkeypatch.setattr(jacobi, "box_newton_rows", capped)
     prob = mixed_problem()
     state = random_state(prob, PARAMS, 1)
     with caplog.at_level(logging.WARNING, logger="proxjacobi"):
@@ -360,7 +389,7 @@ def test_batched_dual_residuals_match_reference(qp, case):
         # the blocks form one group with the balance row; block 1's first
         # generator at its lower bound
         grp, = prob.quadratic_groups
-        assert grp.C is not None and grp.blocks == [0, 1, 2]
+        assert grp.kind == "qp" and grp.blocks == [0, 1, 2]
         state.x[1][0] = prob.blocks[1].set.lower[0]
     delta = penalty_residuals(prob, state, params, feas_tol=np.inf).delta
     ref = [dual_residual(prob, t, state.x[t], state.lam, feas_tol=np.inf)
@@ -395,32 +424,28 @@ def test_grouped_capped_row_is_logged(caplog):
     ([4], [2], 2), ([1, 5], [2], 1), ([3, 5], [], 3), ([], [2], 2)])
 def test_sweep_raises_for_lowest_failing_block(monkeypatch, group_fails,
                                                single_fails, first):
-    # block 2 has its own admittance row and is solved alone through
-    # dispatch; the others are one group.  The failure raised is the one of
-    # the lowest block index, wherever that block was solved.
+    # block 2 has its own admittance row and is a group of one; the others
+    # are one group.  The failure raised is the one of the lowest block
+    # index, whichever group that block is in.
     prob, _, _, _, X = acopf_rows(early=None, capped=None, bad=None)
     prob = replace_equalities(prob, 2, [
         PolarBalance(eq.name, dict(eq.payload, y_diag_im=eq.y_diag_im + 1.0))
         for eq in prob.blocks[2].set.equalities])
-    grp, = prob.quadratic_groups
-    assert prob.single_blocks == [2] and 2 not in grp.blocks
-    real_alm, real_dispatch = jacobi.equality_alm_rows, jacobi.dispatch
+    grp, single = prob.quadratic_groups
+    assert single.blocks == [2] and 2 not in grp.blocks
+    assert grp.kind == single.kind == "alm"
+    real_alm = jacobi.equality_alm_rows
 
     def failing_alm(obj, eqmap, D, *args):
         res = real_alm(obj, eqmap, D, *args)
-        for i, t in enumerate(grp.blocks):
-            if t in group_fails:
+        blocks, fails = ((grp.blocks, group_fails)
+                         if eqmap is grp.equality_map else ([2], single_fails))
+        for i, t in enumerate(blocks):
+            if t in fails:
                 res[i].status = STATUS_NUMERICAL_FAILURE
         return res
 
-    def failing_dispatch(req):
-        res = real_dispatch(req)
-        if req.t in single_fails:
-            res.status = STATUS_NUMERICAL_FAILURE
-        return res
-
     monkeypatch.setattr(jacobi, "equality_alm_rows", failing_alm)
-    monkeypatch.setattr(jacobi, "dispatch", failing_dispatch)
     with pytest.raises(BlockSolveError) as info:
         jacobi.x_update_all(prob, acopf_state(prob, X), PARAMS)
     assert info.value.t == first

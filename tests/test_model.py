@@ -16,7 +16,7 @@ from proxjacobi.model import (RANK_DROP_TOL, BlockSpec, ConstraintSet,
                               save_problem, triplets_to_csr, validate_problem,
                               variable_splitting_transform)
 
-from conftest import build_qp, replace_equalities
+from conftest import build_qp, mixed_problem, replace_equalities
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -513,8 +513,9 @@ class TestCouplingRows:
         for grp in prob.quadratic_groups:
             for i, t in enumerate(grp.blocks):
                 blk = prob.blocks[t]
+                A = blk.coupling.toarray()
                 assert np.array_equal(grp.Q[i], blk.Q_dense), t
-                assert np.array_equal(grp.AtA[i], blk.AtA_dense), t
+                assert np.array_equal(grp.AtA[i], A.T @ A), t
 
     def test_objective_value_is_sum_of_blocks(self, sparse_coupling_problem):
         prob = sparse_coupling_problem
@@ -588,8 +589,7 @@ class TestNonlinearGroups:
     def test_acopf_periods_form_one_group(self):
         prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
         grp, = prob.quadratic_groups
-        assert grp.equality_map is not None and grp.C is None
-        assert grp.blocks == list(range(12)) and prob.single_blocks == []
+        assert grp.kind == "alm" and grp.blocks == list(range(12))
         for i, blk in enumerate(prob.blocks):
             emap = blk.set.equality_map
             assert emap.structure == grp.equality_map.structure
@@ -599,20 +599,61 @@ class TestNonlinearGroups:
         assert len({tuple(d) for d in grp.d}) > 1
 
     def test_other_equality_structures_stay_single(self):
-        # block 5 with another admittance row at bus 0 (in both of its
-        # balances), block 7 with an extra Q != 0 row; a one-block
-        # structure is no group either
-        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
-        eqs = [model.PolarBalance(eq.name, dict(
-            eq.payload, y_diag_re=eq.y_diag_re + 1.0)) if eq.bus == 0 else eq
-            for eq in prob.blocks[5].set.equalities]
-        prob = replace_equalities(prob, 5, eqs)
+        # block 5 with another admittance row, block 7 with an extra Q != 0
+        # row; a one-block structure is a group of one as well
+        prob = acopf_variant("admittance", "circle")
+        grp, five, seven = prob.quadratic_groups
+        assert grp.blocks == [t for t in range(12) if t not in (5, 7)]
+        assert five.blocks == [5] and seven.blocks == [7]
+        assert grp.kind == five.kind == seven.kind == "alm"
+        assert seven.equality_map is prob.blocks[7].set.equality_map
+        one = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=1), 1)
+        grp, = one.quadratic_groups
+        assert grp.kind == "alm" and grp.blocks == [0]
+
+
+def acopf_variant(*changes):
+    """The 12-period ACOPF toy with block 5's admittance row at bus 0
+    changed in both of its balances (``"admittance"``) and with an extra
+    Q != 0 row in block 7 (``"circle"``)."""
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
+    if "admittance" in changes:
+        prob = replace_equalities(prob, 5, [model.PolarBalance(
+            eq.name, dict(eq.payload, y_diag_re=eq.y_diag_re + 1.0))
+            if eq.bus == 0 else eq for eq in prob.blocks[5].set.equalities])
+    if "circle" in changes:
         n = prob.blocks[7].n
         circle = Quadratic(sp.eye(n, format="csr"), np.zeros(n), -1.0)
-        prob = replace_equalities(
-            prob, 7, prob.blocks[7].set.equalities + [circle])
-        grp, = prob.quadratic_groups
-        assert grp.blocks == [t for t in range(12) if t not in (5, 7)]
-        assert prob.single_blocks == [5, 7]
-        one = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=1), 1)
-        assert one.quadratic_groups == [] and one.single_blocks == [0]
+        prob = replace_equalities(prob, 7,
+                                  prob.blocks[7].set.equalities + [circle])
+    return prob
+
+
+@pytest.mark.parametrize("case, groups", [
+    ("mixed", [("exact", [0, 3, 6]), ("exact", [1, 5]), ("box", [2]),
+               ("qp", [4])]),
+    ("split", [("qp", [t]) for t in range(7)]),
+    ("admittance", [("alm", [t for t in range(12) if t != 5]),
+                    ("alm", [5])]),
+    ("circle", [("alm", [t for t in range(12) if t != 7]), ("alm", [7])]),
+], ids=["mixed", "split", "admittance", "circle"])
+def test_groups_partition_the_blocks(case, groups):
+    # every block is in exactly one group, of the kind its set asks for,
+    # and the groups come in the order of their first blocks
+    if case in ("mixed", "split"):
+        prob = mixed_problem()
+        if case == "split":
+            prob = variable_splitting_transform(prob)
+    else:
+        prob = acopf_variant(case)
+    got = prob.quadratic_groups
+    assert [(grp.kind, grp.blocks) for grp in got] == groups
+    assert sorted(t for grp in got for t in grp.blocks) == list(range(prob.T))
+    cols = np.concatenate([grp.cols for grp in got])
+    assert np.array_equal(np.sort(cols), np.arange(sum(prob.dims)))
+    for grp in got:
+        lo = np.stack([prob.blocks[t].set.lower for t in grp.blocks])
+        assert np.array_equal(grp.lower, lo)
+        if grp.kind in ("qp", "alm"):
+            assert np.array_equal(grp.d, np.stack(
+                [prob.blocks[t].set.equality_map.d for t in grp.blocks]))

@@ -147,7 +147,7 @@ class TestLowerBound:
     def test_batched_groups_match_block_by_block(self):
         prob = lower_bound_problem()
         assert {len(g.blocks) for g in prob.quadratic_groups
-                if g.C is None} == {2, 4}
+                if g.kind == "exact"} == {2, 4}
         total = 0.0
         for blk in prob.blocks:
             total += problems._block_minimum(blk)
@@ -173,7 +173,7 @@ class TestLowerBound:
                 Q, blk.objective.c), set=blk.set, coupling=blk.coupling))
         prob = Problem(m=prob.m, b=prob.b, blocks=blocks)
         grp, = prob.quadratic_groups
-        assert grp.equality_map is not None
+        assert grp.kind == "alm"
         with pytest.raises(ValueError, match=r"block 0: .*nonlinear"):
             separable_lower_bound(prob)
 

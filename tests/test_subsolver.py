@@ -10,19 +10,19 @@ from hypothesis import given, strategies as st
 
 from proxjacobi import subsolver
 from proxjacobi.auglag import BlockObjective, subproblem_gradients
+from proxjacobi.jacobi import solve_group
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, variable_splitting_transform)
-from proxjacobi.subsolver import (BlockSolveRequest, STATUS_CONVERGED,
-                                  STATUS_ITERATION_CAP,
-                                  STATUS_NUMERICAL_FAILURE, dispatch,
+from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_ITERATION_CAP,
+                                  STATUS_NUMERICAL_FAILURE, box_newton_rows,
                                   equality_alm_rows, project_box,
-                                  solve_box_newton, solve_equality_alm,
-                                  solve_quadratic_exact, solve_quadratic_kkt)
+                                  solve_quadratic_exact)
 
 from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
                       mixed_problem)
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
+W = PARAMS.rho + PARAMS.tau_x
 
 
 def make_block_problem(objective, cset, m=0, b=None, A=None):
@@ -32,15 +32,53 @@ def make_block_problem(objective, cset, m=0, b=None, A=None):
     return Problem(m=m, b=np.zeros(m) if b is None else b, blocks=[blk])
 
 
-def make_request(problem, warm=None, tol=1e-10, z_bar=None):
-    n = problem.blocks[0].n
-    warm = np.zeros(n) if warm is None else warm
+def block_gradients(problem, warm=None, z_bar=None):
+    """The warm start (zero by default) of a one-block problem and the
+    subproblem gradients there."""
+    warm = (np.zeros(problem.blocks[0].n) if warm is None
+            else np.asarray(warm, dtype=float))
     z_bar = np.zeros(problem.m) if z_bar is None else z_bar
-    g = subproblem_gradients(problem, warm, z_bar, np.zeros(problem.m),
-                             PARAMS.rho)
-    obj = BlockObjective(problem, 0, g, warm, PARAMS)
-    return BlockSolveRequest(t=0, objective=obj, set=problem.blocks[0].set,
-                             warm_start=warm, tol=tol, max_iter=500)
+    return warm, subproblem_gradients(problem, warm, z_bar,
+                                      np.zeros(problem.m), PARAMS.rho)
+
+
+def block_model(problem, warm=None):
+    """The one group of a one-block problem and the model of its
+    subproblem about ``warm`` (the stack k = 1): (group, objective, X)."""
+    grp, = problem.quadratic_groups
+    warm, g = block_gradients(problem, warm)
+    X = warm[None]
+    return grp, BlockObjective(grp.hessian(W), grp.take(g), X), X
+
+
+def box_newton(problem, warm=None, max_iter=500):
+    """``box_newton_rows`` on the one block of a one-block problem, to
+    1e-10: (its result, the block objective)."""
+    grp, obj, X = block_model(problem, warm)
+    res, = box_newton_rows(obj, X, grp.lower, grp.upper, tol=1e-10,
+                           max_iter=max_iter)
+    return res, obj
+
+
+def sweep(problem, warm=None, z_bar=None):
+    """The sweep's solve of the one group of a one-block problem
+    (``solve_group``): (x, inner iterations, the iterative solver's result
+    or None)."""
+    grp, = problem.quadratic_groups
+    warm, g = block_gradients(problem, warm, z_bar)
+    x, inner, results = solve_group(grp, warm, g, W)
+    return x[0], inner[0], results.get(0)
+
+
+def qp_model(problem, warm=None):
+    """``solve_box_qp`` on the model of a one-block problem's ``qp`` group
+    about ``warm``: (x, mu, passes) of the block."""
+    grp, obj, X = block_model(problem, warm)
+    assert grp.kind == "qp"
+    x, mu, passes = subsolver.solve_box_qp(
+        obj.H, at_point(obj.gradient, np.zeros(grp.n))[None], grp.C, grp.d,
+        grp.lower, grp.upper)
+    return x[0], mu[0], passes[0]
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=5))
@@ -57,8 +95,9 @@ def test_warm_start_clipped():
     cset = ConstraintSet(np.zeros(2), np.ones(2))
     prob = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)), cset)
-    req = make_request(prob, warm=np.array([-3.0, 5.0]))
-    assert np.array_equal(req.warm_start, np.array([0.0, 1.0]))
+    res, _ = box_newton(prob, warm=np.array([-3.0, 5.0]), max_iter=0)
+    assert res.inner_iterations == 0
+    assert np.array_equal(res.x, np.array([0.0, 1.0]))
 
 
 def box_qp(H, g, C, d, lo, hi):
@@ -72,9 +111,8 @@ def box_qp(H, g, C, d, lo, hi):
 def exact_step(problem, warm):
     """The batched exact step of the problem's one quadratic group from
     ``warm``: (new x, ok, the block objective)."""
-    obj = make_request(problem, warm=warm).objective
-    grp, = problem.quadratic_groups
-    H, H_inv, ok = grp.hessian_factor(PARAMS.rho + PARAMS.tau_x)
+    grp, obj, _ = block_model(problem, warm)
+    H, H_inv, ok = grp.hessian_factor(W)
     dx, solved = solve_quadratic_exact(H, H_inv,
                                        obj.gradient(warm[None], [0]))
     return warm + dx[0], ok[0] and solved[0], obj
@@ -107,11 +145,12 @@ def test_quadratic_exact_indefinite_fails():
 
 
 def test_dispatch_nonfinite_data_fails():
-    # a NaN zbar (a diverged outer iterate) must not raise from a solver
+    # a NaN zbar (a diverged outer iterate) must not raise from a solver:
+    # the exact step fails, and so does projected Newton after it
     cset = ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf))
     prob = make_block_problem(Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
                               cset, m=1, A=np.ones((1, 2)))
-    res = dispatch(make_request(prob, z_bar=np.full(1, np.nan)))
+    _, _, res = sweep(prob, z_bar=np.full(1, np.nan))
     assert res.status == subsolver.STATUS_NUMERICAL_FAILURE
 
 
@@ -137,8 +176,9 @@ def test_box_newton_clamps_to_bound():
     cset = ConstraintSet(np.zeros(1), np.ones(1))
     f = Quadratic(sp.csr_matrix(np.array([[2.0]])), np.array([-4.0]), 4.0)
     prob = make_block_problem(f, cset)
-    res = dispatch(make_request(prob))
+    x, inner, res = sweep(prob)
     assert res.converged and res.solver == "box-newton"
+    assert inner == res.inner_iterations and np.array_equal(x, res.x)
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -152,11 +192,9 @@ def test_box_newton_monotone():
         cset = ConstraintSet(-np.ones(n), np.ones(n))
         prob = make_block_problem(f, cset)
         warm = rng.uniform(-1, 1, n)
-        req = make_request(prob, warm=warm)
-        res = dispatch(req)
+        res, obj = box_newton(prob, warm=warm)
         assert res.solver == "box-newton"
-        value = req.objective.value
-        assert at_point(value, res.x) <= at_point(value, warm) + 1e-12
+        assert at_point(obj.value, res.x) <= at_point(obj.value, warm) + 1e-12
 
 
 def test_box_block_unbounded_below_fails_at_once():
@@ -167,12 +205,12 @@ def test_box_block_unbounded_below_fails_at_once():
     f = Quadratic(sp.diags([1.0, -1.0], format="csr"), np.array([0.5, 0.1]))
     free = make_block_problem(f, ConstraintSet(np.array([0.0, -np.inf]),
                                                np.array([1.0, np.inf])))
-    res = dispatch(make_request(free))
+    _, inner, res = sweep(free)
     assert res.status == STATUS_NUMERICAL_FAILURE
-    assert res.inner_iterations == 0
+    assert inner == res.inner_iterations == 0
     half = make_block_problem(f, ConstraintSet(np.array([-np.inf, -2.0]),
                                                np.array([np.inf, 2.0])))
-    res = dispatch(make_request(half, warm=np.array([0.0, 0.5])))
+    _, _, res = sweep(half, warm=np.array([0.0, 0.5]))
     assert res.converged and res.solver == "box-newton"
     assert np.allclose(res.x, [-0.5, 2.0], rtol=0.0, atol=1e-9)
 
@@ -188,9 +226,10 @@ def test_dispatch_nonfinite_hessian_fails():
         def hessian(self, X, rows):
             return np.full((len(X), 2, 2), np.nan)
 
-    req = BlockSolveRequest(t=0, objective=NanModel(), set=ConstraintSet(
-        np.zeros(2), np.ones(2)), warm_start=np.zeros(2))
-    assert dispatch(req).status == STATUS_NUMERICAL_FAILURE
+    res, = box_newton_rows(NanModel(), np.zeros((1, 2)), np.zeros((1, 2)),
+                           np.ones((1, 2)))
+    assert res.status == STATUS_NUMERICAL_FAILURE
+    assert res.inner_iterations == 0
 
 
 def test_box_newton_memory_stays_quadratic():
@@ -202,11 +241,11 @@ def test_box_newton_memory_stays_quadratic():
     M = rng.standard_normal((n, n))
     f = Quadratic(sp.csr_matrix(M.T @ M / n + np.eye(n)),
                   3.0 * rng.standard_normal(n))
-    req = make_request(make_block_problem(
-        f, ConstraintSet(-np.ones(n), np.ones(n))))
+    prob = make_block_problem(f, ConstraintSet(-np.ones(n), np.ones(n)))
+    grp, obj, X = block_model(prob)
     tracemalloc.start()
     try:
-        res = solve_box_newton(req)
+        res, = box_newton_rows(obj, X, grp.lower, grp.upper, tol=1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,14 +263,12 @@ def test_box_newton_matches_enumeration():
         lo, hi = -np.ones(n), np.ones(n)
         cset = ConstraintSet(lo, hi)
         prob = make_block_problem(Quadratic(sp.csr_matrix(Q), c), cset)
-        req = make_request(prob, warm=np.zeros(n))
-        res = solve_box_newton(req)
+        res, obj = box_newton(prob, warm=np.zeros(n))
         # compare against brute-force active-set enumeration of the full
         # subproblem objective (A is empty, so the block model is
         # f(x) - f(warm), and f(warm) = f(0) = 0)
         best = box_quadratic_min_enum(Q, c, 0.0, lo, hi)
-        assert at_point(req.objective.value, res.x) == pytest.approx(
-            best, abs=1e-8)
+        assert at_point(obj.value, res.x) == pytest.approx(best, abs=1e-8)
 
 
 def test_quadratic_kkt_linear_equality():
@@ -240,10 +277,10 @@ def test_quadratic_kkt_linear_equality():
     eq = Quadratic(sp.csr_matrix((2, 2)), np.ones(2), -3.0)
     cset = ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf), [eq])
     prob = make_block_problem(f, cset)
-    res = solve_quadratic_kkt(make_request(prob))
-    assert res.converged and res.solver == "quadratic-kkt"
-    assert np.allclose(res.x, [1.5, 1.5], atol=1e-10)
-    assert res.mu[0] == pytest.approx(-1.0, abs=1e-10)
+    x, mu, passes = qp_model(prob)
+    assert passes > 0
+    assert np.allclose(x, [1.5, 1.5], atol=1e-10)
+    assert mu[0] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_quadratic_kkt_active_bound():
@@ -253,12 +290,12 @@ def test_quadratic_kkt_active_bound():
     eq = Quadratic(sp.csr_matrix((2, 2)), np.ones(2), -3.0)
     cset = ConstraintSet(np.full(2, -np.inf), np.array([1.2, np.inf]), [eq])
     prob = make_block_problem(f, cset)
-    res = solve_quadratic_kkt(make_request(prob))
-    assert res.converged and res.inner_iterations == 2
-    assert np.allclose(res.x, [1.2, 1.8], rtol=0.0, atol=1e-12)
-    res = dispatch(make_request(prob))
-    assert res.solver == "quadratic-kkt"
-    assert np.allclose(res.x, [1.2, 1.8], rtol=0.0, atol=1e-12)
+    x, _, passes = qp_model(prob)
+    assert passes == 2
+    assert np.allclose(x, [1.2, 1.8], rtol=0.0, atol=1e-12)
+    x, inner, res = sweep(prob)
+    assert res is None and inner == 2
+    assert np.allclose(x, [1.2, 1.8], rtol=0.0, atol=1e-12)
 
 
 def test_box_qp_matches_enumeration():
@@ -380,18 +417,24 @@ def test_batched_box_qp_certificates():
 def test_split_saddle_block_not_accepted():
     # the split form of mixed_problem's block 3 at w = rho + tau_x = 0.5:
     # its KKT point has the reduced Hessian eigenvalues (-0.25, 1), so the
-    # QP does not certify it and the block takes the ALM path
+    # QP of its group does not certify it, and the block alone takes the
+    # ALM path
     prob = variable_splitting_transform(mixed_problem())
     params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
     vec = np.zeros(sum(prob.dims))
     g = subproblem_gradients(prob, vec, np.zeros(prob.m), np.zeros(prob.m),
                              params.rho)
-    warm = prob.split(vec)[3]
-    req = BlockSolveRequest(
-        t=3, objective=BlockObjective(prob, 3, g, warm, params),
-        set=prob.blocks[3].set, warm_start=warm)
-    assert solve_quadratic_kkt(req).status == STATUS_NUMERICAL_FAILURE
-    res = dispatch(req)
+    grp, = [grp for grp in prob.quadratic_groups if 3 in grp.blocks]
+    assert grp.kind == "qp"
+    w = params.rho + params.tau_x
+    X, G, H = grp.take(vec), grp.take(g), grp.hessian(w)
+    _, _, passes = subsolver.solve_box_qp(
+        H, G - (H @ X[..., None])[..., 0], grp.C, grp.d, grp.lower,
+        grp.upper)
+    assert [t for t, p in zip(grp.blocks, passes) if not p] == [3]
+    _, _, results = solve_group(grp, vec, g, w)
+    res, = results.values()
+    assert results.keys() == {3}
     assert res.solver == "equality-alm" and not res.converged
 
 
@@ -401,9 +444,9 @@ def test_quadratic_kkt_pinned_coordinates():
     cset = ConstraintSet(np.array([2.0, -np.inf]), np.array([2.0, np.inf]),
                          [eq])
     prob = make_block_problem(f, cset)
-    res = solve_quadratic_kkt(make_request(prob))
-    assert res.converged
-    assert np.allclose(res.x, [2.0, 1.0], atol=1e-10)
+    x, _, passes = qp_model(prob)
+    assert passes > 0
+    assert np.allclose(x, [2.0, 1.0], atol=1e-10)
 
 
 def test_equality_alm_nonlinear_constraint():
@@ -412,30 +455,29 @@ def test_equality_alm_nonlinear_constraint():
     circle = Quadratic(2.0 * sp.eye(2, format="csr"), np.zeros(2), -2.0)
     cset = ConstraintSet(np.zeros(2), np.full(2, 3.0), [circle])
     prob = make_block_problem(f, cset)
-    res = solve_equality_alm(make_request(prob, warm=np.array([1.5, 0.5]),
-                                          tol=1e-9))
+    grp, obj, X = block_model(prob, warm=np.array([1.5, 0.5]))
+    assert grp.kind == "alm" and grp.blocks == [0]
+    res, = equality_alm_rows(obj, grp.equality_map, grp.d, X, grp.lower,
+                             grp.upper, tol=1e-9)
     assert res.status == STATUS_CONVERGED
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
     assert res.solver == "equality-alm"
 
 
 def test_dispatch_routing():
+    # each block forms a group of one, whose kind names its solver: the
+    # exact step and the QP report no iterative solve
     rng = np.random.default_rng(8)
     unconstrained = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), rng.standard_normal(2)),
         ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf)))
-    # unconstrained blocks reach dispatch only when their batched exact step
-    # failed
-    assert dispatch(make_request(unconstrained)).solver == "box-newton"
     boxed = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), rng.standard_normal(2)),
         ConstraintSet(np.zeros(2), np.ones(2)))
-    assert dispatch(make_request(boxed)).solver == "box-newton"
     eq = Quadratic(sp.csr_matrix((2, 2)), np.ones(2), -1.0)
     linear_eq = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
         ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf), [eq]))
-    assert dispatch(make_request(linear_eq)).solver == "quadratic-kkt"
     circle = Quadratic(2.0 * sp.eye(2, format="csr"), np.zeros(2), -2.0)
     nonlinear_eq = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
@@ -443,22 +485,38 @@ def test_dispatch_routing():
     C, d = linear_eq.blocks[0].set.linear_rows
     assert np.array_equal(C, [[1.0, 1.0]]) and np.array_equal(d, [1.0])
     assert nonlinear_eq.blocks[0].set.linear_rows is None
-    assert dispatch(make_request(nonlinear_eq, warm=np.ones(2))).solver \
-        == "equality-alm"
+    for prob, kind, solver, warm in [
+            (unconstrained, "exact", None, None),
+            (boxed, "box", "box-newton", None),
+            (linear_eq, "qp", None, None),
+            (nonlinear_eq, "alm", "equality-alm", np.ones(2))]:
+        grp, = prob.quadratic_groups
+        assert grp.kind == kind and grp.blocks == [0]
+        _, inner, res = sweep(prob, warm=warm)
+        assert (res and res.solver) == solver
+        assert inner >= 1
+    # an unconstrained block whose exact step fails goes to projected
+    # Newton
+    concave = make_block_problem(
+        Quadratic(sp.diags([1.0, -5.0], format="csr"), np.zeros(2)),
+        ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf)))
+    assert sweep(concave)[2].solver == "box-newton"
 
 
 def stacked_alm(grp, H, G, X):
-    return equality_alm_rows(BlockObjective.of_stack(H, G, X),
-                             grp.equality_map, grp.d, X, grp.lower,
-                             grp.upper)
+    return equality_alm_rows(BlockObjective(H, G, X), grp.equality_map,
+                             grp.d, X, grp.lower, grp.upper)
 
 
 def one_block_alm(prob, H, G, X, i, t):
-    """The ALM on row i of the stack alone (k = 1), as block t."""
-    return solve_equality_alm(BlockSolveRequest(
-        t=t, objective=BlockObjective.of_stack(H[i:i + 1], G[i:i + 1],
-                                               X[i:i + 1]),
-        set=prob.blocks[t].set, warm_start=X[i]))
+    """The ALM on row i of the stack alone (k = 1), as block t with its own
+    map and box."""
+    cset = prob.blocks[t].set
+    res, = equality_alm_rows(
+        BlockObjective(H[i:i + 1], G[i:i + 1], X[i:i + 1]),
+        cset.equality_map, cset.equality_map.d[None], X[i:i + 1],
+        cset.lower[None], cset.upper[None])
+    return res
 
 
 def test_batched_alm_rows_match_one_block_solves(monkeypatch):
@@ -520,3 +578,68 @@ def test_batched_alm_feasible_rows():
             assert prob.blocks[t].set.violation(res[i].x) <= 1e-8
             c = grp.equality_map.values(res[i].x, grp.d[i])
             assert np.max(np.abs(c)) <= 1e-8
+
+
+def test_box_group_rows_match_one_block_solves():
+    # five box-only blocks of n = 3, block t coupled through row t alone,
+    # are one group; each row of its one stacked projected-Newton call is,
+    # bit for bit, the solve of that block as the one block of a problem of
+    # its own (coupling row t, with its b, z and lambda).  Block 1 is
+    # indefinite on a finite box, block 2 unbounded below along its free
+    # coordinate (it fails at once), block 3 has a NaN in c, and block 4
+    # starts at its minimizer
+    rng = np.random.default_rng(12)
+    T, n = 5, 3
+    lo, hi = -np.ones(n), np.ones(n)
+    half = (np.array([-1.0, -np.inf, -1.0]), np.array([1.0, np.inf, 1.0]))
+
+    def spd():
+        M = rng.standard_normal((n, n))
+        return M.T @ M + np.eye(n)
+
+    Qs = [spd(), np.diag([2.0, -1.0, 0.5]), np.diag([1.0, -5.0, 1.0]),
+          spd(), spd()]
+    cs = [3.0 * rng.standard_normal(n) for _ in range(T)]
+    cs[3][1] = np.nan
+    boxes = [(lo, hi), (lo, hi), half, (lo, hi), (lo, hi)]
+    rows = [rng.standard_normal(n) for _ in range(T)]
+    rows[2] = np.array([1.0, 0.0, 0.0])
+    b, z, lam = (rng.standard_normal(T) for _ in range(3))
+    x0 = rng.uniform(-0.5, 0.5, (T, n))
+    blocks = []
+    for t in range(T):
+        A = np.zeros((T, n))
+        A[t] = rows[t]
+        blocks.append(BlockSpec(n=n, objective=Quadratic(
+            sp.csr_matrix(Qs[t]), cs[t]), set=ConstraintSet(*boxes[t]),
+            coupling=A))
+    prob = Problem(m=T, b=b, blocks=blocks)
+    grp, = prob.quadratic_groups
+    assert grp.kind == "box" and grp.blocks == list(range(T))
+    # block 4's warm start: the minimizer of its model, found from x0
+    g = subproblem_gradients(prob, x0.ravel(), z, lam, PARAMS.rho)
+    x, _, _ = solve_group(grp, x0.ravel(), g, W)
+    x0[4] = x[4]
+    vec = x0.ravel()
+    g = subproblem_gradients(prob, vec, z, lam, PARAMS.rho)
+    x, inner, results = solve_group(grp, vec, g, W)
+    assert [results[t].status for t in range(T)] == [
+        STATUS_CONVERGED, STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
+        STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
+    assert inner[2] == inner[3] == 0 and inner[4] == 1
+    assert inner[0] > 1 and inner[1] > 1
+    for t, blk in enumerate(blocks):
+        one = Problem(m=1, b=b[t:t + 1], blocks=[BlockSpec(
+            n=n, objective=blk.objective, set=blk.set,
+            coupling=blk.coupling[t:t + 1])])
+        one_grp, = one.quadratic_groups
+        assert one_grp.kind == "box"
+        g_t = subproblem_gradients(one, x0[t], z[t:t + 1], lam[t:t + 1],
+                                   PARAMS.rho)
+        assert np.array_equal(g_t, g[t * n:(t + 1) * n], equal_nan=True)
+        x_t, inner_t, res_t = solve_group(one_grp, x0[t], g_t, W)
+        res = results[t]
+        assert np.array_equal(x_t[0], x[t]), t
+        assert inner_t[0] == inner[t], t
+        assert res_t[0].status == res.status, t
+        assert res_t[0].grad_norm == res.grad_norm, t

@@ -30,6 +30,8 @@ class TestConfig:
             TunerConfig(eps=1e-3, nu_rho=0.5)
         with pytest.raises(ValueError):
             TunerConfig(eps=1e-3, rho0=-1.0)
+        with pytest.raises(ValueError, match="max_outer"):
+            TunerConfig(eps=1e-3, max_outer=0)
 
 
 def test_init_params():
