@@ -32,12 +32,13 @@ def main():
     print(f"ramping residual {trace[-1].coupling_inf:.2e}, "
           f"stationarity measure {trace[-1].pi:.2e}")
 
+    x = prob.split(state.x)
     balance = max(float(np.max(np.abs(blk.set.equality_values(xt))))
-                  for blk, xt in zip(prob.blocks, state.x))
+                  for blk, xt in zip(prob.blocks, x))
     print(f"worst power-balance residual {balance:.2e}")
 
     print("\nper-period generation and voltage at bus 0:")
-    for t, xt in enumerate(state.x):
+    for t, xt in enumerate(x):
         p0 = xt[lay["p"]]
         v0 = xt[lay["v"]]
         print(f"  t={t:2d}: p={p0:7.4f}  V={v0:6.4f}")

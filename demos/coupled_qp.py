@@ -32,7 +32,8 @@ def main():
     print(f"\n{reason} after {len(trace)} outer iterations")
     print(f"final coupling residual {trace[-1].coupling_inf:.2e}")
     err = max(float(np.max(np.abs(xt - xs)))
-              for xt, xs in zip(state.x, oracle.x_star))
+              for xt, xs in zip(prob.split(state.x),
+                                prob.split(oracle.x_star)))
     print(f"max |x - x_star| = {err:.2e}")
 
     # round trip: write problem and trace to disk, then replay and audit

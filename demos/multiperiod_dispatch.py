@@ -32,16 +32,17 @@ def main():
           f"coupling {trace[-1].coupling_inf:.2e}")
 
     print("\nschedule (rows = periods, cols = generator outputs):")
-    for t, xt in enumerate(state.x):
+    x = prob.split(state.x)
+    for t, xt in enumerate(x):
         p = xt[:GENERATORS]
         print(f"  t={t}: " + "  ".join(f"{v:7.4f}" for v in p))
 
     err = max(float(np.max(np.abs(xt - xs)))
-              for xt, xs in zip(state.x, oracle.x_star))
+              for xt, xs in zip(x, prob.split(oracle.x_star)))
     print(f"\nmax deviation from the KKT solution: {err:.2e}")
     ramp = max(abs(trace[-1].coupling_inf), 0.0)
     balance = max(float(np.max(np.abs(blk.set.equality_values(xt))))
-                  for blk, xt in zip(prob.blocks, state.x))
+                  for blk, xt in zip(prob.blocks, x))
     print(f"ramping residual {ramp:.2e}, demand balance {balance:.2e}")
 
 

@@ -31,7 +31,7 @@ def main():
                                 RunConfig(record_timings=False,
                                           max_iters=WARMUP))
     rng = np.random.default_rng(12345)
-    x0 = [xt + 1e-5 * rng.standard_normal(xt.size) for xt in state.x]
+    x0 = state.x + 1e-5 * rng.standard_normal(state.x.size)
 
     traces = {}
     for tau_x in (0.0, 5.0):

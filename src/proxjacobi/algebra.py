@@ -12,9 +12,10 @@ EIGENCHECK_SIZE_CAP = 2000
 
 
 def couple_apply(problem, x):
-    """Return ``sum_t A_t x_t``: one product with the nonzero rows of the
-    A_t, added into their coupling rows in block order."""
-    return problem.row_sums(problem.block_products(problem.stack(x)))
+    """Return ``sum_t A_t x_t`` for the flat vector ``x``: one product with
+    the nonzero rows of the A_t, added into their coupling rows in block
+    order."""
+    return problem.row_sums(problem.block_products(x))
 
 
 def spectral_norm(A_t):

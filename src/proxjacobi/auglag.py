@@ -11,14 +11,13 @@ from .model import _dot, _matvec
 
 def aug_lagrangian(problem, x, z, lam, params):
     """sum_t f_t(x_t) + (theta/2)||z||^2 + lam'(Ax + z - b)
-    + (rho/2)||Ax + z - b||^2."""
+    + (rho/2)||Ax + z - b||^2, at the flat vector ``x``."""
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if z.shape != (problem.m,) or lam.shape != (problem.m,):
         raise ValueError("z and lambda must have length m")
-    vec = problem.stack(x)
-    viol = problem.row_sums(problem.block_products(vec)) + z - problem.b
-    total = problem.objective_value(vec)
+    viol = problem.row_sums(problem.block_products(x)) + z - problem.b
+    total = problem.objective_value(x)
     total += 0.5 * params.theta * float(z @ z)
     total += float(lam @ viol)
     total += 0.5 * params.rho * float(viol @ viol)
@@ -81,7 +80,7 @@ def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
     val = aug_lagrangian(problem, x, z, lam, params)
     dz = np.asarray(z, dtype=float) - np.asarray(z_hat, dtype=float)
     val += 0.25 * params.tau_z * float(dz @ dz)
-    d = problem.block_products(problem.stack(x) - problem.stack(x_hat))
+    d = problem.block_products(x - x_hat)
     val += 0.25 * params.tau_x * float(d @ d)
     return val
 
@@ -180,7 +179,7 @@ class ResidualSnapshot:
     pi: float
     delta: list
     p: np.ndarray
-    d_blocks: list
+    d_x: np.ndarray
     d_z: np.ndarray
     infnorm_p: float
     infnorm_d: float
@@ -198,15 +197,16 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
     d_t = rho A_t'(A_{!=t} dx_{!=t}) - rho A_t' dz - tau_x A_t'A_t dx_t
     d_z = -tau_z dz
 
-    with delta_t the block dual residuals (``dual_residuals``).
+    with ``d_x`` the flat vector of every d_t and delta_t the block dual
+    residuals (``dual_residuals``).
     """
     if state.k < 1:
         raise ValueError("penalty residuals undefined at k = 0")
-    vec = problem.stack(state.x)
+    vec = state.x
     row = problem.coupling_rows.row
     Ax = problem.row_sums(problem.block_products(vec))
     p = Ax + state.z - problem.b
-    Adx = problem.block_products(vec - problem.stack(state.x_prev))
+    Adx = problem.block_products(vec - state.x_prev)
     Adx_total = problem.row_sums(Adx)
     d = problem.block_products_T(
         params.rho * (Adx_total[row] - Adx - state.dz[row])
@@ -218,7 +218,7 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
         pi=float(np.linalg.norm(Ax - problem.b)),
         delta=dual_residuals(problem, vec, state.lam, feas_tol=feas_tol),
         p=p,
-        d_blocks=problem.split(d),
+        d_x=d,
         d_z=d_z,
         infnorm_p=float(np.max(np.abs(p))) if p.size else 0.0,
         infnorm_d=infnorm_d,
@@ -300,8 +300,7 @@ def dagger_norm_sq(problem, state, ref_x, ref_z, ref_lam, params):
     ``(rho + tau_x) v - rho E(E'v)``, on the nonzero coupling rows of the
     blocks: the rows of v = D(x - x*) that are zero add nothing.
     """
-    dev = problem.block_products(problem.stack(state.x)
-                                 - problem.stack(ref_x))
+    dev = problem.block_products(state.x - ref_x)
     col_sum = problem.row_sums(dev)
     r_dev = ((params.rho + params.tau_x) * dev
              - params.rho * col_sum[problem.coupling_rows.row])

@@ -52,8 +52,7 @@ def default_start(problem):
     # are infinite: the midpoint is then the finite bound, or 0
     lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     hi = np.where(np.isfinite(hi), hi, lo)
-    return (problem.split(0.5 * (lo + hi)), np.zeros(problem.m),
-            np.zeros(problem.m))
+    return 0.5 * (lo + hi), np.zeros(problem.m), np.zeros(problem.m)
 
 
 def _load_problem_file(path):
@@ -66,7 +65,7 @@ def _load_problem_file(path):
 
 
 def _solution_doc(problem, state, reason, trace):
-    objective = problem.objective_value(problem.stack(state.x))
+    objective = problem.objective_value(state.x)
     last = trace[-1] if trace else None
     residuals = {}
     if last is not None:
@@ -78,7 +77,7 @@ def _solution_doc(problem, state, reason, trace):
             "delta_max": last.delta_max,
         }
     return {
-        "x": [[float(v) for v in xt] for xt in state.x],
+        "x": [[float(v) for v in xt] for xt in problem.split(state.x)],
         "z": [float(v) for v in state.z],
         "lam": [float(v) for v in state.lam],
         "objective": objective,
@@ -254,7 +253,8 @@ def cmd_generate(args):
             print(f"note: no oracle written: {exc}", file=sys.stderr)
         else:
             doc = {
-                "x_star": [[float(v) for v in xt] for xt in oracle.x_star],
+                "x_star": [[float(v) for v in xt]
+                           for xt in problem.split(oracle.x_star)],
                 "lambda_star": [float(v) for v in oracle.lambda_star],
                 "objective": oracle.objective,
                 "provenance": oracle.provenance,

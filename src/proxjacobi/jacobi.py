@@ -150,11 +150,16 @@ def read_trace_csv(fileobj):
 
 def init_state(problem, x0, z0, lam0, params):
     """State at k = 0 with ``dz0 = -(lam0 + theta z0)/tau_z`` and zero
-    x-differences; x0 is projected onto the boxes on entry."""
-    if len(x0) != problem.T:
-        raise ValueError(f"x0 has {len(x0)} blocks, expected {problem.T}")
-    x = problem.split(project_box(problem.stack(x0), problem.lower,
-                                  problem.upper))
+    x-differences; x0, one flat vector of length N, is projected onto the
+    boxes on entry."""
+    N = problem.offsets[-1]
+    try:
+        x0 = np.asarray(x0, dtype=float)
+    except ValueError:  # a ragged per-block list
+        x0 = None
+    if x0 is None or x0.shape != (N,):
+        raise ValueError(f"x0 must be one flat vector of shape ({N},)")
+    x = project_box(x0, problem.lower, problem.upper)
     z0 = np.asarray(z0, dtype=float).copy()
     lam0 = np.asarray(lam0, dtype=float).copy()
     if z0.shape != (problem.m,) or lam0.shape != (problem.m,):
@@ -237,10 +242,10 @@ def x_update_all(problem, state, params, pool=None):
     (``auglag.subproblem_gradients``).  Each quadratic group is solved from
     it by ``solve_group``, the groups spread over the ``pool`` when there
     is one.  A solve that stops at its iteration cap is logged.  Returns
-    (the new x as a BlockVector, per-block inner iteration counts).  Any
-    numerical failure aborts with the lowest failing block index.
+    (the new flat x, per-block inner iteration counts).  Any numerical
+    failure aborts with the lowest failing block index.
     """
-    vec = problem.stack(state.x)
+    vec = state.x
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
                                     params.rho)
     w = params.rho + params.tau_x
@@ -262,7 +267,7 @@ def x_update_all(problem, state, params, pool=None):
                         "iteration cap after %d inner iterations; its "
                         "last point is taken", state.k + 1, t, res.solver,
                         res.inner_iterations)
-    return problem.split(x_new), inner.tolist()
+    return x_new, inner.tolist()
 
 
 def z_update(problem, Ax, state, params):

@@ -611,20 +611,6 @@ def _block_diag(mats):
                          shape=(len(indptr) - 1, col0[-1]))
 
 
-class BlockVector(list):
-    """The per-block views of one flat vector ``vec``: it indexes and
-    iterates as the list of block vectors, while stacked products read
-    ``vec``."""
-
-    def __init__(self, vec, offsets):
-        super().__init__(vec[a:b] for a, b in zip(offsets, offsets[1:]))
-        self.vec = vec
-        self.offsets = offsets
-
-    def copy(self):
-        return BlockVector(self.vec.copy(), self.offsets)
-
-
 class QuadraticGroup:
     """Blocks of one size n held as dense stacks, so that their subproblems
     are solved together.  ``kind`` names how:
@@ -666,7 +652,7 @@ class QuadraticGroup:
 
     def take(self, vec):
         """The group's rows of the flat vector ``vec``, as (k, n)."""
-        return vec[self.cols].reshape(-1, self.n)
+        return vec[self.cols].reshape(len(self.blocks), self.n)
 
     def hessian(self, w):
         """The stack H = Q + w AtA, kept for the latest ``w`` only."""
@@ -736,7 +722,7 @@ class Problem:
     """T-block problem coupled through ``sum_t A_t x_t = b``.
 
     Iterates are flat vectors of length N = sum_t n_t, block after block
-    (``offsets``), seen per block through a :class:`BlockVector`.  The
+    (``offsets``); ``split`` gives their per-block views.  The
     coupling is kept in stacked forms, each built on first use from
     ``coupling_diag`` = diag(A_1, ..., A_T) (which :func:`load_problem`
     supplies): ``coupling`` [A_1 ... A_T] (m x N), and ``coupling_rows``,
@@ -772,23 +758,10 @@ class Problem:
         """Where each block starts in the flat vector, then N."""
         return [0, *accumulate(self.dims)]
 
-    def stack(self, x):
-        """The flat vector of the block vectors ``x`` (a
-        :class:`BlockVector`'s own ``vec``)."""
-        if isinstance(x, BlockVector):
-            return x.vec
-        if len(x) != self.T:
-            raise ValueError(f"{len(x)} block vectors for T={self.T}")
-        parts = [np.asarray(xt, dtype=float) for xt in x]
-        for blk, xt in zip(self.blocks, parts):
-            if xt.shape != (blk.n,):
-                raise ValueError(f"block vector of shape {xt.shape} does "
-                                 f"not match n={blk.n}")
-        return np.concatenate(parts) if parts else np.zeros(0)
-
     def split(self, vec):
-        """The flat vector ``vec`` seen per block."""
-        return BlockVector(vec, self.offsets)
+        """The list of per-block views of the flat vector ``vec``."""
+        o = self.offsets
+        return [vec[a:b] for a, b in zip(o, o[1:])]
 
     @cached_property
     def lower(self):
@@ -959,16 +932,17 @@ class Params:
 @dataclass
 class IterateState:
     """Mutable iterate (x, z, lambda) plus the lagged quantities; x and
-    x_prev are :class:`BlockVector` s.
+    x_prev are flat vectors of length N (``Problem.split`` gives their
+    blocks).
 
     At k = 0 the conventions are ``dz = -(lam + theta z) / tau_z`` and
     ``x_prev = x`` so that the first x-differences vanish.
     """
 
-    x: list
+    x: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    x_prev: list
+    x_prev: np.ndarray
     z_prev: np.ndarray
     lam_prev: np.ndarray
     dz: np.ndarray

@@ -75,9 +75,10 @@ class NetworkData:
 
 @dataclass
 class OracleSolution:
-    """Reference solution with KKT-certified residuals."""
+    """Reference solution with KKT-certified residuals; ``x_star`` is one
+    flat vector of length N."""
 
-    x_star: list
+    x_star: np.ndarray
     lambda_star: np.ndarray
     objective: float
     provenance: str
@@ -377,11 +378,10 @@ def kkt_reference_solve(problem):
         raise ValueError("no certified KKT point (singular system, no strict "
                          "minimizer or an active set that does not settle)")
     x, mu = x[0], mu[0]
-    x_star = np.split(x, np.cumsum(problem.dims)[:-1])
     objective = sum(blk.objective.value(xt)
-                    for blk, xt in zip(problem.blocks, x_star))
+                    for blk, xt in zip(problem.blocks, problem.split(x)))
     return OracleSolution(
-        x_star=x_star, lambda_star=mu[len(d) - problem.m:],
+        x_star=x, lambda_star=mu[len(d) - problem.m:],
         objective=float(objective), provenance="kkt-linear-solve")
 
 

@@ -87,8 +87,8 @@ def theorem1_data():
             best_stat = min(best_stat, max(rec.pi, max(dts)))
             worst_mono = max(worst_mono,
                              rec.dphi - MONO_RTOL * (1.0 + abs(rec.phi)))
-            steps = [blk.coupling @ (xt - xp) for blk, xt, xp
-                     in zip(prob.blocks, state.x, state.x_prev)]
+            steps = [blk.coupling @ dxt for blk, dxt
+                     in zip(prob.blocks, prob.split(state.x - state.x_prev))]
             dx = [float(w @ w) for w in steps]      # ||A_t dx_t||^2
             dzs = float(state.dz @ state.dz)
             rhs = (-etas.eta_x * (sum(dx) + sum(prev_dx))
@@ -134,8 +134,8 @@ def test_criterion_01_oracle_equivalence(adaptive_runs):
     worst_x = worst_lam = 0.0
     ok = True
     for seed, (prob, oracle, state, trace, reason) in adaptive_runs.items():
-        xerr = max(np.max(np.abs(xt - xs))
-                   for xt, xs in zip(state.x, oracle.x_star))
+        xerr = max(np.max(np.abs(xt - xs)) for xt, xs
+                   in zip(prob.split(state.x), prob.split(oracle.x_star)))
         lamerr = float(np.max(np.abs(state.lam - oracle.lambda_star)))
         worst_x = max(worst_x, xerr)
         worst_lam = max(worst_lam, lamerr)
@@ -227,7 +227,7 @@ def test_criterion_07_divergence_reproduction(acopf_twin_problem):
     # seed the parallel-update instability with a small perturbation of an
     # interior near-stationary point; both runs start identically
     rng = np.random.default_rng(12345)
-    x0 = [xt + 1e-5 * rng.standard_normal(xt.size) for xt in state.x]
+    x0 = state.x + 1e-5 * rng.standard_normal(state.x.size)
     results = {}
     for tau_x in (0.0, 5.0):
         params = Params(rho=1.0, theta=1e6, tau_x=tau_x, tau_z=tau_z)
@@ -251,7 +251,7 @@ def test_criterion_08_acopf_convergence(acopf_c8_run):
     prob, state, trace, reason = acopf_c8_run
     coupling = trace[-1].coupling_inf
     balance = max(float(np.max(np.abs(blk.set.equality_values(xt))))
-                  for blk, xt in zip(prob.blocks, state.x))
+                  for blk, xt in zip(prob.blocks, prob.split(state.x)))
     drop = trace[-1].pi / trace[0].pi if trace[0].pi > 0 else 0.0
     ok = (reason == tuner.TERMINATION_FEASIBLE and coupling <= 1e-3
           and balance <= 1e-6 and drop <= 1e-3)
@@ -280,14 +280,10 @@ def test_criterion_09_local_contraction():
         sol = np.linalg.solve(K, np.concatenate([-c, prob.b]))
         lam_star = sol[total:]
         z_star = -lam_star / params.theta
-        x_star = []
-        off = 0
-        for blk in prob.blocks:
-            x_star.append(sol[off:off + blk.n])
-            off += blk.n
+        x_star = sol[:total]
         rng = np.random.default_rng(99 + seed)
-        x0 = [xs + 1e-3 * rng.standard_normal(xs.size) / np.sqrt(total)
-              for xs in oracle.x_star]
+        x0 = (oracle.x_star
+              + 1e-3 * rng.standard_normal(total) / np.sqrt(total))
         z0 = prob.b - couple_apply(prob, x0)
         lam0 = -params.theta * z0
         state = jacobi.init_state(prob, x0, z0, lam0, params)

@@ -23,19 +23,20 @@ def random_blocks(problem, seed):
 def test_couple_apply_matches_dense(qp):
     x = random_blocks(qp, 0)
     dense = qp.coupling.toarray() @ np.concatenate(x)
-    assert np.allclose(couple_apply(qp, x), dense, atol=1e-12)
+    assert np.allclose(couple_apply(qp, np.concatenate(x)), dense,
+                       atol=1e-12)
     # the block sums are added in block order, bit for bit as a loop does
     out = np.zeros(qp.m)
     for blk, xt in zip(qp.blocks, x):
         out += blk.coupling @ xt
-    assert np.array_equal(couple_apply(qp, x), out)
+    assert np.array_equal(couple_apply(qp, np.concatenate(x)), out)
 
 
 def test_couple_apply_shape_check(qp):
     x = random_blocks(qp, 0)
     x[0] = np.zeros(qp.blocks[0].n + 1)
     with pytest.raises(ValueError):
-        couple_apply(qp, x)
+        couple_apply(qp, np.concatenate(x))
 
 
 def test_spectral_norm_vs_svd():
@@ -82,4 +83,4 @@ def test_couple_apply_adds_blocks_in_order(sparse_coupling_problem):
     out = np.zeros(prob.m)
     for blk, xt in zip(prob.blocks, x):
         out += blk.coupling @ xt
-    assert np.array_equal(couple_apply(prob, x), out)
+    assert np.array_equal(couple_apply(prob, np.concatenate(x)), out)

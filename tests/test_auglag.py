@@ -34,7 +34,7 @@ def finite_diff_grad(f, x, h=1e-6):
 
 def random_point(problem, seed):
     rng = np.random.default_rng(seed)
-    x = [rng.standard_normal(blk.n) for blk in problem.blocks]
+    x = rng.standard_normal(sum(problem.dims))
     z = rng.standard_normal(problem.m)
     lam = rng.standard_normal(problem.m)
     return x, z, lam
@@ -43,7 +43,8 @@ def random_point(problem, seed):
 def test_aug_lagrangian_formula(qp):
     x, z, lam = random_point(qp, 0)
     viol = couple_apply(qp, x) + z - qp.b
-    expected = sum(blk.objective.value(xt) for blk, xt in zip(qp.blocks, x))
+    expected = sum(blk.objective.value(xt)
+                   for blk, xt in zip(qp.blocks, qp.split(x)))
     expected += 0.5 * PARAMS.theta * z @ z + lam @ viol
     expected += 0.5 * PARAMS.rho * viol @ viol
     assert aug_lagrangian(qp, x, z, lam, PARAMS) == pytest.approx(expected)
@@ -58,18 +59,19 @@ def test_block_objective_tracks_aug_lagrangian():
     anchor x_t, and its gradient is the model's derivative."""
     prob = mixed_problem()
     x, z, lam = random_point(prob, 2)
-    g = subproblem_gradients(prob, prob.stack(x), z, lam, PARAMS.rho)
+    g = subproblem_gradients(prob, x, z, lam, PARAMS.rho)
     L0 = aug_lagrangian(prob, x, z, lam, PARAMS)
     rng = np.random.default_rng(3)
+    xs = prob.split(x)
     for t, blk in enumerate(prob.blocks):
-        obj = block_objective(prob, t, g, x[t], PARAMS)
-        other = x[t] + rng.standard_normal(blk.n)
-        x_other = list(x)
-        x_other[t] = other
+        obj = block_objective(prob, t, g, xs[t], PARAMS)
+        other = xs[t] + rng.standard_normal(blk.n)
+        x_other = x.copy()
+        prob.split(x_other)[t][:] = other
         dL = aug_lagrangian(prob, x_other, z, lam, PARAMS) - L0
-        dAx = blk.coupling @ (other - x[t])
+        dAx = blk.coupling @ (other - xs[t])
         prox = 0.5 * PARAMS.tau_x * float(dAx @ dAx)
-        d_obj = at_point(obj.value, other) - at_point(obj.value, x[t])
+        d_obj = at_point(obj.value, other) - at_point(obj.value, xs[t])
         assert d_obj == pytest.approx(dL + prox, rel=1e-9, abs=1e-9), t
         fd = finite_diff_grad(lambda v: at_point(obj.value, v), other)
         assert np.allclose(at_point(obj.gradient, other), fd, atol=1e-5), t
@@ -77,12 +79,12 @@ def test_block_objective_tracks_aug_lagrangian():
 
 def test_lyapunov_adds_prox_terms(qp):
     x, z, lam = random_point(qp, 4)
-    x_hat = [xt - 0.5 for xt in x]
+    x_hat = x - 0.5
     z_hat = z - 0.25
     base = aug_lagrangian(qp, x, z, lam, PARAMS)
     val = lyapunov(qp, x, z, lam, x_hat, z_hat, PARAMS)
     extra = 0.25 * PARAMS.tau_z * float((z - z_hat) @ (z - z_hat))
-    for blk, xt, xh in zip(qp.blocks, x, x_hat):
+    for blk, xt, xh in zip(qp.blocks, qp.split(x), qp.split(x_hat)):
         d = blk.coupling @ (xt - xh)
         extra += 0.25 * PARAMS.tau_x * float(d @ d)
     assert val == pytest.approx(base + extra)
@@ -91,15 +93,17 @@ def test_lyapunov_adds_prox_terms(qp):
 class TestDualResidual:
     def test_unconstrained_is_gradient_norm(self, qp):
         x, _, lam = random_point(qp, 5)
-        g = qp.blocks[0].objective.gradient(x[0]) \
+        x0 = qp.split(x)[0]
+        g = qp.blocks[0].objective.gradient(x0) \
             + qp.blocks[0].coupling.T @ lam
-        assert dual_residual(qp, 0, x[0], lam) == pytest.approx(
+        assert dual_residual(qp, 0, x0, lam) == pytest.approx(
             np.linalg.norm(g))
 
     def test_zero_at_oracle(self):
         prob, oracle = build_qp(11)
+        x_star = prob.split(oracle.x_star)
         for t in range(prob.T):
-            assert dual_residual(prob, t, oracle.x_star[t],
+            assert dual_residual(prob, t, x_star[t],
                                  oracle.lambda_star) < 1e-9
 
     def test_box_normal_cone(self):
@@ -120,8 +124,9 @@ class TestDualResidual:
     def test_equality_multiplier_fit(self):
         prob = problems.gen_multiperiod_dispatch(3, 2, 0.2)
         oracle = problems.kkt_reference_solve(prob)
+        x_star = prob.split(oracle.x_star)
         for t in range(prob.T):
-            assert dual_residual(prob, t, oracle.x_star[t],
+            assert dual_residual(prob, t, x_star[t],
                                  oracle.lambda_star) < 1e-8
 
     def test_off_set_raises(self, qp):
@@ -145,13 +150,15 @@ def test_penalty_residuals_formulas(qp):
     assert snap.pi == pytest.approx(
         np.linalg.norm(couple_apply(qp, state.x) - qp.b))
     assert np.allclose(snap.d_z, -params.tau_z * state.dz, atol=1e-12)
-    dx = [xt - xp for xt, xp in zip(state.x, state.x_prev)]
+    dx = [xt - xp for xt, xp
+          in zip(qp.split(state.x), qp.split(state.x_prev))]
     Adx = [blk.coupling @ d for blk, d in zip(qp.blocks, dx)]
+    d_x = qp.split(snap.d_x)
     for t, blk in enumerate(qp.blocks):
         acc = sum(Adx[s] for s in range(qp.T) if s != t)
         d_t = params.rho * (blk.coupling.T @ (acc - state.dz)) \
             - params.tau_x * (blk.coupling.T @ Adx[t])
-        assert np.allclose(snap.d_blocks[t], d_t, atol=1e-9)
+        assert np.allclose(d_x[t], d_t, atol=1e-9)
     assert snap.delta_max == max(snap.delta)
 
 
@@ -191,7 +198,8 @@ def test_dagger_norm_matches_explicit_r(qp):
     val = dagger_norm_sq(qp, state, ref_x, ref_z, ref_lam, params)
     T, m = qp.T, qp.m
     dev = np.concatenate([blk.coupling @ (xt - rx) for blk, xt, rx
-                          in zip(qp.blocks, state.x, ref_x)])
+                          in zip(qp.blocks, qp.split(state.x),
+                                 qp.split(ref_x))])
     EEt = np.kron(np.ones((T, T)), np.eye(m))
     R = (params.rho + params.tau_x) * np.eye(T * m) - params.rho * EEt
     expected = float(dev @ (R @ dev))
@@ -207,16 +215,16 @@ def random_state(problem, seed):
     x, z, lam = random_point(problem, seed)
     x_prev, z_prev, lam_prev = random_point(problem, seed + 1)
     return IterateState(
-        x=problem.split(problem.stack(x)), z=z, lam=lam,
-        x_prev=problem.split(problem.stack(x_prev)), z_prev=z_prev,
+        x=x, z=z, lam=lam, x_prev=x_prev, z_prev=z_prev,
         lam_prev=lam_prev, dz=z - z_prev, k=1)
 
 
 def dagger_by_blocks(problem, state, ref_x, ref_z, ref_lam, params):
     """dagger_norm_sq from one A_t(x_t - x*_t) per block:
     v'Rv = (rho + tau_x) sum_t ||v_t||^2 - rho ||sum_t v_t||^2."""
-    dev = [blk.coupling @ (xt - rx)
-           for blk, xt, rx in zip(problem.blocks, state.x, ref_x)]
+    dev = [blk.coupling @ (xt - rx) for blk, xt, rx
+           in zip(problem.blocks, problem.split(state.x),
+                  problem.split(ref_x))]
     total_dev = sum(dev)
     val = (params.rho + params.tau_x) * sum(float(d @ d) for d in dev)
     val -= params.rho * float(total_dev @ total_dev)
@@ -233,14 +241,15 @@ class TestBlockLoops:
     def test_lyapunov(self, sparse_coupling_problem):
         prob = sparse_coupling_problem
         s = random_state(prob, 0)
-        Ax = sum(blk.coupling @ xt for blk, xt in zip(prob.blocks, s.x))
+        xs = prob.split(s.x)
+        Ax = sum(blk.coupling @ xt for blk, xt in zip(prob.blocks, xs))
         viol = Ax + s.z - prob.b
         expected = sum(blk.objective.value(xt)
-                       for blk, xt in zip(prob.blocks, s.x))
+                       for blk, xt in zip(prob.blocks, xs))
         expected += 0.5 * PARAMS.theta * float(s.z @ s.z)
         expected += float(s.lam @ viol) + 0.5 * PARAMS.rho * float(viol @ viol)
         expected += 0.25 * PARAMS.tau_z * float(s.dz @ s.dz)
-        for blk, xt, xh in zip(prob.blocks, s.x, s.x_prev):
+        for blk, xt, xh in zip(prob.blocks, xs, prob.split(s.x_prev)):
             d = blk.coupling @ (xt - xh)
             expected += 0.25 * PARAMS.tau_x * float(d @ d)
         assert lyapunov(prob, s.x, s.z, s.lam, s.x_prev, s.z_prev,
@@ -250,13 +259,14 @@ class TestBlockLoops:
         prob = sparse_coupling_problem
         s = random_state(prob, 2)
         snap = penalty_residuals(prob, s, PARAMS, feas_tol=np.inf)
-        Adx = [blk.coupling @ (xt - xp)
-               for blk, xt, xp in zip(prob.blocks, s.x, s.x_prev)]
+        Adx = [blk.coupling @ (xt - xp) for blk, xt, xp
+               in zip(prob.blocks, prob.split(s.x), prob.split(s.x_prev))]
+        d_x = prob.split(snap.d_x)
         for t, blk in enumerate(prob.blocks):
             others = sum(Adx) - Adx[t]
             d_t = blk.coupling.T @ (PARAMS.rho * (others - s.dz)
                                     - PARAMS.tau_x * Adx[t])
-            assert np.allclose(snap.d_blocks[t], d_t, rtol=1e-12,
+            assert np.allclose(d_x[t], d_t, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(d_t),
                                                    initial=1.0)), t
 
@@ -271,15 +281,14 @@ class TestBlockLoops:
         prob = sparse_coupling_problem
         x, z, lam = random_point(prob, 8)
         Ax = np.zeros(prob.m)
-        for blk, xt in zip(prob.blocks, x):
+        for blk, xt in zip(prob.blocks, prob.split(x)):
             Ax += blk.coupling @ xt
         v = lam + PARAMS.rho * (Ax + z - prob.b)
         expected = np.concatenate([
             blk.objective.gradient(xt) + blk.coupling.T @ v
-            for blk, xt in zip(prob.blocks, x)])
+            for blk, xt in zip(prob.blocks, prob.split(x))])
         assert np.array_equal(
-            subproblem_gradients(prob, prob.stack(x), z, lam, PARAMS.rho),
-            expected)
+            subproblem_gradients(prob, x, z, lam, PARAMS.rho), expected)
 
 
 def test_dagger_norm_has_no_size_cap():

@@ -224,7 +224,7 @@ class TestSolve:
         assert doc["termination"] == "feasible-stop"
         assert doc["residuals"]["coupling_inf"] <= 1e-5
         prob, oracle = build_qp(0)
-        for xt, xs in zip(doc["x"], oracle.x_star):
+        for xt, xs in zip(doc["x"], prob.split(oracle.x_star)):
             assert np.allclose(xt, xs, atol=1e-3)
 
     def test_iteration_cap_exit(self, qp_file):
@@ -335,6 +335,35 @@ class TestSolve:
         assert doc["termination"] == tuner.TERMINATION_BLOCK_FAILURE
         assert doc["iterations"] == 0
 
+    @pytest.mark.parametrize("mode, code, termination", [
+        ([], EXIT_OK, tuner.TERMINATION_FEASIBLE),
+        (["--fixed-params", "--max-iters", "30"], EXIT_ITERATION_CAP,
+         tuner.TERMINATION_ITERATION_CAP)], ids=["adaptive", "fixed"])
+    def test_zero_size_block(self, tmp_path, mode, code, termination):
+        # a block with n = 0 beside a one-variable block: the run ends as
+        # usual, its trace passes trace-check, and the empty block's x is []
+        doc = {
+            "m": 1, "b": [1.0],
+            "blocks": [
+                {"n": 0, "objective": {"type": "quadratic", "Q": [], "c": []},
+                 "bounds": {"lower": [], "upper": []}, "A": []},
+                {"n": 1, "objective": {"type": "quadratic",
+                                       "Q": [[0, 0, 1.0]], "c": [0.0]},
+                 "bounds": {"lower": [-10.0], "upper": [10.0]},
+                 "A": [[0, 0, 1.0]]},
+            ],
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_OK
+        trc, sol = tmp_path / "trace.csv", tmp_path / "sol.json"
+        assert main(["solve", str(path), "--trace", str(trc),
+                     "--solution", str(sol), *mode]) == code
+        doc = json.loads(sol.read_text())
+        assert doc["termination"] == termination
+        assert doc["x"][0] == [] and len(doc["x"][1]) == 1
+        assert main(["trace-check", str(trc), str(path)]) == EXIT_OK
+
 
     def test_diverging_run_stops_at_first_non_finite(self, tmp_path,
                                                      capsys):
@@ -430,6 +459,7 @@ def test_default_start_box_midpoints():
                   set=cs, coupling=sp.csr_matrix(np.ones((1, cs.n))))
         for cs in sets])
     x0, z0, lam0 = cli.default_start(prob)
+    x0 = prob.split(x0)
     assert [xt.tolist() for xt in x0] == [[1.5, 5.0, 2.0], [0.0, -0.0]]
     assert np.signbit(x0[1][1])
     assert z0.tolist() == lam0.tolist() == [0.0]

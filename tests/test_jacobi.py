@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from proxjacobi import auglag, jacobi, problems, tuner
+from proxjacobi import auglag, cli, jacobi, problems, tuner
 from proxjacobi.algebra import couple_apply
 from proxjacobi.auglag import (dual_residual, penalty_residuals,
                                subproblem_gradients)
@@ -14,7 +14,7 @@ from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
                                init_state, initial_lyapunov, iterate,
                                read_trace_csv, run_fixed, trace_csv_text,
                                write_trace_csv)
-from proxjacobi.model import (Params, PolarBalance,
+from proxjacobi.model import (Params, PolarBalance, Problem,
                               variable_splitting_transform)
 from proxjacobi.subsolver import (BlockSolveResult, STATUS_ITERATION_CAP,
                                   STATUS_NUMERICAL_FAILURE, solve_box_qp)
@@ -33,14 +33,14 @@ def qp():
 class TestInitState:
     def test_conventions(self, qp):
         rng = np.random.default_rng(0)
-        x0 = [rng.standard_normal(blk.n) for blk in qp.blocks]
+        x0 = rng.standard_normal(sum(qp.dims))
         z0 = rng.standard_normal(qp.m)
         lam0 = rng.standard_normal(qp.m)
         state = init_state(qp, x0, z0, lam0, PARAMS)
         assert state.k == 0
-        for xt, x0t in zip(state.x, x0):
+        for xt, x0t in zip(qp.split(state.x), qp.split(x0)):
             assert np.array_equal(xt, x0t)  # unbounded: projection is identity
-        for xt, xp in zip(state.x, state.x_prev):
+        for xt, xp in zip(qp.split(state.x), qp.split(state.x_prev)):
             assert np.array_equal(xt, xp)
         assert np.allclose(state.dz,
                            -(lam0 + PARAMS.theta * z0) / PARAMS.tau_z)
@@ -48,16 +48,30 @@ class TestInitState:
     def test_projects_onto_box(self):
         from proxjacobi import problems
         prob = problems.gen_multiperiod_dispatch(3, 2, 0.2)
-        x0 = [np.full(blk.n, 100.0) for blk in prob.blocks]
+        x0 = np.full(sum(prob.dims), 100.0)
         state = init_state(prob, x0, np.zeros(prob.m), np.zeros(prob.m),
                            PARAMS)
-        for blk, xt in zip(prob.blocks, state.x):
+        for blk, xt in zip(prob.blocks, prob.split(state.x)):
             assert np.all(xt <= blk.set.upper)
 
     def test_length_mismatch(self, qp):
         with pytest.raises(ValueError):
             init_state(qp, [np.zeros(2)], np.zeros(qp.m), np.zeros(qp.m),
                        PARAMS)
+
+    @pytest.mark.parametrize("case", ["per-block list", "ragged list",
+                                      "block matrix", "short", "long"])
+    def test_refuses_x0_not_flat(self, qp, case):
+        # x0 is one flat vector of shape (N,): any other shape is refused
+        # with a message naming it, even where its entries add up to N
+        prob = mixed_problem() if case == "ragged list" else qp
+        N = sum(prob.dims)
+        x0 = {"block matrix": np.zeros((prob.T, N // prob.T)),
+              "short": np.zeros(N - 1),
+              "long": np.zeros(N + 1)}.get(
+                  case, [np.zeros(n) for n in prob.dims])
+        with pytest.raises(ValueError, match=rf"\({N},\)"):
+            init_state(prob, x0, np.zeros(prob.m), np.zeros(prob.m), PARAMS)
 
     def test_initial_lyapunov(self, qp):
         from proxjacobi import auglag
@@ -212,8 +226,7 @@ class TestTraceCsv:
 
 def random_state(problem, params, seed):
     rng = np.random.default_rng(seed)
-    x0 = [np.clip(rng.standard_normal(blk.n), -1.0, 1.0)
-          for blk in problem.blocks]
+    x0 = np.clip(rng.standard_normal(sum(problem.dims)), -1.0, 1.0)
     return init_state(problem, x0, rng.standard_normal(problem.m),
                       rng.standard_normal(problem.m), params)
 
@@ -256,22 +269,22 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
         return
     x, inner = jacobi.x_update_all(prob, state, params)
     assert routed == others
-    g = subproblem_gradients(prob, state.x.vec, state.z, state.lam,
-                             params.rho)
+    g = subproblem_gradients(prob, state.x, state.z, state.lam, params.rho)
+    x, x_bar = prob.split(x), prob.split(state.x)
     for t in batched:
-        obj = block_objective(prob, t, g, state.x[t], params)
-        g0 = np.linalg.norm(at_point(obj.gradient, state.x[t]))
+        obj = block_objective(prob, t, g, x_bar[t], params)
+        g0 = np.linalg.norm(at_point(obj.gradient, x_bar[t]))
         assert np.linalg.norm(at_point(obj.gradient, x[t])) <= 1e-10 * (
             1.0 + g0)
         assert inner[t] == 1
-    obj = block_objective(prob, 4, g, state.x[4], params)
+    obj = block_objective(prob, 4, g, x_bar[4], params)
     C, d = prob.blocks[4].set.linear_rows
     ref, _, passes = solve_box_qp(
         obj.H, at_point(obj.gradient, np.zeros(3))[None], C, d[None],
         prob.blocks[4].set.lower[None], prob.blocks[4].set.upper[None])
     assert passes[0] > 0 and inner[4] == passes[0]
     assert np.allclose(x[4], ref[0], rtol=1e-12, atol=1e-14)
-    assert not np.array_equal(x[2], state.x[2])
+    assert not np.array_equal(x[2], x_bar[2])
 
 
 def test_uncertified_grouped_block_reaches_the_alm(monkeypatch):
@@ -281,7 +294,7 @@ def test_uncertified_grouped_block_reaches_the_alm(monkeypatch):
     prob = variable_splitting_transform(mixed_problem())
     assert {grp.kind for grp in prob.quadratic_groups} == {"qp"}
     params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
-    state = init_state(prob, [np.zeros(n) for n in prob.dims],
+    state = init_state(prob, np.zeros(sum(prob.dims)),
                        np.zeros(prob.m), np.zeros(prob.m), params)
     routed = record_routes(monkeypatch)
     _, inner = jacobi.x_update_all(prob, state, params)
@@ -335,6 +348,39 @@ def test_workload_sweeps_make_no_fallback_solve(monkeypatch, shape):
     assert calls == own
 
 
+@pytest.mark.parametrize("shape", ["mixed", "coupled-qp", "dispatch",
+                                   "acopf-toy"])
+def test_iterations_never_split_the_iterate(monkeypatch, shape):
+    # x stays one flat vector through every iteration of both run loops and
+    # of the trace replay: Problem.split, the per-block view, serves only
+    # the writers of per-block output
+    if shape == "mixed":
+        prob = mixed_problem()
+    elif shape == "coupled-qp":
+        prob, _ = problems.gen_coupled_qp(0, 12, 4, 3)
+    elif shape == "dispatch":
+        prob = problems.gen_multiperiod_dispatch(24, 3, 0.1)
+    else:
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=4), 4)
+
+    def refuse(self, vec):
+        raise AssertionError("Problem.split called inside an iteration")
+
+    monkeypatch.setattr(Problem, "split", refuse)
+    x0 = default_start(prob)
+    run = RunConfig(record_timings=False, max_iters=5)
+    params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
+    _, fixed = run_fixed(prob, params, init_state(prob, *x0, params), run)
+    # the mixed problem's indefinite block needs rho + tau_x > 1
+    cfg = tuner.TunerConfig(eps=1e-6, max_outer=5,
+                            rho0=2.0 if shape == "mixed" else 1e-3)
+    _, adaptive, _ = tuner.run_adaptive(
+        prob, cfg, tuner.make_initial_state(prob, cfg, *x0), run)
+    for trace in (fixed, adaptive):
+        states, _ = cli.replay_trace(prob, trace)
+        assert len(states) == len(trace) >= 2
+
+
 def test_capped_inner_solve_is_logged(monkeypatch, caplog):
     # a solve that stops at its iteration cap is taken, with one warning
     # naming the block, the iteration, the solver and its inner count.
@@ -367,7 +413,7 @@ def test_batched_sweep_worker_counts_bitwise():
         state, trace = run_fixed(prob, params, random_state(prob, params, 2),
                                  RunConfig(record_timings=False, max_iters=30,
                                            workers=workers))
-        runs.append((trace_csv_text(trace), state.x.vec.tobytes()))
+        runs.append((trace_csv_text(trace), state.x.tobytes()))
     assert np.isfinite(trace[-1].phi)
     assert all(run == runs[0] for run in runs[1:])
 
@@ -383,16 +429,17 @@ def test_batched_dual_residuals_match_reference(qp, case):
     params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
     state, _ = run_fixed(prob, params, random_state(prob, params, 3),
                          RunConfig(record_timings=False, max_iters=2))
+    x = prob.split(state.x)     # views: writes go into state.x
     if case == "mixed":
-        state.x[2][:] = [0.0, 1.0]      # the boxed block at its upper bound
+        x[2][:] = [0.0, 1.0]            # the boxed block at its upper bound
     if case == "dispatch":
         # the blocks form one group with the balance row; block 1's first
         # generator at its lower bound
         grp, = prob.quadratic_groups
         assert grp.kind == "qp" and grp.blocks == [0, 1, 2]
-        state.x[1][0] = prob.blocks[1].set.lower[0]
+        x[1][0] = prob.blocks[1].set.lower[0]
     delta = penalty_residuals(prob, state, params, feas_tol=np.inf).delta
-    ref = [dual_residual(prob, t, state.x[t], state.lam, feas_tol=np.inf)
+    ref = [dual_residual(prob, t, x[t], state.lam, feas_tol=np.inf)
            for t in range(prob.T)]
     assert len(delta) == prob.T
     assert np.allclose(delta, ref, rtol=1e-12, atol=0.0)
@@ -400,7 +447,7 @@ def test_batched_dual_residuals_match_reference(qp, case):
 
 def acopf_state(prob, X, seed=0):
     rng = np.random.default_rng(seed)
-    return init_state(prob, list(X), 0.1 * rng.standard_normal(prob.m),
+    return init_state(prob, X.ravel(), 0.1 * rng.standard_normal(prob.m),
                       rng.standard_normal(prob.m), PARAMS)
 
 
@@ -417,7 +464,7 @@ def test_grouped_capped_row_is_logged(caplog):
     msg = warnings[0].getMessage()
     assert all(part in msg for part in
                ("iteration 1", "block 3", "equality-alm", str(inner[3])))
-    assert not np.array_equal(x.vec, state.x.vec)
+    assert not np.array_equal(x, state.x)
 
 
 @pytest.mark.parametrize("group_fails, single_fails, first", [

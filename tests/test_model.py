@@ -524,10 +524,10 @@ class TestCouplingRows:
             coupling=blk.coupling) for t, blk in enumerate(prob.blocks)]
         prob = Problem(m=prob.m, b=prob.b, blocks=blocks)
         rng = np.random.default_rng(4)
-        x = [rng.standard_normal(blk.n) for blk in prob.blocks]
+        x = rng.standard_normal(sum(prob.dims))
         expected = sum(blk.objective.value(xt)
-                       for blk, xt in zip(prob.blocks, x))
-        assert prob.objective_value(prob.stack(x)) == pytest.approx(
+                       for blk, xt in zip(prob.blocks, prob.split(x)))
+        assert prob.objective_value(x) == pytest.approx(
             expected, rel=1e-12)
 
 

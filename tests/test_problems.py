@@ -42,7 +42,7 @@ class TestCoupledQp:
                                atol=1e-9)
             A = prob.coupling.toarray()
             off = 0
-            for blk, xt in zip(prob.blocks, oracle.x_star):
+            for blk, xt in zip(prob.blocks, prob.split(oracle.x_star)):
                 g = blk.objective.gradient(xt) \
                     + A[:, off:off + blk.n].T @ oracle.lambda_star
                 assert np.max(np.abs(g)) < 1e-9
@@ -63,7 +63,7 @@ class TestDispatch:
         # ramping coupling and per-period demand balance both hold
         assert np.allclose(couple_apply(prob, oracle.x_star), prob.b,
                            atol=1e-9)
-        for blk, xt in zip(prob.blocks, oracle.x_star):
+        for blk, xt in zip(prob.blocks, prob.split(oracle.x_star)):
             assert abs(blk.set.equalities[0].value(xt)) < 1e-9
 
     def test_validation(self):
@@ -92,7 +92,7 @@ class TestKktOracle:
         assert np.allclose(couple_apply(prob, oracle.x_star), prob.b,
                            rtol=0.0, atol=tol)
         pressed = 0
-        for blk, xt in zip(prob.blocks, oracle.x_star):
+        for blk, xt in zip(prob.blocks, prob.split(oracle.x_star)):
             lo, hi = blk.set.lower, blk.set.upper
             balance = blk.set.equalities[0]
             assert np.all(xt >= lo) and np.all(xt <= hi)
@@ -345,7 +345,7 @@ class TestAcopfToy:
             state, _, reason = tuner.run_adaptive(
                 p, cfg, init, RunConfig(record_timings=False))
             assert reason == tuner.TERMINATION_FEASIBLE
-            xs.append(state.x)
+            xs.append(p.split(state.x))
         err = max(float(np.max(np.abs(a - b[:a.size])))
                   for a, b in zip(*xs))
         assert err <= 1e-8

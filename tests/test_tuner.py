@@ -111,7 +111,7 @@ class TestRunAdaptive:
                                             RunConfig(record_timings=False))
         assert reason == tuner.TERMINATION_FEASIBLE
         assert trace[-1].coupling_inf <= cfg.eps
-        for xt, xs in zip(state.x, oracle.x_star):
+        for xt, xs in zip(prob.split(state.x), prob.split(oracle.x_star)):
             assert np.allclose(xt, xs, atol=1e-3)
 
     def test_iteration_cap(self):
