@@ -141,31 +141,29 @@ def _normal_cone_excess(r, x, lo, hi, active_tol):
 
 def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list, from one stacked gradient.  The blocks of a ``qp`` group fit
-    their multipliers together, by one batched pseudo-inverse of the rows
-    C' masked to each block's coordinates off the bounds; each block of an
-    ``alm`` group fits its own on its slice of the gradient."""
+    list, from one stacked gradient.  The blocks of a ``qp`` or ``alm``
+    group fit their multipliers together, by one batched pseudo-inverse of
+    the equality Jacobians transposed, J', masked to each block's
+    coordinates off the bounds: J is the shared rows C of a ``qp`` group,
+    and each block's Jacobian of the group's map at its point for an
+    ``alm`` group."""
     o = problem.offsets
     if np.isfinite(feas_tol):
         for t, blk in enumerate(problem.blocks):
             _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
     g = problem.objective_gradients(vec) + problem.block_products_T(
         np.asarray(lam, dtype=float)[problem.coupling_rows.row])
-    alone = []
     for grp in problem.quadratic_groups:
-        if grp.kind == "alm":
-            alone += grp.blocks
-        elif grp.kind == "qp":
-            X, G = grp.take(vec), grp.take(g)
-            free = ~((X <= grp.lower + active_tol)
-                     | (X >= grp.upper - active_tol))
-            fit = np.linalg.pinv(np.where(free[:, :, None], grp.C.T, 0.0))
-            mu = (fit @ -np.where(free, G, 0.0)[..., None])[..., 0]
-            g[grp.cols] = (G + mu @ grp.C).ravel()
-    for t in alone:
-        s = slice(o[t], o[t + 1])
-        g[s] = _fit_equality_multipliers(problem.blocks[t].set, vec[s], g[s],
-                                         active_tol)
+        if grp.kind not in ("qp", "alm"):
+            continue
+        X, G = grp.take(vec), grp.take(g)
+        J = grp.C if grp.kind == "qp" else grp.equality_map.jacobian(X)
+        JT = np.swapaxes(J, -1, -2)
+        free = ~((X <= grp.lower + active_tol)
+                 | (X >= grp.upper - active_tol))
+        fit = np.linalg.pinv(np.where(free[:, :, None], JT, 0.0))
+        mu = _matvec(fit, -np.where(free, G, 0.0))
+        g[grp.cols] = (G + _matvec(JT, mu)).ravel()
     excess = _normal_cone_excess(g, vec, problem.lower, problem.upper,
                                  active_tol)
     return np.sqrt(np.bincount(problem.block_index, weights=excess * excess,

@@ -11,9 +11,12 @@ size by one batched exact step, the box-only blocks of one size by
 projected Newton, the blocks of one size and the same linear equality rows
 by one batched active-set QP, and the blocks that share one nonlinear
 equality map up to its right-hand side (the periods of one ACOPF network)
-by one stacked inner ALM over projected Newton.  The groups are spread
-over the worker pool when there is one.  Results are identical at any
-worker count: group solves are pure and all reductions run in block order.
+by one stacked inner ALM over projected Newton.  Each ALM row starts from
+the multipliers and penalty its last converged solve ended with, which the
+iterate carries (``IterateState.alm``).  The groups are spread over the
+worker pool when there is one.  Results are identical at any worker count:
+group solves are pure, each reads and returns only its own ALM stacks, and
+all reductions run in block order.
 """
 
 import contextlib
@@ -30,9 +33,10 @@ from . import auglag
 from .algebra import couple_apply
 from .auglag import BlockObjective, penalty_residuals
 from .model import IterateState
-from .subsolver import (box_newton_rows, equality_alm_rows, project_box,
-                        solve_box_qp, solve_quadratic_exact,
-                        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE)
+from .subsolver import (alm_cold_start, box_newton_rows, equality_alm_rows,
+                        project_box, solve_box_qp, solve_quadratic_exact,
+                        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE,
+                        STATUS_STALLED)
 
 log = logging.getLogger("proxjacobi")
 
@@ -151,7 +155,8 @@ def read_trace_csv(fileobj):
 def init_state(problem, x0, z0, lam0, params):
     """State at k = 0 with ``dz0 = -(lam0 + theta z0)/tau_z`` and zero
     x-differences; x0, one flat vector of length N, is projected onto the
-    boxes on entry."""
+    boxes on entry.  ``alm`` is empty: every ``alm`` group's ALM starts
+    cold in the first sweep."""
     N = problem.offsets[-1]
     try:
         x0 = np.asarray(x0, dtype=float)
@@ -194,17 +199,22 @@ def _map(pool, fn, items):
     return list(pool.map(fn, items) if pool else map(fn, items))
 
 
-def solve_group(grp, vec, g, w):
+def solve_group(grp, vec, g, w, start=None):
     """Solve the subproblems of the quadratic group ``grp`` from the anchors
     ``grp.take(vec)``, with their gradients ``grp.take(g)`` there and the
     Hessians ``grp.hessian(w)``, by one stacked call of the group kind's
     solver.  The rows of an ``exact`` group whose step fails go to
     projected Newton, and those of a ``qp`` group without a certified
-    minimizer to the inner ALM, in one stacked call each.
+    minimizer to the inner ALM, in one stacked call each.  The ALM of an
+    ``alm`` group starts from ``start``, the stacks ``(y, sigma)`` (cold
+    when None); the ALM rows of a ``qp`` group always start cold.
 
     Returns the new points (k, n), the inner iteration counts (k,) (1 for
-    an exact step, the passes of a QP) and the BlockSolveResult of each
-    block solved by projected Newton or the ALM, as a dict by block.
+    an exact step, the passes of a QP), the BlockSolveResult of each block
+    solved by projected Newton or the ALM, as a dict by block, and, for an
+    ``alm`` group, the stacks its next sweep starts from (None for the other
+    kinds): the multipliers and penalty of each converged row, a cold start
+    for the others.
     """
     X, G, H = grp.take(vec), grp.take(g), grp.hessian(w)
     lo, hi = grp.lower, grp.upper
@@ -223,16 +233,24 @@ def solve_group(grp, vec, g, w):
         x, inner = X.copy(), np.zeros(len(X), dtype=int)
         rows = np.arange(len(X))
     if not rows.size:
-        return x, inner, {}
+        return x, inner, {}, None
     obj = BlockObjective(H[rows], G[rows], X[rows])
     if grp.kind in ("exact", "box"):
         results = box_newton_rows(obj, X[rows], lo[rows], hi[rows])
     else:
+        cold = alm_cold_start(len(rows), grp.d.shape[1])
+        y, sigma = start if grp.kind == "alm" and start else cold
         results = equality_alm_rows(obj, grp.equality_map, grp.d[rows],
-                                    X[rows], lo[rows], hi[rows])
+                                    X[rows], lo[rows], hi[rows], y, sigma)
     for i, res in zip(rows, results):
         x[i], inner[i] = res.x, res.inner_iterations
-    return x, inner, {grp.blocks[i]: res for i, res in zip(rows, results)}
+    nxt = None
+    if grp.kind == "alm":
+        # every row of an alm group is in ``rows``
+        ok = np.array([res.converged for res in results])
+        nxt = (np.where(ok[:, None], [res.mu for res in results], cold[0]),
+               np.where(ok, [res.sigma for res in results], cold[1]))
+    return x, inner, {grp.blocks[i]: res for i, res in zip(rows, results)}, nxt
 
 
 def x_update_all(problem, state, params, pool=None):
@@ -241,33 +259,43 @@ def x_update_all(problem, state, params, pool=None):
     Every subproblem gradient at the anchor x_t is one stacked product
     (``auglag.subproblem_gradients``).  Each quadratic group is solved from
     it by ``solve_group``, the groups spread over the ``pool`` when there
-    is one.  A solve that stops at its iteration cap is logged.  Returns
-    (the new flat x, per-block inner iteration counts).  Any numerical
-    failure aborts with the lowest failing block index.
+    is one; each ``alm`` group starts from its stacks in ``state.alm``
+    (cold while that is empty, before the first sweep).  A
+    solve that stops at its iteration cap, or stalls, is logged.  Returns
+    (the new flat x, per-block inner iteration counts, the new
+    ``state.alm``).  Any numerical failure aborts with the lowest failing
+    block index.
     """
     vec = state.x
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
                                     params.rho)
     w = params.rho + params.tau_x
     groups = problem.quadratic_groups
+    starts = iter(state.alm)
+    jobs = [(grp, next(starts, None) if grp.kind == "alm" else None)
+            for grp in groups]
     x_new = np.empty_like(vec)
     inner = np.empty(problem.T, dtype=int)
-    results = {}
-    for grp, (x, it, res) in zip(groups, _map(
-            pool, lambda grp: solve_group(grp, vec, g, w), groups)):
+    results, alm = {}, []
+    for grp, (x, it, res, nxt) in zip(groups, _map(
+            pool, lambda job: solve_group(job[0], vec, g, w, job[1]), jobs)):
         x_new[grp.cols] = x.ravel()
         inner[grp.blocks] = it
         results.update(res)
+        if grp.kind == "alm":
+            alm.append(nxt)
     for t in sorted(results):
         res = results[t]
         if res.status == STATUS_NUMERICAL_FAILURE:
             raise BlockSolveError(t, res)
-        if res.status == STATUS_ITERATION_CAP:
-            log.warning("iteration %d: block %d's %s solve stopped at its "
-                        "iteration cap after %d inner iterations; its "
-                        "last point is taken", state.k + 1, t, res.solver,
+        if res.status in (STATUS_ITERATION_CAP, STATUS_STALLED):
+            how = ("stopped at its iteration cap"
+                   if res.status == STATUS_ITERATION_CAP else "stalled")
+            log.warning("iteration %d: block %d's %s solve %s after %d "
+                        "inner iterations; its last point is taken",
+                        state.k + 1, t, res.solver, how,
                         res.inner_iterations)
-    return x_new, inner.tolist()
+    return x_new, inner.tolist(), alm
 
 
 def z_update(problem, Ax, state, params):
@@ -296,7 +324,7 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
             phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
                                        state.x_prev, state.z_prev, params)
     t0 = time.perf_counter()
-    x_k, inner_iters = x_update_all(problem, state, params, pool)
+    x_k, inner_iters, alm = x_update_all(problem, state, params, pool)
     t1 = time.perf_counter()
     Ax_k = couple_apply(problem, x_k)
     z_k = z_update(problem, Ax_k, state, params)
@@ -307,6 +335,7 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
     state.z_prev = state.z
     state.lam_prev = state.lam
     state.x = x_k
+    state.alm = alm
     state.z = z_k
     state.lam = lam_k
     state.dz = z_k - state.z_prev

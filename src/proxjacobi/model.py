@@ -937,6 +937,11 @@ class IterateState:
 
     At k = 0 the conventions are ``dz = -(lam + theta z) / tau_z`` and
     ``x_prev = x`` so that the first x-differences vanish.
+
+    ``alm`` holds, for each ``alm`` group of ``Problem.quadratic_groups``
+    in group order, the pair ``(y, sigma)`` of stacks (k, r) and (k,) that
+    the group's inner ALM starts from in the next sweep; it is empty before
+    the first sweep, which starts every group cold.
     """
 
     x: np.ndarray
@@ -947,6 +952,7 @@ class IterateState:
     lam_prev: np.ndarray
     dz: np.ndarray
     k: int = 0
+    alm: list = field(default_factory=list)
 
     def copy(self):
         return IterateState(
@@ -958,6 +964,7 @@ class IterateState:
             lam_prev=self.lam_prev.copy(),
             dz=self.dz.copy(),
             k=self.k,
+            alm=[(y.copy(), sigma.copy()) for y, sigma in self.alm],
         )
 
 

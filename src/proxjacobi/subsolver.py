@@ -20,7 +20,10 @@ Each kind of group has one solver:
 - ``alm`` (nonlinear equalities): an inner augmented-Lagrangian loop over
   projected Newton, ``equality_alm_rows``, on a stack of blocks whose
   equalities are one map up to the right-hand side; it also takes the rows
-  of a QP without a certificate.
+  of a QP without a certificate.  It starts each row from the multipliers
+  and penalty its caller passes: the sweep keeps those an ``alm`` group's
+  rows ended with when they converged (``jacobi.x_update_all``), and
+  starts the other rows cold (``alm_cold_start``).
 
 The iterative solvers run every row of the stack in lockstep, each with
 its own multipliers, penalty, active set, ridge, step length and stopping
@@ -39,6 +42,7 @@ from .model import _dot, _matvec, _positive_definite
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
 STATUS_NUMERICAL_FAILURE = "numerical-failure"
+STATUS_STALLED = "stalled"
 
 ARMIJO_C = 1e-4
 ALM_SIGMA_INIT = 10.0
@@ -59,6 +63,7 @@ class BlockSolveResult:
     inner_iterations: int
     grad_norm: float
     solver: str = ""
+    sigma: float = 0.0      # the ALM's final penalty; 0 for other solvers
 
     @property
     def converged(self):
@@ -207,11 +212,13 @@ def _pg_criticality(X, G, lower, upper):
                   initial=0.0)
 
 
-def _results(X, mu, status, inner, grad_norm, solver):
+def _results(X, mu, status, inner, grad_norm, solver, sigma=None):
     """The BlockSolveResult of each row of a stack."""
+    sigma = np.zeros(len(X)) if sigma is None else sigma
     return [BlockSolveResult(x=X[i], mu=mu[i], status=str(status[i]),
                              inner_iterations=int(inner[i]),
-                             grad_norm=float(grad_norm[i]), solver=solver)
+                             grad_norm=float(grad_norm[i]), solver=solver,
+                             sigma=float(sigma[i]))
             for i in range(len(X))]
 
 
@@ -433,25 +440,35 @@ class _PenalizedObjective:
                 + sigma[:, None, None] * (np.swapaxes(J, 1, 2) @ J))
 
 
-def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
+def alm_cold_start(k, r):
+    """The inner ALM's cold start for k rows with r equalities: the
+    multipliers y (k, r) at zero and the penalties sigma (k,) at
+    ALM_SIGMA_INIT."""
+    return np.zeros((k, r)), np.full(k, ALM_SIGMA_INIT)
+
+
+def equality_alm_rows(obj, eqmap, D, X, lo, hi, y, sigma, tol=INNER_TOL,
                       max_iter=INNER_MAX_ITER):
     """Inner augmented-Lagrangian loop for a stack of blocks whose
     equalities are the map ``eqmap`` up to the right-hand sides D (k, r),
-    from the warm starts X (k, n), over the boxes lo and hi (k, n); ``obj``
-    exposes the stacked callbacks of the k block objectives.  Returns the
-    BlockSolveResult of each row.
+    from the warm starts X (k, n), the multipliers y (k, r) and the
+    penalties sigma (k,), over the boxes lo and hi (k, n); ``obj`` exposes
+    the stacked callbacks of the k block objectives.  Returns the
+    BlockSolveResult of each row; its ``mu`` and ``sigma`` are the
+    multipliers and penalty at the point it returns.
 
     Multiplier estimates are updated as ``y <- y + sigma c``; the penalty
     grows tenfold whenever the equality violation fails to shrink by a
     factor of 4 in a round, up to the 1e12 cap.  The rows run their rounds
     in lockstep, each with its own multipliers, penalty and stopping tests,
     through one projected-Newton call per round; a row leaves the loop when
-    it finishes.
+    it finishes.  A row whose point stops moving, or whose violation stops
+    shrinking at the penalty cap, leaves it STATUS_STALLED.
     """
     k, r = D.shape
     X = X.copy()
-    y = np.zeros((k, r))
-    sigma = np.full(k, ALM_SIGMA_INIT)
+    y = np.array(y, dtype=float)
+    sigma = np.array(sigma, dtype=float)
     total = np.zeros(k, dtype=int)
     c_prev = np.full(k, np.inf)
     x_last = np.full_like(X, np.nan)
@@ -459,7 +476,8 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
     # it converges or fails
     status = np.full(k, STATUS_ITERATION_CAP, dtype=object)
     best_c = np.full(k, np.inf)
-    best_x, best_y, best_g = X.copy(), y.copy(), np.zeros(k)
+    best_x, best_y, best_s = X.copy(), y.copy(), sigma.copy()
+    best_g = np.zeros(k)
     live = np.arange(k)
     for rnd in range(ALM_MAX_ROUNDS):
         pen = _PenalizedObjective(obj, eqmap, D[live], y[live],
@@ -470,7 +488,8 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
         bad = st == STATUS_NUMERICAL_FAILURE
         at = live[bad]
         status[at] = STATUS_NUMERICAL_FAILURE
-        best_x[at], best_y[at], best_g[at] = x[bad], y[at], gn[bad]
+        best_x[at], best_y[at], best_s[at], best_g[at] = (
+            x[bad], y[at], sigma[at], gn[bad])
         live, x, gn = live[~bad], x[~bad], gn[~bad]
         X[live] = x
         c = eqmap.values(x, D[live])
@@ -479,8 +498,8 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
         done = (cn <= tol) & (gn <= tol)
         better = done | (cn < best_c[live]) | (rnd == 0)
         at = live[better]
-        best_c[at], best_x[at], best_y[at], best_g[at] = (
-            cn[better], x[better], y[at], gn[better])
+        best_c[at], best_x[at], best_y[at], best_s[at], best_g[at] = (
+            cn[better], x[better], y[at], sigma[at], gn[better])
         status[live[done]] = STATUS_CONVERGED
         # a row whose iterates stall cannot improve, nor can one whose
         # violation stopped shrinking at the penalty cap
@@ -490,12 +509,14 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, tol=INNER_TOL,
         x_last[live] = x
         grow = cn > c_prev[live] / 4.0
         capped = grow & (sigma[live] >= ALM_SIGMA_CAP)
-        keep = ~(done | stalled | capped)
+        stuck = ~done & (stalled | capped)
+        status[live[stuck]] = STATUS_STALLED
+        keep = ~(done | stuck)
         up = live[grow & keep]
         sigma[up] = np.minimum(sigma[up] * ALM_SIGMA_GROWTH, ALM_SIGMA_CAP)
         c_prev[live] = cn
         live = live[keep]
         if not live.size:
             break
-    return _results(best_x, best_y, status, total, best_g, "equality-alm")
-
+    return _results(best_x, best_y, status, total, best_g, "equality-alm",
+                    best_s)

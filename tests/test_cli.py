@@ -416,6 +416,23 @@ class TestTraceCheck:
         assert "PASS  lyapunov monotonicity" in out
         assert "PASS  bound existence" in out
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_warm_started_acopf_round_trip(self, tmp_path, workers):
+        # the replay starts every ALM row cold, as the solve does, and
+        # follows the solve's warm starts, at any worker count
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
+        pfile = tmp_path / "acopf.json"
+        pfile.write_text(save_problem(prob))
+        trc = tmp_path / "trace.csv"
+        assert main(["solve", str(pfile), "--eps", "1e-3", "--trace",
+                     str(trc), "--no-timings", "--workers",
+                     str(workers)]) == EXIT_OK
+        with open(trc, newline="") as fh:
+            inner = [rec.inner_iters_total
+                     for rec in jacobi.read_trace_csv(fh)]
+        assert len(inner) >= 2 and max(inner[1:]) < inner[0]
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_OK
+
     def test_problem_mismatch(self, tmp_path):
         pfile, trc = self.run_solve(tmp_path, seed=0)
         other, _ = build_qp(1)

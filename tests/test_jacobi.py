@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from proxjacobi import auglag, cli, jacobi, problems, tuner
+from proxjacobi import auglag, cli, jacobi, problems, subsolver, tuner
 from proxjacobi.algebra import couple_apply
 from proxjacobi.auglag import (dual_residual, penalty_residuals,
                                subproblem_gradients)
@@ -53,6 +53,24 @@ class TestInitState:
                            PARAMS)
         for blk, xt in zip(prob.blocks, prob.split(state.x)):
             assert np.all(xt <= blk.set.upper)
+
+    def test_alm_stacks_start_cold_and_copy_apart(self):
+        # no ALM stacks before the first sweep, which starts cold; after
+        # it, one pair per alm group, and a copy of the state owns its
+        # stacks
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=4), 4)
+        state = init_state(prob, *default_start(prob), PARAMS)
+        assert state.alm == [] and state.copy().alm == []
+        iterate(prob, state, PARAMS, RunConfig(record_timings=False))
+        grp, = prob.quadratic_groups
+        (y, sigma), = state.alm
+        assert y.shape == grp.d.shape and sigma.shape == (4,)
+        assert y.any()
+        y0, sigma0 = y.copy(), sigma.copy()
+        other = state.copy()
+        other.alm[0][0][:] = 1.0
+        other.alm[0][1][:] = 2.0
+        assert np.array_equal(y, y0) and np.array_equal(sigma, sigma0)
 
     def test_length_mismatch(self, qp):
         with pytest.raises(ValueError):
@@ -238,9 +256,9 @@ def record_routes(monkeypatch):
     real = jacobi.solve_group
 
     def recording(*args):
-        x, inner, results = real(*args)
-        routed.update((t, res.solver) for t, res in results.items())
-        return x, inner, results
+        out = real(*args)
+        routed.update((t, res.solver) for t, res in out[2].items())
+        return out
 
     monkeypatch.setattr(jacobi, "solve_group", recording)
     return routed
@@ -267,7 +285,7 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
         assert info.value.result.inner_iterations == 0
         assert routed == others
         return
-    x, inner = jacobi.x_update_all(prob, state, params)
+    x, inner, _ = jacobi.x_update_all(prob, state, params)
     assert routed == others
     g = subproblem_gradients(prob, state.x, state.z, state.lam, params.rho)
     x, x_bar = prob.split(x), prob.split(state.x)
@@ -297,7 +315,7 @@ def test_uncertified_grouped_block_reaches_the_alm(monkeypatch):
     state = init_state(prob, np.zeros(sum(prob.dims)),
                        np.zeros(prob.m), np.zeros(prob.m), params)
     routed = record_routes(monkeypatch)
-    _, inner = jacobi.x_update_all(prob, state, params)
+    _, inner, _ = jacobi.x_update_all(prob, state, params)
     assert routed == {3: "equality-alm"}
     assert inner[3] > 1
 
@@ -396,7 +414,7 @@ def test_capped_inner_solve_is_logged(monkeypatch, caplog):
     prob = mixed_problem()
     state = random_state(prob, PARAMS, 1)
     with caplog.at_level(logging.WARNING, logger="proxjacobi"):
-        _, inner = jacobi.x_update_all(prob, state, PARAMS)
+        _, inner, _ = jacobi.x_update_all(prob, state, PARAMS)
     assert inner[2] == 500
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and warnings[0].name == "proxjacobi"
@@ -418,14 +436,16 @@ def test_batched_sweep_worker_counts_bitwise():
     assert all(run == runs[0] for run in runs[1:])
 
 
-@pytest.mark.parametrize("case", ["mixed", "qp", "dispatch"])
+@pytest.mark.parametrize("case", ["mixed", "qp", "dispatch", "acopf"])
 def test_batched_dual_residuals_match_reference(qp, case):
     # the delta of penalty_residuals, from one stacked gradient with the
     # multipliers of a group fitted in one batch, is dual_residual of each
     # block
     prob = {"mixed": mixed_problem, "qp": lambda: qp,
             "dispatch": lambda: problems.gen_multiperiod_dispatch(
-                3, 2, 0.2)}[case]()
+                3, 2, 0.2),
+            "acopf": lambda: problems.gen_acopf_toy(
+                problems.toy_network(nbus=3, T=4), 4)}[case]()
     params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
     state, _ = run_fixed(prob, params, random_state(prob, params, 3),
                          RunConfig(record_timings=False, max_iters=2))
@@ -438,6 +458,15 @@ def test_batched_dual_residuals_match_reference(qp, case):
         grp, = prob.quadratic_groups
         assert grp.kind == "qp" and grp.blocks == [0, 1, 2]
         x[1][0] = prob.blocks[1].set.lower[0]
+    if case == "acopf":
+        # the periods form one alm group.  x is moved a tenth of the way to
+        # the box midpoints, off the sweep's points, where the blocks are
+        # stationary up to roundoff, and off their bounds; then block 2's
+        # first coordinate is put at its upper bound
+        grp, = prob.quadratic_groups
+        assert grp.kind == "alm" and grp.blocks == [0, 1, 2, 3]
+        state.x[:] = 0.9 * state.x + 0.05 * (prob.lower + prob.upper)
+        x[2][0] = prob.blocks[2].set.upper[0]
     delta = penalty_residuals(prob, state, params, feas_tol=np.inf).delta
     ref = [dual_residual(prob, t, x[t], state.lam, feas_tol=np.inf)
            for t in range(prob.T)]
@@ -453,17 +482,19 @@ def acopf_state(prob, X, seed=0):
 
 def test_grouped_capped_row_is_logged(caplog):
     # the ACOPF periods are one group and one ALM call; block 3 demands a
-    # load no point of its box meets, and its capped solve is logged once
+    # load no point of its box meets, and its solve, which stalls, is
+    # logged once as stalled
     prob, grp, _, _, X = acopf_rows(early=None, bad=None)
     assert grp.blocks == list(range(prob.T))
     state = acopf_state(prob, X)
     with caplog.at_level(logging.WARNING, logger="proxjacobi"):
-        x, inner = jacobi.x_update_all(prob, state, PARAMS)
+        x, inner, _ = jacobi.x_update_all(prob, state, PARAMS)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     msg = warnings[0].getMessage()
     assert all(part in msg for part in
-               ("iteration 1", "block 3", "equality-alm", str(inner[3])))
+               ("iteration 1", "block 3", "equality-alm", "stalled",
+                str(inner[3])))
     assert not np.array_equal(x, state.x)
 
 
@@ -497,3 +528,108 @@ def test_sweep_raises_for_lowest_failing_block(monkeypatch, group_fails,
         jacobi.x_update_all(prob, acopf_state(prob, X), PARAMS)
     assert info.value.t == first
     assert info.value.result.solver == "equality-alm"
+
+
+def spy_alm(monkeypatch, cold=False):
+    """Record every call of the sweep's ALM: the starting stacks (y, sigma)
+    and the results, as a list.  With ``cold``, every call starts cold."""
+    calls = []
+    real = jacobi.equality_alm_rows
+
+    def spying(obj, eqmap, D, X, lo, hi, y, sigma, *args):
+        if cold:
+            y, sigma = subsolver.alm_cold_start(*D.shape)
+        res = real(obj, eqmap, D, X, lo, hi, y, sigma, *args)
+        calls.append((y.copy(), sigma.copy(), res))
+        return res
+
+    monkeypatch.setattr(jacobi, "equality_alm_rows", spying)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def acopf12_runs():
+    """The adaptive runs of the 12-period ACOPF toy with the ALM warm
+    started, as the sweep does it, and with every ALM call started cold:
+    {"warm": trace, "cold": trace}."""
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
+    cfg = tuner.TunerConfig(eps=1e-3)
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for mode in ("warm", "cold"):
+            if mode == "cold":
+                spy_alm(mp, cold=True)
+            _, trace, reason = tuner.run_adaptive(
+                prob, cfg, tuner.make_initial_state(
+                    prob, cfg, *default_start(prob)),
+                RunConfig(record_timings=False))
+            assert reason == tuner.TERMINATION_FEASIBLE
+            runs[mode] = trace
+    return runs
+
+
+def test_alm_first_sweep_is_the_cold_start(acopf12_runs):
+    # the first sweep starts every ALM row cold, so its record is the
+    # cold-started run's, bit for bit
+    warm, cold = acopf12_runs["warm"], acopf12_runs["cold"]
+    assert trace_csv_text(warm[:1]) == trace_csv_text(cold[:1])
+    assert warm[0].inner_iters == cold[0].inner_iters
+
+
+def test_alm_warm_start_cuts_inner_iterations(acopf12_runs):
+    # from the second sweep on, the warm-started rows need fewer inner
+    # iterations than the first sweep did, and than the cold-started
+    # sweeps do
+    warm, cold = acopf12_runs["warm"], acopf12_runs["cold"]
+    first = warm[0].inner_iters_total
+    assert all(rec.inner_iters_total < first for rec in warm[1:])
+    assert sum(r.inner_iters_total for r in warm[1:]) < sum(
+        r.inner_iters_total for r in cold[1:len(warm)])
+
+
+def test_alm_rows_resume_only_from_converged_solves(monkeypatch):
+    # spying on the sweep's ALM: each sweep after the first starts a row
+    # from the multipliers and penalty its last solve returned when that
+    # solve converged, and cold otherwise.  Block 3 demands a load no point
+    # of its box meets and never converges
+    prob, _, _, _, X = acopf_rows(early=None, bad=None)
+    calls = spy_alm(monkeypatch)
+    run_fixed(prob, PARAMS, acopf_state(prob, X),
+              RunConfig(record_timings=False, max_iters=4))
+    assert len(calls) == 4
+    y0, s0 = subsolver.alm_cold_start(*calls[0][0].shape)
+    assert np.array_equal(calls[0][0], y0)
+    assert np.array_equal(calls[0][1], s0)
+    resumed = 0
+    for (_, _, before), (y, sigma, _) in zip(calls, calls[1:]):
+        assert not before[3].converged
+        for i, res in enumerate(before):
+            if res.converged:
+                assert np.array_equal(y[i], res.mu)
+                assert sigma[i] == res.sigma
+                resumed += res.mu.any()
+            else:
+                assert np.array_equal(y[i], y0[i])
+                assert sigma[i] == s0[i]
+    assert resumed >= 3 * (prob.T - 1)
+
+
+def test_alm_warm_starts_worker_counts_bitwise():
+    # two alm groups of different sizes (block 2 has its own admittance
+    # row), each warm started from its own stacks: the runs agree bit for
+    # bit at every worker count, and the iterate ends with one pair of
+    # stacks per group, in group order
+    prob, _, _, _, X = acopf_rows(early=None, capped=None, bad=None)
+    prob = replace_equalities(prob, 2, [
+        PolarBalance(eq.name, dict(eq.payload, y_diag_im=eq.y_diag_im + 1.0))
+        for eq in prob.blocks[2].set.equalities])
+    grp, single = prob.quadratic_groups
+    runs = []
+    for workers in (0, 2):
+        state, trace = run_fixed(prob, PARAMS, acopf_state(prob, X),
+                                 RunConfig(record_timings=False, max_iters=4,
+                                           workers=workers))
+        runs.append((trace_csv_text(trace), state.x.tobytes(),
+                     [(y.tobytes(), s.tobytes()) for y, s in state.alm]))
+    assert runs[0] == runs[1]
+    assert [y.shape for y, _ in state.alm] == [grp.d.shape, single.d.shape]

@@ -13,10 +13,10 @@ from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.jacobi import solve_group
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, variable_splitting_transform)
-from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_ITERATION_CAP,
-                                  STATUS_NUMERICAL_FAILURE, box_newton_rows,
-                                  equality_alm_rows, project_box,
-                                  solve_quadratic_exact)
+from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
+                                  STATUS_STALLED, alm_cold_start,
+                                  box_newton_rows, equality_alm_rows,
+                                  project_box, solve_quadratic_exact)
 
 from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
                       mixed_problem)
@@ -66,7 +66,7 @@ def sweep(problem, warm=None, z_bar=None):
     or None)."""
     grp, = problem.quadratic_groups
     warm, g = block_gradients(problem, warm, z_bar)
-    x, inner, results = solve_group(grp, warm, g, W)
+    x, inner, results, _ = solve_group(grp, warm, g, W)
     return x[0], inner[0], results.get(0)
 
 
@@ -432,7 +432,7 @@ def test_split_saddle_block_not_accepted():
         H, G - (H @ X[..., None])[..., 0], grp.C, grp.d, grp.lower,
         grp.upper)
     assert [t for t, p in zip(grp.blocks, passes) if not p] == [3]
-    _, _, results = solve_group(grp, vec, g, w)
+    _, _, results, _ = solve_group(grp, vec, g, w)
     res, = results.values()
     assert results.keys() == {3}
     assert res.solver == "equality-alm" and not res.converged
@@ -458,7 +458,8 @@ def test_equality_alm_nonlinear_constraint():
     grp, obj, X = block_model(prob, warm=np.array([1.5, 0.5]))
     assert grp.kind == "alm" and grp.blocks == [0]
     res, = equality_alm_rows(obj, grp.equality_map, grp.d, X, grp.lower,
-                             grp.upper, tol=1e-9)
+                             grp.upper, *alm_cold_start(*grp.d.shape),
+                             tol=1e-9)
     assert res.status == STATUS_CONVERGED
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
     assert res.solver == "equality-alm"
@@ -503,29 +504,33 @@ def test_dispatch_routing():
     assert sweep(concave)[2].solver == "box-newton"
 
 
-def stacked_alm(grp, H, G, X):
+def stacked_alm(grp, H, G, X, start=None):
+    """The ALM on the whole stack, from ``start`` = (y, sigma), cold when
+    None."""
+    y, sigma = start or alm_cold_start(*grp.d.shape)
     return equality_alm_rows(BlockObjective(H, G, X), grp.equality_map,
-                             grp.d, X, grp.lower, grp.upper)
+                             grp.d, X, grp.lower, grp.upper, y, sigma)
 
 
-def one_block_alm(prob, H, G, X, i, t):
+def one_block_alm(prob, H, G, X, i, t, start=None):
     """The ALM on row i of the stack alone (k = 1), as block t with its own
-    map and box."""
+    map and box, from row i of ``start`` (cold when None)."""
     cset = prob.blocks[t].set
+    y, sigma = start or alm_cold_start(len(X), len(cset.equality_map.d))
     res, = equality_alm_rows(
         BlockObjective(H[i:i + 1], G[i:i + 1], X[i:i + 1]),
         cset.equality_map, cset.equality_map.d[None], X[i:i + 1],
-        cset.lower[None], cset.upper[None])
+        cset.lower[None], cset.upper[None], y[i:i + 1], sigma[i:i + 1])
     return res
 
 
 def test_batched_alm_rows_match_one_block_solves(monkeypatch):
     # each row of one stacked ALM call computes what the k = 1 call on its
     # block computes, bit for bit, whatever the other rows do: row 1 stops
-    # after one round, row 3 (infeasible) at the iteration cap, row 4 (NaN
-    # model) in numerical failure, and row 5 (stiff) raises its penalty in
-    # rounds where rows 0 and 2 do not; the rows differ in loads and warm
-    # starts
+    # after one round, row 3 (infeasible) stalls in round 1 after 5 inner
+    # iterations, row 4 (NaN model) in numerical failure, and row 5 (stiff)
+    # raises its penalty in rounds where rows 0 and 2 do not; the rows
+    # differ in loads and warm starts
     prob, grp, H, G, X = acopf_rows()
     assert len({tuple(d) for d in grp.d}) == len(grp.blocks)
     sizes = []
@@ -540,8 +545,9 @@ def test_batched_alm_rows_match_one_block_solves(monkeypatch):
     monkeypatch.setattr(subsolver, "_box_newton", real)
     assert [r.status for r in res] == [
         STATUS_CONVERGED, STATUS_CONVERGED, STATUS_CONVERGED,
-        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
+        STATUS_STALLED, STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
     assert res[1].inner_iterations == 1 and res[4].inner_iterations == 0
+    assert res[3].inner_iterations == 5
     assert len({r.inner_iterations for r in res}) >= 5
     # rows leave the lockstep loop as they finish: rows 1 and 4 after the
     # first round
@@ -553,7 +559,38 @@ def test_batched_alm_rows_match_one_block_solves(monkeypatch):
         assert np.array_equal(res[i].x, ref.x), t
         assert np.array_equal(res[i].mu, ref.mu), t
         assert res[i].grad_norm == ref.grad_norm, t
+        assert res[i].sigma == ref.sigma, t
         assert res[i].solver == "equality-alm"
+    # the penalty reported is the one of the returned point: row 5 raised
+    # its penalty beyond the others'
+    assert res[1].sigma == subsolver.ALM_SIGMA_INIT
+    assert res[5].sigma > max(res[0].sigma, res[2].sigma)
+
+
+def test_warm_alm_rows_match_one_block_solves():
+    # rows started from their own multipliers and penalties (those of a
+    # first solve, perturbed, and a cold row) compute what the k = 1 call
+    # from the same start computes, bit for bit, and a converged row
+    # restarted from its own end needs fewer inner iterations
+    prob, grp, H, G, X = acopf_rows(early=None, capped=None, bad=None)
+    first = stacked_alm(grp, H, G, X)
+    assert all(r.converged for r in first)
+    rng = np.random.default_rng(1)
+    y = np.array([r.mu for r in first])
+    y *= 1.0 + 1e-3 * rng.standard_normal(y.shape)
+    sigma = np.array([r.sigma for r in first])
+    y[2], sigma[2] = 0.0, subsolver.ALM_SIGMA_INIT
+    again = stacked_alm(grp, H, G, X, (y, sigma))
+    for i, t in enumerate(grp.blocks):
+        ref = one_block_alm(prob, H, G, X, i, t, (y, sigma))
+        assert again[i].status == ref.status == STATUS_CONVERGED, t
+        assert again[i].inner_iterations == ref.inner_iterations, t
+        assert np.array_equal(again[i].x, ref.x), t
+        assert np.array_equal(again[i].mu, ref.mu), t
+        assert again[i].sigma == ref.sigma, t
+    assert again[2].inner_iterations == first[2].inner_iterations
+    assert sum(r.inner_iterations for r in again) < sum(
+        r.inner_iterations for r in first)
 
 
 def test_batched_alm_rows_ignore_the_others():
@@ -618,11 +655,11 @@ def test_box_group_rows_match_one_block_solves():
     assert grp.kind == "box" and grp.blocks == list(range(T))
     # block 4's warm start: the minimizer of its model, found from x0
     g = subproblem_gradients(prob, x0.ravel(), z, lam, PARAMS.rho)
-    x, _, _ = solve_group(grp, x0.ravel(), g, W)
+    x, _, _, _ = solve_group(grp, x0.ravel(), g, W)
     x0[4] = x[4]
     vec = x0.ravel()
     g = subproblem_gradients(prob, vec, z, lam, PARAMS.rho)
-    x, inner, results = solve_group(grp, vec, g, W)
+    x, inner, results, _ = solve_group(grp, vec, g, W)
     assert [results[t].status for t in range(T)] == [
         STATUS_CONVERGED, STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
         STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
@@ -637,7 +674,7 @@ def test_box_group_rows_match_one_block_solves():
         g_t = subproblem_gradients(one, x0[t], z[t:t + 1], lam[t:t + 1],
                                    PARAMS.rho)
         assert np.array_equal(g_t, g[t * n:(t + 1) * n], equal_nan=True)
-        x_t, inner_t, res_t = solve_group(one_grp, x0[t], g_t, W)
+        x_t, inner_t, res_t, _ = solve_group(one_grp, x0[t], g_t, W)
         res = results[t]
         assert np.array_equal(x_t[0], x[t]), t
         assert inner_t[0] == inner[t], t
