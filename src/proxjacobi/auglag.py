@@ -6,31 +6,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _dot, _matvec
+from .algebra import couple_apply
+from .model import _dot, _matvec, _positive_definite
 
 
-def aug_lagrangian(problem, x, z, lam, params):
+# The multiplier fit of ``dual_residuals`` solves the normal equations
+# (J_f J_f') mu = -J_f g of each row by a Cholesky factor L when the bound
+# ||L||_F ||L^-1||_F on cond(J_f) is at most this.  The normal equations
+# square the condition number; on random stacks up to this bound the
+# fitted residual agrees with the SVD fit to about 1e-13 relative, and to
+# about 4e-12 when g leans on J_f's weakest direction.  Rows past it, and
+# rows whose Gram does not factor, keep the SVD fit (``np.linalg.pinv``).
+GRAM_COND_MAX = 1e3
+
+
+def aug_lagrangian(problem, x, z, lam, params, Ax=None, Qx=None):
     """sum_t f_t(x_t) + (theta/2)||z||^2 + lam'(Ax + z - b)
-    + (rho/2)||Ax + z - b||^2, at the flat vector ``x``."""
+    + (rho/2)||Ax + z - b||^2, at the flat vector ``x``.  ``Ax`` and ``Qx``
+    (``Problem.objective_products``) are the products at ``x`` when the
+    caller has them; they are computed otherwise."""
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if z.shape != (problem.m,) or lam.shape != (problem.m,):
         raise ValueError("z and lambda must have length m")
-    viol = problem.row_sums(problem.block_products(x)) + z - problem.b
-    total = problem.objective_value(x)
+    if Ax is None:
+        Ax = couple_apply(problem, x)
+    viol = Ax + z - problem.b
+    total = problem.objective_value(x, Qx)
     total += 0.5 * params.theta * float(z @ z)
     total += float(lam @ viol)
     total += 0.5 * params.rho * float(viol @ viol)
     return total
 
 
-def subproblem_gradients(problem, vec, z, lam, rho):
+def subproblem_gradients(problem, vec, z, lam, rho, Ax=None, Qx=None):
     """The flat vector of every block subproblem's gradient at its anchor,
     the frozen iterate ``vec``: grad f_t(x_t) + A_t'(lam + rho(Ax + z - b)),
-    from one stacked product for all blocks."""
-    Ax = problem.row_sums(problem.block_products(vec))
+    from one stacked product for all blocks.  ``Ax`` and ``Qx`` are the
+    products at ``vec`` when the caller has them."""
+    if Ax is None:
+        Ax = couple_apply(problem, vec)
     v = lam + rho * (Ax + z - problem.b)
-    return problem.objective_gradients(vec) + problem.block_products_T(
+    return problem.objective_gradients(vec, Qx) + problem.block_products_T(
         v[problem.coupling_rows.row])
 
 
@@ -68,19 +85,22 @@ class BlockObjective:
         return self.H[rows]
 
 
-def lyapunov(problem, x, z, lam, x_hat, z_hat, params):
+def lyapunov(problem, x, z, lam, x_hat, z_hat, params, Ax=None, Qx=None,
+             Kdx=None):
     """Augmented Lagrangian plus the proximal deviation terms:
 
     L(x, z, lam) + (tau_z/4)||z - z_hat||^2
                  + sum_t (tau_x/4)||x_t - x_hat_t||^2_{A_t'A_t}
 
     The sum over the blocks is ||K(x - x_hat)||^2, one dot product over the
-    nonzero coupling rows K of all blocks.
+    nonzero coupling rows K of all blocks.  ``Ax``, ``Qx`` and
+    ``Kdx`` = ``Problem.block_products(x - x_hat)`` are the products when
+    the caller has them; they are computed otherwise.
     """
-    val = aug_lagrangian(problem, x, z, lam, params)
+    val = aug_lagrangian(problem, x, z, lam, params, Ax, Qx)
     dz = np.asarray(z, dtype=float) - np.asarray(z_hat, dtype=float)
     val += 0.25 * params.tau_z * float(dz @ dz)
-    d = problem.block_products(x - x_hat)
+    d = problem.block_products(x - x_hat) if Kdx is None else Kdx
     val += 0.25 * params.tau_x * float(d @ d)
     return val
 
@@ -139,31 +159,68 @@ def _normal_cone_excess(r, x, lo, hi, active_tol):
     return contrib
 
 
-def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8):
+def fit_multipliers(J, G, free):
+    """The multipliers mu (k, r) of the least-squares fits J_f' mu = -G_f,
+    row by row, with J_f the equality Jacobians J (k, r, n) (or one (r, n)
+    for every row) and G_f the gradients G (k, n), each masked to its
+    coordinates ``free`` (k, n).
+
+    One batched Cholesky factorization L L' of the Gram stack J_f J_f'
+    solves the normal equations of the rows whose bound on cond(J_f) is at
+    most ``GRAM_COND_MAX``.  A row whose J_f is zero gets mu = 0, as the
+    pseudo-inverse gives.  The other rows, whose Gram does not factor or is
+    too ill-conditioned, are fitted by the pseudo-inverse of J_f'.
+    """
+    Jf = np.where(free[:, None, :], J, 0.0)
+    Gf = np.where(free, G, 0.0)
+    M = Jf @ np.swapaxes(Jf, 1, 2)
+    r = M.shape[-1]
+    # a view of the diagonals of M; a row with J_f = 0 gets M = I, whose
+    # solve of the zero right-hand side is mu = 0
+    diag = M.reshape(len(M), r * r)[:, ::r + 1]
+    diag += ~Jf.any(axis=(1, 2))[:, None]
+    try:
+        L = np.linalg.cholesky(M)
+        ok = True
+    except np.linalg.LinAlgError:
+        ok = _positive_definite(M)
+        L = np.linalg.cholesky(np.where(ok[:, None, None], M, np.eye(r)))
+    L_inv = np.linalg.inv(L)
+    # cond(J_f) = cond(L) <= ||L||_F ||L^-1||_F, and ||L||_F^2 = trace(M)
+    ok = ok & (diag.sum(axis=1) * np.einsum("kij,kij->k", L_inv, L_inv)
+               <= GRAM_COND_MAX ** 2)
+    mu = -_matvec(np.swapaxes(L_inv, 1, 2), _matvec(L_inv, _matvec(Jf, Gf)))
+    if not ok.all():
+        bad = ~ok
+        mu[bad] = _matvec(np.linalg.pinv(np.swapaxes(Jf[bad], 1, 2)),
+                          -Gf[bad])
+    return mu
+
+
+def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8,
+                   Qx=None):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list, from one stacked gradient.  The blocks of a ``qp`` or ``alm``
-    group fit their multipliers together, by one batched pseudo-inverse of
-    the equality Jacobians transposed, J', masked to each block's
-    coordinates off the bounds: J is the shared rows C of a ``qp`` group,
-    and each block's Jacobian of the group's map at its point for an
-    ``alm`` group."""
+    list, from one stacked gradient (``Qx`` is the objective product at
+    ``vec`` when the caller has it).  The blocks of a ``qp`` or ``alm``
+    group fit their multipliers together (``fit_multipliers``), on the
+    equality Jacobians masked to each block's coordinates off the bounds:
+    J is the shared rows C of a ``qp`` group, and each block's Jacobian of
+    the group's map at its point for an ``alm`` group."""
     o = problem.offsets
     if np.isfinite(feas_tol):
         for t, blk in enumerate(problem.blocks):
             _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
-    g = problem.objective_gradients(vec) + problem.block_products_T(
+    g = problem.objective_gradients(vec, Qx) + problem.block_products_T(
         np.asarray(lam, dtype=float)[problem.coupling_rows.row])
     for grp in problem.quadratic_groups:
         if grp.kind not in ("qp", "alm"):
             continue
         X, G = grp.take(vec), grp.take(g)
         J = grp.C if grp.kind == "qp" else grp.equality_map.jacobian(X)
-        JT = np.swapaxes(J, -1, -2)
         free = ~((X <= grp.lower + active_tol)
                  | (X >= grp.upper - active_tol))
-        fit = np.linalg.pinv(np.where(free[:, :, None], JT, 0.0))
-        mu = _matvec(fit, -np.where(free, G, 0.0))
-        g[grp.cols] = (G + _matvec(JT, mu)).ravel()
+        mu = fit_multipliers(J, G, free)
+        g[grp.cols] = (G + _matvec(np.swapaxes(J, -1, -2), mu)).ravel()
     excess = _normal_cone_excess(g, vec, problem.lower, problem.upper,
                                  active_tol)
     return np.sqrt(np.bincount(problem.block_index, weights=excess * excess,
@@ -188,7 +245,8 @@ class ResidualSnapshot:
         return max(self.delta) if self.delta else 0.0
 
 
-def penalty_residuals(problem, state, params, feas_tol=1e-8):
+def penalty_residuals(problem, state, params, feas_tol=1e-8, Ax=None,
+                      Kdx=None, Qx=None):
     """Primal and dual residuals of the quadratic penalty formulation:
 
     p = Ax + z - b
@@ -196,15 +254,20 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
     d_z = -tau_z dz
 
     with ``d_x`` the flat vector of every d_t and delta_t the block dual
-    residuals (``dual_residuals``).
+    residuals (``dual_residuals``).  ``Ax``, ``Kdx`` =
+    ``Problem.block_products(x - x_prev)`` and ``Qx`` are the products at
+    ``state.x`` when the caller has them; they are computed otherwise (not
+    read from ``state``).
     """
     if state.k < 1:
         raise ValueError("penalty residuals undefined at k = 0")
     vec = state.x
     row = problem.coupling_rows.row
-    Ax = problem.row_sums(problem.block_products(vec))
+    if Ax is None:
+        Ax = couple_apply(problem, vec)
     p = Ax + state.z - problem.b
-    Adx = problem.block_products(vec - state.x_prev)
+    Adx = (problem.block_products(vec - state.x_prev) if Kdx is None
+           else Kdx)
     Adx_total = problem.row_sums(Adx)
     d = problem.block_products_T(
         params.rho * (Adx_total[row] - Adx - state.dz[row])
@@ -214,7 +277,8 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8):
                     float(np.max(np.abs(d_z), initial=0.0)))
     return ResidualSnapshot(
         pi=float(np.linalg.norm(Ax - problem.b)),
-        delta=dual_residuals(problem, vec, state.lam, feas_tol=feas_tol),
+        delta=dual_residuals(problem, vec, state.lam, feas_tol=feas_tol,
+                             Qx=Qx),
         p=p,
         d_x=d,
         d_z=d_z,

@@ -292,7 +292,8 @@ def replay_trace(problem, records):
     """Re-run the iteration under the recorded parameter schedule.
 
     Uses the solver's default start; returns (states, replayed records)
-    where ``states`` holds a snapshot after every iteration.  Raises
+    where ``states`` holds a snapshot after every iteration (without the
+    product ``Qx``).  Raises
     ValueError when the replayed scalars disagree with the trace beyond
     replay tolerance (trace/problem mismatch).
     """
@@ -318,7 +319,9 @@ def replay_trace(problem, records):
             raise ValueError(
                 f"iteration {rec.k}: replayed phi {new_rec.phi!r} does not "
                 f"match the trace value {rec.phi!r}; trace/problem mismatch")
-        states.append(state.copy())
+        snapshot = state.copy()
+        snapshot.Qx = None      # N floats per iteration that no check reads
+        states.append(snapshot)
         replayed.append(new_rec)
     return states, replayed
 

@@ -43,8 +43,11 @@ log = logging.getLogger("proxjacobi")
 TRACE_COLUMNS = [
     "k", "phi", "dphi", "coupling_inf", "p_inf", "d_inf", "pi", "delta_max",
     "rho", "theta", "tau_x", "tau_z", "t_xupd_ms", "t_zupd_ms",
-    "inner_iters_total",
+    "inner_iters_total", "t_metrics_ms",
 ]
+# Traces written before the metrics timing column; ``read_trace_csv`` reads
+# them with t_metrics_ms = 0.
+OLD_TRACE_COLUMNS = TRACE_COLUMNS[:-1]
 
 
 class BlockSolveError(RuntimeError):
@@ -90,6 +93,7 @@ class TraceRecord:
     t_xupd_ms: float
     t_zupd_ms: float
     inner_iters_total: int
+    t_metrics_ms: float = 0.0
     inner_iters: list = field(default_factory=list)
     delta: list = field(default_factory=list)   # per block; not in the CSV
 
@@ -136,19 +140,19 @@ def trace_csv_text(records):
 
 
 def read_trace_csv(fileobj):
-    """Read trace records written by :func:`write_trace_csv`."""
+    """Read trace records written by :func:`write_trace_csv`, or by its
+    versions before the ``t_metrics_ms`` column (``OLD_TRACE_COLUMNS``)."""
     reader = csv.reader(fileobj)
     header = next(reader, None)
-    if header != TRACE_COLUMNS:
+    if header not in (TRACE_COLUMNS, OLD_TRACE_COLUMNS):
         raise ValueError("trace header does not match the expected columns")
     types = {f.name: f.type for f in fields(TraceRecord)}
     records = []
     for row in reader:
-        if len(row) != len(TRACE_COLUMNS):
+        if len(row) != len(header):
             raise ValueError(f"malformed trace row: {row!r}")
         records.append(TraceRecord(**{
-            name: types[name](value)
-            for name, value in zip(TRACE_COLUMNS, row)}))
+            name: types[name](value) for name, value in zip(header, row)}))
     return records
 
 
@@ -156,7 +160,7 @@ def init_state(problem, x0, z0, lam0, params):
     """State at k = 0 with ``dz0 = -(lam0 + theta z0)/tau_z`` and zero
     x-differences; x0, one flat vector of length N, is projected onto the
     boxes on entry.  ``alm`` is empty: every ``alm`` group's ALM starts
-    cold in the first sweep."""
+    cold in the first sweep.  ``Ax`` and ``Qx`` are the products at x."""
     N = problem.offsets[-1]
     try:
         x0 = np.asarray(x0, dtype=float)
@@ -176,12 +180,14 @@ def init_state(problem, x0, z0, lam0, params):
     return IterateState(
         x=x, z=z0, lam=lam0,
         x_prev=x.copy(), z_prev=z0.copy(), lam_prev=lam0.copy(),
-        dz=dz0, k=0)
+        dz=dz0, k=0, Ax=couple_apply(problem, x),
+        Qx=problem.objective_products(x))
 
 
 def initial_lyapunov(problem, state, params):
     """Phi0 = L(x0, z0, lam0) + (tau_z/4)||dz0||^2."""
-    val = auglag.aug_lagrangian(problem, state.x, state.z, state.lam, params)
+    val = auglag.aug_lagrangian(problem, state.x, state.z, state.lam, params,
+                                state.Ax, state.Qx)
     return val + 0.25 * params.tau_z * float(state.dz @ state.dz)
 
 
@@ -257,10 +263,11 @@ def x_update_all(problem, state, params, pool=None):
     """Jacobi sweep: solve all T block subproblems from the k-1 iterate.
 
     Every subproblem gradient at the anchor x_t is one stacked product
-    (``auglag.subproblem_gradients``).  Each quadratic group is solved from
-    it by ``solve_group``, the groups spread over the ``pool`` when there
-    is one; each ``alm`` group starts from its stacks in ``state.alm``
-    (cold while that is empty, before the first sweep).  A
+    (``auglag.subproblem_gradients``, from the products ``state.Ax`` and
+    ``state.Qx`` when the state has them).  Each quadratic group is solved
+    from it by ``solve_group``, the groups spread over the ``pool`` when
+    there is one; each ``alm`` group starts from its stacks in
+    ``state.alm`` (cold while that is empty, before the first sweep).  A
     solve that stops at its iteration cap, or stalls, is logged.  Returns
     (the new flat x, per-block inner iteration counts, the new
     ``state.alm``).  Any numerical failure aborts with the lowest failing
@@ -268,7 +275,7 @@ def x_update_all(problem, state, params, pool=None):
     """
     vec = state.x
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
-                                    params.rho)
+                                    params.rho, state.Ax, state.Qx)
     w = params.rho + params.tau_x
     groups = problem.quadratic_groups
     starts = iter(state.alm)
@@ -315,14 +322,18 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
 
     ``phi_prev`` is the previous Lyapunov value (computed here if omitted);
     ``pool`` is the run's worker pool (``worker_pool``; serial without).
-    Mutates ``state`` in place and returns the trace record.
+    Mutates ``state`` in place and returns the trace record.  The products
+    at the new x, Ax, K(x - x_prev) and Qx, are made once here and passed
+    to the Lyapunov value and the residuals; Ax and Qx stay on the state
+    for the next sweep.
     """
     if phi_prev is None:
         if state.k == 0:
             phi_prev = initial_lyapunov(problem, state, params)
         else:
             phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
-                                       state.x_prev, state.z_prev, params)
+                                       state.x_prev, state.z_prev, params,
+                                       state.Ax, state.Qx)
     t0 = time.perf_counter()
     x_k, inner_iters, alm = x_update_all(problem, state, params, pool)
     t1 = time.perf_counter()
@@ -340,10 +351,15 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
     state.lam = lam_k
     state.dz = z_k - state.z_prev
     state.k += 1
+    state.Ax = Ax_k
+    state.Qx = problem.objective_products(x_k)
 
-    phi = auglag.lyapunov(problem, state.x, state.z, state.lam,
-                          state.x_prev, state.z_prev, params)
-    snap = penalty_residuals(problem, state, params, feas_tol=np.inf)
+    Kdx = problem.block_products(x_k - state.x_prev)
+    phi = auglag.lyapunov(problem, x_k, z_k, lam_k, state.x_prev,
+                          state.z_prev, params, Ax_k, state.Qx, Kdx)
+    snap = penalty_residuals(problem, state, params, feas_tol=np.inf,
+                             Ax=Ax_k, Kdx=Kdx, Qx=state.Qx)
+    t3 = time.perf_counter()
     rec = TraceRecord(
         k=state.k, phi=phi, dphi=phi - phi_prev,
         coupling_inf=snap.infnorm_coupling,
@@ -354,6 +370,7 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
         t_xupd_ms=(t1 - t0) * 1e3 if config.record_timings else 0.0,
         t_zupd_ms=(t2 - t1) * 1e3 if config.record_timings else 0.0,
         inner_iters_total=int(sum(inner_iters)),
+        t_metrics_ms=(t3 - t2) * 1e3 if config.record_timings else 0.0,
         inner_iters=inner_iters,
         delta=snap.delta,
     )

@@ -897,20 +897,30 @@ class Problem:
         """c_1, ..., c_T as one flat vector."""
         return np.concatenate([blk.objective.c for blk in self.blocks])
 
-    def objective_gradients(self, vec):
+    def objective_products(self, vec):
+        """diag(Q_1, ..., Q_T) vec: every Q_t x_t, for the flat vector
+        ``vec``."""
+        return self.objective_Q @ vec
+
+    def objective_gradients(self, vec, Qx=None):
         """The flat vector of every grad f_t(x_t), each block's equal bit
-        for bit to its own ``Quadratic.gradient``."""
-        return self.objective_Q @ vec + self.objective_c
+        for bit to its own ``Quadratic.gradient``; ``Qx`` is
+        ``objective_products(vec)`` when the caller has it."""
+        if Qx is None:
+            Qx = self.objective_products(vec)
+        return Qx + self.objective_c
 
     @cached_property
     def objective_c0(self):
         """The constants c0 of all blocks, summed."""
         return sum(blk.objective.c0 for blk in self.blocks)
 
-    def objective_value(self, vec):
-        """sum_t f_t(x_t) at the flat vector ``vec``, as one reduction."""
-        return float(vec @ (0.5 * (self.objective_Q @ vec)
-                            + self.objective_c)) + self.objective_c0
+    def objective_value(self, vec, Qx=None):
+        """sum_t f_t(x_t) at the flat vector ``vec``, as one reduction;
+        ``Qx`` is ``objective_products(vec)`` when the caller has it."""
+        if Qx is None:
+            Qx = self.objective_products(vec)
+        return float(vec @ (0.5 * Qx + self.objective_c)) + self.objective_c0
 
 
 @dataclass(frozen=True)
@@ -942,6 +952,12 @@ class IterateState:
     in group order, the pair ``(y, sigma)`` of stacks (k, r) and (k,) that
     the group's inner ALM starts from in the next sweep; it is empty before
     the first sweep, which starts every group cold.
+
+    ``Ax`` = sum_t A_t x_t (m,) and ``Qx`` = ``Problem.objective_products``
+    (N,) are the products at ``x`` that ``jacobi.init_state`` and
+    ``jacobi.iterate`` make once per new iterate; the next sweep and the
+    Lyapunov value read them.  None means not known: they are computed on
+    use.  Set them to None after editing ``x`` in place.
     """
 
     x: np.ndarray
@@ -953,8 +969,11 @@ class IterateState:
     dz: np.ndarray
     k: int = 0
     alm: list = field(default_factory=list)
+    Ax: np.ndarray = None
+    Qx: np.ndarray = None
 
     def copy(self):
+        keep = lambda v: None if v is None else v.copy()
         return IterateState(
             x=self.x.copy(),
             z=self.z.copy(),
@@ -965,6 +984,8 @@ class IterateState:
             dz=self.dz.copy(),
             k=self.k,
             alm=[(y.copy(), sigma.copy()) for y, sigma in self.alm],
+            Ax=keep(self.Ax),
+            Qx=keep(self.Qx),
         )
 
 

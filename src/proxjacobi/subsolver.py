@@ -240,7 +240,8 @@ def _newton_directions(H, G, free):
         Hff, b, m = H[i][f][:, f], rhs[i, f], int(np.count_nonzero(f))
         ridge = 0.0
         while ridge < 1e12 * scale[i]:
-            factor, info = dpotrf(Hff + ridge * np.eye(m), lower=0, clean=0)
+            factor, info = dpotrf(Hff + ridge * np.eye(m) if ridge else Hff,
+                                  lower=0, clean=0)
             if info == 0:
                 D[i, f] = dpotrs(factor, b, lower=0)[0]
                 break

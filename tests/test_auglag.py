@@ -234,6 +234,73 @@ def dagger_by_blocks(problem, state, ref_x, ref_z, ref_lam, params):
     return val + params.tau_z * float(state.dz @ state.dz)
 
 
+def fit_stack(kind, seed, k=8, r=3, n=6):
+    """(J, G, X, lo, hi) of a random stack of k rows: ``qp`` (one J, C, for
+    every row) or ``alm`` (a J per row).  Row 0 has every coordinate on a
+    bound, row 1 a J_f with dependent rows, and row 2 a J_f of condition
+    number 1e7; the other rows are well conditioned, every second one with
+    its last coordinate on a bound."""
+    rng = np.random.default_rng(seed)
+    lo, hi = -np.ones((k, n)), np.ones((k, n))
+    X = rng.uniform(-0.9, 0.9, (k, n))
+    G = rng.standard_normal((k, n))
+    X[0] = np.where(rng.random(n) < 0.5, lo[0], hi[0])
+    X[3::2, -1] = lo[3::2, -1]
+    U, _, Vt = np.linalg.svd(rng.standard_normal((r, r)))
+    ill = U @ np.diag([1.0, 10 ** -3.5, 1e-7]) @ Vt
+    if kind == "qp":
+        # row 1 is free on coordinates 0 and 1 only, row 2 on 2 to 4 only
+        J = rng.standard_normal((r, n))
+        J[:, :2] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        J[:, 2:5] = ill
+        X[1, 2:] = hi[1, 2:]
+        X[2, [0, 1, 5]] = lo[2, [0, 1, 5]]
+    else:
+        J = rng.standard_normal((k, r, n))
+        J[1, 2] = J[1, 0] - 0.5 * J[1, 1]
+        J[2] = ill @ np.linalg.qr(rng.standard_normal((n, r)))[0].T
+    return J, G, X, lo, hi
+
+
+def fitted_delta(J, G, mu, X, lo, hi):
+    """The norm of each row's normal-cone excess of G + J'mu."""
+    R = G + (np.swapaxes(J, -1, -2) @ mu[..., None])[..., 0]
+    return np.linalg.norm(auglag._normal_cone_excess(R, X, lo, hi, 1e-8),
+                          axis=1)
+
+
+@pytest.mark.parametrize("kind", ["qp", "alm"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_multiplier_fit_matches_pinv(monkeypatch, kind, seed):
+    # the Cholesky fit of the normal equations gives the delta of the
+    # pseudo-inverse fit to 1e-12 relative.  The all-bound row gets mu = 0;
+    # the rows with a dependent or an ill-conditioned J_f, and no others,
+    # are fitted by the pseudo-inverse itself
+    J, G, X, lo, hi = fit_stack(kind, seed)
+    free = ~((X <= lo + 1e-8) | (X >= hi - 1e-8))
+    Jf = np.where(free[:, None, :], J, 0.0)
+    assert not free[0].any()
+    assert np.linalg.matrix_rank(Jf[1]) == 2
+    assert np.linalg.cond(Jf[2]) == pytest.approx(1e7, rel=1e-3)
+    assert np.linalg.cond(Jf[3:]).max() < 1e2
+    JfT = np.swapaxes(Jf, 1, 2)
+    ref = (np.linalg.pinv(JfT) @ -np.where(free, G, 0.0)[..., None])[..., 0]
+    pinv_rows = []
+    real = np.linalg.pinv
+
+    def spy(a):
+        pinv_rows.append(len(a))
+        return real(a)
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    mu = auglag.fit_multipliers(J, G, free)
+    monkeypatch.undo()
+    assert pinv_rows == [2]
+    assert np.all(mu[0] == 0.0) and np.array_equal(mu[1:3], ref[1:3])
+    assert np.allclose(fitted_delta(J, G, mu, X, lo, hi),
+                       fitted_delta(J, G, ref, X, lo, hi),
+                       rtol=1e-12, atol=0.0)
+
+
 class TestBlockLoops:
     """The coupling quantities, each one product with the nonzero rows of
     the A_t and one reduction, against loops over the blocks."""

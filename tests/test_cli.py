@@ -416,6 +416,20 @@ class TestTraceCheck:
         assert "PASS  lyapunov monotonicity" in out
         assert "PASS  bound existence" in out
 
+    def test_old_header_trace_passes(self, tmp_path, capsys):
+        # a trace written before the t_metrics_ms column still reads and
+        # passes every check
+        pfile, trc = self.run_solve(tmp_path, seed=3, fixed=True, eps="1e-2")
+        lines = trc.read_text().splitlines()
+        assert lines[0].split(",") == jacobi.TRACE_COLUMNS
+        trc.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                               for line in lines))
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "PASS  lyapunov monotonicity" in out
+        assert "PASS  bound existence" in out
+
     @pytest.mark.parametrize("workers", [0, 2])
     def test_warm_started_acopf_round_trip(self, tmp_path, workers):
         # the replay starts every ALM row cold, as the solve does, and

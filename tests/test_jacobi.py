@@ -10,10 +10,10 @@ from proxjacobi import auglag, cli, jacobi, problems, subsolver, tuner
 from proxjacobi.algebra import couple_apply
 from proxjacobi.auglag import (dual_residual, penalty_residuals,
                                subproblem_gradients)
-from proxjacobi.jacobi import (BlockSolveError, RunConfig, TraceRecord,
-                               init_state, initial_lyapunov, iterate,
-                               read_trace_csv, run_fixed, trace_csv_text,
-                               write_trace_csv)
+from proxjacobi.jacobi import (BlockSolveError, RunConfig, TRACE_COLUMNS,
+                               TraceRecord, init_state, initial_lyapunov,
+                               iterate, read_trace_csv, run_fixed,
+                               trace_csv_text, write_trace_csv)
 from proxjacobi.model import (Params, PolarBalance, Problem,
                               variable_splitting_transform)
 from proxjacobi.subsolver import (BlockSolveResult, STATUS_ITERATION_CAP,
@@ -71,6 +71,24 @@ class TestInitState:
         other.alm[0][0][:] = 1.0
         other.alm[0][1][:] = 2.0
         assert np.array_equal(y, y0) and np.array_equal(sigma, sigma0)
+
+    def test_products_at_x_copy_apart(self, qp):
+        # init_state makes Ax and Qx at the projected x0; a copy owns them,
+        # and a state built without them gets them computed on use
+        state = init_state(qp, *default_start(qp), PARAMS)
+        assert np.array_equal(state.Ax, couple_apply(qp, state.x))
+        assert np.array_equal(state.Qx, qp.objective_Q @ state.x)
+        other = state.copy()
+        other.Ax[:] = 0.0
+        other.Qx[:] = 0.0
+        assert np.array_equal(state.Ax, couple_apply(qp, state.x))
+        assert np.array_equal(state.Qx, qp.objective_Q @ state.x)
+        bare = state.copy()
+        bare.Ax = bare.Qx = None
+        assert bare.copy().Ax is None
+        config = RunConfig(record_timings=False)
+        assert iterate(qp, bare, PARAMS, config).row() == iterate(
+            qp, state, PARAMS, config).row()
 
     def test_length_mismatch(self, qp):
         with pytest.raises(ValueError):
@@ -235,11 +253,55 @@ class TestTraceCsv:
     def test_timings_recorded_when_enabled(self, qp):
         init = init_state(qp, *default_start(qp), PARAMS)
         _, trace = run_fixed(qp, PARAMS, init, RunConfig(max_iters=2))
-        assert all(r.t_xupd_ms > 0 for r in trace)
+        assert all(r.t_xupd_ms > 0 and r.t_metrics_ms > 0 for r in trace)
         init = init_state(qp, *default_start(qp), PARAMS)
         _, trace = run_fixed(qp, PARAMS, init,
                              RunConfig(record_timings=False, max_iters=2))
-        assert all(r.t_xupd_ms == 0 for r in trace)
+        assert all(r.t_xupd_ms == 0 and r.t_metrics_ms == 0 for r in trace)
+
+    def test_reads_old_header(self, qp):
+        # a trace written before the t_metrics_ms column reads with the
+        # column at 0 and every other column as written
+        init = init_state(qp, *default_start(qp), PARAMS)
+        _, trace = run_fixed(qp, PARAMS, init, RunConfig(max_iters=3))
+        assert jacobi.OLD_TRACE_COLUMNS == TRACE_COLUMNS[:15]
+        old = "\n".join(line.rsplit(",", 1)[0]
+                        for line in trace_csv_text(trace).splitlines())
+        back = read_trace_csv(io.StringIO(old))
+        assert [r.t_metrics_ms for r in back] == [0.0] * 3
+        for a, b in zip(trace, back):
+            assert a.row()[:15] == b.row()[:15]
+
+
+@pytest.mark.parametrize("case", ["dispatch", "coupled-qp"])
+def test_iterate_makes_each_product_once(monkeypatch, case):
+    # an iteration after the first makes K x and K(x - x_prev) at the new
+    # x once each, K'v three times (the sweep's gradients, d_x and the dual
+    # residuals' gradients) and Q x once: the metrics and the next sweep
+    # reuse them
+    prob = (problems.gen_multiperiod_dispatch(6, 3, 0.1)
+            if case == "dispatch" else problems.coupled_qp(0, 8, 4, 3))
+    params = Params(rho=2.0, theta=4.0, tau_x=20.0, tau_z=8.0)
+    state = init_state(prob, *default_start(prob), params)
+    config = RunConfig(record_timings=False)
+    rec = iterate(prob, state, params, config)
+    counts = dict.fromkeys(
+        ("block_products", "block_products_T", "objective_products"), 0)
+    for name in counts:
+        real = getattr(Problem, name)
+
+        def counted(self, vec, real=real, name=name):
+            counts[name] += 1
+            return real(self, vec)
+        monkeypatch.setattr(Problem, name, counted)
+    for _ in range(2):
+        rec = iterate(prob, state, params, config, phi_prev=rec.phi)
+        assert counts == {"block_products": 2, "block_products_T": 3,
+                          "objective_products": 1}
+        counts.update(dict.fromkeys(counts, 0))
+    # the products the state carries are those at its x
+    assert np.array_equal(state.Ax, couple_apply(prob, state.x))
+    assert np.array_equal(state.Qx, prob.objective_Q @ state.x)
 
 
 def random_state(problem, params, seed):
