@@ -6,10 +6,12 @@ objective, a constraint set (bounds plus equality rows, evaluated together
 as one map) and a sparse coupling matrix; the blocks interact only through
 the shared linear constraint ``sum_t A_t x_t = b``.
 
-Loading converts the triplets of every Q_t together, and those of every A_t
-together, into the stacks diag(Q_1, ..., Q_T) and diag(A_1, ..., A_T); the
-blocks' own matrices are read off the stacks.  Validation tests the rank of
-the coupling one connected component of its rows at a time.
+Loading converts the triplets of every Q_t together, those of every
+quadratic equality's Q together, and those of every A_t together, into the
+stacks diag(Q_1, ..., Q_T), diag of the equality Qs and diag(A_1, ..., A_T);
+each of the blocks' own matrices is a view on its stack until it is first
+read.  Validation tests the rank of the coupling one connected component of
+its rows at a time.
 """
 
 import gc
@@ -65,24 +67,56 @@ def _triplet_diag(lists, shapes):
     mat = sp.coo_matrix(
         (arr[:, 2], (rows + start[block, 0], cols + start[block, 1])),
         shape=tuple(shapes.sum(axis=0)))
-    mat.sum_duplicates()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat.sum_duplicates()  # a sum that is not finite is the caller's
     return mat.tocsr()
 
 
-def _diagonal_blocks(diag, shapes):
-    """The matrices M_1, ..., M_k of diag(M_1, ..., M_k), a CSR matrix with
-    diagonal blocks of the shapes ``shapes``, each a CSR matrix over its own
-    rows of ``diag``."""
-    blocks, r, c = [], 0, 0
-    for p, q in shapes:
-        ptr = diag.indptr[r:r + p + 1]
+class _StackBlock(NamedTuple):
+    """A diagonal block of the CSR matrix ``diag`` = diag(M_1, ..., M_k):
+    the ``shape`` rows and columns from ``row`` and ``col``.  It tells its
+    ``shape`` and ``nnz`` as M_t does, without building M_t; ``csr`` builds
+    M_t as a CSR matrix over its own rows of ``diag``."""
+
+    diag: sp.csr_matrix
+    row: int
+    col: int
+    shape: tuple
+
+    @property
+    def nnz(self):
+        ptr = self.diag.indptr
+        return int(ptr[self.row + self.shape[0]] - ptr[self.row])
+
+    def csr(self):
+        ptr = self.diag.indptr[self.row:self.row + self.shape[0] + 1]
         lo, hi = ptr[0], ptr[-1]
-        blocks.append(sp.csr_matrix(
-            (diag.data[lo:hi], diag.indices[lo:hi] - c, ptr - lo),
-            shape=(p, q)))
-        r += p
-        c += q
-    return blocks
+        return sp.csr_matrix(
+            (self.diag.data[lo:hi], self.diag.indices[lo:hi] - self.col,
+             ptr - lo), shape=self.shape)
+
+
+class _ViewsOnFirstRead:
+    """Attributes held as :class:`_StackBlock` views in ``_views`` (name to
+    view) until their first read, which builds the matrix and keeps it as
+    the attribute itself.  An object without ``_views`` holds its
+    attributes plainly."""
+
+    def __getattr__(self, name):
+        view = self.__dict__.get("_views", {}).get(name)
+        if view is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = view.csr()
+        return value
+
+    def _peek(self, name):
+        """The matrix ``name``, or its view while it is not built: both
+        tell ``shape`` and ``nnz``."""
+        view = self.__dict__.get("_views", {}).get(name)
+        if view is None or name in self.__dict__:
+            return getattr(self, name)
+        return view
 
 
 def csr_to_triplets(mat):
@@ -116,11 +150,12 @@ def _is_symmetric(Q):
                 and np.array_equal(Q.data[order], Q.data))
 
 
-class Quadratic:
+class Quadratic(_ViewsOnFirstRead):
     """f(x) = 0.5 x'Qx + c'x + c0 with symmetric sparse Q.
 
     Asymmetric inputs are symmetrized as (Q + Q')/2: x'Qx only sees the
-    symmetric part.
+    symmetric part.  A loaded function holds Q as a view on its loader's
+    stack until Q is first read.
     """
 
     def __init__(self, Q, c, c0=0.0):
@@ -137,11 +172,16 @@ class Quadratic:
         self.n = n
 
     @classmethod
-    def _of_symmetric(cls, Q, c, c0):
-        """The quadratic of a float CSR ``Q`` of shape (n, n), n = len(c),
-        already known to be symmetric: taken as it is, untested."""
+    def _of_view(cls, view, c, c0, symmetric):
+        """The quadratic of the matrix of the :class:`_StackBlock` ``view``,
+        of shape (n, n), n = len(c).  When it is known to be ``symmetric``,
+        it is taken untested and built on first read; otherwise it is built
+        now, then tested and symmetrized as by ``Quadratic(...)``."""
+        if not symmetric:
+            return cls(view.csr(), c, c0)
         f = cls.__new__(cls)
-        f.Q, f.c, f.c0, f.n = Q, c, float(c0), c.shape[0]
+        f._views = {"Q": view}
+        f.c, f.c0, f.n = c, float(c0), c.shape[0]
         return f
 
     def value(self, x):
@@ -403,7 +443,7 @@ class EqualityMap:
                 if eq.n > n:
                     raise ValueError(
                         f"equality {j} dimension {eq.n} exceeds n={n}")
-                if eq.Q.nnz:
+                if eq._peek("Q").nnz:
                     self.quadratic.append((j, eq))
                 else:
                     C[j, : eq.n] = eq.c
@@ -573,11 +613,12 @@ class ConstraintSet:
 
 
 @dataclass
-class BlockSpec:
+class BlockSpec(_ViewsOnFirstRead):
     """One block: dimension, objective f_t, set X_t, coupling matrix A_t.
 
     Derived forms of the data are computed on first use and kept, so the
-    fields must not be reassigned once the block is in use.
+    fields must not be reassigned once the block is in use.  A loaded block
+    holds A_t as a view on its loader's stack until A_t is first read.
     """
 
     n: int
@@ -589,6 +630,15 @@ class BlockSpec:
         if not (isinstance(self.coupling, sp.csr_matrix)
                 and self.coupling.dtype == float):
             self.coupling = sp.csr_matrix(self.coupling, dtype=float)
+
+    @classmethod
+    def _of_view(cls, n, objective, cset, coupling):
+        """The block whose A_t is the matrix of the :class:`_StackBlock`
+        ``coupling``, a float CSR matrix built on first read."""
+        blk = cls.__new__(cls)
+        blk.n, blk.objective, blk.set = n, objective, cset
+        blk._views = {"coupling": coupling}
+        return blk
 
     @cached_property
     def Q_dense(self):
@@ -1015,10 +1065,10 @@ def validate_problem(problem):
         rep.errors.append(
             f"b has length {problem.b.shape[0]}, expected m={problem.m}")
     for t, blk in enumerate(problem.blocks):
-        if blk.coupling.shape != (problem.m, blk.n):
+        shape = blk._peek("coupling").shape
+        if shape != (problem.m, blk.n):
             rep.errors.append(
-                f"block {t}: coupling shape {blk.coupling.shape} != "
-                f"({problem.m}, {blk.n})")
+                f"block {t}: coupling shape {shape} != ({problem.m}, {blk.n})")
         if blk.set.n != blk.n:
             rep.errors.append(
                 f"block {t}: bounds length {blk.set.n} != n={blk.n}")
@@ -1035,11 +1085,36 @@ def validate_problem(problem):
                 "compactness of the block set cannot be verified")
     if rep.errors:
         return rep
+    for t, what in _nonfinite_data(problem):
+        rep.errors.append(f"block {t}: {what} holds a value that is not finite")
+    if not np.isfinite(problem.b).all():
+        rep.errors.append("b holds a value that is not finite")
+    if rep.errors:
+        return rep
     rank = coupling_rank(problem.coupling)
     if rank < problem.m:
         rep.errors.append(
             f"coupling matrix rank-deficient: rank {rank} < m={problem.m}")
     return rep
+
+
+def _nonfinite_data(problem):
+    """``(t, "objective")`` and ``(t, "coupling")`` for each block t whose
+    objective or coupling holds a value that is not finite, in block order,
+    read off the stacked forms."""
+    def bad_rows(diag):
+        bad = np.flatnonzero(~np.isfinite(diag.data))
+        return np.searchsorted(diag.indptr, bad, side="right") - 1
+
+    c0 = np.array([blk.objective.c0 for blk in problem.blocks])
+    objective = np.concatenate([
+        problem.block_index[bad_rows(problem.objective_Q)],
+        problem.block_index[~np.isfinite(problem.objective_c)],
+        np.flatnonzero(~np.isfinite(c0))])
+    coupling = bad_rows(problem.coupling_diag) // max(problem.m, 1)
+    found = [(int(t), "objective") for t in np.unique(objective)]
+    found += [(int(t), "coupling") for t in np.unique(coupling)]
+    return sorted(found, key=lambda item: item[0])
 
 
 def coupling_rank(A):
@@ -1141,14 +1216,49 @@ def _bounds_from_json(doc, n, path):
     return out
 
 
-def _convert_each(mats):
-    """Convert the ``(triplets, shape, path)`` matrices one by one, in their
-    order; raises a SchemaError naming the first that fails."""
-    for triplets, shape, path in mats:
+def _finite(values):
+    if not np.isfinite(values).all():
+        raise ValueError("value is not finite")
+
+
+def _not_nan(values):
+    if np.isnan(values).any():
+        raise ValueError("bound is NaN")
+
+
+def _finite_matrix(mat):
+    """Convert the ``(triplets, shape)`` matrix; raises ValueError when that
+    fails or a value of the matrix is not finite."""
+    _finite(triplets_to_csr(*mat).data)
+
+
+def _check_each(met):
+    """Check the ``(path, check, value)`` items one by one, in their order;
+    raises a SchemaError naming the first whose ``check(value)`` fails."""
+    for path, check, value in met:
         try:
-            triplets_to_csr(triplets, shape)
+            check(value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(path, str(exc)) from exc
+
+
+def _stack(mats):
+    """diag(M_1, ..., M_k) of the ``(triplets, shape)`` matrices ``mats``,
+    converted together (:func:`_triplet_diag`), and the
+    :class:`_StackBlock` view of each M_t on it."""
+    shapes = np.array([s for _, s in mats], dtype=int).reshape(-1, 2)
+    diag = _triplet_diag([trips for trips, _ in mats], shapes)
+    starts = np.cumsum(shapes, axis=0) - shapes
+    return diag, [_StackBlock(diag, r, c, (p, q)) for (r, c), (p, q)
+                  in zip(starts.tolist(), shapes.tolist())]
+
+
+def _flat(vectors):
+    return np.concatenate(vectors) if vectors else np.empty(0)
+
+
+def _is_quadratic(doc):
+    return isinstance(doc, dict) and doc.get("type") == "quadratic"
 
 
 def load_problem(text):
@@ -1156,11 +1266,15 @@ def load_problem(text):
 
     Deterministic: identical text yields an identical in-memory problem;
     repeated matrix triplets are summed.  The blocks are checked one by one
-    for their structure; then all the Q_t triplets are converted together
-    into diag(Q_1, ..., Q_T) and all the A_t triplets into
-    diag(A_1, ..., A_T), which the problem keeps as its stacked forms, and
-    each block's Q_t and A_t are read off their stack.  Errors name the
-    first fault in document order.
+    for their structure.  Then the triplets of every objective Q_t are
+    converted together into diag(Q_1, ..., Q_T), those of every quadratic
+    equality's Q into one more stack, and those of every A_t into
+    diag(A_1, ..., A_T); each stack's values, and the c, c0, b and bounds
+    of the document, are checked at once for values that are not finite
+    (a bound may be infinite, but not NaN).  The problem keeps the stacks
+    of Q_t and A_t as its stacked forms.  Each block's Q_t and A_t, and
+    each equality's Q, is a view on its stack, built as a CSR matrix when
+    it is first read.  Errors name the first fault in document order.
 
     The cyclic garbage collector is paused meanwhile: the parsed document
     is a great many lists that hold no cycles, and the collections their
@@ -1187,12 +1301,18 @@ def _problem_from_text(text):
             raise SchemaError(key, "missing required field")
     m = _field(doc, "m", "m", int)
     b = _field(doc, "b", "b", _vector)
+    _check_each([("b", _finite, b)])
     if not isinstance(doc["blocks"], list):
         raise SchemaError("blocks", "expected a list of blocks")
     parsed = []
-    # (triplets, shape, path) of Q_0, A_0, Q_1, A_1, ...: the order in which
-    # the checks of a block meet its matrices
-    mats = []
+    # the (triplets, shape) of each objective Q_t, quadratic equality Q and
+    # A_t, in document order
+    objective_mats, equality_mats, coupling_mats = [], [], []
+    # each quadratic equality as (its block's list, its place there, c, c0)
+    equality_slots = []
+    # (path, check, value) of each item the checks of the blocks meet, in
+    # their order: checking them one by one names the first fault
+    met = []
     try:
         for t, bdoc in enumerate(doc["blocks"]):
             path = f"blocks[{t}]"
@@ -1205,46 +1325,70 @@ def _problem_from_text(text):
             n = _field(bdoc, "n", f"{path}.n", int)
             opath = f"{path}.objective"
             odoc = bdoc["objective"]
-            if not (isinstance(odoc, dict)
-                    and odoc.get("type") == "quadratic"):
+            if not _is_quadratic(odoc):
                 function_from_json(odoc, opath)
                 raise SchemaError(f"{opath}.type",
                                   "an objective must be quadratic")
             c, c0 = _quadratic_fields(odoc, opath)
-            mats.append((odoc["Q"], (len(c), len(c)), f"{opath}.Q"))
+            objective_mats.append((odoc["Q"], (len(c), len(c))))
+            met += [(f"{opath}.c", _finite, c), (f"{opath}.c0", _finite, c0),
+                    (f"{opath}.Q", _finite_matrix, objective_mats[-1])]
             lower, upper = _bounds_from_json(bdoc["bounds"], n,
                                              f"{path}.bounds")
-            eqs = [
-                function_from_json(e, f"{path}.equalities[{j}]")
-                for j, e in enumerate(bdoc.get("equalities", []))
-            ]
-            mats.append((bdoc["A"], (m, n), f"{path}.A"))
+            met += [(f"{path}.bounds.lower", _not_nan, lower),
+                    (f"{path}.bounds.upper", _not_nan, upper)]
+            eqs = []
+            for j, edoc in enumerate(bdoc.get("equalities", [])):
+                epath = f"{path}.equalities[{j}]"
+                if not _is_quadratic(edoc):
+                    eqs.append(function_from_json(edoc, epath))
+                    continue
+                ec, ec0 = _quadratic_fields(edoc, epath)
+                equality_mats.append((edoc["Q"], (len(ec), len(ec))))
+                equality_slots.append((eqs, j, ec, ec0))
+                eqs.append(None)  # the function, once its Q is converted
+                met += [(f"{epath}.c", _finite, ec),
+                        (f"{epath}.c0", _finite, ec0),
+                        (f"{epath}.Q", _finite_matrix, equality_mats[-1])]
+            coupling_mats.append((bdoc["A"], (m, n)))
+            met.append((f"{path}.A", _finite_matrix, coupling_mats[-1]))
             try:
                 cset = ConstraintSet(lower, upper, eqs)
             except ValueError as exc:
                 raise SchemaError(f"{path}.bounds", str(exc)) from exc
             parsed.append((n, c, c0, cset))
     except (TypeError, ValueError):
-        _convert_each(mats)
+        _check_each(met)
         raise
-    triplets, shapes, _ = zip(*mats) if mats else ((), (), ())
     try:
-        Q = _triplet_diag(triplets[0::2], shapes[0::2])
-        A = _triplet_diag(triplets[1::2], shapes[1::2])
+        Q, Q_views = _stack(objective_mats)
+        E, E_views = _stack(equality_mats)
+        A, A_views = _stack(coupling_mats)
     except (TypeError, ValueError):
-        _convert_each(mats)
+        _check_each(met)
         raise
+    objective_c = _flat([c for _, c, _, _ in parsed])
+    lower = _flat([cset.lower for *_, cset in parsed])
+    upper = _flat([cset.upper for *_, cset in parsed])
+    values = [Q.data, E.data, A.data, objective_c,
+              [c0 for _, _, c0, _ in parsed],
+              [ec0 for *_, ec0 in equality_slots],
+              *(ec for _, _, ec, _ in equality_slots)]
+    if (not np.isfinite(np.concatenate(values)).all()
+            or np.isnan(lower).any() or np.isnan(upper).any()):
+        _check_each(met)  # raises, naming the first such value
     symmetric = _is_symmetric(Q)
     blocks = []
-    for (n, c, c0, cset), Q_t, A_t in zip(
-            parsed, _diagonal_blocks(Q, shapes[0::2]),
-            _diagonal_blocks(A, shapes[1::2])):
-        objective = (Quadratic._of_symmetric(Q_t, c, c0) if symmetric
-                     else Quadratic(Q_t, c, c0))
-        blocks.append(BlockSpec(n=n, objective=objective, set=cset,
-                                coupling=A_t))
+    for (n, c, c0, cset), Q_t, A_t in zip(parsed, Q_views, A_views):
+        objective = Quadratic._of_view(Q_t, c, c0, symmetric)
+        blocks.append(BlockSpec._of_view(n, objective, cset, A_t))
+    symmetric_eqs = _is_symmetric(E)
+    for (eqs, j, ec, ec0), E_j in zip(equality_slots, E_views):
+        eqs[j] = Quadratic._of_view(E_j, ec, ec0, symmetric_eqs)
     problem = Problem(m=m, b=b, blocks=blocks)
     problem.coupling_diag = A
+    problem.objective_c = objective_c
+    problem.lower, problem.upper = lower, upper
     if symmetric and all(len(c) == n for n, c, _, _ in parsed):
         problem.objective_Q = Q
     return problem

@@ -83,8 +83,8 @@ def test_malformed_polar_payload(tmp_path, capsys, eq, key, value, message):
 
 
 def _malform(doc, case):
-    """Give one field of ``doc`` a value of the wrong type; returns the
-    path the error must name."""
+    """Give one field of ``doc`` a value of the wrong type, or a NaN; returns
+    the path the error must name."""
     blk = doc["blocks"][0]
     if case == "m":
         doc["m"] = "x"
@@ -95,15 +95,19 @@ def _malform(doc, case):
     if case == "c0":
         blk["objective"]["c0"] = "a"
         return "blocks[0].objective.c0"
+    if case == "nan A":
+        blk["A"][0][2] = float("nan")
+        return "blocks[0].A"
     blk["bounds"]["lower"] = 5
     return "blocks[0].bounds.lower"
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])
-@pytest.mark.parametrize("case", ["m", "block", "c0", "bounds"])
+@pytest.mark.parametrize("case", ["m", "block", "c0", "bounds", "nan A"])
 def test_malformed_document_is_schema_error(qp_file, tmp_path, capsys,
                                             command, case):
-    # a wrongly typed field ends in one error line naming it, not a crash
+    # a wrongly typed field, or a value that is not finite, ends in one
+    # error line naming it, not a crash
     doc = json.loads(qp_file.read_text())
     where = _malform(doc, case)
     path = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from proxjacobi import model, problems
+from proxjacobi import cli, model, problems
 from proxjacobi.model import (RANK_DROP_TOL, BlockSpec, ConstraintSet,
                               Params, Problem, Quadratic, SchemaError,
                               coupling_rank, csr_to_triplets, load_problem,
@@ -108,21 +108,51 @@ def random_triplets(rng, shape, count):
     return trips
 
 
+POLAR_ROW = {"type": "builtin", "name": "acopf_re", "payload": {
+    "bus": 0, "nbus": 1, "load": 0.5, "gen_coords": [0], "v_offset": 0,
+    "theta_offset": 1, "y_diag_re": 1.0, "y_diag_im": -2.0, "neighbors": [],
+    "y_re": [], "y_im": []}}
+
+
+def random_symmetric_triplets(rng, n):
+    """Triplets of a random sparse symmetric n x n matrix, with a diagonal
+    entry in two halves and a pair of explicit zeros."""
+    D = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+    D = D + D.T
+    Q = [[int(i), int(j), float(D[i, j])] for i, j in zip(*np.nonzero(D))]
+    return Q + [[n - 1, n - 1, 0.5], [n - 1, n - 1, 0.5], [0, n - 1, 0.0],
+                [n - 1, 0, 0.0]]
+
+
+def random_equalities(rng, n, asymmetric):
+    """Equality documents for a block of size n: a linear row (empty Q), a
+    row with a symmetric Q, a builtin polar row when n >= 2 and, when
+    ``asymmetric``, a row with an asymmetric Q and one whose Q is a lone
+    explicit zero (which symmetrizing drops, leaving a linear row)."""
+    row = lambda Q: {"type": "quadratic", "Q": Q,
+                     "c": rng.standard_normal(n).tolist(),
+                     "c0": float(rng.standard_normal())}
+    eqs = [row([]), row(random_symmetric_triplets(rng, n))]
+    if n >= 2:
+        eqs.append(POLAR_ROW)
+        if asymmetric:
+            eqs += [row([[0, 1, 0.75], [1, 1, 1.0]]), row([[1, 0, 0.0]])]
+    return eqs
+
+
 def random_document(seed):
     """A problem document with blocks of mixed sizes, repeated triplets and
     explicit zeros, some empty Q and A, and for even seeds one asymmetric
-    middle block."""
+    middle block.  The middle block and every other block have equalities,
+    among them quadratic rows, the middle block's with an asymmetric Q when
+    seed % 4 < 2."""
     rng = np.random.default_rng(seed)
+    eq_rng = np.random.default_rng([seed, 1])
     T, m = int(rng.integers(3, 7)), int(rng.integers(1, 5))
     blocks = []
     for t in range(T):
         n = int(rng.integers(2 if t == T // 2 else 1, 6))
-        D = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.6)
-        D = D + D.T
-        Q = [[int(i), int(j), float(D[i, j])] for i, j in zip(*np.nonzero(D))]
-        # a diagonal entry in two halves, and a pair of explicit zeros
-        Q += [[n - 1, n - 1, 0.5], [n - 1, n - 1, 0.5], [0, n - 1, 0.0],
-              [n - 1, 0, 0.0]]
+        Q = random_symmetric_triplets(rng, n)
         if t == T // 2 and seed % 2 == 0:
             Q += [[0, n - 1, 0.25]]
         elif t % 3 == 1:
@@ -134,6 +164,9 @@ def random_document(seed):
             "objective": {"type": "quadratic", "Q": Q,
                           "c": rng.standard_normal(n).tolist(), "c0": 0.5},
             "bounds": {"lower": ["-inf"] * n, "upper": ["inf"] * n},
+            "equalities": random_equalities(
+                eq_rng, n, t == T // 2 and seed % 4 < 2)
+            if t % 2 == 0 or t == T // 2 else [],
             "A": A,
         })
     return {"m": m, "b": rng.standard_normal(m).tolist(), "blocks": blocks}
@@ -147,8 +180,11 @@ def assert_same_csr(got, want):
 
 
 class TestLoader:
-    """``load_problem`` converts every Q_t together and every A_t together;
-    the result must be what converting them one by one gives."""
+    """``load_problem`` converts every objective Q_t together, every
+    quadratic equality's Q together and every A_t together, and checks the
+    values of each stack at once; each block's Q_t and A_t, and each
+    equality's Q, is a view on its stack until it is first read.  The
+    result must be what converting them one by one gives."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stacks_match_per_block_conversion(self, seed):
@@ -156,6 +192,20 @@ class TestLoader:
         prob = load_problem(json.dumps(doc))
         for bdoc, blk in zip(doc["blocks"], prob.blocks):
             n = bdoc["n"]
+            wants = [model.function_from_json(e) for e in bdoc["equalities"]]
+            # the equality map tells the quadratic rows before any Q is built
+            assert [j for j, _ in blk.set.equality_map.quadratic] == [
+                j for j, e in enumerate(wants)
+                if isinstance(e, Quadratic) and e.Q.nnz]
+            assert len(blk.set.equalities) == len(wants)
+            for eq, want in zip(blk.set.equalities, wants):
+                assert type(eq) is type(want)
+                if isinstance(want, Quadratic):
+                    assert_same_csr(eq.Q, want.Q)
+                    assert np.array_equal(eq.c, want.c)
+                    assert (eq.c0, eq.n) == (want.c0, want.n)
+                else:
+                    assert eq.to_json() == want.to_json()
             want = Quadratic(triplets_to_csr(bdoc["objective"]["Q"], (n, n)),
                              bdoc["objective"]["c"]).Q
             assert_same_csr(blk.objective.Q, want)
@@ -168,6 +218,10 @@ class TestLoader:
         assert_same_csr(prob.objective_Q, again.objective_Q)
         assert_same_csr(prob.coupling, sp.hstack(
             [blk.coupling for blk in prob.blocks], format="csr"))
+        for name in ("objective_c", "lower", "upper"):
+            assert np.array_equal(getattr(prob, name), getattr(again, name))
+        text = save_problem(prob)
+        assert save_problem(load_problem(text)) == text
 
     def test_symmetric_stack_is_kept(self):
         prob, _ = build_qp(4)
@@ -194,6 +248,33 @@ class TestLoader:
         ("two blocks", "blocks[1].A", "triplet col index out of range"),
         ("number", "blocks[2].objective.Q",
          "object of type 'int' has no len()"),
+        ("equality ragged", "blocks[2].equalities[1].Q",
+         "setting an array element with a sequence"),
+        ("equality col", "blocks[2].equalities[1].Q",
+         "triplet col index out of range"),
+        # an earlier block's A is met before a later block's equalities,
+        # and a block's equalities before its bound order
+        ("A then equality", "blocks[1].A", "triplet col index out of range"),
+        ("equality and order", "blocks[2].equalities[1].Q",
+         "triplet col index out of range"),
+        ("nan A", "blocks[2].A", "value is not finite"),
+        ("inf Q", "blocks[2].objective.Q", "value is not finite"),
+        ("duplicates overflow", "blocks[2].objective.Q",
+         "value is not finite"),
+        ("nan c", "blocks[2].objective.c", "value is not finite"),
+        ("nan c0", "blocks[2].objective.c0", "value is not finite"),
+        ("nan lower", "blocks[2].bounds.lower", "bound is NaN"),
+        ("NaN upper", "blocks[2].bounds.upper", "bound is NaN"),
+        ("inf equality Q", "blocks[2].equalities[1].Q",
+         "value is not finite"),
+        ("nan equality c", "blocks[2].equalities[0].c",
+         "value is not finite"),
+        ("nan b", "b", "value is not finite"),
+        # a value that is not finite takes its place in document order
+        # among the other faults
+        ("nan then length", "blocks[1].objective.c", "value is not finite"),
+        ("length then nan", "blocks[1].bounds.upper", "length 1 != n=2"),
+        ("nan A and order", "blocks[2].A", "value is not finite"),
     ])
     def test_first_fault_is_named(self, kind, path, message):
         blocks = [{"n": 2,
@@ -201,8 +282,15 @@ class TestLoader:
                                  "Q": [[0, 0, 2.0], [1, 1, 1.0]],
                                  "c": [0.5, -1.0]},
                    "bounds": {"lower": [-1.0, "-inf"], "upper": [1.0, "inf"]},
+                   "equalities": [
+                       {"type": "quadratic", "Q": [], "c": [1.0, 1.0],
+                        "c0": -1.0},
+                       {"type": "quadratic", "Q": [[0, 1, 0.5], [1, 0, 0.5]],
+                        "c": [0.0, 1.0]}],
                    "A": [[0, 0, 1.0], [1, 1, 1.0]]} for _ in range(4)]
+        b = [0.0, 0.0]
         blk = blocks[2]
+        eq = blk["equalities"][1]
         if kind == "ragged":
             blk["objective"]["Q"] = [[0, 0, 1.0], [1, 0]]
         elif kind == "row":
@@ -225,11 +313,104 @@ class TestLoader:
             blk["bounds"]["upper"] = [1.0]
         elif kind == "number":
             blk["objective"]["Q"] = 5
-        text = json.dumps({"m": 2, "b": [0.0, 0.0], "blocks": blocks})
+        elif kind == "equality ragged":
+            eq["Q"] = [[0, 0, 1.0], [1, 0]]
+        elif kind == "equality col":
+            eq["Q"] = [[0, 2, 1.0]]
+        elif kind == "A then equality":
+            blocks[1]["A"] = [[0, 5, 1.0]]
+            eq["Q"] = [[0, 2, 1.0]]
+        elif kind == "equality and order":
+            eq["Q"] = [[0, 2, 1.0]]
+            blk["bounds"]["lower"] = [2.0, 0.0]
+        elif kind == "nan A":
+            blk["A"][1][2] = float("nan")
+        elif kind == "inf Q":
+            blk["objective"]["Q"][0][2] = float("inf")
+        elif kind == "duplicates overflow":
+            blk["objective"]["Q"] += [[0, 0, 1e308], [0, 0, 1e308]]
+        elif kind == "nan c":
+            blk["objective"]["c"][1] = float("nan")
+        elif kind == "nan c0":
+            blk["objective"]["c0"] = "nan"
+        elif kind == "nan lower":
+            blk["bounds"]["lower"][0] = "nan"
+        elif kind == "NaN upper":
+            blk["bounds"]["upper"][1] = float("nan")
+        elif kind == "inf equality Q":
+            eq["Q"][0][2] = float("-inf")
+        elif kind == "nan equality c":
+            blk["equalities"][0]["c"][0] = float("nan")
+        elif kind == "nan b":
+            b[1] = float("nan")
+        elif kind == "nan then length":
+            blocks[1]["objective"]["c"][0] = float("nan")
+            blk["bounds"]["upper"] = [1.0]
+        elif kind == "length then nan":
+            blocks[1]["bounds"]["upper"] = [1.0]
+            blk["A"][0][2] = float("nan")
+        elif kind == "nan A and order":
+            blk["A"][0][2] = float("nan")
+            blk["bounds"]["lower"] = [2.0, 0.0]
+        text = json.dumps({"m": 2, "b": b, "blocks": blocks})
         with pytest.raises(SchemaError) as err:
             load_problem(text)
         assert err.value.path == path
         assert str(err.value).startswith(f"{path}: {message}")
+
+    def test_constructions_do_not_grow_with_T(self, monkeypatch):
+        # no sparse matrix is built per block or per equality while loading
+        texts = {(kind, T): save_problem(make(T)) for T in (4, 32)
+                 for kind, make in [
+                     ("qp", lambda T: problems.coupled_qp(0, T, 3, 2)),
+                     ("dispatch", lambda T: problems.gen_multiperiod_dispatch(
+                         T, 3, 0.3))]}
+        made = []
+        for cls in (sp.csr_matrix, sp.coo_matrix):
+            def spy(self, *args, _init=cls.__init__, **kwargs):
+                made.append(type(self))
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", spy)
+        counts = {}
+        for key, text in texts.items():
+            made.clear()
+            load_problem(text)
+            counts[key] = len(made)
+        assert counts[("qp", 4)] == counts[("qp", 32)] > 0
+        assert counts[("dispatch", 4)] == counts[("dispatch", 32)] > 0
+
+    @pytest.mark.parametrize("kind", ["qp", "dispatch", "acopf"])
+    def test_round_builds_no_block_view(self, kind, tmp_path, monkeypatch):
+        # validate, solve and trace-check read no block's Q_t or A_t and no
+        # equality's Q; reading them afterwards gives the same matrices
+        prob = {"qp": lambda: problems.coupled_qp(1, 6, 3, 2),
+                "dispatch": lambda: problems.gen_multiperiod_dispatch(
+                    6, 3, 0.3),
+                "acopf": lambda: problems.gen_acopf_toy(
+                    problems.toy_network(nbus=2, T=3), 3)}[kind]()
+        text = save_problem(prob)
+        path, trace = tmp_path / "p.json", tmp_path / "t.csv"
+        path.write_text(text)
+        loaded = []
+        load = cli._load_problem_file
+        monkeypatch.setattr(cli, "_load_problem_file",
+                            lambda p: loaded.append(load(p)) or loaded[-1])
+        flags = (["--fixed-params", "--max-iters", "4"] if kind == "qp"
+                 else ["--max-iters", "6"])
+        assert cli.main(["solve", str(path), "--trace", str(trace),
+                         "--no-timings", *flags]) in (cli.EXIT_OK,
+                                                      cli.EXIT_ITERATION_CAP)
+        assert cli.main(["trace-check", str(trace), str(path)]) == cli.EXIT_OK
+        assert len(loaded) == 2
+        for prob in loaded:
+            for blk in prob.blocks:
+                assert "coupling" not in vars(blk)
+                quadratics = [blk.objective, *(
+                    eq for eq in blk.set.equalities
+                    if isinstance(eq, Quadratic))]
+                assert not any("Q" in vars(f) for f in quadratics)
+            assert save_problem(prob) == text
+            assert all("coupling" in vars(blk) for blk in prob.blocks)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_is_restored(self, enabled):
@@ -369,6 +550,37 @@ class TestValidation:
         prob, _ = build_qp(1)
         bad = Problem(m=prob.m, b=np.zeros(prob.m + 1), blocks=prob.blocks)
         assert not validate_problem(bad).ok
+
+    @pytest.mark.parametrize("where", ["coupling", "Q", "c", "c0", "b"])
+    def test_nonfinite_data_is_an_error(self, where):
+        # a hand-built problem with a value that is not finite gets an
+        # error, not an exception from the rank test
+        prob, _ = build_qp(1)
+        blocks = list(prob.blocks)
+        blk, b = blocks[1], prob.b.copy()
+        objective = blk.objective
+        if where == "coupling":
+            A = blk.coupling.toarray()
+            A[0, 0] = np.nan
+            blk = BlockSpec(n=blk.n, objective=objective, set=blk.set,
+                            coupling=A)
+        elif where == "b":
+            b[0] = np.inf
+        else:
+            Q, c, c0 = objective.Q.toarray(), objective.c.copy(), objective.c0
+            if where == "Q":
+                Q[0, 0] = np.inf
+            elif where == "c":
+                c[-1] = -np.inf
+            else:
+                c0 = np.nan
+            blk = BlockSpec(n=blk.n, objective=Quadratic(Q, c, c0),
+                            set=blk.set, coupling=blk.coupling)
+        blocks[1] = blk
+        rep = validate_problem(Problem(m=prob.m, b=b, blocks=blocks))
+        want = {"coupling": "block 1: coupling", "b": "b"}.get(
+            where, "block 1: objective")
+        assert rep.errors == [f"{want} holds a value that is not finite"]
 
     def test_unbounded_equality_warns(self):
         eq = Quadratic(sp.csr_matrix((1, 1)), np.ones(1), -1.0)
