@@ -19,6 +19,9 @@ from .model import _dot, _matvec, _positive_definite
 # rows whose Gram does not factor, keep the SVD fit (``np.linalg.pinv``).
 GRAM_COND_MAX = 1e3
 
+# A coordinate within this distance of a bound counts as on it.
+ACTIVE_TOL = 1e-8
+
 
 def aug_lagrangian(problem, x, z, lam, params, Ax=None, Qx=None):
     """sum_t f_t(x_t) + (theta/2)||z||^2 + lam'(Ax + z - b)
@@ -105,28 +108,27 @@ def lyapunov(problem, x, z, lam, x_hat, z_hat, params, Ax=None, Qx=None,
     return val
 
 
-def dual_residual(problem, t, x_t, lam, feas_tol=1e-8, active_tol=1e-8):
+def dual_residual(problem, t, x_t, lam, feas_tol=1e-8,
+                  active_tol=ACTIVE_TOL):
     """Distance from ``grad f_t + A_t' lam`` to the negative normal cone.
 
     Pure boxes use the per-coordinate normal-cone rule.  With equality
     constraints, multipliers are fitted by least squares on the box-inactive
     coordinates and the box rule is applied to the fitted residual; this is
-    exact for pure-box and pure-equality sets.
+    exact for pure-box and pure-equality sets.  Raises ValueError when the
+    set's violation at ``x_t`` exceeds ``feas_tol``.
     """
     blk = problem.blocks[t]
     x_t = np.asarray(x_t, dtype=float)
-    _require_on_set(t, blk.set, x_t, feas_tol)
+    violation = blk.set.violation(x_t)
+    if violation > feas_tol:
+        raise ValueError(
+            f"block {t}: residual undefined off the set "
+            f"(violation {violation:.3e} > {feas_tol:.0e})")
     g = blk.objective.gradient(x_t) + blk.coupling.T @ np.asarray(lam, float)
     g = _fit_equality_multipliers(blk.set, x_t, g, active_tol)
     return float(np.linalg.norm(_normal_cone_excess(
         g, x_t, blk.set.lower, blk.set.upper, active_tol)))
-
-
-def _require_on_set(t, cset, x_t, feas_tol):
-    if np.isfinite(feas_tol) and cset.violation(x_t) > feas_tol:
-        raise ValueError(
-            f"block {t}: residual undefined off the set "
-            f"(violation {cset.violation(x_t):.3e} > {feas_tol:.0e})")
 
 
 def _fit_equality_multipliers(cset, x, g, active_tol):
@@ -197,19 +199,15 @@ def fit_multipliers(J, G, free):
     return mu
 
 
-def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8,
-                   Qx=None):
+def dual_residuals(problem, vec, lam, Qx=None):
     """``dual_residual`` of every block at the flat vector ``vec``, as a
     list, from one stacked gradient (``Qx`` is the objective product at
     ``vec`` when the caller has it).  The blocks of a ``qp`` or ``alm``
     group fit their multipliers together (``fit_multipliers``), on the
     equality Jacobians masked to each block's coordinates off the bounds:
     J is the shared rows C of a ``qp`` group, and each block's Jacobian of
-    the group's map at its point for an ``alm`` group."""
-    o = problem.offsets
-    if np.isfinite(feas_tol):
-        for t, blk in enumerate(problem.blocks):
-            _require_on_set(t, blk.set, vec[o[t]:o[t + 1]], feas_tol)
+    the group's map at its point for an ``alm`` group.  Unlike
+    ``dual_residual``, it does not check that ``vec`` lies on the sets."""
     g = problem.objective_gradients(vec, Qx) + problem.block_products_T(
         np.asarray(lam, dtype=float)[problem.coupling_rows.row])
     for grp in problem.quadratic_groups:
@@ -217,12 +215,12 @@ def dual_residuals(problem, vec, lam, feas_tol=1e-8, active_tol=1e-8,
             continue
         X, G = grp.take(vec), grp.take(g)
         J = grp.C if grp.kind == "qp" else grp.equality_map.jacobian(X)
-        free = ~((X <= grp.lower + active_tol)
-                 | (X >= grp.upper - active_tol))
+        free = ~((X <= grp.lower + ACTIVE_TOL)
+                 | (X >= grp.upper - ACTIVE_TOL))
         mu = fit_multipliers(J, G, free)
         g[grp.cols] = (G + _matvec(np.swapaxes(J, -1, -2), mu)).ravel()
     excess = _normal_cone_excess(g, vec, problem.lower, problem.upper,
-                                 active_tol)
+                                 ACTIVE_TOL)
     return np.sqrt(np.bincount(problem.block_index, weights=excess * excess,
                                minlength=problem.T)).tolist()
 
@@ -245,8 +243,7 @@ class ResidualSnapshot:
         return max(self.delta) if self.delta else 0.0
 
 
-def penalty_residuals(problem, state, params, feas_tol=1e-8, Ax=None,
-                      Kdx=None, Qx=None):
+def penalty_residuals(problem, state, params, Ax=None, Kdx=None, Qx=None):
     """Primal and dual residuals of the quadratic penalty formulation:
 
     p = Ax + z - b
@@ -277,8 +274,7 @@ def penalty_residuals(problem, state, params, feas_tol=1e-8, Ax=None,
                     float(np.max(np.abs(d_z), initial=0.0)))
     return ResidualSnapshot(
         pi=float(np.linalg.norm(Ax - problem.b)),
-        delta=dual_residuals(problem, vec, state.lam, feas_tol=feas_tol,
-                             Qx=Qx),
+        delta=dual_residuals(problem, vec, state.lam, Qx=Qx),
         p=p,
         d_x=d,
         d_z=d_z,

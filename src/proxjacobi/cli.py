@@ -91,19 +91,28 @@ def _tuner_overrides(args):
     return {"eps": args.eps, "max_outer": args.max_iters}
 
 
-def cmd_solve(args):
+def _load_valid_problem(path):
+    """The problem of the file ``path`` once it loads and validates, its
+    validation warnings logged; None, with each error printed, otherwise."""
     try:
-        problem = _load_problem_file(args.problem)
+        problem = _load_problem_file(path)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return None
     report = model.validate_problem(problem)
     if not report.ok:
         for msg in report.errors:
             print(f"error: {msg}", file=sys.stderr)
-        return EXIT_IO
+        return None
     for msg in report.warnings:
         log.info("validate: %s", msg)
+    return problem
+
+
+def cmd_solve(args):
+    problem = _load_valid_problem(args.problem)
+    if problem is None:
+        return EXIT_IO
 
     config_text = ""
     if args.config:
@@ -122,6 +131,13 @@ def cmd_solve(args):
     if args.workers < 0:
         print("error: --workers must be nonnegative", file=sys.stderr)
         return EXIT_IO
+    params = None
+    if args.fixed_params:
+        try:
+            params = _fixed_params(args, cfg, problem.T)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     run_config = RunConfig(workers=args.workers,
                            record_timings=not args.no_timings)
     with contextlib.ExitStack() as stack:
@@ -132,17 +148,17 @@ def cmd_solve(args):
                 print(f"error: {args.trace}: {exc.strerror}", file=sys.stderr)
                 return EXIT_IO
             run_config.trace_sink = jacobi.trace_csv_sink(fh)
-        return _run_solve(args, problem, cfg, run_config)
+        return _run_solve(args, problem, cfg, params, run_config)
 
 
-def _run_solve(args, problem, cfg, run_config):
-    """Run the solve of ``cmd_solve``, its trace streamed through
-    ``run_config.trace_sink``, and write the solution."""
+def _run_solve(args, problem, cfg, params, run_config):
+    """Run the solve of ``cmd_solve``, with the fixed ``params`` or (None)
+    the tuner, its trace streamed through ``run_config.trace_sink``, and
+    write the solution."""
     x0, z0, lam0 = default_start(problem)
     eps = cfg.eps
     try:
-        if args.fixed_params:
-            params = _fixed_params(args, cfg, problem.T)
+        if params is not None:
             init = jacobi.init_state(problem, x0, z0, lam0, params)
             run_config.max_iters = cfg.max_outer
             state, trace = jacobi.run_fixed(
@@ -425,13 +441,12 @@ def _check_theorem_bounds(problem, records, replayed, params_seq, report):
 
 
 def cmd_trace_check(args):
+    problem = _load_valid_problem(args.problem)
+    if problem is None:
+        return EXIT_IO
     try:
-        problem = _load_problem_file(args.problem)
         with open(args.trace, newline="") as fh:
             records = jacobi.read_trace_csv(fh)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -357,8 +357,8 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
     Kdx = problem.block_products(x_k - state.x_prev)
     phi = auglag.lyapunov(problem, x_k, z_k, lam_k, state.x_prev,
                           state.z_prev, params, Ax_k, state.Qx, Kdx)
-    snap = penalty_residuals(problem, state, params, feas_tol=np.inf,
-                             Ax=Ax_k, Kdx=Kdx, Qx=state.Qx)
+    snap = penalty_residuals(problem, state, params, Ax=Ax_k, Kdx=Kdx,
+                             Qx=state.Qx)
     t3 = time.perf_counter()
     rec = TraceRecord(
         k=state.k, phi=phi, dphi=phi - phi_prev,

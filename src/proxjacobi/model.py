@@ -10,7 +10,8 @@ Loading converts the triplets of every Q_t together, those of every
 quadratic equality's Q together, and those of every A_t together, into the
 stacks diag(Q_1, ..., Q_T), diag of the equality Qs and diag(A_1, ..., A_T);
 each of the blocks' own matrices is a view on its stack until it is first
-read.  Validation tests the rank of the coupling one connected component of
+read.  The problem keeps the coupling in one form, the nonzero rows of
+diag(A_1, ..., A_T); validation tests its rank one connected component of
 its rows at a time.
 """
 
@@ -569,10 +570,6 @@ class ConstraintSet:
         return self.lower.shape[0]
 
     @property
-    def has_bounds(self):
-        return bool(np.any(np.isfinite(self.lower)) or np.any(np.isfinite(self.upper)))
-
-    @property
     def all_bounds_finite(self):
         return bool(np.isfinite(self.lower).all()
                     and np.isfinite(self.upper).all())
@@ -639,11 +636,6 @@ class BlockSpec(_ViewsOnFirstRead):
         blk.n, blk.objective, blk.set = n, objective, cset
         blk._views = {"coupling": coupling}
         return blk
-
-    @cached_property
-    def Q_dense(self):
-        """Dense Q_t of a quadratic objective."""
-        return self.objective.Q.toarray()
 
 
 def _block_diag(mats):
@@ -767,18 +759,27 @@ class CouplingRows(NamedTuple):
     block: np.ndarray
 
 
+def _coupling_rows(diag, m):
+    """The :class:`CouplingRows` of diag(A_1, ..., A_T) in CSR, each A_t
+    with m rows: the rows of ``diag`` that hold an entry."""
+    keep = np.flatnonzero(np.diff(diag.indptr))
+    K = sp.csr_matrix((diag.data, diag.indices,
+                       diag.indptr[np.r_[0, keep + 1]]),
+                      shape=(len(keep), diag.shape[1]))
+    return CouplingRows(K, K.T.tocsr(), keep % m, keep // m)
+
+
 @dataclass
 class Problem:
     """T-block problem coupled through ``sum_t A_t x_t = b``.
 
     Iterates are flat vectors of length N = sum_t n_t, block after block
     (``offsets``); ``split`` gives their per-block views.  The
-    coupling is kept in stacked forms, each built on first use from
-    ``coupling_diag`` = diag(A_1, ..., A_T) (which :func:`load_problem`
-    supplies): ``coupling`` [A_1 ... A_T] (m x N), and ``coupling_rows``,
-    the nonzero rows of every A_t, block after block, as one CSR matrix K
-    with the coupling row and the block of each row (:class:`CouplingRows`).
-    One product with K gives every A_t x_t on those rows
+    coupling is kept in one stacked form, ``coupling_rows``: the nonzero
+    rows of every A_t, block after block, as one CSR matrix K with the
+    coupling row and the block of each row (:class:`CouplingRows`), which
+    :func:`load_problem` supplies and a hand-built problem makes on first
+    use.  One product with K gives every A_t x_t on those rows
     (``block_products``); ``row_sums`` adds them into Ax in block order, as
     a loop over the blocks adds it, and one product with K' gives every
     A_t'v_t (``block_products_T``).  The cost of each is linear in the
@@ -824,33 +825,10 @@ class Problem:
         return np.concatenate([blk.set.upper for blk in self.blocks])
 
     @cached_property
-    def coupling(self):
-        """[A_1 ... A_T] (m x N) in CSR: the rows of ``coupling_diag`` added
-        up per coupling row, in block order."""
-        diag = self.coupling_diag
-        keep = np.flatnonzero(np.diff(diag.indptr))
-        row = keep % max(self.m, 1)
-        order = np.argsort(row, kind="stable")
-        rows = diag[keep[order]]
-        return sp.csr_matrix(
-            (rows.data, rows.indices,
-             rows.indptr[np.searchsorted(row[order], np.arange(self.m + 1))]),
-            shape=(self.m, diag.shape[1]))
-
-    @cached_property
-    def coupling_diag(self):
-        """diag(A_1, ..., A_T) in CSR, each A_t's entries in their order."""
-        return _block_diag([blk.coupling for blk in self.blocks])
-
-    @cached_property
     def coupling_rows(self):
         """The rows of diag(A_1, ..., A_T) that hold an entry."""
-        diag = self.coupling_diag
-        keep = np.flatnonzero(np.diff(diag.indptr))
-        K = sp.csr_matrix((diag.data, diag.indices,
-                           diag.indptr[np.r_[0, keep + 1]]),
-                          shape=(len(keep), diag.shape[1]))
-        return CouplingRows(K, K.T.tocsr(), keep % self.m, keep // self.m)
+        return _coupling_rows(
+            _block_diag([blk.coupling for blk in self.blocks]), self.m)
 
     @cached_property
     def block_index(self):
@@ -987,6 +965,10 @@ class Params:
             raise ValueError("penalty parameters must be positive")
         if self.tau_x < 0 or self.tau_z < 0:
             raise ValueError("proximal weights must be nonnegative")
+        if not np.isfinite([self.rho, self.theta, self.tau_x,
+                            self.tau_z]).all():
+            raise ValueError("penalty parameters and proximal weights must "
+                             "be finite")
 
 
 @dataclass
@@ -1075,11 +1057,13 @@ def validate_problem(problem):
         if blk.objective.n != blk.n:
             rep.errors.append(
                 f"block {t}: objective dimension {blk.objective.n} != n={blk.n}")
+        if not blk.set.equalities:
+            continue
         try:
             blk.set.equality_map  # built once here; building checks the rows
         except ValueError as exc:
             rep.errors.append(f"block {t}: {exc}")
-        if blk.set.equalities and not blk.set.all_bounds_finite:
+        if not blk.set.all_bounds_finite:
             rep.warnings.append(
                 f"block {t}: equality constraints with unbounded box; "
                 "compactness of the block set cannot be verified")
@@ -1091,7 +1075,7 @@ def validate_problem(problem):
         rep.errors.append("b holds a value that is not finite")
     if rep.errors:
         return rep
-    rank = coupling_rank(problem.coupling)
+    rank = coupling_rank(_coupling_entries(problem))
     if rank < problem.m:
         rep.errors.append(
             f"coupling matrix rank-deficient: rank {rank} < m={problem.m}")
@@ -1102,40 +1086,49 @@ def _nonfinite_data(problem):
     """``(t, "objective")`` and ``(t, "coupling")`` for each block t whose
     objective or coupling holds a value that is not finite, in block order,
     read off the stacked forms."""
-    def bad_rows(diag):
-        bad = np.flatnonzero(~np.isfinite(diag.data))
-        return np.searchsorted(diag.indptr, bad, side="right") - 1
+    def bad_rows(mat):
+        bad = np.flatnonzero(~np.isfinite(mat.data))
+        return np.searchsorted(mat.indptr, bad, side="right") - 1
 
     c0 = np.array([blk.objective.c0 for blk in problem.blocks])
     objective = np.concatenate([
         problem.block_index[bad_rows(problem.objective_Q)],
         problem.block_index[~np.isfinite(problem.objective_c)],
         np.flatnonzero(~np.isfinite(c0))])
-    coupling = bad_rows(problem.coupling_diag) // max(problem.m, 1)
+    coupling = problem.coupling_rows.block[bad_rows(problem.coupling_rows.K)]
     found = [(int(t), "objective") for t in np.unique(objective)]
     found += [(int(t), "coupling") for t in np.unique(coupling)]
     return sorted(found, key=lambda item: item[0])
 
 
+def _coupling_entries(problem):
+    """[A_1 ... A_T] (m x N) as a COO matrix: the entries of
+    ``coupling_rows``' K, each in its coupling row."""
+    K, _, row, _ = problem.coupling_rows
+    return sp.coo_matrix(
+        (K.data, (np.repeat(row, np.diff(K.indptr)), K.indices)),
+        shape=(problem.m, K.shape[1]))
+
+
 def coupling_rank(A):
-    """Numerical rank of the sparse matrix A, by one dense pivoted QR per
-    connected component of its rows (:func:`row_components`): A is block
-    diagonal up to permutations, and its rank is the sum of the components'
-    ranks.  One scale serves every component: a pivot counts when it
-    exceeds RANK_DROP_TOL times the largest first pivot over all of them."""
-    if not isinstance(A, sp.csr_matrix):
-        A = sp.csr_matrix(A)
+    """Numerical rank of the sparse matrix A, read through its COO entries,
+    by one dense pivoted QR per connected component of its rows
+    (:func:`row_components`): A is block diagonal up to permutations, and
+    its rank is the sum of the components' ranks.  One scale serves every
+    component: a pivot counts when it exceeds RANK_DROP_TOL times the
+    largest first pivot over all of them."""
+    A = sp.coo_matrix(A)
     m, N = A.shape
     comp = row_components(A)
     count = int(comp.max()) + 1 if m else 0
     if count <= 1:
         parts = [A.toarray()]
     else:
-        row = np.repeat(np.arange(m), np.diff(A.indptr))
+        row, col = A.row, A.col
         # the rows and then the used columns of each component, numbered
         # from 0; the unused columns make one more group, ``count``
         label = np.concatenate([comp, np.full(N, count)])
-        label[m + A.indices] = comp[row]
+        label[m + col] = comp[row]
         groups = np.bincount(label, minlength=count + 1)
         order = np.argsort(label, kind="stable")
         slot = np.empty(m + N, dtype=int)
@@ -1147,7 +1140,7 @@ def coupling_rank(A):
         base = np.cumsum(size) - size
         c = comp[row]
         dense = np.bincount(
-            base[c] + slot[row] * cols[c] + slot[m + A.indices] - rows[c],
+            base[c] + slot[row] * cols[c] + slot[m + col] - rows[c],
             weights=A.data, minlength=int(size.sum()))
         parts = [dense[base[k]:base[k] + size[k]].reshape(rows[k], cols[k])
                  for k in np.flatnonzero(size)]
@@ -1164,15 +1157,17 @@ def coupling_rank(A):
 
 
 def row_components(A):
-    """The connected component of each row of the CSR matrix A, two rows
-    being linked when they share a column, numbered from 0 in the order of
-    their first rows.  The rows and columns are the nodes of a forest
-    (``parent``), an entry of A joins its row and column; each round hooks
-    the larger root of every entry whose ends sit in different trees under
-    the least such root it meets, then points every node at its root."""
+    """The connected component of each row of the sparse matrix A, read
+    through its COO entries, two rows being linked when they share a
+    column, numbered from 0 in the order of their first rows.  The rows and
+    columns are the nodes of a forest (``parent``), an entry of A joins its
+    row and column; each round hooks the larger root of every entry whose
+    ends sit in different trees under the least such root it meets, then
+    points every node at its root."""
+    A = sp.coo_matrix(A)
     m, N = A.shape
-    u = np.repeat(np.arange(m), np.diff(A.indptr))
-    v = m + A.indices
+    u = A.row
+    v = m + A.col
     parent = np.arange(m + N)
     while True:
         pu, pv = parent[u], parent[v]
@@ -1271,10 +1266,11 @@ def load_problem(text):
     equality's Q into one more stack, and those of every A_t into
     diag(A_1, ..., A_T); each stack's values, and the c, c0, b and bounds
     of the document, are checked at once for values that are not finite
-    (a bound may be infinite, but not NaN).  The problem keeps the stacks
-    of Q_t and A_t as its stacked forms.  Each block's Q_t and A_t, and
-    each equality's Q, is a view on its stack, built as a CSR matrix when
-    it is first read.  Errors name the first fault in document order.
+    (a bound may be infinite, but not NaN).  The problem keeps the stack
+    of Q_t as ``objective_Q`` and the nonzero rows of the stack of A_t as
+    ``coupling_rows``.  Each block's Q_t and A_t, and each equality's Q, is
+    a view on its stack, built as a CSR matrix when it is first read.
+    Errors name the first fault in document order.
 
     The cyclic garbage collector is paused meanwhile: the parsed document
     is a great many lists that hold no cycles, and the collections their
@@ -1386,7 +1382,7 @@ def _problem_from_text(text):
     for (eqs, j, ec, ec0), E_j in zip(equality_slots, E_views):
         eqs[j] = Quadratic._of_view(E_j, ec, ec0, symmetric_eqs)
     problem = Problem(m=m, b=b, blocks=blocks)
-    problem.coupling_diag = A
+    problem.coupling_rows = _coupling_rows(A, m)
     problem.objective_c = objective_c
     problem.lower, problem.upper = lower, upper
     if symmetric and all(len(c) == n for n, c, _, _ in parsed):

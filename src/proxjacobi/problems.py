@@ -3,9 +3,9 @@
 Provides seeded coupled quadratic programs with exact KKT solutions, a
 multi-period ramp-limited dispatch model (convex surrogate, so the KKT
 oracle applies), a desk-scale nonconvex AC optimal power flow toy in polar
-coordinates, and the block-separable objective lower bound (closed form,
-one linear solve or the active-set QP per block; one batched eigenvalue
-test and one batched solve per group of unconstrained quadratic blocks).
+coordinates, and the block-separable objective lower bound, one pass per
+group of blocks solved together (closed form, one batched solve or one
+call of the active-set QP on the group's stacks).
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .model import (BlockSpec, ConstraintSet, PolarBalance, Problem,
-                    Quadratic, triplets_to_csr)
+                    Quadratic, _coupling_entries, _dot, _matvec,
+                    triplets_to_csr)
 from .subsolver import solve_box_qp
 
 KKT_RESIDUAL_TOL = 1e-10
@@ -353,13 +354,13 @@ def kkt_reference_solve(problem):
     """Certified KKT solve for convex-quadratic problems with linear
     equalities and boxes.
 
-    Assembles the block-diagonal Q and c and one constraint matrix that
-    stacks the block equality rows over the coupling, and solves with the
-    block solver's active-set QP: the point and multipliers satisfy the KKT
-    conditions, box multiplier signs included, to 1e-10, and the point is a
-    strict local minimizer.  Errors on a nonlinear equality, a singular KKT
-    system, a point without that certificate or an active set that does not
-    settle.
+    Assembles the dense Q of ``objective_Q`` and one constraint matrix that
+    stacks the block equality rows over [A_1 ... A_T], read off
+    ``coupling_rows``, and solves with the block solver's active-set QP:
+    the point and multipliers satisfy the KKT conditions, box multiplier
+    signs included, to 1e-10, and the point is a strict local minimizer.
+    Errors on a nonlinear equality, a singular KKT system, a point without
+    that certificate or an active set that does not settle.
     """
     eq_rows = []
     for blk in problem.blocks:
@@ -368,118 +369,94 @@ def kkt_reference_solve(problem):
             raise ValueError("block has a nonlinear equality constraint")
         eq_rows.append(rows)
     C = np.vstack([scipy.linalg.block_diag(*[C_t for C_t, _ in eq_rows]),
-                   problem.coupling.toarray()])
+                   _coupling_entries(problem).toarray()])
     d = np.concatenate([d_t for _, d_t in eq_rows] + [problem.b])
-    Q = scipy.linalg.block_diag(*[blk.Q_dense for blk in problem.blocks])
     x, mu, passes = solve_box_qp(
-        Q[None], problem.objective_c[None], C, d[None], problem.lower[None],
-        problem.upper[None], rtol=KKT_RESIDUAL_TOL)
+        problem.objective_Q.toarray()[None], problem.objective_c[None], C,
+        d[None], problem.lower[None], problem.upper[None],
+        rtol=KKT_RESIDUAL_TOL)
     if not passes[0]:
         raise ValueError("no certified KKT point (singular system, no strict "
                          "minimizer or an active set that does not settle)")
     x, mu = x[0], mu[0]
-    objective = sum(blk.objective.value(xt)
-                    for blk, xt in zip(problem.blocks, problem.split(x)))
     return OracleSolution(
         x_star=x, lambda_star=mu[len(d) - problem.m:],
-        objective=float(objective), provenance="kkt-linear-solve")
+        objective=problem.objective_value(x), provenance="kkt-linear-solve")
 
 
-def _box_quadratic_min_diag(qdiag, c, c0, lo, hi):
-    """Coordinatewise min of 0.5 q x^2 + c x over [lo, hi]; errors if any
-    coordinate is unbounded below."""
-    total = c0
-    for q, ci, l, u in zip(qdiag, c, lo, hi):
-        phi = lambda v: 0.5 * q * v * v + ci * v
-        if q > 0:
-            total += phi(min(max(-ci / q, l), u))
-        elif q == 0:
-            if ci > 0:
-                if not np.isfinite(l):
-                    raise ValueError("coordinate unbounded below")
-                total += phi(l)
-            elif ci < 0:
-                if not np.isfinite(u):
-                    raise ValueError("coordinate unbounded below")
-                total += phi(u)
-        else:
-            # concave coordinate: minimum at an endpoint, both must be finite
-            if not (np.isfinite(l) and np.isfinite(u)):
-                raise ValueError("coordinate unbounded below")
-            total += min(phi(l), phi(u))
-    return total
-
-
-def _block_minimum(blk):
-    """min f_t over X_t of one block; raises ValueError when it is not
-    certified."""
-    f, Q = blk.objective, blk.Q_dense
-    lo, hi = blk.set.lower, blk.set.upper
-    if not blk.set.equalities and not np.any(Q - np.diag(np.diag(Q))):
-        return _box_quadratic_min_diag(np.diag(Q), f.c, f.c0, lo, hi)
-    rows = blk.set.linear_rows
-    if rows is None:
-        raise ValueError("nonlinear equality constraint")
-    evals = np.linalg.eigvalsh(Q)
-    if blk.set.equalities or blk.set.has_bounds:
-        if evals[0] < -1e-10:
-            raise ValueError("nonconvex objective")
-        C, d = rows
-        x, _, passes = solve_box_qp(Q[None], f.c[None], C, d[None], lo[None],
-                                    hi[None], rtol=KKT_RESIDUAL_TOL)
-        if not passes[0]:
-            raise ValueError("no certified minimizer")
-        return f.value(x[0])
-    if evals[0] <= 1e-12:
-        raise ValueError("nonconvex or singular non-diagonal objective")
-    x = np.linalg.solve(Q, -f.c)
-    return 0.5 * x @ (Q @ x) + f.c @ x + f.c0
-
-
-def _unconstrained_minima(problem, grp):
-    """min f_t of the blocks of an unconstrained quadratic group whose Q_t
-    is not diagonal, by one batched eigenvalue test and one batched solve,
-    each equal bit for bit to what :func:`_block_minimum` finds; blocks that
-    fail the test are left out, for it to refuse."""
-    idx = np.arange(grp.n)
-    diag = np.zeros_like(grp.Q)
-    diag[:, idx, idx] = grp.Q[:, idx, idx]
-    full = np.flatnonzero((grp.Q - diag).any(axis=(1, 2)))
-    if not full.size:
-        return {}
-    Q, c = grp.Q[full], grp.take(problem.objective_c)[full]
-    try:
-        ok = np.linalg.eigvalsh(Q)[:, 0] > 1e-12
-        Q, c, full = Q[ok], c[ok], full[ok]
-        x = np.linalg.solve(Q, -c[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return {}
-    minima = {}
-    for i, Qt, xt in zip(full, Q, x):
-        f = problem.blocks[grp.blocks[i]].objective
-        minima[grp.blocks[i]] = 0.5 * xt @ (Qt @ xt) + f.c @ xt + f.c0
-    return minima
+def _diagonal_minima(q, c, lo, hi):
+    """Per coordinate, min of 0.5 q x^2 + c x over [lo, hi], for stacks
+    (k, n) (a concave coordinate at an endpoint), and whether each row has
+    a coordinate unbounded below."""
+    phi = lambda v: 0.5 * q * v * v + c * v
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.select(
+            [q > 0, (q == 0) & (c > 0), (q == 0) & (c < 0), q < 0],
+            [phi(np.minimum(np.maximum(-c / q, lo), hi)), phi(lo), phi(hi),
+             np.minimum(phi(lo), phi(hi))])
+    needs_lo = (q < 0) | ((q == 0) & (c > 0))
+    needs_hi = (q < 0) | ((q == 0) & (c < 0))
+    unbounded = (needs_lo & np.isinf(lo)) | (needs_hi & np.isinf(hi))
+    return values, unbounded.any(axis=1)
 
 
 def separable_lower_bound(problem):
-    """sum_t min_{x_t in X_t} f_t(x_t), certified per block.
+    """sum_t min_{x_t in X_t} f_t(x_t), certified per block, in one pass
+    per quadratic group.
 
     Diagonal quadratics over boxes take the coordinatewise closed form
     (concave coordinates included); unconstrained positive definite
-    quadratics one linear solve, batched over each unconstrained quadratic
-    group; convex quadratics with linear equalities or a box the active-set
-    QP, certified to 1e-10.  Anything else raises: the bound would require
-    global optimization.  The minima are summed in block order.
+    quadratics one linear solve, batched over the group; convex quadratics
+    with linear equalities or a box the active-set QP, one call for the
+    group, certified to 1e-10.  Anything else raises, naming the lowest such
+    block: the bound would require global optimization.  A block's terms
+    are summed in coordinate order, and the minima in block order.
     """
-    minima = {}
+    c0 = np.array([blk.objective.c0 for blk in problem.blocks])
+    minima = np.zeros(problem.T)
+    refused = {}
     for grp in problem.quadratic_groups:
+        ts = np.array(grp.blocks)
+        if grp.kind == "alm":
+            refused.update(dict.fromkeys(ts, "nonlinear equality constraint"))
+            continue
+        Q, lo, hi = grp.Q, grp.lower, grp.upper
+        c = grp.take(problem.objective_c)
+        q = np.diagonal(Q, axis1=1, axis2=2)
+        # the blocks without equalities whose Q_t is diagonal
+        closed = ((np.count_nonzero(Q, axis=(1, 2))
+                   == np.count_nonzero(q, axis=1)) & (grp.kind != "qp"))
+        values, unbounded = _diagonal_minima(q[closed], c[closed], lo[closed],
+                                             hi[closed])
+        # cumsum adds in order, as a loop over the coordinates does
+        minima[ts[closed]] = np.cumsum(
+            np.column_stack([c0[ts[closed]], values]), axis=1)[:, -1]
+        refused.update(dict.fromkeys(ts[closed][unbounded],
+                                     "coordinate unbounded below"))
+        rest = np.flatnonzero(~closed)
+        if not rest.size:
+            continue
+        lowest = np.linalg.eigvalsh(Q[rest])[:, 0]
         if grp.kind == "exact":
-            minima.update(_unconstrained_minima(problem, grp))
-    total = 0.0
-    for t, blk in enumerate(problem.blocks):
-        try:
-            total += minima[t] if t in minima else _block_minimum(blk)
-        except ValueError as exc:
-            raise ValueError(
-                f"block {t}: lower bound unavailable ({exc})") from exc
-    return float(total)
+            ok = lowest > 1e-12
+            reason = "nonconvex or singular non-diagonal objective"
+        else:
+            ok = lowest >= -1e-10
+            reason = "nonconvex objective"
+        refused.update(dict.fromkeys(ts[rest[~ok]], reason))
+        rest = rest[ok]
+        if grp.kind == "exact":
+            x = np.linalg.solve(Q[rest], -c[rest][..., None])[..., 0]
+        else:
+            C, d = ((grp.C, grp.d[rest]) if grp.kind == "qp" else
+                    (np.zeros((0, grp.n)), np.zeros((len(rest), 0))))
+            x, _, passes = solve_box_qp(Q[rest], c[rest], C, d, lo[rest],
+                                        hi[rest], rtol=KKT_RESIDUAL_TOL)
+            refused.update(dict.fromkeys(ts[rest[passes == 0]],
+                                         "no certified minimizer"))
+        minima[ts[rest]] = (0.5 * _dot(x, _matvec(Q[rest], x))
+                            + _dot(c[rest], x) + c0[ts[rest]])
+    if refused:
+        t = min(refused)
+        raise ValueError(f"block {t}: lower bound unavailable ({refused[t]})")
+    return float(np.cumsum(minima)[-1])

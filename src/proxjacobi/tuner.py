@@ -8,6 +8,7 @@ augmented-Lagrangian penalty is driven up or down to balance the primal and
 dual residual magnitudes.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from . import jacobi
@@ -36,6 +37,9 @@ class TunerConfig:
     max_outer: int = 10000
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
         for name in ("rho0", "omega", "kappa_x", "kappa_z", "zeta", "Psi"):

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxjacobi import auglag, jacobi, problems, tuner
 from proxjacobi import cli
@@ -273,7 +274,7 @@ def test_criterion_09_local_contraction():
             Q[off:off + blk.n, off:off + blk.n] = blk.objective.Q.toarray()
             c[off:off + blk.n] = blk.objective.c
             off += blk.n
-        A = prob.coupling.toarray()
+        A = sp.hstack([blk.coupling for blk in prob.blocks]).toarray()
         # fixed point of the penalty formulation: stationarity plus
         # Ax - lam/theta = b with lam = -theta z
         K = np.block([[Q, A.T], [A, -np.eye(prob.m) / params.theta]])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxjacobi import problems
 from proxjacobi.algebra import (couple_apply, r_matrix_eigencheck,
@@ -22,7 +23,8 @@ def random_blocks(problem, seed):
 
 def test_couple_apply_matches_dense(qp):
     x = random_blocks(qp, 0)
-    dense = qp.coupling.toarray() @ np.concatenate(x)
+    dense = sp.hstack([blk.coupling for blk in qp.blocks]).toarray() \
+        @ np.concatenate(x)
     assert np.allclose(couple_apply(qp, np.concatenate(x)), dense,
                        atol=1e-12)
     # the block sums are added in block order, bit for bit as a loop does

@@ -144,7 +144,7 @@ def test_penalty_residuals_formulas(qp):
         penalty_residuals(qp, state, params)
     for _ in range(3):
         jacobi.iterate(qp, state, params, cfg)
-    snap = penalty_residuals(qp, state, params, feas_tol=np.inf)
+    snap = penalty_residuals(qp, state, params)
     p = couple_apply(qp, state.x) + state.z - qp.b
     assert np.allclose(snap.p, p, atol=1e-12)
     assert snap.pi == pytest.approx(
@@ -325,7 +325,7 @@ class TestBlockLoops:
     def test_penalty_dual_residuals(self, sparse_coupling_problem):
         prob = sparse_coupling_problem
         s = random_state(prob, 2)
-        snap = penalty_residuals(prob, s, PARAMS, feas_tol=np.inf)
+        snap = penalty_residuals(prob, s, PARAMS)
         Adx = [blk.coupling @ (xt - xp) for blk, xt, xp
                in zip(prob.blocks, prob.split(s.x), prob.split(s.x_prev))]
         d_x = prob.split(snap.d_x)

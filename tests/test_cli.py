@@ -241,8 +241,15 @@ class TestSolve:
         (["--max-iters", "0"], "max_outer (--max-iters) must be at least 1"),
         (["--max-iters", "-3", "--fixed-params"],
          "max_outer (--max-iters) must be at least 1"),
-        (["--eps", "-1"], "eps must lie in (0, 1)")],
-        ids=["workers", "max-iters-zero", "max-iters-negative", "eps"])
+        (["--eps", "-1"], "eps must lie in (0, 1)"),
+        (["--fixed-params", "--rho", "0"],
+         "penalty parameters must be positive"),
+        (["--fixed-params", "--tau-z", "-1"],
+         "proximal weights must be nonnegative"),
+        (["--fixed-params", "--rho", "nan"],
+         "penalty parameters and proximal weights must be finite")],
+        ids=["workers", "max-iters-zero", "max-iters-negative", "eps",
+             "fixed-rho-zero", "fixed-tau-z-negative", "fixed-rho-nan"])
     def test_out_of_range_budget_rejected(self, qp_file, tmp_path, capsys,
                                           flags, message):
         # an out-of-range budget is one error line and exit 1, before any
@@ -280,6 +287,14 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(qp_file), "--omega", "16"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_config_nonfinite_value_rejected(self, qp_file, tmp_path, capsys,
+                                             value):
+        cfgf = tmp_path / "tuner.cfg"
+        cfgf.write_text(f"rho0 = {value}\n")
+        assert main(["solve", str(qp_file), "--config", str(cfgf)]) == EXIT_IO
+        assert capsys.readouterr().err == "error: rho0 must be finite\n"
 
     def test_bad_config(self, qp_file, tmp_path):
         cfgf = tmp_path / "tuner.cfg"
@@ -457,6 +472,24 @@ class TestTraceCheck:
         ofile = tmp_path / "other.json"
         ofile.write_text(save_problem(other))
         assert main(["trace-check", str(trc), str(ofile)]) == EXIT_IO
+
+    def test_invalid_problem_is_reported(self, tmp_path, capsys):
+        # a problem that loads but fails validation gets the errors that
+        # solve prints and exit 1, before the trace is replayed
+        prob = problems.gen_multiperiod_dispatch(3, 2, 0.1)
+        pfile, trc = tmp_path / "p.json", tmp_path / "t.csv"
+        pfile.write_text(save_problem(prob))
+        main(["solve", str(pfile), "--trace", str(trc), "--no-timings",
+              "--max-iters", "3"])
+        doc = json.loads(pfile.read_text())
+        doc["blocks"][0]["objective"]["c"].pop()
+        pfile.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", str(pfile)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == "error: block 0: objective dimension 3 != n=4\n"
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_IO
+        assert capsys.readouterr() == ("", err)
 
     def test_truncated_trace(self, tmp_path):
         pfile, trc = self.run_solve(tmp_path)

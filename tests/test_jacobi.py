@@ -529,7 +529,7 @@ def test_batched_dual_residuals_match_reference(qp, case):
         assert grp.kind == "alm" and grp.blocks == [0, 1, 2, 3]
         state.x[:] = 0.9 * state.x + 0.05 * (prob.lower + prob.upper)
         x[2][0] = prob.blocks[2].set.upper[0]
-    delta = penalty_residuals(prob, state, params, feas_tol=np.inf).delta
+    delta = penalty_residuals(prob, state, params).delta
     ref = [dual_residual(prob, t, x[t], state.lam, feas_tol=np.inf)
            for t in range(prob.T)]
     assert len(delta) == prob.T

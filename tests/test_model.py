@@ -214,10 +214,15 @@ class TestLoader:
         assert ("objective_Q" in vars(prob)) == (seed % 2 == 1)
         # the stacks the loader keeps are the ones the blocks give
         again = Problem(m=prob.m, b=prob.b, blocks=prob.blocks)
-        assert_same_csr(prob.coupling_diag, again.coupling_diag)
+        K, KT, row, block = prob.coupling_rows
+        assert_same_csr(K, again.coupling_rows.K)
+        assert_same_csr(KT, again.coupling_rows.KT)
+        assert np.array_equal(row, again.coupling_rows.row)
+        assert np.array_equal(block, again.coupling_rows.block)
         assert_same_csr(prob.objective_Q, again.objective_Q)
-        assert_same_csr(prob.coupling, sp.hstack(
-            [blk.coupling for blk in prob.blocks], format="csr"))
+        assert np.array_equal(model._coupling_entries(prob).toarray(),
+                              sp.hstack([blk.coupling for blk in prob.blocks],
+                                        format="csr").toarray())
         for name in ("objective_c", "lower", "upper"):
             assert np.array_equal(getattr(prob, name), getattr(again, name))
         text = save_problem(prob)
@@ -472,6 +477,14 @@ class TestParams:
         p = Params(rho=1.0, theta=1.0, tau_x=0.0, tau_z=0.0)
         assert p.tau_x == 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["rho", "theta", "tau_x", "tau_z"])
+    def test_nonfinite_rejected(self, name, value):
+        values = dict(rho=1.0, theta=1.0, tau_x=1.0, tau_z=1.0)
+        values[name] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            Params(**values)
+
 
 class TestSerialization:
     def test_round_trip_byte_stable(self):
@@ -681,7 +694,7 @@ class TestCouplingRank:
                  problems.gen_acopf_toy(problems.toy_network(nbus=3, T=6), 6)]
         cases.append(variable_splitting_transform(cases[1]))
         for prob in cases:
-            A = prob.coupling
+            A = sp.hstack([blk.coupling for blk in prob.blocks], format="csr")
             assert coupling_rank(A) == dense_rank(A) == prob.m
             assert validate_problem(prob).ok
 
@@ -726,7 +739,8 @@ class TestCouplingRows:
             for i, t in enumerate(grp.blocks):
                 blk = prob.blocks[t]
                 A = blk.coupling.toarray()
-                assert np.array_equal(grp.Q[i], blk.Q_dense), t
+                assert np.array_equal(grp.Q[i],
+                                      blk.objective.Q.toarray()), t
                 assert np.array_equal(grp.AtA[i], A.T @ A), t
 
     def test_objective_value_is_sum_of_blocks(self, sparse_coupling_problem):

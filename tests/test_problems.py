@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxjacobi import problems
 from proxjacobi.algebra import couple_apply
-from proxjacobi.model import (Quadratic, save_problem, validate_problem,
-                              variable_splitting_transform)
+from proxjacobi.model import (Quadratic, load_problem, save_problem,
+                              validate_problem, variable_splitting_transform)
 from proxjacobi.problems import (acopf_block_layout, gen_acopf_toy,
                                  gen_coupled_qp, gen_multiperiod_dispatch,
                                  kkt_reference_solve, separable_lower_bound,
@@ -40,7 +41,7 @@ class TestCoupledQp:
             prob, oracle = build_qp(seed)
             assert np.allclose(couple_apply(prob, oracle.x_star), prob.b,
                                atol=1e-9)
-            A = prob.coupling.toarray()
+            A = sp.hstack([blk.coupling for blk in prob.blocks]).toarray()
             off = 0
             for blk, xt in zip(prob.blocks, prob.split(oracle.x_star)):
                 g = blk.objective.gradient(xt) \
@@ -145,13 +146,15 @@ def lower_bound_problem(singular=None):
 
 class TestLowerBound:
     def test_batched_groups_match_block_by_block(self):
+        # the reference minimizes each block over its own box by
+        # enumerating the active sets
         prob = lower_bound_problem()
         assert {len(g.blocks) for g in prob.quadratic_groups
                 if g.kind == "exact"} == {2, 4}
-        total = 0.0
-        for blk in prob.blocks:
-            total += problems._block_minimum(blk)
-        assert separable_lower_bound(prob) == float(total)
+        total = sum(box_quadratic_min_enum(
+            blk.objective.Q.toarray(), blk.objective.c, blk.objective.c0,
+            blk.set.lower, blk.set.upper) for blk in prob.blocks)
+        assert separable_lower_bound(prob) == pytest.approx(total, rel=1e-12)
 
     def test_batched_refusal_names_the_first_block(self):
         # block 6 fails the batched test of its group; the refusal comes in
@@ -197,16 +200,38 @@ class TestLowerBound:
         import scipy.sparse as sp
         from proxjacobi.model import (BlockSpec, ConstraintSet, Problem)
         f = Quadratic(sp.csr_matrix(np.array([[-2.0]])), np.zeros(1))
-        blk = BlockSpec(n=1, objective=f,
-                        set=ConstraintSet(np.array([-np.inf]),
-                                          np.array([np.inf])),
-                        coupling=sp.csr_matrix((0, 1)))
-        prob = Problem(m=0, b=np.zeros(0), blocks=[blk])
+
+        def one_block(lo, hi):
+            blk = BlockSpec(n=1, objective=f,
+                            set=ConstraintSet(np.array([lo]), np.array([hi])),
+                            coupling=sp.csr_matrix((0, 1)))
+            return Problem(m=0, b=np.zeros(0), blocks=[blk])
+
         with pytest.raises(ValueError, match="unavailable"):
-            separable_lower_bound(prob)
+            separable_lower_bound(one_block(-np.inf, np.inf))
         # with a finite box the concave minimum sits at an endpoint
-        blk.set = ConstraintSet(np.array([-2.0]), np.array([1.0]))
-        assert separable_lower_bound(prob) == pytest.approx(-4.0)
+        assert separable_lower_bound(one_block(-2.0, 1.0)) == pytest.approx(
+            -4.0)
+
+    def test_diagonal_blocks_match_enumeration(self):
+        # one group of diagonal blocks over boxes with every kind of
+        # coordinate (convex, some unbounded below; linear; flat; concave):
+        # each block's closed form is the minimum over its active sets
+        from proxjacobi.model import (BlockSpec, ConstraintSet, Problem)
+        rng = np.random.default_rng(3)
+        blocks, total = [], 0.0
+        for t in range(6):
+            q = rng.choice([-1.0, 0.0, 1.5], 4)
+            c = rng.choice([-1.0, 0.0, 2.0], 4) * rng.uniform(0.5, 1.5, 4)
+            lo, hi = -rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+            lo[(q > 0) & (rng.uniform(size=4) < 0.5)] = -np.inf
+            blocks.append(BlockSpec(
+                n=4, objective=Quadratic(sp.diags(q, format="csr"), c, 0.1 * t),
+                set=ConstraintSet(lo, hi), coupling=sp.csr_matrix((0, 4))))
+            total += box_quadratic_min_enum(np.diag(q), c, 0.1 * t, lo, hi)
+        prob = Problem(m=0, b=np.zeros(0), blocks=blocks)
+        assert [g.kind for g in prob.quadratic_groups] == ["box"]
+        assert separable_lower_bound(prob) == pytest.approx(total, rel=1e-12)
 
     def test_boxed_block_takes_the_qp(self):
         import scipy.sparse as sp
@@ -224,6 +249,33 @@ class TestLowerBound:
         prob = Problem(m=0, b=np.zeros(0), blocks=[blk])
         assert separable_lower_bound(prob) == pytest.approx(
             box_quadratic_min_enum(Q, c, 0.7, lo, hi), rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["qp", "dispatch"])
+def test_loaded_problem_reads_only_the_stacks(kind):
+    # validation, the KKT oracle and the lower bound of a loaded problem
+    # build no block's A_t or Q_t (nor an equality's Q), and give what they
+    # give for the problem as built
+    built = {"qp": lambda: problems.coupled_qp(2, 5, 3, 4),
+             "dispatch": lambda: gen_multiperiod_dispatch(5, 3, 0.2)}[kind]()
+    loaded = load_problem(save_problem(built))
+    results = []
+    for prob in (built, loaded):
+        report = validate_problem(prob)
+        oracle = kkt_reference_solve(prob)
+        try:
+            bound = separable_lower_bound(prob)
+        except ValueError as exc:
+            bound = str(exc)
+        results.append((report.errors, report.warnings,
+                        oracle.x_star.tolist(), oracle.lambda_star.tolist(),
+                        oracle.objective, bound))
+    for blk in loaded.blocks:
+        assert "coupling" not in vars(blk)
+        assert not any("Q" in vars(f) for f in [blk.objective,
+                                                 *blk.set.equalities])
+    assert results[0] == results[1]
+    assert results[0][0] == []
 
 
 def polar_point(blk, rng):

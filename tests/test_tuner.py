@@ -33,6 +33,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_outer"):
             TunerConfig(eps=1e-3, max_outer=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["eps", "rho0", "zeta", "nu_rho", "chi"])
+    def test_nonfinite_rejected(self, name, value):
+        values = {"eps": 1e-3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TunerConfig(**values)
+
 
 def test_init_params():
     cfg = TunerConfig(eps=1e-2)
