@@ -2,7 +2,8 @@
 
 Each iteration solves the T block subproblems independently (no block sees
 another block's current-iteration value), joins, then applies the
-closed-form z and lambda updates and emits one trace record.  Every
+closed-form z and lambda updates (``advance``) and emits one trace record,
+with the penalty residuals (``iterate``).  Every
 subproblem is an exact quadratic about the previous iterate, whose
 gradients come from one stacked product.  The blocks are partitioned into
 quadratic groups (``Problem.quadratic_groups``), and each group is solved
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import auglag
 from .algebra import couple_apply
-from .auglag import BlockObjective, penalty_residuals
+from .auglag import BlockObjective
 from .model import IterateState
 from .subsolver import (alm_cold_start, box_newton_rows, equality_alm_rows,
                         project_box, solve_box_qp, solve_quadratic_exact,
@@ -317,23 +318,27 @@ def lambda_update(problem, Ax, z_k, state, params):
     return state.lam + params.rho * (Ax + z_k - problem.b)
 
 
-def iterate(problem, state, params, config, phi_prev=None, pool=None):
-    """One full iteration: x, z, lambda updates, state advance, trace record.
+@dataclass
+class Step:
+    """What ``advance`` returns: the new Lyapunov value, the per-block inner
+    iteration counts, K(x - x_prev) at the new iterate, and the seconds of
+    its three phases (the sweep; the z and lambda updates with Ax; the
+    products Qx and K(x - x_prev) with the Lyapunov value)."""
 
-    ``phi_prev`` is the previous Lyapunov value (computed here if omitted);
+    phi: float
+    inner_iters: list
+    Kdx: np.ndarray
+    t_xupd: float
+    t_zupd: float
+    t_metrics: float
+
+
+def advance(problem, state, params, pool=None):
+    """Move ``state`` in place to the next iterate: the sweep, the z and
+    lambda updates, the products at the new x, Ax, Qx (both kept on the
+    state for the next sweep) and K(x - x_prev), and the Lyapunov value.
     ``pool`` is the run's worker pool (``worker_pool``; serial without).
-    Mutates ``state`` in place and returns the trace record.  The products
-    at the new x, Ax, K(x - x_prev) and Qx, are made once here and passed
-    to the Lyapunov value and the residuals; Ax and Qx stay on the state
-    for the next sweep.
-    """
-    if phi_prev is None:
-        if state.k == 0:
-            phi_prev = initial_lyapunov(problem, state, params)
-        else:
-            phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
-                                       state.x_prev, state.z_prev, params,
-                                       state.Ax, state.Qx)
+    Returns the :class:`Step`; it computes no residual."""
     t0 = time.perf_counter()
     x_k, inner_iters, alm = x_update_all(problem, state, params, pool)
     t1 = time.perf_counter()
@@ -357,21 +362,45 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
     Kdx = problem.block_products(x_k - state.x_prev)
     phi = auglag.lyapunov(problem, x_k, z_k, lam_k, state.x_prev,
                           state.z_prev, params, Ax_k, state.Qx, Kdx)
-    snap = penalty_residuals(problem, state, params, Ax=Ax_k, Kdx=Kdx,
-                             Qx=state.Qx)
-    t3 = time.perf_counter()
+    return Step(phi=phi, inner_iters=inner_iters, Kdx=Kdx, t_xupd=t1 - t0,
+                t_zupd=t2 - t1, t_metrics=time.perf_counter() - t2)
+
+
+def iterate(problem, state, params, config, phi_prev=None, pool=None):
+    """One full iteration: ``advance``, then the penalty residuals at the
+    new iterate, the trace record and the trace sink.
+
+    ``phi_prev`` is the previous Lyapunov value (computed here if omitted);
+    ``pool`` is the run's worker pool (``worker_pool``; serial without).
+    Mutates ``state`` in place and returns the trace record.  The residuals
+    reuse the products ``advance`` made at the new x; ``t_metrics_ms``
+    covers those products, the Lyapunov value and the residuals.
+    """
+    if phi_prev is None:
+        if state.k == 0:
+            phi_prev = initial_lyapunov(problem, state, params)
+        else:
+            phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
+                                       state.x_prev, state.z_prev, params,
+                                       state.Ax, state.Qx)
+    step = advance(problem, state, params, pool)
+    t0 = time.perf_counter()
+    snap = auglag.penalty_residuals(problem, state, params, Ax=state.Ax,
+                                    Kdx=step.Kdx, Qx=state.Qx)
+    t_metrics = step.t_metrics + time.perf_counter() - t0
+    ms = 1e3 if config.record_timings else 0.0
     rec = TraceRecord(
-        k=state.k, phi=phi, dphi=phi - phi_prev,
+        k=state.k, phi=step.phi, dphi=step.phi - phi_prev,
         coupling_inf=snap.infnorm_coupling,
         p_inf=snap.infnorm_p, d_inf=snap.infnorm_d,
         pi=snap.pi, delta_max=snap.delta_max,
         rho=params.rho, theta=params.theta,
         tau_x=params.tau_x, tau_z=params.tau_z,
-        t_xupd_ms=(t1 - t0) * 1e3 if config.record_timings else 0.0,
-        t_zupd_ms=(t2 - t1) * 1e3 if config.record_timings else 0.0,
-        inner_iters_total=int(sum(inner_iters)),
-        t_metrics_ms=(t3 - t2) * 1e3 if config.record_timings else 0.0,
-        inner_iters=inner_iters,
+        t_xupd_ms=step.t_xupd * ms,
+        t_zupd_ms=step.t_zupd * ms,
+        inner_iters_total=int(sum(step.inner_iters)),
+        t_metrics_ms=t_metrics * ms,
+        inner_iters=step.inner_iters,
         delta=snap.delta,
     )
     if config.trace_sink is not None:

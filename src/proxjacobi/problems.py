@@ -408,9 +408,11 @@ def separable_lower_bound(problem):
     (concave coordinates included); unconstrained positive definite
     quadratics one linear solve, batched over the group; convex quadratics
     with linear equalities or a box the active-set QP, one call for the
-    group, certified to 1e-10.  Anything else raises, naming the lowest such
-    block: the bound would require global optimization.  A block's terms
-    are summed in coordinate order, and the minima in block order.
+    group, certified to 1e-10, with each coordinate that neither the
+    objective nor the equalities touch pinned at its box point nearest 0.
+    Anything else raises, naming the lowest such block: the bound would
+    require global optimization.  A block's terms are summed in coordinate
+    order, and the minima in block order.
     """
     c0 = np.array([blk.objective.c0 for blk in problem.blocks])
     minima = np.zeros(problem.T)
@@ -450,8 +452,16 @@ def separable_lower_bound(problem):
         else:
             C, d = ((grp.C, grp.d[rest]) if grp.kind == "qp" else
                     (np.zeros((0, grp.n)), np.zeros((len(rest), 0))))
-            x, _, passes = solve_box_qp(Q[rest], c[rest], C, d, lo[rest],
-                                        hi[rest], rtol=KKT_RESIDUAL_TOL)
+            # an inert coordinate (a zero row of Q_t, a zero c entry and a
+            # zero column of C) changes neither the value nor the
+            # equalities, and left free it makes the free Hessian singular,
+            # so no minimizer is strict: it is pinned at its box point
+            # nearest 0
+            inert = ~Q[rest].any(axis=2) & (c[rest] == 0) & ~C.any(axis=0)
+            pin = np.clip(0.0, lo[rest], hi[rest])
+            x, _, passes = solve_box_qp(
+                Q[rest], c[rest], C, d, np.where(inert, pin, lo[rest]),
+                np.where(inert, pin, hi[rest]), rtol=KKT_RESIDUAL_TOL)
             refused.update(dict.fromkeys(ts[rest[passes == 0]],
                                          "no certified minimizer"))
         minima[ts[rest]] = (0.5 * _dot(x, _matvec(Q[rest], x))

@@ -199,7 +199,7 @@ def test_criterion_04_termwise_descent(theorem1_data):
 def test_criterion_05_identity_suite(theorem1_data, adaptive_runs):
     worst = max(d["worst_id"] for d in theorem1_data.values())
     for seed, (prob, _, _, trace, _) in adaptive_runs.items():
-        states, _ = cli.replay_trace(prob, trace)
+        states = cli.replay_trace(prob, trace)
         for state, rec in zip(states, trace):
             params = Params(rho=rec.rho, theta=rec.theta, tau_x=rec.tau_x,
                             tau_z=rec.tau_z)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxjacobi import cli, jacobi, problems, tuner
+from proxjacobi import auglag, cli, jacobi, problems, tuner
+from proxjacobi.algebra import spectral_norms
 from proxjacobi.cli import (EXIT_IO, EXIT_ITERATION_CAP, EXIT_NUMERICAL,
                             EXIT_OK, main)
-from proxjacobi.model import (BlockSpec, ConstraintSet, Problem, Quadratic,
-                              save_problem)
+from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
+                              Quadratic, save_problem)
 
 from conftest import build_qp
 
@@ -466,6 +467,21 @@ class TestTraceCheck:
         assert len(inner) >= 2 and max(inner[1:]) < inner[0]
         assert main(["trace-check", str(trc), str(pfile)]) == EXIT_OK
 
+    def test_fixed_params_dispatch_bound_checked(self, tmp_path, capsys):
+        # the lower bound pins each dispatch block's ramp slacks, which
+        # have no cost and no block equality, so the bound is checked
+        # (before, it was skipped: no lower-bound oracle)
+        pfile, trc = tmp_path / "p.json", tmp_path / "t.csv"
+        pfile.write_text(save_problem(
+            problems.gen_multiperiod_dispatch(4, 2, 0.1)))
+        assert main(["solve", str(pfile), "--fixed-params", "--eps", "1e-3",
+                     "--max-iters", "50", "--trace", str(trc),
+                     "--no-timings"]) == EXIT_ITERATION_CAP
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS  lyapunov monotonicity" in out
+        assert "PASS  bound existence" in out
+
     def test_problem_mismatch(self, tmp_path):
         pfile, trc = self.run_solve(tmp_path, seed=0)
         other, _ = build_qp(1)
@@ -508,6 +524,122 @@ class TestTraceCheck:
         with open(trc, "w", newline="") as fh:
             jacobi.write_trace_csv(records, fh)
         assert main(["trace-check", str(trc), str(pfile)]) == EXIT_ITERATION_CAP
+
+
+def _read_trace(path):
+    with open(path, newline="") as fh:
+        return jacobi.read_trace_csv(fh)
+
+
+def eager_bound_check(problem, records):
+    """The bound-existence verdict and detail as ``trace-check`` made them
+    when it replayed by ``jacobi.iterate``: the block dual residuals of
+    every iteration, from its record's ``delta``."""
+    params = [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x,
+                     tau_z=r.tau_z) for r in records]
+    state = jacobi.init_state(problem, *cli.default_start(problem), params[0])
+    config = jacobi.RunConfig(record_timings=False)
+    deltas = [jacobi.iterate(problem, state, p, config).delta
+              for p in params]
+    pi_bound, delta_bounds = auglag.theorem1_bounds(
+        records[0].phi, problems.separable_lower_bound(problem),
+        records[-1].phi, len(records), params[0],
+        spectral_norms(problem), problem.T)
+    ok = any(rec.pi <= pi_bound
+             and all(d <= db for d, db in zip(delta, delta_bounds))
+             for rec, delta in zip(records, deltas))
+    return ("bound existence", "pass" if ok else "fail",
+            f"pi bound {pi_bound:.3e}")
+
+
+class TestLeanReplay:
+    @staticmethod
+    def spy(monkeypatch, name, calls):
+        real = getattr(auglag, name)
+
+        def spied(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(auglag, name, spied)
+
+    @pytest.fixture
+    def fixed_qp(self, tmp_path):
+        # a constant-parameter, feasible-eta coupled-qp trace whose bound
+        # check passes
+        prob, _ = build_qp(3)
+        pfile, trc = tmp_path / "p.json", tmp_path / "t.csv"
+        pfile.write_text(save_problem(prob))
+        main(["solve", str(pfile), "--fixed-params", "--eps", "1e-2",
+              "--max-iters", "300", "--trace", str(trc), "--no-timings"])
+        return prob, _read_trace(trc), pfile, trc
+
+    def test_adaptive_trace_check_computes_no_residual(self, tmp_path,
+                                                        monkeypatch):
+        # an adaptive trace skips the bound check: the replay and the
+        # other checks need neither the penalty nor the dual residuals
+        pfile, trc = tmp_path / "p.json", tmp_path / "t.csv"
+        pfile.write_text(save_problem(
+            problems.gen_multiperiod_dispatch(6, 3, 0.1)))
+        assert main(["solve", str(pfile), "--eps", "1e-6", "--trace",
+                     str(trc), "--no-timings"]) == EXIT_OK
+        calls = []
+        for name in ("penalty_residuals", "dual_residuals"):
+            self.spy(monkeypatch, name, calls)
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_OK
+        assert len(_read_trace(trc)) > 2 and calls == []
+
+    def test_dual_residuals_stop_at_first_bounded_iteration(
+            self, fixed_qp, monkeypatch):
+        # the residuals are computed in order, at the iterations whose pi
+        # is within its bound, up to the first that meets every bound
+        prob, records, _, _ = fixed_qp
+        states = cli.replay_trace(prob, records)
+        params = [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x,
+                         tau_z=r.tau_z) for r in records]
+        pi_bound, delta_bounds = auglag.theorem1_bounds(
+            records[0].phi, problems.separable_lower_bound(prob),
+            records[-1].phi, len(records), params[0],
+            spectral_norms(prob), prob.T)
+        met = [rec.pi <= pi_bound
+               and all(d <= db for d, db in zip(
+                   auglag.dual_residuals(prob, s.x, s.lam), delta_bounds))
+               for rec, s in zip(records, states)]
+        first = met.index(True)
+        assert first < len(records) - 1
+        calls = []
+        self.spy(monkeypatch, "dual_residuals", calls)
+        report = cli.TraceCheckReport()
+        cli._check_theorem_bounds(prob, records, states, params, report)
+        assert report.results[0][1] == "pass"
+        examined = [j for j in range(first + 1) if records[j].pi <= pi_bound]
+        assert len(calls) == len(examined)
+        for (_, args), j in zip(calls, examined):
+            assert args[1] is states[j].x and args[2] is states[j].lam
+
+    @pytest.mark.parametrize("bounds", ["theorem", "zero delta", "zero"])
+    def test_verdict_equals_eager_reference(self, fixed_qp, monkeypatch,
+                                            capsys, bounds):
+        # the lazy check gives the verdict and detail of the check that
+        # computed every iteration's residuals, on a passing trace and on
+        # one that fails because its bounds are zero
+        prob, records, pfile, trc = fixed_qp
+        if bounds != "theorem":
+            real = auglag.theorem1_bounds
+
+            def zero(*args):
+                pi_bound, delta_bounds = real(*args)
+                return (0.0 if bounds == "zero" else pi_bound,
+                        [0.0] * len(delta_bounds))
+            monkeypatch.setattr(auglag, "theorem1_bounds", zero)
+        expected = eager_bound_check(prob, records)
+        assert expected[1] == ("pass" if bounds == "theorem" else "fail")
+        capsys.readouterr()
+        code = main(["trace-check", str(trc), str(pfile)])
+        assert code == (EXIT_OK if bounds == "theorem" else
+                        EXIT_ITERATION_CAP)
+        name, outcome, detail = expected
+        assert (f"{outcome.upper():5s} {name} ({detail})"
+                in capsys.readouterr().out.splitlines())
 
 
 def test_unknown_command_rejected():

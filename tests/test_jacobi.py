@@ -278,12 +278,16 @@ def test_iterate_makes_each_product_once(monkeypatch, case):
     # an iteration after the first makes K x and K(x - x_prev) at the new
     # x once each, K'v three times (the sweep's gradients, d_x and the dual
     # residuals' gradients) and Q x once: the metrics and the next sweep
-    # reuse them
+    # reuse them.  The trace replay, which computes no residual, makes K'v
+    # once per iteration
     prob = (problems.gen_multiperiod_dispatch(6, 3, 0.1)
             if case == "dispatch" else problems.coupled_qp(0, 8, 4, 3))
     params = Params(rho=2.0, theta=4.0, tau_x=20.0, tau_z=8.0)
-    state = init_state(prob, *default_start(prob), params)
     config = RunConfig(record_timings=False)
+    _, trace = run_fixed(prob, params,
+                         init_state(prob, *default_start(prob), params),
+                         RunConfig(record_timings=False, max_iters=3))
+    state = init_state(prob, *default_start(prob), params)
     rec = iterate(prob, state, params, config)
     counts = dict.fromkeys(
         ("block_products", "block_products_T", "objective_products"), 0)
@@ -302,6 +306,12 @@ def test_iterate_makes_each_product_once(monkeypatch, case):
     # the products the state carries are those at its x
     assert np.array_equal(state.Ax, couple_apply(prob, state.x))
     assert np.array_equal(state.Qx, prob.objective_Q @ state.x)
+    # the replay: one K x and one Q x from init_state, then per iteration
+    # K x, K(x - x_prev), the sweep's K'v and Q x
+    counts.update(dict.fromkeys(counts, 0))
+    assert len(cli.replay_trace(prob, trace)) == 3
+    assert counts == {"block_products": 1 + 2 * 3, "block_products_T": 3,
+                      "objective_products": 1 + 3}
 
 
 def random_state(problem, params, seed):
@@ -457,7 +467,7 @@ def test_iterations_never_split_the_iterate(monkeypatch, shape):
     _, adaptive, _ = tuner.run_adaptive(
         prob, cfg, tuner.make_initial_state(prob, cfg, *x0), run)
     for trace in (fixed, adaptive):
-        states, _ = cli.replay_trace(prob, trace)
+        states = cli.replay_trace(prob, trace)
         assert len(states) == len(trace) >= 2
 
 

@@ -251,6 +251,53 @@ class TestLowerBound:
             box_quadratic_min_enum(Q, c, 0.7, lo, hi), rel=0.0, abs=1e-10)
 
 
+    @pytest.mark.parametrize("inert_box", [(0.5, 2.0), (-1.0, 1.0)])
+    def test_inert_coordinate_matches_enumeration(self, inert_box):
+        import scipy.sparse as sp
+        from proxjacobi.model import (BlockSpec, ConstraintSet, Problem)
+        # a convex non-diagonal n = 4 block over a box whose coordinate 1
+        # has no cost: left free it makes the free Hessian singular, pinned
+        # it leaves the QP a strict minimizer, whose value is the minimum
+        # over the box
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((3, 3))
+        Q = np.zeros((4, 4))
+        Q[np.ix_([0, 2, 3], [0, 2, 3])] = M.T @ M + 0.1 * np.eye(3)
+        c = np.array([3.0, 0.0, -3.0, 0.5])
+        lo = np.array([-1.0, inert_box[0], -1.0, -np.inf])
+        hi = np.array([1.0, inert_box[1], np.inf, 0.5])
+        blk = BlockSpec(n=4, objective=Quadratic(sp.csr_matrix(Q), c, 0.7),
+                        set=ConstraintSet(lo, hi),
+                        coupling=sp.csr_matrix((0, 4)))
+        prob = Problem(m=0, b=np.zeros(0), blocks=[blk])
+        assert [g.kind for g in prob.quadratic_groups] == ["box"]
+        assert separable_lower_bound(prob) == pytest.approx(
+            box_quadratic_min_enum(Q, c, 0.7, lo, hi), rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_dispatch_below_oracle_objective(self, seed):
+        # a dispatch block's ramp slacks have no cost and no block equality;
+        # pinned, they leave every block a certified minimizer.  seed None
+        # is a 5-period dispatch at ramp 0.2, the seeds the benchmark's
+        # dispatch instances
+        if seed is None:
+            prob = gen_multiperiod_dispatch(5, 3, 0.2)
+        else:
+            prob = dispatch_workload(seed)
+        assert separable_lower_bound(prob) <= (
+            kkt_reference_solve(prob).objective + 1e-9)
+
+
+def dispatch_workload(seed):
+    """The benchmark's dispatch instance of ``seed`` (perfbench/workloads.py):
+    24 periods of 3 generators at ramp 0.1, the generator's sine load of
+    amplitude 0.03 plus uniform noise in +-0.002 per period."""
+    rng = np.random.default_rng([seed, 1])
+    profile = problems.default_load_profile(24, amplitude=0.03)
+    return gen_multiperiod_dispatch(
+        24, 3, 0.1, profile=profile + rng.uniform(-2e-3, 2e-3, 24))
+
+
 @pytest.mark.parametrize("kind", ["qp", "dispatch"])
 def test_loaded_problem_reads_only_the_stacks(kind):
     # validation, the KKT oracle and the lower bound of a loaded problem
