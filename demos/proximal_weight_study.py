@@ -30,9 +30,9 @@ def main():
     # settle near a stationary point with a damped run, then perturb
     warm = Params(rho=1.0, theta=1e6, tau_x=5.0, tau_z=TAU_Z)
     init = jacobi.init_state(prob, *cli.default_start(prob), warm)
-    state, _ = jacobi.run_fixed(prob, warm, init,
-                                RunConfig(record_timings=False,
-                                          max_iters=WARMUP))
+    state, _, _ = jacobi.run(prob, warm, init,
+                             RunConfig(record_timings=False,
+                                       max_iters=WARMUP))
     rng = np.random.default_rng(12345)
     x0 = state.x + 1e-5 * rng.standard_normal(state.x.size)
 
@@ -40,9 +40,9 @@ def main():
     for tau_x in (0.0, 5.0):
         params = Params(rho=1.0, theta=1e6, tau_x=tau_x, tau_z=TAU_Z)
         ini = jacobi.init_state(prob, x0, state.z, state.lam, params)
-        _, trace = jacobi.run_fixed(prob, params, ini,
-                                    RunConfig(record_timings=False,
-                                              max_iters=STEPS))
+        _, trace, _ = jacobi.run(prob, params, ini,
+                                 RunConfig(record_timings=False,
+                                           max_iters=STEPS))
         traces[tau_x] = trace
 
     print(f"{'k':>4s} {'phi (tau_x=0)':>16s} {'phi (tau_x=5)':>16s}")

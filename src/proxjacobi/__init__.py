@@ -3,7 +3,7 @@ block-structured problems coupled through shared linear constraints."""
 
 from .auglag import (aug_lagrangian, dual_residual, eta_pair, lyapunov,
                      penalty_residuals, theorem1_bounds, theorem1_params)
-from .jacobi import RunConfig, TraceRecord, init_state, iterate, run_fixed
+from .jacobi import RunConfig, TraceRecord, init_state, iterate, run
 from .model import (BlockSpec, ConstraintSet, IterateState, Params,
                     PolarBalance, Problem, Quadratic, SchemaError,
                     load_problem, save_problem, validate_problem,
@@ -16,7 +16,7 @@ __all__ = [
     "aug_lagrangian", "dual_residual", "eta_pair",
     "lyapunov", "penalty_residuals", "theorem1_bounds",
     "theorem1_params", "RunConfig", "TraceRecord", "init_state", "iterate",
-    "run_fixed", "BlockSpec", "ConstraintSet", "IterateState", "Params",
+    "run", "BlockSpec", "ConstraintSet", "IterateState", "Params",
     "PolarBalance", "Problem", "Quadratic", "SchemaError", "load_problem",
     "save_problem", "validate_problem", "variable_splitting_transform",
     "TunerConfig", "make_initial_state", "run_adaptive",

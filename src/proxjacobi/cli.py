@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +25,14 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_ITERATION_CAP = 2
 EXIT_NUMERICAL = 3
+
+# The exit code of each termination of a solve.
+EXIT_CODES = {
+    jacobi.TERMINATION_FEASIBLE: EXIT_OK,
+    jacobi.TERMINATION_ITERATION_CAP: EXIT_ITERATION_CAP,
+    jacobi.TERMINATION_BLOCK_FAILURE: EXIT_NUMERICAL,
+    jacobi.TERMINATION_NON_FINITE: EXIT_NUMERICAL,
+}
 
 IDENTITY_RTOL = 1e-10
 MONOTONE_RTOL = 1e-8
@@ -153,20 +162,16 @@ def cmd_solve(args):
 
 def _run_solve(args, problem, cfg, params, run_config):
     """Run the solve of ``cmd_solve``, with the fixed ``params`` or (None)
-    the tuner, its trace streamed through ``run_config.trace_sink``, and
-    write the solution."""
+    the tuner, its trace streamed through ``run_config.trace_sink``; write
+    the solution and return the exit code of its termination."""
     x0, z0, lam0 = default_start(problem)
-    eps = cfg.eps
     try:
         if params is not None:
             init = jacobi.init_state(problem, x0, z0, lam0, params)
             run_config.max_iters = cfg.max_outer
-            state, trace = jacobi.run_fixed(
+            state, trace, reason = jacobi.run(
                 problem, params, init, run_config,
-                stop=lambda s, rec: rec.coupling_inf <= eps)
-            feasible = bool(trace) and trace[-1].coupling_inf <= eps
-            reason = (tuner.TERMINATION_FEASIBLE if feasible
-                      else tuner.TERMINATION_ITERATION_CAP)
+                lambda rec: (params, rec.coupling_inf <= cfg.eps))
         else:
             init = tuner.make_initial_state(problem, cfg, x0, z0, lam0)
             state, trace, reason = tuner.run_adaptive(
@@ -174,20 +179,11 @@ def _run_solve(args, problem, cfg, params, run_config):
     except BlockSolveError as exc:
         print(f"error: block {exc.t} failed: {exc.result.status}",
               file=sys.stderr)
-        _write_solution(args, problem, exc.state, exc.trace,
-                        tuner.TERMINATION_BLOCK_FAILURE)
-        return EXIT_NUMERICAL
-    if trace and not trace[-1].finite:
-        _write_solution(args, problem, state, trace,
-                        tuner.TERMINATION_NON_FINITE)
-        return EXIT_NUMERICAL
-
+        state, trace = exc.state, exc.trace
+        reason = jacobi.TERMINATION_BLOCK_FAILURE
     _write_solution(args, problem, state, trace, reason)
-    log.info("terminated %s after %d iterations", reason,
-             trace[-1].k if trace else 0)
-    if reason == tuner.TERMINATION_FEASIBLE:
-        return EXIT_OK
-    return EXIT_ITERATION_CAP
+    log.info("terminated %s after %d iterations", reason, state.k)
+    return EXIT_CODES[reason]
 
 
 def _fixed_params(args, cfg, T):
@@ -310,7 +306,7 @@ def replay_trace(problem, records):
 
     Uses the solver's default start and ``jacobi.advance``, so it makes no
     trace record and computes no residual.  Returns a snapshot of the state
-    after every iteration (without the product ``Qx``).  Raises ValueError
+    after every iteration, without its products and ALM stacks.  Raises ValueError
     when a replayed phi disagrees with the trace beyond replay tolerance
     (trace/problem mismatch).
     """
@@ -331,9 +327,9 @@ def replay_trace(problem, records):
             raise ValueError(
                 f"iteration {rec.k}: replayed phi {phi!r} does not "
                 f"match the trace value {rec.phi!r}; trace/problem mismatch")
-        snapshot = state.copy()
-        snapshot.Qx = None      # N floats per iteration that no check reads
-        states.append(snapshot)
+        # advance rebinds the arrays of the state and writes into none, so
+        # a snapshot shares them; it drops what no check reads
+        states.append(replace(state, alm=[], Ax=None, Qx=None))
     return states
 
 

@@ -1,4 +1,4 @@
-"""The fixed-parameter distributed proximal Jacobi iteration.
+"""The distributed proximal Jacobi iteration and its run loop (``run``).
 
 Each iteration solves the T block subproblems independently (no block sees
 another block's current-iteration value), joins, then applies the
@@ -50,13 +50,18 @@ TRACE_COLUMNS = [
 # them with t_metrics_ms = 0.
 OLD_TRACE_COLUMNS = TRACE_COLUMNS[:-1]
 
+# Why a run ended: ``run`` returns the first three, a block failure raises.
+TERMINATION_FEASIBLE = "feasible-stop"
+TERMINATION_ITERATION_CAP = "iteration-cap"
+TERMINATION_BLOCK_FAILURE = "block-failure"
+TERMINATION_NON_FINITE = "non-finite"
+
 
 class BlockSolveError(RuntimeError):
     """A block subproblem solver reported numerical failure.
 
-    The run loops (``run_fixed``, ``tuner.run_adaptive``) attach ``state``,
-    the iterate the failed sweep started from, and ``trace``, the records
-    of the finished iterations.
+    ``run`` attaches ``state``, the iterate the failed sweep started from,
+    and ``trace``, the records of the finished iterations.
     """
 
     def __init__(self, t, result):
@@ -67,7 +72,10 @@ class BlockSolveError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Iteration budget, parallelism, timings and trace sink of a run."""
+    """Iteration budget, parallelism, timings and trace sink of a run.
+
+    ``max_iters`` is the cap of ``run``; ``tuner.run_adaptive`` caps its
+    run at ``TunerConfig.max_outer`` instead."""
 
     max_iters: int = 1000
     workers: int = 0            # 0 = serial
@@ -103,8 +111,8 @@ class TraceRecord:
 
     @property
     def finite(self):
-        """False once phi or the coupling residual is not finite: the run
-        loops stop right after such a record."""
+        """False once phi or the coupling residual is not finite: ``run``
+        stops right after such a record."""
         return bool(np.isfinite(self.phi) and np.isfinite(self.coupling_inf))
 
 
@@ -408,13 +416,19 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
     return rec
 
 
-def run_fixed(problem, params, init, config, stop=None):
-    """Run the fixed-parameter iteration for up to ``config.max_iters``
-    iterations, until the caller's stop predicate fires, or right after the
-    first record that is not ``finite``.
+def run(problem, params, init, config, rule=None):
+    """Run the iteration from a copy of ``init`` under ``params``, for up
+    to ``config.max_iters`` iterations.
 
-    Returns ``(final state, trace list)``; a block failure raises
-    :class:`BlockSolveError` with the state and the partial trace attached.
+    After each record, ``rule(rec)`` returns ``(params, stop)``: the
+    parameters of the next iteration, and whether the run stops there
+    (without ``rule`` the parameters stay fixed and it never stops).  The
+    run stops right after the first record that is not ``finite``, before
+    ``rule`` sees it.  Returns ``(final state, trace list, reason)``, the
+    reason one of ``TERMINATION_FEASIBLE`` (the rule stopped),
+    ``TERMINATION_NON_FINITE`` and ``TERMINATION_ITERATION_CAP``; a block
+    failure raises :class:`BlockSolveError` with the state and the partial
+    trace attached (``TERMINATION_BLOCK_FAILURE``).
     """
     state = init.copy()
     trace = []
@@ -428,7 +442,11 @@ def run_fixed(problem, params, init, config, stop=None):
                 exc.state, exc.trace = state, trace
                 raise
             trace.append(rec)
+            if not rec.finite:
+                return state, trace, TERMINATION_NON_FINITE
             phi_prev = rec.phi
-            if not rec.finite or (stop is not None and stop(state, rec)):
-                break
-    return state, trace
+            if rule is not None:
+                params, stop = rule(rec)
+                if stop:
+                    return state, trace, TERMINATION_FEASIBLE
+    return state, trace, TERMINATION_ITERATION_CAP

@@ -9,16 +9,11 @@ dual residual magnitudes.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import jacobi
-from .jacobi import BlockSolveError, RunConfig
+from .jacobi import RunConfig
 from .model import Params
-
-TERMINATION_FEASIBLE = "feasible-stop"
-TERMINATION_ITERATION_CAP = "iteration-cap"
-TERMINATION_BLOCK_FAILURE = "block-failure"
-TERMINATION_NON_FINITE = "non-finite"
 
 
 @dataclass(frozen=True)
@@ -105,39 +100,25 @@ def tune_step(state, metrics, T, cfg):
 
 
 def run_adaptive(problem, cfg, init, run_config=None):
-    """Alternate Jacobi iterations with the tuning rules until the coupling
-    residual meets the tolerance, the outer-iteration cap is hit, or an
-    iteration's record is not ``finite`` (its phi or coupling residual;
-    the run stops right after it, with TERMINATION_NON_FINITE).
+    """``jacobi.run`` with the tuning rules as its rule: from the initial
+    parameters, ``tune_step`` sets those of each next iteration and stops
+    the run once the coupling residual meets the tolerance.  The run is
+    capped at ``cfg.max_outer`` iterations (``run_config.max_iters`` is
+    ignored).
 
     ``init`` is an :class:`proxjacobi.model.IterateState` built by
     ``jacobi.init_state`` with the initial parameters (use
-    :func:`make_initial_state`).  Returns ``(state, trace, reason)``; a
-    block failure raises :class:`proxjacobi.jacobi.BlockSolveError` with the
-    state and the partial trace attached, as ``jacobi.run_fixed`` does.
+    :func:`make_initial_state`).  Returns ``(state, trace, reason)`` as
+    ``jacobi.run`` does.
     """
-    if run_config is None:
-        run_config = RunConfig()
+    run_config = replace(run_config or RunConfig(), max_iters=cfg.max_outer)
     params, tstate = init_params(cfg)
-    state = init.copy()
-    trace = []
-    phi_prev = jacobi.initial_lyapunov(problem, state, params)
-    with jacobi.worker_pool(run_config.workers) as pool:
-        for _ in range(cfg.max_outer):
-            try:
-                rec = jacobi.iterate(problem, state, tstate.params,
-                                     run_config, phi_prev=phi_prev, pool=pool)
-            except BlockSolveError as exc:
-                exc.state, exc.trace = state, trace
-                raise
-            trace.append(rec)
-            if not rec.finite:
-                return state, trace, TERMINATION_NON_FINITE
-            phi_prev = rec.phi
-            tstate, stop = tune_step(tstate, rec, problem.T, cfg)
-            if stop:
-                return state, trace, TERMINATION_FEASIBLE
-    return state, trace, TERMINATION_ITERATION_CAP
+
+    def rule(rec):
+        nonlocal tstate
+        tstate, stop = tune_step(tstate, rec, problem.T, cfg)
+        return tstate.params, stop
+    return jacobi.run(problem, params, init, run_config, rule)
 
 
 def make_initial_state(problem, cfg, x0, z0, lam0):

@@ -140,7 +140,7 @@ def test_criterion_01_oracle_equivalence(adaptive_runs):
         lamerr = float(np.max(np.abs(state.lam - oracle.lambda_star)))
         worst_x = max(worst_x, xerr)
         worst_lam = max(worst_lam, lamerr)
-        ok &= reason == tuner.TERMINATION_FEASIBLE
+        ok &= reason == jacobi.TERMINATION_FEASIBLE
     ok &= worst_x <= 1e-4 and worst_lam <= 1e-3
     _report(1, ok, f"worst x err {worst_x:.2e}, lambda err {worst_lam:.2e} "
                    f"({time.time() - t0:.1f}s)")
@@ -172,9 +172,9 @@ def test_criterion_03_lyapunov_monotone(theorem1_data, tmp_path):
         prob, _ = build_qp(seed)
         params = auglag.theorem1_params(1e-2, prob.T)
         init = jacobi.init_state(prob, *default_start(prob), params)
-        _, trace = jacobi.run_fixed(prob, params, init,
-                                    RunConfig(record_timings=False,
-                                              max_iters=300))
+        _, trace, _ = jacobi.run(prob, params, init,
+                                 RunConfig(record_timings=False,
+                                           max_iters=300))
         ppath = tmp_path / f"qp{seed}.json"
         tpath = tmp_path / f"qp{seed}.csv"
         ppath.write_text(save_problem(prob))
@@ -222,9 +222,9 @@ def test_criterion_07_divergence_reproduction(acopf_twin_problem):
     tau_z = 1.0 / 32.0
     warm_params = Params(rho=1.0, theta=1e6, tau_x=5.0, tau_z=tau_z)
     init = jacobi.init_state(prob, *default_start(prob), warm_params)
-    state, _ = jacobi.run_fixed(prob, warm_params, init,
-                                RunConfig(record_timings=False,
-                                          max_iters=150))
+    state, _, _ = jacobi.run(prob, warm_params, init,
+                             RunConfig(record_timings=False,
+                                       max_iters=150))
     # seed the parallel-update instability with a small perturbation of an
     # interior near-stationary point; both runs start identically
     rng = np.random.default_rng(12345)
@@ -233,9 +233,9 @@ def test_criterion_07_divergence_reproduction(acopf_twin_problem):
     for tau_x in (0.0, 5.0):
         params = Params(rho=1.0, theta=1e6, tau_x=tau_x, tau_z=tau_z)
         ini = jacobi.init_state(prob, x0, state.z, state.lam, params)
-        _, trace = jacobi.run_fixed(prob, params, ini,
-                                    RunConfig(record_timings=False,
-                                              max_iters=100))
+        _, trace, _ = jacobi.run(prob, params, ini,
+                                 RunConfig(record_timings=False,
+                                           max_iters=100))
         results[tau_x] = trace
     phis0 = [r.phi for r in results[0.0]]
     diverged = phis0[-1] >= 10.0 * max(1.0, phis0[0])
@@ -254,7 +254,7 @@ def test_criterion_08_acopf_convergence(acopf_c8_run):
     balance = max(float(np.max(np.abs(blk.set.equality_values(xt))))
                   for blk, xt in zip(prob.blocks, prob.split(state.x)))
     drop = trace[-1].pi / trace[0].pi if trace[0].pi > 0 else 0.0
-    ok = (reason == tuner.TERMINATION_FEASIBLE and coupling <= 1e-3
+    ok = (reason == jacobi.TERMINATION_FEASIBLE and coupling <= 1e-3
           and balance <= 1e-6 and drop <= 1e-3)
     _report(8, ok, f"{reason} in {len(trace)} iters, coupling {coupling:.1e}, "
                    f"balance {balance:.1e}, primal drop {drop:.1e}")

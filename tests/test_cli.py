@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxjacobi import auglag, cli, jacobi, problems, tuner
+from proxjacobi import auglag, cli, jacobi, problems
 from proxjacobi.algebra import spectral_norms
 from proxjacobi.cli import (EXIT_IO, EXIT_ITERATION_CAP, EXIT_NUMERICAL,
                             EXIT_OK, main)
@@ -179,7 +179,7 @@ class TestGenerate:
         assert main(["solve", str(out), "--eps", "1e-6",
                      "--solution", str(sol)]) == EXIT_OK
         doc = json.loads(sol.read_text())
-        assert doc["termination"] == tuner.TERMINATION_FEASIBLE
+        assert doc["termination"] == jacobi.TERMINATION_FEASIBLE
         err = max(abs(a - b) for xt, xs in zip(doc["x"], x_star)
                   for a, b in zip(xt, xs))
         assert err <= 1e-5
@@ -352,13 +352,13 @@ class TestSolve:
             "error: block 0 failed: numerical-failure"]
         assert trc.read_text().splitlines() == [",".join(jacobi.TRACE_COLUMNS)]
         doc = json.loads(sol.read_text())
-        assert doc["termination"] == tuner.TERMINATION_BLOCK_FAILURE
+        assert doc["termination"] == jacobi.TERMINATION_BLOCK_FAILURE
         assert doc["iterations"] == 0
 
     @pytest.mark.parametrize("mode, code, termination", [
-        ([], EXIT_OK, tuner.TERMINATION_FEASIBLE),
+        ([], EXIT_OK, jacobi.TERMINATION_FEASIBLE),
         (["--fixed-params", "--max-iters", "30"], EXIT_ITERATION_CAP,
-         tuner.TERMINATION_ITERATION_CAP)], ids=["adaptive", "fixed"])
+         jacobi.TERMINATION_ITERATION_CAP)], ids=["adaptive", "fixed"])
     def test_zero_size_block(self, tmp_path, mode, code, termination):
         # a block with n = 0 beside a one-variable block: the run ends as
         # usual, its trace passes trace-check, and the empty block's x is []
@@ -404,8 +404,37 @@ class TestSolve:
         assert not np.isfinite(rows[-1].phi)
         assert all(rec.finite for rec in rows[:-1])
         doc = json.loads(sol.read_text())
-        assert doc["termination"] == tuner.TERMINATION_NON_FINITE
+        assert doc["termination"] == jacobi.TERMINATION_NON_FINITE
         assert doc["iterations"] == 445
+
+    def test_fixed_params_non_finite_exit(self, qp_file, tmp_path,
+                                          monkeypatch):
+        # record 3's phi is NaN: the fixed-parameter run stops right after
+        # it and ends like an adaptive one, with exit 3 and its trace rows
+        real = jacobi.iterate
+
+        def spoiled(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            if rec.k == 3:
+                rec.phi = np.nan
+            return rec
+
+        monkeypatch.setattr(jacobi, "iterate", spoiled)
+        trc, sol = tmp_path / "trace.csv", tmp_path / "sol.json"
+        assert main(["solve", str(qp_file), "--fixed-params",
+                     "--max-iters", "50", "--trace", str(trc),
+                     "--solution", str(sol), "--no-timings"]) \
+            == EXIT_NUMERICAL
+        doc = json.loads(sol.read_text())
+        assert doc["termination"] == jacobi.TERMINATION_NON_FINITE
+        assert doc["iterations"] == 3
+        assert len(jacobi.read_trace_csv(io.StringIO(trc.read_text()))) == 3
+
+
+def test_exit_codes_cover_every_termination():
+    assert set(cli.EXIT_CODES) == {
+        jacobi.TERMINATION_FEASIBLE, jacobi.TERMINATION_ITERATION_CAP,
+        jacobi.TERMINATION_BLOCK_FAILURE, jacobi.TERMINATION_NON_FINITE}
 
 
 class TestTraceCheck:

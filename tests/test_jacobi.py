@@ -2,6 +2,7 @@
 
 import io
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from proxjacobi.auglag import (dual_residual, penalty_residuals,
                                subproblem_gradients)
 from proxjacobi.jacobi import (BlockSolveError, RunConfig, TRACE_COLUMNS,
                                TraceRecord, init_state, initial_lyapunov,
-                               iterate, read_trace_csv, run_fixed,
+                               iterate, read_trace_csv, run,
                                trace_csv_text, write_trace_csv)
 from proxjacobi.model import (Params, PolarBalance, Problem,
                               variable_splitting_transform)
@@ -151,14 +152,22 @@ class TestIterate:
 
 
 class TestRunFixed:
-    def test_stop_predicate(self, qp):
+    def test_rule_sets_params_and_stops(self, qp):
+        # the rule doubles rho after every record and stops at k = 7:
+        # record k carries the parameters in force at iteration k
+        def rule(rec):
+            return replace(PARAMS, rho=2 * rec.rho), rec.k >= 7
+
         init = init_state(qp, *default_start(qp), PARAMS)
-        state, trace = run_fixed(qp, PARAMS, init,
-                                 RunConfig(record_timings=False, max_iters=50),
-                                 stop=lambda s, rec: rec.k >= 7)
+        state, trace, reason = run(
+            qp, PARAMS, init, RunConfig(record_timings=False, max_iters=50),
+            rule)
         assert len(trace) == 7
         assert state.k == 7
         assert [r.k for r in trace] == list(range(1, 8))
+        assert [r.rho for r in trace] == [PARAMS.rho * 2 ** k
+                                          for k in range(7)]
+        assert reason == jacobi.TERMINATION_FEASIBLE
 
     @pytest.mark.parametrize("column", ["phi", "coupling_inf"])
     def test_stops_after_first_non_finite_record(self, qp, monkeypatch,
@@ -175,15 +184,16 @@ class TestRunFixed:
 
         monkeypatch.setattr(jacobi, "iterate", spoiled)
         init = init_state(qp, *default_start(qp), PARAMS)
-        _, trace = run_fixed(qp, PARAMS, init,
-                             RunConfig(record_timings=False, max_iters=50))
+        _, trace, reason = run(qp, PARAMS, init,
+                               RunConfig(record_timings=False, max_iters=50))
         assert [rec.finite for rec in trace] == [True, True, False]
+        assert reason == jacobi.TERMINATION_NON_FINITE
 
     def test_does_not_mutate_init(self, qp):
         init = init_state(qp, *default_start(qp), PARAMS)
         x_before = [xt.copy() for xt in init.x]
-        run_fixed(qp, PARAMS, init, RunConfig(record_timings=False,
-                                              max_iters=3))
+        run(qp, PARAMS, init, RunConfig(record_timings=False,
+                                        max_iters=3))
         for xt, xb in zip(init.x, x_before):
             assert np.array_equal(xt, xb)
 
@@ -191,9 +201,9 @@ class TestRunFixed:
         traces = []
         for workers in (0, 2, qp.T):
             init = init_state(qp, *default_start(qp), PARAMS)
-            _, trace = run_fixed(qp, PARAMS, init,
-                                 RunConfig(record_timings=False, max_iters=20,
-                                           workers=workers))
+            _, trace, _ = run(qp, PARAMS, init,
+                              RunConfig(record_timings=False, max_iters=20,
+                                        workers=workers))
             traces.append(trace_csv_text(trace))
         assert traces[0] == traces[1] == traces[2]
 
@@ -221,7 +231,7 @@ class TestRunFixed:
         init = init_state(qp, *default_start(qp), PARAMS)
         cfg = RunConfig(record_timings=False, max_iters=10)
         with pytest.raises(BlockSolveError) as info:
-            run_fixed(qp, PARAMS, init, cfg)
+            run(qp, PARAMS, init, cfg)
         assert info.value.t == 0
         assert len(info.value.trace) == 2  # partial trace preserved
 
@@ -229,8 +239,8 @@ class TestRunFixed:
 class TestTraceCsv:
     def test_round_trip_exact(self, qp):
         init = init_state(qp, *default_start(qp), PARAMS)
-        _, trace = run_fixed(qp, PARAMS, init,
-                             RunConfig(record_timings=False, max_iters=5))
+        _, trace, _ = run(qp, PARAMS, init,
+                          RunConfig(record_timings=False, max_iters=5))
         text = trace_csv_text(trace)
         back = read_trace_csv(io.StringIO(text))
         assert len(back) == len(trace)
@@ -243,8 +253,8 @@ class TestTraceCsv:
 
     def test_truncated_row(self, qp):
         init = init_state(qp, *default_start(qp), PARAMS)
-        _, trace = run_fixed(qp, PARAMS, init,
-                             RunConfig(record_timings=False, max_iters=2))
+        _, trace, _ = run(qp, PARAMS, init,
+                          RunConfig(record_timings=False, max_iters=2))
         lines = trace_csv_text(trace).splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0]
         with pytest.raises(ValueError, match="malformed"):
@@ -252,18 +262,18 @@ class TestTraceCsv:
 
     def test_timings_recorded_when_enabled(self, qp):
         init = init_state(qp, *default_start(qp), PARAMS)
-        _, trace = run_fixed(qp, PARAMS, init, RunConfig(max_iters=2))
+        _, trace, _ = run(qp, PARAMS, init, RunConfig(max_iters=2))
         assert all(r.t_xupd_ms > 0 and r.t_metrics_ms > 0 for r in trace)
         init = init_state(qp, *default_start(qp), PARAMS)
-        _, trace = run_fixed(qp, PARAMS, init,
-                             RunConfig(record_timings=False, max_iters=2))
+        _, trace, _ = run(qp, PARAMS, init,
+                          RunConfig(record_timings=False, max_iters=2))
         assert all(r.t_xupd_ms == 0 and r.t_metrics_ms == 0 for r in trace)
 
     def test_reads_old_header(self, qp):
         # a trace written before the t_metrics_ms column reads with the
         # column at 0 and every other column as written
         init = init_state(qp, *default_start(qp), PARAMS)
-        _, trace = run_fixed(qp, PARAMS, init, RunConfig(max_iters=3))
+        _, trace, _ = run(qp, PARAMS, init, RunConfig(max_iters=3))
         assert jacobi.OLD_TRACE_COLUMNS == TRACE_COLUMNS[:15]
         old = "\n".join(line.rsplit(",", 1)[0]
                         for line in trace_csv_text(trace).splitlines())
@@ -284,9 +294,9 @@ def test_iterate_makes_each_product_once(monkeypatch, case):
             if case == "dispatch" else problems.coupled_qp(0, 8, 4, 3))
     params = Params(rho=2.0, theta=4.0, tau_x=20.0, tau_z=8.0)
     config = RunConfig(record_timings=False)
-    _, trace = run_fixed(prob, params,
-                         init_state(prob, *default_start(prob), params),
-                         RunConfig(record_timings=False, max_iters=3))
+    _, trace, _ = run(prob, params,
+                      init_state(prob, *default_start(prob), params),
+                      RunConfig(record_timings=False, max_iters=3))
     state = init_state(prob, *default_start(prob), params)
     rec = iterate(prob, state, params, config)
     counts = dict.fromkeys(
@@ -423,13 +433,13 @@ def test_workload_sweeps_make_no_fallback_solve(monkeypatch, shape):
     x0 = default_start(prob)
     if shape == "coupled-qp":
         params = auglag.theorem1_params(cfg.eps, prob.T)
-        _, trace = run_fixed(prob, params, init_state(prob, *x0, params),
-                             RunConfig(record_timings=False, max_iters=5))
+        _, trace, _ = run(prob, params, init_state(prob, *x0, params),
+                          RunConfig(record_timings=False, max_iters=5))
     else:
         _, trace, reason = tuner.run_adaptive(
             prob, cfg, tuner.make_initial_state(prob, cfg, *x0),
             RunConfig(record_timings=False))
-        assert reason == tuner.TERMINATION_FEASIBLE
+        assert reason == jacobi.TERMINATION_FEASIBLE
     assert len(trace) >= 2
     if kind == "qp":
         assert max(max(rec.inner_iters) for rec in trace) > 1
@@ -441,9 +451,9 @@ def test_workload_sweeps_make_no_fallback_solve(monkeypatch, shape):
 @pytest.mark.parametrize("shape", ["mixed", "coupled-qp", "dispatch",
                                    "acopf-toy"])
 def test_iterations_never_split_the_iterate(monkeypatch, shape):
-    # x stays one flat vector through every iteration of both run loops and
-    # of the trace replay: Problem.split, the per-block view, serves only
-    # the writers of per-block output
+    # x stays one flat vector through every iteration of a fixed and an
+    # adaptive run and of the trace replay: Problem.split, the per-block
+    # view, serves only the writers of per-block output
     if shape == "mixed":
         prob = mixed_problem()
     elif shape == "coupled-qp":
@@ -458,17 +468,38 @@ def test_iterations_never_split_the_iterate(monkeypatch, shape):
 
     monkeypatch.setattr(Problem, "split", refuse)
     x0 = default_start(prob)
-    run = RunConfig(record_timings=False, max_iters=5)
+    config = RunConfig(record_timings=False, max_iters=5)
     params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
-    _, fixed = run_fixed(prob, params, init_state(prob, *x0, params), run)
+    _, fixed, _ = run(prob, params, init_state(prob, *x0, params), config)
     # the mixed problem's indefinite block needs rho + tau_x > 1
     cfg = tuner.TunerConfig(eps=1e-6, max_outer=5,
                             rho0=2.0 if shape == "mixed" else 1e-3)
     _, adaptive, _ = tuner.run_adaptive(
-        prob, cfg, tuner.make_initial_state(prob, cfg, *x0), run)
+        prob, cfg, tuner.make_initial_state(prob, cfg, *x0), config)
     for trace in (fixed, adaptive):
         states = cli.replay_trace(prob, trace)
         assert len(states) == len(trace) >= 2
+
+
+@pytest.mark.parametrize("shape", ["mixed", "acopf-toy"])
+def test_advance_writes_into_no_array_of_the_state(shape):
+    # advance rebinds the arrays of the state and writes into none, so a
+    # snapshot that shares them (the trace replay's) stays as it was
+    if shape == "mixed":
+        prob = mixed_problem()
+    else:
+        prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=4), 4)
+    params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
+    state = init_state(prob, *default_start(prob), params)
+    jacobi.advance(prob, state, params)     # fills the ALM stacks
+    held = [state.x, state.z, state.lam, state.x_prev, state.z_prev,
+            state.lam_prev, state.dz, state.Ax, state.Qx,
+            *(a for pair in state.alm for a in pair)]
+    copies = [a.copy() for a in held]
+    for _ in range(2):
+        jacobi.advance(prob, state, params)
+    assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+    assert not np.array_equal(state.x, held[0])
 
 
 def test_capped_inner_solve_is_logged(monkeypatch, caplog):
@@ -500,12 +531,12 @@ def test_batched_sweep_worker_counts_bitwise():
     params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
     runs = []
     for workers in (0, 1, 2, prob.T):
-        state, trace = run_fixed(prob, params, random_state(prob, params, 2),
-                                 RunConfig(record_timings=False, max_iters=30,
-                                           workers=workers))
+        state, trace, _ = run(prob, params, random_state(prob, params, 2),
+                              RunConfig(record_timings=False, max_iters=30,
+                                        workers=workers))
         runs.append((trace_csv_text(trace), state.x.tobytes()))
     assert np.isfinite(trace[-1].phi)
-    assert all(run == runs[0] for run in runs[1:])
+    assert all(other == runs[0] for other in runs[1:])
 
 
 @pytest.mark.parametrize("case", ["mixed", "qp", "dispatch", "acopf"])
@@ -519,8 +550,8 @@ def test_batched_dual_residuals_match_reference(qp, case):
             "acopf": lambda: problems.gen_acopf_toy(
                 problems.toy_network(nbus=3, T=4), 4)}[case]()
     params = Params(rho=2.0, theta=4.0, tau_x=4.0, tau_z=8.0)
-    state, _ = run_fixed(prob, params, random_state(prob, params, 3),
-                         RunConfig(record_timings=False, max_iters=2))
+    state, _, _ = run(prob, params, random_state(prob, params, 3),
+                      RunConfig(record_timings=False, max_iters=2))
     x = prob.split(state.x)     # views: writes go into state.x
     if case == "mixed":
         x[2][:] = [0.0, 1.0]            # the boxed block at its upper bound
@@ -635,7 +666,7 @@ def acopf12_runs():
                 prob, cfg, tuner.make_initial_state(
                     prob, cfg, *default_start(prob)),
                 RunConfig(record_timings=False))
-            assert reason == tuner.TERMINATION_FEASIBLE
+            assert reason == jacobi.TERMINATION_FEASIBLE
             runs[mode] = trace
     return runs
 
@@ -666,8 +697,8 @@ def test_alm_rows_resume_only_from_converged_solves(monkeypatch):
     # of its box meets and never converges
     prob, _, _, _, X = acopf_rows(early=None, bad=None)
     calls = spy_alm(monkeypatch)
-    run_fixed(prob, PARAMS, acopf_state(prob, X),
-              RunConfig(record_timings=False, max_iters=4))
+    run(prob, PARAMS, acopf_state(prob, X),
+        RunConfig(record_timings=False, max_iters=4))
     assert len(calls) == 4
     y0, s0 = subsolver.alm_cold_start(*calls[0][0].shape)
     assert np.array_equal(calls[0][0], y0)
@@ -698,9 +729,9 @@ def test_alm_warm_starts_worker_counts_bitwise():
     grp, single = prob.quadratic_groups
     runs = []
     for workers in (0, 2):
-        state, trace = run_fixed(prob, PARAMS, acopf_state(prob, X),
-                                 RunConfig(record_timings=False, max_iters=4,
-                                           workers=workers))
+        state, trace, _ = run(prob, PARAMS, acopf_state(prob, X),
+                              RunConfig(record_timings=False, max_iters=4,
+                                        workers=workers))
         runs.append((trace_csv_text(trace), state.x.tobytes(),
                      [(y.tobytes(), s.tobytes()) for y, s in state.alm]))
     assert runs[0] == runs[1]

@@ -433,7 +433,7 @@ class TestAcopfToy:
     def test_split_solve_matches_unsplit(self):
         """The split form, whose blocks mix polar balances and linear
         rows, solves to the unsplit solution."""
-        from proxjacobi import tuner
+        from proxjacobi import jacobi, tuner
         from proxjacobi.cli import default_start
         from proxjacobi.jacobi import RunConfig
         prob = gen_acopf_toy(toy_network(nbus=3, T=4), 4)
@@ -443,7 +443,7 @@ class TestAcopfToy:
             init = tuner.make_initial_state(p, cfg, *default_start(p))
             state, _, reason = tuner.run_adaptive(
                 p, cfg, init, RunConfig(record_timings=False))
-            assert reason == tuner.TERMINATION_FEASIBLE
+            assert reason == jacobi.TERMINATION_FEASIBLE
             xs.append(p.split(state.x))
         err = max(float(np.max(np.abs(a - b[:a.size])))
                   for a, b in zip(*xs))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from proxjacobi import tuner
+from proxjacobi import jacobi
 from proxjacobi.jacobi import RunConfig, TraceRecord
 from proxjacobi.tuner import (TunerConfig, init_params, load_config,
                               make_initial_state, run_adaptive, tune_step)
@@ -116,7 +116,7 @@ class TestRunAdaptive:
         init = make_initial_state(prob, cfg, *default_start(prob))
         state, trace, reason = run_adaptive(prob, cfg, init,
                                             RunConfig(record_timings=False))
-        assert reason == tuner.TERMINATION_FEASIBLE
+        assert reason == jacobi.TERMINATION_FEASIBLE
         assert trace[-1].coupling_inf <= cfg.eps
         for xt, xs in zip(prob.split(state.x), prob.split(oracle.x_star)):
             assert np.allclose(xt, xs, atol=1e-3)
@@ -127,7 +127,7 @@ class TestRunAdaptive:
         init = make_initial_state(prob, cfg, *default_start(prob))
         _, trace, reason = run_adaptive(prob, cfg, init,
                                         RunConfig(record_timings=False))
-        assert reason == tuner.TERMINATION_ITERATION_CAP
+        assert reason == jacobi.TERMINATION_ITERATION_CAP
         assert len(trace) == 3
 
     def test_trace_records_parameter_schedule(self):
