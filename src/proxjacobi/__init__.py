@@ -1,8 +1,8 @@
 """Distributed proximal Jacobi augmented-Lagrangian solver for
 block-structured problems coupled through shared linear constraints."""
 
-from .auglag import (aug_lagrangian, dual_residual, eta_pair, lyapunov,
-                     penalty_residuals, theorem1_bounds, theorem1_params)
+from .auglag import (aug_lagrangian, eta_pair, lyapunov, penalty_residuals,
+                     theorem1_bounds, theorem1_params)
 from .jacobi import RunConfig, TraceRecord, init_state, iterate, run
 from .model import (BlockSpec, ConstraintSet, IterateState, Params,
                     PolarBalance, Problem, Quadratic, SchemaError,
@@ -13,7 +13,7 @@ from .tuner import TunerConfig, make_initial_state, run_adaptive
 __version__ = "0.1.0"
 
 __all__ = [
-    "aug_lagrangian", "dual_residual", "eta_pair",
+    "aug_lagrangian", "eta_pair",
     "lyapunov", "penalty_residuals", "theorem1_bounds",
     "theorem1_params", "RunConfig", "TraceRecord", "init_state", "iterate",
     "run", "BlockSpec", "ConstraintSet", "IterateState", "Params",

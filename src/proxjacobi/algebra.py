@@ -8,8 +8,6 @@ blocks of one size come from one batched SVD.
 import numpy as np
 import scipy.sparse as sp
 
-EIGENCHECK_SIZE_CAP = 2000
-
 
 def couple_apply(problem, x):
     """Return ``sum_t A_t x_t`` for the flat vector ``x``: one product with
@@ -37,22 +35,4 @@ def spectral_norms(problem):
         if At.shape[1]:
             norms[ts] = np.linalg.norm(At, 2, axis=(1, 2))
     return [float(v) for v in norms]
-
-
-def r_matrix_eigencheck(rho, tau_x, T, m):
-    """Extreme eigenvalues of ``R = (rho + tau_x) I - rho E E'``.
-
-    ``E' = [I ... I]`` stacks T identity blocks, so ``E E'`` is the Kronecker
-    product of the all-ones T x T matrix with the m x m identity; its
-    eigenvalues are 0 and T.  Built explicitly at desk scale and compared by
-    callers against the closed form {rho + tau_x - rho T, rho + tau_x}.
-    """
-    if T < 1 or m < 1:
-        raise ValueError("T and m must be at least 1")
-    if T * m > EIGENCHECK_SIZE_CAP:
-        raise ValueError(f"T*m = {T * m} exceeds size cap {EIGENCHECK_SIZE_CAP}")
-    EEt = np.kron(np.ones((T, T)), np.eye(m))
-    R = (rho + tau_x) * np.eye(T * m) - rho * EEt
-    eigs = np.linalg.eigvalsh(R)
-    return float(eigs[0]), float(eigs[-1])
 

@@ -108,44 +108,6 @@ def lyapunov(problem, x, z, lam, x_hat, z_hat, params, Ax=None, Qx=None,
     return val
 
 
-def dual_residual(problem, t, x_t, lam, feas_tol=1e-8,
-                  active_tol=ACTIVE_TOL):
-    """Distance from ``grad f_t + A_t' lam`` to the negative normal cone.
-
-    Pure boxes use the per-coordinate normal-cone rule.  With equality
-    constraints, multipliers are fitted by least squares on the box-inactive
-    coordinates and the box rule is applied to the fitted residual; this is
-    exact for pure-box and pure-equality sets.  Raises ValueError when the
-    set's violation at ``x_t`` exceeds ``feas_tol``.
-    """
-    blk = problem.blocks[t]
-    x_t = np.asarray(x_t, dtype=float)
-    violation = blk.set.violation(x_t)
-    if violation > feas_tol:
-        raise ValueError(
-            f"block {t}: residual undefined off the set "
-            f"(violation {violation:.3e} > {feas_tol:.0e})")
-    g = blk.objective.gradient(x_t) + blk.coupling.T @ np.asarray(lam, float)
-    g = _fit_equality_multipliers(blk.set, x_t, g, active_tol)
-    return float(np.linalg.norm(_normal_cone_excess(
-        g, x_t, blk.set.lower, blk.set.upper, active_tol)))
-
-
-def _fit_equality_multipliers(cset, x, g, active_tol):
-    """``g + C mu``, with C the equality Jacobian transposed at ``x`` and mu
-    the least-squares fit of C mu = -g on the coordinates off the bounds;
-    ``g`` itself when the set has no equalities or every coordinate sits on
-    a bound."""
-    if not cset.equalities:
-        return g
-    free = ~((x <= cset.lower + active_tol) | (x >= cset.upper - active_tol))
-    if not np.any(free):
-        return g
-    C = cset.equality_jacobian(x).T
-    mu, *_ = np.linalg.lstsq(C[free], -g[free], rcond=None)
-    return g + C @ mu
-
-
 def _normal_cone_excess(r, x, lo, hi, active_tol):
     """Per coordinate, the part of the residual ``r`` that no bound active
     at ``x`` absorbs: |r| off the bounds, max(0, -r) at a lower bound only,
@@ -200,14 +162,15 @@ def fit_multipliers(J, G, free):
 
 
 def dual_residuals(problem, vec, lam, Qx=None):
-    """``dual_residual`` of every block at the flat vector ``vec``, as a
-    list, from one stacked gradient (``Qx`` is the objective product at
-    ``vec`` when the caller has it).  The blocks of a ``qp`` or ``alm``
+    """The distance of every block's ``grad f_t + A_t' lam`` to the negative
+    normal cone of its set at the flat vector ``vec``, as a list, from one
+    stacked gradient (``Qx`` is the objective product at ``vec`` when the
+    caller has it).  The blocks of a ``qp`` or ``alm``
     group fit their multipliers together (``fit_multipliers``), on the
     equality Jacobians masked to each block's coordinates off the bounds:
     J is the shared rows C of a ``qp`` group, and each block's Jacobian of
-    the group's map at its point for an ``alm`` group.  Unlike
-    ``dual_residual``, it does not check that ``vec`` lies on the sets."""
+    the group's map at its point for an ``alm`` group.  It does not check
+    that ``vec`` lies on the sets."""
     g = problem.objective_gradients(vec, Qx) + problem.block_products_T(
         np.asarray(lam, dtype=float)[problem.coupling_rows.row])
     for grp in problem.quadratic_groups:
@@ -346,26 +309,3 @@ def theorem1_bounds(phi1, phi_hat, phiK, K, params, specnorms, T):
     delta_bounds = [(params.rho + params.tau_x) * s * base for s in specnorms]
     return float(pi_bound), [float(d) for d in delta_bounds]
 
-
-def dagger_norm_sq(problem, state, ref_x, ref_z, ref_lam, params):
-    """Squared deviation of an iterate from a reference in the contraction
-    norm used by the local analysis:
-
-    ||D(x - x*)||^2_R + (rho + tau_z)||z - z*||^2
-    + (1/rho)||lam - lam*||^2 + tau_z||dz||^2
-
-    with the action of ``R`` computed in closed form as
-    ``(rho + tau_x) v - rho E(E'v)``, on the nonzero coupling rows of the
-    blocks: the rows of v = D(x - x*) that are zero add nothing.
-    """
-    dev = problem.block_products(state.x - ref_x)
-    col_sum = problem.row_sums(dev)
-    r_dev = ((params.rho + params.tau_x) * dev
-             - params.rho * col_sum[problem.coupling_rows.row])
-    total = float(dev @ r_dev)
-    dz_ref = state.z - np.asarray(ref_z, dtype=float)
-    dl_ref = state.lam - np.asarray(ref_lam, dtype=float)
-    total += (params.rho + params.tau_z) * float(dz_ref @ dz_ref)
-    total += float(dl_ref @ dl_ref) / params.rho
-    total += params.tau_z * float(state.dz @ state.dz)
-    return total

@@ -42,13 +42,13 @@ log = logging.getLogger("proxjacobi")
 
 
 def _setup_logging():
-    level_name = os.environ.get("PROXJACOBI_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO,
-              "debug": logging.DEBUG}
+    level_name = os.environ.get("PROXJACOBI_LOG", "warning").lower()
+    levels = {"error": logging.ERROR, "warning": logging.WARNING,
+              "info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:
         print(f"warning: unknown PROXJACOBI_LOG level {level_name!r}; "
-              "using 'error'", file=sys.stderr)
-        level_name = "error"
+              "using 'warning'", file=sys.stderr)
+        level_name = "warning"
     logging.basicConfig(level=levels[level_name],
                         format="%(levelname)s %(name)s: %(message)s")
 
@@ -177,7 +177,7 @@ def _run_solve(args, problem, cfg, params, run_config):
             state, trace, reason = tuner.run_adaptive(
                 problem, cfg, init, run_config)
     except BlockSolveError as exc:
-        print(f"error: block {exc.t} failed: {exc.result.status}",
+        print(f"error: block {exc.t} failed: {exc.status}",
               file=sys.stderr)
         state, trace = exc.state, exc.trace
         reason = jacobi.TERMINATION_BLOCK_FAILURE
@@ -450,7 +450,7 @@ def cmd_trace_check(args):
     try:
         states = replay_trace(problem, records)
     except BlockSolveError as exc:
-        print(f"error: replay failed at block {exc.t}: {exc.result.status}",
+        print(f"error: replay failed at block {exc.t}: {exc.status}",
               file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -36,8 +36,8 @@ from .auglag import BlockObjective
 from .model import IterateState
 from .subsolver import (alm_cold_start, box_newton_rows, equality_alm_rows,
                         project_box, solve_box_qp, solve_quadratic_exact,
-                        STATUS_ITERATION_CAP, STATUS_NUMERICAL_FAILURE,
-                        STATUS_STALLED)
+                        STATUS_CONVERGED, STATUS_ITERATION_CAP,
+                        STATUS_NUMERICAL_FAILURE)
 
 log = logging.getLogger("proxjacobi")
 
@@ -58,16 +58,17 @@ TERMINATION_NON_FINITE = "non-finite"
 
 
 class BlockSolveError(RuntimeError):
-    """A block subproblem solver reported numerical failure.
+    """A block subproblem solve ended in numerical failure: ``t`` is the
+    block, ``status`` the status its solver returned.
 
     ``run`` attaches ``state``, the iterate the failed sweep started from,
     and ``trace``, the records of the finished iterations.
     """
 
-    def __init__(self, t, result):
+    def __init__(self, t, status):
         self.t = t
-        self.result = result
-        super().__init__(f"block {t} solver failed: {result.status}")
+        self.status = status
+        super().__init__(f"block {t} solver failed: {status}")
 
 
 @dataclass
@@ -220,19 +221,21 @@ def solve_group(grp, vec, g, w, start=None):
     Hessians ``grp.hessian(w)``, by one stacked call of the group kind's
     solver.  The rows of an ``exact`` group whose step fails go to
     projected Newton, and those of a ``qp`` group without a certified
-    minimizer to the inner ALM, in one stacked call each.  The ALM of an
-    ``alm`` group starts from ``start``, the stacks ``(y, sigma)`` (cold
-    when None); the ALM rows of a ``qp`` group always start cold.
+    minimizer to the inner ALM, in one stacked call each; the solver's
+    arrays are written into the rows it was given.  The ALM of an ``alm``
+    group starts from ``start``, the stacks ``(y, sigma)`` (cold when
+    None); the ALM rows of a ``qp`` group always start cold.
 
     Returns the new points (k, n), the inner iteration counts (k,) (1 for
-    an exact step, the passes of a QP), the BlockSolveResult of each block
-    solved by projected Newton or the ALM, as a dict by block, and, for an
-    ``alm`` group, the stacks its next sweep starts from (None for the other
-    kinds): the multipliers and penalty of each converged row, a cold start
-    for the others.
+    an exact step, the passes of a QP), the statuses (k,) (converged for
+    the rows an exact step or the QP solved), and, for an ``alm`` group,
+    the stacks its next sweep starts from (None for the other kinds): the
+    multipliers and penalty of each converged row, a cold start for the
+    others.
     """
     X, G, H = grp.take(vec), grp.take(g), grp.hessian(w)
     lo, hi = grp.lower, grp.upper
+    status = np.full(len(X), STATUS_CONVERGED, dtype=object)
     if grp.kind == "exact":
         _, H_inv, ok = grp.hessian_factor(w)
         dx, solved = solve_quadratic_exact(H, H_inv, G)
@@ -248,24 +251,23 @@ def solve_group(grp, vec, g, w, start=None):
         x, inner = X.copy(), np.zeros(len(X), dtype=int)
         rows = np.arange(len(X))
     if not rows.size:
-        return x, inner, {}, None
+        return x, inner, status, None
     obj = BlockObjective(H[rows], G[rows], X[rows])
     if grp.kind in ("exact", "box"):
-        results = box_newton_rows(obj, X[rows], lo[rows], hi[rows])
-    else:
-        cold = alm_cold_start(len(rows), grp.d.shape[1])
-        y, sigma = start if grp.kind == "alm" and start else cold
-        results = equality_alm_rows(obj, grp.equality_map, grp.d[rows],
-                                    X[rows], lo[rows], hi[rows], y, sigma)
-    for i, res in zip(rows, results):
-        x[i], inner[i] = res.x, res.inner_iterations
-    nxt = None
-    if grp.kind == "alm":
-        # every row of an alm group is in ``rows``
-        ok = np.array([res.converged for res in results])
-        nxt = (np.where(ok[:, None], [res.mu for res in results], cold[0]),
-               np.where(ok, [res.sigma for res in results], cold[1]))
-    return x, inner, {grp.blocks[i]: res for i, res in zip(rows, results)}, nxt
+        x[rows], status[rows], inner[rows], _ = box_newton_rows(
+            obj, X[rows], lo[rows], hi[rows])
+        return x, inner, status, None
+    cold = alm_cold_start(len(rows), grp.d.shape[1])
+    y, sigma = start if grp.kind == "alm" and start else cold
+    x[rows], status[rows], inner[rows], _, y, sigma = equality_alm_rows(
+        obj, grp.equality_map, grp.d[rows], X[rows], lo[rows], hi[rows], y,
+        sigma)
+    if grp.kind != "alm":
+        return x, inner, status, None
+    # every row of an alm group is in ``rows``
+    ok = status == STATUS_CONVERGED
+    return x, inner, status, (np.where(ok[:, None], y, cold[0]),
+                              np.where(ok, sigma, cold[1]))
 
 
 def x_update_all(problem, state, params, pool=None):
@@ -276,11 +278,13 @@ def x_update_all(problem, state, params, pool=None):
     ``state.Qx`` when the state has them).  Each quadratic group is solved
     from it by ``solve_group``, the groups spread over the ``pool`` when
     there is one; each ``alm`` group starts from its stacks in
-    ``state.alm`` (cold while that is empty, before the first sweep).  A
-    solve that stops at its iteration cap, or stalls, is logged.  Returns
-    (the new flat x, per-block inner iteration counts, the new
-    ``state.alm``).  Any numerical failure aborts with the lowest failing
-    block index.
+    ``state.alm`` (cold while that is empty, before the first sweep).  The
+    groups' statuses fill one array by block, whose blocks that did not
+    converge are walked in block order: the first numerical failure raises
+    :class:`BlockSolveError`, and a solve that stopped at its iteration cap,
+    or stalled, is logged with the solver its group kind routes to.
+    Returns (the new flat x, per-block inner iteration counts, the new
+    ``state.alm``).
     """
     vec = state.x
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
@@ -292,25 +296,26 @@ def x_update_all(problem, state, params, pool=None):
             for grp in groups]
     x_new = np.empty_like(vec)
     inner = np.empty(problem.T, dtype=int)
-    results, alm = {}, []
-    for grp, (x, it, res, nxt) in zip(groups, _map(
+    status = np.empty(problem.T, dtype=object)
+    solver = np.empty(problem.T, dtype=object)
+    alm = []
+    for grp, (x, it, st, nxt) in zip(groups, _map(
             pool, lambda job: solve_group(job[0], vec, g, w, job[1]), jobs)):
         x_new[grp.cols] = x.ravel()
         inner[grp.blocks] = it
-        results.update(res)
+        status[grp.blocks] = st
+        solver[grp.blocks] = ("box-newton" if grp.kind in ("exact", "box")
+                              else "equality-alm")
         if grp.kind == "alm":
             alm.append(nxt)
-    for t in sorted(results):
-        res = results[t]
-        if res.status == STATUS_NUMERICAL_FAILURE:
-            raise BlockSolveError(t, res)
-        if res.status in (STATUS_ITERATION_CAP, STATUS_STALLED):
-            how = ("stopped at its iteration cap"
-                   if res.status == STATUS_ITERATION_CAP else "stalled")
-            log.warning("iteration %d: block %d's %s solve %s after %d "
-                        "inner iterations; its last point is taken",
-                        state.k + 1, t, res.solver, how,
-                        res.inner_iterations)
+    for t in np.flatnonzero(status != STATUS_CONVERGED):
+        if status[t] == STATUS_NUMERICAL_FAILURE:
+            raise BlockSolveError(int(t), status[t])
+        how = ("stopped at its iteration cap"
+               if status[t] == STATUS_ITERATION_CAP else "stalled")
+        log.warning("iteration %d: block %d's %s solve %s after %d "
+                    "inner iterations; its last point is taken",
+                    state.k + 1, t, solver[t], how, inner[t])
     return x_new, inner.tolist(), alm
 
 

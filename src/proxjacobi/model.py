@@ -592,11 +592,6 @@ class ConstraintSet:
     def equality_jacobian(self, x):
         return self.equality_map.jacobian(np.asarray(x, dtype=float))
 
-    def equality_hessian(self, x, w):
-        """sum_i w_i times the Hessian of equality i."""
-        return self.equality_map.weighted_hessian(
-            np.asarray(x, dtype=float), np.asarray(w, dtype=float))
-
     def violation(self, x):
         """Max of bound and equality violations at ``x``."""
         x = np.asarray(x, dtype=float)

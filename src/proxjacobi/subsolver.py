@@ -22,17 +22,18 @@ Each kind of group has one solver:
   equalities are one map up to the right-hand side; it also takes the rows
   of a QP without a certificate.  It starts each row from the multipliers
   and penalty its caller passes: the sweep keeps those an ``alm`` group's
-  rows ended with when they converged (``jacobi.x_update_all``), and
+  rows ended with when they converged (``jacobi.solve_group``), and
   starts the other rows cold (``alm_cold_start``).
 
 The iterative solvers run every row of the stack in lockstep, each with
 its own multipliers, penalty, active set, ridge, step length and stopping
 tests, so that each row computes what a solve of its block alone (the
-stack k = 1) computes, bit for bit.  The objective callbacks answer for the
-rows ``rows`` of the stack at the points X (len(rows), n).
+stack k = 1) computes, bit for bit.  They return arrays over the rows: the
+points, the statuses (``STATUS_*``), the inner iteration counts and the
+criticalities, and for the ALM the multipliers and penalties.  The
+objective callbacks answer for the rows ``rows`` of the stack at the points
+X (len(rows), n).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -53,21 +54,6 @@ QP_MAX_PASSES = 50
 QP_INERTIA_RTOL = 1e-10
 INNER_TOL = 1e-8
 INNER_MAX_ITER = 500
-
-
-@dataclass
-class BlockSolveResult:
-    x: np.ndarray
-    mu: np.ndarray
-    status: str
-    inner_iterations: int
-    grad_norm: float
-    solver: str = ""
-    sigma: float = 0.0      # the ALM's final penalty; 0 for other solvers
-
-    @property
-    def converged(self):
-        return self.status == STATUS_CONVERGED
 
 
 def project_box(x, lower, upper):
@@ -212,16 +198,6 @@ def _pg_criticality(X, G, lower, upper):
                   initial=0.0)
 
 
-def _results(X, mu, status, inner, grad_norm, solver, sigma=None):
-    """The BlockSolveResult of each row of a stack."""
-    sigma = np.zeros(len(X)) if sigma is None else sigma
-    return [BlockSolveResult(x=X[i], mu=mu[i], status=str(status[i]),
-                             inner_iterations=int(inner[i]),
-                             grad_norm=float(grad_norm[i]), solver=solver,
-                             sigma=float(sigma[i]))
-            for i in range(len(X))]
-
-
 def _newton_directions(H, G, free):
     """Per row, the Newton direction -(Hff + ridge I)^-1 g_f on the free
     coordinates, and zero on the others.  The ridge of a row is the first
@@ -274,16 +250,27 @@ def _unbounded_below(H, lo, hi):
                      for h, f in zip(H, free)], dtype=bool)
 
 
-def _box_newton(obj, X, lo, hi, tol, max_iter, screen=False):
-    """Projected Newton over the box of each row of the stack X (k, n), all
-    rows in lockstep; ``obj`` exposes ``value``, ``gradient`` and
-    ``hessian`` of the rows ``rows`` of the stack at points X (len(rows),
-    n).  Each row keeps its own active set, ridge, step length, stall count
-    and status, and leaves the loop when it finishes.  With ``screen``, a
-    row whose model is unbounded below (``_unbounded_below`` of its Hessian
-    at the start) fails at once.  Returns the arrays
-    ``(X, status, inner, crit)``; crit is inf on the rows that ended in
-    numerical failure."""
+def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
+                    screen=True):
+    """Projected Newton over the boxes lo, hi (k, n) for a stack of block
+    models from the warm starts X (k, n), projected onto the boxes on
+    entry, all rows in lockstep; ``obj`` exposes ``value``, ``gradient``
+    and ``hessian`` of the rows ``rows`` of the stack at points X
+    (len(rows), n).  Each row keeps its own active set, ridge, step length,
+    stall count and status, and leaves the loop when it finishes.  Returns
+    the arrays ``(X, status, inner, crit)``: the points (k, n), the
+    statuses, the inner iteration counts and the projected-gradient
+    criticality (k,), inf on the rows that ended in numerical failure.
+
+    Coordinates pressed against a bound by the gradient are frozen; the
+    Newton system on the free set is regularized by an escalating ridge
+    until it factors.  Backtracking uses the projected-arc Armijo rule with
+    a machine-noise allowance so the final sharpening steps near the
+    minimizer are not rejected.  With ``screen``, a row whose Hessian is
+    not finite, or has negative curvature on the coordinates without a
+    finite bound (``_unbounded_below`` at the start), fails at once, with
+    no inner iteration.
+    """
     k = len(X)
     X = project_box(X, lo, hi)
     rows = np.arange(k)
@@ -356,26 +343,6 @@ def _box_newton(obj, X, lo, hi, tol, max_iter, screen=False):
             break
     crit[status == STATUS_NUMERICAL_FAILURE] = np.inf
     return X, status, inner, crit
-
-
-def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER):
-    """Projected Newton over the boxes lo, hi (k, n) for a stack of
-    quadratic block models from the warm starts X (k, n), projected onto
-    the boxes on entry; ``obj`` exposes the stacked callbacks of the k
-    models.  Returns the BlockSolveResult of each row.
-
-    Coordinates pressed against a bound by the gradient are frozen; the
-    Newton system on the free set is regularized by an escalating ridge
-    until it factors.  Backtracking uses the projected-arc Armijo rule with
-    a machine-noise allowance so the final sharpening steps near the
-    minimizer are not rejected.  A row whose Hessian is not finite, or has
-    negative curvature on the coordinates without a finite bound, fails at
-    once, with no inner iteration.
-    """
-    X, status, inner, crit = _box_newton(obj, X, lo, hi, tol, max_iter,
-                                         screen=True)
-    return _results(X, np.zeros((len(X), 0)), status, inner, crit,
-                    "box-newton")
 
 
 class _PenalizedObjective:
@@ -454,9 +421,10 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, y, sigma, tol=INNER_TOL,
     equalities are the map ``eqmap`` up to the right-hand sides D (k, r),
     from the warm starts X (k, n), the multipliers y (k, r) and the
     penalties sigma (k,), over the boxes lo and hi (k, n); ``obj`` exposes
-    the stacked callbacks of the k block objectives.  Returns the
-    BlockSolveResult of each row; its ``mu`` and ``sigma`` are the
-    multipliers and penalty at the point it returns.
+    the stacked callbacks of the k block objectives.  Returns the arrays
+    ``(X, status, inner, crit, y, sigma)``: each row's point, status,
+    total inner iteration count and projected-gradient criticality of its
+    last inner solve, and the multipliers and penalty at that point.
 
     Multiplier estimates are updated as ``y <- y + sigma c``; the penalty
     grows tenfold whenever the equality violation fails to shrink by a
@@ -483,8 +451,9 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, y, sigma, tol=INNER_TOL,
     for rnd in range(ALM_MAX_ROUNDS):
         pen = _PenalizedObjective(obj, eqmap, D[live], y[live],
                                   sigma[live], live)
-        x, st, inner, gn = _box_newton(pen, X[live], lo[live], hi[live],
-                                       tol, max_iter)
+        x, st, inner, gn = box_newton_rows(pen, X[live], lo[live],
+                                           hi[live], tol, max_iter,
+                                           screen=False)
         total[live] += inner
         bad = st == STATUS_NUMERICAL_FAILURE
         at = live[bad]
@@ -519,5 +488,4 @@ def equality_alm_rows(obj, eqmap, D, X, lo, hi, y, sigma, tol=INNER_TOL,
         live = live[keep]
         if not live.size:
             break
-    return _results(best_x, best_y, status, total, best_g, "equality-alm",
-                    best_s)
+    return best_x, status, total, best_g, best_y, best_s

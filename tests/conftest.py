@@ -1,10 +1,12 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and spies for the test suite."""
+
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxjacobi import problems
+from proxjacobi import jacobi, problems
 from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.cli import default_start
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, PolarBalance,
@@ -90,6 +92,48 @@ def block_objective(problem, t, g, x_bar, params):
     o = problem.offsets
     return BlockObjective(H[None], g[None, o[t]:o[t + 1]],
                           np.asarray(x_bar, dtype=float)[None])
+
+
+def spy_row_solvers(monkeypatch):
+    """Spy on the sweep's iterative solvers, ``jacobi.box_newton_rows`` and
+    ``jacobi.equality_alm_rows``.  Returns a list to which each of their
+    calls appends ``(solver, blocks, out)``: "box-newton" or
+    "equality-alm", the blocks of the rows it was given, and the arrays it
+    returned.  A row is mapped back to its block through the group that
+    ``jacobi.solve_group`` is solving: it is the one row of that group with
+    the same anchor and gradient."""
+    calls = []
+    solving = threading.local()
+    real_group = jacobi.solve_group
+
+    def solve_group(grp, vec, g, *args):
+        solving.grp = grp
+        solving.keys = np.hstack([grp.take(vec), grp.take(g)])
+        return real_group(grp, vec, g, *args)
+
+    def spy(solver, real):
+        def call(obj, *args, **kwargs):
+            out = real(obj, *args, **kwargs)
+            blocks = []
+            for key in np.hstack([obj.anchor, obj.g]):
+                i, = [i for i, row in enumerate(solving.keys)
+                      if np.array_equal(row, key, equal_nan=True)]
+                blocks.append(solving.grp.blocks[i])
+            calls.append((solver, blocks, out))
+            return out
+        return call
+
+    monkeypatch.setattr(jacobi, "solve_group", solve_group)
+    for name, solver in (("box_newton_rows", "box-newton"),
+                         ("equality_alm_rows", "equality-alm")):
+        monkeypatch.setattr(jacobi, name, spy(solver, getattr(jacobi, name)))
+    return calls
+
+
+def routes(calls):
+    """The {t: solver} of the blocks in the calls ``spy_row_solvers``
+    recorded."""
+    return {t: solver for solver, blocks, _ in calls for t in blocks}
 
 
 def acopf_rows(T=6, seed=0, early=1, capped=3, bad=4, stiff=5):

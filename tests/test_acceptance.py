@@ -20,12 +20,13 @@ import scipy.sparse as sp
 
 from proxjacobi import auglag, jacobi, problems, tuner
 from proxjacobi import cli
-from proxjacobi.algebra import couple_apply, r_matrix_eigencheck, spectral_norm
+from proxjacobi.algebra import couple_apply, spectral_norm
 from proxjacobi.jacobi import RunConfig, TraceRecord
 from proxjacobi.model import Params, save_problem
 from proxjacobi.tuner import TunerConfig, TunerState, tune_step
 
 from conftest import QP_SEEDS, build_qp, default_start
+from reference import dagger_norm_sq, r_matrix_eigencheck
 
 MONO_RTOL = 1e-8
 ID_RTOL = 1e-10
@@ -289,12 +290,12 @@ def test_criterion_09_local_contraction():
         lam0 = -params.theta * z0
         state = jacobi.init_state(prob, x0, z0, lam0, params)
         cfg = RunConfig(record_timings=False)
-        prev = auglag.dagger_norm_sq(prob, state, x_star, z_star, lam_star,
-                                     params)
+        prev = dagger_norm_sq(prob, state, x_star, z_star, lam_star,
+                              params)
         for _ in range(200):
             jacobi.iterate(prob, state, params, cfg)
-            cur = auglag.dagger_norm_sq(prob, state, x_star, z_star, lam_star,
-                                        params)
+            cur = dagger_norm_sq(prob, state, x_star, z_star, lam_star,
+                                 params)
             if prev > 0:
                 worst = max(worst, cur / prev)
             prev = cur

@@ -5,15 +5,15 @@ import pytest
 
 from proxjacobi import auglag, jacobi, problems
 from proxjacobi.algebra import couple_apply
-from proxjacobi.auglag import (aug_lagrangian, dagger_norm_sq, dual_residual,
-                               eta_pair, lyapunov, penalty_residuals,
-                               subproblem_gradients, theorem1_bounds,
-                               theorem1_params)
+from proxjacobi.auglag import (aug_lagrangian, eta_pair, lyapunov,
+                               penalty_residuals, subproblem_gradients,
+                               theorem1_bounds, theorem1_params)
 from proxjacobi.jacobi import RunConfig
 from proxjacobi.model import IterateState, Params
 
 from conftest import (at_point, block_objective, build_qp, default_start,
                       mixed_problem)
+from reference import dagger_norm_sq, dual_residual
 
 PARAMS = Params(rho=2.0, theta=3.0, tau_x=1.5, tau_z=0.5)
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,20 @@ from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, save_problem)
 
 from conftest import build_qp
+
+# One concave unconstrained block, unbounded below under unit parameters
+# (the Theorem-1 ones would make its subproblem convex): the first sweep
+# fails it.
+CONCAVE_BLOCK = {
+    "m": 1, "b": [1.0],
+    "blocks": [{
+        "n": 1,
+        "objective": {"type": "quadratic", "Q": [[0, 0, -100.0]],
+                      "c": [0.0]},
+        "bounds": {"lower": ["-inf"], "upper": ["inf"]},
+        "A": [[0, 0, 1.0]],
+    }],
+}
 
 
 @pytest.fixture
@@ -329,21 +347,10 @@ class TestSolve:
         [], ["--fixed-params", "--rho", "1", "--theta", "1", "--tau-x", "1",
              "--tau-z", "1"]], ids=["adaptive", "fixed"])
     def test_numerical_failure_exit(self, tmp_path, capsys, mode):
-        # concave unconstrained block, unbounded below under these
-        # parameters (the Theorem-1 ones would make its subproblem convex):
-        # the first sweep fails it, and both modes report it the same way
-        doc = {
-            "m": 1, "b": [1.0],
-            "blocks": [{
-                "n": 1,
-                "objective": {"type": "quadratic", "Q": [[0, 0, -100.0]],
-                              "c": [0.0]},
-                "bounds": {"lower": ["-inf"], "upper": ["inf"]},
-                "A": [[0, 0, 1.0]],
-            }],
-        }
+        # the first sweep fails the concave block (CONCAVE_BLOCK), and both
+        # modes report it the same way
         path = tmp_path / "concave.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(CONCAVE_BLOCK))
         trc, sol = tmp_path / "trace.csv", tmp_path / "sol.json"
         code = main(["solve", str(path), "--eps", "1e-4", "--max-iters", "50",
                      "--trace", str(trc), "--solution", str(sol), *mode])
@@ -536,6 +543,21 @@ class TestTraceCheck:
         assert main(["trace-check", str(trc), str(pfile)]) == EXIT_IO
         assert capsys.readouterr() == ("", err)
 
+    def test_replay_failure_exit(self, tmp_path, capsys):
+        # a one-record trace with unit parameters on the concave block: the
+        # replay's first sweep fails it, reported in one line, exit 3
+        pfile, trc = tmp_path / "concave.json", tmp_path / "t.csv"
+        pfile.write_text(json.dumps(CONCAVE_BLOCK))
+        with open(trc, "w", newline="") as fh:
+            jacobi.write_trace_csv([jacobi.TraceRecord(
+                k=1, phi=0.0, dphi=0.0, coupling_inf=0.0, p_inf=0.0,
+                d_inf=0.0, pi=0.0, delta_max=0.0, rho=1.0, theta=1.0,
+                tau_x=1.0, tau_z=1.0, t_xupd_ms=0.0, t_zupd_ms=0.0,
+                inner_iters_total=0)], fh)
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "error: replay failed at block 0: numerical-failure"]
+
     def test_truncated_trace(self, tmp_path):
         pfile, trc = self.run_solve(tmp_path)
         lines = trc.read_text().splitlines()
@@ -669,6 +691,39 @@ class TestLeanReplay:
         name, outcome, detail = expected
         assert (f"{outcome.upper():5s} {name} ({detail})"
                 in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("level", [None, "error"])
+def test_stalled_solves_warn_by_default(tmp_path, level):
+    # every block of this over-loaded ACOPF stalls in every sweep: its
+    # warnings reach stderr by default, and none under
+    # PROXJACOBI_LOG=error; the run exits 0 either way.  pytest's own log
+    # handlers make the CLI's logging set-up a no-op in process, so it runs
+    # in a process of its own
+    prob = problems.gen_acopf_toy(
+        problems.toy_network(nbus=2, T=3, load_base=2.5), 3)
+    pfile = tmp_path / "over.json"
+    pfile.write_text(save_problem(prob))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PROXJACOBI_LOG", None)
+    if level is not None:
+        env["PROXJACOBI_LOG"] = level
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from proxjacobi.cli import main; sys.exit(main())",
+         "solve", str(pfile), "--eps", "1e-3"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK
+    if level == "error":
+        assert proc.stderr == ""
+        return
+    lines = proc.stderr.splitlines()
+    assert all(line.startswith("WARNING proxjacobi: iteration ")
+               and "equality-alm solve stalled" in line for line in lines)
+    assert all(f"iteration 1: block {t}'s equality-alm solve stalled" in
+               proc.stderr for t in range(prob.T))
 
 
 def test_unknown_command_rejected():

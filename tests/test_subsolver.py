@@ -8,9 +8,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from proxjacobi import subsolver
+from proxjacobi import jacobi, subsolver
 from proxjacobi.auglag import BlockObjective, subproblem_gradients
-from proxjacobi.jacobi import solve_group
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, variable_splitting_transform)
 from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
@@ -19,7 +18,7 @@ from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
                                   project_box, solve_quadratic_exact)
 
 from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
-                      mixed_problem)
+                      mixed_problem, spy_row_solvers)
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
 W = PARAMS.rho + PARAMS.tau_x
@@ -53,21 +52,24 @@ def block_model(problem, warm=None):
 
 def box_newton(problem, warm=None, max_iter=500):
     """``box_newton_rows`` on the one block of a one-block problem, to
-    1e-10: (its result, the block objective)."""
+    1e-10: (its x, status, inner iterations and criticality, the block
+    objective)."""
     grp, obj, X = block_model(problem, warm)
-    res, = box_newton_rows(obj, X, grp.lower, grp.upper, tol=1e-10,
-                           max_iter=max_iter)
-    return res, obj
+    out = box_newton_rows(obj, X, grp.lower, grp.upper, tol=1e-10,
+                          max_iter=max_iter)
+    return tuple(a[0] for a in out), obj
 
 
-def sweep(problem, warm=None, z_bar=None):
+def sweep(monkeypatch, problem, warm=None, z_bar=None):
     """The sweep's solve of the one group of a one-block problem
-    (``solve_group``): (x, inner iterations, the iterative solver's result
-    or None)."""
+    (``jacobi.solve_group``): (x, inner iterations, status, the calls of
+    the iterative solvers that ``spy_row_solvers`` recorded)."""
     grp, = problem.quadratic_groups
     warm, g = block_gradients(problem, warm, z_bar)
-    x, inner, results, _ = solve_group(grp, warm, g, W)
-    return x[0], inner[0], results.get(0)
+    with monkeypatch.context() as mp:
+        calls = spy_row_solvers(mp)
+        x, inner, status, _ = jacobi.solve_group(grp, warm, g, W)
+    return x[0], inner[0], status[0], calls
 
 
 def qp_model(problem, warm=None):
@@ -95,9 +97,10 @@ def test_warm_start_clipped():
     cset = ConstraintSet(np.zeros(2), np.ones(2))
     prob = make_block_problem(
         Quadratic(sp.eye(2, format="csr"), np.zeros(2)), cset)
-    res, _ = box_newton(prob, warm=np.array([-3.0, 5.0]), max_iter=0)
-    assert res.inner_iterations == 0
-    assert np.array_equal(res.x, np.array([0.0, 1.0]))
+    (x, _, inner, _), _ = box_newton(prob, warm=np.array([-3.0, 5.0]),
+                                     max_iter=0)
+    assert inner == 0
+    assert np.array_equal(x, np.array([0.0, 1.0]))
 
 
 def box_qp(H, g, C, d, lo, hi):
@@ -144,14 +147,15 @@ def test_quadratic_exact_indefinite_fails():
     assert not solved[0]
 
 
-def test_dispatch_nonfinite_data_fails():
+def test_dispatch_nonfinite_data_fails(monkeypatch):
     # a NaN zbar (a diverged outer iterate) must not raise from a solver:
     # the exact step fails, and so does projected Newton after it
     cset = ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf))
     prob = make_block_problem(Quadratic(sp.eye(2, format="csr"), np.zeros(2)),
                               cset, m=1, A=np.ones((1, 2)))
-    _, _, res = sweep(prob, z_bar=np.full(1, np.nan))
-    assert res.status == subsolver.STATUS_NUMERICAL_FAILURE
+    _, _, status, calls = sweep(monkeypatch, prob, z_bar=np.full(1, np.nan))
+    assert [c[:2] for c in calls] == [("box-newton", [0])]
+    assert status == subsolver.STATUS_NUMERICAL_FAILURE
 
 
 def test_hessian_factor_follows_weight():
@@ -171,15 +175,17 @@ def test_hessian_factor_follows_weight():
         assert np.array_equal(H_inv, np.linalg.inv(grp.Q + w * grp.AtA))
 
 
-def test_box_newton_clamps_to_bound():
+def test_box_newton_clamps_to_bound(monkeypatch):
     # (x - 2)^2 over [0, 1] has its constrained minimum at 1
     cset = ConstraintSet(np.zeros(1), np.ones(1))
     f = Quadratic(sp.csr_matrix(np.array([[2.0]])), np.array([-4.0]), 4.0)
     prob = make_block_problem(f, cset)
-    x, inner, res = sweep(prob)
-    assert res.converged and res.solver == "box-newton"
-    assert inner == res.inner_iterations and np.array_equal(x, res.x)
-    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+    x, inner, status, calls = sweep(monkeypatch, prob)
+    (solver, blocks, (x_row, _, inner_row, _)), = calls
+    assert status == STATUS_CONVERGED
+    assert solver == "box-newton" and blocks == [0]
+    assert inner == inner_row[0] and np.array_equal(x, x_row[0])
+    assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_box_newton_monotone():
@@ -192,12 +198,11 @@ def test_box_newton_monotone():
         cset = ConstraintSet(-np.ones(n), np.ones(n))
         prob = make_block_problem(f, cset)
         warm = rng.uniform(-1, 1, n)
-        res, obj = box_newton(prob, warm=warm)
-        assert res.solver == "box-newton"
-        assert at_point(obj.value, res.x) <= at_point(obj.value, warm) + 1e-12
+        (x, _, _, _), obj = box_newton(prob, warm=warm)
+        assert at_point(obj.value, x) <= at_point(obj.value, warm) + 1e-12
 
 
-def test_box_block_unbounded_below_fails_at_once():
+def test_box_block_unbounded_below_fails_at_once(monkeypatch):
     # Q = diag(1, -1): negative curvature along x1, which has no finite
     # bound, makes the block subproblem unbounded below; with x1 boxed,
     # projected Newton from x1 = 0.5 stops at the local minimum on x1's
@@ -205,14 +210,16 @@ def test_box_block_unbounded_below_fails_at_once():
     f = Quadratic(sp.diags([1.0, -1.0], format="csr"), np.array([0.5, 0.1]))
     free = make_block_problem(f, ConstraintSet(np.array([0.0, -np.inf]),
                                                np.array([1.0, np.inf])))
-    _, inner, res = sweep(free)
-    assert res.status == STATUS_NUMERICAL_FAILURE
-    assert inner == res.inner_iterations == 0
+    _, inner, status, calls = sweep(monkeypatch, free)
+    (_, _, (_, _, inner_row, _)), = calls
+    assert status == STATUS_NUMERICAL_FAILURE
+    assert inner == inner_row[0] == 0
     half = make_block_problem(f, ConstraintSet(np.array([-np.inf, -2.0]),
                                                np.array([np.inf, 2.0])))
-    _, _, res = sweep(half, warm=np.array([0.0, 0.5]))
-    assert res.converged and res.solver == "box-newton"
-    assert np.allclose(res.x, [-0.5, 2.0], rtol=0.0, atol=1e-9)
+    x, _, status, calls = sweep(monkeypatch, half, warm=np.array([0.0, 0.5]))
+    assert status == STATUS_CONVERGED
+    assert [c[:2] for c in calls] == [("box-newton", [0])]
+    assert np.allclose(x, [-0.5, 2.0], rtol=0.0, atol=1e-9)
 
 
 def test_dispatch_nonfinite_hessian_fails():
@@ -226,10 +233,10 @@ def test_dispatch_nonfinite_hessian_fails():
         def hessian(self, X, rows):
             return np.full((len(X), 2, 2), np.nan)
 
-    res, = box_newton_rows(NanModel(), np.zeros((1, 2)), np.zeros((1, 2)),
-                           np.ones((1, 2)))
-    assert res.status == STATUS_NUMERICAL_FAILURE
-    assert res.inner_iterations == 0
+    _, status, inner, _ = box_newton_rows(NanModel(), np.zeros((1, 2)),
+                                          np.zeros((1, 2)), np.ones((1, 2)))
+    assert status[0] == STATUS_NUMERICAL_FAILURE
+    assert inner[0] == 0
 
 
 def test_box_newton_memory_stays_quadratic():
@@ -245,11 +252,12 @@ def test_box_newton_memory_stays_quadratic():
     grp, obj, X = block_model(prob)
     tracemalloc.start()
     try:
-        res, = box_newton_rows(obj, X, grp.lower, grp.upper, tol=1e-10)
+        _, status, inner, _ = box_newton_rows(obj, X, grp.lower, grp.upper,
+                                              tol=1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.converged and res.inner_iterations > 1
+    assert status[0] == STATUS_CONVERGED and inner[0] > 1
     assert peak <= 16 * 8 * n * n
 
 
@@ -263,12 +271,12 @@ def test_box_newton_matches_enumeration():
         lo, hi = -np.ones(n), np.ones(n)
         cset = ConstraintSet(lo, hi)
         prob = make_block_problem(Quadratic(sp.csr_matrix(Q), c), cset)
-        res, obj = box_newton(prob, warm=np.zeros(n))
+        (x, _, _, _), obj = box_newton(prob, warm=np.zeros(n))
         # compare against brute-force active-set enumeration of the full
         # subproblem objective (A is empty, so the block model is
         # f(x) - f(warm), and f(warm) = f(0) = 0)
         best = box_quadratic_min_enum(Q, c, 0.0, lo, hi)
-        assert at_point(obj.value, res.x) == pytest.approx(best, abs=1e-8)
+        assert at_point(obj.value, x) == pytest.approx(best, abs=1e-8)
 
 
 def test_quadratic_kkt_linear_equality():
@@ -283,7 +291,7 @@ def test_quadratic_kkt_linear_equality():
     assert mu[0] == pytest.approx(-1.0, abs=1e-10)
 
 
-def test_quadratic_kkt_active_bound():
+def test_quadratic_kkt_active_bound(monkeypatch):
     # the upper bound 1.2 cuts off (1.5, 1.5): the active set pins x0 and
     # the equality gives x = (1.2, 1.8)
     f = Quadratic(2.0 * sp.eye(2, format="csr"), np.full(2, -2.0), 2.0)
@@ -293,8 +301,8 @@ def test_quadratic_kkt_active_bound():
     x, _, passes = qp_model(prob)
     assert passes == 2
     assert np.allclose(x, [1.2, 1.8], rtol=0.0, atol=1e-12)
-    x, inner, res = sweep(prob)
-    assert res is None and inner == 2
+    x, inner, status, calls = sweep(monkeypatch, prob)
+    assert calls == [] and inner == 2 and status == STATUS_CONVERGED
     assert np.allclose(x, [1.2, 1.8], rtol=0.0, atol=1e-12)
 
 
@@ -414,7 +422,7 @@ def test_batched_box_qp_certificates():
                        atol=1e-14)
 
 
-def test_split_saddle_block_not_accepted():
+def test_split_saddle_block_not_accepted(monkeypatch):
     # the split form of mixed_problem's block 3 at w = rho + tau_x = 0.5:
     # its KKT point has the reduced Hessian eigenvalues (-0.25, 1), so the
     # QP of its group does not certify it, and the block alone takes the
@@ -432,10 +440,10 @@ def test_split_saddle_block_not_accepted():
         H, G - (H @ X[..., None])[..., 0], grp.C, grp.d, grp.lower,
         grp.upper)
     assert [t for t, p in zip(grp.blocks, passes) if not p] == [3]
-    _, _, results, _ = solve_group(grp, vec, g, w)
-    res, = results.values()
-    assert results.keys() == {3}
-    assert res.solver == "equality-alm" and not res.converged
+    calls = spy_row_solvers(monkeypatch)
+    _, _, status, _ = jacobi.solve_group(grp, vec, g, w)
+    assert [c[:2] for c in calls] == [("equality-alm", [3])]
+    assert status[grp.blocks.index(3)] != STATUS_CONVERGED
 
 
 def test_quadratic_kkt_pinned_coordinates():
@@ -457,15 +465,14 @@ def test_equality_alm_nonlinear_constraint():
     prob = make_block_problem(f, cset)
     grp, obj, X = block_model(prob, warm=np.array([1.5, 0.5]))
     assert grp.kind == "alm" and grp.blocks == [0]
-    res, = equality_alm_rows(obj, grp.equality_map, grp.d, X, grp.lower,
-                             grp.upper, *alm_cold_start(*grp.d.shape),
-                             tol=1e-9)
-    assert res.status == STATUS_CONVERGED
-    assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
-    assert res.solver == "equality-alm"
+    x, status, _, _, _, _ = equality_alm_rows(
+        obj, grp.equality_map, grp.d, X, grp.lower, grp.upper,
+        *alm_cold_start(*grp.d.shape), tol=1e-9)
+    assert status[0] == STATUS_CONVERGED
+    assert np.allclose(x[0], [1.0, 1.0], atol=1e-6)
 
 
-def test_dispatch_routing():
+def test_dispatch_routing(monkeypatch):
     # each block forms a group of one, whose kind names its solver: the
     # exact step and the QP report no iterative solve
     rng = np.random.default_rng(8)
@@ -493,15 +500,16 @@ def test_dispatch_routing():
             (nonlinear_eq, "alm", "equality-alm", np.ones(2))]:
         grp, = prob.quadratic_groups
         assert grp.kind == kind and grp.blocks == [0]
-        _, inner, res = sweep(prob, warm=warm)
-        assert (res and res.solver) == solver
+        _, inner, _, calls = sweep(monkeypatch, prob, warm=warm)
+        assert [c[:2] for c in calls] == ([(solver, [0])] if solver else [])
         assert inner >= 1
     # an unconstrained block whose exact step fails goes to projected
     # Newton
     concave = make_block_problem(
         Quadratic(sp.diags([1.0, -5.0], format="csr"), np.zeros(2)),
         ConstraintSet(np.full(2, -np.inf), np.full(2, np.inf)))
-    assert sweep(concave)[2].solver == "box-newton"
+    assert [c[:2] for c in sweep(monkeypatch, concave)[3]] == [
+        ("box-newton", [0])]
 
 
 def stacked_alm(grp, H, G, X, start=None):
@@ -514,14 +522,15 @@ def stacked_alm(grp, H, G, X, start=None):
 
 def one_block_alm(prob, H, G, X, i, t, start=None):
     """The ALM on row i of the stack alone (k = 1), as block t with its own
-    map and box, from row i of ``start`` (cold when None)."""
+    map and box, from row i of ``start`` (cold when None): the one row of
+    each array it returns (x, status, inner, crit, y, sigma)."""
     cset = prob.blocks[t].set
     y, sigma = start or alm_cold_start(len(X), len(cset.equality_map.d))
-    res, = equality_alm_rows(
+    out = equality_alm_rows(
         BlockObjective(H[i:i + 1], G[i:i + 1], X[i:i + 1]),
         cset.equality_map, cset.equality_map.d[None], X[i:i + 1],
         cset.lower[None], cset.upper[None], y[i:i + 1], sigma[i:i + 1])
-    return res
+    return tuple(a[0] for a in out)
 
 
 def test_batched_alm_rows_match_one_block_solves(monkeypatch):
@@ -534,37 +543,37 @@ def test_batched_alm_rows_match_one_block_solves(monkeypatch):
     prob, grp, H, G, X = acopf_rows()
     assert len({tuple(d) for d in grp.d}) == len(grp.blocks)
     sizes = []
-    real = subsolver._box_newton
+    real = subsolver.box_newton_rows
 
-    def recording(obj, X, *args):
+    def recording(obj, X, *args, **kwargs):
         sizes.append(len(X))
-        return real(obj, X, *args)
+        return real(obj, X, *args, **kwargs)
 
-    monkeypatch.setattr(subsolver, "_box_newton", recording)
-    res = stacked_alm(grp, H, G, X)
-    monkeypatch.setattr(subsolver, "_box_newton", real)
-    assert [r.status for r in res] == [
+    monkeypatch.setattr(subsolver, "box_newton_rows", recording)
+    x, status, inner, crit, mu, sigma = stacked_alm(grp, H, G, X)
+    monkeypatch.setattr(subsolver, "box_newton_rows", real)
+    assert list(status) == [
         STATUS_CONVERGED, STATUS_CONVERGED, STATUS_CONVERGED,
         STATUS_STALLED, STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
-    assert res[1].inner_iterations == 1 and res[4].inner_iterations == 0
-    assert res[3].inner_iterations == 5
-    assert len({r.inner_iterations for r in res}) >= 5
+    assert inner[1] == 1 and inner[4] == 0
+    assert inner[3] == 5
+    assert len(set(inner)) >= 5
     # rows leave the lockstep loop as they finish: rows 1 and 4 after the
     # first round
     assert sizes[:2] == [6, 4] and sizes == sorted(sizes, reverse=True)
     for i, t in enumerate(grp.blocks):
-        ref = one_block_alm(prob, H, G, X, i, t)
-        assert res[i].status == ref.status, t
-        assert res[i].inner_iterations == ref.inner_iterations, t
-        assert np.array_equal(res[i].x, ref.x), t
-        assert np.array_equal(res[i].mu, ref.mu), t
-        assert res[i].grad_norm == ref.grad_norm, t
-        assert res[i].sigma == ref.sigma, t
-        assert res[i].solver == "equality-alm"
+        x_t, status_t, inner_t, crit_t, mu_t, sigma_t = one_block_alm(
+            prob, H, G, X, i, t)
+        assert status[i] == status_t, t
+        assert inner[i] == inner_t, t
+        assert np.array_equal(x[i], x_t), t
+        assert np.array_equal(mu[i], mu_t), t
+        assert crit[i] == crit_t, t
+        assert sigma[i] == sigma_t, t
     # the penalty reported is the one of the returned point: row 5 raised
     # its penalty beyond the others'
-    assert res[1].sigma == subsolver.ALM_SIGMA_INIT
-    assert res[5].sigma > max(res[0].sigma, res[2].sigma)
+    assert sigma[1] == subsolver.ALM_SIGMA_INIT
+    assert sigma[5] > max(sigma[0], sigma[2])
 
 
 def test_warm_alm_rows_match_one_block_solves():
@@ -573,51 +582,53 @@ def test_warm_alm_rows_match_one_block_solves():
     # from the same start computes, bit for bit, and a converged row
     # restarted from its own end needs fewer inner iterations
     prob, grp, H, G, X = acopf_rows(early=None, capped=None, bad=None)
-    first = stacked_alm(grp, H, G, X)
-    assert all(r.converged for r in first)
+    _, first_status, first_inner, _, first_mu, first_sigma = stacked_alm(
+        grp, H, G, X)
+    assert all(first_status == STATUS_CONVERGED)
     rng = np.random.default_rng(1)
-    y = np.array([r.mu for r in first])
+    y = first_mu.copy()
     y *= 1.0 + 1e-3 * rng.standard_normal(y.shape)
-    sigma = np.array([r.sigma for r in first])
+    sigma = first_sigma.copy()
     y[2], sigma[2] = 0.0, subsolver.ALM_SIGMA_INIT
-    again = stacked_alm(grp, H, G, X, (y, sigma))
+    x, status, inner, _, mu, sigma_end = stacked_alm(grp, H, G, X,
+                                                     (y, sigma))
     for i, t in enumerate(grp.blocks):
-        ref = one_block_alm(prob, H, G, X, i, t, (y, sigma))
-        assert again[i].status == ref.status == STATUS_CONVERGED, t
-        assert again[i].inner_iterations == ref.inner_iterations, t
-        assert np.array_equal(again[i].x, ref.x), t
-        assert np.array_equal(again[i].mu, ref.mu), t
-        assert again[i].sigma == ref.sigma, t
-    assert again[2].inner_iterations == first[2].inner_iterations
-    assert sum(r.inner_iterations for r in again) < sum(
-        r.inner_iterations for r in first)
+        x_t, status_t, inner_t, _, mu_t, sigma_t = one_block_alm(
+            prob, H, G, X, i, t, (y, sigma))
+        assert status[i] == status_t == STATUS_CONVERGED, t
+        assert inner[i] == inner_t, t
+        assert np.array_equal(x[i], x_t), t
+        assert np.array_equal(mu[i], mu_t), t
+        assert sigma_end[i] == sigma_t, t
+    assert inner[2] == first_inner[2]
+    assert sum(inner) < sum(first_inner)
 
 
 def test_batched_alm_rows_ignore_the_others():
     # dropping the capped and the failing rows from the stack changes no
     # other row's result
     prob, grp, H, G, X = acopf_rows()
-    full = stacked_alm(grp, H, G, X)
+    full_x, _, full_inner, _, _, _ = stacked_alm(grp, H, G, X)
     _, grp2, H2, G2, X2 = acopf_rows(capped=None, bad=None)
     keep = [0, 1, 2, 5]
-    part = stacked_alm(grp2, H2, G2, X2)
+    part_x, _, part_inner, _, _, _ = stacked_alm(grp2, H2, G2, X2)
     for i in keep:
-        assert np.array_equal(full[i].x, part[i].x)
-        assert full[i].inner_iterations == part[i].inner_iterations
+        assert np.array_equal(full_x[i], part_x[i])
+        assert full_inner[i] == part_inner[i]
 
 
 def test_batched_alm_feasible_rows():
     # the converged rows meet their own balances, not another row's
     prob, grp, H, G, X = acopf_rows()
-    res = stacked_alm(grp, H, G, X)
+    x, status, _, _, _, _ = stacked_alm(grp, H, G, X)
     for i, t in enumerate(grp.blocks):
-        if res[i].converged:
-            assert prob.blocks[t].set.violation(res[i].x) <= 1e-8
-            c = grp.equality_map.values(res[i].x, grp.d[i])
+        if status[i] == STATUS_CONVERGED:
+            assert prob.blocks[t].set.violation(x[i]) <= 1e-8
+            c = grp.equality_map.values(x[i], grp.d[i])
             assert np.max(np.abs(c)) <= 1e-8
 
 
-def test_box_group_rows_match_one_block_solves():
+def test_box_group_rows_match_one_block_solves(monkeypatch):
     # five box-only blocks of n = 3, block t coupled through row t alone,
     # are one group; each row of its one stacked projected-Newton call is,
     # bit for bit, the solve of that block as the one block of a problem of
@@ -655,12 +666,15 @@ def test_box_group_rows_match_one_block_solves():
     assert grp.kind == "box" and grp.blocks == list(range(T))
     # block 4's warm start: the minimizer of its model, found from x0
     g = subproblem_gradients(prob, x0.ravel(), z, lam, PARAMS.rho)
-    x, _, _, _ = solve_group(grp, x0.ravel(), g, W)
+    x, _, _, _ = jacobi.solve_group(grp, x0.ravel(), g, W)
     x0[4] = x[4]
     vec = x0.ravel()
     g = subproblem_gradients(prob, vec, z, lam, PARAMS.rho)
-    x, inner, results, _ = solve_group(grp, vec, g, W)
-    assert [results[t].status for t in range(T)] == [
+    calls = spy_row_solvers(monkeypatch)
+    x, inner, status, _ = jacobi.solve_group(grp, vec, g, W)
+    (solver, routed, (_, _, _, crit)), = calls
+    assert solver == "box-newton" and routed == grp.blocks
+    assert list(status) == [
         STATUS_CONVERGED, STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
         STATUS_NUMERICAL_FAILURE, STATUS_CONVERGED]
     assert inner[2] == inner[3] == 0 and inner[4] == 1
@@ -674,9 +688,11 @@ def test_box_group_rows_match_one_block_solves():
         g_t = subproblem_gradients(one, x0[t], z[t:t + 1], lam[t:t + 1],
                                    PARAMS.rho)
         assert np.array_equal(g_t, g[t * n:(t + 1) * n], equal_nan=True)
-        x_t, inner_t, res_t, _ = solve_group(one_grp, x0[t], g_t, W)
-        res = results[t]
+        x_t, inner_t, status_t, _ = jacobi.solve_group(one_grp, x0[t], g_t,
+                                                       W)
+        _, blocks_t, (_, _, _, crit_t) = calls[t + 1]
+        assert blocks_t == [0], t
         assert np.array_equal(x_t[0], x[t]), t
         assert inner_t[0] == inner[t], t
-        assert res_t[0].status == res.status, t
-        assert res_t[0].grad_norm == res.grad_norm, t
+        assert status_t[0] == status[t], t
+        assert crit_t[0] == crit[t], t
