@@ -6,7 +6,6 @@ blocks of one size come from one batched SVD.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def couple_apply(problem, x):
@@ -16,17 +15,10 @@ def couple_apply(problem, x):
     return problem.row_sums(problem.block_products(x))
 
 
-def spectral_norm(A_t):
-    """Largest singular value of ``A_t``, from its dense form (blocks are
-    small)."""
-    A_t = sp.csr_matrix(A_t).toarray()
-    return float(np.linalg.norm(A_t, 2)) if A_t.size else 0.0
-
-
 def spectral_norms(problem):
-    """``spectral_norm`` of every A_t, in block order: one batched SVD per
-    block size, of the stacked nonzero rows of the A_t (zero rows leave the
-    singular values as they are)."""
+    """The largest singular value of every A_t, in block order: one batched
+    SVD per block size, of the stacked nonzero rows of the A_t (zero rows
+    leave the singular values as they are)."""
     norms = np.zeros(problem.T)
     dims = np.array(problem.dims)
     for n in np.unique(dims[dims > 0]):

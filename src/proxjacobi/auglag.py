@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import couple_apply
-from .model import _dot, _matvec, _positive_definite
+from .model import _cholesky, _dot, _matvec
 
 
 # The multiplier fit of ``dual_residuals`` solves the normal equations
@@ -143,12 +143,7 @@ def fit_multipliers(J, G, free):
     # solve of the zero right-hand side is mu = 0
     diag = M.reshape(len(M), r * r)[:, ::r + 1]
     diag += ~Jf.any(axis=(1, 2))[:, None]
-    try:
-        L = np.linalg.cholesky(M)
-        ok = True
-    except np.linalg.LinAlgError:
-        ok = _positive_definite(M)
-        L = np.linalg.cholesky(np.where(ok[:, None, None], M, np.eye(r)))
+    L, ok = _cholesky(M)
     L_inv = np.linalg.inv(L)
     # cond(J_f) = cond(L) <= ||L||_F ||L^-1||_F, and ||L||_F^2 = trace(M)
     ok = ok & (diag.sum(axis=1) * np.einsum("kij,kij->k", L_inv, L_inv)

@@ -150,20 +150,38 @@ def cmd_solve(args):
     run_config = RunConfig(workers=args.workers,
                            record_timings=not args.no_timings)
     with contextlib.ExitStack() as stack:
-        if args.trace:
-            try:
-                fh = stack.enter_context(open(args.trace, "w", newline=""))
-            except OSError as exc:
-                print(f"error: {args.trace}: {exc.strerror}", file=sys.stderr)
-                return EXIT_IO
-            run_config.trace_sink = jacobi.trace_csv_sink(fh)
-        return _run_solve(args, problem, cfg, params, run_config)
+        outputs = _open_outputs(stack, args.trace, args.solution)
+        if outputs is None:
+            return EXIT_IO
+        trace_fh, solution_fh = outputs
+        if trace_fh:
+            run_config.trace_sink = jacobi.trace_csv_sink(trace_fh)
+        return _run_solve(solution_fh, problem, cfg, params, run_config)
 
 
-def _run_solve(args, problem, cfg, params, run_config):
+def _open_outputs(stack, *paths):
+    """Each of ``paths`` opened for writing on the exit stack ``stack``
+    (None for a path not given), before any work is done.  When one cannot
+    be opened: None, after one ``error:`` line, with the files opened
+    before it removed."""
+    files = []
+    try:
+        for path in paths:
+            files.append(stack.enter_context(open(path, "w", newline=""))
+                         if path else None)
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        for fh in filter(None, files):
+            os.remove(fh.name)
+        return None
+    return files
+
+
+def _run_solve(solution_fh, problem, cfg, params, run_config):
     """Run the solve of ``cmd_solve``, with the fixed ``params`` or (None)
     the tuner, its trace streamed through ``run_config.trace_sink``; write
-    the solution and return the exit code of its termination."""
+    the solution to ``solution_fh`` (when given) and return the exit code
+    of its termination."""
     x0, z0, lam0 = default_start(problem)
     try:
         if params is not None:
@@ -181,7 +199,10 @@ def _run_solve(args, problem, cfg, params, run_config):
               file=sys.stderr)
         state, trace = exc.state, exc.trace
         reason = jacobi.TERMINATION_BLOCK_FAILURE
-    _write_solution(args, problem, state, trace, reason)
+    if solution_fh:
+        json.dump(_solution_doc(problem, state, reason, trace), solution_fh,
+                  indent=1, sort_keys=True)
+        solution_fh.write("\n")
     log.info("terminated %s after %d iterations", reason, state.k)
     return EXIT_CODES[reason]
 
@@ -196,14 +217,6 @@ def _fixed_params(args, cfg, T):
         theta=args.theta if args.theta is not None else base.theta,
         tau_x=args.tau_x if args.tau_x is not None else base.tau_x,
         tau_z=args.tau_z if args.tau_z is not None else base.tau_z)
-
-
-def _write_solution(args, problem, state, trace, reason):
-    if args.solution:
-        doc = _solution_doc(problem, state, reason, trace)
-        with open(args.solution, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def cmd_validate(args):
@@ -255,25 +268,29 @@ def cmd_generate(args):
         for msg in report.errors:
             print(f"error: generated problem invalid: {msg}", file=sys.stderr)
         return EXIT_IO
-    with open(args.out, "w") as fh:
-        fh.write(model.save_problem(problem))
-        fh.write("\n")
-    if args.oracle:
-        try:
-            oracle = problems.kkt_reference_solve(problem)
-        except ValueError as exc:
-            print(f"note: no oracle written: {exc}", file=sys.stderr)
-        else:
-            doc = {
-                "x_star": [[float(v) for v in xt]
-                           for xt in problem.split(oracle.x_star)],
-                "lambda_star": [float(v) for v in oracle.lambda_star],
-                "objective": oracle.objective,
-                "provenance": oracle.provenance,
-            }
-            with open(args.oracle, "w") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+    with contextlib.ExitStack() as stack:
+        outputs = _open_outputs(stack, args.out, args.oracle)
+        if outputs is None:
+            return EXIT_IO
+        out_fh, oracle_fh = outputs
+        out_fh.write(model.save_problem(problem))
+        out_fh.write("\n")
+        if oracle_fh:
+            try:
+                oracle = problems.kkt_reference_solve(problem)
+            except ValueError as exc:
+                print(f"note: no oracle written: {exc}", file=sys.stderr)
+                os.remove(args.oracle)
+            else:
+                doc = {
+                    "x_star": [[float(v) for v in xt]
+                               for xt in problem.split(oracle.x_star)],
+                    "lambda_star": [float(v) for v in oracle.lambda_star],
+                    "objective": oracle.objective,
+                    "provenance": oracle.provenance,
+                }
+                json.dump(doc, oracle_fh, indent=1, sort_keys=True)
+                oracle_fh.write("\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -306,9 +323,9 @@ def replay_trace(problem, records):
 
     Uses the solver's default start and ``jacobi.advance``, so it makes no
     trace record and computes no residual.  Returns a snapshot of the state
-    after every iteration, without its products and ALM stacks.  Raises ValueError
-    when a replayed phi disagrees with the trace beyond replay tolerance
-    (trace/problem mismatch).
+    after every iteration, with its product Ax but without Qx and the ALM
+    stacks.  Raises ValueError when a replayed phi disagrees with the trace
+    beyond replay tolerance (trace/problem mismatch).
     """
     if not records:
         raise ValueError("empty trace")
@@ -329,7 +346,7 @@ def replay_trace(problem, records):
                 f"match the trace value {rec.phi!r}; trace/problem mismatch")
         # advance rebinds the arrays of the state and writes into none, so
         # a snapshot shares them; it drops what no check reads
-        states.append(replace(state, alm=[], Ax=None, Qx=None))
+        states.append(replace(state, alm=[], Qx=None))
     return states
 
 
@@ -339,10 +356,11 @@ def identity_residuals(problem, state, params):
 
     Each residual is scaled by the operands that enter it.  lambda carries
     rho * (Ax + z - b), whose summands cancel, so an identity with lambda
-    can only hold to roundoff relative to rho * max(|Ax|, |b|).
+    can only hold to roundoff relative to rho * max(|Ax|, |b|).  Ax is the
+    product the state carries, when it carries one.
     """
     amax = lambda v: float(np.max(np.abs(v), initial=0.0))
-    ax = couple_apply(problem, state.x)
+    ax = state.Ax if state.Ax is not None else couple_apply(problem, state.x)
     z_terms = max(params.theta * amax(state.z),
                   params.tau_z * amax(state.dz),
                   params.rho * max(amax(ax), amax(problem.b)))

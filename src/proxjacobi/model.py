@@ -709,24 +709,27 @@ class QuadraticGroup:
             H = self.hessian(w)
             eye = np.eye(self.n)
             ok = np.isfinite(H).all(axis=(1, 2))
-            ok &= _positive_definite(np.where(ok[:, None, None], H, eye))
+            ok &= _cholesky(np.where(ok[:, None, None], H, eye))[1]
             safe = np.where(ok[:, None, None], H, eye)
             factor = (H, np.linalg.inv(safe), ok)
             self._factor = (w, factor)
         return factor
 
 
-def _positive_definite(H):
-    """Whether the matrix H, or each matrix of the stack H (..., n, n), is
-    positive definite: its Cholesky factorization succeeds.  One batched
-    factorization serves a stack unless some matrix fails it."""
+def _cholesky(H):
+    """``(L, ok)`` for the stack H (k, n, n): the lower Cholesky factors,
+    and whether each matrix is positive definite (its factorization
+    succeeds; a matrix with a NaN can pass, with a NaN factor).  One
+    batched factorization serves the stack unless some matrix fails it,
+    and then each matrix is factored alone; L holds the identity where
+    ``ok`` is false."""
     try:
-        np.linalg.cholesky(H)
+        return np.linalg.cholesky(H), np.ones(len(H), dtype=bool)
     except np.linalg.LinAlgError:
-        if H.ndim == 2:
-            return False
-        return np.array([_positive_definite(h) for h in H], dtype=bool)
-    return np.ones(H.shape[:-2], dtype=bool) if H.ndim > 2 else True
+        if len(H) == 1:
+            return np.eye(H.shape[-1])[None], np.zeros(1, dtype=bool)
+    L, ok = zip(*(_cholesky(h[None]) for h in H))
+    return np.concatenate(L), np.concatenate(ok)
 
 
 def _diagonal_stack(mat, row_block, row_slot, col_slot, pos, shape):

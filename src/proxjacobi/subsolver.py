@@ -36,9 +36,8 @@ X (len(rows), n).
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .model import _dot, _matvec, _positive_definite
+from .model import _cholesky, _dot, _matvec
 
 STATUS_CONVERGED = "converged"
 STATUS_ITERATION_CAP = "iteration-cap"
@@ -180,7 +179,7 @@ def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
         cert = settled & (resid <= tol)
         idx = np.flatnonzero(cert)
         if idx.size:
-            for i in idx[~_positive_definite(kkt[idx, :n, :n])]:
+            for i in idx[~_cholesky(kkt[idx, :n, :n])[1]]:
                 cert[i] = _inertia_ok(kkt[i][np.ix_(rows[i], rows[i])],
                                       int(free[i].sum()))
         done = live[cert]
@@ -200,54 +199,52 @@ def _pg_criticality(X, G, lower, upper):
 
 def _newton_directions(H, G, free):
     """Per row, the Newton direction -(Hff + ridge I)^-1 g_f on the free
-    coordinates, and zero on the others.  The ridge of a row is the first
-    of 0, 1e-8 s, 1e-7 s, ... below 1e12 s, with s = max(max|diag Hff|, 1),
-    at which Hff + ridge I factors by Cholesky; a row where none does, or
-    whose solve is not finite, takes -g_f.  Each row's free block is
-    factored and solved by its own LAPACK calls, so its direction is the
-    one a solve of that block alone computes, bit for bit."""
-    k = len(G)
-    scale = np.maximum(np.max(np.where(free, np.abs(np.diagonal(
-        H, axis1=1, axis2=2)), 0.0), axis=1), 1.0)
+    coordinates, and zero on the others, which are identity rows and
+    columns of the row's system (as in ``solve_box_qp``).  One batched
+    Cholesky (``_cholesky``) tests the rows and one batched solve serves
+    those that pass; the others climb the ridge ladder 0, 1e-8 s, 1e-7 s,
+    ... below 1e12 s, with s = max(max|diag Hff|, 1), together, one such
+    pair of calls per rung.  A row that no rung factors, or whose solve is
+    not finite, takes -g_f.  The batched calls treat each matrix alone, so
+    a row's direction is the one a solve of its block alone computes, bit
+    for bit."""
+    k, n = G.shape
+    diag = np.arange(n)
+    scale = np.maximum(np.max(np.where(free, np.abs(H[:, diag, diag]), 0.0),
+                              axis=1), 1.0)
     rhs = np.where(free, -G, 0.0)
-    D = np.zeros_like(G)
-    for i in range(k):
-        f = free[i]
-        Hff, b, m = H[i][f][:, f], rhs[i, f], int(np.count_nonzero(f))
-        ridge = 0.0
-        while ridge < 1e12 * scale[i]:
-            factor, info = dpotrf(Hff + ridge * np.eye(m) if ridge else Hff,
-                                  lower=0, clean=0)
-            if info == 0:
-                D[i, f] = dpotrs(factor, b, lower=0)[0]
-                break
-            ridge = max(10.0 * ridge, 1e-8 * scale[i])
-        else:
-            D[i] = rhs[i]
+    Hf = np.where(free[:, :, None] & free[:, None, :], H, 0.0)
+    Hf[:, diag, diag] += ~free
+    D = rhs.copy()
+    ridge = np.zeros(k)
+    todo = np.arange(k)
+    while todo.size:
+        A = Hf[todo]
+        A[:, diag, diag] += ridge[todo, None] * free[todo]
+        ok = _cholesky(A)[1]
+        done = todo[ok]
+        D[done] = np.where(free[done], _solve_rows(A[ok], rhs[done]), 0.0)
+        todo = todo[~ok]
+        ridge[todo] = np.maximum(10.0 * ridge[todo], 1e-8 * scale[todo])
+        todo = todo[ridge[todo] < 1e12 * scale[todo]]
     bad = ~np.isfinite(D).all(axis=1)
     D[bad] = rhs[bad]
     return D
-
-
-def _negative_curvature(H):
-    """True when the symmetric ``H`` has an eigenvalue below -1e-12 times
-    its largest magnitude, a margin that rounding of a positive
-    semidefinite matrix stays above."""
-    if H.size == 0:
-        return False
-    eig = np.linalg.eigvalsh(H)
-    return bool(eig[0] < -1e-12 * np.max(np.abs(eig)))
 
 
 def _unbounded_below(H, lo, hi):
     """Per row of the stack H (k, n, n), whether the Hessian is not finite
     or has negative curvature on the coordinates without a finite bound,
     along which a quadratic model over the box lo, hi (k, n) is unbounded
-    below."""
+    below.  One batched ``eigvalsh``, with the bounded coordinates and the
+    non-finite rows zero, looks for an eigenvalue below -1e-12 times the
+    largest magnitude, a margin that rounding of a PSD matrix stays above."""
+    finite = np.isfinite(H).all(axis=(1, 2))
     free = ~(np.isfinite(lo) | np.isfinite(hi))
-    return np.array([not np.isfinite(h).all()
-                     or _negative_curvature(h[np.ix_(f, f)])
-                     for h, f in zip(H, free)], dtype=bool)
+    eig = np.linalg.eigvalsh(np.where(
+        finite[:, None, None] & free[:, :, None] & free[:, None, :], H, 0.0))
+    return ~finite | (np.min(eig, axis=1, initial=0.0)
+                      < -1e-12 * np.max(np.abs(eig), axis=1, initial=0.0))
 
 
 def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
@@ -262,9 +259,9 @@ def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
     statuses, the inner iteration counts and the projected-gradient
     criticality (k,), inf on the rows that ended in numerical failure.
 
-    Coordinates pressed against a bound by the gradient are frozen; the
-    Newton system on the free set is regularized by an escalating ridge
-    until it factors.  Backtracking uses the projected-arc Armijo rule with
+    Coordinates with finite, equal bounds, and those pressed against a
+    bound by the gradient, are frozen; the Newton system on the free set is
+    regularized by an escalating ridge until it factors.  Backtracking uses the projected-arc Armijo rule with
     a machine-noise allowance so the final sharpening steps near the
     minimizer are not rejected.  With ``screen``, a row whose Hessian is
     not finite, or has negative curvature on the coordinates without a
@@ -273,6 +270,7 @@ def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
     """
     k = len(X)
     X = project_box(X, lo, hi)
+    fixed = np.isfinite(lo) & (lo == hi)
     rows = np.arange(k)
     f = obj.value(X, rows)
     G = obj.gradient(X, rows)
@@ -300,7 +298,7 @@ def box_newton_rows(obj, X, lo, hi, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
         live = live[stall[live] < 20]
         x, g, lol, hil = X[live], G[live], lo[live], hi[live]
         eps_a = np.minimum(1e-8, crit[live])[:, None]
-        free = ~(((x <= lol + eps_a) & (g > 0))
+        free = ~(fixed[live] | ((x <= lol + eps_a) & (g > 0))
                  | ((x >= hil - eps_a) & (g < 0)))
         some = free.any(axis=1)
         if not some.all():

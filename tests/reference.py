@@ -1,9 +1,13 @@
 """Reference computations that only the tests use: the closed-form checks
 of the R matrix and the contraction norm, the one-block dual residual that
-the stacked ``auglag.dual_residuals`` is checked against, and the weighted
-equality Hessian of one constraint set."""
+the stacked ``auglag.dual_residuals`` is checked against, the weighted
+equality Hessian of one constraint set, the spectral norm of one coupling
+matrix, and the per-row factorizations that the batched Newton directions
+and curvature screen of ``subsolver`` are checked against."""
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from proxjacobi.auglag import ACTIVE_TOL, _normal_cone_excess
 
@@ -94,3 +98,55 @@ def equality_hessian(cset, x, w):
     """sum_i w_i times the Hessian of equality i of the set ``cset``."""
     return cset.equality_map.weighted_hessian(
         np.asarray(x, dtype=float), np.asarray(w, dtype=float))
+
+
+def spectral_norm(A_t):
+    """Largest singular value of ``A_t``, from its dense form (blocks are
+    small)."""
+    A_t = sp.csr_matrix(A_t).toarray()
+    return float(np.linalg.norm(A_t, 2)) if A_t.size else 0.0
+
+
+def newton_directions_per_row(H, G, free):
+    """``subsolver._newton_directions`` one row at a time, each row's free
+    block factored and solved by its own LAPACK calls: the ridge of a row
+    is the first of 0, 1e-8 s, 1e-7 s, ... below 1e12 s, with
+    s = max(max|diag Hff|, 1), at which Hff + ridge I factors by Cholesky;
+    a row where none does, or whose solve is not finite, takes -g_f."""
+    k = len(G)
+    scale = np.maximum(np.max(np.where(free, np.abs(np.diagonal(
+        H, axis1=1, axis2=2)), 0.0), axis=1), 1.0)
+    rhs = np.where(free, -G, 0.0)
+    D = np.zeros_like(G)
+    for i in range(k):
+        f = free[i]
+        Hff, b, m = H[i][f][:, f], rhs[i, f], int(np.count_nonzero(f))
+        ridge = 0.0
+        while ridge < 1e12 * scale[i]:
+            factor, info = dpotrf(Hff + ridge * np.eye(m) if ridge else Hff,
+                                  lower=0, clean=0)
+            if info == 0:
+                D[i, f] = dpotrs(factor, b, lower=0)[0]
+                break
+            ridge = max(10.0 * ridge, 1e-8 * scale[i])
+        else:
+            D[i] = rhs[i]
+    bad = ~np.isfinite(D).all(axis=1)
+    D[bad] = rhs[bad]
+    return D
+
+
+def unbounded_below_per_row(H, lo, hi):
+    """``subsolver._unbounded_below`` one row at a time: a row fails when
+    its Hessian is not finite, or when the Hessian on its coordinates
+    without a finite bound has an eigenvalue below -1e-12 times its largest
+    magnitude."""
+    free = ~(np.isfinite(lo) | np.isfinite(hi))
+    out = []
+    for h, f in zip(H, free):
+        if not np.isfinite(h).all():
+            out.append(True)
+            continue
+        eig = np.linalg.eigvalsh(h[np.ix_(f, f)]) if f.any() else np.zeros(0)
+        out.append(bool(eig.size and eig[0] < -1e-12 * np.max(np.abs(eig))))
+    return np.array(out, dtype=bool)

@@ -20,13 +20,13 @@ import scipy.sparse as sp
 
 from proxjacobi import auglag, jacobi, problems, tuner
 from proxjacobi import cli
-from proxjacobi.algebra import couple_apply, spectral_norm
+from proxjacobi.algebra import couple_apply
 from proxjacobi.jacobi import RunConfig, TraceRecord
 from proxjacobi.model import Params, save_problem
 from proxjacobi.tuner import TunerConfig, TunerState, tune_step
 
 from conftest import QP_SEEDS, build_qp, default_start
-from reference import dagger_norm_sq, r_matrix_eigencheck
+from reference import dagger_norm_sq, r_matrix_eigencheck, spectral_norm
 
 MONO_RTOL = 1e-8
 ID_RTOL = 1e-10

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from proxjacobi import problems
-from proxjacobi.algebra import couple_apply, spectral_norm, spectral_norms
+from proxjacobi.algebra import couple_apply, spectral_norms
 
 from conftest import build_qp
-from reference import r_matrix_eigencheck
+from reference import r_matrix_eigencheck, spectral_norm
 
 
 @pytest.fixture(scope="module")

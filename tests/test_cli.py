@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import errno
 import io
 import json
 import os
@@ -436,6 +437,33 @@ class TestSolve:
         assert doc["termination"] == jacobi.TERMINATION_NON_FINITE
         assert doc["iterations"] == 3
         assert len(jacobi.read_trace_csv(io.StringIO(trc.read_text()))) == 3
+
+
+@pytest.mark.parametrize("case", ["solution", "out", "oracle"])
+def test_unwritable_output_is_one_error_line(qp_file, tmp_path, capsys,
+                                             monkeypatch, case):
+    # an output path in a missing directory ends in one error line naming
+    # it and exit 1 before any work: no run, no oracle, and no other
+    # output file left behind
+    bad = tmp_path / "missing" / "f.json"
+    good = tmp_path / "good.out"
+    work = []
+    monkeypatch.setattr(jacobi, "run", lambda *a: work.append("run"))
+    monkeypatch.setattr(problems, "kkt_reference_solve",
+                        lambda p: work.append("oracle"))
+    argv = {
+        "solution": ["solve", str(qp_file), "--trace", str(good),
+                     "--solution", str(bad)],
+        "out": ["generate", "dispatch", "--out", str(bad)],
+        "oracle": ["generate", "coupled-qp", "--out", str(good),
+                   "--oracle", str(bad)],
+    }[case]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: {bad}: {os.strerror(errno.ENOENT)}"]
+    assert "Traceback" not in err
+    assert work == [] and not good.exists()
 
 
 def test_exit_codes_cover_every_termination():

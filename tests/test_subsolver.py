@@ -19,6 +19,7 @@ from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
 
 from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
                       mixed_problem, spy_row_solvers)
+from reference import newton_directions_per_row, unbounded_below_per_row
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
 W = PARAMS.rho + PARAMS.tau_x
@@ -696,3 +697,111 @@ def test_box_group_rows_match_one_block_solves(monkeypatch):
         assert inner_t[0] == inner[t], t
         assert status_t[0] == status[t], t
         assert crit_t[0] == crit[t], t
+
+
+def newton_stack():
+    """A stack of n = 5 Newton systems (H, G, free) whose rows take every
+    path of ``_newton_directions``: positive definite rows, with and
+    without pinned coordinates; rows that factor only under a ridge (one
+    slightly, one strongly indefinite); a row that no ridge below 1e12 s
+    factors (eigenvalues +-1e15, zero diagonal); a row with a NaN on its
+    free coordinates, and one with a NaN on a pinned coordinate only; and
+    a row with one free coordinate."""
+    rng = np.random.default_rng(21)
+    n = 5
+
+    def spectrum(eig):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (U * eig) @ U.T
+
+    def spd():
+        M = rng.standard_normal((n, n))
+        return M @ M.T + np.eye(n)
+
+    saddle = np.zeros((n, n))
+    saddle[0, 1] = saddle[1, 0] = 1e15
+    nan_free, nan_pinned = spd(), spd()
+    nan_free[2, 2] = np.nan
+    nan_pinned[4, 1] = nan_pinned[1, 4] = np.nan
+    H = np.stack([spd(), spd(), spectrum([-1e-2, 1.0, 2.0, 3.0, 4.0]),
+                  spectrum([-50.0, 1.0, 2.0, 3.0, 4.0]), saddle, nan_free,
+                  nan_pinned, spd()])
+    G = 3.0 * rng.standard_normal((len(H), n))
+    free = np.ones((len(H), n), dtype=bool)
+    free[1, [0, 3]] = False
+    free[3, 4] = False
+    free[6, 4] = False
+    free[7, 1:] = False
+    return H, G, free
+
+
+def test_newton_directions_row_contract():
+    # every row of the batched call is, bit for bit, its own k = 1 call,
+    # and within 1e-12 relative of the per-row LAPACK ladder (which solves
+    # by the Cholesky factor, not by LU: the last bits differ)
+    H, G, free = newton_stack()
+    D = subsolver._newton_directions(H, G, free)
+    ref = newton_directions_per_row(H, G, free)
+    for i in range(len(H)):
+        one = subsolver._newton_directions(H[i:i + 1], G[i:i + 1],
+                                           free[i:i + 1])
+        assert np.array_equal(one[0], D[i]), i
+        assert np.all(D[i][~free[i]] == 0.0), i
+        assert np.max(np.abs(D[i] - ref[i])) <= 1e-12 * max(
+            1.0, np.max(np.abs(ref[i]))), i
+    # the saddle and the NaN row take -g_f; the NaN on a pinned coordinate
+    # is never read
+    for i in (4, 5):
+        assert np.array_equal(D[i], np.where(free[i], -G[i], 0.0)), i
+    assert np.isfinite(D[6]).all()
+    assert not np.array_equal(D[6], np.where(free[6], -G[6], 0.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unbounded_below_matches_per_row_screen(seed):
+    # rows of n = 6 with bounded and unbounded coordinates mixed, positive
+    # semidefinite up to rounding (rank 3), indefinite, not finite (also on
+    # bounded coordinates only), and with no unbounded coordinate
+    rng = np.random.default_rng(seed)
+    k, n = 40, 6
+    kind = rng.integers(0, 5, k)
+    M = rng.standard_normal((k, n, n))
+    M[kind == 0, :, 3:] = 0.0
+    H = M @ np.swapaxes(M, 1, 2)
+    indefinite = kind == 1
+    H[indefinite] -= rng.uniform(0.0, 2.0, indefinite.sum())[:, None, None] \
+        * np.trace(H[indefinite], axis1=1, axis2=2)[:, None, None] \
+        / n * np.eye(n)
+    lo = np.where(rng.random((k, n)) < 0.5, -1.0, -np.inf)
+    hi = np.where(rng.random((k, n)) < 0.5, 1.0, np.inf)
+    lo[kind == 2] = -1.0
+    bad = np.flatnonzero(kind == 3)
+    H[bad, rng.integers(0, n, bad.size), rng.integers(0, n, bad.size)] = \
+        rng.choice([np.nan, np.inf, -np.inf], bad.size)
+    verdict = subsolver._unbounded_below(H, lo, hi)
+    assert np.array_equal(verdict, unbounded_below_per_row(H, lo, hi))
+    assert verdict[kind == 3].all() and not verdict[kind == 2].any()
+    assert not verdict[kind == 0].any()
+
+
+def test_box_newton_pins_equal_bounds(monkeypatch):
+    # coordinate 2 has lo = hi = 0, a zero gradient and a zero Hessian row
+    # (a ramp slack of a first period): projected Newton never frees it,
+    # so its Newton system does not need a ridge
+    f = Quadratic(sp.diags([2.0, 3.0, 0.0], format="csr"),
+                  np.array([-4.0, 3.0, 0.0]))
+    prob = make_block_problem(f, ConstraintSet(np.array([-10.0, -10.0, 0.0]),
+                                               np.array([10.0, 10.0, 0.0])))
+    seen = []
+    real = subsolver._newton_directions
+
+    def spy(H, G, free):
+        seen.append(free.copy())
+        return real(H, G, free)
+
+    monkeypatch.setattr(subsolver, "_newton_directions", spy)
+    (x, status, _, _), _ = box_newton(prob, warm=np.array([1.0, 1.0, 0.0]))
+    assert status == STATUS_CONVERGED
+    assert seen and not any(free[:, 2].any() for free in seen)
+    assert np.allclose(x, [2.0, -1.0, 0.0], rtol=0.0, atol=1e-9)
+    assert x[2] == 0.0
