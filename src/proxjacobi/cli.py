@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import auglag, jacobi, model, problems, tuner
-from .algebra import couple_apply, spectral_norms
+from .algebra import spectral_norms
 from .jacobi import BlockSolveError, RunConfig
 from .model import Params, SchemaError
 
@@ -153,7 +153,7 @@ def cmd_solve(args):
         outputs = _open_outputs(stack, args.trace, args.solution)
         if outputs is None:
             return EXIT_IO
-        trace_fh, solution_fh = outputs
+        (trace_fh, solution_fh), _ = outputs
         if trace_fh:
             run_config.trace_sink = jacobi.trace_csv_sink(trace_fh)
         return _run_solve(solution_fh, problem, cfg, params, run_config)
@@ -161,20 +161,23 @@ def cmd_solve(args):
 
 def _open_outputs(stack, *paths):
     """Each of ``paths`` opened for writing on the exit stack ``stack``
-    (None for a path not given), before any work is done.  When one cannot
-    be opened: None, after one ``error:`` line, with the files opened
-    before it removed."""
-    files = []
+    (None for a path not given), before any work is done, and per path
+    whether this call created it.  When one cannot be opened: None, after
+    one ``error:`` line, with the files this call created removed; a path
+    that existed before (a device, an earlier output) is left in place."""
+    files, created = [], []
     try:
         for path in paths:
+            created.append(bool(path) and not os.path.lexists(path))
             files.append(stack.enter_context(open(path, "w", newline=""))
                          if path else None)
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        for fh in filter(None, files):
-            os.remove(fh.name)
+        for fh, new in zip(files, created):
+            if new:
+                os.remove(fh.name)
         return None
-    return files
+    return files, created
 
 
 def _run_solve(solution_fh, problem, cfg, params, run_config):
@@ -272,7 +275,7 @@ def cmd_generate(args):
         outputs = _open_outputs(stack, args.out, args.oracle)
         if outputs is None:
             return EXIT_IO
-        out_fh, oracle_fh = outputs
+        (out_fh, oracle_fh), (_, oracle_created) = outputs
         out_fh.write(model.save_problem(problem))
         out_fh.write("\n")
         if oracle_fh:
@@ -280,7 +283,8 @@ def cmd_generate(args):
                 oracle = problems.kkt_reference_solve(problem)
             except ValueError as exc:
                 print(f"note: no oracle written: {exc}", file=sys.stderr)
-                os.remove(args.oracle)
+                if oracle_created:
+                    os.remove(args.oracle)
             else:
                 doc = {
                     "x_star": [[float(v) for v in xt]
@@ -357,10 +361,10 @@ def identity_residuals(problem, state, params):
     Each residual is scaled by the operands that enter it.  lambda carries
     rho * (Ax + z - b), whose summands cancel, so an identity with lambda
     can only hold to roundoff relative to rho * max(|Ax|, |b|).  Ax is the
-    product the state carries, when it carries one.
+    product the state carries.
     """
     amax = lambda v: float(np.max(np.abs(v), initial=0.0))
-    ax = state.Ax if state.Ax is not None else couple_apply(problem, state.x)
+    ax = state.Ax
     z_terms = max(params.theta * amax(state.z),
                   params.tau_z * amax(state.dz),
                   params.rho * max(amax(ax), amax(problem.b)))

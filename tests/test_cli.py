@@ -466,6 +466,27 @@ def test_unwritable_output_is_one_error_line(qp_file, tmp_path, capsys,
     assert work == [] and not good.exists()
 
 
+def test_outputs_that_existed_before_are_kept(qp_file, tmp_path, capsys):
+    # a failed open removes only what the command created: an earlier
+    # trace survives, as does an oracle file when no oracle applies, and
+    # an --oracle equal to --out keeps the problem just written
+    trc = tmp_path / "t.csv"
+    trc.write_text("earlier\n")
+    assert main(["solve", str(qp_file), "--trace", str(trc),
+                 "--solution", str(tmp_path / "missing" / "s.json")]) \
+        == EXIT_IO
+    assert trc.exists()
+    out, orc = tmp_path / "a.json", tmp_path / "o.json"
+    orc.write_text("earlier\n")
+    toy = ["generate", "acopf-toy", "--buses", "2", "--periods", "3"]
+    for oracle in (orc, out):
+        assert main(toy + ["--out", str(out), "--oracle", str(oracle)]) \
+            == EXIT_OK
+        assert "no oracle written" in capsys.readouterr().err
+        assert orc.exists()
+        assert main(["validate", str(out)]) == EXIT_OK
+
+
 def test_exit_codes_cover_every_termination():
     assert set(cli.EXIT_CODES) == {
         jacobi.TERMINATION_FEASIBLE, jacobi.TERMINATION_ITERATION_CAP,
