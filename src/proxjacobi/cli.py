@@ -3,7 +3,7 @@
 Batch-oriented; every run is fully determined by its inputs and flags.
 Exit codes are stable contracts: 0 success/feasible-stop, 1 I/O or schema
 error, 2 iteration cap (or a failed trace-check property), 3 numerical
-failure.
+failure, or a stop after a sweep in which a block solve did not converge.
 """
 
 import argparse
@@ -29,6 +29,7 @@ EXIT_NUMERICAL = 3
 # The exit code of each termination of a solve.
 EXIT_CODES = {
     jacobi.TERMINATION_FEASIBLE: EXIT_OK,
+    jacobi.TERMINATION_UNCONVERGED: EXIT_NUMERICAL,
     jacobi.TERMINATION_ITERATION_CAP: EXIT_ITERATION_CAP,
     jacobi.TERMINATION_BLOCK_FAILURE: EXIT_NUMERICAL,
     jacobi.TERMINATION_NON_FINITE: EXIT_NUMERICAL,

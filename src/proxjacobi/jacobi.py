@@ -50,8 +50,9 @@ TRACE_COLUMNS = [
 # them with t_metrics_ms = 0.
 OLD_TRACE_COLUMNS = TRACE_COLUMNS[:-1]
 
-# Why a run ended: ``run`` returns the first three, a block failure raises.
+# Why a run ended: ``run`` returns all but the block failure, which raises.
 TERMINATION_FEASIBLE = "feasible-stop"
+TERMINATION_UNCONVERGED = "unconverged-blocks"
 TERMINATION_ITERATION_CAP = "iteration-cap"
 TERMINATION_BLOCK_FAILURE = "block-failure"
 TERMINATION_NON_FINITE = "non-finite"
@@ -106,6 +107,7 @@ class TraceRecord:
     t_metrics_ms: float = 0.0
     inner_iters: list = field(default_factory=list)
     delta: list = field(default_factory=list)   # per block; not in the CSV
+    unconverged: int = 0    # blocks whose solve did not converge; not in CSV
 
     def row(self):
         return [getattr(self, name) for name in TRACE_COLUMNS]
@@ -284,7 +286,7 @@ def x_update_all(problem, state, params, pool=None):
     :class:`BlockSolveError`, and a solve that stopped at its iteration cap,
     or stalled, is logged with the solver its group kind routes to.
     Returns (the new flat x, per-block inner iteration counts, the new
-    ``state.alm``).
+    ``state.alm``, the number of blocks whose solve did not converge).
     """
     vec = state.x
     g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
@@ -316,7 +318,8 @@ def x_update_all(problem, state, params, pool=None):
         log.warning("iteration %d: block %d's %s solve %s after %d "
                     "inner iterations; its last point is taken",
                     state.k + 1, t, solver[t], how, inner[t])
-    return x_new, inner.tolist(), alm
+    unconverged = int(np.count_nonzero(status != STATUS_CONVERGED))
+    return x_new, inner.tolist(), alm, unconverged
 
 
 def z_update(problem, Ax, state, params):
@@ -334,12 +337,14 @@ def lambda_update(problem, Ax, z_k, state, params):
 @dataclass
 class Step:
     """What ``advance`` returns: the new Lyapunov value, the per-block inner
-    iteration counts, K(x - x_prev) at the new iterate, and the seconds of
-    its three phases (the sweep; the z and lambda updates with Ax; the
-    products Qx and K(x - x_prev) with the Lyapunov value)."""
+    iteration counts, the number of blocks whose solve did not converge,
+    K(x - x_prev) at the new iterate, and the seconds of its three phases
+    (the sweep; the z and lambda updates with Ax; the products Qx and
+    K(x - x_prev) with the Lyapunov value)."""
 
     phi: float
     inner_iters: list
+    unconverged: int
     Kdx: np.ndarray
     t_xupd: float
     t_zupd: float
@@ -353,7 +358,8 @@ def advance(problem, state, params, pool=None):
     ``pool`` is the run's worker pool (``worker_pool``; serial without).
     Returns the :class:`Step`; it computes no residual."""
     t0 = time.perf_counter()
-    x_k, inner_iters, alm = x_update_all(problem, state, params, pool)
+    x_k, inner_iters, alm, unconverged = x_update_all(problem, state, params,
+                                                      pool)
     t1 = time.perf_counter()
     Ax_k = couple_apply(problem, x_k)
     z_k = z_update(problem, Ax_k, state, params)
@@ -375,8 +381,9 @@ def advance(problem, state, params, pool=None):
     Kdx = problem.block_products(x_k - state.x_prev)
     phi = auglag.lyapunov(problem, x_k, z_k, lam_k, state.x_prev,
                           state.z_prev, params, Ax_k, state.Qx, Kdx)
-    return Step(phi=phi, inner_iters=inner_iters, Kdx=Kdx, t_xupd=t1 - t0,
-                t_zupd=t2 - t1, t_metrics=time.perf_counter() - t2)
+    return Step(phi=phi, inner_iters=inner_iters, unconverged=unconverged,
+                Kdx=Kdx, t_xupd=t1 - t0, t_zupd=t2 - t1,
+                t_metrics=time.perf_counter() - t2)
 
 
 def iterate(problem, state, params, config, phi_prev=None, pool=None):
@@ -415,6 +422,7 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
         t_metrics_ms=t_metrics * ms,
         inner_iters=step.inner_iters,
         delta=snap.delta,
+        unconverged=step.unconverged,
     )
     if config.trace_sink is not None:
         config.trace_sink(rec)
@@ -430,7 +438,9 @@ def run(problem, params, init, config, rule=None):
     (without ``rule`` the parameters stay fixed and it never stops).  The
     run stops right after the first record that is not ``finite``, before
     ``rule`` sees it.  Returns ``(final state, trace list, reason)``, the
-    reason one of ``TERMINATION_FEASIBLE`` (the rule stopped),
+    reason one of ``TERMINATION_FEASIBLE`` (the rule stopped after a sweep
+    in which every block solve converged), ``TERMINATION_UNCONVERGED`` (the
+    rule stopped after a sweep in which some did not),
     ``TERMINATION_NON_FINITE`` and ``TERMINATION_ITERATION_CAP``; a block
     failure raises :class:`BlockSolveError` with the state and the partial
     trace attached (``TERMINATION_BLOCK_FAILURE``).
@@ -453,5 +463,7 @@ def run(problem, params, init, config, rule=None):
             if rule is not None:
                 params, stop = rule(rec)
                 if stop:
-                    return state, trace, TERMINATION_FEASIBLE
+                    return state, trace, (TERMINATION_UNCONVERGED
+                                          if rec.unconverged
+                                          else TERMINATION_FEASIBLE)
     return state, trace, TERMINATION_ITERATION_CAP

@@ -34,6 +34,7 @@ class SchemaError(ValueError):
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -58,6 +59,9 @@ def _triplet_diag(lists, shapes):
         raise ValueError("triplets must be a list of [row, col, value]")
     shapes = np.array(shapes, dtype=int).reshape(-1, 2)
     block = np.repeat(np.arange(len(shapes)), [len(trips) for trips in lists])
+    index = arr[:, :2]
+    if np.any(index != np.trunc(index)):  # a NaN index too
+        raise ValueError("triplet index is not an integer")
     rows = arr[:, 0].astype(int)
     cols = arr[:, 1].astype(int)
     if np.any(rows < 0) or np.any(rows >= shapes[block, 0]):
@@ -195,13 +199,6 @@ class Quadratic(_ViewsOnFirstRead):
         g[: self.n] = self.Q @ x[: self.n] + self.c
         return g
 
-    def hessian(self, x):
-        """Dense Hessian on the (possibly padded) space of ``x``."""
-        x = np.asarray(x, dtype=float)
-        H = np.zeros((x.shape[0], x.shape[0]))
-        H[: self.n, : self.n] = self.Q.toarray()
-        return H
-
     def padded(self, extra):
         """Same function on a space with ``extra`` trailing coordinates."""
         c = np.concatenate([self.c, np.zeros(extra)])
@@ -239,6 +236,10 @@ class PolarBalance:
     - ``y_diag_re`` / ``y_diag_im``: shunt-adjusted diagonal entry Y_ii
     - ``neighbors``: neighbor bus list N_i
     - ``y_re`` / ``y_im``: off-diagonal admittances Y_ij matching neighbors
+
+    An integer field (bus, nbus, gen_coords, v_offset, theta_offset,
+    neighbors) holding a fraction, a bool or a string raises a
+    :class:`SchemaError` naming ``payload.<field>``.
     """
 
     def __init__(self, name, payload):
@@ -246,15 +247,18 @@ class PolarBalance:
             raise ValueError(f"unknown builtin function {name!r}")
         self.name = name
         self.payload = payload
-        self.bus = int(payload["bus"])
-        self.nbus = int(payload["nbus"])
+        self.bus = _integer(payload["bus"], "payload.bus")
+        self.nbus = _integer(payload["nbus"], "payload.nbus")
         self.load = float(payload["load"])
-        self.gen_coords = [int(g) for g in payload["gen_coords"]]
-        self.v_offset = int(payload["v_offset"])
-        self.theta_offset = int(payload["theta_offset"])
+        self.gen_coords = [_integer(g, "payload.gen_coords")
+                           for g in payload["gen_coords"]]
+        self.v_offset = _integer(payload["v_offset"], "payload.v_offset")
+        self.theta_offset = _integer(payload["theta_offset"],
+                                     "payload.theta_offset")
         self.y_diag_re = float(payload["y_diag_re"])
         self.y_diag_im = float(payload["y_diag_im"])
-        self.neighbors = [int(j) for j in payload["neighbors"]]
+        self.neighbors = [_integer(j, "payload.neighbors")
+                          for j in payload["neighbors"]]
         self.y_re = [float(v) for v in payload["y_re"]]
         self.y_im = [float(v) for v in payload["y_im"]]
 
@@ -295,13 +299,6 @@ def _matvec(M, X):
 def _dot(X, Y):
     """Row i is X_i'Y_i, for stacks X and Y (k, n)."""
     return (X[:, None, :] @ Y[..., None])[:, 0, 0]
-
-
-def _each_row(fn, x):
-    """``fn`` of the vector x, or of each row of the stack x, stacked.  The
-    callbacks of a :class:`Quadratic` row take one point, and the inner ALM
-    evaluates even a one-block map on a stack (k = 1)."""
-    return fn(x) if x.ndim == 1 else np.array([fn(xi) for xi in x])
 
 
 class _PolarNetwork:
@@ -418,11 +415,12 @@ class EqualityMap:
     """The equalities of a block as one map c: R^n -> R^r, rows in the
     order of the list.
 
-    c(x) = C x - d - (the S terms of the polar balances) + (the quadratic
-    rows).  Linear rows and the generator sums of the polar balances live
-    in (C, d); the polar balances of each (nbus, v_offset, theta_offset)
-    share one network; rows with Q != 0 evaluate through
-    :class:`Quadratic`.  Raises ValueError, naming the equality, on a row
+    c(x) = C x - d - (the S terms of the polar balances) + (x'Q_j x / 2 on
+    each row j of ``quadratic_rows``).  Linear rows, the linear parts of the
+    quadratic rows and the generator sums of the polar balances live in
+    (C, d); the Q of each row with Q != 0, at n x n, in one stack ``Q``
+    (q, n, n); the polar balances of each (nbus, v_offset, theta_offset)
+    share one network.  Raises ValueError, naming the equality, on a row
     that does not fit the block or on two balances of one bus that carry
     different admittance rows.
 
@@ -437,18 +435,17 @@ class EqualityMap:
         C = np.zeros((r, n))
         d = np.zeros(r)
         self.n = n
-        self.quadratic = []
+        rows = []
         nets = {}
         for j, eq in enumerate(equalities):
             if isinstance(eq, Quadratic):
                 if eq.n > n:
                     raise ValueError(
                         f"equality {j} dimension {eq.n} exceeds n={n}")
+                C[j, : eq.n] = eq.c
+                d[j] = -eq.c0
                 if eq._peek("Q").nnz:
-                    self.quadratic.append((j, eq))
-                else:
-                    C[j, : eq.n] = eq.c
-                    d[j] = -eq.c0
+                    rows.append(j)
                 continue
             err = _polar_row_error(eq, n)
             if err is not None:
@@ -460,9 +457,14 @@ class EqualityMap:
             if key not in nets:
                 nets[key] = _PolarNetwork(*key)
             nets[key].add(j, eq)
-        C.flags.writeable = False
-        d.flags.writeable = False
-        self.C, self.d = C, d
+        Q = np.zeros((len(rows), n, n))
+        for i, j in enumerate(rows):
+            m = equalities[j].n
+            Q[i, :m, :m] = equalities[j].Q.toarray()
+        for arr in (C, d, Q):
+            arr.flags.writeable = False
+        self.C, self.d, self.Q = C, d, Q
+        self.quadratic_rows = np.array(rows, dtype=np.int64)
         self.networks = list(nets.values())
         for net in self.networks:
             net.rows, net.bus, net.imag = map(
@@ -472,31 +474,35 @@ class EqualityMap:
     def linear_rows(self):
         """``(C, d)`` with ``C x = d`` equivalent to the equalities, or None
         when any of them is nonlinear."""
-        if self.networks or self.quadratic:
+        if self.networks or self.quadratic_rows.size:
             return None
         return self.C, self.d
 
     @cached_property
     def structure(self):
-        """Bytes equal for two maps without quadratic rows exactly when
-        they differ in d only: C, then the key of each network."""
-        return b"".join([self.C.tobytes(),
+        """Bytes equal for two maps exactly when they differ in d only: the
+        row counts, C, the quadratic rows and their Q, then the key of each
+        network."""
+        return b"".join([np.array([len(self.C), len(self.Q)]).tobytes(),
+                         self.C.tobytes(), self.quadratic_rows.tobytes(),
+                         self.Q.tobytes(),
                          *(net.key for net in self.networks)])
 
     def values(self, x, d=None):
         c = _matvec(self.C, x) - (self.d if d is None else d)
         for net in self.networks:
             c[..., net.rows] -= net.values(x)
-        for j, eq in self.quadratic:
-            c[..., j] = _each_row(eq.value, x)
+        if self.quadratic_rows.size:
+            c[..., self.quadratic_rows] += 0.5 * _matvec(
+                _matvec(self.Q, x[..., None, :]), x)
         return c
 
     def jacobian(self, x):
         J = np.array(np.broadcast_to(self.C, x.shape[:-1] + self.C.shape))
         for net in self.networks:
             J[..., net.rows[:, None], net.cols] -= net.jacobian(x)
-        for j, eq in self.quadratic:
-            J[..., j, :] = _each_row(eq.gradient, x)
+        if self.quadratic_rows.size:
+            J[..., self.quadratic_rows, :] += _matvec(self.Q, x[..., None, :])
         return J
 
     def weighted_hessian(self, x, w):
@@ -506,8 +512,12 @@ class EqualityMap:
         for net in self.networks:
             H[..., net.cols[:, None], net.cols] -= net.weighted_hessian(
                 x, w[..., net.rows])
-        for j, eq in self.quadratic:
-            H += w[..., j, None, None] * _each_row(eq.hessian, x)
+        if self.quadratic_rows.size:
+            # take, not w[..., rows]: that copy is in column order, and
+            # matmul would then sum a stack's rows unlike a single row's
+            wq = np.take(w, self.quadratic_rows, axis=-1)
+            H += (wq[..., None, :] @ self.Q.reshape(len(self.Q), -1)).reshape(
+                H.shape)
         return H
 
 
@@ -539,6 +549,8 @@ def function_from_json(doc, path="function"):
                 raise SchemaError(f"{path}.{key}", "missing required field")
         try:
             return PolarBalance(doc["name"], doc["payload"])
+        except SchemaError as exc:
+            raise SchemaError(f"{path}.{exc.path}", exc.message) from exc
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"{path}.payload", str(exc)) from exc
     raise SchemaError(f"{path}.type", f"unknown function type {kind!r}")
@@ -658,9 +670,8 @@ class QuadraticGroup:
     - ``qp``: blocks whose equalities are the same linear rows C x = d_t
       (r >= 1), with any box, by the active-set QP;
     - ``alm``: blocks whose equalities are one nonlinear map up to its
-      right-hand side, c(x) - d_t (the same :attr:`EqualityMap.structure`,
-      no rows with Q != 0), with any box, by the inner ALM; a block with a
-      Q != 0 row is a group of its own.
+      right-hand side, c(x) - d_t (the same :attr:`EqualityMap.structure`),
+      with any box, by the inner ALM.
 
     ``blocks`` are the block indices, ``cols`` their coordinates in the flat
     vector (block after block), Q (k, n, n) and AtA = A_t'A_t (k, n, n) the
@@ -854,9 +865,9 @@ class Problem:
     def quadratic_groups(self):
         """The blocks solved together: :class:`QuadraticGroup` objects that
         hold every block exactly once, in the order of their first blocks:
-        one group per kind, block size n and equality structure (a block
-        with a Q != 0 equality row alone).  The stacks are
-        ``objective_stack`` and the products of ``coupling_stack``."""
+        one group per kind, block size n and equality structure.  The
+        stacks are ``objective_stack`` and the products of
+        ``coupling_stack``."""
         bounded = np.bincount(
             self.block_index, minlength=self.T,
             weights=np.isfinite(self.lower) | np.isfinite(self.upper))
@@ -864,11 +875,9 @@ class Problem:
         for t, blk in enumerate(self.blocks):
             if not blk.set.equalities:
                 key = ("box" if bounded[t] else "exact", blk.n)
-            elif blk.set.equality_map.quadratic:
-                key = ("alm", t)
             else:
                 emap = blk.set.equality_map
-                key = ("alm" if emap.networks else "qp", blk.n,
+                key = ("alm" if emap.linear_rows is None else "qp", blk.n,
                        emap.structure)
             by_key.setdefault(key, []).append(t)
         groups = []
@@ -1187,6 +1196,20 @@ def _field(doc, key, path, convert):
         raise SchemaError(path, f"malformed value ({exc})") from exc
 
 
+def _integer(value, path):
+    """``value`` as an int: an integer, or a float with no fractional part
+    (not a bool, not a string); raises a :class:`SchemaError` naming
+    ``path`` otherwise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise SchemaError(path, "malformed value (expected an integer, got "
+                                f"{value!r})")
+    return value.__index__()
+
+
 def _vector(value):
     vec = np.asarray(value, dtype=float)
     if vec.ndim != 1:
@@ -1293,7 +1316,7 @@ def _problem_from_text(text):
     for key in ("m", "b", "blocks"):
         if key not in doc:
             raise SchemaError(key, "missing required field")
-    m = _field(doc, "m", "m", int)
+    m = _integer(doc["m"], "m")
     b = _field(doc, "b", "b", _vector)
     _check_each([("b", _finite, b)])
     if not isinstance(doc["blocks"], list):
@@ -1316,7 +1339,7 @@ def _problem_from_text(text):
                 if key not in bdoc:
                     raise SchemaError(f"{path}.{key}",
                                       "missing required field")
-            n = _field(bdoc, "n", f"{path}.n", int)
+            n = _integer(bdoc["n"], f"{path}.n")
             opath = f"{path}.objective"
             odoc = bdoc["objective"]
             if not _is_quadratic(odoc):

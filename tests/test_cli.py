@@ -139,6 +139,40 @@ def test_malformed_document_is_schema_error(qp_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where, value", [
+    ("m", 1.5), ("blocks[1].n", 1.9), ("blocks[1].n", True),
+    ("blocks[1].n", "1"), ("blocks[1].A", 0.7),
+    ("blocks[1].objective.Q", 0.7),
+    *((f"blocks[1].equalities[2].payload.{key}", value) for key, value in [
+        ("bus", 1.5), ("nbus", True), ("gen_coords", [0.5]),
+        ("v_offset", "2"), ("theta_offset", 1.5), ("neighbors", [1.5])]),
+])
+def test_non_integral_integer_field_is_schema_error(tmp_path, capsys, where,
+                                                    value):
+    # an integer field that holds a fraction, a bool or a string ends in
+    # one error line naming it; it is not truncated to an integer
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=2, T=3), 3)
+    doc = json.loads(save_problem(prob))
+    blk = doc["blocks"][1]
+    if where == "m":
+        doc["m"] = value
+    elif where.endswith(".n"):
+        blk["n"] = value
+    elif where.endswith(".A"):
+        blk["A"][0][1] = value          # a column index
+    elif where.endswith(".Q"):
+        blk["objective"]["Q"][0][0] = value     # a row index
+    else:
+        blk["equalities"][2]["payload"][where.rsplit(".", 1)[1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+    assert "Traceback" not in err
+
+
 class TestGenerate:
     def test_coupled_qp_with_oracle(self, tmp_path):
         out = tmp_path / "p.json"
@@ -363,6 +397,21 @@ class TestSolve:
         assert doc["termination"] == jacobi.TERMINATION_BLOCK_FAILURE
         assert doc["iterations"] == 0
 
+    @pytest.mark.parametrize("T, k", [(1, 1), (3, 4)])
+    def test_stop_after_unconverged_sweep(self, tmp_path, T, k):
+        # a 2-bus ACOPF whose load exceeds its generator's limit meets the
+        # coupling test at iteration k while its block solves stall: the
+        # stop is not feasible, and the run exits as a numerical failure
+        prob = problems.gen_acopf_toy(
+            problems.toy_network(nbus=2, T=T, load_base=2.5), T)
+        path, sol = tmp_path / "p.json", tmp_path / "s.json"
+        path.write_text(save_problem(prob))
+        assert main(["solve", str(path), "--eps", "1e-3",
+                     "--solution", str(sol)]) == EXIT_NUMERICAL
+        doc = json.loads(sol.read_text())
+        assert doc["termination"] == jacobi.TERMINATION_UNCONVERGED
+        assert doc["iterations"] == k
+
     @pytest.mark.parametrize("mode, code, termination", [
         ([], EXIT_OK, jacobi.TERMINATION_FEASIBLE),
         (["--fixed-params", "--max-iters", "30"], EXIT_ITERATION_CAP,
@@ -488,9 +537,10 @@ def test_outputs_that_existed_before_are_kept(qp_file, tmp_path, capsys):
 
 
 def test_exit_codes_cover_every_termination():
+    # a termination added to jacobi without an exit code fails here
     assert set(cli.EXIT_CODES) == {
-        jacobi.TERMINATION_FEASIBLE, jacobi.TERMINATION_ITERATION_CAP,
-        jacobi.TERMINATION_BLOCK_FAILURE, jacobi.TERMINATION_NON_FINITE}
+        value for name, value in vars(jacobi).items()
+        if name.startswith("TERMINATION_")}
 
 
 class TestTraceCheck:
@@ -746,9 +796,10 @@ class TestLeanReplay:
 def test_stalled_solves_warn_by_default(tmp_path, level):
     # every block of this over-loaded ACOPF stalls in every sweep: its
     # warnings reach stderr by default, and none under
-    # PROXJACOBI_LOG=error; the run exits 0 either way.  pytest's own log
-    # handlers make the CLI's logging set-up a no-op in process, so it runs
-    # in a process of its own
+    # PROXJACOBI_LOG=error; either way the run stops after a sweep whose
+    # blocks did not converge and exits 3.  pytest's own log handlers make
+    # the CLI's logging set-up a no-op in process, so it runs in a process
+    # of its own
     prob = problems.gen_acopf_toy(
         problems.toy_network(nbus=2, T=3, load_base=2.5), 3)
     pfile = tmp_path / "over.json"
@@ -764,7 +815,7 @@ def test_stalled_solves_warn_by_default(tmp_path, level):
          "import sys; from proxjacobi.cli import main; sys.exit(main())",
          "solve", str(pfile), "--eps", "1e-3"],
         env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == EXIT_OK
+    assert proc.returncode == EXIT_NUMERICAL
     if level == "error":
         assert proc.stderr == ""
         return

@@ -354,7 +354,7 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
         assert inner[blocks.index(3)] == 0
         assert routes(calls) == others
         return
-    x, inner, _ = jacobi.x_update_all(prob, state, params)
+    x, inner, _, _ = jacobi.x_update_all(prob, state, params)
     assert routes(calls) == others
     g = subproblem_gradients(prob, state.x, state.z, state.lam, params.rho)
     x, x_bar = prob.split(x), prob.split(state.x)
@@ -384,7 +384,7 @@ def test_uncertified_grouped_block_reaches_the_alm(monkeypatch):
     state = init_state(prob, np.zeros(sum(prob.dims)),
                        np.zeros(prob.m), np.zeros(prob.m), params)
     calls = spy_row_solvers(monkeypatch)
-    _, inner, _ = jacobi.x_update_all(prob, state, params)
+    _, inner, _, _ = jacobi.x_update_all(prob, state, params)
     assert routes(calls) == {3: "equality-alm"}
     assert inner[3] > 1
 
@@ -505,7 +505,7 @@ def test_capped_inner_solve_is_logged(monkeypatch, caplog):
     prob = mixed_problem()
     state = random_state(prob, PARAMS, 1)
     with caplog.at_level(logging.WARNING, logger="proxjacobi"):
-        _, inner, _ = jacobi.x_update_all(prob, state, PARAMS)
+        _, inner, _, _ = jacobi.x_update_all(prob, state, PARAMS)
     assert inner[2] == 500
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and warnings[0].name == "proxjacobi"
@@ -579,7 +579,7 @@ def test_grouped_capped_row_is_logged(caplog):
     assert grp.blocks == list(range(prob.T))
     state = acopf_state(prob, X)
     with caplog.at_level(logging.WARNING, logger="proxjacobi"):
-        x, inner, _ = jacobi.x_update_all(prob, state, PARAMS)
+        x, inner, _, _ = jacobi.x_update_all(prob, state, PARAMS)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     msg = warnings[0].getMessage()

@@ -194,10 +194,13 @@ class TestLoader:
         for bdoc, blk in zip(doc["blocks"], prob.blocks):
             n = bdoc["n"]
             wants = [model.function_from_json(e) for e in bdoc["equalities"]]
-            # the equality map tells the quadratic rows before any Q is built
-            assert [j for j, _ in blk.set.equality_map.quadratic] == [
+            # the equality map stacks the Q of the rows with Q != 0 only
+            emap = blk.set.equality_map
+            assert emap.quadratic_rows.tolist() == [
                 j for j, e in enumerate(wants)
                 if isinstance(e, Quadratic) and e.Q.nnz]
+            for Q_j, j in zip(emap.Q, emap.quadratic_rows):
+                assert np.array_equal(Q_j, wants[j].Q.toarray())
             assert len(blk.set.equalities) == len(wants)
             for eq, want in zip(blk.set.equalities, wants):
                 assert type(eq) is type(want)
@@ -771,7 +774,7 @@ def test_stacked_equality_map_matches_rows(nbus, split):
     for blk in prob.blocks:
         emap = blk.set.equality_map
         r, n, k = len(emap.d), blk.n, 5
-        assert emap.networks and not emap.quadratic
+        assert emap.networks and not emap.quadratic_rows.size
         assert (r > 2 * nbus) == split
         X = rng.uniform(-1.5, 1.5, (k, n))
         D = rng.standard_normal((k, r))
@@ -791,16 +794,23 @@ def test_stacked_equality_map_matches_rows(nbus, split):
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_quadratic_rows_on_a_stack(k):
-    # a Q != 0 row evaluates row by row on a stack: the inner ALM of a
-    # one-block solve evaluates its map on the stack k = 1
+    # the rows with Q != 0, between polar rows and beside a Q = 0 row,
+    # evaluate on a stack as one batched term, each row of the stack bit
+    # for bit its one-point result: the inner ALM of a one-block solve
+    # evaluates its map on the stack k = 1
     prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=1), 1)
     blk, = prob.blocks
     n = blk.n
     circle = Quadratic(sp.diags(np.linspace(1.0, 2.0, n), format="csr"),
                        np.ones(n), -1.0)
-    emap = model.EqualityMap(list(blk.set.equalities) + [circle], n)
-    assert emap.networks and emap.quadratic
     rng = np.random.default_rng(k)
+    M = rng.standard_normal((n, n))
+    dense = Quadratic(sp.csr_matrix(M + M.T), rng.standard_normal(n), 0.5)
+    line = Quadratic(sp.csr_matrix((n, n)), np.ones(n), -2.0)
+    eqs = [dense, *blk.set.equalities[:2], line, *blk.set.equalities[2:],
+           circle]
+    emap = model.EqualityMap(eqs, n)
+    assert emap.networks and emap.quadratic_rows.tolist() == [0, len(eqs) - 1]
     X = rng.uniform(-1.5, 1.5, (k, n))
     W = rng.standard_normal((k, len(emap.d)))
     c, J, H = (emap.values(X), emap.jacobian(X),
@@ -809,7 +819,17 @@ def test_quadratic_rows_on_a_stack(k):
         assert np.array_equal(c[i], emap.values(X[i]))
         assert np.array_equal(J[i], emap.jacobian(X[i]))
         assert np.array_equal(H[i], emap.weighted_hessian(X[i], W[i]))
-    assert c[0, -1] == circle.value(X[0])
+    # the linear part of a quadratic row is summed with C x, so its value
+    # and gradient match the row's own within rounding
+    quadratic = [0, 3, len(eqs) - 1]
+    for j in quadratic:
+        assert c[0, j] == pytest.approx(eqs[j].value(X[0]), rel=1e-14)
+        assert np.allclose(J[0, j], eqs[j].gradient(X[0]), rtol=1e-14,
+                           atol=1e-14)
+    polar = model.EqualityMap(eqs[1:3] + eqs[4:-1], n)
+    want = (W[0, 0] * dense.Q.toarray() + W[0, -1] * circle.Q.toarray()
+            + polar.weighted_hessian(X[0], np.delete(W[0], quadratic)))
+    assert np.allclose(H[0], want, rtol=1e-13, atol=1e-13)
 
 
 class TestNonlinearGroups:
@@ -842,7 +862,8 @@ class TestNonlinearGroups:
 def acopf_variant(*changes):
     """The 12-period ACOPF toy with block 5's admittance row at bus 0
     changed in both of its balances (``"admittance"``) and with an extra
-    Q != 0 row in block 7 (``"circle"``)."""
+    Q != 0 row in block 7 (``"circle"``) or in every block, its constant
+    by block (``"circles"``)."""
     prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=12), 12)
     if "admittance" in changes:
         prob = replace_equalities(prob, 5, [model.PolarBalance(
@@ -853,6 +874,13 @@ def acopf_variant(*changes):
         circle = Quadratic(sp.eye(n, format="csr"), np.zeros(n), -1.0)
         prob = replace_equalities(prob, 7,
                                   prob.blocks[7].set.equalities + [circle])
+    if "circles" in changes:
+        n = prob.blocks[0].n
+        for t in range(prob.T):
+            circle = Quadratic(sp.eye(n, format="csr"), np.zeros(n),
+                               -1.0 - 0.1 * t)
+            prob = replace_equalities(
+                prob, t, prob.blocks[t].set.equalities + [circle])
     return prob
 
 
@@ -863,7 +891,8 @@ def acopf_variant(*changes):
     ("admittance", [("alm", [t for t in range(12) if t != 5]),
                     ("alm", [5])]),
     ("circle", [("alm", [t for t in range(12) if t != 7]), ("alm", [7])]),
-], ids=["mixed", "split", "admittance", "circle"])
+    ("circles", [("alm", list(range(12)))]),
+], ids=["mixed", "split", "admittance", "circle", "circles"])
 def test_groups_partition_the_blocks(case, groups):
     # every block is in exactly one group, of the kind its set asks for,
     # and the groups come in the order of their first blocks

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from proxjacobi import jacobi, subsolver
+from proxjacobi import jacobi, problems, subsolver
 from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, variable_splitting_transform)
@@ -18,7 +18,7 @@ from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
                                   project_box, solve_quadratic_exact)
 
 from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
-                      mixed_problem, spy_row_solvers)
+                      mixed_problem, replace_equalities, spy_row_solvers)
 from reference import newton_directions_per_row, unbounded_below_per_row
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
@@ -603,6 +603,37 @@ def test_warm_alm_rows_match_one_block_solves():
         assert sigma_end[i] == sigma_t, t
     assert inner[2] == first_inner[2]
     assert sum(inner) < sum(first_inner)
+
+
+def test_alm_rows_with_a_quadratic_row_match_one_block_solves():
+    # the periods of an ACOPF toy that share one Q != 0 row, a voltage
+    # circle sum V_i^2 / 2 = r_t with a radius of their own, are one alm
+    # group; each row of its stacked ALM call is the k = 1 solve of its
+    # block, bit for bit, and meets its block's equalities and box
+    T = 5
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=3, T=T), T)
+    bal = prob.blocks[0].set.equalities[0]
+    n = prob.blocks[0].n
+    on_v = np.zeros(n)
+    on_v[bal.v_offset:bal.v_offset + bal.nbus] = 1.0
+    for t, radius in enumerate(np.linspace(0.97, 1.03, T)):
+        circle = Quadratic(sp.diags(on_v, format="csr"), np.zeros(n),
+                           -0.5 * bal.nbus * radius ** 2)
+        prob = replace_equalities(
+            prob, t, prob.blocks[t].set.equalities + [circle])
+    grp, = prob.quadratic_groups
+    assert grp.kind == "alm" and grp.blocks == list(range(T))
+    rng = np.random.default_rng(2)
+    X = rng.uniform(prob.lower, prob.upper).reshape(T, -1)
+    g = subproblem_gradients(prob, X.ravel(), np.zeros(prob.m),
+                             rng.standard_normal(prob.m), 1.0)
+    H, G = grp.hessian(3.0), grp.take(g)
+    out = stacked_alm(grp, H, G, X)
+    assert all(out[1] == STATUS_CONVERGED)
+    for i, t in enumerate(grp.blocks):
+        for got, want in zip(out, one_block_alm(prob, H, G, X, i, t)):
+            assert np.array_equal(got[i], want), t
+        assert prob.blocks[t].set.violation(out[0][i]) <= 1e-8
 
 
 def test_batched_alm_rows_ignore_the_others():
