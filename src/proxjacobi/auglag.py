@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import couple_apply
 from .model import _cholesky, _dot, _matvec
 
 
@@ -23,34 +22,26 @@ GRAM_COND_MAX = 1e3
 ACTIVE_TOL = 1e-8
 
 
-def aug_lagrangian(problem, x, z, lam, params, Ax=None, Qx=None):
+def aug_lagrangian(problem, state, params):
     """sum_t f_t(x_t) + (theta/2)||z||^2 + lam'(Ax + z - b)
-    + (rho/2)||Ax + z - b||^2, at the flat vector ``x``.  ``Ax`` and ``Qx``
-    (``Problem.objective_products``) are the products at ``x`` when the
-    caller has them; they are computed otherwise."""
-    z = np.asarray(z, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if z.shape != (problem.m,) or lam.shape != (problem.m,):
-        raise ValueError("z and lambda must have length m")
-    if Ax is None:
-        Ax = couple_apply(problem, x)
-    viol = Ax + z - problem.b
-    total = problem.objective_value(x, Qx)
+    + (rho/2)||Ax + z - b||^2 at the iterate ``state``, from its products
+    Ax and Qx."""
+    z = state.z
+    viol = state.Ax + z - problem.b
+    total = problem.objective_value(state.x, state.Qx)
     total += 0.5 * params.theta * float(z @ z)
-    total += float(lam @ viol)
+    total += float(state.lam @ viol)
     total += 0.5 * params.rho * float(viol @ viol)
     return total
 
 
-def subproblem_gradients(problem, vec, z, lam, rho, Ax=None, Qx=None):
+def subproblem_gradients(problem, state, rho):
     """The flat vector of every block subproblem's gradient at its anchor,
-    the frozen iterate ``vec``: grad f_t(x_t) + A_t'(lam + rho(Ax + z - b)),
-    from one stacked product for all blocks.  ``Ax`` and ``Qx`` are the
-    products at ``vec`` when the caller has them."""
-    if Ax is None:
-        Ax = couple_apply(problem, vec)
-    v = lam + rho * (Ax + z - problem.b)
-    return problem.objective_gradients(vec, Qx) + problem.block_products_T(
+    the frozen iterate ``state.x``:
+    grad f_t(x_t) + A_t'(lam + rho(Ax + z - b)), from the products the
+    state carries and one stacked product for all blocks."""
+    v = state.lam + rho * (state.Ax + state.z - problem.b)
+    return problem.objective_gradients(state.Qx) + problem.block_products_T(
         v[problem.coupling_rows.row])
 
 
@@ -88,23 +79,20 @@ class BlockObjective:
         return self.H[rows]
 
 
-def lyapunov(problem, x, z, lam, x_hat, z_hat, params, Ax=None, Qx=None,
-             Kdx=None):
+def lyapunov(problem, state, params):
     """Augmented Lagrangian plus the proximal deviation terms:
 
-    L(x, z, lam) + (tau_z/4)||z - z_hat||^2
-                 + sum_t (tau_x/4)||x_t - x_hat_t||^2_{A_t'A_t}
+    L(x, z, lam) + (tau_z/4)||z - z_prev||^2
+                 + sum_t (tau_x/4)||x_t - x_prev_t||^2_{A_t'A_t}
 
-    The sum over the blocks is ||K(x - x_hat)||^2, one dot product over the
-    nonzero coupling rows K of all blocks.  ``Ax``, ``Qx`` and
-    ``Kdx`` = ``Problem.block_products(x - x_hat)`` are the products when
-    the caller has them; they are computed otherwise.
+    at the iterate ``state``.  The sum over the blocks is ||K(x - x_prev)||^2,
+    one dot product of the state's ``Kdx`` over the nonzero coupling rows K
+    of all blocks.
     """
-    val = aug_lagrangian(problem, x, z, lam, params, Ax, Qx)
-    dz = np.asarray(z, dtype=float) - np.asarray(z_hat, dtype=float)
+    val = aug_lagrangian(problem, state, params)
+    dz = state.z - state.z_prev
     val += 0.25 * params.tau_z * float(dz @ dz)
-    d = problem.block_products(x - x_hat) if Kdx is None else Kdx
-    val += 0.25 * params.tau_x * float(d @ d)
+    val += 0.25 * params.tau_x * float(state.Kdx @ state.Kdx)
     return val
 
 
@@ -156,18 +144,18 @@ def fit_multipliers(J, G, free):
     return mu
 
 
-def dual_residuals(problem, vec, lam, Qx=None):
+def dual_residuals(problem, state):
     """The distance of every block's ``grad f_t + A_t' lam`` to the negative
-    normal cone of its set at the flat vector ``vec``, as a list, from one
-    stacked gradient (``Qx`` is the objective product at ``vec`` when the
-    caller has it).  The blocks of a ``qp`` or ``alm``
-    group fit their multipliers together (``fit_multipliers``), on the
-    equality Jacobians masked to each block's coordinates off the bounds:
-    J is the shared rows C of a ``qp`` group, and each block's Jacobian of
-    the group's map at its point for an ``alm`` group.  It does not check
-    that ``vec`` lies on the sets."""
-    g = problem.objective_gradients(vec, Qx) + problem.block_products_T(
-        np.asarray(lam, dtype=float)[problem.coupling_rows.row])
+    normal cone of its set at the iterate ``state``, as a list, from one
+    stacked gradient (from the state's ``Qx``).  The blocks of a ``qp`` or
+    ``alm`` group fit their multipliers together (``fit_multipliers``), on
+    the equality Jacobians masked to each block's coordinates off the
+    bounds: J is the shared rows C of a ``qp`` group, and each block's
+    Jacobian of the group's map at its point for an ``alm`` group.  It does
+    not check that ``state.x`` lies on the sets."""
+    vec = state.x
+    g = problem.objective_gradients(state.Qx) + problem.block_products_T(
+        state.lam[problem.coupling_rows.row])
     for grp in problem.quadratic_groups:
         if grp.kind not in ("qp", "alm"):
             continue
@@ -201,7 +189,7 @@ class ResidualSnapshot:
         return max(self.delta) if self.delta else 0.0
 
 
-def penalty_residuals(problem, state, params, Ax=None, Kdx=None, Qx=None):
+def penalty_residuals(problem, state, params):
     """Primal and dual residuals of the quadratic penalty formulation:
 
     p = Ax + z - b
@@ -209,20 +197,13 @@ def penalty_residuals(problem, state, params, Ax=None, Kdx=None, Qx=None):
     d_z = -tau_z dz
 
     with ``d_x`` the flat vector of every d_t and delta_t the block dual
-    residuals (``dual_residuals``).  ``Ax``, ``Kdx`` =
-    ``Problem.block_products(x - x_prev)`` and ``Qx`` are the products at
-    ``state.x`` when the caller has them; they are computed otherwise (not
-    read from ``state``).
+    residuals (``dual_residuals``), from the products the state carries.
     """
     if state.k < 1:
         raise ValueError("penalty residuals undefined at k = 0")
-    vec = state.x
     row = problem.coupling_rows.row
-    if Ax is None:
-        Ax = couple_apply(problem, vec)
+    Ax, Adx = state.Ax, state.Kdx
     p = Ax + state.z - problem.b
-    Adx = (problem.block_products(vec - state.x_prev) if Kdx is None
-           else Kdx)
     Adx_total = problem.row_sums(Adx)
     d = problem.block_products_T(
         params.rho * (Adx_total[row] - Adx - state.dz[row])
@@ -232,7 +213,7 @@ def penalty_residuals(problem, state, params, Ax=None, Kdx=None, Qx=None):
                     float(np.max(np.abs(d_z), initial=0.0)))
     return ResidualSnapshot(
         pi=float(np.linalg.norm(Ax - problem.b)),
-        delta=dual_residuals(problem, vec, state.lam, Qx=Qx),
+        delta=dual_residuals(problem, state),
         p=p,
         d_x=d,
         d_z=d_z,

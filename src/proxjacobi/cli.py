@@ -74,8 +74,20 @@ def _load_problem_file(path):
     return model.load_problem(text)
 
 
+def block_violation_inf(problem, x):
+    """The largest ``ConstraintSet.violation`` of any block at the flat
+    vector ``x``: one bound test over ``x``, and one evaluation of the
+    equality map of each ``qp`` or ``alm`` group at its rows."""
+    parts = [problem.lower - x, x - problem.upper, [0.0]]
+    for grp in problem.quadratic_groups:
+        if grp.kind in ("qp", "alm"):
+            parts.append(np.abs(grp.equality_map.values(grp.take(x),
+                                                        grp.d)).ravel())
+    return float(np.max(np.concatenate(parts)))
+
+
 def _solution_doc(problem, state, reason, trace):
-    objective = problem.objective_value(state.x)
+    objective = problem.objective_value(state.x, state.Qx)
     last = trace[-1] if trace else None
     residuals = {}
     if last is not None:
@@ -94,6 +106,8 @@ def _solution_doc(problem, state, reason, trace):
         "iterations": state.k,
         "termination": reason,
         "residuals": residuals,
+        "block_violation_inf": block_violation_inf(problem, state.x),
+        "unconverged": last.unconverged if last is not None else 0,
     }
 
 
@@ -328,9 +342,9 @@ def replay_trace(problem, records):
 
     Uses the solver's default start and ``jacobi.advance``, so it makes no
     trace record and computes no residual.  Returns a snapshot of the state
-    after every iteration, with its product Ax but without Qx and the ALM
-    stacks.  Raises ValueError when a replayed phi disagrees with the trace
-    beyond replay tolerance (trace/problem mismatch).
+    after every iteration, with its products but without the ALM stacks.
+    Raises ValueError when a replayed phi disagrees with the trace beyond
+    replay tolerance (trace/problem mismatch).
     """
     if not records:
         raise ValueError("empty trace")
@@ -350,8 +364,9 @@ def replay_trace(problem, records):
                 f"iteration {rec.k}: replayed phi {phi!r} does not "
                 f"match the trace value {rec.phi!r}; trace/problem mismatch")
         # advance rebinds the arrays of the state and writes into none, so
-        # a snapshot shares them; it drops what no check reads
-        states.append(replace(state, alm=[], Qx=None))
+        # a snapshot shares them; it drops the ALM stacks, which no check
+        # reads
+        states.append(replace(state, alm=[]))
     return states
 
 
@@ -453,7 +468,7 @@ def _check_theorem_bounds(problem, records, states, params_seq, report):
         problem.T)
     ok = any(rec.pi <= pi_bound
              and all(d <= db for d, db in zip(
-                 auglag.dual_residuals(problem, state.x, state.lam),
+                 auglag.dual_residuals(problem, state),
                  delta_bounds))
              for rec, state in zip(records, states))
     report.record("bound existence", "pass" if ok else "fail",

@@ -172,7 +172,8 @@ def init_state(problem, x0, z0, lam0, params):
     """State at k = 0 with ``dz0 = -(lam0 + theta z0)/tau_z`` and zero
     x-differences; x0, one flat vector of length N, is projected onto the
     boxes on entry.  ``alm`` is empty: every ``alm`` group's ALM starts
-    cold in the first sweep.  ``Ax`` and ``Qx`` are the products at x."""
+    cold in the first sweep.  ``Ax`` and ``Qx`` are the products at x, and
+    ``Kdx`` is zero, as x - x_prev is."""
     N = problem.offsets[-1]
     try:
         x0 = np.asarray(x0, dtype=float)
@@ -192,14 +193,13 @@ def init_state(problem, x0, z0, lam0, params):
     return IterateState(
         x=x, z=z0, lam=lam0,
         x_prev=x.copy(), z_prev=z0.copy(), lam_prev=lam0.copy(),
-        dz=dz0, k=0, Ax=couple_apply(problem, x),
-        Qx=problem.objective_products(x))
+        dz=dz0, Ax=couple_apply(problem, x), Qx=problem.objective_products(x),
+        Kdx=np.zeros(len(problem.coupling_rows.row)), k=0)
 
 
 def initial_lyapunov(problem, state, params):
     """Phi0 = L(x0, z0, lam0) + (tau_z/4)||dz0||^2."""
-    val = auglag.aug_lagrangian(problem, state.x, state.z, state.lam, params,
-                                state.Ax, state.Qx)
+    val = auglag.aug_lagrangian(problem, state, params)
     return val + 0.25 * params.tau_z * float(state.dz @ state.dz)
 
 
@@ -277,9 +277,9 @@ def x_update_all(problem, state, params, pool=None):
 
     Every subproblem gradient at the anchor x_t is one stacked product
     (``auglag.subproblem_gradients``, from the products ``state.Ax`` and
-    ``state.Qx`` when the state has them).  Each quadratic group is solved
-    from it by ``solve_group``, the groups spread over the ``pool`` when
-    there is one; each ``alm`` group starts from its stacks in
+    ``state.Qx``).  Each quadratic group is solved from it by
+    ``solve_group``, the groups spread over the ``pool`` when there is
+    one; each ``alm`` group starts from its stacks in
     ``state.alm`` (cold while that is empty, before the first sweep).  The
     groups' statuses fill one array by block, whose blocks that did not
     converge are walked in block order: the first numerical failure raises
@@ -289,8 +289,7 @@ def x_update_all(problem, state, params, pool=None):
     ``state.alm``, the number of blocks whose solve did not converge).
     """
     vec = state.x
-    g = auglag.subproblem_gradients(problem, vec, state.z, state.lam,
-                                    params.rho, state.Ax, state.Qx)
+    g = auglag.subproblem_gradients(problem, state, params.rho)
     w = params.rho + params.tau_x
     groups = problem.quadratic_groups
     starts = iter(state.alm)
@@ -338,14 +337,13 @@ def lambda_update(problem, Ax, z_k, state, params):
 class Step:
     """What ``advance`` returns: the new Lyapunov value, the per-block inner
     iteration counts, the number of blocks whose solve did not converge,
-    K(x - x_prev) at the new iterate, and the seconds of its three phases
-    (the sweep; the z and lambda updates with Ax; the products Qx and
-    K(x - x_prev) with the Lyapunov value)."""
+    and the seconds of its three phases (the sweep; the z and lambda
+    updates with Ax; the products Qx and K(x - x_prev) with the Lyapunov
+    value)."""
 
     phi: float
     inner_iters: list
     unconverged: int
-    Kdx: np.ndarray
     t_xupd: float
     t_zupd: float
     t_metrics: float
@@ -353,8 +351,8 @@ class Step:
 
 def advance(problem, state, params, pool=None):
     """Move ``state`` in place to the next iterate: the sweep, the z and
-    lambda updates, the products at the new x, Ax, Qx (both kept on the
-    state for the next sweep) and K(x - x_prev), and the Lyapunov value.
+    lambda updates, the state's products at the new x, Ax, Qx and
+    Kdx = K(x - x_prev), and the Lyapunov value.
     ``pool`` is the run's worker pool (``worker_pool``; serial without).
     Returns the :class:`Step`; it computes no residual."""
     t0 = time.perf_counter()
@@ -377,12 +375,10 @@ def advance(problem, state, params, pool=None):
     state.k += 1
     state.Ax = Ax_k
     state.Qx = problem.objective_products(x_k)
-
-    Kdx = problem.block_products(x_k - state.x_prev)
-    phi = auglag.lyapunov(problem, x_k, z_k, lam_k, state.x_prev,
-                          state.z_prev, params, Ax_k, state.Qx, Kdx)
+    state.Kdx = problem.block_products(x_k - state.x_prev)
+    phi = auglag.lyapunov(problem, state, params)
     return Step(phi=phi, inner_iters=inner_iters, unconverged=unconverged,
-                Kdx=Kdx, t_xupd=t1 - t0, t_zupd=t2 - t1,
+                t_xupd=t1 - t0, t_zupd=t2 - t1,
                 t_metrics=time.perf_counter() - t2)
 
 
@@ -393,20 +389,15 @@ def iterate(problem, state, params, config, phi_prev=None, pool=None):
     ``phi_prev`` is the previous Lyapunov value (computed here if omitted);
     ``pool`` is the run's worker pool (``worker_pool``; serial without).
     Mutates ``state`` in place and returns the trace record.  The residuals
-    reuse the products ``advance`` made at the new x; ``t_metrics_ms``
+    read the products ``advance`` made at the new x; ``t_metrics_ms``
     covers those products, the Lyapunov value and the residuals.
     """
     if phi_prev is None:
-        if state.k == 0:
-            phi_prev = initial_lyapunov(problem, state, params)
-        else:
-            phi_prev = auglag.lyapunov(problem, state.x, state.z, state.lam,
-                                       state.x_prev, state.z_prev, params,
-                                       state.Ax, state.Qx)
+        phi_prev = (initial_lyapunov(problem, state, params) if state.k == 0
+                    else auglag.lyapunov(problem, state, params))
     step = advance(problem, state, params, pool)
     t0 = time.perf_counter()
-    snap = auglag.penalty_residuals(problem, state, params, Ax=state.Ax,
-                                    Kdx=step.Kdx, Qx=state.Qx)
+    snap = auglag.penalty_residuals(problem, state, params)
     t_metrics = step.t_metrics + time.perf_counter() - t0
     ms = 1e3 if config.record_timings else 0.0
     rec = TraceRecord(

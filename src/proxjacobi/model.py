@@ -17,6 +17,7 @@ its rows at a time.
 
 import gc
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
@@ -937,12 +938,10 @@ class Problem:
         ``vec``."""
         return self.objective_Q @ vec
 
-    def objective_gradients(self, vec, Qx=None):
+    def objective_gradients(self, Qx):
         """The flat vector of every grad f_t(x_t), each block's equal bit
-        for bit to its own ``Quadratic.gradient``; ``Qx`` is
-        ``objective_products(vec)`` when the caller has it."""
-        if Qx is None:
-            Qx = self.objective_products(vec)
+        for bit to its own ``Quadratic.gradient``, from ``Qx`` =
+        ``objective_products(x)``."""
         return Qx + self.objective_c
 
     @cached_property
@@ -950,11 +949,9 @@ class Problem:
         """The constants c0 of all blocks, summed."""
         return sum(blk.objective.c0 for blk in self.blocks)
 
-    def objective_value(self, vec, Qx=None):
-        """sum_t f_t(x_t) at the flat vector ``vec``, as one reduction;
-        ``Qx`` is ``objective_products(vec)`` when the caller has it."""
-        if Qx is None:
-            Qx = self.objective_products(vec)
+    def objective_value(self, vec, Qx):
+        """sum_t f_t(x_t) at the flat vector ``vec``, as one reduction, from
+        ``Qx`` = ``objective_products(vec)``."""
         return float(vec @ (0.5 * Qx + self.objective_c)) + self.objective_c0
 
 
@@ -992,11 +989,11 @@ class IterateState:
     the group's inner ALM starts from in the next sweep; it is empty before
     the first sweep, which starts every group cold.
 
-    ``Ax`` = sum_t A_t x_t (m,) and ``Qx`` = ``Problem.objective_products``
-    (N,) are the products at ``x`` that ``jacobi.init_state`` and
-    ``jacobi.iterate`` make once per new iterate; the next sweep and the
-    Lyapunov value read them.  None means not known: they are computed on
-    use.  Set them to None after editing ``x`` in place.
+    ``Ax`` = sum_t A_t x_t (m,), ``Qx`` = ``Problem.objective_products``
+    (N,) and ``Kdx`` = ``Problem.block_products(x - x_prev)`` are the
+    products of the iterate, written with ``x`` by ``jacobi.init_state``
+    and ``jacobi.advance``, the only functions that write ``x``; the sweep,
+    the Lyapunov value and the residuals read them.
     """
 
     x: np.ndarray
@@ -1006,13 +1003,13 @@ class IterateState:
     z_prev: np.ndarray
     lam_prev: np.ndarray
     dz: np.ndarray
+    Ax: np.ndarray
+    Qx: np.ndarray
+    Kdx: np.ndarray
     k: int = 0
     alm: list = field(default_factory=list)
-    Ax: np.ndarray = None
-    Qx: np.ndarray = None
 
     def copy(self):
-        keep = lambda v: None if v is None else v.copy()
         return IterateState(
             x=self.x.copy(),
             z=self.z.copy(),
@@ -1021,10 +1018,11 @@ class IterateState:
             z_prev=self.z_prev.copy(),
             lam_prev=self.lam_prev.copy(),
             dz=self.dz.copy(),
+            Ax=self.Ax.copy(),
+            Qx=self.Qx.copy(),
+            Kdx=self.Kdx.copy(),
             k=self.k,
             alm=[(y.copy(), sigma.copy()) for y, sigma in self.alm],
-            Ax=keep(self.Ax),
-            Qx=keep(self.Qx),
         )
 
 
@@ -1217,6 +1215,34 @@ def _vector(value):
     return vec
 
 
+# What json.loads makes a bool or a string that spells a number (one with a
+# digit): float() and np.asarray(..., dtype=float) take either for a number
+# without complaint.  The strings "inf", "-inf" and "nan" spell none; they
+# keep their meaning, and the finiteness checks name them where a value
+# must be finite.  Each pattern is one literal search of the text.
+_NON_NUMBER_SIGNS = [re.compile(p) for p in ("true", "false",
+                                              r'"\s*[-+]?\.?\d')]
+_SPELLED_NUMBER = re.compile(r"\s*[-+]?\.?\d")
+
+
+def _refuse_non_numbers(value, path=""):
+    """Raise a SchemaError naming the first field of the parsed document
+    ``value`` (named ``path``) that holds a bool or a string that spells a
+    number.  A list of numbers is named by its field, an object in a list
+    by its index."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _refuse_non_numbers(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _refuse_non_numbers(v, f"{path}[{i}]" if isinstance(v, dict)
+                                else path)
+    elif isinstance(value, bool) or (isinstance(value, str)
+                                     and _SPELLED_NUMBER.match(value)):
+        raise SchemaError(path, "malformed value (expected a number, got "
+                                f"{value!r})")
+
+
 def _bounds_from_json(doc, n, path):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object with 'lower' and 'upper'")
@@ -1291,7 +1317,10 @@ def load_problem(text):
     of Q_t as ``objective_Q`` and the nonzero rows of the stack of A_t as
     ``coupling_rows``.  Each block's Q_t and A_t, and each equality's Q, is
     a view on its stack, built as a CSR matrix when it is first read.
-    Errors name the first fault in document order.
+    Errors name the first fault in document order, except that a bool or a
+    string that spells a number, which no field holds, is named before any
+    other fault (the text is searched for one first, and the document is
+    walked only when the search hits).
 
     The cyclic garbage collector is paused meanwhile: the parsed document
     is a great many lists that hold no cycles, and the collections their
@@ -1316,6 +1345,8 @@ def _problem_from_text(text):
     for key in ("m", "b", "blocks"):
         if key not in doc:
             raise SchemaError(key, "missing required field")
+    if any(sign.search(text) for sign in _NON_NUMBER_SIGNS):
+        _refuse_non_numbers(doc)
     m = _integer(doc["m"], "m")
     b = _field(doc, "b", "b", _vector)
     _check_each([("b", _finite, b)])

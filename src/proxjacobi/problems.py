@@ -381,7 +381,8 @@ def kkt_reference_solve(problem):
     x, mu = x[0], mu[0]
     return OracleSolution(
         x_star=x, lambda_star=mu[len(d) - problem.m:],
-        objective=problem.objective_value(x), provenance="kkt-linear-solve")
+        objective=problem.objective_value(x, problem.objective_products(x)),
+        provenance="kkt-linear-solve")
 
 
 def _diagonal_minima(q, c, lo, hi):

@@ -7,10 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 from proxjacobi import jacobi, problems
+from proxjacobi.algebra import couple_apply
 from proxjacobi.auglag import BlockObjective, subproblem_gradients
 from proxjacobi.cli import default_start
-from proxjacobi.model import (BlockSpec, ConstraintSet, Params, PolarBalance,
-                              Problem, Quadratic)
+from proxjacobi.model import (BlockSpec, ConstraintSet, IterateState, Params,
+                              PolarBalance, Problem, Quadratic)
 
 QP_SEEDS = list(range(20))
 
@@ -74,6 +75,22 @@ def with_loads(problem, t, loads):
     return replace_equalities(problem, t, [
         PolarBalance(eq.name, dict(eq.payload, load=float(load)))
         for eq, load in zip(problem.blocks[t].set.equalities, loads)])
+
+
+def state_at(problem, x, z, lam, x_prev=None, z_prev=None, lam_prev=None,
+             k=1):
+    """The iterate at the arbitrary point (x, z, lam), with the lagged
+    point (x_prev, z_prev, lam_prev) (the point itself where None), dz =
+    z - z_prev, and the products Ax, Qx and K(x - x_prev) made here."""
+    x, z, lam = (np.asarray(v, dtype=float) for v in (x, z, lam))
+    x_prev = x if x_prev is None else np.asarray(x_prev, dtype=float)
+    z_prev = z if z_prev is None else np.asarray(z_prev, dtype=float)
+    lam_prev = lam if lam_prev is None else np.asarray(lam_prev, dtype=float)
+    return IterateState(
+        x=x, z=z, lam=lam, x_prev=x_prev, z_prev=z_prev, lam_prev=lam_prev,
+        dz=z - z_prev, Ax=couple_apply(problem, x),
+        Qx=problem.objective_products(x),
+        Kdx=problem.block_products(x - x_prev), k=k)
 
 
 def at_point(callback, x):
@@ -160,8 +177,9 @@ def acopf_rows(T=6, seed=0, early=1, capped=3, bad=4, stiff=5):
         prob = with_loads(prob, capped, loads)
     grp, = prob.quadratic_groups
     params = Params(rho=1.0, theta=1.0, tau_x=2.0, tau_z=1.0)
-    g = subproblem_gradients(prob, X.ravel(), 0.1 * rng.standard_normal(
-        prob.m), rng.standard_normal(prob.m), params.rho)
+    g = subproblem_gradients(prob, state_at(
+        prob, X.ravel(), 0.1 * rng.standard_normal(prob.m),
+        rng.standard_normal(prob.m)), params.rho)
     G = grp.take(g)
     H = grp.hessian(params.rho + params.tau_x).copy()
     if early is not None:
@@ -245,4 +263,5 @@ def acopf_twin_problem():
 
 __all__ = ["QP_SEEDS", "qp_shapes", "build_qp", "default_start",
            "mixed_problem", "box_quadratic_min_enum", "replace_equalities",
-           "with_loads", "at_point", "block_objective", "acopf_rows"]
+           "with_loads", "state_at", "at_point", "block_objective",
+           "acopf_rows"]

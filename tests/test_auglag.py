@@ -9,10 +9,10 @@ from proxjacobi.auglag import (aug_lagrangian, eta_pair, lyapunov,
                                penalty_residuals, subproblem_gradients,
                                theorem1_bounds, theorem1_params)
 from proxjacobi.jacobi import RunConfig
-from proxjacobi.model import IterateState, Params
+from proxjacobi.model import Params
 
 from conftest import (at_point, block_objective, build_qp, default_start,
-                      mixed_problem)
+                      mixed_problem, state_at)
 from reference import dagger_norm_sq, dual_residual
 
 PARAMS = Params(rho=2.0, theta=3.0, tau_x=1.5, tau_z=0.5)
@@ -47,9 +47,10 @@ def test_aug_lagrangian_formula(qp):
                    for blk, xt in zip(qp.blocks, qp.split(x)))
     expected += 0.5 * PARAMS.theta * z @ z + lam @ viol
     expected += 0.5 * PARAMS.rho * viol @ viol
-    assert aug_lagrangian(qp, x, z, lam, PARAMS) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        aug_lagrangian(qp, x, np.zeros(qp.m + 1), lam, PARAMS)
+    assert aug_lagrangian(qp, state_at(qp, x, z, lam),
+                          PARAMS) == pytest.approx(expected)
+    with pytest.raises(ValueError, match="length m"):
+        jacobi.init_state(qp, x, np.zeros(qp.m + 1), lam, PARAMS)
 
 
 def test_block_objective_tracks_aug_lagrangian():
@@ -59,8 +60,8 @@ def test_block_objective_tracks_aug_lagrangian():
     anchor x_t, and its gradient is the model's derivative."""
     prob = mixed_problem()
     x, z, lam = random_point(prob, 2)
-    g = subproblem_gradients(prob, x, z, lam, PARAMS.rho)
-    L0 = aug_lagrangian(prob, x, z, lam, PARAMS)
+    g = subproblem_gradients(prob, state_at(prob, x, z, lam), PARAMS.rho)
+    L0 = aug_lagrangian(prob, state_at(prob, x, z, lam), PARAMS)
     rng = np.random.default_rng(3)
     xs = prob.split(x)
     for t, blk in enumerate(prob.blocks):
@@ -68,7 +69,8 @@ def test_block_objective_tracks_aug_lagrangian():
         other = xs[t] + rng.standard_normal(blk.n)
         x_other = x.copy()
         prob.split(x_other)[t][:] = other
-        dL = aug_lagrangian(prob, x_other, z, lam, PARAMS) - L0
+        dL = aug_lagrangian(prob, state_at(prob, x_other, z, lam),
+                            PARAMS) - L0
         dAx = blk.coupling @ (other - xs[t])
         prox = 0.5 * PARAMS.tau_x * float(dAx @ dAx)
         d_obj = at_point(obj.value, other) - at_point(obj.value, xs[t])
@@ -81,8 +83,8 @@ def test_lyapunov_adds_prox_terms(qp):
     x, z, lam = random_point(qp, 4)
     x_hat = x - 0.5
     z_hat = z - 0.25
-    base = aug_lagrangian(qp, x, z, lam, PARAMS)
-    val = lyapunov(qp, x, z, lam, x_hat, z_hat, PARAMS)
+    base = aug_lagrangian(qp, state_at(qp, x, z, lam), PARAMS)
+    val = lyapunov(qp, state_at(qp, x, z, lam, x_hat, z_hat), PARAMS)
     extra = 0.25 * PARAMS.tau_z * float((z - z_hat) @ (z - z_hat))
     for blk, xt, xh in zip(qp.blocks, qp.split(x), qp.split(x_hat)):
         d = blk.coupling @ (xt - xh)
@@ -213,10 +215,7 @@ def test_dagger_norm_matches_explicit_r(qp):
 def random_state(problem, seed):
     """An iterate at k = 1 with random x, x_prev, z, z_prev and lam."""
     x, z, lam = random_point(problem, seed)
-    x_prev, z_prev, lam_prev = random_point(problem, seed + 1)
-    return IterateState(
-        x=x, z=z, lam=lam, x_prev=x_prev, z_prev=z_prev,
-        lam_prev=lam_prev, dz=z - z_prev, k=1)
+    return state_at(problem, x, z, lam, *random_point(problem, seed + 1))
 
 
 def dagger_by_blocks(problem, state, ref_x, ref_z, ref_lam, params):
@@ -319,8 +318,8 @@ class TestBlockLoops:
         for blk, xt, xh in zip(prob.blocks, xs, prob.split(s.x_prev)):
             d = blk.coupling @ (xt - xh)
             expected += 0.25 * PARAMS.tau_x * float(d @ d)
-        assert lyapunov(prob, s.x, s.z, s.lam, s.x_prev, s.z_prev,
-                        PARAMS) == pytest.approx(expected, rel=1e-12)
+        assert lyapunov(prob, s, PARAMS) == pytest.approx(expected,
+                                                          rel=1e-12)
 
     def test_penalty_dual_residuals(self, sparse_coupling_problem):
         prob = sparse_coupling_problem
@@ -355,7 +354,8 @@ class TestBlockLoops:
             blk.objective.gradient(xt) + blk.coupling.T @ v
             for blk, xt in zip(prob.blocks, prob.split(x))])
         assert np.array_equal(
-            subproblem_gradients(prob, x, z, lam, PARAMS.rho), expected)
+            subproblem_gradients(prob, state_at(prob, x, z, lam), PARAMS.rho),
+            expected)
 
 
 def test_dagger_norm_has_no_size_cap():

@@ -19,7 +19,7 @@ from proxjacobi.cli import (EXIT_IO, EXIT_ITERATION_CAP, EXIT_NUMERICAL,
 from proxjacobi.model import (BlockSpec, ConstraintSet, Params, Problem,
                               Quadratic, save_problem)
 
-from conftest import build_qp
+from conftest import build_qp, mixed_problem
 
 # One concave unconstrained block, unbounded below under unit parameters
 # (the Theorem-1 ones would make its subproblem convex): the first sweep
@@ -46,6 +46,7 @@ def qp_file(tmp_path):
 
 class TestValidate:
     def test_ok(self, qp_file, capsys):
+        # its unbounded blocks hold the bound strings "inf" and "-inf"
         assert main(["validate", str(qp_file)]) == EXIT_OK
         assert "ok:" in capsys.readouterr().out
 
@@ -164,6 +165,57 @@ def test_non_integral_integer_field_is_schema_error(tmp_path, capsys, where,
         blk["objective"]["Q"][0][0] = value     # a row index
     else:
         blk["equalities"][2]["payload"][where.rsplit(".", 1)[1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["mixed", "dispatch", "acopf"])
+def test_block_violation_inf_is_worst_block(case):
+    # the batched violation of the solution JSON is the largest
+    # ConstraintSet.violation of any block: unbounded, boxed, linear
+    # equality and polar balance blocks
+    prob = {"mixed": mixed_problem,
+            "dispatch": lambda: problems.gen_multiperiod_dispatch(5, 3, 0.2),
+            "acopf": lambda: problems.gen_acopf_toy(
+                problems.toy_network(nbus=3, T=4), 4)}[case]()
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        x = rng.standard_normal(sum(prob.dims))
+        assert cli.block_violation_inf(prob, x) == max(
+            blk.set.violation(xt)
+            for blk, xt in zip(prob.blocks, prob.split(x)))
+
+
+@pytest.mark.parametrize("where, value", [
+    ("blocks[1].A", True), ("blocks[1].A", "0"),
+    ("blocks[1].objective.c", "0.5"), ("blocks[1].objective.c0", "0.5"),
+    ("blocks[1].equalities[2].payload.load", "0.5"),
+    ("blocks[1].bounds.lower", "0"), ("b", True),
+])
+def test_non_number_in_number_field_is_schema_error(tmp_path, capsys, where,
+                                                    value):
+    # a bool, or a string that spells a number, in a number field ends in
+    # one error line naming it; it is not converted to a number
+    prob = problems.gen_acopf_toy(problems.toy_network(nbus=2, T=3), 3)
+    doc = json.loads(save_problem(prob))
+    blk = doc["blocks"][1]
+    if where == "b":
+        doc["b"][0] = value
+    elif where.endswith(".A"):
+        blk["A"][0][1] = value          # a column index
+    elif where.endswith(".c"):
+        blk["objective"]["c"][0] = value
+    elif where.endswith(".c0"):
+        blk["objective"]["c0"] = value
+    elif where.endswith(".load"):
+        blk["equalities"][2]["payload"]["load"] = value
+    else:
+        blk["bounds"]["lower"][0] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == EXIT_IO
@@ -401,7 +453,9 @@ class TestSolve:
     def test_stop_after_unconverged_sweep(self, tmp_path, T, k):
         # a 2-bus ACOPF whose load exceeds its generator's limit meets the
         # coupling test at iteration k while its block solves stall: the
-        # stop is not feasible, and the run exits as a numerical failure
+        # stop is not feasible, and the run exits as a numerical failure.
+        # The solution counts the stalled blocks of the last sweep, and its
+        # blocks miss their balances
         prob = problems.gen_acopf_toy(
             problems.toy_network(nbus=2, T=T, load_base=2.5), T)
         path, sol = tmp_path / "p.json", tmp_path / "s.json"
@@ -411,6 +465,8 @@ class TestSolve:
         doc = json.loads(sol.read_text())
         assert doc["termination"] == jacobi.TERMINATION_UNCONVERGED
         assert doc["iterations"] == k
+        assert doc["unconverged"] == T
+        assert doc["block_violation_inf"] > 0.1
 
     @pytest.mark.parametrize("mode, code, termination", [
         ([], EXIT_OK, jacobi.TERMINATION_FEASIBLE),
@@ -752,7 +808,7 @@ class TestLeanReplay:
             spectral_norms(prob), prob.T)
         met = [rec.pi <= pi_bound
                and all(d <= db for d, db in zip(
-                   auglag.dual_residuals(prob, s.x, s.lam), delta_bounds))
+                   auglag.dual_residuals(prob, s), delta_bounds))
                for rec, s in zip(records, states)]
         first = met.index(True)
         assert first < len(records) - 1
@@ -764,7 +820,28 @@ class TestLeanReplay:
         examined = [j for j in range(first + 1) if records[j].pi <= pi_bound]
         assert len(calls) == len(examined)
         for (_, args), j in zip(calls, examined):
-            assert args[1] is states[j].x and args[2] is states[j].lam
+            assert args[1] is states[j]
+
+    def test_bound_check_makes_no_objective_product(self, fixed_qp,
+                                                    monkeypatch):
+        # a replayed snapshot keeps the products of its iterate, so the
+        # dual residuals of the bound check read its Qx and make none
+        prob, records, _, _ = fixed_qp
+        states = cli.replay_trace(prob, records)
+        params = [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x,
+                         tau_z=r.tau_z) for r in records]
+        calls = []
+        self.spy(monkeypatch, "dual_residuals", calls)
+        real = Problem.objective_products
+
+        def counted(self, vec):
+            calls.append(("objective_products", vec))
+            return real(self, vec)
+        monkeypatch.setattr(Problem, "objective_products", counted)
+        report = cli.TraceCheckReport()
+        cli._check_theorem_bounds(prob, records, states, params, report)
+        assert report.results[0][1] == "pass"
+        assert calls and {name for name, _ in calls} == {"dual_residuals"}
 
     @pytest.mark.parametrize("bounds", ["theorem", "zero delta", "zero"])
     def test_verdict_equals_eager_reference(self, fixed_qp, monkeypatch,

@@ -21,7 +21,7 @@ from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_ITERATION_CAP,
 
 from conftest import (acopf_rows, at_point, block_objective, build_qp,
                       default_start, mixed_problem, replace_equalities,
-                      routes, spy_row_solvers)
+                      routes, spy_row_solvers, state_at)
 from reference import dual_residual
 
 PARAMS = Params(rho=2.0, theta=4.0, tau_x=1.0, tau_z=8.0)
@@ -75,22 +75,20 @@ class TestInitState:
         assert np.array_equal(y, y0) and np.array_equal(sigma, sigma0)
 
     def test_products_at_x_copy_apart(self, qp):
-        # init_state makes Ax and Qx at the projected x0; a copy owns them,
-        # and a state built without them gets them computed on use
+        # init_state makes Ax and Qx at the projected x0, and Kdx = 0 as
+        # x - x_prev is; a copy owns them
         state = init_state(qp, *default_start(qp), PARAMS)
         assert np.array_equal(state.Ax, couple_apply(qp, state.x))
         assert np.array_equal(state.Qx, qp.objective_Q @ state.x)
+        assert np.array_equal(state.Kdx,
+                              qp.block_products(state.x - state.x_prev))
         other = state.copy()
         other.Ax[:] = 0.0
         other.Qx[:] = 0.0
+        other.Kdx[:] = 1.0
         assert np.array_equal(state.Ax, couple_apply(qp, state.x))
         assert np.array_equal(state.Qx, qp.objective_Q @ state.x)
-        bare = state.copy()
-        bare.Ax = bare.Qx = None
-        assert bare.copy().Ax is None
-        config = RunConfig(record_timings=False)
-        assert iterate(qp, bare, PARAMS, config).row() == iterate(
-            qp, state, PARAMS, config).row()
+        assert not state.Kdx.any()
 
     def test_length_mismatch(self, qp):
         with pytest.raises(ValueError):
@@ -114,8 +112,7 @@ class TestInitState:
     def test_initial_lyapunov(self, qp):
         from proxjacobi import auglag
         state = init_state(qp, *default_start(qp), PARAMS)
-        expected = auglag.aug_lagrangian(qp, state.x, state.z, state.lam,
-                                         PARAMS)
+        expected = auglag.aug_lagrangian(qp, state, PARAMS)
         expected += 0.25 * PARAMS.tau_z * float(state.dz @ state.dz)
         assert initial_lyapunov(qp, state, PARAMS) == pytest.approx(expected)
 
@@ -356,7 +353,7 @@ def test_batched_sweep_solves_grouped_blocks(monkeypatch, w, batched):
         return
     x, inner, _, _ = jacobi.x_update_all(prob, state, params)
     assert routes(calls) == others
-    g = subproblem_gradients(prob, state.x, state.z, state.lam, params.rho)
+    g = subproblem_gradients(prob, state, params.rho)
     x, x_bar = prob.split(x), prob.split(state.x)
     for t in batched:
         obj = block_objective(prob, t, g, x_bar[t], params)
@@ -480,7 +477,7 @@ def test_advance_writes_into_no_array_of_the_state(shape):
     state = init_state(prob, *default_start(prob), params)
     jacobi.advance(prob, state, params)     # fills the ALM stacks
     held = [state.x, state.z, state.lam, state.x_prev, state.z_prev,
-            state.lam_prev, state.dz, state.Ax, state.Qx,
+            state.lam_prev, state.dz, state.Ax, state.Qx, state.Kdx,
             *(a for pair in state.alm for a in pair)]
     copies = [a.copy() for a in held]
     for _ in range(2):
@@ -558,6 +555,9 @@ def test_batched_dual_residuals_match_reference(qp, case):
         assert grp.kind == "alm" and grp.blocks == [0, 1, 2, 3]
         state.x[:] = 0.9 * state.x + 0.05 * (prob.lower + prob.upper)
         x[2][0] = prob.blocks[2].set.upper[0]
+    # the iterate at the edited x, with its products there
+    state = state_at(prob, state.x, state.z, state.lam, state.x_prev,
+                     state.z_prev, state.lam_prev, state.k)
     delta = penalty_residuals(prob, state, params).delta
     ref = [dual_residual(prob, t, x[t], state.lam, feas_tol=np.inf)
            for t in range(prob.T)]

@@ -757,7 +757,8 @@ class TestCouplingRows:
         x = rng.standard_normal(sum(prob.dims))
         expected = sum(blk.objective.value(xt)
                        for blk, xt in zip(prob.blocks, prob.split(x)))
-        assert prob.objective_value(x) == pytest.approx(
+        assert prob.objective_value(
+            x, prob.objective_products(x)) == pytest.approx(
             expected, rel=1e-12)
 
 

@@ -18,7 +18,8 @@ from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_NUMERICAL_FAILURE,
                                   project_box, solve_quadratic_exact)
 
 from conftest import (acopf_rows, at_point, box_quadratic_min_enum,
-                      mixed_problem, replace_equalities, spy_row_solvers)
+                      mixed_problem, replace_equalities, spy_row_solvers,
+                      state_at)
 from reference import newton_directions_per_row, unbounded_below_per_row
 
 PARAMS = Params(rho=1.0, theta=1.0, tau_x=0.5, tau_z=0.5)
@@ -38,8 +39,9 @@ def block_gradients(problem, warm=None, z_bar=None):
     warm = (np.zeros(problem.blocks[0].n) if warm is None
             else np.asarray(warm, dtype=float))
     z_bar = np.zeros(problem.m) if z_bar is None else z_bar
-    return warm, subproblem_gradients(problem, warm, z_bar,
-                                      np.zeros(problem.m), PARAMS.rho)
+    return warm, subproblem_gradients(
+        problem, state_at(problem, warm, z_bar, np.zeros(problem.m)),
+        PARAMS.rho)
 
 
 def block_model(problem, warm=None):
@@ -431,8 +433,9 @@ def test_split_saddle_block_not_accepted(monkeypatch):
     prob = variable_splitting_transform(mixed_problem())
     params = Params(rho=0.5 / 3.0, theta=4.0, tau_x=1.0 / 3.0, tau_z=8.0)
     vec = np.zeros(sum(prob.dims))
-    g = subproblem_gradients(prob, vec, np.zeros(prob.m), np.zeros(prob.m),
-                             params.rho)
+    g = subproblem_gradients(
+        prob, state_at(prob, vec, np.zeros(prob.m), np.zeros(prob.m)),
+        params.rho)
     grp, = [grp for grp in prob.quadratic_groups if 3 in grp.blocks]
     assert grp.kind == "qp"
     w = params.rho + params.tau_x
@@ -625,8 +628,8 @@ def test_alm_rows_with_a_quadratic_row_match_one_block_solves():
     assert grp.kind == "alm" and grp.blocks == list(range(T))
     rng = np.random.default_rng(2)
     X = rng.uniform(prob.lower, prob.upper).reshape(T, -1)
-    g = subproblem_gradients(prob, X.ravel(), np.zeros(prob.m),
-                             rng.standard_normal(prob.m), 1.0)
+    g = subproblem_gradients(prob, state_at(
+        prob, X.ravel(), np.zeros(prob.m), rng.standard_normal(prob.m)), 1.0)
     H, G = grp.hessian(3.0), grp.take(g)
     out = stacked_alm(grp, H, G, X)
     assert all(out[1] == STATUS_CONVERGED)
@@ -697,11 +700,12 @@ def test_box_group_rows_match_one_block_solves(monkeypatch):
     grp, = prob.quadratic_groups
     assert grp.kind == "box" and grp.blocks == list(range(T))
     # block 4's warm start: the minimizer of its model, found from x0
-    g = subproblem_gradients(prob, x0.ravel(), z, lam, PARAMS.rho)
+    g = subproblem_gradients(prob, state_at(prob, x0.ravel(), z, lam),
+                             PARAMS.rho)
     x, _, _, _ = jacobi.solve_group(grp, x0.ravel(), g, W)
     x0[4] = x[4]
     vec = x0.ravel()
-    g = subproblem_gradients(prob, vec, z, lam, PARAMS.rho)
+    g = subproblem_gradients(prob, state_at(prob, vec, z, lam), PARAMS.rho)
     calls = spy_row_solvers(monkeypatch)
     x, inner, status, _ = jacobi.solve_group(grp, vec, g, W)
     (solver, routed, (_, _, _, crit)), = calls
@@ -717,8 +721,8 @@ def test_box_group_rows_match_one_block_solves(monkeypatch):
             coupling=blk.coupling[t:t + 1])])
         one_grp, = one.quadratic_groups
         assert one_grp.kind == "box"
-        g_t = subproblem_gradients(one, x0[t], z[t:t + 1], lam[t:t + 1],
-                                   PARAMS.rho)
+        g_t = subproblem_gradients(
+            one, state_at(one, x0[t], z[t:t + 1], lam[t:t + 1]), PARAMS.rho)
         assert np.array_equal(g_t, g[t * n:(t + 1) * n], equal_nan=True)
         x_t, inner_t, status_t, _ = jacobi.solve_group(one_grp, x0[t], g_t,
                                                        W)
