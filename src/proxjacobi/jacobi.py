@@ -221,10 +221,12 @@ def solve_group(grp, vec, g, w, start=None):
     """Solve the subproblems of the quadratic group ``grp`` from the anchors
     ``grp.take(vec)``, with their gradients ``grp.take(g)`` there and the
     Hessians ``grp.hessian(w)``, by one stacked call of the group kind's
-    solver.  The rows of an ``exact`` group whose step fails go to
-    projected Newton, and those of a ``qp`` group without a certified
-    minimizer to the inner ALM, in one stacked call each; the solver's
-    arrays are written into the rows it was given.  The ALM of an ``alm``
+    solver; a ``qp`` group's QP takes its first pass from the starting
+    system the group keeps for w (``grp.kkt_start(w)``).  The rows of an
+    ``exact`` group whose step fails go to projected Newton, and those of a
+    ``qp`` group without a certified minimizer to the inner ALM, in one
+    stacked call each; the solver's arrays are written into the rows it
+    was given.  The ALM of an ``alm``
     group starts from ``start``, the stacks ``(y, sigma)`` (cold when
     None); the ALM rows of a ``qp`` group always start cold.
 
@@ -247,7 +249,8 @@ def solve_group(grp, vec, g, w, start=None):
         # the model G'(x - X) + (x - X)'H(x - X)/2 has the gradient G - HX
         # at x = 0
         x, _, inner = solve_box_qp(H, G + (H @ -X[..., None])[..., 0],
-                                   grp.C, grp.d, lo, hi)
+                                   grp.C, grp.d, lo, hi,
+                                   start=grp.kkt_start(w))
         rows = np.flatnonzero(inner == 0)
     else:
         x, inner = X.copy(), np.zeros(len(X), dtype=int)

@@ -679,6 +679,11 @@ class QuadraticGroup:
     stacked data, and ``lower`` and ``upper`` (k, n) the bounds.  The kinds
     with equalities also hold ``equality_map``, the first block's map, and
     the right-hand sides ``d`` (k, r); a ``qp`` group holds its rows ``C``.
+
+    What depends only on the weight w = rho + tau_x is kept for the latest
+    w: the Hessian stack (``hessian``), an ``exact`` group's inverses
+    (``hessian_factor``) and a ``qp`` group's starting KKT system
+    (``kkt_start``), whose inverses the QP's first pass solves by.
     """
 
     def __init__(self, problem, kind, blocks, Q, AtA):
@@ -698,6 +703,7 @@ class QuadraticGroup:
             self.C = self.equality_map.C
         self._hessian = (None, None)
         self._factor = (None, None)
+        self._start = (None, None)
 
     def take(self, vec):
         """The group's rows of the flat vector ``vec``, as (k, n)."""
@@ -726,6 +732,19 @@ class QuadraticGroup:
             factor = (H, np.linalg.inv(safe), ok)
             self._factor = (w, factor)
         return factor
+
+    def kkt_start(self, w):
+        """The active-set QP's starting system of a ``qp`` group's stack
+        H = Q + w AtA (``subsolver.start_system``: the fixed coordinates
+        pinned, the KKT matrices, their inverses and the certificate), kept
+        for the latest ``w`` only, as ``hessian_factor`` is."""
+        from .subsolver import start_system
+        key, system = self._start
+        if key != w:
+            system = start_system(self.hessian(w), self.C, self.d,
+                                  self.lower, self.upper)
+            self._start = (w, system)
+        return system
 
 
 def _cholesky(H):
@@ -1243,6 +1262,22 @@ def _refuse_non_numbers(value, path=""):
                                 f"{value!r})")
 
 
+# The strings a bound may hold: the two that ``save_problem`` writes, and
+# "nan", which the NaN check then names.
+_BOUND_STRINGS = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan}
+
+
+def _bound_values(values):
+    """The floats of a bounds list of numbers and ``_BOUND_STRINGS``;
+    raises ValueError on any other string (``"Infinity"``, ``" inf "``)."""
+    try:
+        return [_BOUND_STRINGS[v] if type(v) is str else float(v)
+                for v in values]
+    except KeyError as exc:
+        raise ValueError('expected a number, "inf" or "-inf", got '
+                         f"{exc.args[0]!r}") from None
+
+
 def _bounds_from_json(doc, n, path):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object with 'lower' and 'upper'")
@@ -1250,8 +1285,7 @@ def _bounds_from_json(doc, n, path):
     for key in ("lower", "upper"):
         if key not in doc:
             raise SchemaError(f"{path}.{key}", "missing required field")
-        vals = _field(doc, key, f"{path}.{key}",
-                      lambda v: [float(x) for x in v])
+        vals = _field(doc, key, f"{path}.{key}", _bound_values)
         if len(vals) != n:
             raise SchemaError(f"{path}.{key}", f"length {len(vals)} != n={n}")
         out.append(np.array(vals))

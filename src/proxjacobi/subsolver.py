@@ -10,9 +10,11 @@ Each kind of group has one solver:
 - ``qp`` (quadratic blocks with linear equalities and a box): an
   active-set QP on a stack of blocks that share the equality rows (shared
   with the reference oracle and the lower bound, which call it with one
-  problem).  It returns only certified strict local minimizers, but it is
-  not monotone: the warm start may violate the equalities, and then its
-  objective value can be below the minimizer's;
+  problem); the sweep gives its first pass the group's starting KKT
+  system, inverted once per rho + tau_x (``start_system``).  It returns
+  only certified strict local minimizers, but it is not monotone: the
+  warm start may violate the equalities, and then its objective value can
+  be below the minimizer's;
 - ``box`` (box-only blocks): projected Newton, which is monotone (the
   returned objective value never exceeds the warm start's) and handles
   indefinite Hessians; ``box_newton_rows`` also takes the rows of an
@@ -34,6 +36,8 @@ criticalities, and for the ALM the multipliers and penalties.  The
 objective callbacks answer for the rows ``rows`` of the stack at the points
 X (len(rows), n).
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,10 +99,11 @@ def _inertia_ok(kkt, nf):
 
 
 def _solve_rows(kkt, rhs):
-    """``np.linalg.solve`` of each system of the stack, with NaN on the
-    rows whose matrix is singular."""
+    """``np.linalg.solve`` of each system of the stack kkt (k, m, m) for its
+    right-hand sides rhs (k, m, p), with NaN on the rows whose matrix is
+    singular."""
     try:
-        return np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        return np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         if len(kkt) == 1:
             return np.full_like(rhs, np.nan)
@@ -106,7 +111,79 @@ def _solve_rows(kkt, rhs):
                                for K, b in zip(kkt, rhs)])
 
 
-def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
+def _strict_minimizers(kkt, free):
+    """Per row of the stack of KKT matrices ``kkt`` with the free
+    coordinates ``free`` (k, n), whether a KKT point is a strict local
+    minimizer on the free coordinates: its free Hessian factors by Cholesky
+    (one batched factorization), or else its KKT matrix has the inertia of
+    one (``_inertia_ok``)."""
+    n = free.shape[1]
+    ok = _cholesky(kkt[:, :n, :n])[1]
+    for i in np.flatnonzero(~ok):
+        rows = np.concatenate([free[i], np.ones(len(kkt[i]) - n, bool)])
+        ok[i] = _inertia_ok(kkt[i][np.ix_(rows, rows)], int(free[i].sum()))
+    return ok
+
+
+class KKTSystem(NamedTuple):
+    """The part of a pass of ``solve_box_qp`` that does not depend on the
+    gradients, for a stack of k problems with the coordinates ``at_lo`` and
+    ``at_hi`` (k, n) pinned at their bounds (``kkt_system``): the free
+    coordinates ``free`` and the pinned values ``xp`` (k, n) (zero on the
+    free ones), ``Hxp`` = H xp (k, n), ``dCxp`` = d - C xp (k, r), and the
+    KKT matrices ``kkt`` (k, n + r, n + r).  A starting system
+    (``start_system``) also holds their inverses ``inv`` (NaN on a singular
+    matrix) and ``strict``, ``_strict_minimizers`` of every row; both are
+    None in a one-shot system."""
+
+    free: np.ndarray
+    xp: np.ndarray
+    Hxp: np.ndarray
+    dCxp: np.ndarray
+    kkt: np.ndarray
+    inv: np.ndarray | None = None
+    strict: np.ndarray | None = None
+
+
+def kkt_system(H, C, d, lo, hi, at_lo, at_hi):
+    """The one-shot :class:`KKTSystem` of the stack H (k, n, n), the shared
+    rows C (r, n), the right-hand sides d (k, r) and the bounds lo, hi
+    (k, n), with the coordinates ``at_lo`` and ``at_hi`` pinned.  A pinned
+    coordinate is an identity row and column of its row's
+    (n + r) x (n + r) matrix, its H and C columns moved to the right-hand
+    side (through ``Hxp`` and ``dCxp``)."""
+    k, n = lo.shape
+    r = len(C)
+    pinned = at_lo | at_hi
+    free = ~pinned
+    xp = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+    CT = np.where(free[:, :, None], C.T, 0.0)
+    kkt = np.zeros((k, n + r, n + r))
+    kkt[:, :n, :n] = np.where(free[:, :, None] & free[:, None, :], H, 0.0)
+    diag = np.arange(n)
+    kkt[:, diag, diag] += pinned
+    kkt[:, :n, n:] = CT
+    kkt[:, n:, :n] = np.swapaxes(CT, 1, 2)
+    return KKTSystem(free, xp, _matvec(H, xp), d - xp @ C.T, kkt)
+
+
+def start_system(H, C, d, lo, hi):
+    """The starting :class:`KKTSystem` of ``solve_box_qp``'s first pass on
+    the stack (H, C, d, lo, hi): only the fixed coordinates (lo = hi)
+    pinned, with the inverses of the KKT matrices (one batched solve, NaN
+    on a singular matrix) and the certificate of every row (meaningless,
+    and never read, on a row whose H is not finite).  It depends on the
+    stack and not on the gradients, so the sweep keeps one per ``qp``
+    group and rho + tau_x (``QuadraticGroup.kkt_start``)."""
+    fixed = np.isfinite(lo) & (lo == hi)
+    system = kkt_system(H, C, d, lo, hi, fixed, np.zeros_like(fixed))
+    kkt = system.kkt
+    eye = np.broadcast_to(np.eye(kkt.shape[-1]), kkt.shape)
+    return system._replace(inv=_solve_rows(kkt, eye),
+                           strict=_strict_minimizers(kkt, system.free))
+
+
+def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8, start=None):
     """Minimize 0.5 x'H_i x + g_i'x subject to C x = d_i and
     lo_i <= x <= hi_i, for every row i of a stack of k problems: H
     (k, n, n), g, lo and hi (k, n), the shared rows C (r, n) and d (k, r).
@@ -115,17 +192,20 @@ def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
     13(3), 2002), run on all rows at once: coordinates with lo = hi stay
     pinned.  Each pass solves, for every row still in the loop, its
     equality KKT system on the free coordinates with the pinned ones held
-    at their bounds.  A pinned coordinate is an identity row and column of
-    the row's (n + r) x (n + r) system, its H and C columns moved to the
-    right-hand side, so one batched solve serves the pass.  The pass then
-    pins the free coordinates that left the box and releases the pinned
-    ones whose box multiplier Hx + g + C'mu has the wrong sign.  A row
-    whose pass changes nothing leaves the loop; its KKT residual, on the
-    free coordinates and the equality rows, must be at most
-    ``rtol (1 + max|rhs|)``, and its point must be a strict local minimizer
-    on the free coordinates: its free Hessian factors by Cholesky (one
-    batched factorization), or else its KKT matrix has the inertia of one
-    (``_inertia_ok``).
+    at their bounds (a :class:`KKTSystem`, whose identity rows for the
+    pinned coordinates let one batched solve serve the pass).  The first
+    pass pins only the fixed coordinates, so its system does not depend on
+    g: ``start``, when given, is that system (``start_system`` of the same
+    stack), solved by its inverses as the exact step solves by H^-1, with
+    its certificate precomputed; otherwise, and on every later pass, the
+    pass builds a one-shot system for its rows (``kkt_system``) and solves
+    it by LU (``_solve_rows``).  The pass then pins the free coordinates
+    that left the box and releases the pinned ones whose box multiplier
+    Hx + g + C'mu has the wrong sign.  A row whose pass changes nothing
+    leaves the loop; its KKT residual, on the free coordinates and the
+    equality rows, must be at most ``rtol (1 + max|rhs|)``, and its point
+    must be a strict local minimizer on the free coordinates
+    (``_strict_minimizers``).
 
     Returns ``(x, mu, passes)`` of shapes (k, n), (k, r) and (k,):
     ``passes[i]`` is the pass on which row i settled, or 0 when row i has
@@ -141,51 +221,53 @@ def solve_box_qp(H, g, C, d, lo, hi, rtol=1e-8):
     fixed = np.isfinite(lo) & (lo == hi)
     at_lo = fixed.copy()
     at_hi = np.zeros((k, n), dtype=bool)
-    diag = np.arange(n)
     live = np.flatnonzero(np.isfinite(H).all(axis=(1, 2))
                           & np.isfinite(g).all(axis=1))
     for p in range(1, QP_MAX_PASSES + 1):
         if live.size == 0:
             break
-        Hl, gl, lol, hil = H[live], g[live], lo[live], hi[live]
-        pinned = at_lo[live] | at_hi[live]
-        free = ~pinned
-        xp = np.where(at_lo[live], lol, np.where(at_hi[live], hil, 0.0))
-        CT = np.where(free[:, :, None], C.T, 0.0)
-        kkt = np.zeros((live.size, n + r, n + r))
-        kkt[:, :n, :n] = np.where(free[:, :, None] & free[:, None, :], Hl,
-                                  0.0)
-        kkt[:, diag, diag] += pinned
-        kkt[:, :n, n:] = CT
-        kkt[:, n:, :n] = np.swapaxes(CT, 1, 2)
-        rhs = np.concatenate([np.where(free, -(gl + _matvec(Hl, xp)), xp),
-                              d[live] - xp @ C.T], axis=1)
-        sol = _solve_rows(kkt, rhs)
-        xl = np.where(free, sol[:, :n], xp)
+        # a pass over every row reads the stacks in place
+        at = live if live.size < k else slice(None)
+        Hl, gl, lol, hil = H[at], g[at], lo[at], hi[at]
+        lo_l, hi_l = at_lo[at], at_hi[at]
+        if p == 1 and start is not None:
+            system = KKTSystem(*(a[at] for a in start))
+        else:
+            system = kkt_system(Hl, C, d[at], lol, hil, lo_l, hi_l)
+        free, kkt = system.free, system.kkt
+        rhs = np.concatenate([np.where(free, -(gl + system.Hxp), system.xp),
+                              system.dCxp], axis=1)
+        sol = (_solve_rows(kkt, rhs[..., None]) if system.inv is None
+               else system.inv @ rhs[..., None])[..., 0]
+        xl = np.where(free, sol[:, :n], system.xp)
         mul = sol[:, n:]
         # the rows of the reduced system: free coordinates and equalities
         rows = np.concatenate([free, np.ones((live.size, r), bool)], axis=1)
-        tol = rtol * (1.0 + np.max(np.abs(np.where(rows, rhs, 0.0)),
-                                   axis=1, initial=0.0))
-        mult = _matvec(Hl, xl) + gl + mul @ C
-        release = ((at_lo[live] & ~fixed[live] & (mult < -tol[:, None]))
-                   | (at_hi[live] & (mult > tol[:, None])))
+        tol = rtol * (1.0 + np.abs(np.where(rows, rhs, 0.0)).max(
+            axis=1, initial=0.0))
+        # only a coordinate pinned by an earlier pass can be released, so a
+        # first pass forms no box multiplier
+        loose = lo_l & ~fixed[at]
+        release = loose | hi_l
+        if release.any():
+            mult = _matvec(Hl, xl) + gl + mul @ C
+            release = ((loose & (mult < -tol[:, None]))
+                       | (hi_l & (mult > tol[:, None])))
         below = free & (xl < lol)
         above = free & (xl > hil)
         finite = np.isfinite(sol).all(axis=1)
         settled = finite & ~(release | below | above).any(axis=1)
-        resid = np.max(np.abs(np.where(rows, _matvec(kkt, sol) - rhs, 0.0)),
-                       axis=1, initial=0.0)
+        resid = np.abs(np.where(rows, _matvec(kkt, sol) - rhs, 0.0)).max(
+            axis=1, initial=0.0)
         cert = settled & (resid <= tol)
         idx = np.flatnonzero(cert)
         if idx.size:
-            for i in idx[~_cholesky(kkt[idx, :n, :n])[1]]:
-                cert[i] = _inertia_ok(kkt[i][np.ix_(rows[i], rows[i])],
-                                      int(free[i].sum()))
+            cert[idx] = (_strict_minimizers(kkt[idx], free[idx])
+                         if system.strict is None else system.strict[idx])
         done = live[cert]
         x[done], mu[done], passes[done] = xl[cert], mul[cert], p
-        at_lo[live] = (at_lo[live] & ~release) | below
-        at_hi[live] = (at_hi[live] & ~release) | above
+        at_lo[at] = (lo_l & ~release) | below
+        at_hi[at] = (hi_l & ~release) | above
         live = live[finite & ~settled]
     return x, mu, passes
 
@@ -223,7 +305,8 @@ def _newton_directions(H, G, free):
         A[:, diag, diag] += ridge[todo, None] * free[todo]
         ok = _cholesky(A)[1]
         done = todo[ok]
-        D[done] = np.where(free[done], _solve_rows(A[ok], rhs[done]), 0.0)
+        D[done] = np.where(free[done], _solve_rows(
+            A[ok], rhs[done][..., None])[..., 0], 0.0)
         todo = todo[~ok]
         ridge[todo] = np.maximum(10.0 * ridge[todo], 1e-8 * scale[todo])
         todo = todo[ridge[todo] < 1e12 * scale[todo]]

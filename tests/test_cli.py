@@ -103,6 +103,9 @@ def test_malformed_polar_payload(tmp_path, capsys, eq, key, value, message):
     assert not trc.exists()
 
 
+LOOSE_INFINITIES = {"Infinity": "upper", "-INF": "lower", " inf ": "upper"}
+
+
 def _malform(doc, case):
     """Give one field of ``doc`` a value of the wrong type, or a NaN; returns
     the path the error must name."""
@@ -119,12 +122,19 @@ def _malform(doc, case):
     if case == "nan A":
         blk["A"][0][2] = float("nan")
         return "blocks[0].A"
+    if case in LOOSE_INFINITIES:
+        # only "inf" and "-inf", the strings save_problem writes, spell an
+        # infinite bound
+        key = LOOSE_INFINITIES[case]
+        blk["bounds"][key][0] = case
+        return f"blocks[0].bounds.{key}"
     blk["bounds"]["lower"] = 5
     return "blocks[0].bounds.lower"
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])
-@pytest.mark.parametrize("case", ["m", "block", "c0", "bounds", "nan A"])
+@pytest.mark.parametrize("case", ["m", "block", "c0", "bounds", "nan A",
+                                  *LOOSE_INFINITIES])
 def test_malformed_document_is_schema_error(qp_file, tmp_path, capsys,
                                             command, case):
     # a wrongly typed field, or a value that is not finite, ends in one

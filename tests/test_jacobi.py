@@ -14,7 +14,7 @@ from proxjacobi.jacobi import (BlockSolveError, RunConfig, TRACE_COLUMNS,
                                TraceRecord, init_state, initial_lyapunov,
                                iterate, read_trace_csv, run,
                                trace_csv_text, write_trace_csv)
-from proxjacobi.model import (Params, PolarBalance, Problem,
+from proxjacobi.model import (Params, PolarBalance, Problem, save_problem,
                               variable_splitting_transform)
 from proxjacobi.subsolver import (STATUS_CONVERGED, STATUS_ITERATION_CAP,
                                   STATUS_NUMERICAL_FAILURE, solve_box_qp)
@@ -319,6 +319,32 @@ def test_iterate_makes_each_product_once(monkeypatch, case):
     assert len(cli.replay_trace(prob, trace)) == 3
     assert counts == {"block_products": 1 + 2 * 3, "block_products_T": 3,
                       "objective_products": 1 + 3}
+
+
+def test_qp_start_built_once_per_weight(monkeypatch, tmp_path):
+    # a 24 x 3 dispatch solve, and its trace-check replay, build their qp
+    # group's starting KKT system only when rho + tau_x changes between
+    # sweeps (the cache keeps the latest weight, as hessian_factor does):
+    # 11 builds over 44 sweeps here, for 9 distinct weights, since w goes
+    # 0.096 -> 0.192 -> 0.096 once
+    problem = problems.gen_multiperiod_dispatch(24, 3, 0.1)
+    assert [g.kind for g in problem.quadratic_groups] == ["qp"]
+    path, trace = tmp_path / "d.json", tmp_path / "d.csv"
+    path.write_text(save_problem(problem))
+    builds = []
+    real = subsolver.start_system
+    monkeypatch.setattr(subsolver, "start_system",
+                        lambda *a: builds.append(1) or real(*a))
+    assert cli.main(["solve", str(path), "--eps", "1e-6", "--no-timings",
+                     "--trace", str(trace)]) == cli.EXIT_OK
+    with open(trace) as fh:
+        w = [rec.rho + rec.tau_x for rec in read_trace_csv(fh)]
+    changes = 1 + sum(a != b for a, b in zip(w, w[1:]))
+    assert changes < len(w) // 2
+    assert len(builds) == changes
+    builds.clear()
+    assert cli.main(["trace-check", str(trace), str(path)]) == cli.EXIT_OK
+    assert len(builds) == changes
 
 
 def random_state(problem, params, seed):

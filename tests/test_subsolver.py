@@ -162,20 +162,33 @@ def test_dispatch_nonfinite_data_fails(monkeypatch):
 
 
 def test_hessian_factor_follows_weight():
-    # each change of rho + tau_x refactors; a stale factor is never reused
+    # each change of rho + tau_x refactors an exact group's Hessians and
+    # rebuilds a qp group's starting KKT system (x0 fixed, x1 + x2 = 1); a
+    # stale one is never reused, and an unchanged weight reuses it
     rng = np.random.default_rng(9)
     M = rng.standard_normal((3, 3))
     A = rng.standard_normal((2, 3))
-    cset = ConstraintSet(np.full(3, -np.inf), np.full(3, np.inf))
-    prob = make_block_problem(Quadratic(sp.csr_matrix(M.T @ M), np.zeros(3)),
-                              cset, m=2, A=A)
-    grp, = prob.quadratic_groups
-    assert np.allclose(grp.AtA[0], A.T @ A, rtol=1e-14, atol=0.0)
+    f = Quadratic(sp.csr_matrix(M.T @ M), np.zeros(3))
+    free = ConstraintSet(np.full(3, -np.inf), np.full(3, np.inf))
+    box_row = ConstraintSet(
+        np.array([0.2, -1.0, -np.inf]), np.array([0.2, 1.0, np.inf]),
+        [Quadratic(sp.csr_matrix((3, 3)), np.array([0.0, 1.0, 1.0]), -1.0)])
+    (exact,), (qp,) = (make_block_problem(f, cset, m=2, A=A).quadratic_groups
+                       for cset in (free, box_row))
+    assert (exact.kind, qp.kind) == ("exact", "qp")
+    assert np.allclose(exact.AtA[0], A.T @ A, rtol=1e-14, atol=0.0)
     for w in (1.5, 40.0, 1.5):
-        H, H_inv, ok = grp.hessian_factor(w)
+        H = exact.Q + w * exact.AtA
+        H_w, H_inv, ok = exact.hessian_factor(w)
         assert ok[0]
-        assert np.array_equal(H, grp.Q + w * grp.AtA)
-        assert np.array_equal(H_inv, np.linalg.inv(grp.Q + w * grp.AtA))
+        assert np.array_equal(H_w, H)
+        assert np.array_equal(H_inv, np.linalg.inv(H))
+        system = qp.kkt_start(w)
+        assert qp.kkt_start(w) is system
+        assert system.free.tolist() == [[False, True, True]]
+        fresh = subsolver.start_system(H, qp.C, qp.d, qp.lower, qp.upper)
+        for cached, built in zip(system, fresh):
+            assert np.array_equal(cached, built)
 
 
 def test_box_newton_clamps_to_bound(monkeypatch):
@@ -353,9 +366,14 @@ def test_box_qp_certifies_strict_minimizers():
 def test_batched_box_qp_matches_single_rows():
     # a stack of random strictly convex problems with shared rows C and
     # finite, half-infinite and pinned (lo = hi) bounds: each row of the
-    # batched solve is the k = 1 solve of that row, and a certified row is
-    # a KKT point.  (A pass that pins so many coordinates that C has no
-    # full rank on the free ones is singular: such rows fail, in both.)
+    # batched solve is the k = 1 solve of that row, bit for bit, whether
+    # each first pass solves by LU or by the inverses of its own starting
+    # system (``start_system``), and a certified row is a KKT point.  (A
+    # pass that pins so many coordinates that C has no full rank on the
+    # free ones is singular: such rows fail, in both.)  Row 0 has every
+    # coordinate pinned, so its starting KKT system is singular (NaN
+    # inverse); row 1's NaN gradient keeps it out of every pass, so the
+    # stack's first pass gathers the other rows' systems
     rng = np.random.default_rng(11)
     k, n, r = 40, 5, 2
     M = rng.standard_normal((k, n, n))
@@ -368,27 +386,40 @@ def test_batched_box_qp_matches_single_rows():
     hi = x_feas + rng.uniform(0.1, 1.0, (k, n))
     lo[rng.uniform(size=(k, n)) < 0.15] = -np.inf
     pin = rng.uniform(size=(k, n)) < 0.15
+    pin[0] = True
     lo[pin] = hi[pin] = x_feas[pin]
+    g[1, 2] = np.nan
     d = x_feas @ C.T
-    x, mu, passes = subsolver.solve_box_qp(H, g, C, d, lo, hi)
-    for i in range(k):
-        xi, mui, pi = subsolver.solve_box_qp(H[i:i + 1], g[i:i + 1], C,
-                                             d[i:i + 1], lo[i:i + 1],
-                                             hi[i:i + 1])
-        assert pi[0] == passes[i]
-        assert np.array_equal(xi[0], x[i]) and np.array_equal(mui[0], mu[i])
-    ok = passes > 0
-    assert np.sum(ok) >= 30 and np.max(passes) >= 4
-    assert np.any(pin[ok])
-    x, mu, H, g, lo, hi, pin = (a[ok] for a in (x, mu, H, g, lo, hi, pin))
-    assert np.array_equal(x[pin], lo[pin])
-    assert np.all(x >= lo) and np.all(x <= hi)
-    assert np.allclose(x @ C.T, d[ok], rtol=0.0, atol=1e-10)
-    box_mult = (H @ x[..., None])[..., 0] + g + mu @ C
-    inside = (x > lo) & (x < hi)
-    assert np.all(np.abs(box_mult[inside]) <= 1e-9)
-    assert np.all(box_mult[(x == lo) & ~pin] >= -1e-9)
-    assert np.all(box_mult[(x == hi) & ~pin] <= 1e-9)
+    for cached in (False, True):
+        def start(rows):
+            return (subsolver.start_system(H[rows], C, d[rows], lo[rows],
+                                           hi[rows]) if cached else None)
+        x, mu, passes = subsolver.solve_box_qp(H, g, C, d, lo, hi,
+                                               start=start(slice(None)))
+        for i in range(k):
+            one = slice(i, i + 1)
+            xi, mui, pi = subsolver.solve_box_qp(
+                H[one], g[one], C, d[one], lo[one], hi[one], start=start(one))
+            assert pi[0] == passes[i]
+            assert np.array_equal(xi[0], x[i])
+            assert np.array_equal(mui[0], mu[i])
+        assert passes[0] == passes[1] == 0
+        if cached:
+            assert np.isnan(start(slice(0, 1)).inv).all()
+        ok = passes > 0
+        assert np.sum(ok) >= 30 and np.max(passes) >= 4
+        assert np.sum(passes == 1) >= 5
+        assert np.any(pin[ok])
+        xo, muo, Ho, go, loo, hio, pino = (
+            a[ok] for a in (x, mu, H, g, lo, hi, pin))
+        assert np.array_equal(xo[pino], loo[pino])
+        assert np.all(xo >= loo) and np.all(xo <= hio)
+        assert np.allclose(xo @ C.T, d[ok], rtol=0.0, atol=1e-10)
+        box_mult = (Ho @ xo[..., None])[..., 0] + go + muo @ C
+        inside = (xo > loo) & (xo < hio)
+        assert np.all(np.abs(box_mult[inside]) <= 1e-9)
+        assert np.all(box_mult[(xo == loo) & ~pino] >= -1e-9)
+        assert np.all(box_mult[(xo == hio) & ~pino] <= 1e-9)
 
 
 def test_batched_box_qp_pin_and_release():
