@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -336,30 +337,35 @@ class TraceCheckReport:
         return any(outcome == "fail" for _, outcome, _ in self.results)
 
 
-def replay_trace(problem, records):
-    """Re-run the iteration under the recorded parameter schedule and
-    check that it reproduces the recorded merit values.
+def param_schedule(records):
+    """The parameters of each trace record, in order: the schedule that
+    ``replay_trace`` replays and the checks read."""
+    return [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x, tau_z=r.tau_z)
+            for r in records]
+
+
+def replay_trace(problem, records, schedule):
+    """Re-run the iteration under the parameter ``schedule`` of the trace
+    ``records`` (``param_schedule``) and check that it reproduces the
+    recorded merit values.
 
     Uses the solver's default start and ``jacobi.advance``, so it makes no
     trace record and computes no residual.  Returns a snapshot of the state
     after every iteration, with its products but without the ALM stacks.
-    Raises ValueError when a replayed phi disagrees with the trace beyond
-    replay tolerance (trace/problem mismatch).
+    Raises ValueError when a replayed phi differs from the recorded one by
+    more than ``REPLAY_RTOL * (1 + |phi|)`` (trace/problem mismatch); an
+    infinite recorded phi is matched only by the same infinity, and a NaN
+    by nothing.
     """
     if not records:
         raise ValueError("empty trace")
     x0, z0, lam0 = default_start(problem)
-    first = records[0]
-    params = Params(rho=first.rho, theta=first.theta,
-                    tau_x=first.tau_x, tau_z=first.tau_z)
-    state = jacobi.init_state(problem, x0, z0, lam0, params)
+    state = jacobi.init_state(problem, x0, z0, lam0, schedule[0])
     states = []
-    for rec in records:
-        params = Params(rho=rec.rho, theta=rec.theta,
-                        tau_x=rec.tau_x, tau_z=rec.tau_z)
+    for rec, params in zip(records, schedule):
         phi = jacobi.advance(problem, state, params).phi
-        scale = 1.0 + abs(rec.phi)
-        if not np.isclose(phi, rec.phi, rtol=0.0, atol=REPLAY_RTOL * scale):
+        if not math.isclose(phi, rec.phi, rel_tol=0.0,
+                            abs_tol=REPLAY_RTOL * (1.0 + abs(rec.phi))):
             raise ValueError(
                 f"iteration {rec.k}: replayed phi {phi!r} does not "
                 f"match the trace value {rec.phi!r}; trace/problem mismatch")
@@ -370,35 +376,42 @@ def replay_trace(problem, records):
     return states
 
 
-def identity_residuals(problem, state, params):
-    """Relative residuals of the update rules' identities at one iterate:
-    the lambda-z relation, p = dlam/rho and z-update stationarity.
+def identity_residuals(problem, states, schedule):
+    """Relative residuals of the update rules' identities over a run: a
+    (K, 3) array with one row per iterate of ``states``, under its
+    parameters of ``schedule``, and the columns the lambda-z relation,
+    p = dlam/rho and z-update stationarity.
 
-    Each residual is scaled by the operands that enter it.  lambda carries
-    rho * (Ax + z - b), whose summands cancel, so an identity with lambda
-    can only hold to roundoff relative to rho * max(|Ax|, |b|).  Ax is the
-    product the state carries.
+    z, dz, lambda, lambda_prev and the carried Ax of the run are stacked
+    into (K, m) arrays, and every residual is taken over them at once, by
+    elementwise operations and row maxima only.  Each residual is scaled by
+    the operands that enter it.  lambda carries rho * (Ax + z - b), whose
+    summands cancel, so an identity with lambda can only hold to roundoff
+    relative to rho * max(|Ax|, |b|).  A NaN in any operand of a residual
+    makes it NaN.
     """
-    amax = lambda v: float(np.max(np.abs(v), initial=0.0))
-    ax = state.Ax
-    z_terms = max(params.theta * amax(state.z),
-                  params.tau_z * amax(state.dz),
-                  params.rho * max(amax(ax), amax(problem.b)))
-    lemma1 = state.lam + params.theta * state.z + params.tau_z * state.dz
-    p = ax + state.z - problem.b
-    dlam = state.lam - state.lam_prev
-    zstat = (state.lam_prev + params.rho * p + params.theta * state.z
-             + params.tau_z * state.dz)
-    return (amax(lemma1) / (1.0 + max(amax(state.lam), z_terms)),
-            amax(p - dlam / params.rho)
-            / (1.0 + max(amax(p), amax(dlam) / params.rho)),
-            amax(zstat) / (1.0 + max(amax(state.lam_prev), z_terms)))
+    amax = lambda v: np.max(np.abs(v), axis=-1, initial=0.0, keepdims=True)
+    z, dz, lam, lam_prev, ax = (
+        np.stack([getattr(s, name) for s in states])
+        for name in ("z", "dz", "lam", "lam_prev", "Ax"))
+    # (K, 1) columns, as are the row maxima
+    rho, theta, tau_z = np.array(
+        [(p.rho, p.theta, p.tau_z) for p in schedule]).T[..., None]
+    z_terms = np.maximum(np.maximum(theta * amax(z), tau_z * amax(dz)),
+                         rho * np.maximum(amax(ax), amax(problem.b)))
+    tz, tdz = theta * z, tau_z * dz
+    p = ax + z - problem.b
+    dlam = lam - lam_prev
+    zstat = lam_prev + rho * p + tz + tdz
+    return np.hstack([
+        amax(lam + tz + tdz) / (1.0 + np.maximum(amax(lam), z_terms)),
+        amax(p - dlam / rho) / (1.0 + np.maximum(amax(p), amax(dlam) / rho)),
+        amax(zstat) / (1.0 + np.maximum(amax(lam_prev), z_terms))])
 
 
-def _check_identities(problem, states, params_seq, report):
+def _check_identities(problem, states, schedule, report):
     """The worst identity residual over the replayed run, per identity."""
-    worst = np.max([identity_residuals(problem, state, params)
-                    for state, params in zip(states, params_seq)], axis=0)
+    worst = np.max(identity_residuals(problem, states, schedule), axis=0)
     for name, w in zip(("lambda-z relation", "p equals dlam/rho",
                         "z-update stationarity"), worst):
         outcome = "pass" if w <= IDENTITY_RTOL else "fail"
@@ -482,11 +495,12 @@ def cmd_trace_check(args):
     try:
         with open(args.trace, newline="") as fh:
             records = jacobi.read_trace_csv(fh)
+        schedule = param_schedule(records)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        states = replay_trace(problem, records)
+        states = replay_trace(problem, records, schedule)
     except BlockSolveError as exc:
         print(f"error: replay failed at block {exc.t}: {exc.status}",
               file=sys.stderr)
@@ -494,12 +508,10 @@ def cmd_trace_check(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    params_seq = [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x,
-                         tau_z=r.tau_z) for r in records]
     report = TraceCheckReport()
-    _check_monotonicity(records, params_seq, problem.T, report)
-    _check_identities(problem, states, params_seq, report)
-    _check_theorem_bounds(problem, records, states, params_seq, report)
+    _check_monotonicity(records, schedule, problem.T, report)
+    _check_identities(problem, states, schedule, report)
+    _check_theorem_bounds(problem, records, states, schedule, report)
     report.print()
     if report.failed:
         return EXIT_ITERATION_CAP

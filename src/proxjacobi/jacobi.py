@@ -46,9 +46,10 @@ TRACE_COLUMNS = [
     "rho", "theta", "tau_x", "tau_z", "t_xupd_ms", "t_zupd_ms",
     "inner_iters_total", "t_metrics_ms",
 ]
-# Traces written before the metrics timing column; ``read_trace_csv`` reads
-# them with t_metrics_ms = 0.
-OLD_TRACE_COLUMNS = TRACE_COLUMNS[:-1]
+# How many leading ``TRACE_COLUMNS`` every trace holds: a column added later
+# goes at the end, and ``read_trace_csv`` gives a trace written before it
+# that field's default.
+REQUIRED_TRACE_COLUMNS = 15
 
 # Why a run ended: ``run`` returns all but the block failure, which raises.
 TERMINATION_FEASIBLE = "feasible-stop"
@@ -87,7 +88,8 @@ class RunConfig:
 
 @dataclass
 class TraceRecord:
-    """Per-iteration observability record."""
+    """Per-iteration observability record; its first fields are the
+    ``TRACE_COLUMNS``, in order."""
 
     k: int
     phi: float
@@ -152,19 +154,24 @@ def trace_csv_text(records):
 
 
 def read_trace_csv(fileobj):
-    """Read trace records written by :func:`write_trace_csv`, or by its
-    versions before the ``t_metrics_ms`` column (``OLD_TRACE_COLUMNS``)."""
+    """Read trace records written by :func:`write_trace_csv`, or by one of
+    its earlier versions: the header must be a prefix of ``TRACE_COLUMNS``
+    with at least its first ``REQUIRED_TRACE_COLUMNS`` columns, and a
+    column it lacks takes its ``TraceRecord`` default.  The columns are the
+    first fields of ``TraceRecord``, in order, so each row converts cell by
+    cell through a converter list (the fields' types) built once."""
     reader = csv.reader(fileobj)
-    header = next(reader, None)
-    if header not in (TRACE_COLUMNS, OLD_TRACE_COLUMNS):
+    header = next(reader, [])
+    if (len(header) < REQUIRED_TRACE_COLUMNS
+            or header != TRACE_COLUMNS[:len(header)]):
         raise ValueError("trace header does not match the expected columns")
-    types = {f.name: f.type for f in fields(TraceRecord)}
+    convert = [f.type for f in fields(TraceRecord)][:len(header)]
     records = []
     for row in reader:
         if len(row) != len(header):
             raise ValueError(f"malformed trace row: {row!r}")
-        records.append(TraceRecord(**{
-            name: types[name](value) for name, value in zip(header, row)}))
+        records.append(TraceRecord(
+            *[conv(value) for conv, value in zip(convert, row)]))
     return records
 
 

@@ -17,6 +17,7 @@ its rows at a time.
 
 import gc
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -1267,11 +1268,23 @@ def _refuse_non_numbers(value, path=""):
 _BOUND_STRINGS = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan}
 
 
+def _bound_number(value):
+    """A bound that is not a string, as a float; raises ValueError when it
+    is infinite: a bare ``Infinity`` token or a literal that overflows
+    (``1e400``), which ``json.loads`` reads as a float infinity."""
+    value = float(value)
+    if math.isinf(value):
+        raise ValueError('an infinite bound must be the string "inf" or '
+                         f'"-inf", got the number {value!r}')
+    return value
+
+
 def _bound_values(values):
-    """The floats of a bounds list of numbers and ``_BOUND_STRINGS``;
-    raises ValueError on any other string (``"Infinity"``, ``" inf "``)."""
+    """The floats of a bounds list of finite numbers and
+    ``_BOUND_STRINGS``; raises ValueError on any other string
+    (``"Infinity"``, ``" inf "``) and on an infinite number."""
     try:
-        return [_BOUND_STRINGS[v] if type(v) is str else float(v)
+        return [_BOUND_STRINGS[v] if type(v) is str else _bound_number(v)
                 for v in values]
     except KeyError as exc:
         raise ValueError('expected a number, "inf" or "-inf", got '

@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from proxjacobi import auglag, cli, jacobi, problems
+from proxjacobi import auglag, cli, jacobi, problems, tuner
 from proxjacobi.algebra import spectral_norms
 from proxjacobi.cli import (EXIT_IO, EXIT_ITERATION_CAP, EXIT_NUMERICAL,
                             EXIT_OK, main)
@@ -104,6 +106,11 @@ def test_malformed_polar_payload(tmp_path, capsys, eq, key, value, message):
 
 
 LOOSE_INFINITIES = {"Infinity": "upper", "-INF": "lower", " inf ": "upper"}
+# Numbers that json.loads reads as infinite: the bare tokens json.dumps
+# writes for a float infinity, and a literal that overflows.  _malform puts
+# a placeholder string in their place, which the test then swaps for them
+BARE_INFINITIES = {"bare Infinity": "upper", "bare -Infinity": "lower",
+                   "bare 1e400": "upper"}
 
 
 def _malform(doc, case):
@@ -122,10 +129,10 @@ def _malform(doc, case):
     if case == "nan A":
         blk["A"][0][2] = float("nan")
         return "blocks[0].A"
-    if case in LOOSE_INFINITIES:
+    key = LOOSE_INFINITIES.get(case) or BARE_INFINITIES.get(case)
+    if key:
         # only "inf" and "-inf", the strings save_problem writes, spell an
         # infinite bound
-        key = LOOSE_INFINITIES[case]
         blk["bounds"][key][0] = case
         return f"blocks[0].bounds.{key}"
     blk["bounds"]["lower"] = 5
@@ -134,15 +141,19 @@ def _malform(doc, case):
 
 @pytest.mark.parametrize("command", ["validate", "solve"])
 @pytest.mark.parametrize("case", ["m", "block", "c0", "bounds", "nan A",
-                                  *LOOSE_INFINITIES])
+                                  *LOOSE_INFINITIES, *BARE_INFINITIES])
 def test_malformed_document_is_schema_error(qp_file, tmp_path, capsys,
                                             command, case):
     # a wrongly typed field, or a value that is not finite, ends in one
-    # error line naming it, not a crash
+    # error line naming it, not a crash; an infinite bound is only the
+    # string "inf" or "-inf"
     doc = json.loads(qp_file.read_text())
     where = _malform(doc, case)
+    text = json.dumps(doc)
+    if case in BARE_INFINITIES:
+        text = text.replace(json.dumps(case), case.split()[1], 1)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     assert main([command, str(path)]) == EXIT_IO
     err = capsys.readouterr().err
     lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
@@ -730,6 +741,19 @@ class TestTraceCheck:
         trc.write_text("\n".join(lines) + "\n")
         assert main(["trace-check", str(trc), str(pfile)]) == EXIT_IO
 
+    def test_invalid_trace_parameters(self, tmp_path, capsys):
+        # a record whose rho is not positive is one error line and exit 1,
+        # before any check runs
+        pfile, trc = self.run_solve(tmp_path, seed=3, fixed=True, eps="1e-2")
+        records = _read_trace(trc)
+        records[4].rho = 0.0
+        with open(trc, "w", newline="") as fh:
+            jacobi.write_trace_csv(records, fh)
+        capsys.readouterr()
+        assert main(["trace-check", str(trc), str(pfile)]) == EXIT_IO
+        assert capsys.readouterr() == (
+            "", "error: penalty parameters must be positive\n")
+
     def test_doctored_trace_fails_property(self, tmp_path):
         # forge an ascent in a feasible-eta trace: replay succeeds (phi
         # matches) but the doctored dphi column trips the monotonicity check
@@ -809,9 +833,8 @@ class TestLeanReplay:
         # the residuals are computed in order, at the iterations whose pi
         # is within its bound, up to the first that meets every bound
         prob, records, _, _ = fixed_qp
-        states = cli.replay_trace(prob, records)
-        params = [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x,
-                         tau_z=r.tau_z) for r in records]
+        params = cli.param_schedule(records)
+        states = cli.replay_trace(prob, records, params)
         pi_bound, delta_bounds = auglag.theorem1_bounds(
             records[0].phi, problems.separable_lower_bound(prob),
             records[-1].phi, len(records), params[0],
@@ -837,9 +860,8 @@ class TestLeanReplay:
         # a replayed snapshot keeps the products of its iterate, so the
         # dual residuals of the bound check read its Qx and make none
         prob, records, _, _ = fixed_qp
-        states = cli.replay_trace(prob, records)
-        params = [Params(rho=r.rho, theta=r.theta, tau_x=r.tau_x,
-                         tau_z=r.tau_z) for r in records]
+        params = cli.param_schedule(records)
+        states = cli.replay_trace(prob, records, params)
         calls = []
         self.spy(monkeypatch, "dual_residuals", calls)
         real = Problem.objective_products
@@ -877,6 +899,137 @@ class TestLeanReplay:
         name, outcome, detail = expected
         assert (f"{outcome.upper():5s} {name} ({detail})"
                 in capsys.readouterr().out.splitlines())
+
+
+def per_state_identity_residuals(problem, state, params):
+    """The three identity residuals of one iterate, each from its own
+    reductions: the formula ``cli.identity_residuals`` applies to a whole
+    run at once."""
+    amax = lambda v: float(np.max(np.abs(v), initial=0.0))
+    ax = state.Ax
+    z_terms = max(params.theta * amax(state.z),
+                  params.tau_z * amax(state.dz),
+                  params.rho * max(amax(ax), amax(problem.b)))
+    lemma1 = state.lam + params.theta * state.z + params.tau_z * state.dz
+    p = ax + state.z - problem.b
+    dlam = state.lam - state.lam_prev
+    zstat = (state.lam_prev + params.rho * p + params.theta * state.z
+             + params.tau_z * state.dz)
+    return (amax(lemma1) / (1.0 + max(amax(state.lam), z_terms)),
+            amax(p - dlam / params.rho)
+            / (1.0 + max(amax(p), amax(dlam) / params.rho)),
+            amax(zstat) / (1.0 + max(amax(state.lam_prev), z_terms)))
+
+
+class TestRunAudit:
+    @staticmethod
+    def replayed(case):
+        # a replayed adaptive dispatch 24 x 3 run (44 states), a replayed
+        # fixed-parameter coupled-qp run, and the first state of the latter
+        if case == "dispatch":
+            prob = problems.gen_multiperiod_dispatch(24, 3, 0.1)
+            cfg = tuner.TunerConfig(eps=1e-6)
+            _, trace, _ = tuner.run_adaptive(
+                prob, cfg,
+                tuner.make_initial_state(prob, cfg, *cli.default_start(prob)),
+                jacobi.RunConfig(record_timings=False))
+        else:
+            prob, _ = build_qp(3)
+            params = Params(rho=2.0, theta=4.0, tau_x=20.0, tau_z=8.0)
+            _, trace, _ = jacobi.run(
+                prob, params,
+                jacobi.init_state(prob, *cli.default_start(prob), params),
+                jacobi.RunConfig(record_timings=False, max_iters=30))
+            trace = trace[:1] if case == "one state" else trace
+        schedule = cli.param_schedule(trace)
+        return prob, trace, schedule, cli.replay_trace(prob, trace, schedule)
+
+    @pytest.mark.parametrize("case", ["dispatch", "coupled-qp", "one state"])
+    def test_run_residuals_equal_per_state_ones(self, case):
+        # one pass over the stacked run gives, bitwise, the residuals of
+        # each state taken alone
+        prob, trace, schedule, states = self.replayed(case)
+        got = cli.identity_residuals(prob, states, schedule)
+        want = np.array([per_state_identity_residuals(prob, state, params)
+                         for state, params in zip(states, schedule)])
+        assert len(trace) == {"dispatch": 44, "coupled-qp": 30,
+                              "one state": 1}[case]
+        assert got.shape == (len(trace), 3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_perturbed_lambda_fails_the_audit(self):
+        # the audit passes the replayed run, and fails it when one state's
+        # lambda is moved
+        prob, _, schedule, states = self.replayed("coupled-qp")
+        results = []
+        for j in (None, 7):
+            if j is not None:
+                states[j] = replace(states[j], lam=states[j].lam + 1e-3)
+            report = cli.TraceCheckReport()
+            cli._check_identities(prob, states, schedule, report)
+            results.append({name: outcome
+                            for name, outcome, _ in report.results})
+        assert set(results[0].values()) == {"pass"}
+        assert results[1]["identity: lambda-z relation"] == "fail"
+        assert results[1]["identity: p equals dlam/rho"] == "fail"
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_state_fails_the_audit(self, value):
+        # a state whose z is not finite fails every identity
+        prob, _, schedule, states = self.replayed("coupled-qp")
+        states[-1] = replace(states[-1], z=np.full_like(states[-1].z, value))
+        report = cli.TraceCheckReport()
+        with np.errstate(invalid="ignore"):     # inf / inf
+            cli._check_identities(prob, states, schedule, report)
+        assert [outcome for _, outcome, _ in report.results] == ["fail"] * 3
+
+    def test_phi_mismatch_names_the_iteration(self):
+        # a recorded phi off by more than REPLAY_RTOL (1 + |phi|) stops the
+        # replay at its iteration; one within it does not
+        prob, trace, schedule, _ = self.replayed("coupled-qp")
+        j = 5
+        tol = cli.REPLAY_RTOL * (1.0 + abs(trace[j].phi))
+        for off, raises in ((0.5 * tol, False), (2.0 * tol, True)):
+            edited = [replace(rec) for rec in trace]
+            edited[j].phi += off
+            if raises:
+                with pytest.raises(ValueError, match=(
+                        f"^iteration {trace[j].k}: replayed phi .* does not "
+                        "match the trace value")):
+                    cli.replay_trace(prob, edited, schedule)
+            else:
+                assert len(cli.replay_trace(prob, edited, schedule)) == len(
+                    trace)
+
+    @pytest.mark.parametrize("replayed, recorded", [
+        (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf),
+        (1.0, np.inf), (np.inf, 1.0), (np.nan, np.nan), (1.0, np.nan),
+        (np.nan, 1.0)])
+    def test_non_finite_phi_as_isclose(self, monkeypatch, replayed,
+                                       recorded):
+        # the replay's scalar phi test agrees with np.isclose(rtol=0) on
+        # infinite and NaN values: only equal infinities match
+        prob, trace, schedule, _ = self.replayed("coupled-qp")
+        trace = [replace(rec) for rec in trace[:3]]
+        trace[1].phi = recorded
+        real = jacobi.advance
+
+        def forced(problem, state, params, pool=None):
+            step = real(problem, state, params, pool)
+            if state.k == 2:
+                step.phi = replayed
+            return step
+        monkeypatch.setattr(jacobi, "advance", forced)
+        with warnings.catch_warnings():
+            # np.isclose warns of an infinite or NaN atol, and uses it
+            warnings.simplefilter("ignore", RuntimeWarning)
+            close = np.isclose(replayed, recorded, rtol=0.0,
+                               atol=cli.REPLAY_RTOL * (1.0 + abs(recorded)))
+        if close:
+            assert len(cli.replay_trace(prob, trace, schedule[:3])) == 3
+        else:
+            with pytest.raises(ValueError, match="^iteration 2: "):
+                cli.replay_trace(prob, trace, schedule[:3])
 
 
 @pytest.mark.parametrize("level", [None, "error"])

@@ -2,7 +2,7 @@
 
 import io
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -271,13 +271,42 @@ class TestTraceCsv:
         # column at 0 and every other column as written
         init = init_state(qp, *default_start(qp), PARAMS)
         _, trace, _ = run(qp, PARAMS, init, RunConfig(max_iters=3))
-        assert jacobi.OLD_TRACE_COLUMNS == TRACE_COLUMNS[:15]
+        assert jacobi.REQUIRED_TRACE_COLUMNS == len(TRACE_COLUMNS) - 1 == 15
         old = "\n".join(line.rsplit(",", 1)[0]
                         for line in trace_csv_text(trace).splitlines())
         back = read_trace_csv(io.StringIO(old))
         assert [r.t_metrics_ms for r in back] == [0.0] * 3
         for a, b in zip(trace, back):
             assert a.row()[:15] == b.row()[:15]
+
+    def test_columns_are_the_first_record_fields(self):
+        # read_trace_csv converts a row by position, through the types of
+        # the first fields of TraceRecord
+        names = [f.name for f in fields(TraceRecord)]
+        assert names[:len(TRACE_COLUMNS)] == TRACE_COLUMNS
+
+    @pytest.mark.parametrize("case", ["14-column prefix", "reordered",
+                                      "extra column", "empty"])
+    def test_header_outside_the_rule_is_refused(self, qp, case):
+        # a header is read only when it is a prefix of TRACE_COLUMNS with
+        # at least its first 15 columns
+        init = init_state(qp, *default_start(qp), PARAMS)
+        _, trace, _ = run(qp, PARAMS, init, RunConfig(max_iters=2))
+        rows = [line.split(",")
+                for line in trace_csv_text(trace).splitlines()]
+        if case == "14-column prefix":
+            rows = [row[:14] for row in rows]
+        elif case == "reordered":
+            for row in rows:
+                row[1], row[2] = row[2], row[1]
+        elif case == "extra column":
+            rows = [row + [value] for row, value
+                    in zip(rows, ["unconverged", "0", "0"])]
+        else:
+            rows = []
+        text = "".join(",".join(row) + "\n" for row in rows)
+        with pytest.raises(ValueError, match="header"):
+            read_trace_csv(io.StringIO(text))
 
 
 @pytest.mark.parametrize("case", ["dispatch", "coupled-qp"])
@@ -316,7 +345,8 @@ def test_iterate_makes_each_product_once(monkeypatch, case):
     # the replay: one K x and one Q x from init_state, then per iteration
     # K x, K(x - x_prev), the sweep's K'v and Q x
     counts.update(dict.fromkeys(counts, 0))
-    assert len(cli.replay_trace(prob, trace)) == 3
+    assert len(cli.replay_trace(prob, trace,
+                                cli.param_schedule(trace))) == 3
     assert counts == {"block_products": 1 + 2 * 3, "block_products_T": 3,
                       "objective_products": 1 + 3}
 
@@ -487,7 +517,8 @@ def test_iterations_never_split_the_iterate(monkeypatch, shape):
     _, adaptive, _ = tuner.run_adaptive(
         prob, cfg, tuner.make_initial_state(prob, cfg, *x0), config)
     for trace in (fixed, adaptive):
-        states = cli.replay_trace(prob, trace)
+        states = cli.replay_trace(prob, trace,
+                                  cli.param_schedule(trace))
         assert len(states) == len(trace) >= 2
 
 
